@@ -4,10 +4,12 @@ ranks of truncated probe complexes.
 
 Correlation values are exact wherever the inputs are exact: genus 0 is
 the sphere engine, genus 1 the graded trace with exact per-order kernel
-expansions, genus 2 the paired basis sums.  Differentials transform the
-insertion tuple and re-evaluate through the element's own
-representation, so reduction-vs-oracle agreement is a checkable theorem
-rather than a construction.
+expansions, genus 2 the paired basis sums.  Each chain element carries
+the evaluator that produced its value (:class:`Sphere`, :class:`Trace`,
+:class:`Sewn` or :class:`Schottky`); differentials transform the
+insertion tuple and re-evaluate through that evaluator, so
+reduction-vs-oracle agreement is a checkable theorem rather than a
+construction.
 
 Chain conditions are reported in commutation form (the residuals of the
 two composition orders), alongside the raw composition norms; the
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -29,9 +32,10 @@ from .elliptic import f0_kernel, pm_qseries
 from .schottky import (
     SchottkyData,
     SewingData,
+    _genus_g_sum,
+    _sewn_series,
     build_R,
     genus_g_npoint,
-    handle_pairing,
     psi_p_deriv_y,
     sew_sphere,
     sew_torus,
@@ -40,6 +44,8 @@ from .schottky import (
 from .series import (
     Scalar,
     TruncatedSeries,
+    _int_power,
+    _scalar_invert,
     scalar_abs,
     scalar_is_zero,
     to_complex,
@@ -54,6 +60,8 @@ from .voa import (
     square_bracket_mode,
     zero_mode,
 )
+
+VACUUM_BOUNDARY = (VACUUM, VACUUM)
 
 
 class ComplexError(ValueError):
@@ -108,12 +116,94 @@ class CorrelationFunction:
         return scalar_is_zero(self.data)
 
 
+# -- evaluators --------------------------------------------------------
+#
+# Each evaluator maps insertion entries (and boundary states) to a
+# CorrelationFunction by one presentation of the surface.
+
+
+@dataclass(frozen=True)
+class Sphere:
+    """Genus 0: the exact sphere engine between boundary states."""
+
+    genus = 0
+    prefactor_exponent = Fraction(0)
+
+    def evaluate(self, entries, boundary=VACUUM_BOUNDARY) -> CorrelationFunction:
+        return CorrelationFunction(
+            0, sphere_value(entries, boundary[0], boundary[1], dressed=False)
+        )
+
+
+@dataclass(frozen=True)
+class Trace:
+    """Genus 1: the graded trace to ``q_order`` (points are x = e^z)."""
+
+    q_order: int
+    genus = 1
+    prefactor_exponent = Fraction(-CENTRAL_CHARGE, 24)
+
+    def evaluate(self, entries, boundary=VACUUM_BOUNDARY) -> CorrelationFunction:
+        return CorrelationFunction(
+            1, torus_qseries(entries, self.q_order), self.prefactor_exponent
+        )
+
+
+@dataclass(frozen=True)
+class Sewn:
+    """One handle sewn onto the surface ``inner`` presents, to rho^rho_order."""
+
+    inner: object
+    sewing: SewingData
+    rho_order: int
+
+    @property
+    def genus(self) -> int:
+        return self.inner.genus + 1
+
+    @property
+    def prefactor_exponent(self) -> Fraction:
+        return self.inner.prefactor_exponent
+
+    def evaluate(self, entries, boundary=VACUUM_BOUNDARY) -> CorrelationFunction:
+        inner, sd = self.inner, self.sewing
+        if isinstance(inner, Sphere):
+            data = sew_sphere(entries, sd, self.rho_order)
+        elif isinstance(inner, Trace):
+            data = sew_torus(entries, sd, self.rho_order, inner.q_order)
+        else:
+            data = _sewn_series(
+                sd, self.rho_order,
+                lambda pairs: inner.evaluate((*entries, *pairs), boundary).data,
+                variable="rho2",
+            )
+        return CorrelationFunction(self.genus, data, self.prefactor_exponent)
+
+
+@dataclass(frozen=True)
+class Schottky:
+    """Genus g: the direct paired basis sums to the given rho orders."""
+
+    sd: SchottkyData
+    orders: tuple[int, ...]
+    prefactor_exponent = Fraction(0)
+
+    @property
+    def genus(self) -> int:
+        return self.sd.genus
+
+    def evaluate(self, entries, boundary=VACUUM_BOUNDARY) -> CorrelationFunction:
+        return CorrelationFunction(
+            self.genus, genus_g_npoint(self.sd, entries, self.orders)
+        )
+
+
 @dataclass
 class ChainElement:
     insertions: InsertionTuple
     value: CorrelationFunction
-    boundary: tuple[FockState, FockState] = (VACUUM, VACUUM)
-    representation: tuple = ("sphere",)
+    boundary: tuple[FockState, FockState] = VACUUM_BOUNDARY
+    evaluator: object = Sphere()
 
     @property
     def genus(self) -> int:
@@ -131,25 +221,19 @@ class DifferentialDescriptor:
     sewing: SewingData | None = None
 
 
-# -- evaluators --------------------------------------------------------
+def _element(ins: InsertionTuple, evaluator, boundary=VACUUM_BOUNDARY) -> ChainElement:
+    return ChainElement(ins, evaluator.evaluate(ins.entries, boundary), boundary, evaluator)
 
 
 def genus0_npoint(
     ins: InsertionTuple,
-    boundary: tuple[FockState, FockState] = (VACUUM, VACUUM),
+    boundary: tuple[FockState, FockState] = VACUUM_BOUNDARY,
 ) -> ChainElement:
     """Matrix element <u_out', Y(v1,z1)...Y(vn,zn) u_in>, exact (the
     genus-0 oracle)."""
     if ins.genus != 0:
         raise ComplexError("genus tag must be 0")
-    u_out, u_in = boundary
-    val = sphere_value(ins.entries, u_out, u_in, dressed=False)
-    return ChainElement(
-        insertions=ins,
-        value=CorrelationFunction(0, val),
-        boundary=boundary,
-        representation=("sphere",),
-    )
+    return _element(ins, Sphere(), boundary)
 
 
 def genus1_npoint_trace(
@@ -166,63 +250,27 @@ def genus1_npoint_trace(
             f"weight cutoff {weight_cutoff} cannot support q-order {q_order}; "
             f"need a cutoff of at least {q_order + 1}"
         )
-    series = torus_qseries(ins.entries, q_order)
-    return ChainElement(
-        insertions=ins,
-        value=CorrelationFunction(
-            1, series, Fraction(-CENTRAL_CHARGE, 24)
-        ),
-        representation=("trace", q_order),
-    )
-
-
-def _evaluate(ins: InsertionTuple, representation: tuple,
-              boundary=(VACUUM, VACUUM)) -> CorrelationFunction:
-    kind = representation[0]
-    if kind == "sphere":
-        return CorrelationFunction(
-            0, sphere_value(ins.entries, boundary[0], boundary[1], dressed=False)
-        )
-    if kind == "trace":
-        q_order = representation[1]
-        return CorrelationFunction(
-            1, torus_qseries(ins.entries, q_order), Fraction(-CENTRAL_CHARGE, 24)
-        )
-    if kind == "sewn-sphere":
-        sd, rho_order = representation[1], representation[2]
-        return CorrelationFunction(1, sew_sphere(ins.entries, sd, rho_order))
-    if kind == "sewn-trace":
-        sd, rho_order, q_order = representation[1], representation[2], representation[3]
-        return CorrelationFunction(
-            2, sew_torus(ins.entries, sd, rho_order, q_order),
-            Fraction(-CENTRAL_CHARGE, 24),
-        )
-    if kind == "schottky":
-        sd, orders = representation[1], representation[2]
-        return CorrelationFunction(
-            ins.genus, genus_g_npoint(sd, ins.entries, orders)
-        )
-    raise ComplexError(f"unknown representation {kind!r}")
+    for _, x in ins.entries:
+        _require_torus_point(x)
+    return _element(ins, Trace(q_order))
 
 
 def element_from_insertions(
     ins: InsertionTuple,
-    representation: tuple | None = None,
-    boundary=(VACUUM, VACUUM),
     q_order: int = 8,
     rho_orders: Sequence[int] = (6,),
 ) -> ChainElement:
     """Build a chain element with its value computed by the evaluator
     for its genus (self-consistency by construction)."""
-    if representation is None:
-        if ins.genus == 0:
-            representation = ("sphere",)
-        elif ins.genus == 1:
-            representation = ("trace", q_order)
-        else:
-            representation = ("schottky", ins.moduli, tuple(rho_orders))
-    value = _evaluate(ins, representation, boundary)
-    return ChainElement(ins, value, boundary, representation)
+    if ins.genus == 0:
+        evaluator = Sphere()
+    elif ins.genus == 1:
+        evaluator = Trace(q_order)
+    else:
+        if getattr(ins.moduli, "genus", None) != ins.genus:
+            raise ComplexError(f"genus-{ins.genus} elements need SchottkyData of that genus")
+        evaluator = Schottky(ins.moduli, tuple(rho_orders))
+    return _element(ins, evaluator)
 
 
 # -- reduction differentials ------------------------------------------
@@ -232,6 +280,10 @@ def _mode_reach(v: FockVector, target: FockVector) -> int:
     vw = max((s.weight for s in v.terms), default=0)
     tw = max((s.weight for s in target.terms), default=0)
     return vw + tw
+
+
+def _is_sewn_sphere(evaluator) -> bool:
+    return isinstance(evaluator, Sewn) and isinstance(evaluator.inner, Sphere)
 
 
 def apply_D1(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainElement:
@@ -244,42 +296,30 @@ def apply_D1(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainEleme
     quasiprimary v.
     """
     v, z = x_new
-    genus = elem.genus
-    if genus == 0:
-        _require_vacuum_boundary(elem)
-        total = 0
-        for wt, comp in v.homogeneous_components().items():
-            o_comp = zero_mode(comp)
-            val = _sphere_with_left_operator(elem, o_comp)
-            total = total + _power(z, -wt) * val
-        new_ins = elem.insertions.append(v, z)
-        return ChainElement(new_ins, CorrelationFunction(0, total),
-                            elem.boundary, elem.representation)
-    if genus == 1 and elem.representation[0] == "trace":
-        q_order = elem.representation[1]
-        series = torus_qseries(
-            elem.insertions.entries, q_order, left_operator=zero_mode(v)
-        )
-        new_ins = elem.insertions.append(v, z)
-        return ChainElement(
-            new_ins,
-            CorrelationFunction(1, series, elem.value.prefactor_exponent),
-            elem.boundary,
-            elem.representation,
-        )
-    if elem.representation[0] == "sewn-sphere":
-        # literal genus-1 zero-mode insertion in the sewn presentation
-        sd, rho_order = elem.representation[1], elem.representation[2]
-        series = _sewn_with_left_operator(elem.insertions.entries, sd,
-                                          rho_order, zero_mode(v))
-        new_ins = elem.insertions.append(v, z)
-        return ChainElement(new_ins, CorrelationFunction(1, series),
-                            elem.boundary, elem.representation)
-    if elem.representation[0] == "schottky":
+    evaluator = elem.evaluator
+    entries = elem.insertions.entries
+    if isinstance(evaluator, Schottky):
         return _apply_D1_schottky(x_new, elem)
-    raise ComplexError(
-        f"D1 not available for genus {genus} representation {elem.representation[0]!r}"
-    )
+    if isinstance(evaluator, Sphere):
+        _require_vacuum_boundary(elem)
+        data = 0
+        for wt, comp in v.homogeneous_components().items():
+            val = _sphere_with_left_operator(elem, zero_mode(comp))
+            data = data + _int_power(z, -wt) * val
+    elif isinstance(evaluator, Trace):
+        _require_torus_point(z)
+        data = torus_qseries(entries, evaluator.q_order, left_operator=zero_mode(v))
+    elif _is_sewn_sphere(evaluator):
+        # literal genus-1 zero-mode insertion in the sewn presentation
+        _require_torus_point(z)
+        data = _sewn_with_left_operator(entries, evaluator.sewing,
+                                        evaluator.rho_order, zero_mode(v))
+    else:
+        raise ComplexError(
+            f"D1 not available for genus {elem.genus} evaluator "
+            f"{type(evaluator).__name__}"
+        )
+    return _stepped(elem, v, z, data)
 
 
 def apply_D2(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainElement:
@@ -290,9 +330,11 @@ def apply_D2(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainEleme
     derivative kernels with round modes (quasiprimary v).
     """
     v, z_new = x_new
-    genus = elem.genus
+    evaluator = elem.evaluator
     entries = elem.insertions.entries
-    if genus == 0:
+    if isinstance(evaluator, Schottky):
+        return _apply_D2_schottky(x_new, elem)
+    if isinstance(evaluator, Sphere):
         _require_vacuum_boundary(elem)
         total = 0
         for wt, comp in v.homogeneous_components().items():
@@ -305,46 +347,42 @@ def apply_D2(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainEleme
                         continue
                     kernel = f0_kernel(wt, m)(z_new, z_k)
                     mod = elem.insertions.replace_state(k, moved)
-                    val = _evaluate(mod, elem.representation, elem.boundary).data
+                    val = evaluator.evaluate(mod.entries, elem.boundary).data
                     total = total + kernel * val
-        new_ins = elem.insertions.append(v, z_new)
-        return ChainElement(new_ins, CorrelationFunction(0, total),
-                            elem.boundary, elem.representation)
-    if genus == 1 or elem.representation[0] == "sewn-sphere":
-        if elem.representation[0] == "trace":
-            q_order = elem.representation[1]
-            variable = "q"
-        elif elem.representation[0] == "sewn-sphere":
-            q_order = elem.representation[2]
-            variable = "rho"
-        else:
-            raise ComplexError("unsupported genus-1 representation")
-        total = TruncatedSeries.zero(variable, q_order)
-        for wt, comp in v.homogeneous_components().items():
-            for k, (state_k, x_k) in enumerate(entries):
-                q_z = _ratio(z_new, x_k)
-                for m in range(0, _mode_reach(comp, state_k) + 1):
-                    moved = square_bracket_mode(comp, m)(state_k)
-                    if moved.is_zero():
-                        continue
-                    kernel = pm_qseries(m + 1, q_z, q_order)
-                    kernel = TruncatedSeries(
-                        variable, kernel.coefficients, kernel.truncation,
-                        kernel.min_exponent,
-                    )
-                    mod = elem.insertions.replace_state(k, moved)
-                    val = _evaluate(mod, elem.representation, elem.boundary).data
-                    total = total + kernel * val
-        new_ins = elem.insertions.append(v, z_new)
-        return ChainElement(
-            new_ins,
-            CorrelationFunction(elem.value.genus, total, elem.value.prefactor_exponent),
-            elem.boundary,
-            elem.representation,
+        return _stepped(elem, v, z_new, total)
+    if isinstance(evaluator, Trace):
+        variable, order = "q", evaluator.q_order
+    elif _is_sewn_sphere(evaluator):
+        variable, order = "rho", evaluator.rho_order
+    else:
+        raise ComplexError(
+            f"D2 not available for genus {elem.genus} evaluator "
+            f"{type(evaluator).__name__}"
         )
-    if elem.representation[0] == "schottky":
-        return _apply_D2_schottky(x_new, elem)
-    raise ComplexError(f"D2 not available for genus {genus}")
+    _require_torus_point(z_new)
+    total = TruncatedSeries.zero(variable, order)
+    for wt, comp in v.homogeneous_components().items():
+        for k, (state_k, x_k) in enumerate(entries):
+            q_z = _ratio(z_new, x_k)
+            for m in range(0, _mode_reach(comp, state_k) + 1):
+                moved = square_bracket_mode(comp, m)(state_k)
+                if moved.is_zero():
+                    continue
+                kernel = pm_qseries(m + 1, q_z, order)
+                kernel = TruncatedSeries(
+                    variable, kernel.coefficients, kernel.truncation,
+                    kernel.min_exponent,
+                )
+                mod = elem.insertions.replace_state(k, moved)
+                val = evaluator.evaluate(mod.entries, elem.boundary).data
+                total = total + kernel * val
+    return _stepped(elem, v, z_new, total)
+
+
+def _stepped(elem: ChainElement, v: FockVector, z: Scalar, data) -> ChainElement:
+    # the reduction image: v appended at z, valued in elem's presentation
+    value = CorrelationFunction(elem.value.genus, data, elem.value.prefactor_exponent)
+    return ChainElement(elem.insertions.append(v, z), value, elem.boundary, elem.evaluator)
 
 
 def apply_Dn(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainElement:
@@ -355,98 +393,58 @@ def apply_Dn(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainEleme
         d1.insertions,
         _corr_add(d1.value, d2.value),
         elem.boundary,
-        elem.representation,
+        elem.evaluator,
     )
 
 
-def apply_Dg(elem: ChainElement, sd: SewingData, rho_order: int,
-             q_order: int | None = None) -> ChainElement:
-    """Genus-raising differential via handle sewing (delegates to the
-    sewing module); insertion slots keep their points."""
-    if elem.genus == 0:
-        _require_vacuum_boundary(elem)
-        series = sew_sphere(elem.insertions.entries, sd, rho_order)
-        new_ins = elem.insertions.with_genus(1, moduli=sd)
-        return ChainElement(new_ins, CorrelationFunction(1, series),
-                            elem.boundary, ("sewn-sphere", sd, rho_order))
-    if elem.genus == 1:
-        if elem.representation[0] == "trace":
-            q_ord = elem.representation[1] if q_order is None else q_order
-            series = sew_torus(elem.insertions.entries, sd, rho_order, q_ord)
-            new_ins = elem.insertions.with_genus(2, moduli=sd)
-            return ChainElement(
-                new_ins,
-                CorrelationFunction(2, series, elem.value.prefactor_exponent),
-                elem.boundary,
-                ("sewn-trace", sd, rho_order, q_ord),
-            )
-        if elem.representation[0] == "sewn-sphere":
-            inner_sd, inner_order = elem.representation[1], elem.representation[2]
-            coeffs = {}
-            for k in range(rho_order):
-                basis, hinv = handle_pairing(sd.zeta1, sd.zeta2, k)
-                acc = TruncatedSeries.zero("rho", inner_order)
-                for i, bi in enumerate(basis):
-                    for j, bj in enumerate(basis):
-                        c = hinv[j][i]
-                        if c == 0:
-                            continue
-                        extended = elem.insertions.entries + (
-                            (FockVector({bi: 1}), sd.zeta1),
-                            (FockVector({bj: 1}), sd.zeta2),
-                        )
-                        acc = acc + sew_sphere(extended, inner_sd, inner_order) * c
-                coeffs[k] = acc
-            series = TruncatedSeries("rho2", coeffs, rho_order)
-            new_ins = elem.insertions.with_genus(2, moduli=(elem.representation[1], sd))
-            return ChainElement(new_ins, CorrelationFunction(2, series),
-                                elem.boundary, ("sewn-sphere-twice", elem.representation[1], sd, rho_order, inner_order))
-    raise ComplexError(f"sewing from genus {elem.genus} not implemented")
+def apply_Dg(elem: ChainElement, sd: SewingData, rho_order: int) -> ChainElement:
+    """Genus-raising differential: one handle sewn onto elem's own
+    presentation; insertion slots keep their points."""
+    _require_vacuum_boundary(elem)
+    moduli = sd if elem.insertions.moduli is None else (elem.insertions.moduli, sd)
+    new_ins = elem.insertions.with_genus(elem.genus + 1, moduli=moduli)
+    return _element(new_ins, Sewn(elem.evaluator, sd, rho_order), elem.boundary)
 
 
 def _require_vacuum_boundary(elem: ChainElement):
-    if elem.boundary != (VACUUM, VACUUM):
+    if elem.boundary != VACUUM_BOUNDARY:
         raise ComplexError(
             "the reduction identities are implemented for vacuum boundary "
             "states; general boundaries are oracle-only"
         )
 
 
+def _require_torus_point(x: Scalar):
+    if x == 0:
+        raise ComplexError(
+            "genus-1 points are exponentiated coordinates x = e^z and cannot be 0"
+        )
+
+
 def _sphere_with_left_operator(elem: ChainElement, op) -> Scalar:
     # <1', op X 1> = <1', op P_0 X 1>: only the vacuum component of X|1>
     # survives, and op's vacuum matrix element scales it
-    base = _evaluate(elem.insertions, elem.representation, elem.boundary).data
+    base = elem.evaluator.evaluate(elem.insertions.entries, elem.boundary).data
     op_vac = op(FockVector({VACUUM: 1})).coefficient(VACUUM)
     return base * op_vac
 
 
 def _sewn_with_left_operator(entries, sd: SewingData, rho_order: int, op):
-    coeffs = {}
-    for k in range(rho_order):
-        basis, hinv = handle_pairing(sd.zeta1, sd.zeta2, k)
-        acc = 0
-        for i, bi in enumerate(basis):
-            for j, bj in enumerate(basis):
-                c = hinv[j][i]
-                if c == 0:
-                    continue
-                # grade-preserving left operator acts on the zeta1 slot
-                # states through the pairing bridge
-                moved = op(FockVector({bi: 1}))
-                if moved.is_zero():
-                    continue
-                extended = tuple(entries) + (
-                    (moved, sd.zeta1),
-                    (FockVector({bj: 1}), sd.zeta2),
-                )
-                acc = acc + c * sphere_value(extended, dressed=False)
-        coeffs[k] = acc
-    return TruncatedSeries("rho", coeffs, rho_order)
+    # the grade-preserving left operator acts on the zeta1 slot states
+    # through the pairing bridge; terms it annihilates drop out
+    def evaluate(pairs):
+        (bbar, zeta1), b_slot = pairs
+        moved = op(bbar)
+        if moved.is_zero():
+            return None
+        return sphere_value((*entries, (moved, zeta1), b_slot), dressed=False)
+
+    return _sewn_series(sd, rho_order, evaluate)
 
 
 def _apply_D1_schottky(x_new, elem: ChainElement) -> ChainElement:
     v, y_new = x_new
-    sd, orders = elem.representation[1], elem.representation[2]
+    sd, orders = elem.evaluator.sd, elem.evaluator.orders
     if not is_quasiprimary(v):
         raise ComplexError("genus-g reduction requires quasiprimary insertions")
     p = v.weight_if_homogeneous()
@@ -458,20 +456,19 @@ def _apply_D1_schottky(x_new, elem: ChainElement) -> ChainElement:
             factor = theta[ell]
             if factor == 0:
                 continue
-            term = _schottky_sum_with_mode(sd, elem.insertions.entries, orders,
-                                           a, v, ell)
+            term = _genus_g_sum(sd, elem.insertions.entries, orders, (a, v, ell))
             term = term * factor
             total = term if total is None else total + term
     if total is None:
         total = genus_g_npoint(sd, [], orders) * 0
     new_ins = elem.insertions.append(v, y_new)
     return ChainElement(new_ins, CorrelationFunction(elem.genus, total),
-                        elem.boundary, elem.representation)
+                        elem.boundary, elem.evaluator)
 
 
 def _apply_D2_schottky(x_new, elem: ChainElement) -> ChainElement:
     v, y_new = x_new
-    sd, orders = elem.representation[1], elem.representation[2]
+    sd, orders = elem.evaluator.sd, elem.evaluator.orders
     if not is_quasiprimary(v):
         raise ComplexError("genus-g reduction requires quasiprimary insertions")
     p = v.weight_if_homogeneous()
@@ -491,7 +488,7 @@ def _apply_D2_schottky(x_new, elem: ChainElement) -> ChainElement:
         total = genus_g_npoint(sd, entries, orders) * 0
     new_ins = elem.insertions.append(v, y_new)
     return ChainElement(new_ins, CorrelationFunction(elem.genus, total),
-                        elem.boundary, elem.representation)
+                        elem.boundary, elem.evaluator)
 
 
 def _with_weight(sd: SchottkyData, p: int) -> SchottkyData:
@@ -502,71 +499,6 @@ def _with_weight(sd: SchottkyData, p: int) -> SchottkyData:
         f_coeffs=sd.f_coeffs, mode_cutoff=sd.mode_cutoff,
         neumann_order=sd.neumann_order,
     )
-
-
-def _schottky_sum_with_mode(sd, insertions, orders, handle_a, v, ell):
-    """Basis sum with v(ell) applied to the state at the positive point
-    of handle_a (the genus-g zero-mode block)."""
-    if sd.genus == 1:
-        coeffs = {
-            k: _schottky_mode_coefficient(sd, insertions, (k,), handle_a, v, ell)
-            for k in range(orders[0])
-        }
-        return TruncatedSeries("rho1", coeffs, orders[0])
-    outer = {}
-    for k2 in range(orders[1]):
-        inner = {
-            k1: _schottky_mode_coefficient(
-                sd, insertions, (k1, k2), handle_a, v, ell
-            )
-            for k1 in range(orders[0])
-        }
-        outer[k2] = TruncatedSeries("rho1", inner, orders[0])
-    return TruncatedSeries("rho2", outer, orders[1])
-
-
-def _schottky_mode_coefficient(sd, insertions, ks, handle_a, v, ell):
-    pairings = [
-        handle_pairing(sd.point(-(h + 1)), sd.point(h + 1), k)
-        for h, k in enumerate(ks)
-    ]
-    total = 0
-    index_sets = [range(len(p[0])) for p in pairings]
-    for choices in _product(index_sets):
-        for dual_choices in _product(index_sets):
-            factor = 1
-            for h, (i, j) in enumerate(zip(choices, dual_choices)):
-                factor = factor * pairings[h][1][j][i]
-            if factor == 0:
-                continue
-            pair_insertions = list(insertions)
-            skip = False
-            for h, (i, j) in enumerate(zip(choices, dual_choices)):
-                basis = pairings[h][0]
-                state_pos = FockVector({basis[j]: 1})
-                if h + 1 == handle_a:
-                    state_pos = apply_state_mode(v, ell, state_pos)
-                    if state_pos.is_zero():
-                        skip = True
-                        break
-                pair_insertions.append(
-                    (FockVector({basis[i]: 1}), sd.point(-(h + 1)))
-                )
-                pair_insertions.append((state_pos, sd.point(h + 1)))
-            if skip:
-                continue
-            total = total + factor * sphere_value(pair_insertions, dressed=False)
-    return total
-
-
-def _product(iterables):
-    pools = [tuple(p) for p in iterables]
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _product(pools[1:]):
-            yield (head,) + rest
 
 
 # -- value arithmetic ---------------------------------------------------
@@ -586,12 +518,6 @@ def corr_deviation(a: CorrelationFunction, b: CorrelationFunction) -> float:
         cmpres = a.data.compare(b.data)
         return cmpres.deviation if cmpres.comparable else float("nan")
     return scalar_abs(a.data - b.data)
-
-
-def _power(z, k: int):
-    from .series import _int_power
-
-    return _int_power(z, k)
 
 
 def _ratio(a, b):
@@ -639,7 +565,7 @@ class TotalDifferential:
                         stepped.value.prefactor_exponent,
                     ),
                     stepped.boundary,
-                    stepped.representation,
+                    stepped.evaluator,
                 )
                 out.setdefault((g, n + 1), []).append(("Dn", stepped))
         return out
@@ -651,6 +577,11 @@ class ConditionReport:
     residual: float
     composition_norm: float
     detail: dict
+
+    @property
+    def skipped(self) -> str | None:
+        """Why the check was not computed, or None when it was."""
+        return self.detail.get("skipped")
 
 
 def check_chain_conditions(suite: Sequence[Mapping]) -> list[ConditionReport]:
@@ -760,8 +691,7 @@ def _check_totalcondition(case) -> ConditionReport:
     elements = case["elements"]
     descriptors = case["descriptors"]
     rho_order = case.get("rho_order", 3)
-    residual = 0.0
-    comp_norm = 0.0
+    reports = []
     for (g, n), elem in elements.items():
         desc = descriptors.get((g, n))
         desc_next_n = descriptors.get((g, n + 1))
@@ -769,34 +699,36 @@ def _check_totalcondition(case) -> ConditionReport:
         if desc is None:
             raise ComplexError(f"missing descriptor for block {(g, n)}")
         if desc.state is not None and desc_next_n is not None and desc_next_n.state is not None:
-            rep = _check_ncondition(
+            reports.append(_check_ncondition(
                 {"element": elem, "x1": (desc.state, desc.point),
                  "x2": (desc_next_n.state, desc_next_n.point)}
-            )
-            residual = max(residual, rep.residual)
-            comp_norm = max(comp_norm, rep.composition_norm)
+            ))
         if desc.sewing is not None and desc_next_g is not None and desc_next_g.sewing is not None:
-            rep = _check_gcondition(
+            reports.append(_check_gcondition(
                 {"element": elem, "sewing_a": desc.sewing,
                  "sewing_b": desc_next_g.sewing, "rho_order": rho_order}
-            )
-            residual = max(residual, rep.residual)
-            comp_norm = max(comp_norm, rep.composition_norm)
+            ))
         if desc.state is not None and desc.sewing is not None:
             raised = descriptors.get((g + 1, n))
             x_raised = None
             if raised is not None and raised.state is not None:
                 x_raised = (raised.state, raised.point)
-            rep = _check_gncondition(
+            reports.append(_check_gncondition(
                 {"element": elem, "x": (desc.state, desc.point),
                  "sewing": desc.sewing, "rho_order": rho_order,
                  **({"x_raised": x_raised} if x_raised else {})}
-            )
-            residual = max(residual, rep.residual)
-            comp_norm = max(comp_norm, rep.composition_norm)
+            ))
+    # a skipped block is named, never folded in as a zero residual
+    computed = [rep for rep in reports if not rep.skipped]
+    detail = {"blocks": sorted(elements)}
+    skipped = [f"{rep.kind}: {rep.skipped}" for rep in reports if rep.skipped]
+    if skipped:
+        detail["skipped"] = "; ".join(skipped)
     return ConditionReport(
-        kind="total", residual=residual, composition_norm=comp_norm,
-        detail={"blocks": sorted(elements)},
+        kind="total",
+        residual=max([0.0] + [rep.residual for rep in computed]),
+        composition_norm=max([0.0] + [rep.composition_norm for rep in computed]),
+        detail=detail,
     )
 
 
@@ -805,22 +737,11 @@ def _check_totalcondition(case) -> ConditionReport:
 
 def reduce_to_zero_point(elem: ChainElement) -> tuple[object, CorrelationFunction]:
     """Factor F = P_n * F_0 against the zero-point function of the same
-    representation; refuses a vanishing zero-point function."""
-    empty = InsertionTuple((), elem.genus, elem.insertions.moduli)
-    zero_point = _evaluate(empty, elem.representation, elem.boundary)
+    evaluator; refuses a vanishing zero-point function."""
+    zero_point = elem.evaluator.evaluate((), elem.boundary)
     if zero_point.is_zero():
         raise ComplexError("zero-point function vanishes; factorization undefined")
-    if isinstance(elem.value.data, TruncatedSeries):
-        factor = elem.value.data * zero_point.data.invert()
-    else:
-        factor = elem.value.data * _reciprocal_scalar(zero_point.data)
-    return factor, zero_point
-
-
-def _reciprocal_scalar(x):
-    if isinstance(x, int):
-        return Fraction(1, x)
-    return 1 / x
+    return elem.value.data * _scalar_invert(zero_point.data), zero_point
 
 
 # -- connection functional ---------------------------------------------
@@ -832,10 +753,6 @@ class ConnectionReport:
     G_norm: float
     vanishing: bool
     identification: dict
-
-    @property
-    def G_value(self):
-        return self.components
 
 
 def connection_functional(
@@ -941,7 +858,7 @@ class ProbeComplex:
             n = m - g
             if n > self.n_max:
                 continue
-            for combo in _tuples(len(self.pool), n):
+            for combo in product(range(len(self.pool)), repeat=n):
                 out.append((g, n, combo))
         return out
 
@@ -962,15 +879,6 @@ class ProbeComplex:
                 if target in cod_index:
                     mat[cod_index[target], j] += 1
         return mat, dom, cod
-
-
-def _tuples(base: int, length: int):
-    if length == 0:
-        yield ()
-        return
-    for head in range(base):
-        for rest in _tuples(base, length - 1):
-            yield (head,) + rest
 
 
 @dataclass

@@ -10,9 +10,10 @@ points keep the whole computation in rational arithmetic.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable, Sequence
 
-from .series import Scalar, TruncatedSeries, _int_power
+from .series import Scalar, TruncatedSeries, _int_power, to_complex
 from .voa import (
     VACUUM,
     FockState,
@@ -36,19 +37,13 @@ def sphere_value(
     x^{wt} per homogeneous component.
     """
     points = [z for _, z in insertions]
-    if len(set(map(_point_key, points))) != len(points):
+    if len(set(map(to_complex, points))) != len(points):
         raise ValueError("insertion points must be pairwise distinct")
     total = 0
     for states, coeff in _expand_components(insertions, dressed):
         val = sphere_matrix_element(u_out, list(zip(states, points)), u_in)
         total = total + coeff * val
     return total
-
-
-def _point_key(z):
-    from .series import to_complex
-
-    return to_complex(z)
 
 
 def _expand_components(insertions, dressed):
@@ -60,17 +55,11 @@ def _expand_components(insertions, dressed):
             factor = c * _int_power(z, s.weight) if dressed else c
             options.append((s, factor))
         slots.append(options)
-    return _combine(slots)
-
-
-def _combine(slots):
-    if not slots:
-        return [((), 1)]
-    out = []
-    for states, coeff in _combine(slots[:-1]):
-        for s, c in slots[-1]:
-            out.append((states + (s,), coeff * c))
-    return out
+    for combo in product(*slots):
+        coeff = 1
+        for _, c in combo:
+            coeff = coeff * c
+        yield tuple(s for s, _ in combo), coeff
 
 
 def torus_qseries(

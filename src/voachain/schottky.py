@@ -22,13 +22,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
 from .correlators import Insertion, sphere_value, torus_qseries
 from .series import Scalar, TruncatedSeries, to_complex
-from .voa import FockVector, fock_basis
+from .voa import FockVector, apply_state_mode, fock_basis
 
 
 class SewingError(ValueError):
@@ -99,6 +100,46 @@ def _fractionize(x):
     return x
 
 
+def paired_handle_terms(zeta1, zeta2, k: int) -> list[tuple[Scalar, FockVector, FockVector]]:
+    """Nonzero terms (c, bbar, b) of the weight-k double insertion:
+    bbar goes to zeta1, b to zeta2, and c is the inverse-Gram entry
+    pairing them.  Ordered by bbar, then b, in basis order."""
+    basis, hinv = handle_pairing(zeta1, zeta2, k)
+    return [
+        (hinv[j][i], FockVector({bi: 1}), FockVector({bj: 1}))
+        for i, bi in enumerate(basis)
+        for j, bj in enumerate(basis)
+        if hinv[j][i] != 0
+    ]
+
+
+def _sewing_sum(handles, evaluate):
+    """sum of c * evaluate(pairs) over one paired term per handle.
+
+    ``handles`` lists (zeta1, zeta2, k); ``pairs`` holds (bbar, zeta1),
+    (b, zeta2) for each handle in that order and c is the product of the
+    handles' coefficients.  ``evaluate`` may return None to drop a term.
+    """
+    total = 0
+    for terms in product(*(paired_handle_terms(*h) for h in handles)):
+        c, pairs = 1, []
+        for (zeta1, zeta2, _), (c_h, bbar, b) in zip(handles, terms):
+            c = c * c_h
+            pairs += [(bbar, zeta1), (b, zeta2)]
+        value = evaluate(pairs)
+        if value is not None:
+            total = total + value * c
+    return total
+
+
+def _sewn_series(sd: SewingData, rho_order: int, evaluate, variable: str = "rho"):
+    """One sewn handle: the rho-series of the sewing sums at sd's points."""
+    coeffs = {
+        k: _sewing_sum([(sd.zeta1, sd.zeta2, k)], evaluate) for k in range(rho_order)
+    }
+    return TruncatedSeries(variable, coeffs, rho_order)
+
+
 def sew_sphere(
     insertions: Sequence[Insertion],
     sd: SewingData,
@@ -110,26 +151,10 @@ def sew_sphere(
     with the inverse-Gram pairing, appended after the existing
     insertions.  Sewing the bare sphere gives sum p(k) rho^k exactly.
     """
-    coeffs: dict[int, Scalar] = {}
-    for k in range(rho_order):
-        basis, hinv = handle_pairing(sd.zeta1, sd.zeta2, k)
-        acc = 0
-        for i, bi in enumerate(basis):
-            for j, bj in enumerate(basis):
-                c = hinv[j][i]
-                if c == 0:
-                    continue
-                val = sphere_value(
-                    list(insertions)
-                    + [
-                        (FockVector({bi: 1}), sd.zeta1),
-                        (FockVector({bj: 1}), sd.zeta2),
-                    ],
-                    dressed=False,
-                )
-                acc = acc + c * val
-        coeffs[k] = acc
-    return TruncatedSeries("rho", coeffs, rho_order)
+    return _sewn_series(
+        sd, rho_order,
+        lambda pairs: sphere_value([*insertions, *pairs], dressed=False),
+    )
 
 
 def sew_torus(
@@ -144,26 +169,10 @@ def sew_torus(
     rho^0 term is the genus-1 input itself (vacuum pair), which is the
     degeneration identity.
     """
-    coeffs: dict[int, TruncatedSeries] = {}
-    for k in range(rho_order):
-        basis, hinv = handle_pairing(sd.zeta1, sd.zeta2, k)
-        acc = TruncatedSeries.zero("q", q_order)
-        for i, bi in enumerate(basis):
-            for j, bj in enumerate(basis):
-                c = hinv[j][i]
-                if c == 0:
-                    continue
-                term = torus_qseries(
-                    list(insertions)
-                    + [
-                        (FockVector({bi: 1}), sd.zeta1),
-                        (FockVector({bj: 1}), sd.zeta2),
-                    ],
-                    q_order,
-                )
-                acc = acc + term * c
-        coeffs[k] = acc
-    return TruncatedSeries("rho", coeffs, rho_order)
+    return _sewn_series(
+        sd, rho_order,
+        lambda pairs: torus_qseries([*insertions, *pairs], q_order),
+    )
 
 
 # -- direct genus-g partition sums -------------------------------------
@@ -231,55 +240,44 @@ def genus_g_npoint(
         raise SewingError("partition sums implemented for genus 1 and 2")
     if len(rho_orders) != sd.genus:
         raise SewingError("one rho order per handle")
-    if sd.genus == 1:
-        coeffs = {
-            k: _npoint_coefficient(sd, insertions, (k,))
-            for k in range(rho_orders[0])
-        }
-        return TruncatedSeries("rho1", coeffs, rho_orders[0])
-    outer: dict[int, TruncatedSeries] = {}
-    for k2 in range(rho_orders[1]):
-        inner = {
-            k1: _npoint_coefficient(sd, insertions, (k1, k2))
-            for k1 in range(rho_orders[0])
-        }
-        outer[k2] = TruncatedSeries("rho1", inner, rho_orders[0])
-    return TruncatedSeries("rho2", outer, rho_orders[1])
+    return _genus_g_sum(sd, insertions, rho_orders)
 
 
-def _npoint_coefficient(sd: SchottkyData, insertions, ks):
-    pairings = [
-        handle_pairing(sd.point(-(h + 1)), sd.point(h + 1), k)
-        for h, k in enumerate(ks)
-    ]
-    total = 0
-    for choices in _index_product([len(p[0]) for p in pairings]):
-        for dual_choices in _index_product([len(p[0]) for p in pairings]):
-            factor = 1
-            for h, (i, j) in enumerate(zip(choices, dual_choices)):
-                factor = factor * pairings[h][1][j][i]
-            if factor == 0:
-                continue
-            pair_insertions = list(insertions)
-            for h, (i, j) in enumerate(zip(choices, dual_choices)):
-                basis = pairings[h][0]
-                pair_insertions.append(
-                    (FockVector({basis[i]: 1}), sd.point(-(h + 1)))
-                )
-                pair_insertions.append(
-                    (FockVector({basis[j]: 1}), sd.point(h + 1))
-                )
-            total = total + factor * sphere_value(pair_insertions, dressed=False)
-    return total
+def _genus_g_sum(sd: SchottkyData, insertions, rho_orders, mode=None):
+    """Nested rho-series (rho_g outermost) of the genus-g basis sums.
+
+    With ``mode = (a, v, ell)`` the mode v(ell) acts on the paired state
+    at the positive point of handle a, and terms it annihilates drop
+    out (the zero-mode block of the genus-g reduction).
+    """
+
+    def evaluate(pairs):
+        if mode is not None:
+            a, v, ell = mode
+            state, point = pairs[2 * a - 1]
+            moved = apply_state_mode(v, ell, state)
+            if moved.is_zero():
+                return None
+            pairs[2 * a - 1] = (moved, point)
+        return sphere_value([*insertions, *pairs], dressed=False)
+
+    def coefficient(ks):
+        handles = [(sd.point(-h), sd.point(h), k) for h, k in enumerate(ks, 1)]
+        return _sewing_sum(handles, evaluate)
+
+    return _nested_series(rho_orders, coefficient)
 
 
-def _index_product(sizes):
-    if not sizes:
-        yield ()
-        return
-    for i in range(sizes[0]):
-        for rest in _index_product(sizes[1:]):
-            yield (i,) + rest
+def _nested_series(rho_orders, coefficient, outer=()):
+    # coefficient of rho_g^{k_g} ... rho_1^{k_1} is coefficient((k_1, ..., k_g))
+    h = len(rho_orders)
+    order = rho_orders[-1]
+    coeffs = {
+        k: coefficient((k,) + outer) if h == 1
+        else _nested_series(rho_orders[:-1], coefficient, (k,) + outer)
+        for k in range(order)
+    }
+    return TruncatedSeries(f"rho{h}", coeffs, order)
 
 
 # -- generalized elliptic apparatus ------------------------------------
@@ -531,8 +529,3 @@ def big_psi_p(forms: GenusGForms, x, y, neumann_order: int | None = None) -> For
     return FormValue(psi_p(forms, x, y, neumann_order),
                      (("dx", forms.sd.p), ("dy", 1 - forms.sd.p)))
 
-
-def big_theta(forms: GenusGForms, a: int, x, ell: int,
-              neumann_order: int | None = None) -> FormValue:
-    return FormValue(theta_vector(forms, a, x, neumann_order)[ell],
-                     (("dx", forms.sd.p),))

@@ -122,14 +122,8 @@ def _as_exact(x):
 Scalar = Union[int, Fraction, ExactComplex, complex, float]
 
 
-def is_exact_scalar(x) -> bool:
-    return isinstance(x, (int, Fraction, ExactComplex))
-
-
 def to_complex(x) -> complex:
     """Numeric value of any scalar, collapsing exact types to complex."""
-    if isinstance(x, ExactComplex):
-        return complex(x)
     return complex(x)
 
 
@@ -216,9 +210,6 @@ class TruncatedSeries:
 
     def max_abs(self) -> float:
         return max((scalar_abs(c) for c in self.coefficients.values()), default=0.0)
-
-    def known_exponents(self) -> range:
-        return range(self.min_exponent, self.truncation)
 
     def _check_tag(self, other: "TruncatedSeries"):
         if self.variable != other.variable:
@@ -349,14 +340,6 @@ class TruncatedSeries:
             self.min_exponent,
         )
 
-    def map_coefficients(self, fn) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.variable,
-            {e: fn(c) for e, c in self.coefficients.items()},
-            self.truncation,
-            self.min_exponent,
-        )
-
     def evaluate(self, value: Scalar) -> Scalar:
         """Sum the known terms at a concrete value of the variable."""
         total = 0
@@ -466,22 +449,6 @@ class SeriesComparison:
         if not self.comparable:
             return "<incomparable: empty shared range>"
         return f"<deviation {self.deviation} on [{self.low}, {self.high})>"
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a + b
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def series_invert(a: TruncatedSeries) -> TruncatedSeries:
-    return a.invert()
-
-
-def series_compare(a: TruncatedSeries, b: TruncatedSeries) -> SeriesComparison:
-    return a.compare(b)
 
 
 def _scalar_invert(c):

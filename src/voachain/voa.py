@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
-from .series import Scalar, TruncatedSeries, _int_power, scalar_is_zero
+from .series import Scalar, TruncatedSeries, _int_power, _scalar_invert, scalar_is_zero
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,6 @@ class FockState:
             mult = self.partition.count(m)
             out *= m**mult * math.factorial(mult)
         return out
-
-    def json_list(self) -> list[int]:
-        """Serialized form: the partition as a sorted integer list."""
-        return sorted(self.partition)
 
     def __repr__(self):
         return "|0>" if not self.partition else f"|{','.join(map(str, self.partition))}>"
@@ -115,11 +111,6 @@ class FockVector:
         if len(weights) != 1:
             raise ValueError(f"vector is not homogeneous: weights {sorted(weights)}")
         return weights.pop()
-
-    def max_abs(self) -> float:
-        from .series import scalar_abs
-
-        return max((scalar_abs(c) for c in self.terms.values()), default=0.0)
 
     def __eq__(self, other):
         if not isinstance(other, FockVector):
@@ -277,10 +268,6 @@ def _comb_neg(p: int, j: int) -> int:
     return out // math.factorial(j)
 
 
-def state_weight(v: FockVector) -> int:
-    return v.weight_if_homogeneous()
-
-
 def zero_mode(v: FockVector) -> Callable[[FockVector], FockVector]:
     """o(v) = v(wt v - 1) per homogeneous component, extended additively."""
     components = v.homogeneous_components()
@@ -399,13 +386,7 @@ def dual_coefficient(state: FockState, alpha: Scalar = 1) -> Scalar:
     <u,u>_alpha = (-1)^len(u) alpha^(-wt u) norm_F(u).
     """
     val = (-1) ** state.length * _int_power(alpha, -state.weight) * state.norm_squared()
-    return _scalar_reciprocal(val)
-
-
-def _scalar_reciprocal(x):
-    if isinstance(x, int):
-        return Fraction(1, x)
-    return 1 / x
+    return _scalar_invert(val)
 
 
 def vertex_matrix_element(
@@ -462,14 +443,7 @@ def sphere_matrix_element(
         tuple(u_out.partition), tuple(fields), tuple(u_in.partition),
         tuple(points), memo,
     )
-    norm = u_out.norm_squared()
-    return _scalar_divide(val, norm)
-
-
-def _scalar_divide(x, n: int):
-    if isinstance(x, int):
-        return Fraction(x, n)
-    return x * Fraction(1, n)
+    return val * _scalar_invert(u_out.norm_squared())
 
 
 def _wick(out, fields, ins, points, memo):
@@ -526,34 +500,3 @@ def _contract_fields(d1: int, d2: int, z1, z2):
     c = (-1) ** d1 * (d1 + d2 + 1) * math.comb(d1 + d2, d1)
     return c * _int_power(z1 - z2, -(2 + d1 + d2))
 
-
-def sphere_function(
-    u_out: FockState,
-    insertions: Sequence[tuple[FockVector, Scalar]],
-    u_in: FockState,
-) -> Scalar:
-    """Multilinear extension of sphere_matrix_element to FockVectors."""
-    total = 0
-    expansions = [list(v.terms.items()) for v, _ in insertions]
-    points = [z for _, z in insertions]
-    for combo in _cartesian(expansions):
-        coeff = 1
-        states = []
-        for (s, c) in combo:
-            coeff = coeff * c
-            states.append(s)
-        val = sphere_matrix_element(
-            u_out, list(zip(states, points)), u_in
-        )
-        total = total + coeff * val
-    return total
-
-
-def _cartesian(lists):
-    if not lists:
-        yield ()
-        return
-    head, *tail = lists
-    for item in head:
-        for rest in _cartesian(tail):
-            yield (item,) + rest

@@ -165,6 +165,45 @@ rho_orders = 3, 2
         doc = json.loads(out)
         assert doc["result"]["series"]["variable"] == "rho2"
 
+    @pytest.mark.parametrize("path", ["--oracle", "--reduction"])
+    @pytest.mark.parametrize("points", ["0, 2", "2, 0"])
+    def test_torus_point_zero_rejected(self, write_config, capsys, path, points):
+        # x = e^z never vanishes: a validation error, not a traceback
+        cfg = write_config(
+            f"""
+[experiment]
+genus = 1
+[insertions]
+states = a, a
+points = {points}
+[truncation]
+q_order = 3
+"""
+        )
+        code, out, _ = run_cli(["npoint", "--config", cfg, path], capsys)
+        assert code == 2
+        assert "x = e^z" in json.loads(out)["error"]["message"]
+
+    def test_genus2_npoint_needs_genus2_schottky(self, write_config, capsys):
+        cfg = write_config(
+            """
+[experiment]
+genus = 2
+[insertions]
+states = a
+points = 5
+[schottky]
+genus = 1
+rho = 0.01
+points = -1, 1
+[truncation]
+rho_orders = 3
+"""
+        )
+        code, out, _ = run_cli(["npoint", "--config", cfg], capsys)
+        assert code == 2
+        assert "SchottkyData" in json.loads(out)["error"]["message"]
+
     def test_determinism_byte_identical(self, write_config, capsys):
         cfg = write_config(
             """
@@ -275,6 +314,45 @@ tolerance = 1e-12
         assert "tolerance" in err
 
 
+    def test_skipped_check_with_assert_exits_3(self, write_config, capsys):
+        # the handle-exchange check leaves the genus window for a genus-1
+        # element; computing nothing, it cannot pass a zero assertion
+        cfg = write_config(
+            """
+[experiment]
+kinds = g
+[element]
+genus = 1
+states = a
+points = 7
+[truncation]
+q_order = 3
+rho_order = 2
+[assert]
+expect_zero = true
+"""
+        )
+        code, out, err = run_cli(["check-complex", "--config", cfg], capsys)
+        assert code == 3
+        report = json.loads(out)["reports"][0]
+        assert "skipped" in report["detail"]
+        assert "'g' skipped" in err and "beyond" in err
+
+    def test_unequal_element_lists_rejected(self, write_config, capsys):
+        cfg = write_config(
+            """
+[experiment]
+kinds = n
+[element]
+genus = 0
+states = a, a, a
+points = 7, 9
+"""
+        )
+        code, out, _ = run_cli(["check-complex", "--config", cfg], capsys)
+        assert code == 2
+        assert "[element]" in json.loads(out)["error"]["message"]
+
 class TestReduce:
     def test_round_trip(self, write_config, capsys):
         cfg = write_config(
@@ -333,6 +411,19 @@ vanishing = true
         code, out, err = run_cli(["connection", "--config", cfg], capsys)
         assert code == 3
 
+
+    def test_unequal_element_lists_rejected(self, write_config, capsys):
+        cfg = write_config(
+            """
+[element]
+genus = 0
+states = a, a, a
+points = 7, 9
+"""
+        )
+        code, out, _ = run_cli(["connection", "--config", cfg], capsys)
+        assert code == 2
+        assert "[element]" in json.loads(out)["error"]["message"]
 
 class TestCohomology:
     def test_report_with_oracle(self, write_config, capsys):

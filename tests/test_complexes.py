@@ -29,7 +29,7 @@ from voachain.complexes import (
     reduce_to_zero_point,
 )
 from voachain.correlators import torus_qseries
-from voachain.schottky import SchottkyData, SewingData
+from voachain.schottky import SchottkyData, SewingData, genus_g_npoint
 from voachain.series import TruncatedSeries
 from voachain.voa import (
     A_VECTOR,
@@ -361,6 +361,9 @@ class TestChainConditions:
              "rho_order": 2},
         ])
         assert reports[0].residual == 0
+        # the genus-1 block's g and gn checks leave the window: named, not zero
+        assert reports[0].skipped.count("beyond") == 2
+        assert "g: genus 1+2" in reports[0].skipped
 
 
 class TestTotalDifferential:
@@ -624,6 +627,40 @@ class TestGenus2Reduction:
         product = factor * zero_point.data
         assert product.compare(elem.value.data).deviation == 0
 
+
+
+class TestGenus2Presentations:
+    # two sewings of the sphere and the direct genus-2 basis sums present
+    # the same surface: handle 1 at (-1, 1), handle 2 at (-3, 3)
+    SD1 = SewingData(zeta1=Fraction(-1), zeta2=Fraction(1))
+    SD2 = SewingData(zeta1=Fraction(-3), zeta2=Fraction(3))
+
+    def twice_sewn(self, *names_points):
+        return apply_Dg(apply_Dg(g0_element(*names_points), self.SD1, 3), self.SD2, 3)
+
+    @pytest.mark.parametrize("names_points", [(), (("a", Fraction(5)), ("a", Fraction(7)))])
+    def test_twice_sewn_sphere_equals_genus_g_sum(self, names_points):
+        sewn = self.twice_sewn(*names_points)
+        sd = SchottkyData(
+            genus=2, points=(Fraction(-1), Fraction(1), Fraction(-3), Fraction(3))
+        )
+        direct = genus_g_npoint(sd, sewn.insertions.entries, (3, 3))
+        assert sewn.value.genus == 2
+        for k2 in range(3):
+            for k1 in range(3):
+                got = sewn.value.data.coefficient(k2).coefficient(k1)
+                assert got == direct.coefficient(k2).coefficient(k1), (k1, k2)
+
+    def test_twice_sewn_zero_point(self):
+        factor, zero_point = reduce_to_zero_point(self.twice_sewn())
+        want = TruncatedSeries("rho", {0: 1, 1: 1, 2: 2}, 3)
+        assert zero_point.data.coefficient(0) == want
+        assert factor.coefficients == {0: TruncatedSeries("rho", {0: 1}, 3)}
+
+    def test_twice_sewn_round_trip(self):
+        elem = self.twice_sewn(("a", Fraction(5)), ("a", Fraction(7)))
+        factor, zero_point = reduce_to_zero_point(elem)
+        assert (factor * zero_point.data).compare(elem.value.data).deviation == 0
 
 class TestCohomology:
     def probe(self, **kw):

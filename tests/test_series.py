@@ -10,7 +10,6 @@ from voachain.series import (
     ExactComplex,
     SeriesError,
     TruncatedSeries,
-    series_compare,
     series_from_json,
     series_to_json,
 )
@@ -118,12 +117,12 @@ class TestInvert:
 class TestCompare:
     def test_equal(self):
         a = S({0: 1, 1: 1}, 3)
-        assert series_compare(a, a).deviation == 0
+        assert a.compare(a).deviation == 0
 
     def test_respects_truncation(self):
         a = S({0: 1, 1: 1}, 3)
         b = S({0: 1}, 1)
-        cmpres = series_compare(a, b)
+        cmpres = a.compare(b)
         assert cmpres.comparable
         assert cmpres.deviation == 0
         assert (cmpres.low, cmpres.high) == (0, 1)
@@ -131,14 +130,14 @@ class TestCompare:
     def test_small_deviation(self):
         a = S({0: 1}, 2)
         b = S({0: 1, 1: 1e-15}, 2)
-        cmpres = series_compare(a, b)
+        cmpres = a.compare(b)
         assert cmpres.within(1e-9)
         assert cmpres.deviation == pytest.approx(1e-15)
 
     def test_incomparable(self):
         a = S({0: 1}, 1)
         b = S({3: 1}, 4, min_exponent=2)
-        assert not series_compare(a, b).comparable
+        assert not a.compare(b).comparable
 
 
 coeff_strategy = st.fractions(

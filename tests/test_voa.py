@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from voachain.correlators import sphere_value
 from voachain.series import TruncatedSeries
 from voachain.voa import (
     A_VECTOR,
@@ -22,7 +23,6 @@ from voachain.voa import (
     heisenberg_mode,
     is_quasiprimary,
     partition_count,
-    sphere_function,
     sphere_matrix_element,
     square_bracket_mode,
     vertex_matrix_element,
@@ -546,7 +546,7 @@ class TestSphereEngine:
     def test_sphere_function_multilinear(self):
         z1, z2 = Fraction(6), Fraction(2)
         v = A_VECTOR + FockVector.basis(2).scale(Fraction(1, 3))
-        got = sphere_function(VACUUM, [(v, z1), (A_VECTOR, z2)], VACUUM)
+        got = sphere_value([(v, z1), (A_VECTOR, z2)], VACUUM, VACUUM)
         want = sphere_matrix_element(
             VACUUM, [(FockState((1,)), z1), (FockState((1,)), z2)], VACUUM
         ) + Fraction(1, 3) * sphere_matrix_element(

@@ -423,10 +423,37 @@ def _require_torus_point(x: Scalar):
 
 def _sphere_with_left_operator(elem: ChainElement, op) -> Scalar:
     # <1', op X 1> = <1', op P_0 X 1>: only the vacuum component of X|1>
-    # survives, and op's vacuum matrix element scales it
-    base = elem.evaluator.evaluate(elem.insertions.entries, elem.boundary).data
+    # survives, and op's vacuum matrix element scales it.  When that
+    # element is 0 (o(v)|0> = 0 for every v of weight >= 1) X is not
+    # evaluated, and the product is a zero of the type X's value has.
     op_vac = op(FockVector({VACUUM: 1})).coefficient(VACUUM)
-    return base * op_vac
+    entries = elem.insertions.entries
+    if op_vac == 0:
+        return _sphere_zero(entries) * op_vac
+    return elem.evaluator.evaluate(entries, elem.boundary).data * op_vac
+
+
+def _sphere_zero(entries) -> Scalar:
+    # 0 of the type sphere_value(entries) has between vacua, summed as it
+    # sums its basis components: an odd leg count gives an int 0; an even
+    # one a Fraction (the inverse norm), which also takes the type of the
+    # points carrying legs when two or more insertions carry them (the
+    # first leg then contracts with each other such point)
+    total = 0
+    for combo in product(*(v.terms.items() for v, _ in entries)):
+        coeff = 1
+        for _, c in combo:
+            coeff = coeff * c
+        if sum(s.length for s, _ in combo) % 2:
+            val = 0
+        else:
+            val = Fraction(0)
+            legged = [z for (s, _), (_, z) in zip(combo, entries) if s.partition]
+            if len(legged) > 1:
+                for z in legged:
+                    val = val * z
+        total = total + coeff * val
+    return total
 
 
 def _sewn_with_left_operator(entries, sd: SewingData, rho_order: int, op):

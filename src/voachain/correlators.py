@@ -18,8 +18,8 @@ from .voa import (
     VACUUM,
     FockState,
     FockVector,
-    fock_basis,
     sphere_matrix_element,
+    weight_basis,
 )
 
 Insertion = tuple[FockVector, Scalar]
@@ -76,20 +76,20 @@ def torus_qseries(
     """
     coeffs: dict[int, Scalar] = {}
     for k in range(q_order):
+        basis = weight_basis(k)
+        if left_operator is not None:
+            # op(B) once per bridge B; its A-component is <A', op B>
+            images = [left_operator(FockVector({bridge: 1})) for bridge in basis]
         acc = 0
-        for state in fock_basis(k + 1):
-            if state.weight != k:
-                continue
+        for state in basis:
             if left_operator is None:
                 val = sphere_value(insertions, state, state, dressed=True)
             else:
                 # <A', op X A> = sum_B <A', op B> <B', X A> over the
                 # same-weight bridge basis (op is grade-preserving)
                 val = 0
-                for bridge in fock_basis(k + 1):
-                    if bridge.weight != k:
-                        continue
-                    c_ab = _dual_component(state, left_operator, bridge)
+                for bridge, image in zip(basis, images):
+                    c_ab = image.coefficient(state)
                     if c_ab == 0:
                         continue
                     val = val + c_ab * sphere_value(
@@ -98,12 +98,6 @@ def torus_qseries(
             acc = acc + val
         coeffs[k] = acc
     return TruncatedSeries("q", coeffs, q_order)
-
-
-def _dual_component(state, op, bridge):
-    """<state', op bridge> for a basis bridge state."""
-    img = op(FockVector({bridge: 1}))
-    return img.coefficient(state)
 
 
 def partition_qseries(q_order: int) -> TruncatedSeries:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .correlators import Insertion, sphere_value, torus_qseries
 from .series import Scalar, TruncatedSeries, to_complex
-from .voa import FockVector, apply_state_mode, fock_basis
+from .voa import FockVector, apply_state_mode, weight_basis
 
 
 class SewingError(ValueError):
@@ -58,8 +58,7 @@ class SewingData:
 def handle_pairing(zeta1, zeta2, k: int):
     """Weight-k basis and the inverse two-point Gram matrix at the
     sewing points; exact whenever the points are exact scalars."""
-    basis = tuple(s for s in fock_basis(k + 1) if s.weight == k)
-    n = len(basis)
+    basis = weight_basis(k)
     gram = [
         [
             sphere_value(
@@ -430,6 +429,18 @@ class NeumannResult:
     divergence_flag: bool
 
 
+def _convergent_neumann(forms: GenusGForms, neumann_order: int | None) -> np.ndarray:
+    """(I - R~)^{-1} at the truncation, refused when the series diverges."""
+    order = forms.sd.neumann_order if neumann_order is None else neumann_order
+    neu = neumann_inverse(forms, order)
+    if neu.divergence_flag:
+        raise SewingError(
+            f"Neumann series for (I - R~)^-1 diverges at order {order} "
+            f"(rho {forms.sd.rho}, omitted-term norm {neu.omitted_term_norm:.3g})"
+        )
+    return neu.matrix
+
+
 def p_vector(forms: GenusGForms, x) -> np.ndarray:
     sd = forms.sd
     out = np.zeros(len(forms.index), dtype=complex)
@@ -455,12 +466,11 @@ def psi_p(forms: GenusGForms, x, y, neumann_order: int | None = None) -> complex
     for a in range(-sd.genus, sd.genus + 1):
         if a and (to_complex(x) == to_complex(sd.point(a)) or to_complex(y) == to_complex(sd.point(a))):
             raise SewingError("evaluation at a sewing point")
-    order = sd.neumann_order if neumann_order is None else neumann_order
-    neu = neumann_inverse(forms, order)
+    inverse = _convergent_neumann(forms, neumann_order)
     base = psi0(sd.p, to_complex(x), to_complex(y),
                 [sd.f_laurent(ell) for ell in range(2 * sd.p - 1)])
     p_t = p_vector(forms, x) @ forms.Delta
-    correction = p_t @ neu.matrix @ q_vector(forms, y)
+    correction = p_t @ inverse @ q_vector(forms, y)
     return base + complex(correction)
 
 
@@ -471,8 +481,7 @@ def psi_p_deriv_y(
     differentiate in closed form and the correction differentiates
     through q(y)."""
     sd = forms.sd
-    order = sd.neumann_order if neumann_order is None else neumann_order
-    neu = neumann_inverse(forms, order)
+    inverse = _convergent_neumann(forms, neumann_order)
     base = _psi0_deriv(sd, 0, j, x, y)
     dq = np.zeros(len(forms.index), dtype=complex)
     sign = (-1) ** sd.p
@@ -481,16 +490,15 @@ def psi_p_deriv_y(
             sd, m, j, sd.point(-a), y
         )
     p_t = p_vector(forms, x) @ forms.Delta
-    return base + complex(p_t @ neu.matrix @ dq)
+    return base + complex(p_t @ inverse @ dq)
 
 
 def chi_vector(forms: GenusGForms, x, neumann_order: int | None = None) -> dict:
     """chi_a(x; l) = rho_a^{-l/2} (p(x) + p~(x)(I-R~)^{-1} R)_a(l)."""
     sd = forms.sd
-    order = sd.neumann_order if neumann_order is None else neumann_order
-    neu = neumann_inverse(forms, order)
+    inverse = _convergent_neumann(forms, neumann_order)
     vec = p_vector(forms, x)
-    combined = vec + (vec @ forms.Delta) @ neu.matrix @ forms.R
+    combined = vec + (vec @ forms.Delta) @ inverse @ forms.R
     out = {}
     for i, (a, m) in enumerate(forms.index):
         if m <= 2 * sd.p - 2:

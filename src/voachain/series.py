@@ -464,7 +464,13 @@ def _scalar_invert(c):
 
 
 def _int_power(base, k: int):
-    if k >= 0:
+    if k == 0:
+        return 1
+    if isinstance(base, (int, Fraction)):
+        # native powers; a negative power of an int must stay exact
+        return Fraction(base) ** k if k < 0 else base ** k
+    if k > 0:
+        # repeated products keep float and complex results bit-identical
         out = 1
         for _ in range(k):
             out = out * base

@@ -149,8 +149,14 @@ def fock_basis(weight_cutoff: int) -> list[FockState]:
         raise ValueError("weight_cutoff must be >= 0")
     states = []
     for w in range(weight_cutoff):
-        states.extend(FockState(p) for p in sorted(_partitions(w)))
+        states.extend(weight_basis(w))
     return states
+
+
+@lru_cache(maxsize=None)
+def weight_basis(weight: int) -> tuple[FockState, ...]:
+    """The basis states of one weight, lexicographic as in fock_basis."""
+    return tuple(FockState(p) for p in sorted(_partitions(weight)))
 
 
 @lru_cache(maxsize=None)
@@ -418,6 +424,22 @@ def vertex_matrix_element(
 # the whole element is a sum over pairings.  Pairwise contractions are
 # closed-form rational functions of the points, which is exactly the
 # resummation of the infinite intermediate mode sums.
+#
+# One Wick context serves every evaluation at the same point tuple (the
+# points of the non-vacuum insertions, in order): a graded trace sums
+# the p(k) states of each q-order at fixed points, and a genus-2
+# coefficient sums its paired basis terms at fixed handle points.  The
+# context fills three tables on demand: the leg powers z_i^k, the
+# contractions of two fields, and the sub-sums over the remaining
+# boundary parts and fields.  A field is its derivative order d and its
+# point index i; fields of one insertion share i and never contract
+# (normal ordering), so a sub-sum depends on nothing else and holds for
+# every call at these points.  The context is keyed by the typed points:
+# 5, 5.0 and Fraction(5) compare equal but give values of other types.
+#
+# The recursion carries its state as strings, compact enough to keep
+# every sub-sum of a trace or handle sum: boundary parts m as chr(m),
+# fields as chr(d) + chr(i).
 
 
 def sphere_matrix_element(
@@ -427,76 +449,98 @@ def sphere_matrix_element(
 ) -> Scalar:
     points = []
     fields = []
-    for group, (state, z) in enumerate(insertions):
+    for state, z in insertions:
         if state.partition:
-            points.append(z)
-            pi = len(points) - 1
+            pi = len(points)
+            points.append((type(z), z))
             for part in state.partition:
-                fields.append((group, part - 1, pi))
-    total_parity = (
-        len(fields) + u_out.length + u_in.length
-    )
-    if total_parity % 2 == 1:
+                fields += (part - 1, pi)
+    if (len(fields) // 2 + u_out.length + u_in.length) % 2 == 1:
         return 0
-    memo: dict = {}
-    val = _wick(
-        tuple(u_out.partition), tuple(fields), tuple(u_in.partition),
-        tuple(points), memo,
-    )
+    ctx = _wick_context(tuple(points))
+    val = _wick(_chars(u_out.partition), _chars(fields), _chars(u_in.partition), ctx)
     return val * _scalar_invert(u_out.norm_squared())
 
 
-def _wick(out, fields, ins, points, memo):
-    key = (out, fields, ins)
-    hit = memo.get(key)
+def _chars(values) -> str:
+    return "".join(map(chr, values))
+
+
+class _WickContext:
+    """The tables shared by every sphere element at one point tuple."""
+
+    __slots__ = ("points", "powers", "contractions", "memo")
+
+    def __init__(self, points: tuple):
+        self.points = points
+        self.powers: dict = {}  # (i, k) -> z_i^k
+        self.contractions: dict = {}  # the two fields' chars -> contraction
+        self.memo: dict = {}  # recursion state (see _wick) -> sub-sum
+
+
+@lru_cache(maxsize=1)
+def _wick_context(typed_points: tuple) -> _WickContext:
+    return _WickContext(tuple(z for _, z in typed_points))
+
+
+def _leg_power(ctx: _WickContext, pi: int, k: int):
+    key = (pi, k)
+    val = ctx.powers.get(key)
+    if val is None:
+        val = ctx.powers[key] = _int_power(ctx.points[pi], k)
+    return val
+
+
+def _contraction(ctx: _WickContext, pair: str):
+    # normalized-derivative contraction of the fields pair[:2], pair[2:]:
+    # d^(d1)_z1 d^(d2)_z2 (z1 - z2)^-2
+    val = ctx.contractions.get(pair)
+    if val is None:
+        d1, pi, d2, pj = map(ord, pair)
+        z1, z2 = ctx.points[pi], ctx.points[pj]
+        if z1 == z2:
+            raise ValueError("coincident insertion points")
+        c = (-1) ** d1 * (d1 + d2 + 1) * math.comb(d1 + d2, d1)
+        val = ctx.contractions[pair] = c * _int_power(z1 - z2, -(2 + d1 + d2))
+    return val
+
+
+def _wick(out, fields, ins, ctx):
+    # out, ins: boundary parts, one char each; fields: two chars each
+    key = f"{chr(len(out))}{chr(len(ins))}{out}{ins}{fields}"
+    hit = ctx.memo.get(key)
     if hit is not None:
         return hit
     if out:
-        m, rest = out[0], out[1:]
+        part, rest = out[0], out[1:]
+        m = ord(part)
         total = 0
-        for idx, (g, d, pi) in enumerate(fields):
-            c = m * math.comb(m - 1, d) if d <= m - 1 else 0
-            if c:
-                val = c * _int_power(points[pi], m - 1 - d)
+        for idx in range(0, len(fields), 2):
+            d = ord(fields[idx])
+            if d <= m - 1:
+                val = m * math.comb(m - 1, d) * _leg_power(ctx, ord(fields[idx + 1]), m - 1 - d)
                 total = total + val * _wick(
-                    rest, fields[:idx] + fields[idx + 1:], ins, points, memo
+                    rest, fields[:idx] + fields[idx + 2:], ins, ctx
                 )
-        cnt = ins.count(m)
+        cnt = ins.count(part)
         if cnt:
-            total = total + cnt * m * _wick(
-                rest, fields, _remove_one(ins, m), points, memo
-            )
+            total = total + cnt * m * _wick(rest, fields, ins.replace(part, "", 1), ctx)
     elif fields:
-        (g, d, pi), rest = fields[0], fields[1:]
+        first, rest = fields[:2], fields[2:]
         total = 0
-        for idx, (g2, d2, pj) in enumerate(rest):
-            if g2 == g:
+        for idx in range(0, len(rest), 2):
+            if rest[idx + 1] == first[1]:
                 continue
-            total = total + _contract_fields(d, d2, points[pi], points[pj]) * _wick(
-                (), rest[:idx] + rest[idx + 1:], ins, points, memo
+            total = total + _contraction(ctx, first + rest[idx:idx + 2]) * _wick(
+                "", rest[:idx] + rest[idx + 2:], ins, ctx
             )
-        for m in sorted(set(ins)):
-            cnt = ins.count(m)
-            val = m * (-1) ** d * math.comb(m + d, d) * _int_power(
-                points[pi], -(m + 1 + d)
-            )
-            total = total + cnt * val * _wick((), rest, _remove_one(ins, m), points, memo)
+        d, pi = ord(first[0]), ord(first[1])
+        for part in sorted(set(ins)):
+            m = ord(part)
+            cnt = ins.count(part)
+            val = m * (-1) ** d * math.comb(m + d, d) * _leg_power(ctx, pi, -(m + 1 + d))
+            total = total + cnt * val * _wick("", rest, ins.replace(part, "", 1), ctx)
     else:
         total = 1 if not ins else 0
-    memo[key] = total
+    ctx.memo[key] = total
     return total
-
-
-def _remove_one(tup: tuple[int, ...], value: int) -> tuple[int, ...]:
-    idx = tup.index(value)
-    return tup[:idx] + tup[idx + 1:]
-
-
-def _contract_fields(d1: int, d2: int, z1, z2):
-    # normalized-derivative contraction of two a-fields:
-    # d^(d1)_z1 d^(d2)_z2 (z1 - z2)^-2
-    if z1 == z2:
-        raise ValueError("coincident insertion points")
-    c = (-1) ** d1 * (d1 + d2 + 1) * math.comb(d1 + d2, d1)
-    return c * _int_power(z1 - z2, -(2 + d1 + d2))
-

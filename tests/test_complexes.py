@@ -28,16 +28,18 @@ from voachain.complexes import (
     genus1_npoint_trace,
     reduce_to_zero_point,
 )
-from voachain.correlators import torus_qseries
+from voachain.correlators import sphere_value, torus_qseries
 from voachain.schottky import SchottkyData, SewingData, genus_g_npoint
-from voachain.series import TruncatedSeries
+from voachain.series import ExactComplex, TruncatedSeries, _int_power
 from voachain.voa import (
     A_VECTOR,
     OMEGA_VECTOR,
+    VACUUM,
     VACUUM_VECTOR,
     FockState,
     FockVector,
     fock_basis,
+    zero_mode,
 )
 
 AA = FockVector.basis(1, 1)  # a(-1)a, weight 2
@@ -117,6 +119,59 @@ class TestGenus0ReductionEquivalence:
         want = g0_element(("a", POINTS0[1]), ("a", POINTS0[0])).value.data
         assert d1.value.data == 0
         assert d2.value.data == want
+
+    @pytest.mark.parametrize("names_points", [
+        (("a", 3), ("a", 1)),
+        (("a", 3.0), ("a", 1.0)),
+        (("a", Fraction(3)), ("a", 1.0)),
+        (("a", 0.5),),
+        (("aa", 0.5),),
+        (("1", 0.5), ("a", 3), ("a", 1)),
+        (("1", 0.5), ("a", 3.0), ("a", 1)),
+        (("aa", 0.5), ("a", 3), ("1", 1.0)),
+        (("a", ExactComplex(3, 1)), ("a", 1)),
+        (("a", 3j), ("a", 1), ("aa", -2)),
+    ])
+    def test_d1_of_weight_one_keeps_the_scalar_type(self, names_points):
+        # o(v)|0> = 0 for wt v >= 1: D1 is the zero that evaluating the
+        # element and scaling by that matrix element would give
+        base = g0_element(*names_points)
+        z = Fraction(-5)
+        op_vac = zero_mode(A_VECTOR)(VACUUM_VECTOR).coefficient(VACUUM)
+        want = _int_power(z, -1) * (sphere_value(base.insertions.entries) * op_vac)
+        got = apply_D1((A_VECTOR, z), base).value.data
+        assert got == 0
+        assert type(got) is type(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(("1", "a", "aa", "1+a", "a+aa")),
+                              st.sampled_from((int, Fraction, float))),
+                    max_size=4))
+    def test_d1_zero_type_matches_evaluation(self, slots):
+        # mixed vectors and point types: the unevaluated zero has the
+        # type sphere_value's sum would have
+        pool = {**POOL, "1+a": VACUUM_VECTOR + A_VECTOR, "a+aa": A_VECTOR + AA}
+        entries = tuple((pool[name], kind(3 * i + 1)) for i, (name, kind) in enumerate(slots))
+        base = genus0_npoint(InsertionTuple(entries, genus=0))
+        z = Fraction(-5)
+        want = _int_power(z, -1) * (sphere_value(entries) * 0)
+        got = apply_D1((A_VECTOR, z), base).value.data
+        assert got == 0
+        assert type(got) is type(want)
+
+    def test_d1_of_weight_one_evaluates_nothing(self, monkeypatch):
+        import voachain.complexes as complexes
+
+        base = g0_element(("a", POINTS0[0]), ("aa", POINTS0[1]))
+        calls = []
+        monkeypatch.setattr(complexes, "sphere_value",
+                            lambda *a, **k: calls.append(a) or sphere_value(*a, **k))
+        apply_D1((A_VECTOR, POINTS0[2]), base)
+        assert calls == []
+        apply_D1((OMEGA_VECTOR, POINTS0[2]), base)
+        assert calls == []
+        apply_D1((VACUUM_VECTOR, POINTS0[2]), base)
+        assert len(calls) == 1
 
     def test_non_vacuum_boundary_rejected_for_reduction(self):
         ins = InsertionTuple(((A_VECTOR, Fraction(2)),), 0)

@@ -21,6 +21,7 @@ from voachain.schottky import (
     p_vector,
     psi0,
     psi_p,
+    psi_p_deriv_y,
     q_vector,
     sew_sphere,
     sew_torus,
@@ -332,6 +333,25 @@ class TestNeumann:
         big = GenusLike(forms.sd, forms.index, forms.R * 1e4, forms.Delta)
         neu = neumann_inverse(big, 6)
         assert neu.divergence_flag
+
+
+class TestDivergentNeumann:
+    def divergent_forms(self):
+        sd = SchottkyData(genus=2, rho=(4, 4),
+                          points=(Fraction(-1), Fraction(1), Fraction(-4), Fraction(4)))
+        return build_R(sd)
+
+    def test_kernels_refuse_a_divergent_series(self):
+        forms = self.divergent_forms()
+        assert neumann_inverse(forms, forms.sd.neumann_order).divergence_flag
+        with pytest.raises(SewingError, match="diverges"):
+            psi_p(forms, 0.5, 0.7)
+        with pytest.raises(SewingError, match="diverges"):
+            psi_p_deriv_y(forms, 0.5, 0.7, 1)
+        with pytest.raises(SewingError, match="diverges"):
+            chi_vector(forms, 0.5)
+        with pytest.raises(SewingError, match="diverges"):
+            theta_vector(forms, 1, 0.5)
 
 
 class GenusLike:

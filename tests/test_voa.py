@@ -2,12 +2,16 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from voachain import voa
 from voachain.correlators import sphere_value
-from voachain.series import TruncatedSeries
+from voachain.series import ExactComplex, TruncatedSeries
 from voachain.voa import (
     A_VECTOR,
     OMEGA_VECTOR,
@@ -553,3 +557,154 @@ class TestSphereEngine:
             VACUUM, [(FockState((2,)), z1), (FockState((1,)), z2)], VACUUM
         )
         assert got == want
+
+
+# -- the shared Wick context -------------------------------------------
+
+
+def _pairings(legs):
+    """Every perfect matching of legs, enumerated afresh (no memo)."""
+    if not legs:
+        yield []
+        return
+    first, rest = legs[0], legs[1:]
+    for idx, other in enumerate(rest):
+        for tail in _pairings(rest[:idx] + rest[idx + 1:]):
+            yield [(first, other)] + tail
+
+
+def _leg_contraction(x, y):
+    """Wick contraction of two legs: ("out", m) or ("in", m) for a
+    boundary mode, ("field", d, group, z) for d^(d)a/d! at z."""
+    if x[0] == "in" or (x[0] == "field" and y[0] == "out"):
+        x, y = y, x
+    kind = (x[0], y[0])
+    if kind == ("out", "in"):
+        # <0| a(m) a(-n) |0> = m delta_mn
+        return x[1] if x[1] == y[1] else 0
+    if kind == ("out", "field"):
+        # the mode of the field that pairs with a(m): z^(m-1) a(-m), differentiated
+        m, (_, d, _, z) = x[1], y
+        return m * math.comb(m - 1, d) * z ** (m - 1 - d) if d <= m - 1 else 0
+    if kind == ("field", "in"):
+        # a(m) z^(-m-1) annihilates a(-m)|0> with factor m, differentiated
+        (_, d, _, z), m = x, y[1]
+        return Fraction(m * (-1) ** d * math.comb(m + d, d)) / z ** (m + 1 + d)
+    if kind == ("field", "field"):
+        (_, d1, g1, z1), (_, d2, g2, z2) = x, y
+        if g1 == g2:
+            return 0  # normal ordering
+        # d^(d1)_z1 d^(d2)_z2 (z1 - z2)^-2 / (d1! d2!)
+        c = (-1) ** d1 * math.factorial(d1 + d2 + 1) // (
+            math.factorial(d1) * math.factorial(d2))
+        return Fraction(c) / (z1 - z2) ** (2 + d1 + d2)
+    return 0  # out-out and in-in never contract
+
+
+def _wick_oracle(u_out, insertions, u_in):
+    legs = [("out", m) for m in u_out.partition]
+    for g, (state, z) in enumerate(insertions):
+        legs += [("field", part - 1, g, z) for part in state.partition]
+    legs += [("in", m) for m in u_in.partition]
+    total = Fraction(0)
+    for matching in _pairings(legs):
+        term = Fraction(1)
+        for x, y in matching:
+            term *= _leg_contraction(x, y)
+            if term == 0:
+                break
+        total += term
+    return total / u_out.norm_squared()
+
+
+def _states_up_to(weight):
+    return fock_basis(weight + 1)
+
+
+@st.composite
+def _sphere_elements(draw):
+    n = draw(st.integers(1, 4))
+    thirds = draw(st.lists(st.integers(-30, 30).filter(bool), min_size=n, max_size=n,
+                           unique=True))
+    points = [Fraction(t, 3) for t in thirds]
+    states = draw(st.lists(st.sampled_from(_states_up_to(4)), min_size=n, max_size=n))
+    u_out = draw(st.sampled_from(_states_up_to(3)))
+    u_in = draw(st.sampled_from(_states_up_to(3)))
+    return u_out, list(zip(states, points)), u_in
+
+
+def _program_caches():
+    """Every voachain cache, found as benchmarks/worker.program_caches does."""
+    found = {}
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("voachain."):
+            for obj in vars(mod).values():
+                if hasattr(obj, "cache_clear"):
+                    found[id(obj)] = obj
+    return list(found.values())
+
+
+def _cold(fn, *args):
+    voa._wick_context.cache_clear()
+    return fn(*args)
+
+
+def _typed(x):
+    return type(x), repr(x)
+
+
+class TestWickContext:
+    @settings(max_examples=80, deadline=None)
+    @given(_sphere_elements())
+    def test_matches_memo_free_pairing_sum(self, element):
+        u_out, insertions, u_in = element
+        legs = len(u_out.partition) + len(u_in.partition) + sum(
+            len(s.partition) for s, _ in insertions)
+        # the oracle enumerates (legs - 1)!! matchings
+        assume(legs <= 14)
+        assert sphere_matrix_element(u_out, insertions, u_in) == _wick_oracle(
+            u_out, insertions, u_in)
+
+    def test_batch_is_order_independent(self):
+        # one point tuple, so every element of the batch shares a context
+        rng = random.Random(5)
+        points = [Fraction(7), Fraction(-2), Fraction(5, 3)]
+        basis = _states_up_to(4)
+        batch = [
+            (rng.choice(_states_up_to(3)),
+             [(rng.choice(basis[1:]), z) for z in points],
+             rng.choice(_states_up_to(3)))
+            for _ in range(60)
+        ]
+        voa._wick_context.cache_clear()
+        cold = [_typed(sphere_matrix_element(*e)) for e in batch]
+        warm = [_typed(sphere_matrix_element(*e)) for e in batch]
+        order = list(range(len(batch)))
+        rng.shuffle(order)
+        voa._wick_context.cache_clear()
+        shuffled = {i: _typed(sphere_matrix_element(*batch[i])) for i in order}
+        assert warm == cold
+        assert [shuffled[i] for i in range(len(batch))] == cold
+        assert voa._wick_context.cache_info().misses == 1
+
+    def test_point_types_keep_their_own_results(self):
+        # 5, Fraction(5), 5.0 and ExactComplex(5) compare equal; each must
+        # still get the value and type a cold evaluation gives it
+        states = [FockState((2, 1)), FockState((1,)), FockState((1, 1))]
+        values = [5, -2, 3]
+        kinds = [int, Fraction, float, ExactComplex]
+        u_out, u_in = FockState((1,)), FockState((2, 1))
+        args = {kind: (u_out, list(zip(states, map(kind, values))), u_in) for kind in kinds}
+        voa._wick_context.cache_clear()
+        shared = {kind: _typed(sphere_matrix_element(*args[kind])) for kind in kinds}
+        for kind in kinds:
+            assert shared[kind] == _typed(_cold(sphere_matrix_element, *args[kind])), kind
+        assert shared[float][0] is float
+        assert shared[ExactComplex][0] is ExactComplex
+
+    def test_worker_cache_rule_clears_the_context(self):
+        sphere_matrix_element(VACUUM, [(FockState((1,)), 2), (FockState((1,)), 3)], VACUUM)
+        assert voa._wick_context.cache_info().currsize > 0
+        for cache in _program_caches():
+            cache.cache_clear()
+        assert voa._wick_context.cache_info().currsize == 0

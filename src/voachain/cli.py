@@ -5,6 +5,9 @@ resolved configuration and the truncation metadata of each numeric
 payload; human-readable progress goes to standard error.  Exit codes:
 0 success, 2 validation error (with a machine-readable diagnostic on
 standard output), 3 tolerance or assertion failure in check suites.
+Only the package's own error classes and malformed configs count as
+validation errors; any other exception is a fault in the program and
+escapes with its traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -59,6 +62,32 @@ class ConfigError(ValueError):
     pass
 
 
+def _checked(read):
+    def typed_read(self, section, option, **kwargs):
+        try:
+            return read(self, section, option, **kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {option}: {exc}") from exc
+
+    return typed_read
+
+
+class _Config(configparser.ConfigParser):
+    """A ConfigParser whose typed reads report a malformed value as a
+    ConfigError."""
+
+    getint = _checked(configparser.ConfigParser.getint)
+    getfloat = _checked(configparser.ConfigParser.getfloat)
+    getboolean = _checked(configparser.ConfigParser.getboolean)
+
+
+def parse_number(kind, token: str, where: str):
+    try:
+        return kind(token)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: cannot read {token.strip()!r} as {kind.__name__}") from exc
+
+
 def parse_state(token: str) -> FockVector:
     token = token.strip()
     if token in STATE_ALIASES:
@@ -70,6 +99,8 @@ def parse_state(token: str) -> FockVector:
             parts = tuple(int(p) for p in token[1:-1].split(",") if p.strip())
         except ValueError as exc:
             raise ConfigError(f"bad partition spec {token!r}") from exc
+        if any(p < 1 for p in parts):
+            raise ConfigError(f"partition spec {token!r} has a part below 1")
         return FockVector({FockState(parts): 1})
     raise ConfigError(f"unknown state {token!r}")
 
@@ -78,7 +109,7 @@ def parse_scalar(token: str):
     token = token.strip()
     try:
         return Fraction(token)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         pass
     try:
         return complex(token)
@@ -120,7 +151,7 @@ def fail_validation(command: str, message: str) -> int:
 
 
 def read_config(path: str) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser()
+    cfg = _Config()
     loaded = cfg.read(path)
     if not loaded:
         raise ConfigError(f"config file {path!r} not found")
@@ -158,14 +189,18 @@ def build_sewing(cfg, section: str = "sewing") -> SewingData:
 def build_schottky(cfg) -> SchottkyData:
     section = "schottky"
     genus = cfg.getint(section, "genus")
-    rho = tuple(float(x) for x in parse_list(cfg.get(section, "rho")))
+    rho = tuple(
+        parse_number(float, x, "[schottky] rho") for x in parse_list(cfg.get(section, "rho"))
+    )
     raw_points = cfg.get(section, "w", fallback=None) or cfg.get(section, "points")
     points = tuple(parse_scalar(x) for x in parse_list(raw_points))
     f_raw = cfg.get(section, "f_coeffs", fallback="")
     f_coeffs = None
     if f_raw.strip():
+        where = "[schottky] f_coeffs"
         f_coeffs = tuple(
-            {int(e): float(c) for e, c in (pair.split(":") for pair in parse_list(block))}
+            {parse_number(int, e, where): parse_number(float, c, where)
+             for e, _, c in (pair.partition(":") for pair in parse_list(block))}
             for block in f_raw.split(";")
         )
     return SchottkyData(
@@ -184,10 +219,11 @@ def truncations(cfg) -> dict:
     if cfg.has_section("truncation"):
         for key in cfg["truncation"]:
             raw = cfg.get("truncation", key)
+            where = f"[truncation] {key}"
             if "," in raw:
-                out[key] = [int(x) for x in parse_list(raw)]
+                out[key] = [parse_number(int, x, where) for x in parse_list(raw)]
             else:
-                out[key] = int(raw)
+                out[key] = parse_number(int, raw, where)
     return out
 
 
@@ -262,7 +298,8 @@ def cmd_npoint(args) -> int:
         sd = build_schottky(cfg)
         ins = build_insertions(cfg, 2, moduli=sd)
         orders = tuple(
-            int(x) for x in parse_list(cfg.get("truncation", "rho_orders", fallback="4,3"))
+            parse_number(int, x, "[truncation] rho_orders")
+            for x in parse_list(cfg.get("truncation", "rho_orders", fallback="4,3"))
         )
         elem = element_from_insertions(ins, rho_orders=orders)
     else:
@@ -319,7 +356,8 @@ def cmd_partition(args) -> int:
     cfg = read_config(args.config)
     sd = build_schottky(cfg)
     orders = tuple(
-        int(x) for x in parse_list(cfg.get("truncation", "rho_orders", fallback="6"))
+        parse_number(int, x, "[truncation] rho_orders")
+        for x in parse_list(cfg.get("truncation", "rho_orders", fallback="6"))
     )
     series = genus_g_partition(sd, orders)
     emit({
@@ -336,6 +374,7 @@ def cmd_reduce(args) -> int:
     genus = cfg.getint("experiment", "genus")
     trunc = truncations(cfg)
     q_order = trunc.get("q_order", 8)
+    tol = cfg.getfloat("tolerance", "float_tol", fallback=1e-10)
     elem = _oracle_element(build_insertions(cfg, genus), q_order)
     factor, zero_point = reduce_to_zero_point(elem)
     if isinstance(factor, TruncatedSeries):
@@ -354,7 +393,6 @@ def cmd_reduce(args) -> int:
         "round_trip_residual": residual,
         "truncation": trunc,
     })
-    tol = cfg.getfloat("tolerance", "float_tol", fallback=1e-10)
     return 0 if residual <= tol else 3
 
 
@@ -364,6 +402,8 @@ def cmd_check_complex(args) -> int:
     trunc = truncations(cfg)
     q_order = trunc.get("q_order", 5)
     rho_order = trunc.get("rho_order", 3)
+    expect_zero = cfg.getboolean("assert", "expect_zero", fallback=False)
+    tol = cfg.getfloat("assert", "tolerance", fallback=1e-9)
     elem = _oracle_element(build_insertions(cfg, genus, section="element"), q_order)
     x1 = (parse_state(cfg.get("descriptors", "x1_state", fallback="1")),
           parse_scalar(cfg.get("descriptors", "x1_point", fallback="11")))
@@ -395,8 +435,7 @@ def cmd_check_complex(args) -> int:
         "reports": payload,
         "truncation": trunc,
     })
-    if cfg.getboolean("assert", "expect_zero", fallback=False):
-        tol = cfg.getfloat("assert", "tolerance", fallback=1e-9)
+    if expect_zero:
         # a skipped check computed nothing, so it cannot assert a zero
         skipped = [rep for rep in reports if rep.skipped]
         for rep in skipped:
@@ -415,6 +454,7 @@ def cmd_connection(args) -> int:
     trunc = truncations(cfg)
     q_order = trunc.get("q_order", 5)
     rho_order = trunc.get("rho_order", 4)
+    expected = cfg.getboolean("assert", "vanishing", fallback=None)
     elem = _oracle_element(build_insertions(cfg, genus, section="element"), q_order)
     descriptor = (
         parse_state(cfg.get("descriptor", "state", fallback="1")),
@@ -440,8 +480,7 @@ def cmd_connection(args) -> int:
         "identification": report.identification,
         "truncation": trunc,
     })
-    want = cfg.get("assert", "vanishing", fallback=None)
-    if want is not None and cfg.getboolean("assert", "vanishing") != report.vanishing:
+    if expected is not None and expected != report.vanishing:
         print("connection vanishing assertion failed", file=sys.stderr)
         return 3
     return 0
@@ -557,7 +596,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (ConfigError, ComplexError, SeriesError, SewingError, EllipticError,
-            ValueError, KeyError, configparser.Error) as exc:
+            configparser.Error) as exc:
         return fail_validation(args.command, str(exc))
 
 

@@ -37,8 +37,6 @@ from .schottky import (
     build_R,
     genus_g_npoint,
     psi_p_deriv_y,
-    sew_sphere,
-    sew_torus,
     theta_vector,
 )
 from .series import (
@@ -53,6 +51,7 @@ from .series import (
 from .voa import (
     CENTRAL_CHARGE,
     VACUUM,
+    VACUUM_VECTOR,
     FockState,
     FockVector,
     apply_state_mode,
@@ -151,7 +150,17 @@ class Trace:
 
 @dataclass(frozen=True)
 class Sewn:
-    """One handle sewn onto the surface ``inner`` presents, to rho^rho_order."""
+    """One handle sewn onto the surface ``inner`` presents, to rho^rho_order:
+    sum_k rho^k sum_w F(x, wbar, w).
+
+    The pair (wbar at zeta1, w at zeta2) runs over the weight-k basis with
+    the inverse-Gram pairing, appended after the existing insertions and
+    evaluated by ``inner``.  Sewing the bare sphere gives sum p(k) rho^k
+    exactly.  Sewn onto a trace, the pair rides along inside the graded
+    trace, so the coefficients are q-series and the rho^0 term is the
+    genus-1 input itself (vacuum pair): the degeneration identity.  A
+    handle sewn onto a sewn surface is counted by rho2.
+    """
 
     inner: object
     sewing: SewingData
@@ -167,16 +176,11 @@ class Sewn:
 
     def evaluate(self, entries, boundary=VACUUM_BOUNDARY) -> CorrelationFunction:
         inner, sd = self.inner, self.sewing
-        if isinstance(inner, Sphere):
-            data = sew_sphere(entries, sd, self.rho_order)
-        elif isinstance(inner, Trace):
-            data = sew_torus(entries, sd, self.rho_order, inner.q_order)
-        else:
-            data = _sewn_series(
-                sd, self.rho_order,
-                lambda pairs: inner.evaluate((*entries, *pairs), boundary).data,
-                variable="rho2",
-            )
+        data = _sewn_series(
+            sd.zeta1, sd.zeta2, self.rho_order,
+            lambda pairs: inner.evaluate((*entries, *pairs), boundary).data,
+            "rho2" if isinstance(inner, Sewn) else "rho",
+        )
         return CorrelationFunction(self.genus, data, self.prefactor_exponent)
 
 
@@ -302,10 +306,13 @@ def apply_D1(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainEleme
         return _apply_D1_schottky(x_new, elem)
     if isinstance(evaluator, Sphere):
         _require_vacuum_boundary(elem)
+        # <1', o(v) X 1> = <1', o(v) P_0 X 1>: only the vacuum component
+        # of X|1> survives, and o(v)'s vacuum matrix element scales it
+        value = evaluator.evaluate(entries, elem.boundary).data
         data = 0
         for wt, comp in v.homogeneous_components().items():
-            val = _sphere_with_left_operator(elem, zero_mode(comp))
-            data = data + _int_power(z, -wt) * val
+            op_vac = zero_mode(comp)(VACUUM_VECTOR).coefficient(VACUUM)
+            data = data + _int_power(z, -wt) * (value * op_vac)
     elif isinstance(evaluator, Trace):
         _require_torus_point(z)
         data = torus_qseries(entries, evaluator.q_order, left_operator=zero_mode(v))
@@ -401,9 +408,25 @@ def apply_Dg(elem: ChainElement, sd: SewingData, rho_order: int) -> ChainElement
     """Genus-raising differential: one handle sewn onto elem's own
     presentation; insertion slots keep their points."""
     _require_vacuum_boundary(elem)
+    surface = [to_complex(z) for z in _surface_points(elem)]
+    if to_complex(sd.zeta1) in surface or to_complex(sd.zeta2) in surface:
+        raise ComplexError("sewing points must differ from the points already on the surface")
+    if isinstance(elem.evaluator, Trace):
+        _require_torus_point(sd.zeta1)
+        _require_torus_point(sd.zeta2)
     moduli = sd if elem.insertions.moduli is None else (elem.insertions.moduli, sd)
     new_ins = elem.insertions.with_genus(elem.genus + 1, moduli=moduli)
     return _element(new_ins, Sewn(elem.evaluator, sd, rho_order), elem.boundary)
+
+
+def _surface_points(elem: ChainElement) -> list:
+    # the insertion points and the sewing points of the handles already sewn
+    points = [z for _, z in elem.insertions.entries]
+    evaluator = elem.evaluator
+    while isinstance(evaluator, Sewn):
+        points += [evaluator.sewing.zeta1, evaluator.sewing.zeta2]
+        evaluator = evaluator.inner
+    return points
 
 
 def _require_vacuum_boundary(elem: ChainElement):
@@ -421,41 +444,6 @@ def _require_torus_point(x: Scalar):
         )
 
 
-def _sphere_with_left_operator(elem: ChainElement, op) -> Scalar:
-    # <1', op X 1> = <1', op P_0 X 1>: only the vacuum component of X|1>
-    # survives, and op's vacuum matrix element scales it.  When that
-    # element is 0 (o(v)|0> = 0 for every v of weight >= 1) X is not
-    # evaluated, and the product is a zero of the type X's value has.
-    op_vac = op(FockVector({VACUUM: 1})).coefficient(VACUUM)
-    entries = elem.insertions.entries
-    if op_vac == 0:
-        return _sphere_zero(entries) * op_vac
-    return elem.evaluator.evaluate(entries, elem.boundary).data * op_vac
-
-
-def _sphere_zero(entries) -> Scalar:
-    # 0 of the type sphere_value(entries) has between vacua, summed as it
-    # sums its basis components: an odd leg count gives an int 0; an even
-    # one a Fraction (the inverse norm), which also takes the type of the
-    # points carrying legs when two or more insertions carry them (the
-    # first leg then contracts with each other such point)
-    total = 0
-    for combo in product(*(v.terms.items() for v, _ in entries)):
-        coeff = 1
-        for _, c in combo:
-            coeff = coeff * c
-        if sum(s.length for s, _ in combo) % 2:
-            val = 0
-        else:
-            val = Fraction(0)
-            legged = [z for (s, _), (_, z) in zip(combo, entries) if s.partition]
-            if len(legged) > 1:
-                for z in legged:
-                    val = val * z
-        total = total + coeff * val
-    return total
-
-
 def _sewn_with_left_operator(entries, sd: SewingData, rho_order: int, op):
     # the grade-preserving left operator acts on the zeta1 slot states
     # through the pairing bridge; terms it annihilates drop out
@@ -466,42 +454,32 @@ def _sewn_with_left_operator(entries, sd: SewingData, rho_order: int, op):
             return None
         return sphere_value((*entries, (moved, zeta1), b_slot), dressed=False)
 
-    return _sewn_series(sd, rho_order, evaluate)
+    return _sewn_series(sd.zeta1, sd.zeta2, rho_order, evaluate, "rho")
 
 
 def _apply_D1_schottky(x_new, elem: ChainElement) -> ChainElement:
     v, y_new = x_new
     sd, orders = elem.evaluator.sd, elem.evaluator.orders
-    if not is_quasiprimary(v):
-        raise ComplexError("genus-g reduction requires quasiprimary insertions")
-    p = v.weight_if_homogeneous()
-    forms = build_R(_with_weight(sd, p))
-    total = None
+    forms = _genus_g_forms(v, sd)
+    total = TruncatedSeries.zero(f"rho{sd.genus}", orders[-1])
     for a in range(1, sd.genus + 1):
         theta = theta_vector(forms, a, to_complex(y_new))
-        for ell in range(2 * p - 1):
+        for ell in range(2 * forms.sd.p - 1):
             factor = theta[ell]
             if factor == 0:
                 continue
             term = _genus_g_sum(sd, elem.insertions.entries, orders, (a, v, ell))
-            term = term * factor
-            total = term if total is None else total + term
-    if total is None:
-        total = genus_g_npoint(sd, [], orders) * 0
-    new_ins = elem.insertions.append(v, y_new)
-    return ChainElement(new_ins, CorrelationFunction(elem.genus, total),
-                        elem.boundary, elem.evaluator)
+            total = total + term * factor
+    return _stepped(elem, v, y_new, total)
 
 
 def _apply_D2_schottky(x_new, elem: ChainElement) -> ChainElement:
     v, y_new = x_new
     sd, orders = elem.evaluator.sd, elem.evaluator.orders
-    if not is_quasiprimary(v):
-        raise ComplexError("genus-g reduction requires quasiprimary insertions")
-    p = v.weight_if_homogeneous()
-    forms = build_R(_with_weight(sd, p))
+    forms = _genus_g_forms(v, sd)
+    # with no surviving term the zero stands, and no genus-g sum runs
+    total = TruncatedSeries.zero(f"rho{sd.genus}", orders[-1])
     entries = elem.insertions.entries
-    total = None
     for k, (state_k, y_k) in enumerate(entries):
         for j in range(0, _mode_reach(v, state_k) + 1):
             moved = apply_state_mode(v, j, state_k)
@@ -509,13 +487,15 @@ def _apply_D2_schottky(x_new, elem: ChainElement) -> ChainElement:
                 continue
             kernel = psi_p_deriv_y(forms, to_complex(y_new), to_complex(y_k), j)
             mod = elem.insertions.replace_state(k, moved)
-            term = genus_g_npoint(sd, mod.entries, orders) * kernel
-            total = term if total is None else total + term
-    if total is None:
-        total = genus_g_npoint(sd, entries, orders) * 0
-    new_ins = elem.insertions.append(v, y_new)
-    return ChainElement(new_ins, CorrelationFunction(elem.genus, total),
-                        elem.boundary, elem.evaluator)
+            total = total + genus_g_npoint(sd, mod.entries, orders) * kernel
+    return _stepped(elem, v, y_new, total)
+
+
+def _genus_g_forms(v: FockVector, sd: SchottkyData):
+    # the kernel forms of the genus-g reduction by v, at weight wt v
+    if not is_quasiprimary(v):
+        raise ComplexError("genus-g reduction requires quasiprimary insertions")
+    return build_R(_with_weight(sd, v.weight_if_homogeneous()))
 
 
 def _with_weight(sd: SchottkyData, p: int) -> SchottkyData:

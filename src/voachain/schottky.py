@@ -22,12 +22,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .correlators import Insertion, sphere_value, torus_qseries
+from .correlators import Insertion, sphere_value
 from .series import Scalar, TruncatedSeries, to_complex
 from .voa import FockVector, apply_state_mode, weight_basis
 
@@ -112,66 +111,25 @@ def paired_handle_terms(zeta1, zeta2, k: int) -> list[tuple[Scalar, FockVector, 
     ]
 
 
-def _sewing_sum(handles, evaluate):
-    """sum of c * evaluate(pairs) over one paired term per handle.
+def _sewn_series(zeta1, zeta2, rho_order: int, evaluate, variable: str) -> TruncatedSeries:
+    """One sewn handle: the rho^k coefficient sums c * evaluate(pairs)
+    over the weight-k paired terms, with pairs = [(bbar, zeta1), (b, zeta2)].
 
-    ``handles`` lists (zeta1, zeta2, k); ``pairs`` holds (bbar, zeta1),
-    (b, zeta2) for each handle in that order and c is the product of the
-    handles' coefficients.  ``evaluate`` may return None to drop a term.
+    ``evaluate`` may return None to drop a term.  Every order's terms are
+    fetched before the sum starts: a Gram inversion evaluates spheres at
+    the sewing points alone and would replace the Wick context the sum
+    runs in.
     """
-    total = 0
-    for terms in product(*(paired_handle_terms(*h) for h in handles)):
-        c, pairs = 1, []
-        for (zeta1, zeta2, _), (c_h, bbar, b) in zip(handles, terms):
-            c = c * c_h
-            pairs += [(bbar, zeta1), (b, zeta2)]
-        value = evaluate(pairs)
-        if value is not None:
-            total = total + value * c
-    return total
-
-
-def _sewn_series(sd: SewingData, rho_order: int, evaluate, variable: str = "rho"):
-    """One sewn handle: the rho-series of the sewing sums at sd's points."""
-    coeffs = {
-        k: _sewing_sum([(sd.zeta1, sd.zeta2, k)], evaluate) for k in range(rho_order)
-    }
+    terms = [paired_handle_terms(zeta1, zeta2, k) for k in range(rho_order)]
+    coeffs = {}
+    for k, terms_k in enumerate(terms):
+        total = 0
+        for c, bbar, b in terms_k:
+            value = evaluate([(bbar, zeta1), (b, zeta2)])
+            if value is not None:
+                total = total + value * c
+        coeffs[k] = total
     return TruncatedSeries(variable, coeffs, rho_order)
-
-
-def sew_sphere(
-    insertions: Sequence[Insertion],
-    sd: SewingData,
-    rho_order: int,
-) -> TruncatedSeries:
-    """Genus 0 -> 1 sewing: sum_k rho^k sum_{w} F^(0)(x, wbar, w).
-
-    The pair (wbar at zeta1, w at zeta2) runs over the weight-k basis
-    with the inverse-Gram pairing, appended after the existing
-    insertions.  Sewing the bare sphere gives sum p(k) rho^k exactly.
-    """
-    return _sewn_series(
-        sd, rho_order,
-        lambda pairs: sphere_value([*insertions, *pairs], dressed=False),
-    )
-
-
-def sew_torus(
-    insertions: Sequence[Insertion],
-    sd: SewingData,
-    rho_order: int,
-    q_order: int,
-) -> TruncatedSeries:
-    """Genus 1 -> 2 sewing: rho-series whose coefficients are q-series.
-
-    The paired basis insertions ride along inside the graded trace; the
-    rho^0 term is the genus-1 input itself (vacuum pair), which is the
-    degeneration identity.
-    """
-    return _sewn_series(
-        sd, rho_order,
-        lambda pairs: torus_qseries([*insertions, *pairs], q_order),
-    )
 
 
 # -- direct genus-g partition sums -------------------------------------
@@ -239,44 +197,39 @@ def genus_g_npoint(
         raise SewingError("partition sums implemented for genus 1 and 2")
     if len(rho_orders) != sd.genus:
         raise SewingError("one rho order per handle")
+    handle_points = {to_complex(w) for w in sd.points}
+    if any(to_complex(z) in handle_points for _, z in insertions):
+        raise SewingError("insertion points must differ from the handle points")
     return _genus_g_sum(sd, insertions, rho_orders)
 
 
 def _genus_g_sum(sd: SchottkyData, insertions, rho_orders, mode=None):
     """Nested rho-series (rho_g outermost) of the genus-g basis sums.
 
-    With ``mode = (a, v, ell)`` the mode v(ell) acts on the paired state
-    at the positive point of handle a, and terms it annihilates drop
-    out (the zero-mode block of the genus-g reduction).
+    Handle h sews the handles inside it, so handle g is the outermost
+    sum and the sphere, innermost, sees [*insertions, *pairs_1, ...,
+    *pairs_g].  With ``mode = (a, v, ell)`` the mode v(ell) acts on the
+    paired state at the positive point of handle a, and terms it
+    annihilates drop out (the zero-mode block of the genus-g reduction).
     """
 
-    def evaluate(pairs):
-        if mode is not None:
-            a, v, ell = mode
-            state, point = pairs[2 * a - 1]
-            moved = apply_state_mode(v, ell, state)
-            if moved.is_zero():
-                return None
-            pairs[2 * a - 1] = (moved, point)
-        return sphere_value([*insertions, *pairs], dressed=False)
+    def sewn(h, outer_pairs):
+        if h == 0:
+            return sphere_value([*insertions, *outer_pairs], dressed=False)
 
-    def coefficient(ks):
-        handles = [(sd.point(-h), sd.point(h), k) for h, k in enumerate(ks, 1)]
-        return _sewing_sum(handles, evaluate)
+        def evaluate(pairs):
+            if mode is not None and mode[0] == h:
+                _, v, ell = mode
+                b, zeta2 = pairs[1]
+                moved = apply_state_mode(v, ell, b)
+                if moved.is_zero():
+                    return None
+                pairs = [pairs[0], (moved, zeta2)]
+            return sewn(h - 1, pairs + outer_pairs)
 
-    return _nested_series(rho_orders, coefficient)
+        return _sewn_series(sd.point(-h), sd.point(h), rho_orders[h - 1], evaluate, f"rho{h}")
 
-
-def _nested_series(rho_orders, coefficient, outer=()):
-    # coefficient of rho_g^{k_g} ... rho_1^{k_1} is coefficient((k_1, ..., k_g))
-    h = len(rho_orders)
-    order = rho_orders[-1]
-    coeffs = {
-        k: coefficient((k,) + outer) if h == 1
-        else _nested_series(rho_orders[:-1], coefficient, (k,) + outer)
-        for k in range(order)
-    }
-    return TruncatedSeries(f"rho{h}", coeffs, order)
+    return sewn(len(rho_orders), [])
 
 
 # -- generalized elliptic apparatus ------------------------------------

@@ -426,16 +426,18 @@ def vertex_matrix_element(
 # resummation of the infinite intermediate mode sums.
 #
 # One Wick context serves every evaluation at the same point tuple (the
-# points of the non-vacuum insertions, in order): a graded trace sums
-# the p(k) states of each q-order at fixed points, and a genus-2
-# coefficient sums its paired basis terms at fixed handle points.  The
-# context fills three tables on demand: the leg powers z_i^k, the
+# points of every insertion, in order): a graded trace sums the p(k)
+# states of each q-order at fixed points, and a genus-g sum evaluates
+# all its paired basis terms, vacuum pairs included, at the same points.
+# The context fills three tables on demand: the leg powers z_i^k, the
 # contractions of two fields, and the sub-sums over the remaining
-# boundary parts and fields.  A field is its derivative order d and its
-# point index i; fields of one insertion share i and never contract
-# (normal ordering), so a sub-sum depends on nothing else and holds for
-# every call at these points.  The context is keyed by the typed points:
-# 5, 5.0 and Fraction(5) compare equal but give values of other types.
+# boundary parts and fields.  A field is its derivative order d and the
+# index i of its insertion; fields of one insertion share i and never
+# contract (normal ordering), so a sub-sum depends on nothing else and
+# holds for every call at these points.  A vacuum insertion has no
+# fields, so its point keys the context but never enters a value.  The
+# context is keyed by the typed points: 5, 5.0 and Fraction(5) compare
+# equal but give values of other types.
 #
 # The recursion carries its state as strings, compact enough to keep
 # every sub-sum of a trace or handle sum: boundary parts m as chr(m),
@@ -447,17 +449,13 @@ def sphere_matrix_element(
     insertions: Sequence[tuple[FockState, Scalar]],
     u_in: FockState,
 ) -> Scalar:
-    points = []
     fields = []
-    for state, z in insertions:
-        if state.partition:
-            pi = len(points)
-            points.append((type(z), z))
-            for part in state.partition:
-                fields += (part - 1, pi)
+    for pi, (state, _) in enumerate(insertions):
+        for part in state.partition:
+            fields += (part - 1, pi)
     if (len(fields) // 2 + u_out.length + u_in.length) % 2 == 1:
         return 0
-    ctx = _wick_context(tuple(points))
+    ctx = _wick_context(tuple((type(z), z) for _, z in insertions))
     val = _wick(_chars(u_out.partition), _chars(fields), _chars(u_in.partition), ctx)
     return val * _scalar_invert(u_out.norm_squared())
 

@@ -467,3 +467,64 @@ class TestSubprocessEntry:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["command"] == "eval-eisenstein"
+
+
+GENUS0_AA = """
+[experiment]
+genus = 0
+[insertions]
+states = a, a
+points = 3, 1
+"""
+
+GENUS2_SCHOTTKY = """
+[schottky]
+genus = 2
+rho = 0.01, 0.02
+points = -1, 1, -3, 3
+"""
+
+
+class TestErrorClasses:
+    # malformed input is one validation report (exit 2), also when the
+    # bad value is an assertion setting; every other exception is a
+    # fault in the program and escapes
+    @pytest.mark.parametrize("command, text, fragment", [
+        ("npoint", "[experiment]\ngenus = two\n", "[experiment] genus"),
+        ("npoint", GENUS0_AA + "[truncation]\nq_order = 8.5\n", "[truncation] q_order"),
+        ("npoint", GENUS0_AA.replace("a, a", "[0], a"), "part below 1"),
+        ("npoint", GENUS0_AA.replace("3, 1", "1/0, 1"), "1/0"),
+        ("partition", GENUS2_SCHOTTKY.replace("0.02", "x"), "[schottky] rho"),
+        ("partition", GENUS2_SCHOTTKY + "f_coeffs = 0 1\n", "[schottky] f_coeffs"),
+        ("partition", GENUS2_SCHOTTKY + "[truncation]\nrho_orders = 3, b\n",
+         "[truncation] rho_orders"),
+        ("check-complex", "[element]\nstates = a\npoints = 2\n[assert]\nexpect_zero = maybe\n",
+         "[assert] expect_zero"),
+        ("reduce", GENUS0_AA + "[tolerance]\nfloat_tol = tiny\n", "[tolerance] float_tol"),
+        ("connection", "[element]\nstates = a\npoints = 2\n[assert]\nvanishing = perhaps\n",
+         "[assert] vanishing"),
+        ("sew", GENUS0_AA + "[sewing]\nzeta1 = 1\nzeta2 = -1\n", "sewing points must differ"),
+        ("sew", GENUS0_AA.replace("genus = 0", "genus = 1") + "[sewing]\nzeta1 = 0\nzeta2 = 2\n",
+         "x = e^z"),
+        ("check-complex", "[element]\nstates = a\npoints = 2\n[experiment]\nkinds = g\n"
+         "[sewing]\nzeta1 = 3\nzeta2 = -3\n", "sewing points must differ"),
+        ("npoint", "[experiment]\ngenus = 2\n[insertions]\nstates = a\npoints = 1\n"
+         + GENUS2_SCHOTTKY, "handle points"),
+    ])
+    def test_bad_input_is_a_validation_error(self, write_config, capsys, command, text,
+                                             fragment):
+        code, out, _ = run_cli([command, "--config", write_config(text)], capsys)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"]["kind"] == "validation"
+        assert fragment in doc["error"]["message"]
+
+    def test_a_fault_in_a_handler_escapes(self, write_config, monkeypatch):
+        import voachain.cli as cli
+
+        def broken(args):
+            raise ValueError("a bug, not an input")
+
+        monkeypatch.setattr(cli, "cmd_sew", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["sew", "--config", write_config(GENUS0_AA)])

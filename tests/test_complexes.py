@@ -159,20 +159,6 @@ class TestGenus0ReductionEquivalence:
         assert got == 0
         assert type(got) is type(want)
 
-    def test_d1_of_weight_one_evaluates_nothing(self, monkeypatch):
-        import voachain.complexes as complexes
-
-        base = g0_element(("a", POINTS0[0]), ("aa", POINTS0[1]))
-        calls = []
-        monkeypatch.setattr(complexes, "sphere_value",
-                            lambda *a, **k: calls.append(a) or sphere_value(*a, **k))
-        apply_D1((A_VECTOR, POINTS0[2]), base)
-        assert calls == []
-        apply_D1((OMEGA_VECTOR, POINTS0[2]), base)
-        assert calls == []
-        apply_D1((VACUUM_VECTOR, POINTS0[2]), base)
-        assert len(calls) == 1
-
     def test_non_vacuum_boundary_rejected_for_reduction(self):
         ins = InsertionTuple(((A_VECTOR, Fraction(2)),), 0)
         elem = genus0_npoint(ins, boundary=(FockState((1,)), FockState((1,))))
@@ -668,6 +654,28 @@ class TestGenus2Reduction:
             kernel = complex(x_new - x_old) ** (-(j + 1))
             want += kernel * complex(sphere_value([(moved, x_old)], dressed=False))
         assert got == pytest.approx(want, abs=1e-9)
+
+    def test_d2_with_no_surviving_term_builds_the_zero(self, monkeypatch):
+        # a(j) kills the vacuum for j >= 0: no term survives, and the
+        # zero is built without a genus-g sum
+        import voachain.complexes as complexes
+
+        sd = SchottkyData(
+            genus=2, rho=(0.01, 0.015),
+            points=(Fraction(-1), Fraction(1), Fraction(-4), Fraction(4)),
+            mode_cutoff=2, neumann_order=8,
+        )
+        ins = InsertionTuple(((VACUUM_VECTOR, Fraction(2)),), genus=2, moduli=sd)
+        elem = element_from_insertions(ins, rho_orders=(3, 2))
+        old_zero = genus_g_npoint(sd, ins.entries, (3, 2)) * 0
+        calls = []
+        monkeypatch.setattr(complexes, "genus_g_npoint",
+                            lambda *a, **k: calls.append(a) or genus_g_npoint(*a, **k))
+        d2 = apply_D2((A_VECTOR, Fraction(6)), elem)
+        assert calls == []
+        assert d2.value.data == old_zero
+        assert d2.value.data == TruncatedSeries.zero("rho2", 2)
+        assert d2.insertions.n == 2 and d2.evaluator == elem.evaluator
 
     def test_genus2_zero_point_round_trip(self):
         sd = SchottkyData(

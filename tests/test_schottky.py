@@ -2,15 +2,18 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
+from voachain.complexes import Sewn, Sphere, Trace
 from voachain.correlators import partition_qseries, sphere_value, torus_qseries
 from voachain.schottky import (
     SchottkyData,
     SewingData,
     SewingError,
+    _genus_g_sum,
     big_psi_p,
     build_R,
     chi_vector,
@@ -19,15 +22,15 @@ from voachain.schottky import (
     handle_pairing,
     neumann_inverse,
     p_vector,
+    paired_handle_terms,
     psi0,
     psi_p,
     psi_p_deriv_y,
     q_vector,
-    sew_sphere,
-    sew_torus,
     theta_vector,
 )
-from voachain.voa import A_VECTOR, FockVector
+from voachain.series import TruncatedSeries
+from voachain.voa import A_VECTOR, FockVector, apply_state_mode
 
 
 def oracle_partition_counts(n):
@@ -80,7 +83,7 @@ class TestSewSphere:
         # sewing the bare sphere reproduces the graded dimensions: the
         # trace oracle gives sum p(k) q^k and sewing must agree with
         # rho identified with q
-        series = sew_sphere([], SewingData(), 7)
+        series = Sewn(Sphere(), SewingData(), 7).evaluate([]).data
         oracle = partition_qseries(7)
         for k in range(7):
             assert series.coefficient(k) == oracle.coefficient(k), k
@@ -88,7 +91,7 @@ class TestSewSphere:
 
     def test_partition_counts_for_any_sewing_points(self):
         for z1, z2 in ((Fraction(2), Fraction(1, 2)), (Fraction(-5), Fraction(7, 3))):
-            series = sew_sphere([], SewingData(zeta1=z1, zeta2=z2), 6)
+            series = Sewn(Sphere(), SewingData(zeta1=z1, zeta2=z2), 6).evaluate([]).data
             for k in range(6):
                 assert series.coefficient(k) == oracle_partition_counts(k), (z1, z2, k)
 
@@ -96,11 +99,11 @@ class TestSewSphere:
         # rho^0 term: vacuum pair insertion, Y(1,z) = Id
         ins = [(A_VECTOR, Fraction(3)), (A_VECTOR, Fraction(5))]
         base = sphere_value(ins, dressed=False)
-        series = sew_sphere(ins, SewingData(), 3)
+        series = Sewn(Sphere(), SewingData(), 3).evaluate(ins).data
         assert series.coefficient(0) == base
 
     def test_one_point_of_a_vanishes_every_order(self):
-        series = sew_sphere([(A_VECTOR, Fraction(4))], SewingData(), 6)
+        series = Sewn(Sphere(), SewingData(), 6).evaluate([(A_VECTOR, Fraction(4))]).data
         assert series.is_zero()
 
     def test_linearity(self):
@@ -111,9 +114,9 @@ class TestSewSphere:
             (A_VECTOR, Fraction(7)),
         ]
         sd = SewingData()
-        lhs = sew_sphere(combo, sd, 5)
-        rhs_a = sew_sphere(ins_a, sd, 5)
-        rhs_b = sew_sphere(ins_b, sd, 5)
+        lhs = Sewn(Sphere(), sd, 5).evaluate(combo).data
+        rhs_a = Sewn(Sphere(), sd, 5).evaluate(ins_a).data
+        rhs_b = Sewn(Sphere(), sd, 5).evaluate(ins_b).data
         for k in range(5):
             assert lhs.coefficient(k) == rhs_a.coefficient(k) + Fraction(2, 3) * rhs_b.coefficient(k)
 
@@ -127,7 +130,7 @@ class TestSewSphere:
         z1, z2 = Fraction(-2), Fraction(2)
         x1, x2 = Fraction(1, 2), Fraction(-1, 3)
         ins = [(A_VECTOR, x1), (A_VECTOR, x2)]
-        sewn = sew_sphere(ins, SewingData(zeta1=z1, zeta2=z2), 2)
+        sewn = Sewn(Sphere(), SewingData(zeta1=z1, zeta2=z2), 2).evaluate(ins).data
 
         def mu(x):
             return (x - z2) / (x - z1)
@@ -146,11 +149,13 @@ class TestSewTorus:
     def test_degeneration_to_input(self):
         ins = [(A_VECTOR, Fraction(2)), (A_VECTOR, Fraction(3))]
         base = torus_qseries(ins, 5)
-        series = sew_torus(ins, SewingData(zeta1=Fraction(5), zeta2=Fraction(7)), 2, 5)
+        sd = SewingData(zeta1=Fraction(5), zeta2=Fraction(7))
+        series = Sewn(Trace(5), sd, 2).evaluate(ins).data
         assert series.coefficient(0).compare(base).deviation == 0
 
     def test_partition_two_handles_smoke(self):
-        series = sew_torus([], SewingData(zeta1=Fraction(5), zeta2=Fraction(7)), 2, 4)
+        sd = SewingData(zeta1=Fraction(5), zeta2=Fraction(7))
+        series = Sewn(Trace(4), sd, 2).evaluate([]).data
         # rho^0 coefficient is the genus-1 partition q-series
         q0 = series.coefficient(0)
         for k in range(4):
@@ -180,7 +185,8 @@ class TestGenusGPartition:
     def test_matches_sew_sphere(self):
         sd = self.base_sd()
         series = genus_g_partition(sd, [6])
-        sewn = sew_sphere([], SewingData(zeta1=sd.point(-1), zeta2=sd.point(1)), 6)
+        sewing = SewingData(zeta1=sd.point(-1), zeta2=sd.point(1))
+        sewn = Sewn(Sphere(), sewing, 6).evaluate([]).data
         for k in range(6):
             assert series.coefficient(k) == sewn.coefficient(k), k
 
@@ -207,6 +213,78 @@ class TestGenusGPartition:
         sd = self.base_sd()
         npt = genus_g_npoint(sd, [(A_VECTOR, Fraction(5))], [5])
         assert npt.is_zero()
+
+
+def flat_genus2_sum(sd, insertions, rho_orders, mode=None):
+    """The genus-2 basis sums as one flat double sum: every pair of
+    paired terms of the two handles, coefficient c1 c2, pairs in handle
+    order, and the mode v(ell) on the positive-point state of handle a."""
+    handles = [(sd.point(-h), sd.point(h)) for h in (1, 2)]
+    outer = {}
+    for k2 in range(rho_orders[1]):
+        inner = {}
+        for k1 in range(rho_orders[0]):
+            total = 0
+            for terms in product(paired_handle_terms(*handles[0], k1),
+                                 paired_handle_terms(*handles[1], k2)):
+                pairs, c = [], 1
+                for (zeta1, zeta2), (c_h, bbar, b) in zip(handles, terms):
+                    pairs += [(bbar, zeta1), (b, zeta2)]
+                    c = c * c_h
+                if mode is not None:
+                    a, v, ell = mode
+                    state, point = pairs[2 * a - 1]
+                    moved = apply_state_mode(v, ell, state)
+                    if moved.is_zero():
+                        continue
+                    pairs[2 * a - 1] = (moved, point)
+                total = total + sphere_value([*insertions, *pairs]) * c
+            inner[k1] = total
+        outer[k2] = TruncatedSeries("rho1", inner, rho_orders[0])
+    return TruncatedSeries("rho2", outer, rho_orders[1])
+
+
+class TestNestedSewingSum:
+    # handle 2 sews handle 1 which sews the sphere: the nested sums must
+    # equal the flat double sum exactly, coefficient for coefficient
+    HANDLES = (Fraction(-1), Fraction(1), Fraction(-3), Fraction(3))
+
+    def schottky(self, swapped):
+        points = self.HANDLES[2:] + self.HANDLES[:2] if swapped else self.HANDLES
+        return SchottkyData(genus=2, points=points)
+
+    def assert_same(self, nested, flat):
+        for k2 in range(3):
+            for k1 in range(3):
+                got = nested.coefficient(k2)
+                want = flat.coefficient(k2)
+                got = got.coefficient(k1) if isinstance(got, TruncatedSeries) else got
+                want = want.coefficient(k1) if isinstance(want, TruncatedSeries) else want
+                assert got == want, (k1, k2)
+        assert nested == flat
+
+    @pytest.mark.parametrize("swapped", [False, True])
+    @pytest.mark.parametrize(
+        "insertions", [(), ((A_VECTOR, Fraction(5)), (A_VECTOR, Fraction(7)))]
+    )
+    def test_matches_flat_double_sum(self, swapped, insertions):
+        sd = self.schottky(swapped)
+        nested = genus_g_npoint(sd, insertions, (3, 3))
+        assert not nested.is_zero()
+        self.assert_same(nested, flat_genus2_sum(sd, insertions, (3, 3)))
+
+    @pytest.mark.parametrize("a", [1, 2])
+    @pytest.mark.parametrize("ell", [0, 1])
+    @pytest.mark.parametrize("insertions", [(), ((A_VECTOR, Fraction(5)),)])
+    def test_mode_block_matches_flat_double_sum(self, a, ell, insertions):
+        # a(0) annihilates every state; a(1) removes one leg, so only an
+        # odd number of inserted legs leaves a nonzero sum
+        sd = self.schottky(False)
+        mode = (a, A_VECTOR, ell)
+        nested = _genus_g_sum(sd, insertions, (3, 3), mode)
+        flat = flat_genus2_sum(sd, insertions, (3, 3), mode)
+        assert nested.is_zero() == (ell == 0 or not insertions)
+        self.assert_same(nested, flat)
 
 
 class TestPsi0:

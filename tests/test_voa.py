@@ -708,3 +708,45 @@ class TestWickContext:
         for cache in _program_caches():
             cache.cache_clear()
         assert voa._wick_context.cache_info().currsize == 0
+
+    def test_vacuum_and_legged_states_share_one_context(self):
+        # every insertion point keys the context, so a vacuum state in a
+        # slot does not move the batch to another point tuple
+        rng = random.Random(11)
+        points = [Fraction(7), Fraction(-2), Fraction(5, 3)]
+        basis = _states_up_to(3)
+        batch = [
+            (rng.choice(basis), [(rng.choice(basis), z) for z in points], rng.choice(basis))
+            for _ in range(60)
+        ]
+        assert any(s == VACUUM for _, ins, _ in batch for s, _ in ins)
+        assert any(s != VACUUM for _, ins, _ in batch for s, _ in ins)
+        cold = [_typed(_cold(sphere_matrix_element, *e)) for e in batch]
+        voa._wick_context.cache_clear()
+        shared = [_typed(sphere_matrix_element(*e)) for e in batch]
+        assert shared == cold
+        assert voa._wick_context.cache_info().misses == 1
+
+    def test_vacuum_point_never_enters_a_value(self):
+        # a legged state at the float point fills the context with float
+        # entries; the vacuum there must still give the exact cold value
+        legged = [(FockState((1,)), Fraction(3)), (FockState((1, 1)), 0.5),
+                  (FockState((2,)), Fraction(1))]
+        vacuum = [legged[0], (VACUUM, 0.5), legged[2]]
+        voa._wick_context.cache_clear()
+        assert type(sphere_matrix_element(VACUUM, legged, VACUUM)) is float
+        warm = _typed(sphere_matrix_element(VACUUM, vacuum, VACUUM))
+        assert voa._wick_context.cache_info().misses == 1
+        assert warm == _typed(_cold(sphere_matrix_element, VACUUM, vacuum, VACUUM))
+        assert warm[0] is Fraction
+
+    def test_cold_genus2_partition_builds_three_contexts(self):
+        # one context per Gram inversion (one per handle) and one for the
+        # whole nested sum, which runs at all four handle points
+        from voachain.schottky import SchottkyData, genus_g_partition
+
+        for cache in _program_caches():
+            cache.cache_clear()
+        sd = SchottkyData(genus=2, points=(Fraction(-1), Fraction(1), Fraction(-4), Fraction(4)))
+        genus_g_partition(sd, (4, 4))
+        assert voa._wick_context.cache_info().misses <= 3

@@ -20,10 +20,11 @@ the conditions constrains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from itertools import product
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -118,12 +119,18 @@ class CorrelationFunction:
 # -- evaluators --------------------------------------------------------
 #
 # Each evaluator maps insertion entries (and boundary states) to a
-# CorrelationFunction by one presentation of the surface.
+# CorrelationFunction by one presentation of the surface.  For the
+# reduction (apply_D1, apply_D2) it supplies the zero of its values, its
+# check on a new point, its zero-mode term, and the D2 mode action and
+# kernel for one homogeneous component of the new state.
 
 
 @dataclass(frozen=True)
 class Sphere:
-    """Genus 0: the exact sphere engine between boundary states."""
+    """Genus 0: the exact sphere engine between boundary states.  D1 is
+    z^{-wt v} <u', o(v) Y(...) u> per homogeneous component (the placement
+    that makes iterated reduction reproduce the oracle exactly); D2 takes
+    the rational kernels f^(0) with round modes."""
 
     genus = 0
     prefactor_exponent = Fraction(0)
@@ -133,19 +140,61 @@ class Sphere:
             0, sphere_value(entries, boundary[0], boundary[1], dressed=False)
         )
 
+    def _zero(self):
+        return 0
+
+    def _require_point(self, z):
+        pass
+
+    def _zero_mode_term(self, entries, v, z):
+        components = v.homogeneous_components()
+        if z == 0 and max(components, default=0) >= 1:
+            raise ComplexError(
+                "a genus-0 reduction step at z = 0 scales by z^-wt v: "
+                "only a vacuum insertion can go there"
+            )
+        # <1', o(v) X 1> = <1', o(v) P_0 X 1>: only the vacuum component
+        # of X|1> survives, and o(v)'s vacuum matrix element scales it
+        value = self.evaluate(entries).data
+        data = 0
+        for wt, comp in components.items():
+            op_vac = zero_mode(comp)(VACUUM_VECTOR).coefficient(VACUUM)
+            data = data + _int_power(z, -wt) * (value * op_vac)
+        return data
+
+    def _mode_terms(self, wt, comp, z_new):
+        return (partial(apply_state_mode, comp),
+                lambda m, z_k: f0_kernel(wt, m)(z_new, z_k))
+
 
 @dataclass(frozen=True)
 class Trace:
-    """Genus 1: the graded trace to ``q_order`` (points are x = e^z)."""
+    """Genus 1: the graded trace to ``q_order`` (points are x = e^z).  D1
+    is the o(v)-inserted trace; D2 takes the P_{m+1} expansions with
+    square-bracket modes."""
 
     q_order: int
     genus = 1
     prefactor_exponent = Fraction(-CENTRAL_CHARGE, 24)
 
     def evaluate(self, entries, boundary=VACUUM_BOUNDARY) -> CorrelationFunction:
+        for _, x in entries:
+            _require_torus_point(x)
         return CorrelationFunction(
             1, torus_qseries(entries, self.q_order), self.prefactor_exponent
         )
+
+    def _zero(self):
+        return TruncatedSeries.zero("q", self.q_order)
+
+    def _require_point(self, x):
+        _require_torus_point(x)
+
+    def _zero_mode_term(self, entries, v, x):
+        return torus_qseries(entries, self.q_order, left_operator=zero_mode(v))
+
+    def _mode_terms(self, wt, comp, x_new):
+        return _genus1_mode_terms(comp, x_new, "q", self.q_order)
 
 
 @dataclass(frozen=True)
@@ -159,7 +208,8 @@ class Sewn:
     exactly.  Sewn onto a trace, the pair rides along inside the graded
     trace, so the coefficients are q-series and the rho^0 term is the
     genus-1 input itself (vacuum pair): the degeneration identity.  A
-    handle sewn onto a sewn surface is counted by rho2.
+    handle sewn onto a sewn surface is counted by rho2.  Only the sewn
+    sphere reduces: D1 inserts o(v) literally, D2 is the trace's in rho.
     """
 
     inner: object
@@ -174,19 +224,52 @@ class Sewn:
     def prefactor_exponent(self) -> Fraction:
         return self.inner.prefactor_exponent
 
+    @property
+    def _variable(self) -> str:
+        return "rho2" if isinstance(self.inner, Sewn) else "rho"
+
     def evaluate(self, entries, boundary=VACUUM_BOUNDARY) -> CorrelationFunction:
         inner, sd = self.inner, self.sewing
         data = _sewn_series(
             sd.zeta1, sd.zeta2, self.rho_order,
             lambda pairs: inner.evaluate((*entries, *pairs), boundary).data,
-            "rho2" if isinstance(inner, Sewn) else "rho",
+            self._variable,
         )
         return CorrelationFunction(self.genus, data, self.prefactor_exponent)
+
+    def _zero(self):
+        return TruncatedSeries.zero(self._variable, self.rho_order)
+
+    def _require_point(self, x):
+        if not isinstance(self.inner, Sphere):
+            raise ComplexError(
+                f"no reduction on a handle sewn onto {type(self.inner).__name__}: "
+                "only the sewn sphere reduces"
+            )
+        _require_torus_point(x)
+
+    def _zero_mode_term(self, entries, v, x):
+        op = zero_mode(v)
+
+        def evaluate(pairs):
+            # o(v) acts on the zeta1 slot state; terms it annihilates drop out
+            (bbar, zeta1), b_slot = pairs
+            moved = op(bbar)
+            return None if moved.is_zero() else self.inner.evaluate(
+                (*entries, (moved, zeta1), b_slot)).data
+
+        sd = self.sewing
+        return _sewn_series(sd.zeta1, sd.zeta2, self.rho_order, evaluate, "rho")
+
+    def _mode_terms(self, wt, comp, x_new):
+        return _genus1_mode_terms(comp, x_new, "rho", self.rho_order)
 
 
 @dataclass(frozen=True)
 class Schottky:
-    """Genus g: the direct paired basis sums to the given rho orders."""
+    """Genus g: the direct paired basis sums to the given rho orders.  For
+    quasiprimary v, D1 is the theta-weighted basis sums and D2 takes the
+    psi_p derivative kernels (p = wt) with round modes."""
 
     sd: SchottkyData
     orders: tuple[int, ...]
@@ -200,6 +283,47 @@ class Schottky:
         return CorrelationFunction(
             self.genus, genus_g_npoint(self.sd, entries, self.orders)
         )
+
+    def _zero(self):
+        return TruncatedSeries.zero(f"rho{self.genus}", self.orders[-1])
+
+    def _require_point(self, y):
+        if to_complex(y) in {to_complex(w) for w in self.sd.points}:
+            raise ComplexError("a new insertion point must differ from the handle points")
+
+    def _zero_mode_term(self, entries, v, y):
+        total = self._zero()
+        for wt, comp in v.homogeneous_components().items():
+            forms = self._forms(wt, comp)
+            for a in range(1, self.genus + 1):
+                theta = theta_vector(forms, a, to_complex(y))
+                for ell in range(2 * wt - 1):
+                    factor = theta[ell]
+                    if factor == 0:
+                        continue
+                    term = _genus_g_sum(self.sd, entries, self.orders, (a, comp, ell))
+                    total = total + term * factor
+        return total
+
+    def _mode_terms(self, wt, comp, y_new):
+        forms = self._forms(wt, comp)
+        return (partial(apply_state_mode, comp),
+                lambda j, y_k: psi_p_deriv_y(forms, to_complex(y_new), to_complex(y_k), j))
+
+    def _forms(self, wt, comp):
+        # the kernel forms of the reduction by comp, of weight wt
+        if not is_quasiprimary(comp):
+            raise ComplexError("genus-g reduction requires quasiprimary insertions")
+        return build_R(replace(self.sd, p=wt))
+
+
+def _genus1_mode_terms(comp, x_new, variable, order):
+    # square-bracket modes with the P_{m+1} kernels at q_z = x_new / x_k
+    def kernel(m, x_k):
+        series = pm_qseries(m + 1, _ratio(x_new, x_k), order)
+        return TruncatedSeries(variable, series.coefficients, series.truncation, series.min_exponent)
+
+    return lambda m, state: square_bracket_mode(comp, m)(state), kernel
 
 
 @dataclass
@@ -254,8 +378,6 @@ def genus1_npoint_trace(
             f"weight cutoff {weight_cutoff} cannot support q-order {q_order}; "
             f"need a cutoff of at least {q_order + 1}"
         )
-    for _, x in ins.entries:
-        _require_torus_point(x)
     return _element(ins, Trace(q_order))
 
 
@@ -286,122 +408,52 @@ def _mode_reach(v: FockVector, target: FockVector) -> int:
     return vw + tw
 
 
-def _is_sewn_sphere(evaluator) -> bool:
-    return isinstance(evaluator, Sewn) and isinstance(evaluator.inner, Sphere)
-
-
 def apply_D1(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainElement:
-    """Zero-mode summand of the reduction.
-
-    Genus 0: z^{-wt v} <u', o(v) Y(...) u> per homogeneous component
-    (the prefactor placement follows the pole analysis that makes
-    iterated reduction exactly reproduce the oracle).  Genus 1: the
-    o(v)-inserted trace.  Genus 2: the theta-weighted basis sums, for
-    quasiprimary v.
-    """
+    """Zero-mode summand of the reduction, as elem's evaluator gives it."""
     v, z = x_new
-    evaluator = elem.evaluator
-    entries = elem.insertions.entries
-    if isinstance(evaluator, Schottky):
-        return _apply_D1_schottky(x_new, elem)
-    if isinstance(evaluator, Sphere):
-        _require_vacuum_boundary(elem)
-        # <1', o(v) X 1> = <1', o(v) P_0 X 1>: only the vacuum component
-        # of X|1> survives, and o(v)'s vacuum matrix element scales it
-        value = evaluator.evaluate(entries, elem.boundary).data
-        data = 0
-        for wt, comp in v.homogeneous_components().items():
-            op_vac = zero_mode(comp)(VACUUM_VECTOR).coefficient(VACUUM)
-            data = data + _int_power(z, -wt) * (value * op_vac)
-    elif isinstance(evaluator, Trace):
-        _require_torus_point(z)
-        data = torus_qseries(entries, evaluator.q_order, left_operator=zero_mode(v))
-    elif _is_sewn_sphere(evaluator):
-        # literal genus-1 zero-mode insertion in the sewn presentation
-        _require_torus_point(z)
-        data = _sewn_with_left_operator(entries, evaluator.sewing,
-                                        evaluator.rho_order, zero_mode(v))
-    else:
-        raise ComplexError(
-            f"D1 not available for genus {elem.genus} evaluator "
-            f"{type(evaluator).__name__}"
-        )
-    return _stepped(elem, v, z, data)
+    ins = _step(elem, v, z)
+    return _stepped(elem, ins, elem.evaluator._zero_mode_term(elem.insertions.entries, v, z))
 
 
 def apply_D2(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainElement:
-    """Kernel-weighted mode-insertion summand of the reduction.
-
-    Genus 0 uses the rational kernels with round modes; genus 1 the
-    P_{m+1} expansions with square-bracket modes; genus 2 the psi_p
-    derivative kernels with round modes (quasiprimary v).
-    """
+    """Kernel-weighted mode-insertion summand of the reduction: per
+    homogeneous component of v, kernel(m, z_k) F(..., v(m) x_k, ...)
+    summed over the insertions k and the modes m that reach them, with
+    the modes and kernels of elem's evaluator."""
     v, z_new = x_new
+    ins = _step(elem, v, z_new)
     evaluator = elem.evaluator
-    entries = elem.insertions.entries
-    if isinstance(evaluator, Schottky):
-        return _apply_D2_schottky(x_new, elem)
-    if isinstance(evaluator, Sphere):
-        _require_vacuum_boundary(elem)
-        total = 0
-        for wt, comp in v.homogeneous_components().items():
-            for k, (state_k, z_k) in enumerate(entries):
-                if to_complex(z_k) == to_complex(z_new):
-                    raise ComplexError("coincident insertion points in D2")
-                for m in range(0, _mode_reach(comp, state_k) + 1):
-                    moved = apply_state_mode(comp, m, state_k)
-                    if moved.is_zero():
-                        continue
-                    kernel = f0_kernel(wt, m)(z_new, z_k)
-                    mod = elem.insertions.replace_state(k, moved)
-                    val = evaluator.evaluate(mod.entries, elem.boundary).data
-                    total = total + kernel * val
-        return _stepped(elem, v, z_new, total)
-    if isinstance(evaluator, Trace):
-        variable, order = "q", evaluator.q_order
-    elif _is_sewn_sphere(evaluator):
-        variable, order = "rho", evaluator.rho_order
-    else:
-        raise ComplexError(
-            f"D2 not available for genus {elem.genus} evaluator "
-            f"{type(evaluator).__name__}"
-        )
-    _require_torus_point(z_new)
-    total = TruncatedSeries.zero(variable, order)
+    total = evaluator._zero()
     for wt, comp in v.homogeneous_components().items():
-        for k, (state_k, x_k) in enumerate(entries):
-            q_z = _ratio(z_new, x_k)
+        mode, kernel = evaluator._mode_terms(wt, comp, z_new)
+        for k, (state_k, z_k) in enumerate(elem.insertions.entries):
             for m in range(0, _mode_reach(comp, state_k) + 1):
-                moved = square_bracket_mode(comp, m)(state_k)
+                moved = mode(m, state_k)
                 if moved.is_zero():
                     continue
-                kernel = pm_qseries(m + 1, q_z, order)
-                kernel = TruncatedSeries(
-                    variable, kernel.coefficients, kernel.truncation,
-                    kernel.min_exponent,
-                )
                 mod = elem.insertions.replace_state(k, moved)
-                val = evaluator.evaluate(mod.entries, elem.boundary).data
-                total = total + kernel * val
-    return _stepped(elem, v, z_new, total)
+                total = total + kernel(m, z_k) * evaluator.evaluate(mod.entries).data
+    return _stepped(elem, ins, total)
 
 
-def _stepped(elem: ChainElement, v: FockVector, z: Scalar, data) -> ChainElement:
-    # the reduction image: v appended at z, valued in elem's presentation
-    value = CorrelationFunction(elem.value.genus, data, elem.value.prefactor_exponent)
-    return ChainElement(elem.insertions.append(v, z), value, elem.boundary, elem.evaluator)
+def _step(elem: ChainElement, v: FockVector, z: Scalar) -> InsertionTuple:
+    # the checks of a reduction step, made before any sum runs; returns
+    # the insertions with v appended at z
+    _require_vacuum_boundary(elem)
+    elem.evaluator._require_point(z)
+    return elem.insertions.append(v, z)
+
+
+def _stepped(elem: ChainElement, ins: InsertionTuple, data) -> ChainElement:
+    # the reduction image, valued in elem's presentation
+    return replace(elem, insertions=ins, value=replace(elem.value, data=data))
 
 
 def apply_Dn(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainElement:
     """Full reduction step D^n = D1 + D2 appending the new insertion."""
     d1 = apply_D1(x_new, elem)
     d2 = apply_D2(x_new, elem)
-    return ChainElement(
-        d1.insertions,
-        _corr_add(d1.value, d2.value),
-        elem.boundary,
-        elem.evaluator,
-    )
+    return replace(d1, value=_corr_add(d1.value, d2.value))
 
 
 def apply_Dg(elem: ChainElement, sd: SewingData, rho_order: int) -> ChainElement:
@@ -411,9 +463,6 @@ def apply_Dg(elem: ChainElement, sd: SewingData, rho_order: int) -> ChainElement
     surface = [to_complex(z) for z in _surface_points(elem)]
     if to_complex(sd.zeta1) in surface or to_complex(sd.zeta2) in surface:
         raise ComplexError("sewing points must differ from the points already on the surface")
-    if isinstance(elem.evaluator, Trace):
-        _require_torus_point(sd.zeta1)
-        _require_torus_point(sd.zeta2)
     moduli = sd if elem.insertions.moduli is None else (elem.insertions.moduli, sd)
     new_ins = elem.insertions.with_genus(elem.genus + 1, moduli=moduli)
     return _element(new_ins, Sewn(elem.evaluator, sd, rho_order), elem.boundary)
@@ -442,70 +491,6 @@ def _require_torus_point(x: Scalar):
         raise ComplexError(
             "genus-1 points are exponentiated coordinates x = e^z and cannot be 0"
         )
-
-
-def _sewn_with_left_operator(entries, sd: SewingData, rho_order: int, op):
-    # the grade-preserving left operator acts on the zeta1 slot states
-    # through the pairing bridge; terms it annihilates drop out
-    def evaluate(pairs):
-        (bbar, zeta1), b_slot = pairs
-        moved = op(bbar)
-        if moved.is_zero():
-            return None
-        return sphere_value((*entries, (moved, zeta1), b_slot), dressed=False)
-
-    return _sewn_series(sd.zeta1, sd.zeta2, rho_order, evaluate, "rho")
-
-
-def _apply_D1_schottky(x_new, elem: ChainElement) -> ChainElement:
-    v, y_new = x_new
-    sd, orders = elem.evaluator.sd, elem.evaluator.orders
-    forms = _genus_g_forms(v, sd)
-    total = TruncatedSeries.zero(f"rho{sd.genus}", orders[-1])
-    for a in range(1, sd.genus + 1):
-        theta = theta_vector(forms, a, to_complex(y_new))
-        for ell in range(2 * forms.sd.p - 1):
-            factor = theta[ell]
-            if factor == 0:
-                continue
-            term = _genus_g_sum(sd, elem.insertions.entries, orders, (a, v, ell))
-            total = total + term * factor
-    return _stepped(elem, v, y_new, total)
-
-
-def _apply_D2_schottky(x_new, elem: ChainElement) -> ChainElement:
-    v, y_new = x_new
-    sd, orders = elem.evaluator.sd, elem.evaluator.orders
-    forms = _genus_g_forms(v, sd)
-    # with no surviving term the zero stands, and no genus-g sum runs
-    total = TruncatedSeries.zero(f"rho{sd.genus}", orders[-1])
-    entries = elem.insertions.entries
-    for k, (state_k, y_k) in enumerate(entries):
-        for j in range(0, _mode_reach(v, state_k) + 1):
-            moved = apply_state_mode(v, j, state_k)
-            if moved.is_zero():
-                continue
-            kernel = psi_p_deriv_y(forms, to_complex(y_new), to_complex(y_k), j)
-            mod = elem.insertions.replace_state(k, moved)
-            total = total + genus_g_npoint(sd, mod.entries, orders) * kernel
-    return _stepped(elem, v, y_new, total)
-
-
-def _genus_g_forms(v: FockVector, sd: SchottkyData):
-    # the kernel forms of the genus-g reduction by v, at weight wt v
-    if not is_quasiprimary(v):
-        raise ComplexError("genus-g reduction requires quasiprimary insertions")
-    return build_R(_with_weight(sd, v.weight_if_homogeneous()))
-
-
-def _with_weight(sd: SchottkyData, p: int) -> SchottkyData:
-    if sd.p == p:
-        return sd
-    return SchottkyData(
-        genus=sd.genus, rho=sd.rho, points=sd.points, p=p,
-        f_coeffs=sd.f_coeffs, mode_cutoff=sd.mode_cutoff,
-        neumann_order=sd.neumann_order,
-    )
 
 
 # -- value arithmetic ---------------------------------------------------
@@ -769,7 +754,6 @@ def connection_functional(
     f_op: str = "paper",
     include_vacuum_term: bool = False,
     rho_order: int = 4,
-    middle_operator: Callable[[ChainElement], CorrelationFunction] | None = None,
     tol: float = 1e-9,
 ) -> ConnectionReport:
     """Three-term connection functional evaluated with the reduction
@@ -779,8 +763,8 @@ def connection_functional(
     k >= 0 variant behind ``include_vacuum_term``), the third is minus
     (-1)^g times the bracketed D1+D2 combination with the new insertion
     from psi, and the middle term has no identification in the source
-    construction: it defaults to zero and is configurable.  With
-    ``f_op="zero"`` all components vanish identically.
+    construction, so it is 0.  With ``f_op="zero"`` all components
+    vanish identically.
     """
     if f_op not in ("paper", "zero"):
         raise ComplexError(f"unknown F operator preset {f_op!r}")
@@ -802,10 +786,7 @@ def connection_functional(
     components["sewing_term"] = CorrelationFunction(
         sewn.value.genus, data * (-1), sewn.value.prefactor_exponent
     )
-    if middle_operator is None:
-        components["middle_term"] = CorrelationFunction(phi.genus, 0)
-    else:
-        components["middle_term"] = middle_operator(phi)
+    components["middle_term"] = CorrelationFunction(phi.genus, 0)
     bracket = apply_Dn(psi_descriptor, phi)
     sign = -((-1) ** phi.genus)
     components["bracket_term"] = CorrelationFunction(

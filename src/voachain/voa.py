@@ -57,42 +57,28 @@ VACUUM = FockState(())
 
 
 class FockVector:
-    """Finite linear combination of Fock basis states.
+    """Finite linear combination of Fock basis states."""
 
-    ``weight_cutoff`` is None for exact vectors; when set, components of
-    weight >= cutoff are unknown (not zero) and operations shrink it
-    honestly.
-    """
+    __slots__ = ("terms",)
 
-    __slots__ = ("terms", "weight_cutoff")
-
-    def __init__(self, terms: Mapping[FockState, Scalar] | None = None,
-                 weight_cutoff: int | None = None):
-        clean = {}
-        for s, c in (terms or {}).items():
-            if not scalar_is_zero(c):
-                if weight_cutoff is not None and s.weight >= weight_cutoff:
-                    continue
-                clean[s] = c
-        self.terms = clean
-        self.weight_cutoff = weight_cutoff
+    def __init__(self, terms: Mapping[FockState, Scalar] | None = None):
+        self.terms = {s: c for s, c in (terms or {}).items() if not scalar_is_zero(c)}
 
     @classmethod
     def basis(cls, *partition: int) -> "FockVector":
         return cls({FockState(tuple(partition)): 1})
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        cutoff = _min_cutoff(self.weight_cutoff, other.weight_cutoff)
         terms = dict(self.terms)
         for s, c in other.terms.items():
             terms[s] = terms.get(s, 0) + c
-        return FockVector(terms, cutoff)
+        return FockVector(terms)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + other.scale(-1)
 
     def scale(self, c: Scalar) -> "FockVector":
-        return FockVector({s: c * v for s, v in self.terms.items()}, self.weight_cutoff)
+        return FockVector({s: c * v for s, v in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -104,7 +90,7 @@ class FockVector:
         by_weight: dict[int, dict] = {}
         for s, c in self.terms.items():
             by_weight.setdefault(s.weight, {})[s] = c
-        return {w: FockVector(t, self.weight_cutoff) for w, t in sorted(by_weight.items())}
+        return {w: FockVector(t) for w, t in sorted(by_weight.items())}
 
     def weight_if_homogeneous(self) -> int:
         weights = {s.weight for s in self.terms}
@@ -132,14 +118,6 @@ A_STATE = FockState((1,))
 A_VECTOR = FockVector({A_STATE: 1})
 OMEGA_VECTOR = FockVector({FockState((1, 1)): Fraction(1, 2)})
 CENTRAL_CHARGE = 1
-
-
-def _min_cutoff(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 def fock_basis(weight_cutoff: int) -> list[FockState]:
@@ -195,14 +173,11 @@ def _mode_on_state(n: int, state: FockState) -> FockVector:
 def heisenberg_mode(n: int, v: FockVector) -> FockVector:
     """Apply a(n).  a(-n) appends a part, a(n) annihilates with the
     multiplicity rule, a(0) is zero on the charge-zero module."""
-    cutoff = v.weight_cutoff
-    if cutoff is not None:
-        cutoff = cutoff - n  # weight shifts by -n
     out: dict[FockState, Scalar] = {}
     for s, c in v.terms.items():
         for t, val in _mode_on_state(n, s).terms.items():
             out[t] = out.get(t, 0) + c * val
-    return FockVector(out, cutoff)
+    return FockVector(out)
 
 
 def apply_state_mode(v: FockVector | FockState, m: int, w: FockVector) -> FockVector:
@@ -223,13 +198,10 @@ def apply_state_mode(v: FockVector | FockState, m: int, w: FockVector) -> FockVe
 
 def _state_mode_on_vector(s: FockState, m: int, w: FockVector) -> FockVector:
     out: dict[FockState, Scalar] = {}
-    cutoff = w.weight_cutoff
-    if cutoff is not None:
-        cutoff = cutoff + s.weight - m - 1
     for t, c in w.terms.items():
         for r, val in _state_mode_on_basis(s, m, t).terms.items():
             out[r] = out.get(r, 0) + c * val
-    return FockVector(out, cutoff)
+    return FockVector(out)
 
 
 @lru_cache(maxsize=200000)
@@ -326,12 +298,7 @@ def square_bracket_mode(v: FockVector, m: int) -> Callable[[FockVector], FockVec
 def virasoro_mode(m: int, v: FockVector) -> FockVector:
     """L(m) in Sugawara form (1/2) sum :a(j)a(m-j):, central charge 1."""
     if m == 0:
-        return FockVector(
-            {s: c * s.weight for s, c in v.terms.items()}, v.weight_cutoff
-        )
-    cutoff = v.weight_cutoff
-    if cutoff is not None:
-        cutoff = cutoff - m
+        return FockVector({s: c * s.weight for s, c in v.terms.items()})
     out: dict[FockState, Scalar] = {}
     for s, c in v.terms.items():
         bound = s.weight + abs(m) + 1
@@ -344,7 +311,7 @@ def virasoro_mode(m: int, v: FockVector) -> FockVector:
                 continue
             for t, val in heisenberg_mode(second, t1).terms.items():
                 out[t] = out.get(t, 0) + c * val * Fraction(1, 2)
-    return FockVector(out, cutoff)
+    return FockVector(out)
 
 
 def is_quasiprimary(v: FockVector) -> bool:

@@ -519,6 +519,28 @@ class TestErrorClasses:
         assert doc["error"]["kind"] == "validation"
         assert fragment in doc["error"]["message"]
 
+    @pytest.mark.parametrize("argv, text", [
+        (["npoint", "--reduction"], GENUS0_AA.replace("3, 1", "0, 2")),
+        (["check-complex"], "[element]\nstates = a\npoints = 2\n"
+                            "[descriptors]\nx1_state = a\nx1_point = 0\n"),
+        (["connection"], "[element]\nstates = a\npoints = 2\n"
+                         "[descriptor]\nstate = a\npoint = 0\n"),
+    ], ids=["npoint", "check-complex", "connection"])
+    def test_sphere_step_to_point_zero_rejected(self, write_config, capsys, argv, text):
+        # genus-0 D1 scales by z^-wt v, so a reduction step to 0 is a
+        # validation error, not a ZeroDivisionError traceback
+        code, out, _ = run_cli([argv[0], "--config", write_config(text), *argv[1:]], capsys)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"]["kind"] == "validation"
+        assert "z = 0" in doc["error"]["message"]
+
+    def test_sphere_oracle_at_point_zero(self, write_config, capsys):
+        cfg = write_config(GENUS0_AA.replace("3, 1", "0, 2"))
+        code, out, _ = run_cli(["npoint", "--config", cfg, "--oracle"], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["value"]["rational"] == "1/4"
+
     def test_a_fault_in_a_handler_escapes(self, write_config, monkeypatch):
         import voachain.cli as cli
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from voachain.complexes import (
     ComplexError,
+    CorrelationFunction,
     DifferentialDescriptor,
     InsertionTuple,
     ProbeComplex,
@@ -53,6 +54,10 @@ def g0_element(*names_points):
         tuple((POOL[n], z) for n, z in names_points), genus=0
     )
     return genus0_npoint(ins)
+
+
+def _corr_sum(a, b):
+    return CorrelationFunction(a.genus, a.data + b.data, a.prefactor_exponent)
 
 
 def g1_element(names_points, q_order=8):
@@ -165,6 +170,22 @@ class TestGenus0ReductionEquivalence:
         with pytest.raises(ComplexError):
             apply_Dn((A_VECTOR, Fraction(5)), elem)
 
+    @pytest.mark.parametrize("v", [A_VECTOR, AA, VACUUM_VECTOR + A_VECTOR])
+    def test_step_to_zero_with_weight_rejected(self, v):
+        # D1 scales by z^-wt: a new point 0 is a validation error, not a
+        # ZeroDivisionError
+        base = g0_element(("a", Fraction(2)))
+        with pytest.raises(ComplexError, match="z = 0"):
+            apply_D1((v, 0), base)
+        with pytest.raises(ComplexError, match="z = 0"):
+            apply_Dn((v, Fraction(0)), base)
+
+    def test_vacuum_step_to_zero_is_identity(self):
+        base = g0_element(("a", Fraction(2)), ("a", Fraction(5)))
+        stepped = apply_Dn((VACUUM_VECTOR, 0), base)
+        assert stepped.value.data == base.value.data
+        assert stepped.insertions.entries[-1] == (VACUUM_VECTOR, 0)
+
 
 def _tuples(names, n):
     if n == 0:
@@ -219,6 +240,20 @@ class TestGenus1Oracle:
         elem = g1_element([("1", Fraction(2))], q_order=6)
         part = g1_element([], q_order=6)
         assert elem.value.data.compare(part.value.data).deviation == 0
+
+    @pytest.mark.parametrize("points", [(0, Fraction(2)), (Fraction(2), Fraction(0))])
+    def test_point_zero_rejected_by_every_entry(self, points):
+        # the trace checks its own points, whichever way it is reached
+        from voachain.complexes import connection_functional_from_tuples
+
+        ins = InsertionTuple(tuple((A_VECTOR, x) for x in points), genus=1)
+        with pytest.raises(ComplexError, match="x = e\\^z"):
+            element_from_insertions(ins, q_order=3)
+        with pytest.raises(ComplexError, match="x = e\\^z"):
+            genus1_npoint_trace(ins, 3)
+        psi = ins.append(A_VECTOR, Fraction(7))
+        with pytest.raises(ComplexError, match="x = e\\^z"):
+            connection_functional_from_tuples(psi, ins, q_order=3)
 
 
 class TestGenus1ReductionEquivalence:
@@ -677,6 +712,37 @@ class TestGenus2Reduction:
         assert d2.value.data == TruncatedSeries.zero("rho2", 2)
         assert d2.insertions.n == 2 and d2.evaluator == elem.evaluator
 
+    @pytest.mark.parametrize("names, parts", [
+        (("a", "a"), (A_VECTOR, OMEGA_VECTOR)),
+        (("a",), (A_VECTOR, FockVector.basis(1, 1, 1))),
+    ])
+    def test_reduction_is_linear_in_an_inhomogeneous_state(self, names, parts):
+        # each homogeneous component reduces with the kernels of its own
+        # weight, so D1 and D2 of a sum are the sums of D1 and D2
+        sd = SchottkyData(
+            genus=2, rho=(0.01, 0.015),
+            points=(Fraction(-1), Fraction(1), Fraction(-4), Fraction(4)),
+            mode_cutoff=2, neumann_order=8,
+        )
+        entries = tuple((POOL[n], Fraction(2 + 3 * i)) for i, n in enumerate(names))
+        elem = element_from_insertions(InsertionTuple(entries, genus=2, moduli=sd),
+                                       rho_orders=(3, 2))
+        y = Fraction(7)
+        for apply in (apply_D1, apply_D2):
+            whole = apply((parts[0] + parts[1], y), elem).value
+            first, second = (apply((v, y), elem).value for v in parts)
+            assert not whole.is_zero()
+            assert corr_deviation(whole, _corr_sum(first, second)) < 1e-9 * whole.norm()
+
+    @pytest.mark.parametrize("state", [A_VECTOR, VACUUM_VECTOR])
+    @pytest.mark.parametrize("apply", [apply_D1, apply_D2])
+    def test_step_to_a_handle_point_rejected(self, apply, state):
+        # also when no D2 term survives to meet the kernel's pole
+        elem = self.make_element()
+        elem = element_from_insertions(elem.insertions.replace_state(0, state), rho_orders=(3, 2))
+        with pytest.raises(ComplexError, match="handle points"):
+            apply((A_VECTOR, Fraction(-4)), elem)
+
     def test_genus2_zero_point_round_trip(self):
         sd = SchottkyData(
             genus=2, rho=(0.01, 0.015),
@@ -724,6 +790,39 @@ class TestGenus2Presentations:
         elem = self.twice_sewn(("a", Fraction(5)), ("a", Fraction(7)))
         factor, zero_point = reduce_to_zero_point(elem)
         assert (factor * zero_point.data).compare(elem.value.data).deviation == 0
+
+
+@pytest.mark.parametrize("apply", [apply_D1, apply_D2])
+@pytest.mark.parametrize("build", [lambda: g0_element(("a", Fraction(2))),
+                                   lambda: g1_element([("a", Fraction(2))], q_order=3)],
+                         ids=["genus0", "genus1"])
+def test_step_to_an_occupied_point_rejected(apply, build):
+    # checked before any sum, whatever the presentation (genus-1 D2 met
+    # the kernel's pole first, an EllipticError)
+    with pytest.raises(ComplexError, match="pairwise distinct"):
+        apply((A_VECTOR, Fraction(2)), build())
+
+
+class TestPresentationsThatDoNotReduce:
+    # only the sphere sewn once reduces among the sewn presentations; the
+    # others are a validation error for D1 and D2 alike
+    def sewn_trace(self):
+        base = g1_element([("a", Fraction(5))], q_order=3)
+        return apply_Dg(base, SewingData(zeta1=Fraction(2), zeta2=Fraction(-2)), 2)
+
+    def twice_sewn_sphere(self):
+        base = g0_element(("a", Fraction(5)))
+        once = apply_Dg(base, SewingData(zeta1=Fraction(-1), zeta2=Fraction(1)), 2)
+        return apply_Dg(once, SewingData(zeta1=Fraction(-3), zeta2=Fraction(3)), 2)
+
+    @pytest.mark.parametrize("build", ["sewn_trace", "twice_sewn_sphere"])
+    @pytest.mark.parametrize("apply", [apply_D1, apply_D2])
+    def test_reduction_rejected(self, build, apply):
+        elem = getattr(self, build)()
+        assert elem.genus == 2
+        with pytest.raises(ComplexError, match="only the sewn sphere reduces"):
+            apply((A_VECTOR, Fraction(7)), elem)
+
 
 class TestCohomology:
     def probe(self, **kw):

@@ -189,29 +189,9 @@ def build_sewing(cfg, section: str = "sewing") -> SewingData:
 def build_schottky(cfg) -> SchottkyData:
     section = "schottky"
     genus = cfg.getint(section, "genus")
-    rho = tuple(
-        parse_number(float, x, "[schottky] rho") for x in parse_list(cfg.get(section, "rho"))
-    )
     raw_points = cfg.get(section, "w", fallback=None) or cfg.get(section, "points")
     points = tuple(parse_scalar(x) for x in parse_list(raw_points))
-    f_raw = cfg.get(section, "f_coeffs", fallback="")
-    f_coeffs = None
-    if f_raw.strip():
-        where = "[schottky] f_coeffs"
-        f_coeffs = tuple(
-            {parse_number(int, e, where): parse_number(float, c, where)
-             for e, _, c in (pair.partition(":") for pair in parse_list(block))}
-            for block in f_raw.split(";")
-        )
-    return SchottkyData(
-        genus=genus,
-        rho=rho,
-        points=points,
-        p=cfg.getint(section, "p", fallback=1),
-        f_coeffs=f_coeffs,
-        mode_cutoff=cfg.getint(section, "mode_cutoff", fallback=4),
-        neumann_order=cfg.getint(section, "neumann_order", fallback=12),
-    )
+    return SchottkyData(genus=genus, points=points)
 
 
 def truncations(cfg) -> dict:
@@ -294,20 +274,18 @@ def cmd_npoint(args) -> int:
     path = args.path or cfg.get("experiment", "path", fallback="oracle")
     trunc = truncations(cfg)
     q_order = trunc.get("q_order", 8)
+    sd = rho_orders = None
     if genus == 2:
         sd = build_schottky(cfg)
-        ins = build_insertions(cfg, 2, moduli=sd)
-        orders = tuple(
+        rho_orders = tuple(
             parse_number(int, x, "[truncation] rho_orders")
             for x in parse_list(cfg.get("truncation", "rho_orders", fallback="4,3"))
         )
-        elem = element_from_insertions(ins, rho_orders=orders)
+    ins = build_insertions(cfg, genus, moduli=sd)
+    if path == "oracle":
+        elem = _oracle_element(ins, q_order, trunc.get("weight_cutoff"), rho_orders)
     else:
-        ins = build_insertions(cfg, genus)
-        if path == "oracle":
-            elem = _oracle_element(ins, q_order, weight_cutoff=trunc.get("weight_cutoff"))
-        else:
-            elem = _reduce_iteratively(ins, q_order)
+        elem = _reduce_iteratively(ins, q_order, rho_orders)
     emit({
         "command": "npoint",
         "config": config_echo(cfg),
@@ -318,17 +296,23 @@ def cmd_npoint(args) -> int:
     return 0
 
 
-def _oracle_element(ins: InsertionTuple, q_order: int, weight_cutoff=None) -> ChainElement:
-    """The genus-0 sphere value or the genus-1 graded trace of ins."""
+def _oracle_element(ins: InsertionTuple, q_order: int, weight_cutoff=None,
+                    rho_orders=None) -> ChainElement:
+    """The genus-0 sphere value, the genus-1 graded trace, or the genus-2
+    basis sums to rho_orders, of ins."""
     if ins.genus == 0:
         return genus0_npoint(ins)
     if ins.genus == 1:
         return genus1_npoint_trace(ins, q_order, weight_cutoff=weight_cutoff)
+    if ins.genus == 2 and rho_orders is not None:
+        return element_from_insertions(ins, rho_orders=rho_orders)
     raise ConfigError(f"unsupported genus {ins.genus}")
 
 
-def _reduce_iteratively(ins: InsertionTuple, q_order: int) -> ChainElement:
-    elem = _oracle_element(InsertionTuple((), ins.genus, ins.moduli), q_order)
+def _reduce_iteratively(ins: InsertionTuple, q_order: int, rho_orders=None) -> ChainElement:
+    # from the zero-point element, one reduction step per insertion
+    elem = _oracle_element(InsertionTuple((), ins.genus, ins.moduli), q_order,
+                           rho_orders=rho_orders)
     for state, point in ins.entries:
         elem = apply_Dn((state, point), elem)
     return elem

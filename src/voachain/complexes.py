@@ -35,10 +35,7 @@ from .schottky import (
     SewingData,
     _genus_g_sum,
     _sewn_series,
-    build_R,
     genus_g_npoint,
-    psi_p_deriv_y,
-    theta_vector,
 )
 from .series import (
     Scalar,
@@ -56,7 +53,6 @@ from .voa import (
     FockState,
     FockVector,
     apply_state_mode,
-    is_quasiprimary,
     square_bracket_mode,
     zero_mode,
 )
@@ -90,11 +86,6 @@ class InsertionTuple:
 
     def append(self, state: FockVector, point: Scalar) -> "InsertionTuple":
         return InsertionTuple(self.entries + ((state, point),), self.genus, self.moduli)
-
-    def replace_state(self, k: int, state: FockVector) -> "InsertionTuple":
-        entries = list(self.entries)
-        entries[k] = (state, entries[k][1])
-        return InsertionTuple(tuple(entries), self.genus, self.moduli)
 
     def with_genus(self, genus: int, moduli=None) -> "InsertionTuple":
         return InsertionTuple(self.entries, genus, moduli)
@@ -267,9 +258,16 @@ class Sewn:
 
 @dataclass(frozen=True)
 class Schottky:
-    """Genus g: the direct paired basis sums to the given rho orders.  For
-    quasiprimary v, D1 is the theta-weighted basis sums and D2 takes the
-    psi_p derivative kernels (p = wt) with round modes."""
+    """Genus g: the direct paired basis sums to the given rho orders.
+
+    The sums are linear in the sphere function, so the genus-g reduction
+    is the sphere's, run inside them, and reduces any state.  D2 takes
+    the sphere's round modes and f^(0) kernels over the element's own
+    insertions.  D1 is the handle sums of the sphere's reduction terms
+    that D2 does not cover: its zero-mode term on all the points, and its
+    mode terms at the paired basis states.  So D^n of the genus-g
+    function equals the sums with the new insertion, coefficient for
+    coefficient."""
 
     sd: SchottkyData
     orders: tuple[int, ...]
@@ -292,29 +290,19 @@ class Schottky:
             raise ComplexError("a new insertion point must differ from the handle points")
 
     def _zero_mode_term(self, entries, v, y):
-        total = self._zero()
-        for wt, comp in v.homogeneous_components().items():
-            forms = self._forms(wt, comp)
-            for a in range(1, self.genus + 1):
-                theta = theta_vector(forms, a, to_complex(y))
-                for ell in range(2 * wt - 1):
-                    factor = theta[ell]
-                    if factor == 0:
-                        continue
-                    term = _genus_g_sum(self.sd, entries, self.orders, (a, comp, ell))
-                    total = total + term * factor
-        return total
+        sphere = Sphere()
+        n = len(entries)
+
+        def reduced(points):
+            # points = [*entries, *pairs]; the pair slots follow the entries
+            return _mode_sum(sphere._mode_terms, v, y, points, range(n, len(points)),
+                             lambda mod: sphere.evaluate(mod).data,
+                             sphere._zero_mode_term(points, v, y))
+
+        return _genus_g_sum(self.sd, entries, self.orders, reduced)
 
     def _mode_terms(self, wt, comp, y_new):
-        forms = self._forms(wt, comp)
-        return (partial(apply_state_mode, comp),
-                lambda j, y_k: psi_p_deriv_y(forms, to_complex(y_new), to_complex(y_k), j))
-
-    def _forms(self, wt, comp):
-        # the kernel forms of the reduction by comp, of weight wt
-        if not is_quasiprimary(comp):
-            raise ComplexError("genus-g reduction requires quasiprimary insertions")
-        return build_R(replace(self.sd, p=wt))
+        return Sphere()._mode_terms(wt, comp, y_new)
 
 
 def _genus1_mode_terms(comp, x_new, variable, order):
@@ -423,17 +411,27 @@ def apply_D2(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainEleme
     v, z_new = x_new
     ins = _step(elem, v, z_new)
     evaluator = elem.evaluator
-    total = evaluator._zero()
+    entries = elem.insertions.entries
+    total = _mode_sum(evaluator._mode_terms, v, z_new, entries, range(len(entries)),
+                      lambda mod: evaluator.evaluate(mod).data, evaluator._zero())
+    return _stepped(elem, ins, total)
+
+
+def _mode_sum(mode_terms, v, z_new, entries, slots, evaluate, total):
+    # total plus kernel(m, z_k) * evaluate(entries with v(m) x_k at slot k)
+    # per homogeneous component of v, over the slots k and the modes m
+    # that reach them; mode_terms(wt, comp, z_new) gives (mode, kernel)
     for wt, comp in v.homogeneous_components().items():
-        mode, kernel = evaluator._mode_terms(wt, comp, z_new)
-        for k, (state_k, z_k) in enumerate(elem.insertions.entries):
+        mode, kernel = mode_terms(wt, comp, z_new)
+        for k in slots:
+            state_k, z_k = entries[k]
             for m in range(0, _mode_reach(comp, state_k) + 1):
                 moved = mode(m, state_k)
                 if moved.is_zero():
                     continue
-                mod = elem.insertions.replace_state(k, moved)
-                total = total + kernel(m, z_k) * evaluator.evaluate(mod.entries).data
-    return _stepped(elem, ins, total)
+                mod = (*entries[:k], (moved, z_k), *entries[k + 1:])
+                total = total + kernel(m, z_k) * evaluate(mod)
+    return total
 
 
 def _step(elem: ChainElement, v: FockVector, z: Scalar) -> InsertionTuple:

@@ -185,10 +185,10 @@ def test_criterion_6_genus2_degeneration():
     with Criterion(6, "genus-2 partition at rho2 = 0 equals the genus-1 "
                       "partition through order 4", 60.0):
         sd2 = SchottkyData(
-            genus=2, rho=(0.01, 0.02),
+            genus=2,
             points=(Fraction(-1), Fraction(1), Fraction(-3), Fraction(3)),
         )
-        sd1 = SchottkyData(genus=1, rho=(0.01,), points=(Fraction(-1), Fraction(1)))
+        sd1 = SchottkyData(genus=1, points=(Fraction(-1), Fraction(1)))
         g2 = genus_g_partition(sd2, [5, 2])
         g1 = genus_g_partition(sd1, [5])
         rho2_zero = g2.coefficient(0)

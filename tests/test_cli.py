@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from voachain.cli import main
+from voachain.complexes import apply_Dn
 
 
 def run_cli(args, capsys):
@@ -75,9 +76,8 @@ def write_config(tmp_path):
 
 
 class TestNpoint:
-    def test_oracle_equals_reduction_genus1(self, write_config, capsys):
-        cfg = write_config(
-            """
+    @pytest.mark.parametrize("text", [
+        """
 [experiment]
 genus = 1
 [insertions]
@@ -86,12 +86,36 @@ points = 5, 2
 [truncation]
 q_order = 8
 weight_cutoff = 12
-"""
-        )
+""",
+        """
+[experiment]
+genus = 2
+[insertions]
+states = a, omega, [2]
+points = 5, 2, -3
+[schottky]
+genus = 2
+points = -1, 1, -4, 4
+[truncation]
+rho_orders = 3, 2
+""",
+    ], ids=["genus1", "genus2"])
+    def test_oracle_equals_reduction(self, write_config, capsys, monkeypatch, text):
+        import voachain.cli as cli
+
+        steps = []
+        monkeypatch.setattr(cli, "apply_Dn",
+                            lambda *a: steps.append(a) or apply_Dn(*a))
+        cfg = write_config(text)
         code_o, out_o, _ = run_cli(["npoint", "--config", cfg, "--oracle"], capsys)
+        assert steps == []
         code_r, out_r, _ = run_cli(["npoint", "--config", cfg, "--reduction"], capsys)
         assert code_o == 0 and code_r == 0
         doc_o, doc_r = json.loads(out_o), json.loads(out_r)
+        # one reduction step per insertion, from the zero-point element
+        assert len(steps) == len(doc_r["config"]["insertions"]["states"].split(","))
+        assert doc_r["path"] == "reduction"
+        assert doc_r["result"]["series"]["coeffs"]
         assert doc_o["result"]["series"]["coeffs"] == doc_r["result"]["series"]["coeffs"]
 
     def test_genus0(self, write_config, capsys):
@@ -480,7 +504,6 @@ points = 3, 1
 GENUS2_SCHOTTKY = """
 [schottky]
 genus = 2
-rho = 0.01, 0.02
 points = -1, 1, -3, 3
 """
 
@@ -494,8 +517,6 @@ class TestErrorClasses:
         ("npoint", GENUS0_AA + "[truncation]\nq_order = 8.5\n", "[truncation] q_order"),
         ("npoint", GENUS0_AA.replace("a, a", "[0], a"), "part below 1"),
         ("npoint", GENUS0_AA.replace("3, 1", "1/0, 1"), "1/0"),
-        ("partition", GENUS2_SCHOTTKY.replace("0.02", "x"), "[schottky] rho"),
-        ("partition", GENUS2_SCHOTTKY + "f_coeffs = 0 1\n", "[schottky] f_coeffs"),
         ("partition", GENUS2_SCHOTTKY + "[truncation]\nrho_orders = 3, b\n",
          "[truncation] rho_orders"),
         ("check-complex", "[element]\nstates = a\npoints = 2\n[assert]\nexpect_zero = maybe\n",

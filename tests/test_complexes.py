@@ -27,6 +27,7 @@ from voachain.complexes import (
     exact_rank,
     genus0_npoint,
     genus1_npoint_trace,
+    _check_ncondition,
     reduce_to_zero_point,
 )
 from voachain.correlators import sphere_value, torus_qseries
@@ -633,49 +634,73 @@ class TestConnectionFromTuples:
             assert corr_deviation(rep_t.components[key], rep_e.components[key]) == 0
 
 
+A2 = FockVector.basis(2)  # a(-2)|0>, weight 2, not quasiprimary
+SD2 = SchottkyData(genus=2, points=(Fraction(-1), Fraction(1), Fraction(-4), Fraction(4)))
+
+
 class TestGenus2Reduction:
-    def make_element(self):
-        sd = SchottkyData(
-            genus=2, rho=(0.01, 0.015),
-            points=(Fraction(-1), Fraction(1), Fraction(-4), Fraction(4)),
-            mode_cutoff=2, neumann_order=8,
-        )
-        ins = InsertionTuple(((A_VECTOR, Fraction(2)),), genus=2, moduli=sd)
-        return element_from_insertions(ins, rho_orders=(3, 2))
+    # the genus-g reduction is the sphere's, run inside the handle sums,
+    # so it reproduces the sums with the new insertion exactly, for any
+    # state: quasiprimary, not, inhomogeneous, or the vacuum
+    STATES = {"a": A_VECTOR, "omega": OMEGA_VECTOR, "a(-2)": A2,
+              "a+omega": A_VECTOR + OMEGA_VECTOR, "vacuum": VACUUM_VECTOR}
 
-    def test_quasiprimary_required(self):
-        elem = self.make_element()
-        bad = FockVector.basis(2)
-        with pytest.raises(ComplexError):
-            apply_D1((bad, Fraction(6)), elem)
+    def make_element(self, entries=((A_VECTOR, Fraction(2)),), orders=(3, 2)):
+        ins = InsertionTuple(tuple(entries), genus=2, moduli=SD2)
+        return element_from_insertions(ins, rho_orders=orders)
 
-    def test_reduction_step_runs_and_is_finite(self):
-        elem = self.make_element()
-        d1 = apply_D1((A_VECTOR, Fraction(6)), elem)
-        d2 = apply_D2((A_VECTOR, Fraction(6)), elem)
-        for out in (d1, d2):
-            assert out.insertions.n == 2
-            data = out.value.data
-            for k2 in range(data.truncation):
-                inner = data.coefficient(k2)
-                if isinstance(inner, TruncatedSeries):
-                    assert all(
-                        np.isfinite(complex(c).real) for c in inner.coefficients.values()
-                    )
+    @pytest.mark.parametrize("name", list(STATES))
+    def test_one_step_equals_the_direct_sums(self, name):
+        v, y = self.STATES[name], Fraction(6)
+        # with a and a + aa held, every state meets a part of even leg
+        # count, so no sum vanishes by parity
+        elem = self.make_element(((A_VECTOR, Fraction(2)), (A_VECTOR + AA, Fraction(3))))
+        d1 = apply_D1((v, y), elem)
+        d2 = apply_D2((v, y), elem)
+        step = apply_Dn((v, y), elem)
+        want = genus_g_npoint(SD2, [*elem.insertions.entries, (v, y)], (3, 2))
+        assert not want.is_zero()
+        assert d1.value.data + d2.value.data == want
+        assert step.value.data == want
+        assert step.insertions.n == 3 and step.evaluator == elem.evaluator
 
-    def test_d2_degenerates_to_pole_kernels_at_tiny_rho(self):
-        # as both handles close, psi_p derivative kernels collapse to
-        # the plain pole derivatives and the leading rho coefficient of
-        # the n-point sums is the sphere value, so the (0,0) coefficient
-        # of D2 must approach the pole-kernel-weighted sphere reduction
+    @pytest.mark.parametrize("steps", [
+        (("a", 2), ("a", 6)),
+        (("omega", 2), ("a(-2)", -3), ("a", 5)),
+        (("a+omega", 2), ("vacuum", 6), ("a", Fraction(1, 2))),
+    ], ids=["a,a", "omega,a(-2),a", "a+omega,vacuum,a"])
+    def test_iterated_reduction_from_the_partition_function(self, steps):
+        elem = self.make_element(entries=(), orders=(3, 2))
+        assert elem.value.data == genus_g_npoint(SD2, [], (3, 2))
+        entries = []
+        for name, y in steps:
+            elem = apply_Dn((self.STATES[name], Fraction(y)), elem)
+            entries.append((self.STATES[name], Fraction(y)))
+            assert elem.value.data == genus_g_npoint(SD2, entries, (3, 2)), entries
+        assert not elem.value.is_zero()
+
+    def test_vacuum_step_is_the_identity(self):
+        # as at genus 0 and 1 (the removed kernels raised SewingError here)
+        elem = self.make_element(entries=((A_VECTOR, Fraction(2)), (AA, Fraction(3))))
+        assert apply_Dn((VACUUM_VECTOR, Fraction(6)), elem).value.data == elem.value.data
+
+    @pytest.mark.parametrize("v", [A_VECTOR, OMEGA_VECTOR + VACUUM_VECTOR])
+    def test_weighted_step_to_zero_rejected_as_at_genus_0(self, v):
+        with pytest.raises(ComplexError) as at_genus_0:
+            apply_Dn((v, Fraction(0)), g0_element(("a", Fraction(2))))
+        with pytest.raises(ComplexError) as at_genus_2:
+            apply_Dn((v, Fraction(0)), self.make_element())
+        assert str(at_genus_2.value) == str(at_genus_0.value)
+
+    def test_d2_leading_coefficient_is_the_pole_kernel_reduction(self):
+        # the rho^0 coefficient of the sums is the sphere value, and at
+        # weight one the only surviving mode, a(1), has the kernel
+        # (x_new - x_old)^-2, so the (0,0) coefficient of D2 is the
+        # pole-kernel-weighted sphere reduction
         from voachain.correlators import sphere_value
         from voachain.voa import apply_state_mode
 
-        sd = SchottkyData(
-            genus=2, rho=(1e-12, 1e-12),
-            points=(Fraction(-1), Fraction(1), Fraction(-4), Fraction(4)),
-            mode_cutoff=2, neumann_order=6,
-        )
+        sd = SD2
         x_old, x_new = Fraction(2), Fraction(6)
         ins = InsertionTuple(((A_VECTOR, x_old),), genus=2, moduli=sd)
         elem = element_from_insertions(ins, rho_orders=(2, 2))
@@ -695,11 +720,7 @@ class TestGenus2Reduction:
         # zero is built without a genus-g sum
         import voachain.complexes as complexes
 
-        sd = SchottkyData(
-            genus=2, rho=(0.01, 0.015),
-            points=(Fraction(-1), Fraction(1), Fraction(-4), Fraction(4)),
-            mode_cutoff=2, neumann_order=8,
-        )
+        sd = SD2
         ins = InsertionTuple(((VACUUM_VECTOR, Fraction(2)),), genus=2, moduli=sd)
         elem = element_from_insertions(ins, rho_orders=(3, 2))
         old_zero = genus_g_npoint(sd, ins.entries, (3, 2)) * 0
@@ -718,36 +739,30 @@ class TestGenus2Reduction:
     ])
     def test_reduction_is_linear_in_an_inhomogeneous_state(self, names, parts):
         # each homogeneous component reduces with the kernels of its own
-        # weight, so D1 and D2 of a sum are the sums of D1 and D2
-        sd = SchottkyData(
-            genus=2, rho=(0.01, 0.015),
-            points=(Fraction(-1), Fraction(1), Fraction(-4), Fraction(4)),
-            mode_cutoff=2, neumann_order=8,
-        )
+        # weight, so D1 and D2 of a sum are the sums of D1 and D2, and
+        # D^n of the sum is the direct sums with the sum inserted
         entries = tuple((POOL[n], Fraction(2 + 3 * i)) for i, n in enumerate(names))
-        elem = element_from_insertions(InsertionTuple(entries, genus=2, moduli=sd),
-                                       rho_orders=(3, 2))
+        elem = self.make_element(entries)
         y = Fraction(7)
+        whole = parts[0] + parts[1]
         for apply in (apply_D1, apply_D2):
-            whole = apply((parts[0] + parts[1], y), elem).value
+            value = apply((whole, y), elem).value
             first, second = (apply((v, y), elem).value for v in parts)
-            assert not whole.is_zero()
-            assert corr_deviation(whole, _corr_sum(first, second)) < 1e-9 * whole.norm()
+            assert not value.is_zero()
+            assert value == _corr_sum(first, second)
+        want = genus_g_npoint(SD2, [*entries, (whole, y)], (3, 2))
+        assert apply_Dn((whole, y), elem).value.data == want
 
     @pytest.mark.parametrize("state", [A_VECTOR, VACUUM_VECTOR])
     @pytest.mark.parametrize("apply", [apply_D1, apply_D2])
     def test_step_to_a_handle_point_rejected(self, apply, state):
         # also when no D2 term survives to meet the kernel's pole
-        elem = self.make_element()
-        elem = element_from_insertions(elem.insertions.replace_state(0, state), rho_orders=(3, 2))
+        elem = self.make_element(((state, Fraction(2)),))
         with pytest.raises(ComplexError, match="handle points"):
             apply((A_VECTOR, Fraction(-4)), elem)
 
     def test_genus2_zero_point_round_trip(self):
-        sd = SchottkyData(
-            genus=2, rho=(0.01, 0.015),
-            points=(Fraction(-1), Fraction(1), Fraction(-4), Fraction(4)),
-        )
+        sd = SD2
         ins = InsertionTuple(
             ((AA, Fraction(2)), (AA, Fraction(6))), genus=2, moduli=sd
         )
@@ -756,6 +771,28 @@ class TestGenus2Reduction:
         product = factor * zero_point.data
         assert product.compare(elem.value.data).deviation == 0
 
+
+
+EXCHANGE_POOL = {"1": VACUUM_VECTOR, "a": A_VECTOR, "aa": AA, "[2]": A2, "omega": OMEGA_VECTOR}
+exchange_points = st.fractions(min_value=-6, max_value=6, max_denominator=3).filter(
+    lambda x: x != 0 and x not in SD2.points)
+
+
+@settings(max_examples=20, deadline=None)
+@given(genus=st.sampled_from((0, 2)),
+       names=st.lists(st.sampled_from(list(EXCHANGE_POOL)), min_size=3, max_size=4),
+       points=st.lists(exchange_points, min_size=4, max_size=4, unique=True))
+def test_insertion_exchange_residual_is_exactly_zero(genus, names, points):
+    # D(x2) D(x1) = D(x1) D(x2) on the nose at genus 0 and at genus 2,
+    # for any states and points (the new points avoid 0 and the handles)
+    *held, n1, n2 = names
+    entries = tuple((EXCHANGE_POOL[n], z) for n, z in zip(held, points))
+    elem = element_from_insertions(InsertionTuple(entries, genus, SD2 if genus else None),
+                                   rho_orders=(2, 2))
+    report = _check_ncondition({"element": elem,
+                                "x1": (EXCHANGE_POOL[n1], points[2]),
+                                "x2": (EXCHANGE_POOL[n2], points[3])})
+    assert report.residual == 0
 
 
 class TestGenus2Presentations:

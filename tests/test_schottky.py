@@ -1,10 +1,10 @@
-"""Tests for sewing operators and the genus-g form apparatus."""
+"""Tests for sewing operators and the direct genus-g basis sums."""
 
-import math
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
 import pytest
 
 from voachain.complexes import Sewn, Sphere, Trace
@@ -14,20 +14,10 @@ from voachain.schottky import (
     SewingData,
     SewingError,
     _genus_g_sum,
-    big_psi_p,
-    build_R,
-    chi_vector,
     genus_g_npoint,
     genus_g_partition,
     handle_pairing,
-    neumann_inverse,
-    p_vector,
     paired_handle_terms,
-    psi0,
-    psi_p,
-    psi_p_deriv_y,
-    q_vector,
-    theta_vector,
 )
 from voachain.series import TruncatedSeries
 from voachain.voa import A_VECTOR, FockVector, apply_state_mode
@@ -165,10 +155,9 @@ class TestSewTorus:
 class TestGenusGPartition:
     def base_sd(self, genus=1, **kw):
         if genus == 1:
-            return SchottkyData(genus=1, rho=(0.01,), points=(Fraction(-1), Fraction(1)), **kw)
+            return SchottkyData(genus=1, points=(Fraction(-1), Fraction(1)), **kw)
         return SchottkyData(
             genus=2,
-            rho=(0.01, 0.02),
             points=(Fraction(-1), Fraction(1), Fraction(-3), Fraction(3)),
             **kw,
         )
@@ -200,7 +189,7 @@ class TestGenusGPartition:
 
     def test_distinct_points_required(self):
         with pytest.raises(SewingError):
-            SchottkyData(genus=1, rho=(0.1,), points=(Fraction(1), Fraction(1)))
+            SchottkyData(genus=1, points=(Fraction(1), Fraction(1)))
 
     def test_npoint_degenerates_to_partition(self):
         sd = self.base_sd()
@@ -277,240 +266,31 @@ class TestNestedSewingSum:
     @pytest.mark.parametrize("ell", [0, 1])
     @pytest.mark.parametrize("insertions", [(), ((A_VECTOR, Fraction(5)),)])
     def test_mode_block_matches_flat_double_sum(self, a, ell, insertions):
-        # a(0) annihilates every state; a(1) removes one leg, so only an
-        # odd number of inserted legs leaves a nonzero sum
+        # an innermost term that moves the positive-point state of handle
+        # a by v(ell): a(0) annihilates every state; a(1) removes one leg,
+        # so only an odd number of inserted legs leaves a nonzero sum
         sd = self.schottky(False)
         mode = (a, A_VECTOR, ell)
-        nested = _genus_g_sum(sd, insertions, (3, 3), mode)
+        slot = len(insertions) + 2 * a - 1
+
+        def moved_sphere(points):
+            state, point = points[slot]
+            moved = apply_state_mode(A_VECTOR, ell, state)
+            if moved.is_zero():
+                return 0
+            return sphere_value([*points[:slot], (moved, point), *points[slot + 1:]])
+
+        nested = _genus_g_sum(sd, insertions, (3, 3), moved_sphere)
         flat = flat_genus2_sum(sd, insertions, (3, 3), mode)
         assert nested.is_zero() == (ell == 0 or not insertions)
         self.assert_same(nested, flat)
 
 
-class TestPsi0:
-    def test_no_f_terms(self):
-        assert psi0(3, 2.0, 1.0) == 1.0
-
-    def test_spec_example(self):
-        # p=1, f0(x) = 1/x: psi(2,1) = 1 + 1/2 = 3/2
-        val = psi0(1, 2.0, 1.0, [{-1: 1}])
-        assert val == pytest.approx(1.5)
-
-    def test_antisymmetry_defect(self):
-        # psi(x,y) + psi(y,x) = sum f_l(x) y^l + sum f_l(y) x^l
-        f = [{-1: 1.0, 1: 0.5}]
-        x, y = 2.0, 3.0
-        lhs = psi0(1, x, y, f) + psi0(1, y, x, f)
-        want = (1 / x + 0.5 * x) + (1 / y + 0.5 * y)
-        assert lhs == pytest.approx(want)
-
-    def test_pole(self):
-        with pytest.raises(SewingError):
-            psi0(1, 1.0, 1.0)
-
-
-class TestBuildR:
-    def test_rho_to_zero_gives_zero_R(self):
-        sd = SchottkyData(genus=1, rho=(1e-30,), points=(Fraction(-1), Fraction(1)),
-                          mode_cutoff=3)
-        forms = build_R(sd)
-        assert np.max(np.abs(forms.R)) < 1e-14
-        neu = neumann_inverse(forms, 4)
-        assert np.allclose(neu.matrix, np.eye(len(forms.index)))
-
-    def test_f_zero_kills_diagonal_block(self):
-        sd = SchottkyData(genus=1, rho=(0.1,), points=(Fraction(-2), Fraction(2)),
-                          mode_cutoff=3)
-        forms = build_R(sd)
-        for i, (a, m) in enumerate(forms.index):
-            for j, (b, n) in enumerate(forms.index):
-                if a == -b:
-                    assert forms.R[i, j] == 0
-
-    def test_entries_against_derivative_oracle(self):
-        # g=1, p=1, f=0, M=2: entries are normalized derivatives of
-        # 1/(w_{-a} - w_b); oracle by high-order finite differences
-        rho = 0.04
-        w_m, w_p = -1.5, 2.5
-        sd = SchottkyData(genus=1, rho=(rho,), points=(w_m, w_p), mode_cutoff=2)
-        forms = build_R(sd)
-
-        def psi_plain(x, y):
-            return 1.0 / (x - y)
-
-        h = 1e-4
-
-        def d1(axis_vals):
-            return (
-                -axis_vals[2] + 8 * axis_vals[1] - 8 * axis_vals[-1] + axis_vals[-2]
-            ) / (12 * h)
-
-        def num_deriv(m, n, x, y):
-            vals = {}
-            for i in (-2, -1, 0, 1, 2):
-                for j in (-2, -1, 0, 1, 2):
-                    vals[(i, j)] = psi_plain(x + i * h, y + j * h)
-            if (m, n) == (0, 0):
-                return vals[(0, 0)]
-            if (m, n) == (1, 0):
-                return d1({i: vals[(i, 0)] for i in (-2, -1, 0, 1, 2)})
-            if (m, n) == (0, 1):
-                return d1({j: vals[(0, j)] for j in (-2, -1, 0, 1, 2)})
-            if (m, n) == (1, 1):
-                rows = {}
-                for i in (-2, -1, 0, 1, 2):
-                    rows[i] = d1({j: vals[(i, j)] for j in (-2, -1, 0, 1, 2)})
-                return d1(rows)
-            raise NotImplementedError
-
-        for i, (a, m) in enumerate(forms.index):
-            for j, (b, n) in enumerate(forms.index):
-                if a == -b:
-                    continue
-                x = w_m if a == 1 else w_p  # w_{-a}
-                y = w_p if b == 1 else w_m  # w_b
-                want = (
-                    (-1)
-                    * complex(rho) ** ((m + 1) / 2)
-                    * complex(rho) ** (n / 2)
-                    * num_deriv(m, n, x, y)
-                    / (math.factorial(m) * math.factorial(n))
-                )
-                assert forms.R[i, j] == pytest.approx(want, rel=1e-6), (a, m, b, n)
-
-
-class TestNeumann:
-    def forms(self, rho=0.01, M=3):
-        sd = SchottkyData(
-            genus=1, rho=(rho,), points=(Fraction(-1), Fraction(1)),
-            mode_cutoff=M, p=1,
-            f_coeffs=({0: 0.3, -1: 0.1},),
-        )
-        return build_R(sd)
-
-    def test_K_one(self):
-        forms = self.forms()
-        neu = neumann_inverse(forms, 1)
-        assert np.allclose(neu.matrix, np.eye(len(forms.index)) + forms.R_tilde)
-
-    def test_residual_equals_omitted_term(self):
-        # (I - R~) sum_{k<=K} R~^k = I - R~^{K+1} identically
-        forms = self.forms()
-        for K in (0, 1, 2, 4):
-            neu = neumann_inverse(forms, K)
-            assert neu.residual == pytest.approx(neu.omitted_term_norm, rel=1e-9)
-
-    def test_residual_monotone_decrease(self):
-        for rho in (0.01, 0.02):
-            forms = self.forms(rho=rho)
-            res = [neumann_inverse(forms, K).residual for K in range(6)]
-            assert all(res[i + 1] < res[i] for i in range(len(res) - 1))
-
-    def test_divergence_flagged(self):
-        forms = self.forms()
-        big = GenusLike(forms.sd, forms.index, forms.R * 1e4, forms.Delta)
-        neu = neumann_inverse(big, 6)
-        assert neu.divergence_flag
-
-
-class TestDivergentNeumann:
-    def divergent_forms(self):
-        sd = SchottkyData(genus=2, rho=(4, 4),
-                          points=(Fraction(-1), Fraction(1), Fraction(-4), Fraction(4)))
-        return build_R(sd)
-
-    def test_kernels_refuse_a_divergent_series(self):
-        forms = self.divergent_forms()
-        assert neumann_inverse(forms, forms.sd.neumann_order).divergence_flag
-        with pytest.raises(SewingError, match="diverges"):
-            psi_p(forms, 0.5, 0.7)
-        with pytest.raises(SewingError, match="diverges"):
-            psi_p_deriv_y(forms, 0.5, 0.7, 1)
-        with pytest.raises(SewingError, match="diverges"):
-            chi_vector(forms, 0.5)
-        with pytest.raises(SewingError, match="diverges"):
-            theta_vector(forms, 1, 0.5)
-
-
-class GenusLike:
-    def __init__(self, sd, index, R, Delta):
-        self.sd = sd
-        self.index = index
-        self.R = R
-        self.Delta = Delta
-
-    @property
-    def R_tilde(self):
-        return self.R @ self.Delta
-
-
-class TestPsiP:
-    def test_reduces_to_psi0_at_small_rho(self):
-        sd = SchottkyData(
-            genus=1, rho=(1e-12,), points=(Fraction(-1), Fraction(1)),
-            mode_cutoff=3, p=2, f_coeffs=({0: 0.2}, {1: 0.1}, {0: 0.05}),
-        )
-        forms = build_R(sd)
-        x, y = 0.3, 0.7
-        full = psi_p(forms, x, y)
-        base = psi0(2, x, y, [sd.f_laurent(l) for l in range(3)])
-        assert abs(full - base) < 1e-10
-
-    def test_composed_limit_is_pole_kernel(self):
-        sd = SchottkyData(genus=1, rho=(1e-12,), points=(Fraction(-1), Fraction(1)),
-                          mode_cutoff=3, p=3)
-        forms = build_R(sd)
-        assert psi_p(forms, 0.4, 0.9) == pytest.approx(1 / (0.4 - 0.9), abs=1e-10)
-
-    def test_against_dense_matrix_oracle(self):
-        sd = SchottkyData(
-            genus=1, rho=(0.02,), points=(Fraction(-1), Fraction(1)),
-            mode_cutoff=4, p=1, f_coeffs=({0: 0.4, 1: -0.2},),
-            neumann_order=60,
-        )
-        forms = build_R(sd)
-        x, y = 0.25, 0.6
-        got = psi_p(forms, x, y)
-        # oracle: dense solve instead of the Neumann sum
-        rt = forms.R_tilde
-        solve = np.linalg.solve(np.eye(rt.shape[0]) - rt, q_vector(forms, y))
-        want = psi0(1, x, y, [sd.f_laurent(0)]) + (
-            p_vector(forms, x) @ forms.Delta
-        ) @ solve
-        assert got == pytest.approx(complex(want), rel=1e-12)
-
-    def test_pole_at_sewing_point(self):
-        sd = SchottkyData(genus=1, rho=(0.02,), points=(Fraction(-1), Fraction(1)),
-                          mode_cutoff=2)
-        forms = build_R(sd)
-        with pytest.raises(SewingError):
-            psi_p(forms, 1.0, 0.5)
-
-
-class TestThetaChi:
-    def make_forms(self, p=2):
-        f = tuple({0: 0.1 * (l + 1), -1: 0.05} for l in range(2 * p - 1))
-        sd = SchottkyData(
-            genus=1, rho=(0.03,), points=(Fraction(-1), Fraction(1)),
-            mode_cutoff=2 * p, p=p, f_coeffs=f,
-        )
-        return build_R(sd)
-
-    def test_theta_combines_chi(self):
-        forms = self.make_forms()
-        p = forms.sd.p
-        x = 0.4
-        chi = chi_vector(forms, x)
-        theta = theta_vector(forms, 1, x)
-        rho = forms.sd.rho_a(1)
-        for ell in range(2 * p - 1):
-            want = chi[(1, ell)] + (-1) ** p * complex(rho) ** (p - 1 - ell) * chi[
-                (-1, 2 * p - 2 - ell)
-            ]
-            assert theta[ell] == pytest.approx(want)
-
-    def test_form_degrees_metadata(self):
-        forms = self.make_forms(p=2)
-        val = big_psi_p(forms, 0.4, 0.7)
-        assert dict(val.degrees) == {"dx": 2, "dy": -1}
-        assert complex(val) == pytest.approx(psi_p(forms, 0.4, 0.7))
+def test_sewing_module_imports_no_numpy():
+    # the sums are exact: no float apparatus rides on the sewing module
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, voachain.schottky; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"

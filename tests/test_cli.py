@@ -75,9 +75,29 @@ def write_config(tmp_path):
     return _write
 
 
+def check_oracle_equals_reduction(text, write_config, capsys, monkeypatch):
+    import voachain.cli as cli
+
+    steps = []
+    monkeypatch.setattr(cli, "apply_Dn",
+                        lambda *a: steps.append(a) or apply_Dn(*a))
+    cfg = write_config(text)
+    code_o, out_o, _ = run_cli(["npoint", "--config", cfg, "--oracle"], capsys)
+    assert steps == []
+    code_r, out_r, _ = run_cli(["npoint", "--config", cfg, "--reduction"], capsys)
+    assert code_o == 0 and code_r == 0
+    doc_o, doc_r = json.loads(out_o), json.loads(out_r)
+    # one reduction step per insertion, from the zero-point element
+    assert len(steps) == len(doc_r["config"]["insertions"]["states"].split(","))
+    assert doc_r["path"] == "reduction"
+    assert doc_r["result"]["series"]["coeffs"]
+    assert doc_o["result"]["series"]["coeffs"] == doc_r["result"]["series"]["coeffs"]
+
+
 class TestNpoint:
-    @pytest.mark.parametrize("text", [
-        """
+    def test_oracle_equals_reduction_genus1(self, write_config, capsys, monkeypatch):
+        check_oracle_equals_reduction(
+            """
 [experiment]
 genus = 1
 [insertions]
@@ -86,8 +106,11 @@ points = 5, 2
 [truncation]
 q_order = 8
 weight_cutoff = 12
-""",
-        """
+""", write_config, capsys, monkeypatch)
+
+    def test_oracle_equals_reduction_genus2(self, write_config, capsys, monkeypatch):
+        check_oracle_equals_reduction(
+            """
 [experiment]
 genus = 2
 [insertions]
@@ -98,25 +121,7 @@ genus = 2
 points = -1, 1, -4, 4
 [truncation]
 rho_orders = 3, 2
-""",
-    ], ids=["genus1", "genus2"])
-    def test_oracle_equals_reduction(self, write_config, capsys, monkeypatch, text):
-        import voachain.cli as cli
-
-        steps = []
-        monkeypatch.setattr(cli, "apply_Dn",
-                            lambda *a: steps.append(a) or apply_Dn(*a))
-        cfg = write_config(text)
-        code_o, out_o, _ = run_cli(["npoint", "--config", cfg, "--oracle"], capsys)
-        assert steps == []
-        code_r, out_r, _ = run_cli(["npoint", "--config", cfg, "--reduction"], capsys)
-        assert code_o == 0 and code_r == 0
-        doc_o, doc_r = json.loads(out_o), json.loads(out_r)
-        # one reduction step per insertion, from the zero-point element
-        assert len(steps) == len(doc_r["config"]["insertions"]["states"].split(","))
-        assert doc_r["path"] == "reduction"
-        assert doc_r["result"]["series"]["coeffs"]
-        assert doc_o["result"]["series"]["coeffs"] == doc_r["result"]["series"]["coeffs"]
+""", write_config, capsys, monkeypatch)
 
     def test_genus0(self, write_config, capsys):
         cfg = write_config(
@@ -279,6 +284,21 @@ rho_orders = 3, 2
         assert code == 0
         doc = json.loads(out)
         assert doc["series"]["variable"] == "rho2"
+
+    @pytest.mark.parametrize("line", [
+        "rho = 0.01, x", "p = one", "f_coeffs = 0 1", "mode_cutoff = -4",
+        "neumann_order = 1.5",
+    ], ids=["rho", "p", "f_coeffs", "mode_cutoff", "neumann_order"])
+    def test_retired_kernel_keys_are_not_read(self, write_config, capsys, line):
+        # the genus-g sums are exact, so the keys of the removed float
+        # kernels are neither read nor validated: a config that still
+        # carries one, even malformed, gives the same series as without
+        base = "[schottky]\ngenus = 2\npoints = -1, 1, -3, 3\n[truncation]\nrho_orders = 2, 2\n"
+        code_b, out_b, _ = run_cli(["partition", "--config", write_config(base)], capsys)
+        stale = base.replace("points =", line + "\npoints =")
+        code_s, out_s, _ = run_cli(["partition", "--config", write_config(stale)], capsys)
+        assert code_b == 0 and code_s == 0
+        assert json.loads(out_s)["series"] == json.loads(out_b)["series"]
 
 
 class TestCheckComplex:
@@ -501,9 +521,11 @@ states = a, a
 points = 3, 1
 """
 
+# rho is a key of the removed float kernels: it is not read any more
 GENUS2_SCHOTTKY = """
 [schottky]
 genus = 2
+rho = 0.01, 0.02
 points = -1, 1, -3, 3
 """
 

@@ -642,7 +642,7 @@ class TestGenus2Reduction:
     # the genus-g reduction is the sphere's, run inside the handle sums,
     # so it reproduces the sums with the new insertion exactly, for any
     # state: quasiprimary, not, inhomogeneous, or the vacuum
-    STATES = {"a": A_VECTOR, "omega": OMEGA_VECTOR, "a(-2)": A2,
+    STATES = {"a": A_VECTOR, "omega": OMEGA_VECTOR, "a(-2)": A2, "aa": AA,
               "a+omega": A_VECTOR + OMEGA_VECTOR, "vacuum": VACUUM_VECTOR}
 
     def make_element(self, entries=((A_VECTOR, Fraction(2)),), orders=(3, 2)):
@@ -778,9 +778,9 @@ exchange_points = st.fractions(min_value=-6, max_value=6, max_denominator=3).fil
     lambda x: x != 0 and x not in SD2.points)
 
 
-@settings(max_examples=20, deadline=None)
-@given(genus=st.sampled_from((0, 2)),
-       names=st.lists(st.sampled_from(list(EXCHANGE_POOL)), min_size=3, max_size=4),
+@pytest.mark.parametrize("genus", [0, 2])
+@settings(max_examples=10, deadline=None)
+@given(names=st.lists(st.sampled_from(list(EXCHANGE_POOL)), min_size=3, max_size=4),
        points=st.lists(exchange_points, min_size=4, max_size=4, unique=True))
 def test_insertion_exchange_residual_is_exactly_zero(genus, names, points):
     # D(x2) D(x1) = D(x1) D(x2) on the nose at genus 0 and at genus 2,
@@ -830,9 +830,12 @@ class TestGenus2Presentations:
 
 
 @pytest.mark.parametrize("apply", [apply_D1, apply_D2])
-@pytest.mark.parametrize("build", [lambda: g0_element(("a", Fraction(2))),
-                                   lambda: g1_element([("a", Fraction(2))], q_order=3)],
-                         ids=["genus0", "genus1"])
+@pytest.mark.parametrize("build", [
+    lambda: g0_element(("a", Fraction(2))),
+    lambda: g1_element([("a", Fraction(2))], q_order=3),
+    lambda: element_from_insertions(InsertionTuple(((A_VECTOR, Fraction(2)),), 2, SD2),
+                                    rho_orders=(2, 2)),
+], ids=["genus0", "genus1", "genus2"])
 def test_step_to_an_occupied_point_rejected(apply, build):
     # checked before any sum, whatever the presentation (genus-1 D2 met
     # the kernel's pole first, an EllipticError)

@@ -25,8 +25,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .correlators import Insertion, sphere_value
-from .series import Scalar, TruncatedSeries, to_complex
-from .voa import FockVector, weight_basis
+from .series import Scalar, TruncatedSeries, _int_power, to_complex
+from .voa import VACUUM, FockVector, sphere_matrix_element, weight_basis
 
 
 class SewingError(ValueError):
@@ -51,29 +51,47 @@ class SewingData:
             raise SewingError("|rho| must not exceed r1*r2")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def handle_pairing(zeta1, zeta2, k: int):
     """Weight-k basis and the inverse two-point Gram matrix at the
-    sewing points; exact whenever the points are exact scalars."""
+    sewing points; exact whenever the points are exact scalars.
+
+    The Gram matrix is H_k(zeta1, zeta2) = (zeta1 - zeta2)^(-2k) G_k,
+    with G_k free of the points (translation and scaling covariance of
+    the vacuum two-point function), so H_k^-1 is G_k^-1 scaled.  The
+    cache is typed: equal points of other types give entries of their
+    own type.
+    """
+    scale = _int_power(zeta1 - zeta2, 2 * k)
+    return weight_basis(k), tuple(tuple(scale * c for c in row) for row in _gram_inverse(k))
+
+
+@lru_cache(maxsize=None)
+def _gram_inverse(k: int) -> tuple[tuple[Fraction, ...], ...]:
+    """G_k^-1, with G_k = H_k(1, 0).  The fields of one insertion never
+    contract, so G_k is block-diagonal by partition length; each block
+    is inverted on its own."""
     basis = weight_basis(k)
-    gram = [
-        [
-            sphere_value(
-                [(FockVector({bi: 1}), zeta1), (FockVector({bj: 1}), zeta2)],
-                dressed=False,
-            )
-            for bj in basis
+    inverse = [[Fraction(0)] * len(basis) for _ in basis]
+    blocks: dict[int, list[int]] = {}
+    for i, b in enumerate(basis):
+        blocks.setdefault(b.length, []).append(i)
+    for block in blocks.values():
+        gram = [
+            [sphere_matrix_element(VACUUM, [(basis[i], 1), (basis[j], 0)], VACUUM)
+             for j in block]
+            for i in block
         ]
-        for bi in basis
-    ]
-    return basis, _invert_exact(gram)
+        for i, row in zip(block, _invert_exact(gram)):
+            for j, c in zip(block, row):
+                inverse[i][j] = c
+    return tuple(map(tuple, inverse))
 
 
 def _invert_exact(matrix):
     n = len(matrix)
     aug = [
-        [_fractionize(matrix[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
+        [Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
         for i in range(n)
     ]
     for col in range(n):
@@ -87,13 +105,7 @@ def _invert_exact(matrix):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def _fractionize(x):
-    if isinstance(x, int):
-        return Fraction(x)
-    return x
+    return [row[n:] for row in aug]
 
 
 def paired_handle_terms(zeta1, zeta2, k: int) -> list[tuple[Scalar, FockVector, FockVector]]:

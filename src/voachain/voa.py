@@ -406,6 +406,15 @@ def vertex_matrix_element(
 # context is keyed by the typed points: 5, 5.0 and Fraction(5) compare
 # equal but give values of other types.
 #
+# Every table holds (numerator, denominator) pairs.  When every point is
+# an int or a Fraction they are integer pairs with a positive
+# denominator: sums cross-multiply (or add numerators over an equal
+# denominator) and each sub-sum is reduced by one gcd when it is
+# memoised, where Fraction arithmetic would take one per operation.
+# The value is lowered to a Fraction once, in sphere_matrix_element.
+# At any other points every value is (x, 1), so the recursion does the
+# arithmetic of x in the same order on the same values.
+#
 # The recursion carries its state as strings, compact enough to keep
 # every sub-sum of a trace or handle sum: boundary parts m as chr(m),
 # fields as chr(d) + chr(i).
@@ -423,8 +432,10 @@ def sphere_matrix_element(
     if (len(fields) // 2 + u_out.length + u_in.length) % 2 == 1:
         return 0
     ctx = _wick_context(tuple((type(z), z) for _, z in insertions))
-    val = _wick(_chars(u_out.partition), _chars(fields), _chars(u_in.partition), ctx)
-    return val * _scalar_invert(u_out.norm_squared())
+    num, den = _wick(_chars(u_out.partition), _chars(fields), _chars(u_in.partition), ctx)
+    if ctx.exact:
+        return Fraction(num, den * u_out.norm_squared())
+    return num * _scalar_invert(u_out.norm_squared())
 
 
 def _chars(values) -> str:
@@ -434,10 +445,11 @@ def _chars(values) -> str:
 class _WickContext:
     """The tables shared by every sphere element at one point tuple."""
 
-    __slots__ = ("points", "powers", "contractions", "memo")
+    __slots__ = ("points", "exact", "powers", "contractions", "memo")
 
     def __init__(self, points: tuple):
         self.points = points
+        self.exact = all(isinstance(z, (int, Fraction)) for z in points)
         self.powers: dict = {}  # (i, k) -> z_i^k
         self.contractions: dict = {}  # the two fields' chars -> contraction
         self.memo: dict = {}  # recursion state (see _wick) -> sub-sum
@@ -448,15 +460,27 @@ def _wick_context(typed_points: tuple) -> _WickContext:
     return _WickContext(tuple(z for _, z in typed_points))
 
 
-def _leg_power(ctx: _WickContext, pi: int, k: int):
+def _power_pair(ctx: _WickContext, base, k: int) -> tuple:
+    """base^k as the context's (numerator, denominator) pair."""
+    if not ctx.exact:
+        return _int_power(base, k), 1
+    num, den = base.numerator, base.denominator
+    if k < 0:
+        num, den, k = den, num, -k
+        if den < 0:
+            num, den = -num, -den
+    return num**k, den**k
+
+
+def _leg_power(ctx: _WickContext, pi: int, k: int) -> tuple:
     key = (pi, k)
     val = ctx.powers.get(key)
     if val is None:
-        val = ctx.powers[key] = _int_power(ctx.points[pi], k)
+        val = ctx.powers[key] = _power_pair(ctx, ctx.points[pi], k)
     return val
 
 
-def _contraction(ctx: _WickContext, pair: str):
+def _contraction(ctx: _WickContext, pair: str) -> tuple:
     # normalized-derivative contraction of the fields pair[:2], pair[2:]:
     # d^(d1)_z1 d^(d2)_z2 (z1 - z2)^-2
     val = ctx.contractions.get(pair)
@@ -466,46 +490,58 @@ def _contraction(ctx: _WickContext, pair: str):
         if z1 == z2:
             raise ValueError("coincident insertion points")
         c = (-1) ** d1 * (d1 + d2 + 1) * math.comb(d1 + d2, d1)
-        val = ctx.contractions[pair] = c * _int_power(z1 - z2, -(2 + d1 + d2))
+        num, den = _power_pair(ctx, z1 - z2, -(2 + d1 + d2))
+        val = ctx.contractions[pair] = c * num, den
     return val
 
 
 def _wick(out, fields, ins, ctx):
-    # out, ins: boundary parts, one char each; fields: two chars each
+    # out, ins: boundary parts, one char each; fields: two chars each.
+    # Returns the sub-sum as the context's (numerator, denominator) pair.
     key = f"{chr(len(out))}{chr(len(ins))}{out}{ins}{fields}"
     hit = ctx.memo.get(key)
     if hit is not None:
         return hit
+    terms = []
     if out:
         part, rest = out[0], out[1:]
         m = ord(part)
-        total = 0
         for idx in range(0, len(fields), 2):
             d = ord(fields[idx])
             if d <= m - 1:
-                val = m * math.comb(m - 1, d) * _leg_power(ctx, ord(fields[idx + 1]), m - 1 - d)
-                total = total + val * _wick(
-                    rest, fields[:idx] + fields[idx + 2:], ins, ctx
-                )
+                pn, pd = _leg_power(ctx, ord(fields[idx + 1]), m - 1 - d)
+                sn, sd = _wick(rest, fields[:idx] + fields[idx + 2:], ins, ctx)
+                terms.append((m * math.comb(m - 1, d) * pn * sn, pd * sd))
         cnt = ins.count(part)
         if cnt:
-            total = total + cnt * m * _wick(rest, fields, ins.replace(part, "", 1), ctx)
+            sn, sd = _wick(rest, fields, ins.replace(part, "", 1), ctx)
+            terms.append((cnt * m * sn, sd))
     elif fields:
         first, rest = fields[:2], fields[2:]
-        total = 0
         for idx in range(0, len(rest), 2):
             if rest[idx + 1] == first[1]:
                 continue
-            total = total + _contraction(ctx, first + rest[idx:idx + 2]) * _wick(
-                "", rest[:idx] + rest[idx + 2:], ins, ctx
-            )
+            cn, cd = _contraction(ctx, first + rest[idx:idx + 2])
+            sn, sd = _wick("", rest[:idx] + rest[idx + 2:], ins, ctx)
+            terms.append((cn * sn, cd * sd))
         d, pi = ord(first[0]), ord(first[1])
         for part in sorted(set(ins)):
             m = ord(part)
             cnt = ins.count(part)
-            val = m * (-1) ** d * math.comb(m + d, d) * _leg_power(ctx, pi, -(m + 1 + d))
-            total = total + cnt * val * _wick("", rest, ins.replace(part, "", 1), ctx)
+            pn, pd = _leg_power(ctx, pi, -(m + 1 + d))
+            sn, sd = _wick("", rest, ins.replace(part, "", 1), ctx)
+            terms.append((cnt * (m * (-1) ** d * math.comb(m + d, d) * pn) * sn, pd * sd))
     else:
-        total = 1 if not ins else 0
-    ctx.memo[key] = total
-    return total
+        terms.append((1 if not ins else 0, 1))
+    num, den = 0, 1
+    for n, d in terms:
+        if d == den:
+            num = num + n
+        else:
+            num, den = num * d + n * den, den * d
+    if ctx.exact:
+        g = math.gcd(num, den)
+        if g > 1:
+            num, den = num // g, den // g
+    ctx.memo[key] = num, den
+    return num, den

@@ -28,6 +28,7 @@ from voachain.complexes import (
     genus0_npoint,
     genus1_npoint_trace,
     _check_ncondition,
+    _nested_coefficient,
     reduce_to_zero_point,
 )
 from voachain.correlators import sphere_value, torus_qseries
@@ -793,6 +794,48 @@ def test_insertion_exchange_residual_is_exactly_zero(genus, names, points):
                                 "x1": (EXCHANGE_POOL[n1], points[2]),
                                 "x2": (EXCHANGE_POOL[n2], points[3])})
     assert report.residual == 0
+
+
+# genus-0 elements of a and aa at distinct exact points, with the points
+# of the handles sewn onto them drawn from the same set
+sewn_points = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=3).filter(bool),
+                       min_size=7, max_size=7, unique=True)
+sewn_names = st.lists(st.sampled_from(["a", "aa"]), min_size=1, max_size=3).filter(
+    lambda names: sum(len(n) for n in names) % 2 == 0)  # an odd leg count is 0
+
+
+@settings(max_examples=10, deadline=None)
+@given(names=sewn_names, points=sewn_points)
+def test_handle_exchange_is_exact_at_genus0(names, points):
+    # two handles sewn in either order: coefficient (j, k) of one order
+    # is coefficient (k, j) of the other, by ==
+    elem = g0_element(*zip(names, points))
+    sd_a = SewingData(zeta1=points[3], zeta2=points[4])
+    sd_b = SewingData(zeta1=points[5], zeta2=points[6])
+    ab = apply_Dg(apply_Dg(elem, sd_a, 3), sd_b, 3).value.data
+    ba = apply_Dg(apply_Dg(elem, sd_b, 3), sd_a, 3).value.data
+    for j in range(3):
+        for k in range(3):
+            assert _nested_coefficient(ab, j, k) == _nested_coefficient(ba, k, j), (j, k)
+    assert _nested_coefficient(ab, 0, 0) == elem.value.data
+    assert any(_nested_coefficient(ab, j, k) != 0 for j in range(3) for k in range(3))
+
+
+@settings(max_examples=10, deadline=None)
+@given(names=sewn_names, points=sewn_points)
+def test_sewing_commutes_with_a_vacuum_step_at_genus0(names, points):
+    # Dg Dn(1) = Dn(1) Dg coefficient for coefficient: the vacuum step is
+    # the identity on the sphere and on the sewn sphere alike.  A weighted
+    # step does not commute with the sewing this way (the sewn sphere
+    # reduces with the trace's kernels), so only the vacuum is asserted.
+    elem = g0_element(*zip(names, points))
+    sd = SewingData(zeta1=points[3], zeta2=points[4])
+    x = (VACUUM_VECTOR, points[5])
+    path_a = apply_Dg(apply_Dn(x, elem), sd, 3).value.data
+    path_b = apply_Dn(x, apply_Dg(elem, sd, 3)).value.data
+    for k in range(3):
+        assert path_a.coefficient(k) == path_b.coefficient(k), k
+    assert path_a.coefficient(0) == elem.value.data
 
 
 class TestGenus2Presentations:

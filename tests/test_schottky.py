@@ -20,7 +20,7 @@ from voachain.schottky import (
     paired_handle_terms,
 )
 from voachain.series import TruncatedSeries
-from voachain.voa import A_VECTOR, FockVector, apply_state_mode
+from voachain.voa import A_VECTOR, FockVector, apply_state_mode, weight_basis
 
 
 def oracle_partition_counts(n):
@@ -66,6 +66,47 @@ class TestHandlePairing:
                 for j in range(n):
                     val = sum(gram[i][r] * hinv[r][j] for r in range(n))
                     assert val == (1 if i == j else 0)
+
+    @pytest.mark.parametrize("z1, z2", [
+        (Fraction(1), Fraction(-1)), (Fraction(5), Fraction(-4)), (Fraction(2, 3), Fraction(-7, 5)),
+    ])
+    def test_matches_full_gram_inverse(self, z1, z2):
+        # the block inverse of the point-free Gram matrix, scaled, against
+        # the full p(k) x p(k) inverse at the points
+        for k in range(9):
+            basis, hinv = handle_pairing(z1, z2, k)
+            assert hinv == _full_gram_inverse(z1, z2, k), k
+
+    def test_complex_points_get_complex_entries_after_exact_ones(self):
+        # the cache is typed: equal exact points called first must not
+        # hand their Fraction entries to complex points
+        for k in range(1, 5):
+            handle_pairing(Fraction(1), Fraction(-1), k)
+            basis, hinv = handle_pairing(1 + 0j, -1 + 0j, k)
+            assert all(type(c) is complex for row in hinv for c in row), k
+            handle_pairing.cache_clear()
+            _, cold = handle_pairing(1 + 0j, -1 + 0j, k)
+            assert [list(map(repr, row)) for row in hinv] == [list(map(repr, row)) for row in cold]
+
+
+def _full_gram_inverse(z1, z2, k):
+    """Gauss-Jordan on the whole weight-k Gram matrix at the points."""
+    basis = weight_basis(k)
+    n = len(basis)
+    aug = [
+        [Fraction(sphere_value([(FockVector({bi: 1}), z1), (FockVector({bj: 1}), z2)]))
+         for bj in basis] + [Fraction(int(i == j)) for j in range(n)]
+        for i, bi in enumerate(basis)
+    ]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 class TestSewSphere:

@@ -1,5 +1,6 @@
 """Tests for the Heisenberg module: modes, brackets, forms, sphere values."""
 
+import cmath
 import math
 import random
 import sys
@@ -13,6 +14,7 @@ from voachain import voa
 from voachain.correlators import sphere_value
 from voachain.series import ExactComplex, TruncatedSeries
 from voachain.voa import (
+    A_STATE,
     A_VECTOR,
     OMEGA_VECTOR,
     VACUUM,
@@ -585,11 +587,11 @@ def _leg_contraction(x, y):
     if kind == ("out", "field"):
         # the mode of the field that pairs with a(m): z^(m-1) a(-m), differentiated
         m, (_, d, _, z) = x[1], y
-        return m * math.comb(m - 1, d) * z ** (m - 1 - d) if d <= m - 1 else 0
+        return m * math.comb(m - 1, d) * _pow(z, m - 1 - d) if d <= m - 1 else 0
     if kind == ("field", "in"):
         # a(m) z^(-m-1) annihilates a(-m)|0> with factor m, differentiated
         (_, d, _, z), m = x, y[1]
-        return Fraction(m * (-1) ** d * math.comb(m + d, d)) / z ** (m + 1 + d)
+        return Fraction(m * (-1) ** d * math.comb(m + d, d)) / _pow(z, m + 1 + d)
     if kind == ("field", "field"):
         (_, d1, g1, z1), (_, d2, g2, z2) = x, y
         if g1 == g2:
@@ -597,8 +599,16 @@ def _leg_contraction(x, y):
         # d^(d1)_z1 d^(d2)_z2 (z1 - z2)^-2 / (d1! d2!)
         c = (-1) ** d1 * math.factorial(d1 + d2 + 1) // (
             math.factorial(d1) * math.factorial(d2))
-        return Fraction(c) / (z1 - z2) ** (2 + d1 + d2)
+        return Fraction(c) / _pow(z1 - z2, 2 + d1 + d2)
     return 0  # out-out and in-in never contract
+
+
+def _pow(z, n):
+    """z^n for n >= 0 by repeated products (ExactComplex has no **)."""
+    out = 1
+    for _ in range(n):
+        out = out * z
+    return out
 
 
 def _wick_oracle(u_out, insertions, u_in):
@@ -633,6 +643,38 @@ def _sphere_elements(draw):
     return u_out, list(zip(states, points)), u_in
 
 
+# point kinds that mix with a non-integral Fraction; each is drawn from
+# the same thirds as the Fraction points, moved off the real line where
+# the kind allows
+_MIXED_KINDS = {
+    float: lambda t: t / 3,
+    complex: lambda t: complex(t / 3, 0.5),
+    ExactComplex: lambda t: ExactComplex(Fraction(t, 3), Fraction(1, 2)),
+}
+
+
+@st.composite
+def _mixed_sphere_elements(draw):
+    """Elements at non-integral Fraction points mixed with one other
+    kind: at least one point of each, every point carrying fields."""
+    kind = draw(st.sampled_from(list(_MIXED_KINDS)))
+    n = draw(st.integers(2, 4))
+    thirds = draw(st.lists(st.integers(-30, 30).filter(lambda t: t % 3), min_size=n,
+                           max_size=n, unique=True))
+    other = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(
+        lambda flags: any(flags) and not all(flags)))
+    points = [_MIXED_KINDS[kind](t) if o else Fraction(t, 3) for t, o in zip(thirds, other)]
+    states = draw(st.lists(st.sampled_from(_states_up_to(3)[1:]), min_size=n, max_size=n))
+    u_out = draw(st.sampled_from(_states_up_to(2)))
+    u_in = draw(st.sampled_from(_states_up_to(2)))
+    return kind, (u_out, list(zip(states, points)), u_in)
+
+
+def _legs(u_out, insertions, u_in):
+    return len(u_out.partition) + len(u_in.partition) + sum(
+        len(s.partition) for s, _ in insertions)
+
+
 def _program_caches():
     """Every voachain cache, found as benchmarks/worker.program_caches does."""
     found = {}
@@ -658,12 +700,79 @@ class TestWickContext:
     @given(_sphere_elements())
     def test_matches_memo_free_pairing_sum(self, element):
         u_out, insertions, u_in = element
-        legs = len(u_out.partition) + len(u_in.partition) + sum(
-            len(s.partition) for s, _ in insertions)
+        legs = _legs(u_out, insertions, u_in)
         # the oracle enumerates (legs - 1)!! matchings
         assume(legs <= 14)
-        assert sphere_matrix_element(u_out, insertions, u_in) == _wick_oracle(
-            u_out, insertions, u_in)
+        value = sphere_matrix_element(u_out, insertions, u_in)
+        assert value == _wick_oracle(u_out, insertions, u_in)
+        # exact points give a Fraction; an odd leg count is the int 0
+        assert type(value) is (int if legs % 2 else Fraction)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_mixed_sphere_elements())
+    def test_mixed_points_match_memo_free_pairing_sum(self, drawn):
+        # a non-integral Fraction next to a float, complex or ExactComplex
+        # point: every value stays (x, 1) and keeps the denominators of x
+        kind, (u_out, insertions, u_in) = drawn
+        legs = _legs(u_out, insertions, u_in)
+        assume(legs <= 12)
+        value = _cold(sphere_matrix_element, u_out, insertions, u_in)
+        want = _wick_oracle(u_out, insertions, u_in)
+        if legs % 2:
+            assert type(value) is int and value == 0
+            return
+        # a point's kind reaches the value only through a term it enters
+        assert type(value) in (Fraction, kind)
+        if kind is ExactComplex:
+            assert value == want
+        else:
+            assert cmath.isclose(complex(value), complex(want), rel_tol=1e-9, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("points, kind", [
+        ((Fraction(1, 3), Fraction(-5, 2)), Fraction),
+        ((4, -1), Fraction),
+        ((0.25, -1.5), float),
+        ((0.5 + 1j, -2j), complex),
+        ((ExactComplex(1, 2), ExactComplex(Fraction(-1, 3))), ExactComplex),
+        ((Fraction(1, 3), 0.25), float),
+        ((Fraction(1, 3), 0.5 + 1j), complex),
+        ((Fraction(1, 3), ExactComplex(0, 1)), ExactComplex),
+    ])
+    def test_result_type_follows_the_points(self, points, kind):
+        # <a(z1) a(z2)> = (z1 - z2)^-2 enters both points, so the value has
+        # the type of their arithmetic
+        z1, z2 = points
+        value = _cold(sphere_matrix_element, VACUUM, [(A_STATE, z1), (A_STATE, z2)], VACUUM)
+        assert type(value) is kind
+        assert value == Fraction(1) / _pow(z1 - z2, 2)
+
+    def test_exact_memo_holds_reduced_int_pairs(self):
+        # the guard against Fraction arithmetic creeping back into the
+        # recursion: at exact points every table entry is an int pair with
+        # a positive denominator, and every memoised sub-sum is reduced
+        points = [Fraction(7, 2), Fraction(-2), Fraction(5, 3), 4]
+        states = [FockState((2, 1)), FockState((1, 1, 1)), FockState((3,)), FockState((1, 1))]
+        value = _cold(sphere_matrix_element, FockState((2, 1)), list(zip(states, points)),
+                      FockState((1, 1)))
+        assert type(value) is Fraction and value != 0
+        ctx = voa._wick_context(tuple((type(z), z) for z in points))
+        assert ctx.exact and len(ctx.memo) > 10
+        tables = [*ctx.memo.values(), *ctx.powers.values(), *ctx.contractions.values()]
+        for num, den in tables:
+            assert type(num) is int and type(den) is int and den > 0
+        for num, den in ctx.memo.values():
+            assert math.gcd(num, den) == 1
+
+    def test_mixed_points_keep_float_tables(self):
+        # one float point makes the whole tuple inexact: every entry is
+        # (x, 1), x the value the point arithmetic gives
+        points = [Fraction(7, 2), 0.5]
+        _cold(sphere_matrix_element, VACUUM, [(FockState((2, 1)), points[0]),
+                                              (FockState((1, 2)), points[1])], VACUUM)
+        ctx = voa._wick_context(tuple((type(z), z) for z in points))
+        assert not ctx.exact
+        assert all(den == 1 for _, den in [*ctx.memo.values(), *ctx.contractions.values()])
+        assert any(type(num) is float for num, _ in ctx.contractions.values())
 
     def test_batch_is_order_independent(self):
         # one point tuple, so every element of the batch shares a context

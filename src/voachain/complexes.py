@@ -3,12 +3,13 @@ zero-point factorization, the connection functional, and cohomology
 ranks of truncated probe complexes.
 
 Correlation values are exact wherever the inputs are exact: genus 0 is
-the sphere engine, genus 1 the graded trace with exact per-order kernel
-expansions, genus 2 the paired basis sums.  Each chain element carries
-the evaluator that produced its value (:class:`Sphere`, :class:`Trace`,
-:class:`Sewn` or :class:`Schottky`); differentials transform the
-insertion tuple and re-evaluate through that evaluator, so
-reduction-vs-oracle agreement is a checkable theorem rather than a
+the sphere engine, genus 1 the Gaussian form of the graded trace (Z(q)
+times pairings of exact q-series propagators) with exact per-order
+kernel expansions, genus 2 the paired basis sums.  Each chain element
+carries the evaluator that produced its value (:class:`Sphere`,
+:class:`Trace`, :class:`Sewn` or :class:`Schottky`); differentials
+transform the insertion tuple and re-evaluate through that evaluator,
+so reduction-vs-oracle agreement is a checkable theorem rather than a
 construction.
 
 Chain conditions are reported in commutation form (the residuals of the
@@ -28,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .correlators import sphere_value, torus_qseries
+from .correlators import _expand_components, sphere_value, torus_trace
 from .elliptic import f0_kernel, pm_qseries
 from .schottky import (
     SchottkyData,
@@ -145,11 +146,14 @@ class Sphere:
                 "only a vacuum insertion can go there"
             )
         # <1', o(v) X 1> = <1', o(v) P_0 X 1>: only the vacuum component
-        # of X|1> survives, and o(v)'s vacuum matrix element scales it
-        value = self.evaluate(entries).data
+        # of X|1> survives, and o(v)'s vacuum matrix element scales it.
+        # Those elements are 0 but for a vacuum component of v; then the
+        # term is the zero evaluating would give, and nothing is evaluated
+        op_vacs = {wt: zero_mode(comp)(VACUUM_VECTOR).coefficient(VACUUM)
+                   for wt, comp in components.items()}
+        value = self.evaluate(entries).data if any(op_vacs.values()) else _sphere_zero(entries)
         data = 0
-        for wt, comp in components.items():
-            op_vac = zero_mode(comp)(VACUUM_VECTOR).coefficient(VACUUM)
+        for wt, op_vac in op_vacs.items():
             data = data + _int_power(z, -wt) * (value * op_vac)
         return data
 
@@ -158,10 +162,32 @@ class Sphere:
                 lambda m, z_k: f0_kernel(wt, m)(z_new, z_k))
 
 
+def _sphere_zero(entries) -> Scalar:
+    # 0 of the type sphere_value(entries) has between vacua, summed as it
+    # sums its basis components: an odd leg count gives an int 0; an even
+    # one a Fraction (the inverse norm), which also takes the type of the
+    # points carrying legs when two or more insertions carry them (the
+    # first leg then contracts with each other such point)
+    total = 0
+    for states, coeff in _expand_components(entries, dressed=False):
+        if sum(s.length for s in states) % 2:
+            val = 0
+        else:
+            val = Fraction(0)
+            legged = [z for s, (_, z) in zip(states, entries) if s.partition]
+            if len(legged) > 1:
+                for z in legged:
+                    val = val * z
+        total = total + coeff * val
+    return total
+
+
 @dataclass(frozen=True)
 class Trace:
-    """Genus 1: the graded trace to ``q_order`` (points are x = e^z).  D1
-    is the o(v)-inserted trace; D2 takes the P_{m+1} expansions with
+    """Genus 1: the graded trace to ``q_order`` (points are x = e^z), in
+    Gaussian form (:func:`~voachain.correlators.torus_trace`).  D1 is the
+    o(v)-inserted trace, the x^0 coefficient of v's fields at a formal x
+    paired into the trace; D2 takes the P_{m+1} expansions with
     square-bracket modes."""
 
     q_order: int
@@ -172,7 +198,7 @@ class Trace:
         for _, x in entries:
             _require_torus_point(x)
         return CorrelationFunction(
-            1, torus_qseries(entries, self.q_order), self.prefactor_exponent
+            1, torus_trace(entries, self.q_order), self.prefactor_exponent
         )
 
     def _zero(self):
@@ -182,7 +208,7 @@ class Trace:
         _require_torus_point(x)
 
     def _zero_mode_term(self, entries, v, x):
-        return torus_qseries(entries, self.q_order, left_operator=zero_mode(v))
+        return torus_trace(entries, self.q_order, zero_mode_state=v)
 
     def _mode_terms(self, wt, comp, x_new):
         return _genus1_mode_terms(comp, x_new, "q", self.q_order)
@@ -355,10 +381,11 @@ def genus0_npoint(
 def genus1_npoint_trace(
     ins: InsertionTuple, q_order: int, weight_cutoff: int | None = None
 ) -> ChainElement:
-    """Brute-force graded trace (the genus-1 oracle); insertion points
-    are exponentiated coordinates x = e^z and the q^(-c/24) prefactor is
-    symbolic.  The trace is exact per q-order; a declared weight cutoff
-    below the requested order is rejected with the required value."""
+    """The genus-1 graded trace in Gaussian form (Z(q) times pairings of
+    q-series propagators); insertion points are exponentiated
+    coordinates x = e^z and the q^(-c/24) prefactor is symbolic.  The
+    trace is exact per q-order; a declared weight cutoff below the
+    requested order is rejected with the required value."""
     if ins.genus != 1:
         raise ComplexError("genus tag must be 1")
     if weight_cutoff is not None and weight_cutoff <= q_order:

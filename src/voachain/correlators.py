@@ -1,15 +1,23 @@
 """Raw correlation-function evaluators shared by the sewing and
 reduction layers.
 
-Genus 0 is the exact sphere engine; genus 1 is the brute-force graded
-trace, exact per q-order because every diagonal matrix element is an
-exact rational function of the insertion coordinates.  Torus insertion
-points are given in the exponentiated coordinate x = e^z, so rational
-points keep the whole computation in rational arithmetic.
+Genus 0 is the exact sphere engine.  Genus 1 is the Gaussian form of the
+Heisenberg graded trace (the thermal Wick theorem; Mason-Tuite, Torus
+chiral n-point functions for free boson and lattice VOAs, CMP 2003):
+Z(q) times a sum over pairings of exact q-series propagators, exact per
+q-order because each propagator coefficient is an exact rational
+function of the insertion coordinates.  Torus insertion points are given
+in the exponentiated coordinate x = e^z, so rational points keep the
+whole computation in rational arithmetic.  The brute-force trace over
+the Fock basis, :func:`torus_qseries`, stays as the oracle the tests
+compare the Gaussian form with.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Sequence
 
@@ -18,6 +26,9 @@ from .voa import (
     VACUUM,
     FockState,
     FockVector,
+    _chars,
+    _comb_neg,
+    partition_count,
     sphere_matrix_element,
     weight_basis,
 )
@@ -37,13 +48,17 @@ def sphere_value(
     x^{wt} per homogeneous component.
     """
     points = [z for _, z in insertions]
-    if len(set(map(to_complex, points))) != len(points):
-        raise ValueError("insertion points must be pairwise distinct")
+    _require_distinct(points)
     total = 0
     for states, coeff in _expand_components(insertions, dressed):
         val = sphere_matrix_element(u_out, list(zip(states, points)), u_in)
         total = total + coeff * val
     return total
+
+
+def _require_distinct(points) -> None:
+    if len(set(map(to_complex, points))) != len(points):
+        raise ValueError("insertion points must be pairwise distinct")
 
 
 def _expand_components(insertions, dressed):
@@ -62,12 +77,227 @@ def _expand_components(insertions, dressed):
         yield tuple(s for s, _ in combo), coeff
 
 
+def torus_trace(
+    insertions: Sequence[Insertion],
+    q_order: int,
+    zero_mode_state: FockVector | None = None,
+) -> TruncatedSeries:
+    """Tr(o(v) Y(x1^{L0}v1,x1)...Y(xn^{L0}vn,xn) q^{L0}) in Gaussian form,
+    exact per q-order; o(v) is left out when v is None.
+
+    Without the q^{-c/24} prefactor, which the caller tracks
+    symbolically.  By the thermal Wick theorem the trace is Z(q) = sum
+    p(k) q^k times the sum over pairings of the fields of all
+    insertions of products of propagators; o(v) is the x^0 coefficient
+    of Y(x^{L0}v, x) placed left of every insertion.  Equal to
+    :func:`torus_qseries` with ``left_operator=zero_mode(v)``, which
+    sums the same trace over the Fock basis.
+    """
+    if q_order < 1:
+        return TruncatedSeries("q", {}, q_order)
+    _require_distinct([x for _, x in insertions])
+    ctx = _torus_context(tuple((type(x), x) for _, x in insertions), q_order)
+    if zero_mode_state is None:
+        zero_mode_terms = [("", 1)]
+    else:
+        zero_mode_terms = [(_chars(sorted(p - 1 for p in s.partition)), c)
+                           for s, c in zero_mode_state.terms.items()]
+    zero = [0] * q_order
+    total = zero
+    for states, coeff in _expand_components(insertions, dressed=True):
+        fields = "".join(sorted(chr(p - 1) + chr(i) for i, s in enumerate(states)
+                                for p in s.partition))
+        for v_fields, c in zero_mode_terms:
+            # no pairing gives the zero a basis-state sum would give
+            series = _zero_mode_sum(ctx, v_fields, fields, 0) or zero
+            factor = c * coeff
+            total = [t + factor * s for t, s in zip(total, series)]
+    # times Z(q), zero terms included: like the basis sum's, they carry
+    # the scalar type of the point arithmetic
+    coeffs = [0] * q_order
+    for i, p in enumerate(ctx.partition):
+        for j in range(q_order - i):
+            coeffs[i + j] = coeffs[i + j] + p * total[j]
+    return TruncatedSeries("q", dict(enumerate(coeffs)), q_order)
+
+
+# -- the Gaussian trace ------------------------------------------------
+#
+# A basis state a(-n1)...a(-nk)|0> at x is the normally ordered product
+# of the fields d^(n-1)a/(n-1)! at x; a field is its derivative order d
+# and the index i of its insertion, stored as chr(d) + chr(i).  Fields
+# at two points contract through the propagator: its q^0 term is the
+# sphere contraction, its q^k term (k >= 1) the divisor sum
+#   sum_{n | k} n [C(-n-1,d1) C(n-1,d2) xi^(-n-1-d1) xj^(n-1-d2)
+#                  + C(n-1,d1) C(-n-1,d2) xi^(n-1-d1) xj^(-n-1-d2)],
+# which for d1 = d2 = 0, times xi xj, is the q-expansion of P2 at xj/xi
+# (elliptic.pm_qseries).  Fields of one normally ordered state contract
+# through the q^k >= 1 part only, at xi = xj: the (1 - E2)/12-type
+# constants.
+#
+# The fields of v in o(v) sit at a formal x, left of every insertion.
+# After the x^(wt v) dressing each term of a v-field's propagator to a
+# field at xj carries a power x^e: e = -n for the q^0 part expanded at
+# |x| > |xj| and for the first divisor sum, which together give
+# n C(-n-1,d1) C(n-1,d2) xj^(n-1-d2) / (1 - q^n); e = +n for the second
+# divisor sum, n C(n-1,d1) C(-n-1,d2) xj^(-n-1-d2) q^n / (1 - q^n); and
+# e = 0 for a contraction of two fields of v.  o(v) keeps the pairings
+# with sum e = 0.  Every positive e comes with at least q^e, so the
+# positive powers add up to less than the q-order, and so does the
+# magnitude of every partial sum: the sum is finite.
+#
+# One context per typed point tuple and q-order holds the propagators
+# and the pairing sums over field multisets (fields sorted), shared by
+# every trace at those points: the paired terms of a sewn torus, the
+# reduction's re-evaluations with moved states.  Series are lists of
+# q-order coefficients; None marks a sum with no pairing.
+
+
+class _TorusContext:
+    """The tables shared by every Gaussian trace at one point tuple."""
+
+    __slots__ = ("points", "order", "partition", "propagators", "memo")
+
+    def __init__(self, points: tuple, order: int):
+        self.points = points
+        self.order = order
+        self.partition = [Fraction(partition_count(k)) for k in range(order)]
+        self.propagators: dict = {}  # two fields, or (d, field) -> series
+        self.memo: dict = {}  # (v fields, fields, e) -> series or None
+
+
+@lru_cache(maxsize=1)
+def _torus_context(typed_points: tuple, order: int) -> _TorusContext:
+    return _TorusContext(tuple(x for _, x in typed_points), order)
+
+
+@lru_cache(maxsize=None)
+def _self_contraction(d1: int, d2: int, order: int) -> tuple[int, ...]:
+    """q-coefficients of the contraction of two fields of one normally
+    ordered state at x, without its factor x^(-2-d1-d2)."""
+    out = [0] * order
+    for n in range(1, order):
+        t = n * (_comb_neg(-n - 1, d1) * _comb_neg(n - 1, d2)
+                 + _comb_neg(n - 1, d1) * _comb_neg(-n - 1, d2))
+        for k in range(n, order, n):
+            out[k] += t
+    return tuple(out)
+
+
+def _propagator(ctx: _TorusContext, pair: str) -> list:
+    val = ctx.propagators.get(pair)
+    if val is None:
+        d1, i, d2, j = map(ord, pair)
+        xi, xj = ctx.points[i], ctx.points[j]
+        if i == j:
+            scale = _int_power(xi, -2 - d1 - d2)
+            val = [scale * c for c in _self_contraction(d1, d2, ctx.order)]
+        else:
+            val = [0] * ctx.order
+            val[0] = ((-1) ** d1 * (d1 + d2 + 1) * math.comb(d1 + d2, d1)
+                      * _int_power(xi - xj, -2 - d1 - d2))
+            for n in range(1, ctx.order):
+                t = n * (_comb_neg(-n - 1, d1) * _comb_neg(n - 1, d2)
+                         * _int_power(xi, -n - 1 - d1) * _int_power(xj, n - 1 - d2)
+                         + _comb_neg(n - 1, d1) * _comb_neg(-n - 1, d2)
+                         * _int_power(xi, n - 1 - d1) * _int_power(xj, -n - 1 - d2))
+                for k in range(n, ctx.order, n):
+                    val[k] = val[k] + t
+        ctx.propagators[pair] = val
+    return val
+
+
+def _zero_mode_propagator(ctx: _TorusContext, d1: int, field: str) -> dict:
+    """The propagator of a v-field d1 at the formal x to ``field``, by
+    its power x^e (0 < |e| < q-order) after the dressing."""
+    key = (d1, field)
+    val = ctx.propagators.get(key)
+    if val is None:
+        d2, j = map(ord, field)
+        xj = ctx.points[j]
+        order = ctx.order
+        val = {}
+        for n in range(1, order):
+            a = n * _comb_neg(-n - 1, d1) * _comb_neg(n - 1, d2)
+            if a:
+                c = a * _int_power(xj, n - 1 - d2)
+                val[-n] = [c if k % n == 0 else 0 for k in range(order)]
+            b = n * _comb_neg(n - 1, d1) * _comb_neg(-n - 1, d2)
+            if b:
+                c = b * _int_power(xj, -n - 1 - d2)
+                val[n] = [c if k and k % n == 0 else 0 for k in range(order)]
+        ctx.propagators[key] = val
+    return val
+
+
+def _mul(a, b) -> list:
+    """Product of two q-series truncated at their common length."""
+    order = len(a)
+    out = [0] * order
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(order - i):
+                bj = b[j]
+                if bj:
+                    out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def _accumulate(total, term):
+    return term if total is None else [s + t for s, t in zip(total, term)]
+
+
+def _pairing_sum(ctx: _TorusContext, fields: str):
+    # sum over the pairings of the fields of the product of propagators
+    if fields in ctx.memo:
+        return ctx.memo[fields]
+    if not fields:
+        val = [1] + [0] * (ctx.order - 1)
+    elif len(fields) % 4:
+        val = None
+    else:
+        first, rest = fields[:2], fields[2:]
+        val = None
+        for idx in range(0, len(rest), 2):
+            sub = _pairing_sum(ctx, rest[:idx] + rest[idx + 2:])
+            if sub is not None:
+                val = _accumulate(val, _mul(_propagator(ctx, first + rest[idx:idx + 2]), sub))
+    ctx.memo[fields] = val
+    return val
+
+
+def _zero_mode_sum(ctx: _TorusContext, v_fields: str, fields: str, e: int):
+    # the x^e coefficient of the pairing sum of the v-fields (one char,
+    # the derivative order, each) and the fields, each v-field paired
+    if not v_fields:
+        return _pairing_sum(ctx, fields) if e == 0 else None
+    key = (v_fields, fields, e)
+    if key in ctx.memo:
+        return ctx.memo[key]
+    d1, rest = ord(v_fields[0]), v_fields[1:]
+    val = None
+    for idx, other in enumerate(rest):
+        sub = _zero_mode_sum(ctx, rest[:idx] + rest[idx + 1:], fields, e)
+        if sub is not None:
+            val = _accumulate(val, _mul(_self_contraction(d1, ord(other), ctx.order), sub))
+    for idx in range(0, len(fields), 2):
+        others = fields[:idx] + fields[idx + 2:]
+        for power, series in _zero_mode_propagator(ctx, d1, fields[idx:idx + 2]).items():
+            if (abs(e - power) < ctx.order) if rest else power == e:
+                sub = _zero_mode_sum(ctx, rest, others, e - power)
+                if sub is not None:
+                    val = _accumulate(val, _mul(series, sub))
+    ctx.memo[key] = val
+    return val
+
+
 def torus_qseries(
     insertions: Sequence[Insertion],
     q_order: int,
     left_operator: Callable[[FockVector], FockVector] | None = None,
 ) -> TruncatedSeries:
-    """Brute-force graded trace over the Fock basis, exact per q-order.
+    """Brute-force graded trace over the Fock basis, exact per q-order:
+    the oracle of :func:`torus_trace`.
 
     Tr(op . Y(x1^{L0}v1,x1)...Y(xn^{L0}vn,xn) q^{L0}) without the
     q^{-c/24} prefactor, which the caller tracks symbolically.  The q^k
@@ -102,4 +332,4 @@ def torus_qseries(
 
 def partition_qseries(q_order: int) -> TruncatedSeries:
     """Graded dimension series sum p(k) q^k (no prefactor)."""
-    return torus_qseries([], q_order)
+    return torus_trace([], q_order)

@@ -18,7 +18,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
-from .series import Scalar, TruncatedSeries, _int_power, _scalar_invert, scalar_is_zero
+from .series import (
+    ExactComplex,
+    Scalar,
+    TruncatedSeries,
+    _int_power,
+    _scalar_invert,
+    scalar_is_zero,
+)
 
 
 @dataclass(frozen=True)
@@ -392,19 +399,27 @@ def vertex_matrix_element(
 # closed-form rational functions of the points, which is exactly the
 # resummation of the infinite intermediate mode sums.
 #
-# One Wick context serves every evaluation at the same point tuple (the
-# points of every insertion, in order): a graded trace sums the p(k)
-# states of each q-order at fixed points, and a genus-g sum evaluates
-# all its paired basis terms, vacuum pairs included, at the same points.
-# The context fills three tables on demand: the leg powers z_i^k, the
-# contractions of two fields, and the sub-sums over the remaining
-# boundary parts and fields.  A field is its derivative order d and the
-# index i of its insertion; fields of one insertion share i and never
-# contract (normal ordering), so a sub-sum depends on nothing else and
-# holds for every call at these points.  A vacuum insertion has no
-# fields, so its point keys the context but never enters a value.  The
-# context is keyed by the typed points: 5, 5.0 and Fraction(5) compare
-# equal but give values of other types.
+# One Wick context serves every evaluation at the same set of typed
+# points: a genus-g sum evaluates all its paired basis terms, vacuum
+# pairs included, at the same points, and the same sum with the
+# handles or insertions in another order (the chain conditions compose
+# the differentials both ways) evaluates the same terms again.  The
+# element is symmetric in its insertions, so the context takes the
+# points in one canonical order, exact points compared exactly and
+# ties between equal points of other types broken by type, and numbers
+# the fields in that order: any permutation of the insertions gives
+# the same recursion states.  The context fills three tables on
+# demand: the leg powers z_i^k, the contractions of two fields, and
+# the sub-sums over the remaining boundary parts and fields.  A field
+# is its derivative order d and the canonical index i of its
+# insertion; fields of one insertion share i and never contract
+# (normal ordering), so a sub-sum depends on nothing else and holds
+# for every call at these points.  A vacuum insertion has no fields,
+# so its point keys the context but never enters a value.  The context
+# is keyed by the typed points: 5, 5.0 and Fraction(5) compare equal
+# but give values of other types.  Two contexts are kept, so that a
+# sum at fewer points run between two sums at the same points does not
+# evict the first one's.
 #
 # Every table holds (numerator, denominator) pairs.  When every point is
 # an int or a Fraction they are integer pairs with a positive
@@ -425,17 +440,50 @@ def sphere_matrix_element(
     insertions: Sequence[tuple[FockState, Scalar]],
     u_in: FockState,
 ) -> Scalar:
-    fields = []
-    for pi, (state, _) in enumerate(insertions):
-        for part in state.partition:
-            fields += (part - 1, pi)
-    if (len(fields) // 2 + u_out.length + u_in.length) % 2 == 1:
+    """<u_out', Y(v1,z1)...Y(vn,zn) u_in> for basis states v_i at points
+    z_i, exact whenever the points are ints or Fractions.
+
+    The value is symmetric in the insertions: every permutation of one
+    point set runs in the same Wick context, on the same sub-sums.
+    """
+    legs = u_out.length + u_in.length + sum(state.length for state, _ in insertions)
+    if legs % 2 == 1:
         return 0
-    ctx = _wick_context(tuple((type(z), z) for _, z in insertions))
+    typed_points, order = _canonical_order(tuple((type(z), z) for _, z in insertions))
+    fields = []
+    for pi, idx in enumerate(order):
+        for part in insertions[idx][0].partition:
+            fields += (part - 1, pi)
+    ctx = _wick_context(typed_points)
     num, den = _wick(_chars(u_out.partition), _chars(fields), _chars(u_in.partition), ctx)
     if ctx.exact:
         return Fraction(num, den * u_out.norm_squared())
     return num * _scalar_invert(u_out.norm_squared())
+
+
+# ties between equal points of other types: 5 < Fraction(5) < 5.0 < ...
+_KIND_RANK = {int: 0, Fraction: 1, float: 2, complex: 3, ExactComplex: 4}
+
+
+@lru_cache(maxsize=256)
+def _canonical_order(typed_points: tuple) -> tuple[tuple, tuple[int, ...]]:
+    """The typed points in canonical order, and the insertion index of
+    each: by real part, then imaginary part, compared exactly (a float
+    conversion would round, or overflow on a large Fraction), then by
+    type."""
+
+    def key(i):
+        kind, z = typed_points[i]
+        if isinstance(z, ExactComplex):
+            re, im = z.re, z.im
+        elif isinstance(z, complex):
+            re, im = z.real, z.imag
+        else:
+            re, im = z, 0
+        return re, im, _KIND_RANK.get(kind, len(_KIND_RANK))
+
+    order = tuple(sorted(range(len(typed_points)), key=key))
+    return tuple(typed_points[i] for i in order), order
 
 
 def _chars(values) -> str:
@@ -443,7 +491,7 @@ def _chars(values) -> str:
 
 
 class _WickContext:
-    """The tables shared by every sphere element at one point tuple."""
+    """The tables shared by every sphere element at one point set."""
 
     __slots__ = ("points", "exact", "powers", "contractions", "memo")
 
@@ -455,7 +503,7 @@ class _WickContext:
         self.memo: dict = {}  # recursion state (see _wick) -> sub-sum
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _wick_context(typed_points: tuple) -> _WickContext:
     return _WickContext(tuple(z for _, z in typed_points))
 

@@ -399,6 +399,33 @@ class TestChainConditions:
         for rep in reports:
             assert np.isfinite(rep.residual)
 
+    def test_gcondition_second_order_reuses_the_twice_sewn_terms(self, monkeypatch):
+        # Dg Dg in the other handle order sums the same twice-sewn terms
+        # with the two pairs swapped; its once-sewn sum, at other points,
+        # runs between the two and must not evict their context
+        from voachain import complexes, voa
+
+        elem = g0_element(("a", Fraction(7)), ("a", Fraction(9)))
+        points = tuple(Fraction(z) for z in (7, 9, 1, -1, 3, -3))  # with the default pairs
+        twice_sewn = []
+
+        def spy(elem, sd, rho_order):
+            out = apply_Dg(elem, sd, rho_order)
+            if out.genus == 2:
+                misses = voa._wick_context.cache_info().misses
+                typed_points, _ = voa._canonical_order(tuple((type(z), z) for z in points))
+                ctx = voa._wick_context(typed_points)
+                twice_sewn.append((misses, ctx, len(ctx.memo)))
+            return out
+
+        monkeypatch.setattr(complexes, "apply_Dg", spy)
+        report = complexes._check_gcondition({"element": elem, "rho_order": 3})
+        assert report.residual == 0 and report.composition_norm != 0
+        (misses_ab, ctx_ab, entries_ab), (misses_ba, ctx_ba, entries_ba) = twice_sewn
+        assert ctx_ba is ctx_ab and entries_ba == entries_ab
+        # the only new context is the once-sewn sum at the second pair
+        assert misses_ba == misses_ab + 1
+
     def test_exchange_residual_vanishes_for_exact_reductions(self):
         # at desk scale the reduction is a theorem at genus 0 and 1, so
         # the insertion-exchange residual is exactly zero there

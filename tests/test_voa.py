@@ -688,7 +688,34 @@ def _program_caches():
 
 def _cold(fn, *args):
     voa._wick_context.cache_clear()
+    voa._canonical_order.cache_clear()
     return fn(*args)
+
+
+def _context_of(points):
+    """The Wick context of a point set, fetched by its canonical key."""
+    typed_points, _ = voa._canonical_order(tuple((type(z), z) for z in points))
+    return voa._wick_context(typed_points)
+
+
+# the points a drawn third t gives each kind; vacuum slots take fresh
+# thirds, away from the points that carry fields
+_KIND_POINTS = {Fraction: lambda t: Fraction(t, 3), **_MIXED_KINDS}
+
+
+@st.composite
+def _permuted_elements(draw):
+    """An element at exact or mixed points, with up to two vacuum slots
+    at fresh points, and its insertions in a drawn order."""
+    kind, (u_out, insertions, u_in) = draw(st.one_of(
+        _sphere_elements().map(lambda element: (Fraction, element)),
+        _mixed_sphere_elements()))
+    fresh = draw(st.lists(st.integers(31, 40), max_size=2, unique=True))
+    slot_kinds = draw(st.lists(st.sampled_from([Fraction, kind]), min_size=len(fresh),
+                               max_size=len(fresh)))
+    insertions = insertions + [(VACUUM, _KIND_POINTS[k](t)) for k, t in zip(slot_kinds, fresh)]
+    permuted = draw(st.permutations(insertions))
+    return kind, (u_out, insertions, u_in), permuted
 
 
 def _typed(x):
@@ -735,6 +762,58 @@ class TestWickContext:
         else:
             assert cmath.isclose(complex(value), complex(want), rel_tol=1e-9, abs_tol=1e-12)
 
+    @settings(max_examples=80, deadline=None)
+    @given(_permuted_elements())
+    def test_permuted_insertions_match_memo_free_pairing_sum(self, drawn):
+        # the value is symmetric in the insertions, and every order runs
+        # on the same sub-sums: evaluated cold in the permuted order, then
+        # warm in the drawn one, both must equal the oracle
+        kind, (u_out, insertions, u_in), permuted = drawn
+        legs = _legs(u_out, insertions, u_in)
+        assume(legs <= 12)
+        want = _wick_oracle(u_out, insertions, u_in)
+        cold = _cold(sphere_matrix_element, u_out, permuted, u_in)
+        warm = sphere_matrix_element(u_out, insertions, u_in)
+        for value in (cold, warm):
+            if legs % 2:
+                assert type(value) is int and value == 0
+            elif kind is Fraction:
+                assert type(value) is Fraction and value == want
+            else:
+                assert type(value) in (Fraction, kind)
+                if kind is ExactComplex:
+                    assert value == want
+                else:
+                    assert cmath.isclose(complex(value), complex(want), rel_tol=1e-9,
+                                         abs_tol=1e-12)
+
+    @settings(max_examples=24, deadline=None)
+    @given(st.permutations(range(4)), st.permutations([int, Fraction, float, ExactComplex]))
+    def test_permuted_equal_points_keep_their_types(self, order, kinds):
+        # 5, Fraction(5), 5.0 and ExactComplex(5) compare equal.  Permuted,
+        # and next to a vacuum slot at 5 of another kind, each still gets
+        # a context of its own and the oracle's value in its own type
+        states = [FockState((2, 1)), FockState((1,)), FockState((1, 1))]
+        u_out, u_in = FockState((1,)), FockState((2, 1))
+        result_kind = {int: Fraction, Fraction: Fraction, float: float,
+                       ExactComplex: ExactComplex}
+        voa._wick_context.cache_clear()
+        voa._canonical_order.cache_clear()
+        for kind, slot_kind in zip(kinds, kinds[1:] + kinds[:1]):
+            legged = list(zip(states, map(kind, (5, -2, 3))))
+            insertions = [*legged, (VACUUM, slot_kind(5))]
+            value = sphere_matrix_element(u_out, [insertions[i] for i in order], u_in)
+            # the equal points tie on value: their type must order them
+            reverse = sphere_matrix_element(u_out, [insertions[i] for i in order[::-1]], u_in)
+            assert _typed(reverse) == _typed(value)
+            want = _wick_oracle(u_out, legged, u_in)
+            assert type(value) is result_kind[kind], kind
+            if kind is float:
+                assert math.isclose(value, want, rel_tol=1e-12)
+            else:
+                assert value == want
+        assert voa._wick_context.cache_info().misses == len(kinds)
+
     @pytest.mark.parametrize("points, kind", [
         ((Fraction(1, 3), Fraction(-5, 2)), Fraction),
         ((4, -1), Fraction),
@@ -762,7 +841,7 @@ class TestWickContext:
         value = _cold(sphere_matrix_element, FockState((2, 1)), list(zip(states, points)),
                       FockState((1, 1)))
         assert type(value) is Fraction and value != 0
-        ctx = voa._wick_context(tuple((type(z), z) for z in points))
+        ctx = _context_of(points)
         assert ctx.exact and len(ctx.memo) > 10
         tables = [*ctx.memo.values(), *ctx.powers.values(), *ctx.contractions.values()]
         for num, den in tables:
@@ -770,13 +849,23 @@ class TestWickContext:
         for num, den in ctx.memo.values():
             assert math.gcd(num, den) == 1
 
+    def test_exact_points_are_ordered_exactly(self):
+        # 10**400 has no float, and 10**400 + 1/2 would round to it: both
+        # orders of the two points must still find one context
+        big = Fraction(10**400)
+        insertions = [(A_STATE, big), (A_STATE, big + Fraction(1, 2)), (VACUUM, Fraction(1))]
+        values = [_cold(sphere_matrix_element, VACUUM, insertions, VACUUM),
+                  sphere_matrix_element(VACUUM, insertions[::-1], VACUUM)]
+        assert values == [4, 4]
+        assert voa._wick_context.cache_info().misses == 1
+
     def test_mixed_points_keep_float_tables(self):
         # one float point makes the whole tuple inexact: every entry is
         # (x, 1), x the value the point arithmetic gives
         points = [Fraction(7, 2), 0.5]
         _cold(sphere_matrix_element, VACUUM, [(FockState((2, 1)), points[0]),
                                               (FockState((1, 2)), points[1])], VACUUM)
-        ctx = voa._wick_context(tuple((type(z), z) for z in points))
+        ctx = _context_of(points)
         assert not ctx.exact
         assert all(den == 1 for _, den in [*ctx.memo.values(), *ctx.contractions.values()])
         assert any(type(num) is float for num, _ in ctx.contractions.values())
@@ -866,3 +955,22 @@ class TestWickContext:
         sd = SchottkyData(genus=2, points=(Fraction(-1), Fraction(1), Fraction(-4), Fraction(4)))
         genus_g_partition(sd, (4, 4))
         assert voa._wick_context.cache_info().misses <= 3
+
+    def test_swapped_handles_reuse_the_context(self):
+        # the same handle sums in the other handle order: every paired
+        # term is a permutation of one already evaluated
+        from voachain.schottky import SchottkyData, genus_g_partition
+
+        for cache in _program_caches():
+            cache.cache_clear()
+        points = (Fraction(-1), Fraction(1), Fraction(-4), Fraction(4))
+        series = genus_g_partition(SchottkyData(genus=2, points=points), (4, 4))
+        misses = voa._wick_context.cache_info().misses
+        ctx = _context_of(points)
+        entries = len(ctx.memo)
+        swapped = genus_g_partition(SchottkyData(genus=2, points=points[2:] + points[:2]), (4, 4))
+        assert voa._wick_context.cache_info().misses == misses
+        assert _context_of(points) is ctx and len(ctx.memo) == entries
+        for j in range(4):
+            for k in range(4):
+                assert swapped.coefficient(j).coefficient(k) == series.coefficient(k).coefficient(j)

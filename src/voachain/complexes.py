@@ -29,12 +29,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .correlators import _expand_components, sphere_value, torus_trace
+from .correlators import sphere_value, torus_trace
 from .elliptic import f0_kernel, pm_qseries
 from .schottky import (
     SchottkyData,
     SewingData,
     _genus_g_sum,
+    _sewn_handle,
     _sewn_series,
     genus_g_npoint,
 )
@@ -43,6 +44,7 @@ from .series import (
     TruncatedSeries,
     _int_power,
     _scalar_invert,
+    points_coincide,
     scalar_abs,
     scalar_is_zero,
     to_complex,
@@ -53,7 +55,9 @@ from .voa import (
     VACUUM_VECTOR,
     FockState,
     FockVector,
+    _expand_components,
     apply_state_mode,
+    sewn_sphere_series,
     square_bracket_mode,
     zero_mode,
 )
@@ -75,8 +79,7 @@ class InsertionTuple:
     moduli: object | None = None
 
     def __post_init__(self):
-        points = [to_complex(z) for _, z in self.entries]
-        if len(set(points)) != len(points):
+        if points_coincide([z for _, z in self.entries]):
             raise ComplexError("insertion points must be pairwise distinct")
         if self.genus < 0:
             raise ComplexError("genus must be >= 0")
@@ -227,6 +230,11 @@ class Sewn:
     genus-1 input itself (vacuum pair): the degeneration identity.  A
     handle sewn onto a sewn surface is counted by rho2.  Only the sewn
     sphere reduces: D1 inserts o(v) literally, D2 is the trace's in rho.
+
+    A chain of handles sewn onto the sphere is summed in one call of
+    :func:`~voachain.voa.sewn_sphere_series`, every handle's terms in one
+    Wick context; on any other surface each handle's sum evaluates
+    ``inner`` per paired term.
     """
 
     inner: object
@@ -246,12 +254,21 @@ class Sewn:
         return "rho2" if isinstance(self.inner, Sewn) else "rho"
 
     def evaluate(self, entries, boundary=VACUUM_BOUNDARY) -> CorrelationFunction:
-        inner, sd = self.inner, self.sewing
-        data = _sewn_series(
-            sd.zeta1, sd.zeta2, self.rho_order,
-            lambda pairs: inner.evaluate((*entries, *pairs), boundary).data,
-            self._variable,
-        )
+        chain = [self]
+        while isinstance(chain[-1].inner, Sewn):
+            chain.append(chain[-1].inner)
+        if isinstance(chain[-1].inner, Sphere):
+            data = sewn_sphere_series(entries, [
+                _sewn_handle(s.sewing.zeta1, s.sewing.zeta2, s.rho_order, s._variable)
+                for s in chain
+            ], *boundary)
+        else:
+            inner, sd = self.inner, self.sewing
+            data = _sewn_series(
+                sd.zeta1, sd.zeta2, self.rho_order,
+                lambda pairs: inner.evaluate((*entries, *pairs), boundary).data,
+                self._variable,
+            )
         return CorrelationFunction(self.genus, data, self.prefactor_exponent)
 
     def _zero(self):
@@ -312,7 +329,7 @@ class Schottky:
         return TruncatedSeries.zero(f"rho{self.genus}", self.orders[-1])
 
     def _require_point(self, y):
-        if to_complex(y) in {to_complex(w) for w in self.sd.points}:
+        if points_coincide([*self.sd.points, y]):
             raise ComplexError("a new insertion point must differ from the handle points")
 
     def _zero_mode_term(self, entries, v, y):
@@ -485,8 +502,8 @@ def apply_Dg(elem: ChainElement, sd: SewingData, rho_order: int) -> ChainElement
     """Genus-raising differential: one handle sewn onto elem's own
     presentation; insertion slots keep their points."""
     _require_vacuum_boundary(elem)
-    surface = [to_complex(z) for z in _surface_points(elem)]
-    if to_complex(sd.zeta1) in surface or to_complex(sd.zeta2) in surface:
+    surface = _surface_points(elem)
+    if points_coincide([*surface, sd.zeta1]) or points_coincide([*surface, sd.zeta2]):
         raise ComplexError("sewing points must differ from the points already on the surface")
     moduli = sd if elem.insertions.moduli is None else (elem.insertions.moduli, sd)
     new_ins = elem.insertions.with_genus(elem.genus + 1, moduli=moduli)

@@ -18,16 +18,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import Callable, Sequence
 
-from .series import Scalar, TruncatedSeries, _int_power, to_complex
+from .series import Scalar, TruncatedSeries, _int_power
 from .voa import (
     VACUUM,
     FockState,
     FockVector,
     _chars,
     _comb_neg,
+    _expand_components,
+    _require_distinct,
     partition_count,
     sphere_matrix_element,
     weight_basis,
@@ -54,27 +55,6 @@ def sphere_value(
         val = sphere_matrix_element(u_out, list(zip(states, points)), u_in)
         total = total + coeff * val
     return total
-
-
-def _require_distinct(points) -> None:
-    if len(set(map(to_complex, points))) != len(points):
-        raise ValueError("insertion points must be pairwise distinct")
-
-
-def _expand_components(insertions, dressed):
-    """Multilinear expansion into basis-state insertions with weights."""
-    slots = []
-    for v, z in insertions:
-        options = []
-        for s, c in v.terms.items():
-            factor = c * _int_power(z, s.weight) if dressed else c
-            options.append((s, factor))
-        slots.append(options)
-    for combo in product(*slots):
-        coeff = 1
-        for _, c in combo:
-            coeff = coeff * c
-        yield tuple(s for s, _ in combo), coeff
 
 
 def torus_trace(

@@ -15,6 +15,14 @@ sphere functions over the paired basis states at the handle points, so
 it is linear in the sphere function: any sphere identity, the genus-0
 reduction among them, holds term by term inside the sums.  Everything
 here is exact whenever the points are.
+
+All the terms of a genus-g function sit at the same points.  When the
+innermost term is the sphere function itself, every handle is summed in
+one call of :func:`~voachain.voa.sewn_sphere_series`: one point check,
+one Wick context, one _wick call per paired term, and at exact points
+one integer pair per coefficient.  :func:`_sewn_series`, one handle at a
+time over any evaluator, serves the rest: the trace, the genus-g
+reduction's terms, and o(v) acting on a paired state.
 """
 
 from __future__ import annotations
@@ -24,9 +32,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .correlators import Insertion, sphere_value
-from .series import Scalar, TruncatedSeries, _int_power, to_complex
-from .voa import VACUUM, FockVector, sphere_matrix_element, weight_basis
+from .correlators import Insertion
+from .series import Scalar, TruncatedSeries, _int_power, points_coincide
+from .voa import (
+    VACUUM,
+    FockState,
+    FockVector,
+    sewn_sphere_series,
+    sphere_matrix_element,
+    weight_basis,
+)
 
 
 class SewingError(ValueError):
@@ -44,7 +59,7 @@ class SewingData:
     disk_radii: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
-        if self.zeta1 == self.zeta2:
+        if points_coincide([self.zeta1, self.zeta2]):
             raise SewingError("sewing insertion points must differ")
         r1, r2 = self.disk_radii
         if self.rho is not None and abs(complex(self.rho)) > r1 * r2:
@@ -70,7 +85,8 @@ def handle_pairing(zeta1, zeta2, k: int):
 def _gram_inverse(k: int) -> tuple[tuple[Fraction, ...], ...]:
     """G_k^-1, with G_k = H_k(1, 0).  The fields of one insertion never
     contract, so G_k is block-diagonal by partition length; each block
-    is inverted on its own."""
+    is inverted on its own.  The entries of G_k are integers: the fields
+    at 1 contract with those at 0 through powers of 1 - 0."""
     basis = weight_basis(k)
     inverse = [[Fraction(0)] * len(basis) for _ in basis]
     blocks: dict[int, list[int]] = {}
@@ -78,47 +94,63 @@ def _gram_inverse(k: int) -> tuple[tuple[Fraction, ...], ...]:
         blocks.setdefault(b.length, []).append(i)
     for block in blocks.values():
         gram = [
-            [sphere_matrix_element(VACUUM, [(basis[i], 1), (basis[j], 0)], VACUUM)
+            [sphere_matrix_element(VACUUM, [(basis[i], 1), (basis[j], 0)], VACUUM).numerator
              for j in block]
             for i in block
         ]
-        for i, row in zip(block, _invert_exact(gram)):
+        for i, row in zip(block, _invert_integer(gram)):
             for j, c in zip(block, row):
                 inverse[i][j] = c
     return tuple(map(tuple, inverse))
 
 
-def _invert_exact(matrix):
+def _invert_integer(matrix: list[list[int]]) -> list[list[Fraction]]:
+    """The inverse of an integer matrix by fraction-free Gauss-Jordan
+    elimination (Bareiss): each step divides every other row exactly by
+    the previous pivot, so the rows stay integers and end as d I | d M^-1
+    with d = +-det M; each entry of the inverse is then one division."""
     n = len(matrix)
-    aug = [
-        [Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    previous = 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if rows[r][col]), None)
         if piv is None:
             raise SewingError("degenerate sewing pairing matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+        rows[col], rows[piv] = rows[piv], rows[col]
+        pivot_row = rows[col]
+        pivot = pivot_row[col]
+        for r, row in enumerate(rows):
+            if r != col:
+                f = row[col]
+                rows[r] = [(pivot * x - f * y) // previous for x, y in zip(row, pivot_row)]
+        previous = pivot
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]
 
 
-def paired_handle_terms(zeta1, zeta2, k: int) -> list[tuple[Scalar, FockVector, FockVector]]:
-    """Nonzero terms (c, bbar, b) of the weight-k double insertion:
-    bbar goes to zeta1, b to zeta2, and c is the inverse-Gram entry
-    pairing them.  Ordered by bbar, then b, in basis order."""
+def _pairing_terms(zeta1, zeta2, k: int) -> list[tuple[Scalar, FockState, FockState]]:
+    """Nonzero terms (c, bbar, b) of the weight-k double insertion, as
+    basis states: bbar goes to zeta1, b to zeta2, and c is the
+    inverse-Gram entry pairing them.  Ordered by bbar, then b, in basis
+    order."""
     basis, hinv = handle_pairing(zeta1, zeta2, k)
     return [
-        (hinv[j][i], FockVector({bi: 1}), FockVector({bj: 1}))
+        (hinv[j][i], bi, bj)
         for i, bi in enumerate(basis)
         for j, bj in enumerate(basis)
         if hinv[j][i] != 0
     ]
+
+
+def paired_handle_terms(zeta1, zeta2, k: int) -> list[tuple[Scalar, FockVector, FockVector]]:
+    """The terms of :func:`_pairing_terms` with the states as vectors."""
+    return [(c, FockVector({bbar: 1}), FockVector({b: 1}))
+            for c, bbar, b in _pairing_terms(zeta1, zeta2, k)]
+
+
+def _sewn_handle(zeta1, zeta2, rho_order: int, variable: str) -> tuple:
+    """One handle as :func:`~voachain.voa.sewn_sphere_series` takes it:
+    the sewing points, every order's paired terms and the variable."""
+    return zeta1, zeta2, [_pairing_terms(zeta1, zeta2, k) for k in range(rho_order)], variable
 
 
 def _sewn_series(zeta1, zeta2, rho_order: int, evaluate, variable: str) -> TruncatedSeries:
@@ -158,8 +190,7 @@ class SchottkyData:
             raise SewingError("genus must be >= 1")
         if len(self.points) != 2 * self.genus:
             raise SewingError("need two points per handle")
-        keys = [to_complex(w) for w in self.points]
-        if len(set(keys)) != len(keys):
+        if points_coincide(self.points):
             raise SewingError("sewing points must be pairwise distinct")
 
     def point(self, a: int) -> Scalar:
@@ -189,8 +220,7 @@ def genus_g_npoint(
         raise SewingError("partition sums implemented for genus 1 and 2")
     if len(rho_orders) != sd.genus:
         raise SewingError("one rho order per handle")
-    handle_points = {to_complex(w) for w in sd.points}
-    if any(to_complex(z) in handle_points for _, z in insertions):
+    if any(points_coincide([*sd.points, z]) for _, z in insertions):
         raise SewingError("insertion points must differ from the handle points")
     return _genus_g_sum(sd, insertions, rho_orders)
 
@@ -200,15 +230,22 @@ def _genus_g_sum(sd: SchottkyData, insertions, rho_orders, sphere=None):
 
     Handle h sews the handles inside it, so handle g is the outermost
     sum and the innermost term is taken at the points [*insertions,
-    *pairs_1, ..., *pairs_g]: the sphere function by default, or
-    ``sphere(points)``, any term linear in it (the genus-g reduction
-    passes the sphere's reduction).
+    *pairs_1, ..., *pairs_g].  By default that term is the sphere
+    function, and every handle is summed at once by
+    :func:`~voachain.voa.sewn_sphere_series`, one Wick context for all
+    the terms.  Otherwise it is ``sphere(points)``, any term linear in the
+    sphere function (the genus-g reduction passes the sphere's
+    reduction), summed by :func:`_sewn_series` per handle.
     """
+    if sphere is None:
+        return sewn_sphere_series(insertions, [
+            _sewn_handle(sd.point(-h), sd.point(h), rho_orders[h - 1], f"rho{h}")
+            for h in range(len(rho_orders), 0, -1)
+        ])
 
     def sewn(h, outer_pairs):
         if h == 0:
-            points = [*insertions, *outer_pairs]
-            return sphere_value(points, dressed=False) if sphere is None else sphere(points)
+            return sphere([*insertions, *outer_pairs])
         return _sewn_series(
             sd.point(-h), sd.point(h), rho_orders[h - 1],
             lambda pairs: sewn(h - 1, pairs + outer_pairs), f"rho{h}",

@@ -127,6 +127,35 @@ def to_complex(x) -> complex:
     return complex(x)
 
 
+def points_coincide(points) -> bool:
+    """Whether two of the points are one point to the arithmetic run at
+    them.
+
+    Two exact points (int, Fraction, ExactComplex) are compared exactly,
+    so points that differ are told apart however close or large they
+    are.  A float or complex point enters float arithmetic, which rounds
+    its partner first, so it coincides with any point that rounds to it:
+    Fraction(1, 3) and 1/3 are one point.  Equal values of different
+    types (5, Fraction(5), 5.0, ExactComplex(5)) always coincide.
+    """
+    # int, Fraction and float compare and hash exactly across types
+    keys = {(z.re, z.im) if isinstance(z, ExactComplex)
+            else (z.real, z.imag) if isinstance(z, complex)
+            else (z, 0)
+            for z in points}
+    if len(keys) != len(points):
+        return True
+    inexact = {complex(z) for z in points if isinstance(z, (float, complex))}
+    for z in points:
+        if inexact and not isinstance(z, (float, complex)):
+            try:
+                if complex(z) in inexact:
+                    return True
+            except OverflowError:  # beyond every float
+                pass
+    return False
+
+
 def scalar_abs(x) -> float:
     if isinstance(x, TruncatedSeries):
         return x.max_abs()

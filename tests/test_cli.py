@@ -123,6 +123,22 @@ points = -1, 1, -4, 4
 rho_orders = 3, 2
 """, write_config, capsys, monkeypatch)
 
+    def test_genus0_close_large_points(self, write_config, capsys):
+        # 10**17 and 10**17 + 1 round to one complex, but they are distinct
+        # points: <a(z1) a(z2)> = (z1 - z2)^-2 = 1
+        cfg = write_config(
+            """
+[experiment]
+genus = 0
+[insertions]
+states = a, a
+points = 100000000000000000, 100000000000000001
+"""
+        )
+        code, out, _ = run_cli(["npoint", "--config", cfg], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["value"]["rational"] == "1"
+
     def test_genus0(self, write_config, capsys):
         cfg = write_config(
             """

@@ -913,6 +913,34 @@ def test_step_to_an_occupied_point_rejected(apply, build):
         apply((A_VECTOR, Fraction(2)), build())
 
 
+class TestExactPointChecks:
+    # every distinctness check compares the points exactly: 10**17 and
+    # 10**17 + 1 round to one complex but are two points, while equal
+    # values of other types are one
+    BIG = 10**17
+
+    def test_insertion_tuple(self):
+        InsertionTuple(((A_VECTOR, self.BIG), (A_VECTOR, self.BIG + 1)), genus=0)
+        with pytest.raises(ComplexError, match="pairwise distinct"):
+            InsertionTuple(((A_VECTOR, Fraction(3)), (A_VECTOR, ExactComplex(3))), genus=0)
+
+    def test_sewing_beside_an_insertion(self):
+        elem = g0_element(("a", Fraction(self.BIG)), ("a", Fraction(2)))
+        sewn = apply_Dg(elem, SewingData(zeta1=self.BIG + 1, zeta2=-1), 2)
+        assert sewn.value.data.coefficient(0) == elem.value.data
+        with pytest.raises(ComplexError, match="sewing points"):
+            apply_Dg(elem, SewingData(zeta1=2.0, zeta2=-1), 2)
+
+    def test_genus2_step_beside_a_handle_point(self):
+        sd = SchottkyData(genus=2, points=(-1, 1, -self.BIG, self.BIG))
+        elem = element_from_insertions(InsertionTuple(((A_VECTOR, Fraction(2)),), 2, sd),
+                                       rho_orders=(1, 1))
+        stepped = apply_Dn((A_VECTOR, self.BIG + 1), elem)
+        assert stepped.value.data.coefficient(0).coefficient(0) == Fraction(1, (self.BIG - 1) ** 2)
+        with pytest.raises(ComplexError, match="handle points"):
+            apply_Dn((A_VECTOR, ExactComplex(self.BIG)), elem)
+
+
 class TestPresentationsThatDoNotReduce:
     # only the sphere sewn once reduces among the sewn presentations; the
     # others are a validation error for D1 and D2 alike

@@ -6,7 +6,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from voachain import voa
 from voachain.complexes import Sewn, Sphere, Trace
 from voachain.correlators import partition_qseries, sphere_value, torus_qseries
 from voachain.schottky import (
@@ -14,13 +17,24 @@ from voachain.schottky import (
     SewingData,
     SewingError,
     _genus_g_sum,
+    _pairing_terms,
+    _sewn_series,
     genus_g_npoint,
     genus_g_partition,
     handle_pairing,
     paired_handle_terms,
 )
-from voachain.series import TruncatedSeries
-from voachain.voa import A_VECTOR, FockVector, apply_state_mode, weight_basis
+from voachain.series import ExactComplex, TruncatedSeries, points_coincide
+from voachain.voa import (
+    A_STATE,
+    A_VECTOR,
+    VACUUM,
+    FockState,
+    FockVector,
+    apply_state_mode,
+    sphere_matrix_element,
+    weight_basis,
+)
 
 
 def oracle_partition_counts(n):
@@ -73,7 +87,7 @@ class TestHandlePairing:
     def test_matches_full_gram_inverse(self, z1, z2):
         # the block inverse of the point-free Gram matrix, scaled, against
         # the full p(k) x p(k) inverse at the points
-        for k in range(9):
+        for k in range(10):
             basis, hinv = handle_pairing(z1, z2, k)
             assert hinv == _full_gram_inverse(z1, z2, k), k
 
@@ -232,6 +246,24 @@ class TestGenusGPartition:
         with pytest.raises(SewingError):
             SchottkyData(genus=1, points=(Fraction(1), Fraction(1)))
 
+    @pytest.mark.parametrize("twin", [Fraction(7), 7.0, 7 + 0j, ExactComplex(7)])
+    def test_equal_points_of_other_types_coincide(self, twin):
+        with pytest.raises(SewingError, match="pairwise distinct"):
+            SchottkyData(genus=1, points=(7, twin))
+        sd = SchottkyData(genus=1, points=(7, -7))
+        with pytest.raises(SewingError, match="handle points"):
+            genus_g_npoint(sd, [(A_VECTOR, twin)], [2])
+
+    def test_close_large_points_are_told_apart(self):
+        # 10**17 and 10**17 + 1 round to one complex; compared exactly they
+        # are a handle, and an insertion next to a handle point
+        big = 10**17
+        sd = SchottkyData(genus=1, points=(big, big + 1))
+        assert genus_g_partition(sd, [3]).coefficient(2) == 2
+        sd = SchottkyData(genus=1, points=(big, -big))
+        npt = genus_g_npoint(sd, [(A_VECTOR, big + 1), (A_VECTOR, big + 2)], [1])
+        assert npt.coefficient(0) == 1
+
     def test_npoint_degenerates_to_partition(self):
         sd = self.base_sd()
         npt = genus_g_npoint(sd, [], [4])
@@ -325,6 +357,163 @@ class TestNestedSewingSum:
         flat = flat_genus2_sum(sd, insertions, (3, 3), mode)
         assert nested.is_zero() == (ell == 0 or not insertions)
         self.assert_same(nested, flat)
+
+
+# -- the sewn-sphere kernel against the per-term sums -------------------
+
+# ExactComplex does not mix with float or complex (series.ExactComplex)
+KIND_FAMILIES = ((int, Fraction, float, complex), (int, Fraction, ExactComplex))
+PARTS = ((), (1,), (2,), (1, 1), (3,), (2, 1))
+
+vectors = st.dictionaries(
+    st.sampled_from(PARTS),
+    st.sampled_from([Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 4)]),
+    min_size=1, max_size=2,
+).map(lambda terms: FockVector({FockState(p): c for p, c in terms.items()}))
+
+
+def _point(kind, num, den, im):
+    if kind is int:
+        return num
+    re = Fraction(num, den)
+    if kind is Fraction:
+        return re
+    if kind is float:
+        return float(re)
+    if kind is complex:
+        return complex(float(re), im)
+    return ExactComplex(re, im)
+
+
+def _twin(z):
+    # a point equal to z, of another type where there is one
+    if isinstance(z, (int, Fraction)):
+        return ExactComplex(z)
+    if isinstance(z, float):
+        return Fraction(z)
+    if isinstance(z, complex):
+        return ExactComplex(Fraction(z.real), Fraction(z.imag))
+    return z.re if z.im == 0 else z
+
+
+@st.composite
+def sewn_cases(draw, min_order=0):
+    """Handles (sewing points, rho order) and insertions, the points of
+    one kind or of mixed kinds, pairwise distinct."""
+    orders = draw(st.lists(st.integers(min_order, 4), min_size=1, max_size=2))
+    states = draw(st.lists(vectors, max_size=3))
+    n = len(states) + 2 * len(orders)
+    kinds = draw(st.lists(st.sampled_from(draw(st.sampled_from(KIND_FAMILIES))),
+                          min_size=n, max_size=n))
+    if draw(st.booleans()):
+        kinds = [kinds[0]] * n
+    raw = draw(st.lists(st.tuples(st.sampled_from((-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6)),
+                                  st.sampled_from((1, 2, 3)),
+                                  st.integers(-2, 2)), min_size=n, max_size=n))
+    points = [_point(kind, *r) for kind, r in zip(kinds, raw)]
+    assume(not points_coincide(points))
+    insertions = list(zip(states, points))
+    handles = [(points[len(states) + 2 * h], points[len(states) + 2 * h + 1], order)
+               for h, order in enumerate(orders)]
+    return insertions, handles
+
+
+def _typed(value):
+    """The value with the type and repr of every coefficient: equal
+    only if the types agree and the floats agree in every bit."""
+    if isinstance(value, TruncatedSeries):
+        return (value.variable, value.truncation, value.min_exponent,
+                sorted((e, _typed(c)) for e, c in value.coefficients.items()))
+    return type(value).__name__, repr(value)
+
+
+def _assert_identical(got, want):
+    assert got == want
+    assert _typed(got) == _typed(want)
+
+
+def _schottky(handles):
+    return SchottkyData(genus=len(handles), points=tuple(z for h in handles for z in h[:2]))
+
+
+def _sewn_chain(handles):
+    # handles innermost first, as _genus_g_sum numbers them; the last is
+    # the outermost Sewn
+    surface = Sphere()
+    for zeta1, zeta2, order in handles:
+        surface = Sewn(surface, SewingData(zeta1=zeta1, zeta2=zeta2), order)
+    return surface
+
+
+def _per_term_sewn(surface, entries, boundary):
+    # each handle's _sewn_series over the Sphere evaluator, outermost first
+    if isinstance(surface, Sphere):
+        return surface.evaluate(entries, boundary).data
+    sd = surface.sewing
+    return _sewn_series(sd.zeta1, sd.zeta2, surface.rho_order,
+                        lambda pairs: _per_term_sewn(surface.inner, (*entries, *pairs), boundary),
+                        surface._variable)
+
+
+class TestSewnSphereSeries:
+    @settings(max_examples=60, deadline=None)
+    @given(sewn_cases())
+    def test_genus_g_sum_matches_per_term_sums(self, case):
+        insertions, handles = case
+        sd, orders = _schottky(handles), [order for _, _, order in handles]
+        want = _genus_g_sum(sd, insertions, orders, lambda points: sphere_value(points))
+        _assert_identical(_genus_g_sum(sd, insertions, orders), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sewn_cases(), st.sampled_from(PARTS), st.sampled_from(PARTS))
+    def test_sewn_sphere_matches_per_term_sums(self, case, out, into):
+        insertions, handles = case
+        surface = _sewn_chain(handles)
+        boundary = (FockState(out), FockState(into))
+        want = _per_term_sewn(surface, tuple(insertions), boundary)
+        _assert_identical(surface.evaluate(tuple(insertions), boundary).data, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(sewn_cases(min_order=1).filter(lambda case: case[0]), st.data())
+    def test_a_coincident_point_is_a_validation_error(self, case, data):
+        insertions, handles = case
+        others = [z for _, z in insertions[1:]] + [z for h in handles for z in h[:2]]
+        twin = _twin(data.draw(st.sampled_from(others)))
+        insertions = [(insertions[0][0], twin), *insertions[1:]]
+        sd, orders = _schottky(handles), [order for _, _, order in handles]
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            _genus_g_sum(sd, insertions, orders, lambda points: sphere_value(points))
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            _genus_g_sum(sd, insertions, orders)
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            _sewn_chain(handles).evaluate(tuple(insertions))
+
+    def test_sphere_term_reads_the_kernel_memo(self, monkeypatch):
+        # the kernel numbers the fields as sphere_matrix_element does, so a
+        # term of its sums, insertions permuted, is one memo hit
+        points = (Fraction(-1), Fraction(1), Fraction(-3), Fraction(3))
+        insertions = [(A_VECTOR, Fraction(5)), (A_VECTOR, Fraction(7))]
+        genus_g_npoint(SchottkyData(genus=2, points=points), insertions, (3, 3))
+        _, bbar1, b1 = _pairing_terms(points[0], points[1], 2)[-1]
+        _, bbar2, b2 = _pairing_terms(points[2], points[3], 1)[0]
+        term = [(A_STATE, Fraction(5)), (A_STATE, Fraction(7)),
+                (bbar1, points[0]), (b1, points[1]), (bbar2, points[2]), (b2, points[3])]
+        typed_points, _ = voa._canonical_order(tuple((type(z), z) for _, z in term))
+        ctx = voa._wick_context(typed_points)
+        memo_size = len(ctx.memo)
+        calls = []
+        wick = voa._wick
+
+        def counted(*args):
+            calls.append(args)
+            return wick(*args)
+
+        monkeypatch.setattr(voa, "_wick", counted)
+        value = sphere_matrix_element(VACUUM, term[::-1], VACUUM)
+        assert len(calls) == 1 and calls[0][3] is ctx
+        assert len(ctx.memo) == memo_size
+        assert value != 0 and value == sphere_value(
+            [(FockVector({s: 1}), z) for s, z in term])
 
 
 def test_sewing_module_imports_no_numpy():

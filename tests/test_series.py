@@ -10,6 +10,7 @@ from voachain.series import (
     ExactComplex,
     SeriesError,
     TruncatedSeries,
+    points_coincide,
     series_from_json,
     series_to_json,
 )
@@ -35,6 +36,38 @@ class TestExactComplex:
         a = ExactComplex(0, 1)
         assert a * a == -1
         assert a + Fraction(1, 2) == ExactComplex(Fraction(1, 2), 1)
+
+
+class TestPointsCoincide:
+    @pytest.mark.parametrize("twin", [5, Fraction(5), 5.0, 5 + 0j, ExactComplex(5)])
+    def test_equal_values_of_any_types_coincide(self, twin):
+        for z in (5, Fraction(5), 5.0, 5 + 0j, ExactComplex(5)):
+            assert points_coincide([z, Fraction(1, 3), twin])
+
+    def test_a_float_point_coincides_with_what_rounds_to_it(self):
+        # float arithmetic rounds Fraction(1, 3) to 1/3 before it
+        # subtracts, so the two points are one; two exact points beside a
+        # float point are still compared exactly
+        assert points_coincide([Fraction(1, 3), 1 / 3])
+        assert points_coincide([ExactComplex(Fraction(1, 3), 1), complex(1 / 3, 1)])
+        assert not points_coincide([10**17, 10**17 + 1, 0.5])
+        assert not points_coincide([Fraction(10**400), 0.5])
+
+    def test_complex_points_compare_both_parts(self):
+        assert points_coincide([ExactComplex(Fraction(1, 2), -2), 0.5 - 2j])
+        assert not points_coincide([ExactComplex(Fraction(1, 2), -2), 0.5 + 2j])
+
+    @pytest.mark.parametrize("points", [
+        (10**17, 10**17 + 1),
+        (Fraction(10**17), Fraction(10**17 + 1)),
+        (Fraction(10**400), Fraction(10**400) + Fraction(1, 2)),
+        (ExactComplex(10**400, 1), ExactComplex(10**400, 2)),
+    ])
+    def test_exact_points_are_compared_exactly(self, points):
+        # a complex conversion would merge the first three pairs (one
+        # rounds them to one float, the others overflow)
+        assert not points_coincide(points)
+        assert points_coincide([*points, points[0]])
 
 
 class TestArithmetic:

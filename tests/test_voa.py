@@ -849,6 +849,15 @@ class TestWickContext:
         for num, den in ctx.memo.values():
             assert math.gcd(num, den) == 1
 
+    def test_huge_exact_point_gives_its_value(self):
+        # the distinctness check compares exactly: a point past the float
+        # range is a value, not an OverflowError
+        big = Fraction(10**400)
+        assert sphere_value([(A_VECTOR, big), (A_VECTOR, 0)]) == Fraction(1, 10**800)
+        assert sphere_value([(A_VECTOR, big), (A_VECTOR, big + 1)]) == 1
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            sphere_value([(A_VECTOR, big), (A_VECTOR, ExactComplex(big))])
+
     def test_exact_points_are_ordered_exactly(self):
         # 10**400 has no float, and 10**400 + 1/2 would round to it: both
         # orders of the two points must still find one context

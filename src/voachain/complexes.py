@@ -231,10 +231,10 @@ class Sewn:
     handle sewn onto a sewn surface is counted by rho2.  Only the sewn
     sphere reduces: D1 inserts o(v) literally, D2 is the trace's in rho.
 
-    A chain of handles sewn onto the sphere is summed in one call of
-    :func:`~voachain.voa.sewn_sphere_series`, every handle's terms in one
-    Wick context; on any other surface each handle's sum evaluates
-    ``inner`` per paired term.
+    A chain of handles sewn onto the sphere at exact points is summed in
+    one call of :func:`~voachain.voa.sewn_sphere_series`, every handle's
+    terms in one Wick context; at other points, or on any other surface,
+    each handle's sum evaluates ``inner`` per paired term.
     """
 
     inner: object
@@ -257,12 +257,13 @@ class Sewn:
         chain = [self]
         while isinstance(chain[-1].inner, Sewn):
             chain.append(chain[-1].inner)
+        data = None
         if isinstance(chain[-1].inner, Sphere):
             data = sewn_sphere_series(entries, [
                 _sewn_handle(s.sewing.zeta1, s.sewing.zeta2, s.rho_order, s._variable)
                 for s in chain
             ], *boundary)
-        else:
+        if data is None:
             inner, sd = self.inner, self.sewing
             data = _sewn_series(
                 sd.zeta1, sd.zeta2, self.rho_order,

@@ -17,22 +17,23 @@ reduction among them, holds term by term inside the sums.  Everything
 here is exact whenever the points are.
 
 All the terms of a genus-g function sit at the same points.  When the
-innermost term is the sphere function itself, every handle is summed in
-one call of :func:`~voachain.voa.sewn_sphere_series`: one point check,
-one Wick context, one _wick call per paired term, and at exact points
-one integer pair per coefficient.  :func:`_sewn_series`, one handle at a
-time over any evaluator, serves the rest: the trace, the genus-g
-reduction's terms, and o(v) acting on a paired state.
+innermost term is the sphere function itself and the points are exact,
+every handle is summed in one call of
+:func:`~voachain.voa.sewn_sphere_series`: one point check, one Wick
+context, one _wick call per paired term and one integer pair per
+coefficient.  :func:`_sewn_series`, one handle at a time over any
+evaluator, serves the rest: the sphere at float or complex points, the
+trace, the genus-g reduction's terms, and o(v) acting on a paired state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
-from .correlators import Insertion
+from .correlators import Insertion, sphere_value
 from .series import Scalar, TruncatedSeries, _int_power, points_coincide
 from .voa import (
     VACUUM,
@@ -231,17 +232,21 @@ def _genus_g_sum(sd: SchottkyData, insertions, rho_orders, sphere=None):
     Handle h sews the handles inside it, so handle g is the outermost
     sum and the innermost term is taken at the points [*insertions,
     *pairs_1, ..., *pairs_g].  By default that term is the sphere
-    function, and every handle is summed at once by
+    function, and at exact points every handle is summed at once by
     :func:`~voachain.voa.sewn_sphere_series`, one Wick context for all
     the terms.  Otherwise it is ``sphere(points)``, any term linear in the
     sphere function (the genus-g reduction passes the sphere's
-    reduction), summed by :func:`_sewn_series` per handle.
+    reduction), or the sphere function at inexact points, summed by
+    :func:`_sewn_series` per handle.
     """
     if sphere is None:
-        return sewn_sphere_series(insertions, [
+        series = sewn_sphere_series(insertions, [
             _sewn_handle(sd.point(-h), sd.point(h), rho_orders[h - 1], f"rho{h}")
             for h in range(len(rho_orders), 0, -1)
         ])
+        if series is not None:
+            return series
+        sphere = partial(sphere_value, dressed=False)
 
     def sewn(h, outer_pairs):
         if h == 0:

@@ -136,7 +136,9 @@ def points_coincide(points) -> bool:
     are.  A float or complex point enters float arithmetic, which rounds
     its partner first, so it coincides with any point that rounds to it:
     Fraction(1, 3) and 1/3 are one point.  Equal values of different
-    types (5, Fraction(5), 5.0, ExactComplex(5)) always coincide.
+    types (5, Fraction(5), 5.0, ExactComplex(5)) always coincide.  An
+    exact point beyond the float range beside a float or complex point
+    would overflow that arithmetic: a SeriesError.
     """
     # int, Fraction and float compare and hash exactly across types
     keys = {(z.re, z.im) if isinstance(z, ExactComplex)
@@ -151,8 +153,10 @@ def points_coincide(points) -> bool:
             try:
                 if complex(z) in inexact:
                     return True
-            except OverflowError:  # beyond every float
-                pass
+            except OverflowError:
+                raise SeriesError(
+                    "a point beyond the float range cannot meet float or complex points"
+                ) from None
     return False
 
 

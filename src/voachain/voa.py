@@ -492,13 +492,11 @@ def _expand_components(insertions, dressed):
 # of every handle is taken at the same points, so one check, one
 # canonical order and one Wick context serve them all, and the field
 # string of each (state, slot) is built once: a term is one _wick call.
-#
-# At exact points with rational coefficients each nested coefficient is
-# one integer pair over the least common denominator of its terms,
-# lowered to a Fraction once.  At any other points the terms are summed
-# as the per-term path sums them (sphere_value inside the nested
-# _sewn_series of schottky), with the same operations in the same
-# order: float and complex values are bit-identical to it.
+# Each nested coefficient is one integer pair over the least common
+# denominator of its terms, lowered to a Fraction once.  That needs
+# exact points and rational coefficients; any other sum is left to the
+# per-term path (sphere_value inside the nested _sewn_series of
+# schottky).
 
 
 def sewn_sphere_series(
@@ -506,7 +504,7 @@ def sewn_sphere_series(
     handles: Sequence[tuple],
     u_out: FockState = VACUUM,
     u_in: FockState = VACUUM,
-) -> TruncatedSeries:
+) -> TruncatedSeries | None:
     """<u_out', Y(v1,z1)...Y(vn,zn) u_in> with handles sewn on, as the
     nested rho-series of its paired basis sums, outermost handle first.
 
@@ -515,12 +513,20 @@ def sewn_sphere_series(
     b at zeta2.  The coefficient of rho_1^k1 ... rho_g^kg sums c_1 ... c_g
     times the sphere function over the weight-(k1, ..., kg) terms, and
     equals (with the same types) the nested per-term sums of
-    ``sphere_value``.
+    ``sphere_value``.  The points are checked first; the result is None
+    when a point is not an int or a Fraction or a coefficient is not
+    rational, and the caller then sums per term.
     """
     points = [z for _, z in insertions]
     for zeta1, zeta2, _, _ in handles:
         points += (zeta1, zeta2)
     _require_distinct(points)
+    rational = (int, Fraction)
+    if not (all(isinstance(z, rational) for z in points)
+            and all(isinstance(c, rational) for v, _ in insertions for c in v.terms.values())
+            and all(isinstance(term[0], rational)
+                    for _, _, terms, _ in handles for terms_k in terms for term in terms_k)):
+        return None
     typed_points, order = _canonical_order(tuple((type(z), z) for z in points))
     ctx = _wick_context(typed_points)
     position = [0] * len(order)
@@ -531,13 +537,9 @@ def sewn_sphere_series(
         pi = chr(position[slot])
         return "".join(chr(part - 1) + pi for part in state.partition)
 
-    combos = []
-    for states, coeff in _expand_components(insertions, dressed=False):
-        for _ in handles:
-            # the paired states' coefficients, as sphere_value takes them
-            coeff = coeff * 1 * 1
-        combos.append((coeff, [(position[i], field_chars(s, i)) for i, s in enumerate(states)],
-                       sum(s.length for s in states)))
+    combos = [(coeff, [(position[i], field_chars(s, i)) for i, s in enumerate(states)],
+               sum(s.length for s in states))
+              for states, coeff in _expand_components(insertions, dressed=False)]
     levels = []
     for h, (_, _, terms, _) in enumerate(handles):
         slot = len(insertions) + 2 * h
@@ -547,86 +549,49 @@ def sewn_sphere_series(
             for terms_k in terms]))
     slots = [""] * len(points)
     out, ins = _chars(u_out.partition), _chars(u_in.partition)
-    norm = u_out.norm_squared()
     legs = u_out.length + u_in.length
-    rational = (int, Fraction)
 
-    if ctx.exact and all(type(c) in rational for c, _, _ in combos) and all(
-            type(term[0]) in rational for _, _, terms in levels for tk in terms for term in tk):
-        # each coefficient (k_outer, ..., k_inner) as (total, common):
-        # terms cross-multiply only when their denominator is new
-        acc = {}
-        outer = [[(k, term) for k, terms_k in enumerate(terms) for term in terms_k]
-                 for _, _, terms in levels[:-1]]
-        pos1, pos2, inner = levels[-1]
-        for coeff, chars, combo_legs in combos:
-            for pi, field in chars:
-                slots[pi] = field
-            for picked in product(*outer):
-                ks, num, den, outer_legs = (), coeff.numerator, coeff.denominator, legs + combo_legs
-                for (p1, p2, _), (k, (c, bbar, b, term_legs)) in zip(levels, picked):
-                    slots[p1], slots[p2] = bbar, b
-                    ks, outer_legs = ks + (k,), outer_legs + term_legs
-                    num, den = num * c.numerator, den * c.denominator
-                for k, terms_k in enumerate(inner):
-                    key = ks + (k,)
-                    total, common = acc.get(key, (0, 1))
-                    for c, bbar, b, term_legs in terms_k:
-                        if (outer_legs + term_legs) % 2:
-                            continue
-                        slots[pos1], slots[pos2] = bbar, b
-                        wn, wd = _wick(out, "".join(slots), ins, ctx)
-                        if wn:
-                            tn, td = num * c.numerator * wn, den * c.denominator * wd
-                            if td == common:
-                                total += tn
-                            else:
-                                g = math.gcd(common, td)
-                                total = total * (td // g) + tn * (common // g)
-                                common = common // g * td
-                    acc[key] = total, common
-        values = {}
-        for key, (total, common) in acc.items():
-            if total:
-                level = values
-                for k in key[:-1]:
-                    level = level.setdefault(k, {})
-                level[key[-1]] = Fraction(total, common * norm)
-        return _as_series(values, [(variable, len(terms)) for _, _, terms, variable in handles])
-
-    inv_norm = _scalar_invert(norm)
-
-    def sphere(legs):
-        # sphere_value's sum over the expanded insertions
-        total = 0
-        for coeff, chars, combo_legs in combos:
-            if (legs + combo_legs) % 2:
-                val = 0
-            else:
-                for pi, field in chars:
-                    slots[pi] = field
-                num, den = _wick(out, "".join(slots), ins, ctx)
-                val = Fraction(num, den * norm) if ctx.exact else num * inv_norm
-            total = total + coeff * val
-        return total
-
-    return _per_term_series(levels, [variable for *_, variable in handles], slots, sphere, legs)
-
-
-def _per_term_series(levels, variables, slots, sphere, legs) -> TruncatedSeries:
-    # _sewn_series at the outermost of the levels, on its operations,
-    # and the levels inside it, with sphere(legs) innermost
-    pos1, pos2, terms = levels[0]
-    coeffs = {}
-    for k, terms_k in enumerate(terms):
-        total = 0
-        for c, bbar, b, term_legs in terms_k:
-            slots[pos1], slots[pos2] = bbar, b
-            value = (_per_term_series(levels[1:], variables[1:], slots, sphere, legs + term_legs)
-                     if levels[1:] else sphere(legs + term_legs))
-            total = total + value * c
-        coeffs[k] = total
-    return TruncatedSeries(variables[0], coeffs, len(terms))
+    # each coefficient (k_outer, ..., k_inner) as (total, common): terms
+    # cross-multiply only when their denominator is new
+    acc = {}
+    outer = [[(k, term) for k, terms_k in enumerate(terms) for term in terms_k]
+             for _, _, terms in levels[:-1]]
+    pos1, pos2, inner = levels[-1]
+    for coeff, chars, combo_legs in combos:
+        for pi, field in chars:
+            slots[pi] = field
+        for picked in product(*outer):
+            ks, num, den, outer_legs = (), coeff.numerator, coeff.denominator, legs + combo_legs
+            for (p1, p2, _), (k, (c, bbar, b, term_legs)) in zip(levels, picked):
+                slots[p1], slots[p2] = bbar, b
+                ks, outer_legs = ks + (k,), outer_legs + term_legs
+                num, den = num * c.numerator, den * c.denominator
+            for k, terms_k in enumerate(inner):
+                key = ks + (k,)
+                total, common = acc.get(key, (0, 1))
+                for c, bbar, b, term_legs in terms_k:
+                    if (outer_legs + term_legs) % 2:
+                        continue
+                    slots[pos1], slots[pos2] = bbar, b
+                    wn, wd = _wick(out, "".join(slots), ins, ctx)
+                    if wn:
+                        tn, td = num * c.numerator * wn, den * c.denominator * wd
+                        if td == common:
+                            total += tn
+                        else:
+                            g = math.gcd(common, td)
+                            total = total * (td // g) + tn * (common // g)
+                            common = common // g * td
+                acc[key] = total, common
+    values = {}
+    norm = u_out.norm_squared()
+    for key, (total, common) in acc.items():
+        if total:
+            level = values
+            for k in key[:-1]:
+                level = level.setdefault(k, {})
+            level[key[-1]] = Fraction(total, common * norm)
+    return _as_series(values, [(variable, len(terms)) for _, _, terms, variable in handles])
 
 
 def _as_series(values: dict, shape) -> TruncatedSeries:

@@ -139,6 +139,22 @@ points = 100000000000000000, 100000000000000001
         assert code == 0
         assert json.loads(out)["result"]["value"]["rational"] == "1"
 
+    def test_genus0_huge_point_beside_a_complex_point(self, write_config, capsys):
+        # 10**400 has no float value, so it cannot enter the complex
+        # arithmetic at 1j: a validation error, not an overflow
+        cfg = write_config(
+            f"""
+[experiment]
+genus = 0
+[insertions]
+states = a, a
+points = {10**400}, 1j
+"""
+        )
+        code, out, _ = run_cli(["npoint", "--config", cfg], capsys)
+        assert code == 2
+        assert "beyond the float range" in json.loads(out)["error"]["message"]
+
     def test_genus0(self, write_config, capsys):
         cfg = write_config(
             """

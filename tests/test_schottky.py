@@ -18,6 +18,7 @@ from voachain.schottky import (
     SewingError,
     _genus_g_sum,
     _pairing_terms,
+    _sewn_handle,
     _sewn_series,
     genus_g_npoint,
     genus_g_partition,
@@ -487,6 +488,19 @@ class TestSewnSphereSeries:
             _genus_g_sum(sd, insertions, orders)
         with pytest.raises(ValueError, match="pairwise distinct"):
             _sewn_chain(handles).evaluate(tuple(insertions))
+
+    def test_only_rational_sums_run_in_the_kernel(self):
+        # the kernel accumulates integer pairs; a float or complex point or
+        # coefficient leaves the sum to the per-term path (None)
+        handle = _sewn_handle(Fraction(-1), 1, 3, "rho")
+        a3 = (A_VECTOR, 3)
+        sewn = voa.sewn_sphere_series([(A_VECTOR, Fraction(2)), a3], [handle])
+        assert sewn.coefficient(0) == 1 and type(sewn.coefficient(1)) is Fraction
+        assert voa.sewn_sphere_series([(A_VECTOR, 2.0), a3], [handle]) is None
+        assert voa.sewn_sphere_series([(FockVector({A_STATE: 0.5}), 2), a3], [handle]) is None
+        assert voa.sewn_sphere_series([(A_VECTOR, 2), a3], [_sewn_handle(-1, 1j, 3, "rho")]) is None
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            voa.sewn_sphere_series([(A_VECTOR, 1.0), a3], [handle])
 
     def test_sphere_term_reads_the_kernel_memo(self, monkeypatch):
         # the kernel numbers the fields as sphere_matrix_element does, so a

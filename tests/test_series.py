@@ -51,7 +51,14 @@ class TestPointsCoincide:
         assert points_coincide([Fraction(1, 3), 1 / 3])
         assert points_coincide([ExactComplex(Fraction(1, 3), 1), complex(1 / 3, 1)])
         assert not points_coincide([10**17, 10**17 + 1, 0.5])
-        assert not points_coincide([Fraction(10**400), 0.5])
+
+    @pytest.mark.parametrize("huge", [Fraction(10**400), 10**400, ExactComplex(1, 10**400)])
+    def test_a_point_beyond_the_float_range_meets_no_float_point(self, huge):
+        # float arithmetic at the two points would overflow
+        for other in (0.5, 1j):
+            with pytest.raises(SeriesError, match="beyond the float range"):
+                points_coincide([huge, other])
+        assert not points_coincide([huge, Fraction(1, 2)])
 
     def test_complex_points_compare_both_parts(self):
         assert points_coincide([ExactComplex(Fraction(1, 2), -2), 0.5 - 2j])

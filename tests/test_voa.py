@@ -857,6 +857,9 @@ class TestWickContext:
         assert sphere_value([(A_VECTOR, big), (A_VECTOR, big + 1)]) == 1
         with pytest.raises(ValueError, match="pairwise distinct"):
             sphere_value([(A_VECTOR, big), (A_VECTOR, ExactComplex(big))])
+        # beside a float point it is a validation error, not an overflow
+        with pytest.raises(ValueError, match="beyond the float range"):
+            sphere_value([(A_VECTOR, big), (A_VECTOR, 0.5)])
 
     def test_exact_points_are_ordered_exactly(self):
         # 10**400 has no float, and 10**400 + 1/2 would round to it: both

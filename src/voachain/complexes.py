@@ -31,14 +31,7 @@ import numpy as np
 
 from .correlators import sphere_value, torus_trace
 from .elliptic import f0_kernel, pm_qseries
-from .schottky import (
-    SchottkyData,
-    SewingData,
-    _genus_g_sum,
-    _sewn_handle,
-    _sewn_series,
-    genus_g_npoint,
-)
+from .schottky import SewingData, _genus_g_sum, _sewn_series
 from .series import (
     Scalar,
     TruncatedSeries,
@@ -57,7 +50,6 @@ from .voa import (
     FockVector,
     _expand_components,
     apply_state_mode,
-    sewn_sphere_series,
     square_bracket_mode,
     zero_mode,
 )
@@ -114,7 +106,8 @@ class CorrelationFunction:
 # -- evaluators --------------------------------------------------------
 #
 # Each evaluator maps insertion entries (and boundary states) to a
-# CorrelationFunction by one presentation of the surface.  For the
+# CorrelationFunction by one presentation of the surface, names the
+# handle points on it, and sews one more handle on (apply_Dg).  For the
 # reduction (apply_D1, apply_D2) it supplies the zero of its values, its
 # check on a new point, its zero-mode term, and the D2 mode action and
 # kernel for one homogeneous component of the new state.
@@ -129,11 +122,15 @@ class Sphere:
 
     genus = 0
     prefactor_exponent = Fraction(0)
+    handle_points = ()
 
     def evaluate(self, entries, boundary=VACUUM_BOUNDARY) -> CorrelationFunction:
         return CorrelationFunction(
             0, sphere_value(entries, boundary[0], boundary[1], dressed=False)
         )
+
+    def sew(self, sd: SewingData, rho_order: int) -> "Schottky":
+        return Schottky(((sd.zeta1, sd.zeta2, rho_order, "rho"),))
 
     def _zero(self):
         return 0
@@ -196,6 +193,7 @@ class Trace:
     q_order: int
     genus = 1
     prefactor_exponent = Fraction(-CENTRAL_CHARGE, 24)
+    handle_points = ()
 
     def evaluate(self, entries, boundary=VACUUM_BOUNDARY) -> CorrelationFunction:
         for _, x in entries:
@@ -210,31 +208,30 @@ class Trace:
     def _require_point(self, x):
         _require_torus_point(x)
 
+    def sew(self, sd: SewingData, rho_order: int) -> "Sewn":
+        return Sewn(self, sd, rho_order)
+
     def _zero_mode_term(self, entries, v, x):
         return torus_trace(entries, self.q_order, zero_mode_state=v)
 
     def _mode_terms(self, wt, comp, x_new):
-        return _genus1_mode_terms(comp, x_new, "q", self.q_order)
+        # square-bracket modes with the P_{m+1} kernels at q_z = x_new / x_k
+        return (lambda m, state: square_bracket_mode(comp, m)(state),
+                lambda m, x_k: pm_qseries(m + 1, _ratio(x_new, x_k), self.q_order))
 
 
 @dataclass(frozen=True)
 class Sewn:
-    """One handle sewn onto the surface ``inner`` presents, to rho^rho_order:
-    sum_k rho^k sum_w F(x, wbar, w).
+    """One handle sewn onto a trace, or onto a sewn trace, to
+    rho^rho_order: sum_k rho^k sum_w F(x, wbar, w).
 
     The pair (wbar at zeta1, w at zeta2) runs over the weight-k basis with
     the inverse-Gram pairing, appended after the existing insertions and
-    evaluated by ``inner``.  Sewing the bare sphere gives sum p(k) rho^k
-    exactly.  Sewn onto a trace, the pair rides along inside the graded
-    trace, so the coefficients are q-series and the rho^0 term is the
-    genus-1 input itself (vacuum pair): the degeneration identity.  A
-    handle sewn onto a sewn surface is counted by rho2.  Only the sewn
-    sphere reduces: D1 inserts o(v) literally, D2 is the trace's in rho.
-
-    A chain of handles sewn onto the sphere at exact points is summed in
-    one call of :func:`~voachain.voa.sewn_sphere_series`, every handle's
-    terms in one Wick context; at other points, or on any other surface,
-    each handle's sum evaluates ``inner`` per paired term.
+    evaluated by ``inner`` per paired term.  The pair rides along inside
+    the graded trace, so the coefficients are q-series and the rho^0 term
+    is the genus-1 input itself (vacuum pair): the degeneration identity.
+    A handle sewn onto a sewn trace is counted by rho2.  A sewn trace
+    does not reduce; handles sewn onto the sphere are :class:`Schottky`.
     """
 
     inner: object
@@ -250,88 +247,71 @@ class Sewn:
         return self.inner.prefactor_exponent
 
     @property
-    def _variable(self) -> str:
-        return "rho2" if isinstance(self.inner, Sewn) else "rho"
+    def handle_points(self) -> tuple:
+        return (*self.inner.handle_points, self.sewing.zeta1, self.sewing.zeta2)
 
     def evaluate(self, entries, boundary=VACUUM_BOUNDARY) -> CorrelationFunction:
-        chain = [self]
-        while isinstance(chain[-1].inner, Sewn):
-            chain.append(chain[-1].inner)
-        data = None
-        if isinstance(chain[-1].inner, Sphere):
-            data = sewn_sphere_series(entries, [
-                _sewn_handle(s.sewing.zeta1, s.sewing.zeta2, s.rho_order, s._variable)
-                for s in chain
-            ], *boundary)
-        if data is None:
-            inner, sd = self.inner, self.sewing
-            data = _sewn_series(
-                sd.zeta1, sd.zeta2, self.rho_order,
-                lambda pairs: inner.evaluate((*entries, *pairs), boundary).data,
-                self._variable,
-            )
+        inner, sd = self.inner, self.sewing
+        data = _sewn_series(
+            sd.zeta1, sd.zeta2, self.rho_order,
+            lambda pairs: inner.evaluate((*entries, *pairs), boundary).data,
+            "rho2" if isinstance(inner, Sewn) else "rho",
+        )
         return CorrelationFunction(self.genus, data, self.prefactor_exponent)
 
-    def _zero(self):
-        return TruncatedSeries.zero(self._variable, self.rho_order)
+    def sew(self, sd: SewingData, rho_order: int) -> "Sewn":
+        return Sewn(self, sd, rho_order)
 
     def _require_point(self, x):
-        if not isinstance(self.inner, Sphere):
-            raise ComplexError(
-                f"no reduction on a handle sewn onto {type(self.inner).__name__}: "
-                "only the sewn sphere reduces"
-            )
-        _require_torus_point(x)
-
-    def _zero_mode_term(self, entries, v, x):
-        op = zero_mode(v)
-
-        def evaluate(pairs):
-            # o(v) acts on the zeta1 slot state; terms it annihilates drop out
-            (bbar, zeta1), b_slot = pairs
-            moved = op(bbar)
-            return None if moved.is_zero() else self.inner.evaluate(
-                (*entries, (moved, zeta1), b_slot)).data
-
-        sd = self.sewing
-        return _sewn_series(sd.zeta1, sd.zeta2, self.rho_order, evaluate, "rho")
-
-    def _mode_terms(self, wt, comp, x_new):
-        return _genus1_mode_terms(comp, x_new, "rho", self.rho_order)
+        raise ComplexError(
+            "no reduction on a handle sewn onto a trace: only the sewn sphere reduces"
+        )
 
 
 @dataclass(frozen=True)
 class Schottky:
-    """Genus g: the direct paired basis sums to the given rho orders.
+    """Handles sewn onto the sphere: the direct paired basis sums.
 
-    The sums are linear in the sphere function, so the genus-g reduction
-    is the sphere's, run inside them, and reduces any state.  D2 takes
-    the sphere's round modes and f^(0) kernels over the element's own
+    ``handles`` lists (zeta1, zeta2, rho_order, variable) per handle,
+    outermost first, as :func:`~voachain.schottky._genus_g_sum` sums
+    them.  The genus-g sums give them as rho2, rho1
+    (:meth:`~voachain.schottky.SchottkyData.handles`); sewing the sphere
+    adds rho, and a handle sewn on top of g others is rho{g+1}.
+
+    The sums are linear in the sphere function, so the reduction is the
+    sphere's, run inside them, and reduces any state.  D2 takes the
+    sphere's round modes and f^(0) kernels over the element's own
     insertions.  D1 is the handle sums of the sphere's reduction terms
     that D2 does not cover: its zero-mode term on all the points, and its
-    mode terms at the paired basis states.  So D^n of the genus-g
-    function equals the sums with the new insertion, coefficient for
-    coefficient."""
+    mode terms at the paired basis states.  So D^n of the function
+    equals the sums with the new insertion, coefficient for coefficient,
+    however the handles were sewn."""
 
-    sd: SchottkyData
-    orders: tuple[int, ...]
+    handles: tuple[tuple, ...]
     prefactor_exponent = Fraction(0)
 
     @property
     def genus(self) -> int:
-        return self.sd.genus
+        return len(self.handles)
+
+    @property
+    def handle_points(self) -> tuple:
+        return tuple(z for zeta1, zeta2, _, _ in self.handles for z in (zeta1, zeta2))
 
     def evaluate(self, entries, boundary=VACUUM_BOUNDARY) -> CorrelationFunction:
-        return CorrelationFunction(
-            self.genus, genus_g_npoint(self.sd, entries, self.orders)
-        )
+        return CorrelationFunction(self.genus, _genus_g_sum(self.handles, entries, boundary))
+
+    def sew(self, sd: SewingData, rho_order: int) -> "Schottky":
+        handle = (sd.zeta1, sd.zeta2, rho_order, f"rho{self.genus + 1}")
+        return Schottky((handle, *self.handles))
 
     def _zero(self):
-        return TruncatedSeries.zero(f"rho{self.genus}", self.orders[-1])
+        _, _, rho_order, variable = self.handles[0]
+        return TruncatedSeries.zero(variable, rho_order)
 
     def _require_point(self, y):
-        if points_coincide([*self.sd.points, y]):
-            raise ComplexError("a new insertion point must differ from the handle points")
+        if points_coincide([*self.handle_points, y]):
+            raise ComplexError("insertion points must differ from the handle points")
 
     def _zero_mode_term(self, entries, v, y):
         sphere = Sphere()
@@ -343,19 +323,10 @@ class Schottky:
                              lambda mod: sphere.evaluate(mod).data,
                              sphere._zero_mode_term(points, v, y))
 
-        return _genus_g_sum(self.sd, entries, self.orders, reduced)
+        return _genus_g_sum(self.handles, entries, sphere=reduced)
 
     def _mode_terms(self, wt, comp, y_new):
         return Sphere()._mode_terms(wt, comp, y_new)
-
-
-def _genus1_mode_terms(comp, x_new, variable, order):
-    # square-bracket modes with the P_{m+1} kernels at q_z = x_new / x_k
-    def kernel(m, x_k):
-        series = pm_qseries(m + 1, _ratio(x_new, x_k), order)
-        return TruncatedSeries(variable, series.coefficients, series.truncation, series.min_exponent)
-
-    return lambda m, state: square_bracket_mode(comp, m)(state), kernel
 
 
 @dataclass
@@ -428,7 +399,9 @@ def element_from_insertions(
     else:
         if getattr(ins.moduli, "genus", None) != ins.genus:
             raise ComplexError(f"genus-{ins.genus} elements need SchottkyData of that genus")
-        evaluator = Schottky(ins.moduli, tuple(rho_orders))
+        evaluator = Schottky(ins.moduli.handles(rho_orders))
+        for _, y in ins.entries:
+            evaluator._require_point(y)
     return _element(ins, evaluator)
 
 
@@ -503,22 +476,12 @@ def apply_Dg(elem: ChainElement, sd: SewingData, rho_order: int) -> ChainElement
     """Genus-raising differential: one handle sewn onto elem's own
     presentation; insertion slots keep their points."""
     _require_vacuum_boundary(elem)
-    surface = _surface_points(elem)
+    surface = [*(z for _, z in elem.insertions.entries), *elem.evaluator.handle_points]
     if points_coincide([*surface, sd.zeta1]) or points_coincide([*surface, sd.zeta2]):
         raise ComplexError("sewing points must differ from the points already on the surface")
     moduli = sd if elem.insertions.moduli is None else (elem.insertions.moduli, sd)
     new_ins = elem.insertions.with_genus(elem.genus + 1, moduli=moduli)
-    return _element(new_ins, Sewn(elem.evaluator, sd, rho_order), elem.boundary)
-
-
-def _surface_points(elem: ChainElement) -> list:
-    # the insertion points and the sewing points of the handles already sewn
-    points = [z for _, z in elem.insertions.entries]
-    evaluator = elem.evaluator
-    while isinstance(evaluator, Sewn):
-        points += [evaluator.sewing.zeta1, evaluator.sewing.zeta2]
-        evaluator = evaluator.inner
-    return points
+    return _element(new_ins, elem.evaluator.sew(sd, rho_order), elem.boundary)
 
 
 def _require_vacuum_boundary(elem: ChainElement):

@@ -16,14 +16,17 @@ it is linear in the sphere function: any sphere identity, the genus-0
 reduction among them, holds term by term inside the sums.  Everything
 here is exact whenever the points are.
 
-All the terms of a genus-g function sit at the same points.  When the
+Every handle sewn onto the sphere, whether by the direct genus-g sums or
+by sewing a sphere element, is one entry (zeta1, zeta2, rho_order,
+variable) of a handle list, outermost first, and :func:`_genus_g_sum`
+sums any such list.  All the terms sit at the same points.  When the
 innermost term is the sphere function itself and the points are exact,
 every handle is summed in one call of
 :func:`~voachain.voa.sewn_sphere_series`: one point check, one Wick
 context, one _wick call per paired term and one integer pair per
 coefficient.  :func:`_sewn_series`, one handle at a time over any
 evaluator, serves the rest: the sphere at float or complex points, the
-trace, the genus-g reduction's terms, and o(v) acting on a paired state.
+trace, the genus-g reduction's terms.
 """
 
 from __future__ import annotations
@@ -199,6 +202,16 @@ class SchottkyData:
         idx = 2 * (abs(a) - 1) + (1 if a > 0 else 0)
         return self.points[idx]
 
+    def handles(self, rho_orders: Sequence[int]) -> tuple[tuple, ...]:
+        """The handles as :func:`_genus_g_sum` takes them, handle g
+        (outermost) first: (w_-h, w_h, rho order h, "rho{h}")."""
+        if self.genus not in (1, 2):
+            raise SewingError("partition sums implemented for genus 1 and 2")
+        if len(rho_orders) != self.genus:
+            raise SewingError("one rho order per handle")
+        return tuple((self.point(-h), self.point(h), rho_orders[h - 1], f"rho{h}")
+                     for h in range(self.genus, 0, -1))
+
 
 def genus_g_partition(
     sd: SchottkyData, rho_orders: Sequence[int]
@@ -217,22 +230,20 @@ def genus_g_npoint(
 ) -> TruncatedSeries:
     """Genus-g n-point sum: extra insertions ride along in every paired
     basis term (points in the sphere coordinate)."""
-    if sd.genus not in (1, 2):
-        raise SewingError("partition sums implemented for genus 1 and 2")
-    if len(rho_orders) != sd.genus:
-        raise SewingError("one rho order per handle")
+    handles = sd.handles(rho_orders)
     if any(points_coincide([*sd.points, z]) for _, z in insertions):
         raise SewingError("insertion points must differ from the handle points")
-    return _genus_g_sum(sd, insertions, rho_orders)
+    return _genus_g_sum(handles, insertions)
 
 
-def _genus_g_sum(sd: SchottkyData, insertions, rho_orders, sphere=None):
-    """Nested rho-series (rho_g outermost) of the genus-g basis sums.
+def _genus_g_sum(handles, insertions, boundary=(VACUUM, VACUUM), sphere=None):
+    """Nested rho-series of the basis sums of handles sewn onto the sphere.
 
-    Handle h sews the handles inside it, so handle g is the outermost
-    sum and the innermost term is taken at the points [*insertions,
-    *pairs_1, ..., *pairs_g].  By default that term is the sphere
-    function, and at exact points every handle is summed at once by
+    Each handle is (zeta1, zeta2, rho_order, variable), outermost first,
+    and sews the handles after it; the innermost term is taken at the
+    points [*insertions, *pairs of handles[0], *pairs of handles[1], ...].
+    By default that term is the sphere function between the boundary
+    states, and at exact points every handle is summed at once by
     :func:`~voachain.voa.sewn_sphere_series`, one Wick context for all
     the terms.  Otherwise it is ``sphere(points)``, any term linear in the
     sphere function (the genus-g reduction passes the sphere's
@@ -240,20 +251,16 @@ def _genus_g_sum(sd: SchottkyData, insertions, rho_orders, sphere=None):
     :func:`_sewn_series` per handle.
     """
     if sphere is None:
-        series = sewn_sphere_series(insertions, [
-            _sewn_handle(sd.point(-h), sd.point(h), rho_orders[h - 1], f"rho{h}")
-            for h in range(len(rho_orders), 0, -1)
-        ])
+        series = sewn_sphere_series(insertions, [_sewn_handle(*h) for h in handles], *boundary)
         if series is not None:
             return series
-        sphere = partial(sphere_value, dressed=False)
+        sphere = partial(sphere_value, u_out=boundary[0], u_in=boundary[1], dressed=False)
 
-    def sewn(h, outer_pairs):
-        if h == 0:
-            return sphere([*insertions, *outer_pairs])
-        return _sewn_series(
-            sd.point(-h), sd.point(h), rho_orders[h - 1],
-            lambda pairs: sewn(h - 1, pairs + outer_pairs), f"rho{h}",
-        )
+    def sewn(i, points):
+        if i == len(handles):
+            return sphere(points)
+        zeta1, zeta2, rho_order, variable = handles[i]
+        return _sewn_series(zeta1, zeta2, rho_order,
+                            lambda pairs: sewn(i + 1, [*points, *pairs]), variable)
 
-    return sewn(len(rho_orders), [])
+    return sewn(0, list(insertions))

@@ -361,10 +361,9 @@ tolerance = 1e-9
         assert all(rep["residual"] == 0 for rep in doc["reports"])
 
 
-    def test_nonzero_residual_with_assert_exits_3(self, write_config, capsys):
-        # the mixed commutation at a nontrivial insertion picks up the
-        # chart drift of the fixed-pair sewing prescription (even-parity
-        # output: the one-point of a extended by another a)
+    def test_weighted_mixed_commutation_is_exactly_zero(self, write_config, capsys):
+        # Dg Dn(x) = Dn(x) Dg for a weighted x at an even leg count: the
+        # sewn sphere reduces as the direct genus-g sums do
         cfg = write_config(
             """
 [experiment]
@@ -383,9 +382,24 @@ expect_zero = true
 tolerance = 1e-12
 """
         )
-        code, out, err = run_cli(["check-complex", "--config", cfg], capsys)
+        code, out, _ = run_cli(["check-complex", "--config", cfg], capsys)
         doc = json.loads(out)
-        assert doc["reports"][0]["residual"] > 1e-12
+        assert doc["reports"][0]["residual"] == 0
+        assert doc["reports"][0]["composition_norm"] > 0
+        assert code == 0
+
+    def test_nonzero_residual_with_assert_exits_3(self, write_config, capsys, monkeypatch):
+        import voachain.cli as cli
+        from voachain.complexes import ConditionReport
+
+        monkeypatch.setattr(cli, "check_chain_conditions", lambda suite: [
+            ConditionReport(kind="gn", residual=0.5, composition_norm=1.0, detail={})])
+        cfg = write_config(
+            "[experiment]\nkinds = gn\n[element]\nstates = a\npoints = 7\n"
+            "[assert]\nexpect_zero = true\ntolerance = 1e-12\n"
+        )
+        code, out, err = run_cli(["check-complex", "--config", cfg], capsys)
+        assert json.loads(out)["reports"][0]["residual"] == 0.5
         assert code == 3
         assert "tolerance" in err
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from voachain.complexes import (
@@ -60,6 +60,15 @@ def g0_element(*names_points):
 
 def _corr_sum(a, b):
     return CorrelationFunction(a.genus, a.data + b.data, a.prefactor_exponent)
+
+
+def sewn_sphere(handles, *names_points, elem=None):
+    # the genus-0 element (by default of names_points) with handles sewn
+    # on at (-1, 1), then (-4, 4), to rho order 3
+    elem = elem or g0_element(*names_points)
+    for zeta in (Fraction(1), Fraction(4))[:handles]:
+        elem = apply_Dg(elem, SewingData(zeta1=-zeta, zeta2=zeta), 3)
+    return elem
 
 
 def g1_element(names_points, q_order=8):
@@ -708,17 +717,25 @@ class TestGenus2Reduction:
         assert not elem.value.is_zero()
 
     def test_vacuum_step_is_the_identity(self):
-        # as at genus 0 and 1 (the removed kernels raised SewingError here)
+        # as at genus 0 and 1 (the removed kernels raised SewingError here),
+        # and on the once- and twice-sewn sphere, at z = 0 as on the sphere
         elem = self.make_element(entries=((A_VECTOR, Fraction(2)), (AA, Fraction(3))))
         assert apply_Dn((VACUUM_VECTOR, Fraction(6)), elem).value.data == elem.value.data
+        for handles in (1, 2):
+            sewn = sewn_sphere(handles, ("a", Fraction(2)), ("a", Fraction(3)))
+            assert not sewn.value.is_zero()
+            for y in (Fraction(6), Fraction(0)):
+                assert apply_Dn((VACUUM_VECTOR, y), sewn).value.data == sewn.value.data
 
     @pytest.mark.parametrize("v", [A_VECTOR, OMEGA_VECTOR + VACUUM_VECTOR])
     def test_weighted_step_to_zero_rejected_as_at_genus_0(self, v):
         with pytest.raises(ComplexError) as at_genus_0:
             apply_Dn((v, Fraction(0)), g0_element(("a", Fraction(2))))
-        with pytest.raises(ComplexError) as at_genus_2:
-            apply_Dn((v, Fraction(0)), self.make_element())
-        assert str(at_genus_2.value) == str(at_genus_0.value)
+        for elem in (self.make_element(), sewn_sphere(1, ("a", Fraction(2))),
+                     sewn_sphere(2, ("a", Fraction(2)))):
+            with pytest.raises(ComplexError) as raised:
+                apply_Dn((v, Fraction(0)), elem)
+            assert str(raised.value) == str(at_genus_0.value)
 
     def test_d2_leading_coefficient_is_the_pole_kernel_reduction(self):
         # the rho^0 coefficient of the sums is the sphere value, and at
@@ -753,8 +770,9 @@ class TestGenus2Reduction:
         elem = element_from_insertions(ins, rho_orders=(3, 2))
         old_zero = genus_g_npoint(sd, ins.entries, (3, 2)) * 0
         calls = []
-        monkeypatch.setattr(complexes, "genus_g_npoint",
-                            lambda *a, **k: calls.append(a) or genus_g_npoint(*a, **k))
+        genus_g_sum = complexes._genus_g_sum
+        monkeypatch.setattr(complexes, "_genus_g_sum",
+                            lambda *a, **k: calls.append(a) or genus_g_sum(*a, **k))
         d2 = apply_D2((A_VECTOR, Fraction(6)), elem)
         assert calls == []
         assert d2.value.data == old_zero
@@ -788,6 +806,13 @@ class TestGenus2Reduction:
         elem = self.make_element(((state, Fraction(2)),))
         with pytest.raises(ComplexError, match="handle points"):
             apply((A_VECTOR, Fraction(-4)), elem)
+
+    def test_sewing_at_a_handle_point_rejected_up_front(self):
+        # the handle points are on the surface: refused before any sum runs
+        elem = self.make_element()
+        with pytest.raises(ComplexError, match="sewing points must differ from the points "
+                                               "already on the surface"):
+            apply_Dg(elem, SewingData(zeta1=Fraction(9), zeta2=Fraction(1)), 2)
 
     def test_genus2_zero_point_round_trip(self):
         sd = SD2
@@ -849,20 +874,30 @@ def test_handle_exchange_is_exact_at_genus0(names, points):
 
 
 @settings(max_examples=10, deadline=None)
-@given(names=sewn_names, points=sewn_points)
-def test_sewing_commutes_with_a_vacuum_step_at_genus0(names, points):
-    # Dg Dn(1) = Dn(1) Dg coefficient for coefficient: the vacuum step is
-    # the identity on the sphere and on the sewn sphere alike.  A weighted
-    # step does not commute with the sewing this way (the sewn sphere
-    # reduces with the trace's kernels), so only the vacuum is asserted.
-    elem = g0_element(*zip(names, points))
-    sd = SewingData(zeta1=points[3], zeta2=points[4])
-    x = (VACUUM_VECTOR, points[5])
+@example(names=["a"], step="a", points=[7, 2, 3, 1, -1, 11, 5])
+@given(names=st.lists(st.sampled_from(["a", "aa"]), min_size=1, max_size=3),
+       step=st.sampled_from(["1", "a", "aa", "omega"]), points=sewn_points)
+def test_sewing_commutes_with_a_reduction_step_at_genus0(names, step, points):
+    # Dg Dn(x) = Dn(x) Dg coefficient for coefficient, for the vacuum and
+    # for weighted x: D^n of the sewn sphere is the sewing of the element
+    # with x inserted, so the gn residual is exactly 0.  An odd leg count
+    # is 0 on both sides.
+    legs = {"1": 0, "a": 1, "aa": 2, "omega": 2}
+    assume(sum(legs[n] for n in [*names, step]) % 2 == 0)
+    x = (EXCHANGE_POOL[step], Fraction(points[5]))
+    elem = g0_element(*zip(names, map(Fraction, points)))
+    sd = SewingData(zeta1=Fraction(points[3]), zeta2=Fraction(points[4]))
     path_a = apply_Dg(apply_Dn(x, elem), sd, 3).value.data
     path_b = apply_Dn(x, apply_Dg(elem, sd, 3)).value.data
     for k in range(3):
         assert path_a.coefficient(k) == path_b.coefficient(k), k
-    assert path_a.coefficient(0) == elem.value.data
+    if step == "1":
+        assert path_a.coefficient(0) == elem.value.data
+    (report,) = check_chain_conditions(
+        [{"kind": "gn", "element": elem, "x": x, "sewing": sd, "rho_order": 3}])
+    assert report.residual == 0
+    if names == ["a"] and step == "a":
+        assert report.composition_norm > 0
 
 
 class TestGenus2Presentations:
@@ -942,24 +977,64 @@ class TestExactPointChecks:
 
 
 class TestPresentationsThatDoNotReduce:
-    # only the sphere sewn once reduces among the sewn presentations; the
-    # others are a validation error for D1 and D2 alike
+    # a sewn trace is a validation error for D1 and D2 alike
     def sewn_trace(self):
         base = g1_element([("a", Fraction(5))], q_order=3)
         return apply_Dg(base, SewingData(zeta1=Fraction(2), zeta2=Fraction(-2)), 2)
 
-    def twice_sewn_sphere(self):
-        base = g0_element(("a", Fraction(5)))
-        once = apply_Dg(base, SewingData(zeta1=Fraction(-1), zeta2=Fraction(1)), 2)
-        return apply_Dg(once, SewingData(zeta1=Fraction(-3), zeta2=Fraction(3)), 2)
-
-    @pytest.mark.parametrize("build", ["sewn_trace", "twice_sewn_sphere"])
+    @pytest.mark.parametrize("build", ["sewn_trace"])
     @pytest.mark.parametrize("apply", [apply_D1, apply_D2])
     def test_reduction_rejected(self, build, apply):
         elem = getattr(self, build)()
         assert elem.genus == 2
         with pytest.raises(ComplexError, match="only the sewn sphere reduces"):
             apply((A_VECTOR, Fraction(7)), elem)
+
+
+SEWN_POOL = {"1": VACUUM_VECTOR, "a": A_VECTOR, "aa": AA, "omega": OMEGA_VECTOR, "[2]": A2}
+
+
+class TestSewnSphereReduction:
+    # handles sewn onto the sphere reduce as the direct genus-g sums do:
+    # D^n of the sewn element is the sewing of the element with the new
+    # insertion, by == and coefficient for coefficient, for any state
+    def assert_steps_equal_sewing(self, handles, names_points, steps):
+        elem = sewn_sphere(handles, *names_points)
+        for v, y in steps:
+            elem = apply_Dn((v, y), elem)
+        entries = tuple((POOL[n], z) for n, z in names_points) + tuple(steps)
+        want = sewn_sphere(handles, elem=genus0_npoint(InsertionTuple(entries, 0))).value
+        assert elem.value == want
+        for j in range(3):
+            for k in range(3 if handles == 2 else 1):
+                assert (_nested_coefficient(elem.value.data, j, k)
+                        == _nested_coefficient(want.data, j, k)), (j, k)
+        return elem
+
+    def test_once_sewn_example(self):
+        # a at 7 sewn at (1, -1), stepped by a at 11: the sphere two-point
+        # function 1/(7 - 11)^2 at rho^0
+        elem = apply_Dg(g0_element(("a", Fraction(7))), SewingData(zeta1=1, zeta2=-1), 3)
+        step = apply_Dn((A_VECTOR, Fraction(11)), elem)
+        assert [step.value.data.coefficient(k) for k in range(3)] == [
+            Fraction(1, 16), Fraction(8281, 129600), Fraction(4470011, 34992000)]
+        sewn = apply_Dg(g0_element(("a", Fraction(7)), ("a", Fraction(11))),
+                        SewingData(zeta1=1, zeta2=-1), 3)
+        assert step.value == sewn.value
+
+    def test_twice_sewn_stepped_twice(self):
+        elem = self.assert_steps_equal_sewing(
+            2, [("a", Fraction(5))], [(A_VECTOR, Fraction(7)), (AA, Fraction(9))])
+        assert not elem.value.is_zero()
+
+    @settings(max_examples=10, deadline=None)
+    @given(handles=st.sampled_from([1, 2]), names=sewn_names,
+           step=st.sampled_from(list(SEWN_POOL)),
+           points=st.lists(exchange_points, min_size=4, max_size=4, unique=True))
+    def test_one_step_equals_sewing_the_stepped_element(self, handles, names, step, points):
+        # the points avoid 0 and the handle points (-1, 1, -4, 4)
+        *held, y = points
+        self.assert_steps_equal_sewing(handles, list(zip(names, held)), [(SEWN_POOL[step], y)])
 
 
 class TestCohomology:

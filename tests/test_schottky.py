@@ -129,7 +129,7 @@ class TestSewSphere:
         # sewing the bare sphere reproduces the graded dimensions: the
         # trace oracle gives sum p(k) q^k and sewing must agree with
         # rho identified with q
-        series = Sewn(Sphere(), SewingData(), 7).evaluate([]).data
+        series = Sphere().sew(SewingData(), 7).evaluate([]).data
         oracle = partition_qseries(7)
         for k in range(7):
             assert series.coefficient(k) == oracle.coefficient(k), k
@@ -137,7 +137,7 @@ class TestSewSphere:
 
     def test_partition_counts_for_any_sewing_points(self):
         for z1, z2 in ((Fraction(2), Fraction(1, 2)), (Fraction(-5), Fraction(7, 3))):
-            series = Sewn(Sphere(), SewingData(zeta1=z1, zeta2=z2), 6).evaluate([]).data
+            series = Sphere().sew(SewingData(zeta1=z1, zeta2=z2), 6).evaluate([]).data
             for k in range(6):
                 assert series.coefficient(k) == oracle_partition_counts(k), (z1, z2, k)
 
@@ -145,11 +145,11 @@ class TestSewSphere:
         # rho^0 term: vacuum pair insertion, Y(1,z) = Id
         ins = [(A_VECTOR, Fraction(3)), (A_VECTOR, Fraction(5))]
         base = sphere_value(ins, dressed=False)
-        series = Sewn(Sphere(), SewingData(), 3).evaluate(ins).data
+        series = Sphere().sew(SewingData(), 3).evaluate(ins).data
         assert series.coefficient(0) == base
 
     def test_one_point_of_a_vanishes_every_order(self):
-        series = Sewn(Sphere(), SewingData(), 6).evaluate([(A_VECTOR, Fraction(4))]).data
+        series = Sphere().sew(SewingData(), 6).evaluate([(A_VECTOR, Fraction(4))]).data
         assert series.is_zero()
 
     def test_linearity(self):
@@ -160,9 +160,9 @@ class TestSewSphere:
             (A_VECTOR, Fraction(7)),
         ]
         sd = SewingData()
-        lhs = Sewn(Sphere(), sd, 5).evaluate(combo).data
-        rhs_a = Sewn(Sphere(), sd, 5).evaluate(ins_a).data
-        rhs_b = Sewn(Sphere(), sd, 5).evaluate(ins_b).data
+        lhs = Sphere().sew(sd, 5).evaluate(combo).data
+        rhs_a = Sphere().sew(sd, 5).evaluate(ins_a).data
+        rhs_b = Sphere().sew(sd, 5).evaluate(ins_b).data
         for k in range(5):
             assert lhs.coefficient(k) == rhs_a.coefficient(k) + Fraction(2, 3) * rhs_b.coefficient(k)
 
@@ -176,7 +176,7 @@ class TestSewSphere:
         z1, z2 = Fraction(-2), Fraction(2)
         x1, x2 = Fraction(1, 2), Fraction(-1, 3)
         ins = [(A_VECTOR, x1), (A_VECTOR, x2)]
-        sewn = Sewn(Sphere(), SewingData(zeta1=z1, zeta2=z2), 2).evaluate(ins).data
+        sewn = Sphere().sew(SewingData(zeta1=z1, zeta2=z2), 2).evaluate(ins).data
 
         def mu(x):
             return (x - z2) / (x - z1)
@@ -231,7 +231,7 @@ class TestGenusGPartition:
         sd = self.base_sd()
         series = genus_g_partition(sd, [6])
         sewing = SewingData(zeta1=sd.point(-1), zeta2=sd.point(1))
-        sewn = Sewn(Sphere(), sewing, 6).evaluate([]).data
+        sewn = Sphere().sew(sewing, 6).evaluate([]).data
         for k in range(6):
             assert series.coefficient(k) == sewn.coefficient(k), k
 
@@ -345,7 +345,7 @@ class TestNestedSewingSum:
         # so only an odd number of inserted legs leaves a nonzero sum
         sd = self.schottky(False)
         mode = (a, A_VECTOR, ell)
-        slot = len(insertions) + 2 * a - 1
+        slot = len(insertions) + 2 * (2 - a) + 1  # handle 2 is summed outermost
 
         def moved_sphere(points):
             state, point = points[slot]
@@ -354,7 +354,7 @@ class TestNestedSewingSum:
                 return 0
             return sphere_value([*points[:slot], (moved, point), *points[slot + 1:]])
 
-        nested = _genus_g_sum(sd, insertions, (3, 3), moved_sphere)
+        nested = _genus_g_sum(sd.handles((3, 3)), insertions, sphere=moved_sphere)
         flat = flat_genus2_sum(sd, insertions, (3, 3), mode)
         assert nested.is_zero() == (ell == 0 or not insertions)
         self.assert_same(nested, flat)
@@ -438,22 +438,22 @@ def _schottky(handles):
 
 
 def _sewn_chain(handles):
-    # handles innermost first, as _genus_g_sum numbers them; the last is
-    # the outermost Sewn
+    # handles innermost first, sewn onto the sphere as apply_Dg sews them;
+    # the last is the outermost
     surface = Sphere()
     for zeta1, zeta2, order in handles:
-        surface = Sewn(surface, SewingData(zeta1=zeta1, zeta2=zeta2), order)
+        surface = surface.sew(SewingData(zeta1=zeta1, zeta2=zeta2), order)
     return surface
 
 
-def _per_term_sewn(surface, entries, boundary):
+def _per_term_sewn(handles, entries, boundary):
     # each handle's _sewn_series over the Sphere evaluator, outermost first
-    if isinstance(surface, Sphere):
-        return surface.evaluate(entries, boundary).data
-    sd = surface.sewing
-    return _sewn_series(sd.zeta1, sd.zeta2, surface.rho_order,
-                        lambda pairs: _per_term_sewn(surface.inner, (*entries, *pairs), boundary),
-                        surface._variable)
+    if not handles:
+        return Sphere().evaluate(entries, boundary).data
+    (zeta1, zeta2, order, variable), *inner = handles
+    return _sewn_series(zeta1, zeta2, order,
+                        lambda pairs: _per_term_sewn(inner, (*entries, *pairs), boundary),
+                        variable)
 
 
 class TestSewnSphereSeries:
@@ -461,9 +461,9 @@ class TestSewnSphereSeries:
     @given(sewn_cases())
     def test_genus_g_sum_matches_per_term_sums(self, case):
         insertions, handles = case
-        sd, orders = _schottky(handles), [order for _, _, order in handles]
-        want = _genus_g_sum(sd, insertions, orders, lambda points: sphere_value(points))
-        _assert_identical(_genus_g_sum(sd, insertions, orders), want)
+        sewn = _schottky(handles).handles([order for _, _, order in handles])
+        want = _genus_g_sum(sewn, insertions, sphere=lambda points: sphere_value(points))
+        _assert_identical(_genus_g_sum(sewn, insertions), want)
 
     @settings(max_examples=40, deadline=None)
     @given(sewn_cases(), st.sampled_from(PARTS), st.sampled_from(PARTS))
@@ -471,7 +471,7 @@ class TestSewnSphereSeries:
         insertions, handles = case
         surface = _sewn_chain(handles)
         boundary = (FockState(out), FockState(into))
-        want = _per_term_sewn(surface, tuple(insertions), boundary)
+        want = _per_term_sewn(surface.handles, tuple(insertions), boundary)
         _assert_identical(surface.evaluate(tuple(insertions), boundary).data, want)
 
     @settings(max_examples=30, deadline=None)
@@ -481,11 +481,11 @@ class TestSewnSphereSeries:
         others = [z for _, z in insertions[1:]] + [z for h in handles for z in h[:2]]
         twin = _twin(data.draw(st.sampled_from(others)))
         insertions = [(insertions[0][0], twin), *insertions[1:]]
-        sd, orders = _schottky(handles), [order for _, _, order in handles]
+        sewn = _schottky(handles).handles([order for _, _, order in handles])
         with pytest.raises(ValueError, match="pairwise distinct"):
-            _genus_g_sum(sd, insertions, orders, lambda points: sphere_value(points))
+            _genus_g_sum(sewn, insertions, sphere=lambda points: sphere_value(points))
         with pytest.raises(ValueError, match="pairwise distinct"):
-            _genus_g_sum(sd, insertions, orders)
+            _genus_g_sum(sewn, insertions)
         with pytest.raises(ValueError, match="pairwise distinct"):
             _sewn_chain(handles).evaluate(tuple(insertions))
 

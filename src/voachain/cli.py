@@ -13,10 +13,12 @@ escapes with its traceback (exit 1).
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .complexes import (
     ChainElement,
@@ -56,6 +58,10 @@ STATE_ALIASES = {
     "a2": (2,),
     "a3": (3,),
 }
+
+
+# the [truncation] keys that are truncation orders, each 0 or more
+ORDER_KEYS = ("q_order", "rho_order", "rho_orders")
 
 
 class ConfigError(ValueError):
@@ -112,9 +118,26 @@ def parse_scalar(token: str):
     except (ValueError, ZeroDivisionError):
         pass
     try:
-        return complex(token)
+        value = complex(token)
     except ValueError as exc:
         raise ConfigError(f"cannot parse scalar {token!r}") from exc
+    # nan or inf is no point, and strict JSON has no literal for it
+    if not cmath.isfinite(value):
+        raise ConfigError(f"scalar {token!r} is not finite")
+    return value
+
+
+def parse_order(token: str, where: str) -> int:
+    order = parse_number(int, token, where)
+    if order < 0:
+        raise ConfigError(f"{where}: truncation order {order} is negative")
+    return order
+
+
+def parse_orders(cfg, fallback: str) -> tuple[int, ...]:
+    where = "[truncation] rho_orders"
+    return tuple(parse_order(x, where)
+                 for x in parse_list(cfg.get("truncation", "rho_orders", fallback=fallback)))
 
 
 def parse_list(raw: str):
@@ -200,10 +223,11 @@ def truncations(cfg) -> dict:
         for key in cfg["truncation"]:
             raw = cfg.get("truncation", key)
             where = f"[truncation] {key}"
+            parse = parse_order if key in ORDER_KEYS else partial(parse_number, int)
             if "," in raw:
-                out[key] = [parse_number(int, x, where) for x in parse_list(raw)]
+                out[key] = [parse(x, where) for x in parse_list(raw)]
             else:
-                out[key] = parse_number(int, raw, where)
+                out[key] = parse(raw, where)
     return out
 
 
@@ -262,7 +286,8 @@ def cmd_eval_f0(args) -> int:
     }
     if args.z is not None and args.w is not None:
         z, w = parse_scalar(args.z), parse_scalar(args.w)
-        report["value_at"] = {"z": str(z), "w": str(w),
+        z_str, w_str = (_frac_str(x) if isinstance(x, Fraction) else str(x) for x in (z, w))
+        report["value_at"] = {"z": z_str, "w": w_str,
                               "value": scalar_json(kernel(z, w))}
     emit(report)
     return 0
@@ -277,10 +302,7 @@ def cmd_npoint(args) -> int:
     sd = rho_orders = None
     if genus == 2:
         sd = build_schottky(cfg)
-        rho_orders = tuple(
-            parse_number(int, x, "[truncation] rho_orders")
-            for x in parse_list(cfg.get("truncation", "rho_orders", fallback="4,3"))
-        )
+        rho_orders = parse_orders(cfg, fallback="4,3")
     ins = build_insertions(cfg, genus, moduli=sd)
     if path == "oracle":
         elem = _oracle_element(ins, q_order, trunc.get("weight_cutoff"), rho_orders)
@@ -339,10 +361,7 @@ def cmd_sew(args) -> int:
 def cmd_partition(args) -> int:
     cfg = read_config(args.config)
     sd = build_schottky(cfg)
-    orders = tuple(
-        parse_number(int, x, "[truncation] rho_orders")
-        for x in parse_list(cfg.get("truncation", "rho_orders", fallback="6"))
-    )
+    orders = parse_orders(cfg, fallback="6")
     series = genus_g_partition(sd, orders)
     emit({
         "command": "partition",

@@ -8,7 +8,10 @@ Z(q) times a sum over pairings of exact q-series propagators, exact per
 q-order because each propagator coefficient is an exact rational
 function of the insertion coordinates.  Torus insertion points are given
 in the exponentiated coordinate x = e^z, so rational points keep the
-whole computation in rational arithmetic.  The brute-force trace over
+whole computation in rational arithmetic: there every propagator and
+pairing sum is a list of integer numerators over one integer
+denominator, and each trace coefficient is lowered to a Fraction once,
+after the product with Z(q).  The brute-force trace over
 the Fock basis, :func:`torus_qseries`, stays as the oracle the tests
 compare the Gaussian form with.
 """
@@ -20,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .series import Scalar, TruncatedSeries, _int_power
+from .series import Scalar, TruncatedSeries
 from .voa import (
     VACUUM,
     FockState,
@@ -28,6 +31,7 @@ from .voa import (
     _chars,
     _comb_neg,
     _expand_components,
+    _power_pair,
     _require_distinct,
     partition_count,
     sphere_matrix_element,
@@ -82,22 +86,36 @@ def torus_trace(
     else:
         zero_mode_terms = [(_chars(sorted(p - 1 for p in s.partition)), c)
                            for s, c in zero_mode_state.terms.items()]
+    # with exact points and rational coefficients every term is an
+    # integer pair and the trace one list over one denominator; else the
+    # terms are scalars, summed from Fraction(0) so that rational ones
+    # come out as Fractions, as the basis sum's do
+    rational = (int, Fraction)
+    exact = (ctx.exact and all(isinstance(c, rational) for _, c in zero_mode_terms)
+             and all(isinstance(c, rational) for v, _ in insertions for c in v.terms.values()))
     zero = [0] * q_order
-    total = zero
+    total, den = (zero if exact else [Fraction(0)] * q_order), 1
     for states, coeff in _expand_components(insertions, dressed=True):
         fields = "".join(sorted(chr(p - 1) + chr(i) for i, s in enumerate(states)
                                 for p in s.partition))
         for v_fields, c in zero_mode_terms:
             # no pairing gives the zero a basis-state sum would give
-            series = _zero_mode_sum(ctx, v_fields, fields, 0) or zero
+            nums, d = _zero_mode_sum(ctx, v_fields, fields, 0) or (zero, 1)
             factor = c * coeff
-            total = [t + factor * s for t, s in zip(total, series)]
+            if exact:
+                total, den = _accumulate(
+                    (total, den), ([factor.numerator * n for n in nums], factor.denominator * d))
+            else:
+                values = [Fraction(n, d) for n in nums] if ctx.exact else nums
+                total = [t + factor * s for t, s in zip(total, values)]
     # times Z(q), zero terms included: like the basis sum's, they carry
     # the scalar type of the point arithmetic
     coeffs = [0] * q_order
     for i, p in enumerate(ctx.partition):
         for j in range(q_order - i):
             coeffs[i + j] = coeffs[i + j] + p * total[j]
+    if exact:
+        coeffs = [Fraction(c, den) for c in coeffs]
     return TruncatedSeries("q", dict(enumerate(coeffs)), q_order)
 
 
@@ -129,21 +147,34 @@ def torus_trace(
 # One context per typed point tuple and q-order holds the propagators
 # and the pairing sums over field multisets (fields sorted), shared by
 # every trace at those points: the paired terms of a sewn torus, the
-# reduction's re-evaluations with moved states.  Series are lists of
-# q-order coefficients; None marks a sum with no pairing.
+# reduction's re-evaluations with moved states.  None marks a sum with
+# no pairing.  Every other sum is one q-series over one denominator: a
+# list of q-order numerators and the denominator.  When every point is
+# an int or a Fraction the numerators are ints and the denominator is a
+# positive int, built from integer power pairs of the points (the
+# denominators are products of powers of the x_i and of x_i - x_j).
+# Products convolve the numerators and multiply the denominators, sums
+# add numerators over an equal denominator or cross-multiply, and each
+# table entry is reduced by one gcd when it is stored, where Fraction
+# arithmetic would take one per operation; torus_trace lowers each
+# trace coefficient to a Fraction once.  At any other points the
+# denominator is 1 and the numerators are the scalars themselves, so the
+# same code does the arithmetic of the points in the same order on the
+# same values.
 
 
 class _TorusContext:
     """The tables shared by every Gaussian trace at one point tuple."""
 
-    __slots__ = ("points", "order", "partition", "propagators", "memo")
+    __slots__ = ("points", "exact", "order", "partition", "propagators", "memo")
 
     def __init__(self, points: tuple, order: int):
         self.points = points
+        self.exact = all(isinstance(x, (int, Fraction)) for x in points)
         self.order = order
-        self.partition = [Fraction(partition_count(k)) for k in range(order)]
-        self.propagators: dict = {}  # two fields, or (d, field) -> series
-        self.memo: dict = {}  # (v fields, fields, e) -> series or None
+        self.partition = [partition_count(k) for k in range(order)]
+        self.propagators: dict = {}  # two fields, or (d, field) -> {e: series}
+        self.memo: dict = {}  # fields, or (v fields, fields, e) -> series or None
 
 
 @lru_cache(maxsize=1)
@@ -164,26 +195,58 @@ def _self_contraction(d1: int, d2: int, order: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _propagator(ctx: _TorusContext, pair: str) -> list:
+def _reduced(ctx: _TorusContext, series):
+    # one gcd over the numerators and the denominator, at exact points
+    if ctx.exact and series is not None:
+        nums, den = series
+        g = math.gcd(den, *nums)
+        if g > 1:
+            return [n // g for n in nums], den // g
+    return series
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    # the sum of two (numerator, denominator) pairs
+    (an, ad), (bn, bd) = a, b
+    if ad == bd:
+        return an + bn, ad
+    g = math.gcd(ad, bd)
+    return an * (bd // g) + bn * (ad // g), ad // g * bd
+
+
+def _term(ctx: _TorusContext, c: int, xi, ei: int, xj, ej: int) -> tuple:
+    # c xi^ei xj^ej as a pair
+    ni, di = _power_pair(ctx.exact, xi, ei)
+    nj, dj = _power_pair(ctx.exact, xj, ej)
+    return c * ni * nj, di * dj
+
+
+def _propagator(ctx: _TorusContext, pair: str) -> tuple:
     val = ctx.propagators.get(pair)
     if val is None:
         d1, i, d2, j = map(ord, pair)
         xi, xj = ctx.points[i], ctx.points[j]
         if i == j:
-            scale = _int_power(xi, -2 - d1 - d2)
-            val = [scale * c for c in _self_contraction(d1, d2, ctx.order)]
+            num, den = _power_pair(ctx.exact, xi, -2 - d1 - d2)
+            val = [num * c for c in _self_contraction(d1, d2, ctx.order)], den
         else:
-            val = [0] * ctx.order
-            val[0] = ((-1) ** d1 * (d1 + d2 + 1) * math.comb(d1 + d2, d1)
-                      * _int_power(xi - xj, -2 - d1 - d2))
+            num, den = _power_pair(ctx.exact, xi - xj, -2 - d1 - d2)
+            coeffs = [(0, 1)] * ctx.order
+            coeffs[0] = (-1) ** d1 * (d1 + d2 + 1) * math.comb(d1 + d2, d1) * num, den
             for n in range(1, ctx.order):
-                t = n * (_comb_neg(-n - 1, d1) * _comb_neg(n - 1, d2)
-                         * _int_power(xi, -n - 1 - d1) * _int_power(xj, n - 1 - d2)
-                         + _comb_neg(n - 1, d1) * _comb_neg(-n - 1, d2)
-                         * _int_power(xi, n - 1 - d1) * _int_power(xj, -n - 1 - d2))
+                tn, td = _add(
+                    _term(ctx, _comb_neg(-n - 1, d1) * _comb_neg(n - 1, d2),
+                          xi, -n - 1 - d1, xj, n - 1 - d2),
+                    _term(ctx, _comb_neg(n - 1, d1) * _comb_neg(-n - 1, d2),
+                          xi, n - 1 - d1, xj, -n - 1 - d2))
                 for k in range(n, ctx.order, n):
-                    val[k] = val[k] + t
-        ctx.propagators[pair] = val
+                    coeffs[k] = _add(coeffs[k], (n * tn, td))
+            if ctx.exact:
+                den = math.lcm(*(d for _, d in coeffs))
+                val = [n * (den // d) for n, d in coeffs], den
+            else:
+                val = [n for n, _ in coeffs], 1
+        val = ctx.propagators[pair] = _reduced(ctx, val)
     return val
 
 
@@ -200,31 +263,40 @@ def _zero_mode_propagator(ctx: _TorusContext, d1: int, field: str) -> dict:
         for n in range(1, order):
             a = n * _comb_neg(-n - 1, d1) * _comb_neg(n - 1, d2)
             if a:
-                c = a * _int_power(xj, n - 1 - d2)
-                val[-n] = [c if k % n == 0 else 0 for k in range(order)]
+                num, den = _power_pair(ctx.exact, xj, n - 1 - d2)
+                c = a * num
+                val[-n] = _reduced(ctx, ([c if k % n == 0 else 0 for k in range(order)], den))
             b = n * _comb_neg(n - 1, d1) * _comb_neg(-n - 1, d2)
             if b:
-                c = b * _int_power(xj, -n - 1 - d2)
-                val[n] = [c if k and k % n == 0 else 0 for k in range(order)]
+                num, den = _power_pair(ctx.exact, xj, -n - 1 - d2)
+                c = b * num
+                val[n] = _reduced(ctx, ([c if k and k % n == 0 else 0 for k in range(order)], den))
         ctx.propagators[key] = val
     return val
 
 
-def _mul(a, b) -> list:
+def _mul(a: tuple, b: tuple) -> tuple:
     """Product of two q-series truncated at their common length."""
-    order = len(a)
+    (an, ad), (bn, bd) = a, b
+    order = len(an)
     out = [0] * order
-    for i, ai in enumerate(a):
+    for i, ai in enumerate(an):
         if ai:
             for j in range(order - i):
-                bj = b[j]
+                bj = bn[j]
                 if bj:
                     out[i + j] = out[i + j] + ai * bj
-    return out
+    return out, ad * bd
 
 
-def _accumulate(total, term):
-    return term if total is None else [s + t for s, t in zip(total, term)]
+def _accumulate(total, term: tuple) -> tuple:
+    if total is None:
+        return term
+    (sn, sd), (tn, td) = total, term
+    if sd == td:
+        return [s + t for s, t in zip(sn, tn)], sd
+    g = math.gcd(sd, td)
+    return [s * (td // g) + t * (sd // g) for s, t in zip(sn, tn)], sd // g * td
 
 
 def _pairing_sum(ctx: _TorusContext, fields: str):
@@ -232,7 +304,7 @@ def _pairing_sum(ctx: _TorusContext, fields: str):
     if fields in ctx.memo:
         return ctx.memo[fields]
     if not fields:
-        val = [1] + [0] * (ctx.order - 1)
+        val = [1] + [0] * (ctx.order - 1), 1
     elif len(fields) % 4:
         val = None
     else:
@@ -242,6 +314,7 @@ def _pairing_sum(ctx: _TorusContext, fields: str):
             sub = _pairing_sum(ctx, rest[:idx] + rest[idx + 2:])
             if sub is not None:
                 val = _accumulate(val, _mul(_propagator(ctx, first + rest[idx:idx + 2]), sub))
+        val = _reduced(ctx, val)
     ctx.memo[fields] = val
     return val
 
@@ -259,7 +332,7 @@ def _zero_mode_sum(ctx: _TorusContext, v_fields: str, fields: str, e: int):
     for idx, other in enumerate(rest):
         sub = _zero_mode_sum(ctx, rest[:idx] + rest[idx + 1:], fields, e)
         if sub is not None:
-            val = _accumulate(val, _mul(_self_contraction(d1, ord(other), ctx.order), sub))
+            val = _accumulate(val, _mul((_self_contraction(d1, ord(other), ctx.order), 1), sub))
     for idx in range(0, len(fields), 2):
         others = fields[:idx] + fields[idx + 2:]
         for power, series in _zero_mode_propagator(ctx, d1, fields[idx:idx + 2]).items():
@@ -267,7 +340,7 @@ def _zero_mode_sum(ctx: _TorusContext, v_fields: str, fields: str, e: int):
                 sub = _zero_mode_sum(ctx, rest, others, e - power)
                 if sub is not None:
                     val = _accumulate(val, _mul(series, sub))
-    ctx.memo[key] = val
+    val = ctx.memo[key] = _reduced(ctx, val)
     return val
 
 

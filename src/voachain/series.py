@@ -15,6 +15,7 @@ nesting is how the multi-handle series at genus 2 are represented.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -511,8 +512,23 @@ def _int_power(base, k: int):
     return _scalar_invert(_int_power(base, -k))
 
 
+def _int_str(n: int) -> str:
+    """The decimal digits of n, however many: str(n) refuses more than
+    sys.get_int_max_str_digits(), so a longer n is split in halves."""
+    limit = sys.get_int_max_str_digits()
+    # bit_length * log10(2) + 1 bounds the number of digits from above
+    if not limit or n.bit_length() * 0.30103 + 1 < limit:
+        return str(n)
+    if n < 0:
+        return "-" + _int_str(-n)
+    half = int(n.bit_length() * 0.30103) // 2
+    high, low = divmod(n, 10**half)
+    return _int_str(high) + _int_str(low).zfill(half)
+
+
 def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+    num = _int_str(f.numerator)
+    return f"{num}/{_int_str(f.denominator)}" if f.denominator != 1 else num
 
 
 def _scalar_json_parts(c):

@@ -648,9 +648,10 @@ def _wick_context(typed_points: tuple) -> _WickContext:
     return _WickContext(tuple(z for _, z in typed_points))
 
 
-def _power_pair(ctx: _WickContext, base, k: int) -> tuple:
-    """base^k as the context's (numerator, denominator) pair."""
-    if not ctx.exact:
+def _power_pair(exact: bool, base, k: int) -> tuple:
+    """base^k as a context's (numerator, denominator) pair: an integer
+    pair when the context is exact, else (base^k, 1)."""
+    if not exact:
         return _int_power(base, k), 1
     num, den = base.numerator, base.denominator
     if k < 0:
@@ -664,7 +665,7 @@ def _leg_power(ctx: _WickContext, pi: int, k: int) -> tuple:
     key = (pi, k)
     val = ctx.powers.get(key)
     if val is None:
-        val = ctx.powers[key] = _power_pair(ctx, ctx.points[pi], k)
+        val = ctx.powers[key] = _power_pair(ctx.exact, ctx.points[pi], k)
     return val
 
 
@@ -678,7 +679,7 @@ def _contraction(ctx: _WickContext, pair: str) -> tuple:
         if z1 == z2:
             raise ValueError("coincident insertion points")
         c = (-1) ** d1 * (d1 + d2 + 1) * math.comb(d1 + d2, d1)
-        num, den = _power_pair(ctx, z1 - z2, -(2 + d1 + d2))
+        num, den = _power_pair(ctx.exact, z1 - z2, -(2 + d1 + d2))
         val = ctx.contractions[pair] = c * num, den
     return val
 

@@ -3,11 +3,24 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from voachain.cli import main
 from voachain.complexes import apply_Dn
+from voachain.correlators import torus_trace
+from voachain.voa import A_VECTOR
+
+
+def _read_fraction(text):
+    # Fraction(text) past the interpreter's cap on the digits of an int
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return Fraction(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def run_cli(args, capsys):
@@ -63,6 +76,16 @@ class TestEvalCommands:
         # w/(z(z-w)) at (5,2) = 2/15
         assert doc["value_at"]["value"]["rational"] == "2/15"
         assert all(we >= 1 for _, we, _ in doc["iota"])
+
+    def test_f0_at_a_point_of_any_size(self, capsys):
+        code, out, _ = run_cli(
+            ["eval-f0", "--n", "1", "--m", "0", "--z", "1e-5000", "--w", "2"], capsys
+        )
+        assert code == 0
+        doc = json.loads(out)
+        z = Fraction(1, 10**5000)
+        assert _read_fraction(doc["value_at"]["z"]) == z
+        assert _read_fraction(doc["value_at"]["value"]["rational"]) == 2 / (z * (z - 2))
 
 
 @pytest.fixture
@@ -169,6 +192,25 @@ points = 3, 1
         assert code == 0
         doc = json.loads(out)
         assert doc["result"]["value"]["rational"] == "1/4"
+
+    def test_exact_values_of_any_size_are_printed(self, write_config, capsys):
+        # <a(z1) a(z2)> = (z1 - z2)^-2 = 10^6000 at (10^-3000, 0): more
+        # digits than str() gives an int by default
+        cfg = write_config(GENUS0_AA.replace("3, 1", "1e-3000, 0"))
+        code, out, _ = run_cli(["npoint", "--config", cfg], capsys)
+        assert code == 0
+        assert _read_fraction(json.loads(out)["result"]["value"]["rational"]) == 10**6000
+
+    def test_exact_trace_of_any_size_is_printed_by_the_reduction(self, write_config, capsys):
+        points = (Fraction(1, 10**200), Fraction(10**200))
+        cfg = write_config(GENUS1_AA.replace("5, 2", "1e-200, 1e200")
+                           + "[truncation]\nq_order = 5\n")
+        code, out, _ = run_cli(["npoint", "--config", cfg, "--reduction"], capsys)
+        assert code == 0
+        coeffs = json.loads(out)["result"]["series"]["coeffs"]
+        assert max(len(re) for _, re, _ in coeffs) > 5000
+        want = torus_trace([(A_VECTOR, x) for x in points], 5)
+        assert {k: _read_fraction(re) for k, re, _ in coeffs} == want.coefficients
 
     def test_missing_config(self, capsys):
         code, out, _ = run_cli(["npoint", "--config", "/nonexistent.cfg"], capsys)
@@ -567,6 +609,14 @@ states = a, a
 points = 3, 1
 """
 
+GENUS1_AA = """
+[experiment]
+genus = 1
+[insertions]
+states = a, a
+points = 5, 2
+"""
+
 # rho is a key of the removed float kernels: it is not read any more
 GENUS2_SCHOTTKY = """
 [schottky]
@@ -599,6 +649,22 @@ class TestErrorClasses:
          "[sewing]\nzeta1 = 3\nzeta2 = -3\n", "sewing points must differ"),
         ("npoint", "[experiment]\ngenus = 2\n[insertions]\nstates = a\npoints = 1\n"
          + GENUS2_SCHOTTKY, "handle points"),
+        # nan and inf are no points, and strict JSON cannot print them
+        ("npoint", GENUS0_AA.replace("3, 1", "2, nan"), "'nan' is not finite"),
+        ("npoint", GENUS1_AA.replace("5, 2", "2, inf"), "'inf' is not finite"),
+        ("sew", GENUS0_AA + "[sewing]\nzeta1 = -inf\nzeta2 = 2\n", "'-inf' is not finite"),
+        ("partition", GENUS2_SCHOTTKY.replace("-3, 3", "-3, 1e400j"),
+         "'1e400j' is not finite"),
+        # a negative truncation order is no truncation
+        ("npoint", GENUS1_AA + "[truncation]\nq_order = -2\n",
+         "[truncation] q_order: truncation order -2 is negative"),
+        ("sew", GENUS0_AA + "[truncation]\nrho_order = -3\n",
+         "[truncation] rho_order: truncation order -3 is negative"),
+        ("partition", GENUS2_SCHOTTKY + "[truncation]\nrho_orders = -2, 3\n",
+         "[truncation] rho_orders: truncation order -2 is negative"),
+        ("npoint", "[experiment]\ngenus = 2\n[insertions]\nstates = a\npoints = 5\n"
+         + GENUS2_SCHOTTKY + "[truncation]\nrho_orders = 3, -1\n",
+         "[truncation] rho_orders: truncation order -1 is negative"),
     ])
     def test_bad_input_is_a_validation_error(self, write_config, capsys, command, text,
                                              fragment):
@@ -623,6 +689,16 @@ class TestErrorClasses:
         doc = json.loads(out)
         assert doc["error"]["kind"] == "validation"
         assert "z = 0" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("command, text", [
+        ("npoint", GENUS1_AA + "[truncation]\nq_order = 0\n"),
+        ("sew", GENUS0_AA.replace("3, 1", "3, 5") + "[truncation]\nrho_order = 0\n"),
+    ])
+    def test_order_zero_is_the_empty_series(self, write_config, capsys, command, text):
+        code, out, _ = run_cli([command, "--config", write_config(text)], capsys)
+        assert code == 0
+        series = json.loads(out)["result"]["series"]
+        assert (series["coeffs"], series["truncation"]) == ([], 0)
 
     def test_sphere_oracle_at_point_zero(self, write_config, capsys):
         cfg = write_config(GENUS0_AA.replace("3, 1", "0, 2"))

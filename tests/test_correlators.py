@@ -7,6 +7,7 @@ Wick theorem checked, not a construction.
 """
 
 import cmath
+import math
 import time
 from fractions import Fraction
 
@@ -39,10 +40,12 @@ def _brute(insertions, q_order, v=None):
 
 
 def _same(got, want):
-    # coefficient by coefficient, exactly, over the whole validity range
+    # coefficient by coefficient, exactly and with the same scalar type,
+    # over the whole validity range
     assert got.truncation == want.truncation
     for k in range(want.truncation):
         assert got.coefficient(k) == want.coefficient(k), k
+        assert type(got.coefficient(k)) is type(want.coefficient(k)), k
 
 
 _states = st.one_of(
@@ -65,9 +68,9 @@ def _torus_insertions(draw, max_n=3):
 
 class TestTraceAgainstBasisSum:
     @settings(max_examples=60, deadline=None)
-    @given(_torus_insertions(), st.integers(1, 6))
-    def test_equals_brute_force_trace(self, insertions, q_order):
-        _same(torus_trace(insertions, q_order), _brute(insertions, q_order))
+    @given(_torus_insertions(), st.integers(1, 6), st.none() | _states)
+    def test_equals_brute_force_trace(self, insertions, q_order, v):
+        _same(torus_trace(insertions, q_order, zero_mode_state=v), _brute(insertions, q_order, v))
 
     def test_no_insertion_is_the_partition_function(self):
         counts = [1, 1, 2, 3, 5, 7, 11, 15]
@@ -118,9 +121,26 @@ class TestPropagator:
         # xi xj <a(xi) a(xj)> in q is P2 at xj / xi
         q_order = 8
         ctx = correlators._torus_context(((type(xi), xi), (type(xj), xj)), q_order)
-        prop = correlators._propagator(ctx, "\x00\x00\x00\x01")
+        nums, den = correlators._propagator(ctx, "\x00\x00\x00\x01")
         p2 = pm_qseries(2, xj / xi, q_order)
-        assert [xi * xj * c for c in prop] == [p2.coefficient(k) for k in range(q_order)]
+        assert [xi * xj * Fraction(n, den) for n in nums] == [p2.coefficient(k) for k in range(q_order)]
+
+    def test_exact_memo_holds_reduced_int_pairs(self):
+        # at exact points every table entry is one q-series over one
+        # denominator: int numerators, a positive int denominator, gcd 1
+        points = (Fraction(5, 2), Fraction(-7, 3), Fraction(4))
+        insertions = [(AA + FockVector.basis(2), points[0]), (A_VECTOR, points[1]),
+                      (FockVector.basis(2, 1), points[2])]
+        torus_trace(insertions, 6, zero_mode_state=AA + FockVector.basis(3))
+        ctx = correlators._torus_context(tuple((type(x), x) for x in points), 6)
+        entries = [val for val in ctx.memo.values() if val is not None]
+        for val in ctx.propagators.values():
+            entries += val.values() if isinstance(val, dict) else [val]
+        assert len(entries) > 20
+        for nums, den in entries:
+            assert len(nums) == 6
+            assert all(type(n) is int for n in nums) and type(den) is int and den > 0
+            assert math.gcd(den, *nums) == 1
 
     def test_warm_context_gives_cold_values(self):
         # one point tuple: a batch in any order reads the shared tables
@@ -163,6 +183,21 @@ class TestScalarTypes:
         for k, c in want.coefficients.items():
             assert type(got.coefficients[k]) is type(c), k
             assert cmath.isclose(complex(got.coefficients[k]), complex(c), rel_tol=1e-12), k
+
+    @pytest.mark.parametrize("c", [0.5, complex(0.5, -0.25),
+                                   ExactComplex(Fraction(1, 2), Fraction(1, 3))])
+    @pytest.mark.parametrize("v", [None, AA.scale(Fraction(1, 2)) + FockVector.basis(2)])
+    def test_inexact_coefficients_at_exact_points(self, c, v):
+        # the points are exact, so the tables hold integer pairs, but
+        # the coefficient leaves the trace in the coefficient's arithmetic
+        insertions = [(AA.scale(c) + A_VECTOR, Fraction(5)), (A_VECTOR, Fraction(-7, 2)),
+                      (FockVector.basis(2), 4)]
+        got = torus_trace(insertions, 5, zero_mode_state=v)
+        want = _brute(insertions, 5, v)
+        assert set(got.coefficients) == set(want.coefficients)
+        for k, w in want.coefficients.items():
+            assert type(got.coefficients[k]) is type(w), k
+            assert cmath.isclose(complex(got.coefficients[k]), complex(w), rel_tol=1e-12), k
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError, match="pairwise distinct"):

@@ -1,5 +1,6 @@
 """Tests for sewing operators and the direct genus-g basis sums."""
 
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ from voachain.schottky import (
     SewingData,
     SewingError,
     _genus_g_sum,
+    _gram_inverse,
     _pairing_terms,
     _sewn_handle,
     _sewn_series,
@@ -102,6 +104,32 @@ class TestHandlePairing:
             handle_pairing.cache_clear()
             _, cold = handle_pairing(1 + 0j, -1 + 0j, k)
             assert [list(map(repr, row)) for row in hinv] == [list(map(repr, row)) for row in cold]
+
+
+class TestGramInverse:
+    @pytest.mark.parametrize("k", range(9))
+    def test_inverts_the_virasoro_form(self, k):
+        # G_k = (-1)^k D_k S_k with no Wick engine: D_k = diag((-1)^len z_lambda),
+        # the inverse of dual_coefficient, and column j of S_k is
+        # sum_j' L(-1)^j' L(1)^j' / (j'!)^2 of the j-th basis state
+        basis = weight_basis(k)
+        columns = []
+        for state in basis:
+            image, lowered, j = FockVector(), FockVector({state: 1}), 0
+            while not lowered.is_zero():
+                raised = lowered
+                for _ in range(j):
+                    raised = voa.virasoro_mode(-1, raised)
+                image = image + raised.scale(Fraction(1, math.factorial(j) ** 2))
+                lowered, j = voa.virasoro_mode(1, lowered), j + 1
+            columns.append(image)
+        gram = [[(-1) ** k * column.coefficient(row) / voa.dual_coefficient(row)
+                 for column in columns] for row in basis]
+        inverse = _gram_inverse(k)
+        n = len(basis)
+        for i in range(n):
+            for j in range(n):
+                assert sum(inverse[i][r] * gram[r][j] for r in range(n)) == (1 if i == j else 0), (i, j)
 
 
 def _full_gram_inverse(z1, z2, k):

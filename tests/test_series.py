@@ -1,5 +1,6 @@
 """Tests for the truncated-series core."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from voachain.series import (
     ExactComplex,
     SeriesError,
     TruncatedSeries,
+    _frac_str,
+    _int_str,
     points_coincide,
     series_from_json,
     series_to_json,
@@ -267,6 +270,20 @@ class TestSerialization:
     def test_rationals_as_strings(self):
         a = S({0: Fraction(1, 3)}, 1)
         assert '"1/3"' in series_to_json(a)
+
+    @pytest.mark.parametrize("n", [10**5000, 10**5000 - 1, -(10**9000 + 7), 3**20000, 12345],
+                             ids=["10^5000", "10^5000-1", "-(10^9000+7)", "3^20000", "12345"])
+    def test_integers_of_any_size_print_in_full(self, n):
+        # str() refuses an int of more than sys.get_int_max_str_digits()
+        # digits; the printed digits are str()'s with the cap lifted
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert _int_str(n) == want
+        assert _frac_str(Fraction(1, n)) == ("-1/" + want[1:] if n < 0 else "1/" + want)
 
     def test_nested_round_trip(self):
         inner = TruncatedSeries("rho1", {0: 1, 1: 2}, 3)

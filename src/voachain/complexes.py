@@ -27,11 +27,9 @@ from functools import partial
 from itertools import product
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .correlators import sphere_value, torus_trace
 from .elliptic import f0_kernel, pm_qseries
-from .schottky import SewingData, _genus_g_sum, _sewn_series
+from .schottky import SewingData, _genus_g_sum, _sewn_series, row_reduce_integer
 from .series import (
     Scalar,
     TruncatedSeries,
@@ -856,22 +854,22 @@ class ProbeComplex:
                 out.append((g, n, combo))
         return out
 
-    def matrix(self, m: int) -> tuple[np.ndarray, list, list]:
-        """d^m as a dense matrix from level-m labels to level-(m+1)
-        labels, with exact integer entries."""
+    def matrix(self, m: int) -> tuple[list[list[int]], list, list]:
+        """d^m as a dense integer matrix from level-m labels to
+        level-(m+1) labels."""
         dom = self.labels(m)
         cod = self.labels(m + 1)
         cod_index = {lbl: i for i, lbl in enumerate(cod)}
-        mat = np.zeros((len(cod), len(dom)))
+        mat = [[0] * len(dom) for _ in cod]
         for j, (g, n, combo) in enumerate(dom):
             if not self.zero_dn:
                 target = (g, n + 1, combo + (self.descriptor_pool_index,))
                 if target in cod_index:
-                    mat[cod_index[target], j] += (-1) ** g
+                    mat[cod_index[target]][j] += (-1) ** g
             if not self.zero_dg:
                 target = (g + 1, n, combo)
                 if target in cod_index:
-                    mat[cod_index[target], j] += 1
+                    mat[cod_index[target]][j] += 1
         return mat, dom, cod
 
 
@@ -882,73 +880,32 @@ class CohomologyReport:
     rank_dm: int
     dim_kernel: int
     rank_dm_minus_1: int
-    betti: int
+    betti: int | None
     non_complex: bool
-    indeterminate: bool
-    sv_cutoff: float
-    composition_residual: float
+    composition_residual: int
 
 
-def cohomology_ranks(
-    probe: ProbeComplex, m: int, sv_cutoff: float = 1e-10, tol: float = 1e-9
-) -> CohomologyReport:
-    """Numerical ranks of d^m and d^{m-1} with an explicit singular-value
-    cutoff; H^m = ker d^m / im d^{m-1} dimension on the probe."""
+def cohomology_ranks(probe: ProbeComplex, m: int) -> CohomologyReport:
+    """Exact ranks of d^m and d^{m-1} by integer row reduction; H^m =
+    ker d^m / im d^{m-1} dimension on the probe.  When d^m d^{m-1} is not
+    zero, im d^{m-1} does not lie in ker d^m and H^m is undefined: the
+    betti number is then None."""
     dm, dom, _ = probe.matrix(m)
-    dm1 = probe.matrix(m - 1)[0] if m >= 1 else np.zeros((len(dom), 0))
-    comp = dm @ dm1 if dm.size and dm1.size else np.zeros((1, 1))
-    comp_residual = float(np.max(np.abs(comp))) if comp.size else 0.0
-    rank_m, indeterminate_m = _svd_rank(dm, sv_cutoff)
-    rank_m1, indeterminate_m1 = _svd_rank(dm1, sv_cutoff)
-    dim_dom = len(dom)
-    dim_ker = dim_dom - rank_m
-    betti = dim_ker - rank_m1
+    dm1 = probe.matrix(m - 1)[0]
+    comp_residual = max(
+        (abs(sum(a * b for a, b in zip(row, col))) for row in dm for col in zip(*dm1)),
+        default=0,
+    )
+    rank_m = row_reduce_integer(dm)[1]
+    rank_m1 = row_reduce_integer(dm1)[1]
+    dim_ker = len(dom) - rank_m
     return CohomologyReport(
         m=m,
-        dim_domain=dim_dom,
+        dim_domain=len(dom),
         rank_dm=rank_m,
         dim_kernel=dim_ker,
         rank_dm_minus_1=rank_m1,
-        betti=betti,
-        non_complex=comp_residual > tol,
-        indeterminate=indeterminate_m or indeterminate_m1,
-        sv_cutoff=sv_cutoff,
+        betti=dim_ker - rank_m1 if comp_residual == 0 else None,
+        non_complex=comp_residual != 0,
         composition_residual=comp_residual,
     )
-
-
-def _svd_rank(mat: np.ndarray, cutoff: float) -> tuple[int, bool]:
-    if mat.size == 0:
-        return 0, False
-    svals = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(svals > cutoff))
-    indeterminate = False
-    if 0 < rank < len(svals):
-        gap = svals[rank - 1] / max(svals[rank], 1e-300)
-        indeterminate = gap < 1e3
-    return rank, indeterminate
-
-
-def exact_rank(mat: np.ndarray) -> int:
-    """Row-reduction rank over exact rationals (the oracle for the SVD
-    ranks; Fraction(float) is exact, so no approximation enters)."""
-    rows = [[Fraction(x) for x in row] for row in mat.tolist()]
-    rank = 0
-    n_cols = len(rows[0]) if rows else 0
-    pivot_row = 0
-    for col in range(n_cols):
-        piv = next((r for r in range(pivot_row, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[pivot_row], rows[piv] = rows[piv], rows[pivot_row]
-        pv = rows[pivot_row][col]
-        rows[pivot_row] = [x / pv for x in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        rank += 1
-        if pivot_row == len(rows):
-            break
-    return rank

@@ -108,26 +108,46 @@ def _gram_inverse(k: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(map(tuple, inverse))
 
 
-def _invert_integer(matrix: list[list[int]]) -> list[list[Fraction]]:
-    """The inverse of an integer matrix by fraction-free Gauss-Jordan
-    elimination (Bareiss): each step divides every other row exactly by
-    the previous pivot, so the rows stay integers and end as d I | d M^-1
-    with d = +-det M; each entry of the inverse is then one division."""
-    n = len(matrix)
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+def row_reduce_integer(matrix: Sequence[Sequence[int]], columns: int | None = None
+                       ) -> tuple[list[list[int]], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer
+    matrix over its first ``columns`` columns (all by default), and the
+    number of pivots found there, which is the rank of those columns.
+
+    A column with no pivot below the pivots found so far is skipped.
+    Each step divides every other row exactly by the previous pivot, so
+    the rows stay integers.  The pivot rows come first, each nonzero in
+    its own pivot column and zero in every other pivot column."""
+    rows = list(matrix)
+    if columns is None:
+        columns = len(rows[0]) if rows else 0
+    rank = 0
     previous = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
+    for col in range(columns):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
-            raise SewingError("degenerate sewing pairing matrix")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pivot_row = rows[col]
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pivot_row = rows[rank]
         pivot = pivot_row[col]
         for r, row in enumerate(rows):
-            if r != col:
+            if r != rank:
                 f = row[col]
                 rows[r] = [(pivot * x - f * y) // previous for x, y in zip(row, pivot_row)]
         previous = pivot
+        rank += 1
+    return rows, rank
+
+
+def _invert_integer(matrix: list[list[int]]) -> list[list[Fraction]]:
+    """The inverse of an integer matrix: :func:`row_reduce_integer` of
+    M | I ends as d I | d M^-1 with d = +-det M, so each entry of the
+    inverse is then one division."""
+    n = len(matrix)
+    rows, rank = row_reduce_integer(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)], n)
+    if rank < n:
+        raise SewingError("degenerate sewing pairing matrix")
     return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]
 
 
@@ -249,7 +269,13 @@ def _genus_g_sum(handles, insertions, boundary=(VACUUM, VACUUM), sphere=None):
     sphere function (the genus-g reduction passes the sphere's
     reduction), or the sphere function at inexact points, summed by
     :func:`_sewn_series` per handle.
+
+    A handle summed to order 0 knows none of its coefficients, so no
+    coefficient of the sums is known either: the result is then the
+    empty series with truncation 0.
     """
+    if any(rho_order == 0 for _, _, rho_order, _ in handles):
+        return TruncatedSeries.zero(handles[0][3], 0)
     if sphere is None:
         series = sewn_sphere_series(insertions, [_sewn_handle(*h) for h in handles], *boundary)
         if series is not None:

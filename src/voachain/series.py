@@ -531,6 +531,26 @@ def _frac_str(f: Fraction) -> str:
     return f"{num}/{_int_str(f.denominator)}" if f.denominator != 1 else num
 
 
+def _parse_int(text: str) -> int:
+    """The int whose decimal digits are text, the inverse of
+    :func:`_int_str`: int() refuses more than sys.get_int_max_str_digits()
+    digits, so a longer string is split in halves."""
+    limit = sys.get_int_max_str_digits()
+    digits = text.lstrip("-")
+    if not limit or len(digits) <= limit:
+        return int(text)
+    if text.startswith("-"):
+        return -_parse_int(digits)
+    half = len(digits) // 2
+    return _parse_int(digits[:-half]) * 10**half + _parse_int(digits[-half:])
+
+
+def _parse_frac(text: str) -> Fraction:
+    """The inverse of :func:`_frac_str`."""
+    num, _, den = text.partition("/")
+    return Fraction(_parse_int(num), _parse_int(den) if den else 1)
+
+
 def _scalar_json_parts(c):
     if isinstance(c, (int, Fraction)):
         return [_frac_str(Fraction(c)), "0"]
@@ -542,7 +562,7 @@ def _scalar_json_parts(c):
 
 def _scalar_from_json_parts(re, im):
     if isinstance(re, str):
-        re_f, im_f = Fraction(re), Fraction(im)
+        re_f, im_f = _parse_frac(re), _parse_frac(im)
         if im_f == 0:
             return re_f
         return ExactComplex(re_f, im_f)

@@ -10,17 +10,8 @@ import pytest
 from voachain.cli import main
 from voachain.complexes import apply_Dn
 from voachain.correlators import torus_trace
+from voachain.series import _parse_frac
 from voachain.voa import A_VECTOR
-
-
-def _read_fraction(text):
-    # Fraction(text) past the interpreter's cap on the digits of an int
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return Fraction(text)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def run_cli(args, capsys):
@@ -84,8 +75,8 @@ class TestEvalCommands:
         assert code == 0
         doc = json.loads(out)
         z = Fraction(1, 10**5000)
-        assert _read_fraction(doc["value_at"]["z"]) == z
-        assert _read_fraction(doc["value_at"]["value"]["rational"]) == 2 / (z * (z - 2))
+        assert _parse_frac(doc["value_at"]["z"]) == z
+        assert _parse_frac(doc["value_at"]["value"]["rational"]) == 2 / (z * (z - 2))
 
 
 @pytest.fixture
@@ -199,7 +190,7 @@ points = 3, 1
         cfg = write_config(GENUS0_AA.replace("3, 1", "1e-3000, 0"))
         code, out, _ = run_cli(["npoint", "--config", cfg], capsys)
         assert code == 0
-        assert _read_fraction(json.loads(out)["result"]["value"]["rational"]) == 10**6000
+        assert _parse_frac(json.loads(out)["result"]["value"]["rational"]) == 10**6000
 
     def test_exact_trace_of_any_size_is_printed_by_the_reduction(self, write_config, capsys):
         points = (Fraction(1, 10**200), Fraction(10**200))
@@ -210,7 +201,7 @@ points = 3, 1
         coeffs = json.loads(out)["result"]["series"]["coeffs"]
         assert max(len(re) for _, re, _ in coeffs) > 5000
         want = torus_trace([(A_VECTOR, x) for x in points], 5)
-        assert {k: _read_fraction(re) for k, re, _ in coeffs} == want.coefficients
+        assert {k: _parse_frac(re) for k, re, _ in coeffs} == want.coefficients
 
     def test_missing_config(self, capsys):
         code, out, _ = run_cli(["npoint", "--config", "/nonexistent.cfg"], capsys)
@@ -557,10 +548,7 @@ points = 7, 9
         assert code == 2
         assert "[element]" in json.loads(out)["error"]["message"]
 
-class TestCohomology:
-    def test_report_with_oracle(self, write_config, capsys):
-        cfg = write_config(
-            """
+PROBE = """
 [probe]
 pool = 1, a, aa
 points = 3, 1, -2
@@ -569,13 +557,31 @@ n_max = 2
 [experiment]
 m = 1
 """
-        )
-        code, out, _ = run_cli(["cohomology", "--config", cfg], capsys)
+
+
+class TestCohomology:
+    def test_report_rank_nullity(self, write_config, capsys):
+        code, out, _ = run_cli(["cohomology", "--config", write_config(PROBE)], capsys)
         assert code == 0
-        doc = json.loads(out)
-        rep = doc["report"]
-        assert rep["rank_dm"] == rep["rank_dm_exact_oracle"]
+        rep = json.loads(out)["report"]
+        assert (rep["rank_dm"], rep["rank_dm_minus_1"]) == (4, 1)
         assert rep["rank_dm"] + rep["dim_kernel"] == rep["dim_domain"]
+
+    def test_no_betti_where_the_maps_do_not_compose_to_zero(self, write_config, capsys):
+        code, out, err = run_cli(["cohomology", "--config", write_config(PROBE)], capsys)
+        assert code == 0
+        rep = json.loads(out)["report"]
+        assert (rep["non_complex"], rep["composition_residual"]) == (True, 1)
+        assert rep["betti"] is None
+        assert "do not compose to zero" in err
+
+    def test_betti_of_a_complex(self, write_config, capsys):
+        cfg = write_config(PROBE.replace("n_max = 2\n", "n_max = 2\nzero_dn = true\n"))
+        code, out, err = run_cli(["cohomology", "--config", cfg], capsys)
+        assert code == 0
+        rep = json.loads(out)["report"]
+        assert (rep["non_complex"], rep["composition_residual"], rep["betti"]) == (False, 0, 0)
+        assert err == ""
 
 
 class TestSubprocessEntry:
@@ -693,11 +699,16 @@ class TestErrorClasses:
     @pytest.mark.parametrize("command, text", [
         ("npoint", GENUS1_AA + "[truncation]\nq_order = 0\n"),
         ("sew", GENUS0_AA.replace("3, 1", "3, 5") + "[truncation]\nrho_order = 0\n"),
-    ])
+        # an inner handle to order 0 leaves every coefficient unknown
+        ("partition", GENUS2_SCHOTTKY + "[truncation]\nrho_orders = 0, 3\n"),
+        ("npoint", GENUS0_AA.replace("genus = 0", "genus = 2").replace("3, 1", "5, 7")
+         + GENUS2_SCHOTTKY + "[truncation]\nrho_orders = 0, 3\n"),
+    ], ids=["npoint-genus1", "sew", "partition", "npoint-genus2"])
     def test_order_zero_is_the_empty_series(self, write_config, capsys, command, text):
         code, out, _ = run_cli([command, "--config", write_config(text)], capsys)
         assert code == 0
-        series = json.loads(out)["result"]["series"]
+        doc = json.loads(out)
+        series = doc.get("result", doc)["series"]
         assert (series["coeffs"], series["truncation"]) == ([], 0)
 
     def test_sphere_oracle_at_point_zero(self, write_config, capsys):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -250,6 +251,16 @@ class TestGenusGPartition:
         series = genus_g_partition(self.base_sd(), [1])
         assert series.coefficient(0) == 1
 
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact-points", "float-points"])
+    @pytest.mark.parametrize("orders", [[0, 3], [3, 0]])
+    def test_a_handle_to_order_zero_leaves_no_coefficient_known(self, exact, orders):
+        # the kernel sums exact points, the per-term sums float points
+        points = (-1, 1, -3, 3) if exact else (-1.0, 1.0, -3.0, 3.0)
+        sd = SchottkyData(genus=2, points=points)
+        for insertions in ([], [(A_VECTOR, 5), (A_VECTOR, 7)]):
+            series = genus_g_npoint(sd, insertions, orders)
+            assert (series.variable, series.coefficients, series.truncation) == ("rho2", {}, 0)
+
     def test_genus1_partition_counts(self):
         series = genus_g_partition(self.base_sd(), [6])
         for k in range(6):
@@ -475,7 +486,10 @@ def _sewn_chain(handles):
 
 
 def _per_term_sewn(handles, entries, boundary):
-    # each handle's _sewn_series over the Sphere evaluator, outermost first
+    # each handle's _sewn_series over the Sphere evaluator, outermost first;
+    # a handle to order 0 leaves no coefficient of the sums known
+    if any(order == 0 for _, _, order, _ in handles):
+        return TruncatedSeries.zero(handles[0][3], 0)
     if not handles:
         return Sphere().evaluate(entries, boundary).data
     (zeta1, zeta2, order, variable), *inner = handles
@@ -558,11 +572,13 @@ class TestSewnSphereSeries:
             [(FockVector({s: 1}), z) for s, z in term])
 
 
-def test_sewing_module_imports_no_numpy():
-    # the sums are exact: no float apparatus rides on the sewing module
+@pytest.mark.parametrize("module", sorted(
+    "voachain." + path.stem for path in Path(voa.__file__).parent.glob("*.py")
+    if path.stem != "__init__"))
+def test_no_module_imports_numpy(module):
+    # everything is exact: no float apparatus rides on any module
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, voachain.schottky; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, {module}; print('numpy' in sys.modules)"],
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.strip() == "False"

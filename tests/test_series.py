@@ -285,6 +285,15 @@ class TestSerialization:
         assert _int_str(n) == want
         assert _frac_str(Fraction(1, n)) == ("-1/" + want[1:] if n < 0 else "1/" + want)
 
+    @pytest.mark.parametrize("c", [10**6000, Fraction(1, 10**6000), 1 - 3**20000,
+                                   ExactComplex(Fraction(-7, 10**6000), 10**6000)],
+                             ids=["10^6000", "10^-6000", "1-3^20000", "complex"])
+    def test_exact_values_of_any_size_read_back(self, c):
+        # int() refuses more than sys.get_int_max_str_digits() digits (4300
+        # by default); the reader splits longer digit strings, cap in place
+        s = S({0: c, 2: Fraction(1, 3)}, 3)
+        assert series_from_json(series_to_json(s)) == s
+
     def test_nested_round_trip(self):
         inner = TruncatedSeries("rho1", {0: 1, 1: 2}, 3)
         outer = TruncatedSeries("rho2", {0: inner, 1: inner}, 2)

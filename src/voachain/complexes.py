@@ -250,10 +250,19 @@ class Sewn:
 
     def evaluate(self, entries, boundary=VACUUM_BOUNDARY) -> CorrelationFunction:
         inner, sd = self.inner, self.sewing
+        variable = "rho2" if isinstance(inner, Sewn) else "rho"
+        surface = self
+        while isinstance(surface, Sewn):
+            if surface.rho_order == 0:
+                # as in _genus_g_sum: a handle summed to order 0 knows none
+                # of its coefficients, so none of the sums is known
+                return CorrelationFunction(self.genus, TruncatedSeries.zero(variable, 0),
+                                           self.prefactor_exponent)
+            surface = surface.inner
         data = _sewn_series(
             sd.zeta1, sd.zeta2, self.rho_order,
             lambda pairs: inner.evaluate((*entries, *pairs), boundary).data,
-            "rho2" if isinstance(inner, Sewn) else "rho",
+            variable,
         )
         return CorrelationFunction(self.genus, data, self.prefactor_exponent)
 

@@ -79,10 +79,13 @@ def handle_pairing(zeta1, zeta2, k: int):
     with G_k free of the points (translation and scaling covariance of
     the vacuum two-point function), so H_k^-1 is G_k^-1 scaled.  The
     cache is typed: equal points of other types give entries of their
-    own type.
+    own type.  Only the nonzero entries are scaled; every zero is one
+    scaled Fraction(0), so it has the type the scale gives.
     """
     scale = _int_power(zeta1 - zeta2, 2 * k)
-    return weight_basis(k), tuple(tuple(scale * c for c in row) for row in _gram_inverse(k))
+    zero = scale * Fraction(0)
+    return weight_basis(k), tuple(tuple(scale * c if c else zero for c in row)
+                                  for row in _gram_inverse(k))
 
 
 @lru_cache(maxsize=None)

@@ -434,7 +434,14 @@ def vertex_matrix_element(
 #
 # The recursion carries its state as strings, compact enough to keep
 # every sub-sum of a trace or handle sum: boundary parts m as chr(m),
-# fields as chr(d) + chr(i).
+# fields as chr(d) + chr(i).  Equal fields (one d, one i) sit next to
+# each other, so the first field is contracted once per distinct
+# partner and the term counted by the partner's multiplicity: the
+# branching grows with the number of distinct fields, not of fields.
+# The memo holds one reduced pair per state entered; a sub-state is
+# looked up there before the recursion is entered, and a remainder of
+# two fields and no boundary parts is read from the contraction table
+# instead.
 
 
 def sphere_matrix_element(
@@ -491,7 +498,8 @@ def _expand_components(insertions, dressed):
 # entry c and counted by rho^k; g handles nest these sums.  Every term
 # of every handle is taken at the same points, so one check, one
 # canonical order and one Wick context serve them all, and the field
-# string of each (state, slot) is built once: a term is one _wick call.
+# string of each (state, slot) is built once: a term is one _wick call,
+# which enters only the sub-states that no earlier term has met.
 # Each nested coefficient is one integer pair over the least common
 # denominator of its terms, lowered to a Fraction once.  That needs
 # exact points and rational coefficients; any other sum is left to the
@@ -688,9 +696,11 @@ def _wick(out, fields, ins, ctx):
     # out, ins: boundary parts, one char each; fields: two chars each.
     # Returns the sub-sum as the context's (numerator, denominator) pair.
     key = f"{chr(len(out))}{chr(len(ins))}{out}{ins}{fields}"
-    hit = ctx.memo.get(key)
+    memo = ctx.memo
+    hit = memo.get(key)
     if hit is not None:
         return hit
+    num, den = 0, 1
     terms = []
     if out:
         part, rest = out[0], out[1:]
@@ -706,23 +716,50 @@ def _wick(out, fields, ins, ctx):
             sn, sd = _wick(rest, fields, ins.replace(part, "", 1), ctx)
             terms.append((cnt * m * sn, sd))
     elif fields:
+        # The first field contracts with each field of another insertion.
+        # Equal fields sit next to each other in the canonical string and
+        # contracting either copy leaves the same sub-state, so a run of
+        # equal partners is one term times the run's length.  A sub-state
+        # is looked up before the recursion is entered, and a remainder of
+        # two fields is their contraction.
         first, rest = fields[:2], fields[2:]
-        for idx in range(0, len(rest), 2):
-            if rest[idx + 1] == first[1]:
-                continue
-            cn, cd = _contraction(ctx, first + rest[idx:idx + 2])
-            sn, sd = _wick("", rest[:idx] + rest[idx + 2:], ins, ctx)
-            terms.append((cn * sn, cd * sd))
-        d, pi = ord(first[0]), ord(first[1])
-        for part in sorted(set(ins)):
-            m = ord(part)
-            cnt = ins.count(part)
-            pn, pd = _leg_power(ctx, pi, -(m + 1 + d))
-            sn, sd = _wick("", rest, ins.replace(part, "", 1), ctx)
-            terms.append((cnt * (m * (-1) ** d * math.comb(m + d, d) * pn) * sn, pd * sd))
+        contractions = ctx.contractions
+        head = f"\x00{chr(len(ins))}{ins}"  # the fields come last in a key
+        idx, end = 0, len(rest)
+        while idx < end:
+            partner = rest[idx:idx + 2]
+            run = idx + 2
+            while rest.startswith(partner, run):
+                run += 2
+            if partner[1] != first[1]:  # one insertion's fields never contract
+                pair = first + partner
+                cn, cd = contractions.get(pair) or _contraction(ctx, pair)
+                sub = rest[:idx] + rest[idx + 2:]
+                if ins or len(sub) > 4:
+                    sn, sd = memo.get(head + sub) or _wick("", sub, ins, ctx)
+                elif not sub:
+                    sn, sd = 1, 1
+                elif sub[1] == sub[3]:
+                    sn, sd = 0, 1
+                else:
+                    sn, sd = contractions.get(sub) or _contraction(ctx, sub)
+                tn, td = (run - idx) // 2 * cn * sn, cd * sd
+                if td == den:
+                    num = num + tn
+                else:
+                    num, den = num * td + tn * den, den * td
+            idx = run
+        if ins:
+            d, pi = ord(first[0]), ord(first[1])
+            for part in sorted(set(ins)):
+                m = ord(part)
+                pn, pd = _leg_power(ctx, pi, -(m + 1 + d))
+                sub = ins.replace(part, "", 1)
+                sn, sd = memo.get(f"\x00{chr(len(sub))}{sub}{rest}") or _wick("", rest, sub, ctx)
+                terms.append((ins.count(part) * (m * (-1) ** d * math.comb(m + d, d) * pn) * sn,
+                              pd * sd))
     else:
         terms.append((1 if not ins else 0, 1))
-    num, den = 0, 1
     for n, d in terms:
         if d == den:
             num = num + n
@@ -732,5 +769,5 @@ def _wick(out, fields, ins, ctx):
         g = math.gcd(num, den)
         if g > 1:
             num, den = num // g, den // g
-    ctx.memo[key] = num, den
+    memo[key] = num, den
     return num, den

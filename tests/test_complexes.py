@@ -30,6 +30,7 @@ from voachain.complexes import (
     _check_ncondition,
     _nested_coefficient,
     reduce_to_zero_point,
+    Trace,
 )
 from voachain.correlators import sphere_value, torus_qseries
 from voachain.schottky import SchottkyData, SewingData, genus_g_npoint, row_reduce_integer
@@ -989,6 +990,20 @@ class TestPresentationsThatDoNotReduce:
         assert elem.genus == 2
         with pytest.raises(ComplexError, match="only the sewn sphere reduces"):
             apply((A_VECTOR, Fraction(7)), elem)
+
+
+@pytest.mark.parametrize("orders", [(0, 3), (3, 0), (0, 0), (2, 3, 0), (0, 2, 3)])
+def test_sewn_trace_with_a_handle_to_order_0_knows_no_coefficient(orders):
+    # a handle summed to order 0 knows none of its coefficients, wherever it
+    # sits in the chain: the value is the empty truncation-0 series in the
+    # outermost variable, as the handle sums onto the sphere give it
+    surface = Trace(4)
+    for zeta, order in zip((2, 5, 9), orders):
+        surface = surface.sew(SewingData(zeta1=zeta, zeta2=zeta + 1), order)
+    value = surface.evaluate(())
+    assert value.genus == 1 + len(orders)
+    assert value.data == TruncatedSeries.zero("rho2" if len(orders) > 1 else "rho", 0)
+    assert value.data.truncation == 0
 
 
 SEWN_POOL = {"1": VACUUM_VECTOR, "a": A_VECTOR, "aa": AA, "omega": OMEGA_VECTOR, "[2]": A2}

@@ -722,6 +722,31 @@ def _typed(x):
     return type(x), repr(x)
 
 
+# states with repeated parts: equal fields that the kernel contracts once
+# per run, times the run's length
+_REPEATED = (FockState((1, 1, 1)), FockState((2, 2, 1)), FockState((1, 1, 1, 1)))
+
+
+@st.composite
+def _repeated_part_elements(draw):
+    """Vacuum-boundary elements at 3-4 exact or mixed points, with at
+    least one state of repeated parts and an even leg count up to 12."""
+    kind = draw(st.sampled_from([Fraction, *_MIXED_KINDS]))
+    n = draw(st.integers(3, 4))
+    thirds = draw(st.lists(st.integers(-30, 30).filter(lambda t: t % 3), min_size=n,
+                           max_size=n, unique=True))
+    if kind is Fraction:
+        points = [Fraction(t, 3) for t in thirds]
+    else:
+        other = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(
+            lambda flags: any(flags) and not all(flags)))
+        points = [_MIXED_KINDS[kind](t) if o else Fraction(t, 3) for t, o in zip(thirds, other)]
+    states = draw(st.lists(st.sampled_from([*_REPEATED, *_states_up_to(2)[1:]]), min_size=n,
+                           max_size=n).filter(lambda s: any(x in _REPEATED for x in s)))
+    assume(_legs(VACUUM, list(zip(states, points)), VACUUM) in (4, 6, 8, 10, 12))
+    return kind, list(zip(states, points))
+
+
 # the largest element the oracle runs on: 14 legs, 135135 matchings
 _FOURTEEN_LEGS = (FockState((1, 1, 1)),
                   [(FockState((1, 1, 1, 1)), Fraction(1, 3)), (FockState((2, 1, 1)), Fraction(-2, 3)),
@@ -831,6 +856,49 @@ class TestWickContext:
         value = _cold(sphere_matrix_element, VACUUM, [(A_STATE, z1), (A_STATE, z2)], VACUUM)
         assert type(value) is kind
         assert value == Fraction(1) / _pow(z1 - z2, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_repeated_part_elements())
+    def test_repeated_parts_match_memo_free_pairing_sum(self, drawn):
+        kind, insertions = drawn
+        value = _cold(sphere_matrix_element, VACUUM, insertions, VACUUM)
+        want = _wick_oracle(VACUUM, insertions, VACUUM)
+        if kind is Fraction:
+            assert type(value) is Fraction and value == want
+            return
+        # a point's kind reaches the value only through a term it enters
+        assert type(value) in (Fraction, kind)
+        if kind is ExactComplex:
+            assert value == want
+        else:
+            assert cmath.isclose(complex(value), complex(want), rel_tol=1e-9, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("z1, z2", [(Fraction(7, 3), Fraction(-2)), (5, 2)])
+    def test_two_powers_of_a_pair_in_n_factorial_ways(self, n, z1, z2):
+        # a(-1)^n|0> at z1 against a(-1)^n|0> at z2: every field at z1 pairs
+        # with one at z2, in n! ways, each (z1 - z2)^-2n.  Up to 16 legs,
+        # past what the oracle can enumerate
+        power = FockState((1,) * n)
+        value = _cold(sphere_matrix_element, VACUUM, [(power, z1), (power, z2)], VACUUM)
+        assert type(value) is Fraction
+        assert value == Fraction(math.factorial(n)) / Fraction(z1 - z2) ** (2 * n)
+
+    def test_equal_fields_recurse_once_per_state(self, monkeypatch):
+        # a(-1)^8|0> at two points: every field at 5 has one distinct
+        # partner, so each state of 16, 14, ..., 4 fields is entered once,
+        # and the four-field state closes on its two-field remainder
+        calls = []
+        wick = voa._wick
+
+        def counted(*args):
+            calls.append(len(args[1]) // 2)
+            return wick(*args)
+
+        monkeypatch.setattr(voa, "_wick", counted)
+        power = FockState((1,) * 8)
+        _cold(sphere_matrix_element, VACUUM, [(power, 7), (power, 5)], VACUUM)
+        assert calls == [16, 14, 12, 10, 8, 6, 4]
 
     def test_exact_memo_holds_reduced_int_pairs(self):
         # the guard against Fraction arithmetic creeping back into the

@@ -7,10 +7,10 @@ the sphere engine, genus 1 the Gaussian form of the graded trace (Z(q)
 times pairings of exact q-series propagators) with exact per-order
 kernel expansions, genus 2 the paired basis sums.  Each chain element
 carries the evaluator that produced its value (:class:`Sphere`,
-:class:`Trace`, :class:`Sewn` or :class:`Schottky`); differentials
-transform the insertion tuple and re-evaluate through that evaluator,
-so reduction-vs-oracle agreement is a checkable theorem rather than a
-construction.
+:class:`Trace`, or :class:`Sewn`, handles sewn onto either of them);
+differentials transform the insertion tuple and re-evaluate through
+that evaluator, so reduction-vs-oracle agreement is a checkable theorem
+rather than a construction.
 
 Chain conditions are reported in commutation form (the residuals of the
 two composition orders), alongside the raw composition norms; the
@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 from .correlators import sphere_value, torus_trace
 from .elliptic import f0_kernel, pm_qseries
-from .schottky import SewingData, _genus_g_sum, _sewn_series, row_reduce_integer
+from .schottky import SewingData, _genus_g_sum, row_reduce_integer
 from .series import (
     Scalar,
     TruncatedSeries,
@@ -127,8 +127,8 @@ class Sphere:
             0, sphere_value(entries, boundary[0], boundary[1], dressed=False)
         )
 
-    def sew(self, sd: SewingData, rho_order: int) -> "Schottky":
-        return Schottky(((sd.zeta1, sd.zeta2, rho_order, "rho"),))
+    def sew(self, sd: SewingData, rho_order: int) -> "Sewn":
+        return Sewn(self, ()).sew(sd, rho_order)
 
     def _zero(self):
         return 0
@@ -207,7 +207,7 @@ class Trace:
         _require_torus_point(x)
 
     def sew(self, sd: SewingData, rho_order: int) -> "Sewn":
-        return Sewn(self, sd, rho_order)
+        return Sewn(self, ()).sew(sd, rho_order)
 
     def _zero_mode_term(self, entries, v, x):
         return torus_trace(entries, self.q_order, zero_mode_state=v)
@@ -220,108 +220,68 @@ class Trace:
 
 @dataclass(frozen=True)
 class Sewn:
-    """One handle sewn onto a trace, or onto a sewn trace, to
-    rho^rho_order: sum_k rho^k sum_w F(x, wbar, w).
-
-    The pair (wbar at zeta1, w at zeta2) runs over the weight-k basis with
-    the inverse-Gram pairing, appended after the existing insertions and
-    evaluated by ``inner`` per paired term.  The pair rides along inside
-    the graded trace, so the coefficients are q-series and the rho^0 term
-    is the genus-1 input itself (vacuum pair): the degeneration identity.
-    A handle sewn onto a sewn trace is counted by rho2.  A sewn trace
-    does not reduce; handles sewn onto the sphere are :class:`Schottky`.
-    """
-
-    inner: object
-    sewing: SewingData
-    rho_order: int
-
-    @property
-    def genus(self) -> int:
-        return self.inner.genus + 1
-
-    @property
-    def prefactor_exponent(self) -> Fraction:
-        return self.inner.prefactor_exponent
-
-    @property
-    def handle_points(self) -> tuple:
-        return (*self.inner.handle_points, self.sewing.zeta1, self.sewing.zeta2)
-
-    def evaluate(self, entries, boundary=VACUUM_BOUNDARY) -> CorrelationFunction:
-        inner, sd = self.inner, self.sewing
-        variable = "rho2" if isinstance(inner, Sewn) else "rho"
-        surface = self
-        while isinstance(surface, Sewn):
-            if surface.rho_order == 0:
-                # as in _genus_g_sum: a handle summed to order 0 knows none
-                # of its coefficients, so none of the sums is known
-                return CorrelationFunction(self.genus, TruncatedSeries.zero(variable, 0),
-                                           self.prefactor_exponent)
-            surface = surface.inner
-        data = _sewn_series(
-            sd.zeta1, sd.zeta2, self.rho_order,
-            lambda pairs: inner.evaluate((*entries, *pairs), boundary).data,
-            variable,
-        )
-        return CorrelationFunction(self.genus, data, self.prefactor_exponent)
-
-    def sew(self, sd: SewingData, rho_order: int) -> "Sewn":
-        return Sewn(self, sd, rho_order)
-
-    def _require_point(self, x):
-        raise ComplexError(
-            "no reduction on a handle sewn onto a trace: only the sewn sphere reduces"
-        )
-
-
-@dataclass(frozen=True)
-class Schottky:
-    """Handles sewn onto the sphere: the direct paired basis sums.
+    """Handles sewn onto the sphere or onto a trace: the paired basis sums.
 
     ``handles`` lists (zeta1, zeta2, rho_order, variable) per handle,
     outermost first, as :func:`~voachain.schottky._genus_g_sum` sums
-    them.  The genus-g sums give them as rho2, rho1
-    (:meth:`~voachain.schottky.SchottkyData.handles`); sewing the sphere
-    adds rho, and a handle sewn on top of g others is rho{g+1}.
+    them over ``base``.  The genus-g sums give them as rho2, rho1
+    (:meth:`~voachain.schottky.SchottkyData.handles`); the first handle
+    sewn onto a base is rho, and a handle sewn on top of g others is
+    rho{g+1}.  The pairs ride along inside the base function, so on the
+    trace the coefficients are q-series and the rho^0 term is the
+    genus-1 input itself (vacuum pair): the degeneration identity.
 
-    The sums are linear in the sphere function, so the reduction is the
-    sphere's, run inside them, and reduces any state.  D2 takes the
-    sphere's round modes and f^(0) kernels over the element's own
-    insertions.  D1 is the handle sums of the sphere's reduction terms
-    that D2 does not cover: its zero-mode term on all the points, and its
-    mode terms at the paired basis states.  So D^n of the function
-    equals the sums with the new insertion, coefficient for coefficient,
-    however the handles were sewn."""
+    Only the sewn sphere reduces.  Its sums are linear in the sphere
+    function, so the reduction is the sphere's, run inside them, and
+    reduces any state.  D2 takes the sphere's round modes and f^(0)
+    kernels over the element's own insertions.  D1 is the handle sums of
+    the sphere's reduction terms that D2 does not cover: its zero-mode
+    term on all the points, and its mode terms at the paired basis
+    states.  So D^n of the function equals the sums with the new
+    insertion, coefficient for coefficient, however the handles were
+    sewn."""
 
+    base: Sphere | Trace
     handles: tuple[tuple, ...]
-    prefactor_exponent = Fraction(0)
 
     @property
     def genus(self) -> int:
-        return len(self.handles)
+        return self.base.genus + len(self.handles)
+
+    @property
+    def prefactor_exponent(self) -> Fraction:
+        return self.base.prefactor_exponent
 
     @property
     def handle_points(self) -> tuple:
         return tuple(z for zeta1, zeta2, _, _ in self.handles for z in (zeta1, zeta2))
 
     def evaluate(self, entries, boundary=VACUUM_BOUNDARY) -> CorrelationFunction:
-        return CorrelationFunction(self.genus, _genus_g_sum(self.handles, entries, boundary))
+        base = self.base
+        # on the sphere the sums run the sphere function themselves
+        inner = None if isinstance(base, Sphere) else (
+            lambda points: base.evaluate(points, boundary).data)
+        return CorrelationFunction(self.genus, _genus_g_sum(self.handles, entries, boundary, inner),
+                                   self.prefactor_exponent)
 
-    def sew(self, sd: SewingData, rho_order: int) -> "Schottky":
-        handle = (sd.zeta1, sd.zeta2, rho_order, f"rho{self.genus + 1}")
-        return Schottky((handle, *self.handles))
+    def sew(self, sd: SewingData, rho_order: int) -> "Sewn":
+        variable = f"rho{len(self.handles) + 1}" if self.handles else "rho"
+        return Sewn(self.base, ((sd.zeta1, sd.zeta2, rho_order, variable), *self.handles))
 
     def _zero(self):
         _, _, rho_order, variable = self.handles[0]
         return TruncatedSeries.zero(variable, rho_order)
 
     def _require_point(self, y):
+        if not isinstance(self.base, Sphere):
+            raise ComplexError(
+                "no reduction on a handle sewn onto a trace: only the sewn sphere reduces"
+            )
         if points_coincide([*self.handle_points, y]):
             raise ComplexError("insertion points must differ from the handle points")
 
     def _zero_mode_term(self, entries, v, y):
-        sphere = Sphere()
+        sphere = self.base
         n = len(entries)
 
         def reduced(points):
@@ -330,10 +290,10 @@ class Schottky:
                              lambda mod: sphere.evaluate(mod).data,
                              sphere._zero_mode_term(points, v, y))
 
-        return _genus_g_sum(self.handles, entries, sphere=reduced)
+        return _genus_g_sum(self.handles, entries, inner=reduced)
 
     def _mode_terms(self, wt, comp, y_new):
-        return Sphere()._mode_terms(wt, comp, y_new)
+        return self.base._mode_terms(wt, comp, y_new)
 
 
 @dataclass
@@ -406,7 +366,7 @@ def element_from_insertions(
     else:
         if getattr(ins.moduli, "genus", None) != ins.genus:
             raise ComplexError(f"genus-{ins.genus} elements need SchottkyData of that genus")
-        evaluator = Schottky(ins.moduli.handles(rho_orders))
+        evaluator = Sewn(Sphere(), ins.moduli.handles(rho_orders))
         for _, y in ins.entries:
             evaluator._require_point(y)
     return _element(ins, evaluator)
@@ -562,16 +522,8 @@ class TotalDifferential:
             if desc.state is not None:
                 stepped = apply_Dn((desc.state, desc.point), elem)
                 sign = (-1) ** g
-                stepped = ChainElement(
-                    stepped.insertions,
-                    CorrelationFunction(
-                        stepped.value.genus,
-                        stepped.value.data * sign,
-                        stepped.value.prefactor_exponent,
-                    ),
-                    stepped.boundary,
-                    stepped.evaluator,
-                )
+                stepped = replace(stepped, value=replace(stepped.value,
+                                                         data=stepped.value.data * sign))
                 out.setdefault((g, n + 1), []).append(("Dn", stepped))
         return out
 
@@ -599,17 +551,10 @@ def check_chain_conditions(suite: Sequence[Mapping]) -> list[ConditionReport]:
     """
     reports = []
     for case in suite:
-        kind = case["kind"]
-        if kind == "n":
-            reports.append(_check_ncondition(case))
-        elif kind == "g":
-            reports.append(_check_gcondition(case))
-        elif kind == "gn":
-            reports.append(_check_gncondition(case))
-        elif kind == "total":
-            reports.append(_check_totalcondition(case))
-        else:
-            raise ComplexError(f"unknown condition kind {kind!r}")
+        check = _CONDITION_CHECKS.get(case["kind"])
+        if check is None:
+            raise ComplexError(f"unknown condition kind {case['kind']!r}")
+        reports.append(check(case))
     return reports
 
 
@@ -737,6 +682,14 @@ def _check_totalcondition(case) -> ConditionReport:
     )
 
 
+_CONDITION_CHECKS = {
+    "n": _check_ncondition,
+    "g": _check_gcondition,
+    "gn": _check_gncondition,
+    "total": _check_totalcondition,
+}
+
+
 # -- reduction to zero-point functions ---------------------------------
 
 
@@ -796,16 +749,11 @@ def connection_functional(
         data = data - TruncatedSeries(
             data.variable, {0: data.coefficient(0)}, data.truncation
         )
-    components["sewing_term"] = CorrelationFunction(
-        sewn.value.genus, data * (-1), sewn.value.prefactor_exponent
-    )
+    components["sewing_term"] = replace(sewn.value, data=data * (-1))
     components["middle_term"] = CorrelationFunction(phi.genus, 0)
     bracket = apply_Dn(psi_descriptor, phi)
     sign = -((-1) ** phi.genus)
-    components["bracket_term"] = CorrelationFunction(
-        bracket.value.genus, bracket.value.data * sign,
-        bracket.value.prefactor_exponent,
-    )
+    components["bracket_term"] = replace(bracket.value, data=bracket.value.data * sign)
     g_norm = max(v.norm() for v in components.values())
     return ConnectionReport(
         components,

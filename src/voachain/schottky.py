@@ -16,17 +16,18 @@ it is linear in the sphere function: any sphere identity, the genus-0
 reduction among them, holds term by term inside the sums.  Everything
 here is exact whenever the points are.
 
-Every handle sewn onto the sphere, whether by the direct genus-g sums or
-by sewing a sphere element, is one entry (zeta1, zeta2, rho_order,
-variable) of a handle list, outermost first, and :func:`_genus_g_sum`
-sums any such list.  All the terms sit at the same points.  When the
-innermost term is the sphere function itself and the points are exact,
-every handle is summed in one call of
-:func:`~voachain.voa.sewn_sphere_series`: one point check, one Wick
-context, one _wick call per paired term and one integer pair per
-coefficient.  :func:`_sewn_series`, one handle at a time over any
-evaluator, serves the rest: the sphere at float or complex points, the
-trace, the genus-g reduction's terms.
+Every sewn handle, whether by the direct genus-g sums or by sewing an
+element of any genus, is one entry (zeta1, zeta2, rho_order, variable)
+of a handle list, outermost first, and :func:`_genus_g_sum` sums any
+such list over an innermost term linear in the function it sews: the
+sphere function, the graded trace, or the genus-g reduction's terms.
+Each handle's paired terms are fetched once, before any sum starts.  All
+the terms sit at the same points.  When the innermost term is the
+sphere function itself and the points are exact, every handle is summed
+in one call of :func:`~voachain.voa.sewn_sphere_series`: one point
+check, one Wick context, one _wick call per paired term and one integer
+pair per coefficient.  :func:`_sewn_series`, one handle at a time over
+any term, serves the rest.
 """
 
 from __future__ import annotations
@@ -52,22 +53,24 @@ class SewingError(ValueError):
     pass
 
 
+# |rho| <= r1 r2 with both sewing disks of radius 1
+RHO_BOUND = 1
+
+
 @dataclass(frozen=True)
 class SewingData:
-    """One-handle sewing data: parameter rho with |rho| <= r1 r2 and the
-    two insertion points for the basis pair."""
+    """One-handle sewing data: parameter rho with |rho| <= RHO_BOUND and
+    the two insertion points for the basis pair."""
 
     rho: complex | None = None
     zeta1: Scalar = 1
     zeta2: Scalar = -1
-    disk_radii: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
         if points_coincide([self.zeta1, self.zeta2]):
             raise SewingError("sewing insertion points must differ")
-        r1, r2 = self.disk_radii
-        if self.rho is not None and abs(complex(self.rho)) > r1 * r2:
-            raise SewingError("|rho| must not exceed r1*r2")
+        if self.rho is not None and abs(complex(self.rho)) > RHO_BOUND:
+            raise SewingError(f"|rho| must not exceed {RHO_BOUND}")
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -168,37 +171,26 @@ def _pairing_terms(zeta1, zeta2, k: int) -> list[tuple[Scalar, FockState, FockSt
     ]
 
 
-def paired_handle_terms(zeta1, zeta2, k: int) -> list[tuple[Scalar, FockVector, FockVector]]:
-    """The terms of :func:`_pairing_terms` with the states as vectors."""
-    return [(c, FockVector({bbar: 1}), FockVector({b: 1}))
-            for c, bbar, b in _pairing_terms(zeta1, zeta2, k)]
-
-
 def _sewn_handle(zeta1, zeta2, rho_order: int, variable: str) -> tuple:
-    """One handle as :func:`~voachain.voa.sewn_sphere_series` takes it:
-    the sewing points, every order's paired terms and the variable."""
+    """One handle as :func:`~voachain.voa.sewn_sphere_series` and
+    :func:`_sewn_series` take it: the sewing points, every order's paired
+    terms and the variable."""
     return zeta1, zeta2, [_pairing_terms(zeta1, zeta2, k) for k in range(rho_order)], variable
 
 
-def _sewn_series(zeta1, zeta2, rho_order: int, evaluate, variable: str) -> TruncatedSeries:
-    """One sewn handle: the rho^k coefficient sums c * evaluate(pairs)
-    over the weight-k paired terms, with pairs = [(bbar, zeta1), (b, zeta2)].
-
-    ``evaluate`` may return None to drop a term.  Every order's terms are
-    fetched before the sum starts: a Gram inversion evaluates spheres at
-    the sewing points alone and would replace the Wick context the sum
-    runs in.
-    """
-    terms = [paired_handle_terms(zeta1, zeta2, k) for k in range(rho_order)]
+def _sewn_series(handle, evaluate) -> TruncatedSeries:
+    """One sewn handle (a :func:`_sewn_handle` tuple): the rho^k
+    coefficient sums c * evaluate(pairs) over the weight-k paired terms,
+    with pairs = [(bbar, zeta1), (b, zeta2)] as vectors."""
+    zeta1, zeta2, terms, variable = handle
     coeffs = {}
     for k, terms_k in enumerate(terms):
         total = 0
         for c, bbar, b in terms_k:
-            value = evaluate([(bbar, zeta1), (b, zeta2)])
-            if value is not None:
-                total = total + value * c
+            value = evaluate([(FockVector({bbar: 1}), zeta1), (FockVector({b: 1}), zeta2)])
+            total = total + value * c
         coeffs[k] = total
-    return TruncatedSeries(variable, coeffs, rho_order)
+    return TruncatedSeries(variable, coeffs, len(terms))
 
 
 # -- direct genus-g partition sums -------------------------------------
@@ -259,8 +251,8 @@ def genus_g_npoint(
     return _genus_g_sum(handles, insertions)
 
 
-def _genus_g_sum(handles, insertions, boundary=(VACUUM, VACUUM), sphere=None):
-    """Nested rho-series of the basis sums of handles sewn onto the sphere.
+def _genus_g_sum(handles, insertions, boundary=(VACUUM, VACUUM), inner=None):
+    """Nested rho-series of the basis sums of sewn handles.
 
     Each handle is (zeta1, zeta2, rho_order, variable), outermost first,
     and sews the handles after it; the innermost term is taken at the
@@ -268,10 +260,13 @@ def _genus_g_sum(handles, insertions, boundary=(VACUUM, VACUUM), sphere=None):
     By default that term is the sphere function between the boundary
     states, and at exact points every handle is summed at once by
     :func:`~voachain.voa.sewn_sphere_series`, one Wick context for all
-    the terms.  Otherwise it is ``sphere(points)``, any term linear in the
-    sphere function (the genus-g reduction passes the sphere's
-    reduction), or the sphere function at inexact points, summed by
-    :func:`_sewn_series` per handle.
+    the terms.  Otherwise it is ``inner(points)``, any term linear in the
+    function the handles sew (the graded trace, or the genus-g
+    reduction's sphere reduction), or the sphere function at inexact
+    points, summed by :func:`_sewn_series` per handle.  Each handle's
+    paired terms are fetched once, before any sum starts: a Gram
+    inversion evaluates spheres at the sewing points alone and would
+    replace the Wick context a sum runs in.
 
     A handle summed to order 0 knows none of its coefficients, so no
     coefficient of the sums is known either: the result is then the
@@ -279,17 +274,16 @@ def _genus_g_sum(handles, insertions, boundary=(VACUUM, VACUUM), sphere=None):
     """
     if any(rho_order == 0 for _, _, rho_order, _ in handles):
         return TruncatedSeries.zero(handles[0][3], 0)
-    if sphere is None:
-        series = sewn_sphere_series(insertions, [_sewn_handle(*h) for h in handles], *boundary)
+    sewn = [_sewn_handle(*h) for h in handles]
+    if inner is None:
+        series = sewn_sphere_series(insertions, sewn, *boundary)
         if series is not None:
             return series
-        sphere = partial(sphere_value, u_out=boundary[0], u_in=boundary[1], dressed=False)
+        inner = partial(sphere_value, u_out=boundary[0], u_in=boundary[1], dressed=False)
 
-    def sewn(i, points):
-        if i == len(handles):
-            return sphere(points)
-        zeta1, zeta2, rho_order, variable = handles[i]
-        return _sewn_series(zeta1, zeta2, rho_order,
-                            lambda pairs: sewn(i + 1, [*points, *pairs]), variable)
+    def summed(i, points):
+        if i == len(sewn):
+            return inner(points)
+        return _sewn_series(sewn[i], lambda pairs: summed(i + 1, [*points, *pairs]))
 
-    return sewn(0, list(insertions))
+    return summed(0, list(insertions))

@@ -503,8 +503,8 @@ def _expand_components(insertions, dressed):
 # Each nested coefficient is one integer pair over the least common
 # denominator of its terms, lowered to a Fraction once.  That needs
 # exact points and rational coefficients; any other sum is left to the
-# per-term path (sphere_value inside the nested _sewn_series of
-# schottky).
+# per-term path (sphere_value inside schottky's nested _sewn_series,
+# which sum the same paired terms, fetched once per handle).
 
 
 def sewn_sphere_series(

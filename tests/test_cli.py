@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -582,6 +583,28 @@ class TestCohomology:
         rep = json.loads(out)["report"]
         assert (rep["non_complex"], rep["composition_residual"], rep["betti"]) == (False, 0, 0)
         assert err == ""
+
+
+# the README's commands on the shipped configs, relative to the repo root
+README_COMMANDS = [
+    ["npoint", "--config", "configs/twopoint-a.cfg", "--oracle"],
+    ["npoint", "--config", "configs/twopoint-a.cfg", "--reduction"],
+    ["partition", "--config", "configs/genus2-partition.cfg"],
+    ["check-complex", "--config", "configs/vacuum.cfg"],
+    ["cohomology", "--config", "configs/cohomology-probe.cfg"],
+]
+
+
+@pytest.mark.parametrize("args", README_COMMANDS, ids=lambda args: " ".join(args[:1] + args[3:]))
+def test_readme_commands_on_the_shipped_configs(args, capsys, monkeypatch):
+    # each runs clean, and a second run prints the same bytes
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    outs = []
+    for _ in range(2):
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 class TestSubprocessEntry:

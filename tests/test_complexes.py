@@ -1002,7 +1002,7 @@ def test_sewn_trace_with_a_handle_to_order_0_knows_no_coefficient(orders):
         surface = surface.sew(SewingData(zeta1=zeta, zeta2=zeta + 1), order)
     value = surface.evaluate(())
     assert value.genus == 1 + len(orders)
-    assert value.data == TruncatedSeries.zero("rho2" if len(orders) > 1 else "rho", 0)
+    assert value.data == TruncatedSeries.zero(f"rho{len(orders)}" if len(orders) > 1 else "rho", 0)
     assert value.data.truncation == 0
 
 

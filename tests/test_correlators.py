@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voachain import correlators
-from voachain.complexes import Sewn, Trace
+from voachain.complexes import Trace
 from voachain.correlators import partition_qseries, torus_qseries, torus_trace
 from voachain.elliptic import pm_qseries
-from voachain.schottky import SewingData, _sewn_series
+from voachain.schottky import SewingData, _sewn_handle, _sewn_series
 from voachain.series import ExactComplex
 from voachain.voa import (
     A_VECTOR,
@@ -100,9 +100,9 @@ class TestTraceAgainstBasisSum:
         # shared tables serve basis states of each weight below rho_order
         insertions = [(A_VECTOR, Fraction(2)), (AA, Fraction(-3)), (A_VECTOR, Fraction(4))]
         sd = SewingData(zeta1=Fraction(5), zeta2=Fraction(-7, 2))
-        got = Sewn(Trace(5), sd, 4).evaluate(insertions).data
-        want = _sewn_series(sd.zeta1, sd.zeta2, 4,
-                            lambda pairs: _brute([*insertions, *pairs], 5), "rho")
+        got = Trace(5).sew(sd, 4).evaluate(insertions).data
+        want = _sewn_series(_sewn_handle(sd.zeta1, sd.zeta2, 4, "rho"),
+                            lambda pairs: _brute([*insertions, *pairs], 5))
         assert set(got.coefficients) == set(want.coefficients) == {0, 1, 2, 3}
         for k, series in want.coefficients.items():
             _same(got.coefficients[k], series)

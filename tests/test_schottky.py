@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from voachain import voa
-from voachain.complexes import Sewn, Sphere, Trace
+from voachain import schottky, voa
+from voachain.complexes import Sphere, Trace
 from voachain.correlators import partition_qseries, sphere_value, torus_qseries
 from voachain.schottky import (
     SchottkyData,
@@ -26,7 +26,6 @@ from voachain.schottky import (
     genus_g_npoint,
     genus_g_partition,
     handle_pairing,
-    paired_handle_terms,
 )
 from voachain.series import ExactComplex, TruncatedSeries, points_coincide
 from voachain.voa import (
@@ -57,7 +56,7 @@ class TestSewingData:
 
     def test_rho_domain(self):
         with pytest.raises(SewingError):
-            SewingData(rho=2.0, disk_radii=(1.0, 1.0))
+            SewingData(rho=2.0)
 
 
 class TestHandlePairing:
@@ -225,16 +224,52 @@ class TestSewTorus:
         ins = [(A_VECTOR, Fraction(2)), (A_VECTOR, Fraction(3))]
         base = torus_qseries(ins, 5)
         sd = SewingData(zeta1=Fraction(5), zeta2=Fraction(7))
-        series = Sewn(Trace(5), sd, 2).evaluate(ins).data
+        series = Trace(5).sew(sd, 2).evaluate(ins).data
         assert series.coefficient(0).compare(base).deviation == 0
 
     def test_partition_two_handles_smoke(self):
         sd = SewingData(zeta1=Fraction(5), zeta2=Fraction(7))
-        series = Sewn(Trace(4), sd, 2).evaluate([]).data
+        series = Trace(4).sew(sd, 2).evaluate([]).data
         # rho^0 coefficient is the genus-1 partition q-series
         q0 = series.coefficient(0)
         for k in range(4):
             assert q0.coefficient(k) == oracle_partition_counts(k)
+
+
+def _sewn_onto(base, points, orders):
+    surface = base
+    for (zeta1, zeta2), order in zip(points, orders):
+        surface = surface.sew(SewingData(zeta1=zeta1, zeta2=zeta2), order)
+    return surface
+
+
+class TestSewnHandles:
+    # a trace and the sphere take handles by one rule: the first is rho,
+    # one sewn on top of g others rho{g+1}, and each handle's paired terms
+    # are fetched once per order
+    @pytest.mark.parametrize("base", [Sphere(), Trace(3)], ids=["sphere", "trace"])
+    def test_each_level_has_its_own_variable(self, base):
+        series = _sewn_onto(base, ((2, 3), (5, 6), (9, 10)), (2, 2, 2)).evaluate(()).data
+        variables = []
+        while isinstance(series, TruncatedSeries) and series.variable != "q":
+            variables.append(series.variable)
+            series = series.coefficient(0)
+        assert variables == ["rho3", "rho2", "rho"]
+
+    @pytest.mark.parametrize("base, points, orders, calls", [
+        (Trace(3), ((2, 3), (5, 7)), (3, 3), 6),
+        (Sphere(), ((2.0, 3.0), (5.0, 7.0)), (4, 4), 8),
+    ], ids=["trace", "sphere-at-float-points"])
+    def test_one_pairing_call_per_handle_order(self, monkeypatch, base, points, orders, calls):
+        # nested per-term sums: the inner handle's terms are not fetched
+        # again for each outer term
+        counted = []
+        pairing = schottky.handle_pairing
+        monkeypatch.setattr(schottky, "handle_pairing",
+                            lambda *args: counted.append(args) or pairing(*args))
+        value = _sewn_onto(base, points, orders).evaluate(())
+        assert value.genus == base.genus + 2
+        assert len(counted) == calls == sum(orders)
 
 
 class TestGenusGPartition:
@@ -327,11 +362,11 @@ def flat_genus2_sum(sd, insertions, rho_orders, mode=None):
         inner = {}
         for k1 in range(rho_orders[0]):
             total = 0
-            for terms in product(paired_handle_terms(*handles[0], k1),
-                                 paired_handle_terms(*handles[1], k2)):
+            for terms in product(_pairing_terms(*handles[0], k1),
+                                 _pairing_terms(*handles[1], k2)):
                 pairs, c = [], 1
                 for (zeta1, zeta2), (c_h, bbar, b) in zip(handles, terms):
-                    pairs += [(bbar, zeta1), (b, zeta2)]
+                    pairs += [(FockVector({bbar: 1}), zeta1), (FockVector({b: 1}), zeta2)]
                     c = c * c_h
                 if mode is not None:
                     a, v, ell = mode
@@ -393,7 +428,7 @@ class TestNestedSewingSum:
                 return 0
             return sphere_value([*points[:slot], (moved, point), *points[slot + 1:]])
 
-        nested = _genus_g_sum(sd.handles((3, 3)), insertions, sphere=moved_sphere)
+        nested = _genus_g_sum(sd.handles((3, 3)), insertions, inner=moved_sphere)
         flat = flat_genus2_sum(sd, insertions, (3, 3), mode)
         assert nested.is_zero() == (ell == 0 or not insertions)
         self.assert_same(nested, flat)
@@ -493,9 +528,8 @@ def _per_term_sewn(handles, entries, boundary):
     if not handles:
         return Sphere().evaluate(entries, boundary).data
     (zeta1, zeta2, order, variable), *inner = handles
-    return _sewn_series(zeta1, zeta2, order,
-                        lambda pairs: _per_term_sewn(inner, (*entries, *pairs), boundary),
-                        variable)
+    return _sewn_series(_sewn_handle(zeta1, zeta2, order, variable),
+                        lambda pairs: _per_term_sewn(inner, (*entries, *pairs), boundary))
 
 
 class TestSewnSphereSeries:
@@ -504,7 +538,7 @@ class TestSewnSphereSeries:
     def test_genus_g_sum_matches_per_term_sums(self, case):
         insertions, handles = case
         sewn = _schottky(handles).handles([order for _, _, order in handles])
-        want = _genus_g_sum(sewn, insertions, sphere=lambda points: sphere_value(points))
+        want = _genus_g_sum(sewn, insertions, inner=lambda points: sphere_value(points))
         _assert_identical(_genus_g_sum(sewn, insertions), want)
 
     @settings(max_examples=40, deadline=None)
@@ -525,7 +559,7 @@ class TestSewnSphereSeries:
         insertions = [(insertions[0][0], twin), *insertions[1:]]
         sewn = _schottky(handles).handles([order for _, _, order in handles])
         with pytest.raises(ValueError, match="pairwise distinct"):
-            _genus_g_sum(sewn, insertions, sphere=lambda points: sphere_value(points))
+            _genus_g_sum(sewn, insertions, inner=lambda points: sphere_value(points))
         with pytest.raises(ValueError, match="pairwise distinct"):
             _genus_g_sum(sewn, insertions)
         with pytest.raises(ValueError, match="pairwise distinct"):

@@ -126,11 +126,14 @@ def parse_scalar(token: str):
     return value
 
 
-def parse_order(token: str, where: str) -> int:
-    order = parse_number(int, token, where)
+def check_order(order: int, where: str) -> int:
     if order < 0:
         raise ConfigError(f"{where}: truncation order {order} is negative")
     return order
+
+
+def parse_order(token: str, where: str) -> int:
+    return check_order(parse_number(int, token, where), where)
 
 
 def parse_orders(cfg, fallback: str) -> tuple[int, ...]:
@@ -234,7 +237,7 @@ def truncations(cfg) -> dict:
 
 
 def cmd_eval_eisenstein(args) -> int:
-    series = eisenstein(args.k, args.order)
+    series = eisenstein(args.k, check_order(args.order, "--order"))
     emit({
         "command": "eval-eisenstein",
         "config": {"k": args.k, "order": args.order},
@@ -244,6 +247,7 @@ def cmd_eval_eisenstein(args) -> int:
 
 
 def cmd_eval_weierstrass(args) -> int:
+    check_order(args.terms, "--terms")
     mp = ModularPoint(complex(args.tau_re, args.tau_im), q_order=args.terms)
     val = weierstrass_p(args.k, complex(args.z_re, args.z_im), mp, z_terms=args.terms)
     series = weierstrass_series(args.k, mp, args.terms)
@@ -260,6 +264,7 @@ def cmd_eval_weierstrass(args) -> int:
 
 
 def cmd_eval_pm(args) -> int:
+    check_order(args.terms, "--terms")
     mp = ModularPoint(complex(args.tau_re, args.tau_im), q_order=args.terms)
     val = pm_genus1(args.m, complex(args.z_re, args.z_im), mp, terms=args.terms)
     emit({
@@ -272,6 +277,10 @@ def cmd_eval_pm(args) -> int:
 
 
 def cmd_eval_f0(args) -> int:
+    check_order(args.iota_order, "--iota-order")
+    point = [parse_scalar(x) for x in (args.z, args.w) if x is not None]
+    if len(point) == 1:
+        raise ConfigError("--z and --w name one point: give both or neither")
     kernel = f0_kernel(args.n, args.m)
     num, den = kernel.numerator_denominator()
     report = {
@@ -283,8 +292,8 @@ def cmd_eval_f0(args) -> int:
             [ze, we, _frac_str(c)] for ze, we, c in f0_iota(args.n, args.m, args.iota_order)
         ],
     }
-    if args.z is not None and args.w is not None:
-        z, w = parse_scalar(args.z), parse_scalar(args.w)
+    if point:
+        z, w = point
         z_str, w_str = (_frac_str(x) if isinstance(x, Fraction) else str(x) for x in (z, w))
         report["value_at"] = {"z": z_str, "w": w_str,
                               "value": scalar_json(kernel(z, w))}

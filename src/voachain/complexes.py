@@ -21,7 +21,6 @@ the conditions constrains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -33,7 +32,9 @@ from .schottky import SewingData, _genus_g_sum, row_reduce_integer
 from .series import (
     Scalar,
     TruncatedSeries,
+    _FrozenRecord,
     _int_power,
+    _Record,
     _scalar_invert,
     points_coincide,
     scalar_abs,
@@ -59,20 +60,21 @@ class ComplexError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class InsertionTuple:
+class InsertionTuple(_FrozenRecord):
     """Ordered insertions (state, point) with genus tag and moduli
     reference; points pairwise distinct."""
 
-    entries: tuple[tuple[FockVector, Scalar], ...]
-    genus: int
-    moduli: object | None = None
+    __slots__ = ("entries", "genus", "moduli")
 
-    def __post_init__(self):
-        if points_coincide([z for _, z in self.entries]):
+    def __init__(self, entries: tuple[tuple[FockVector, Scalar], ...], genus: int,
+                 moduli: object | None = None):
+        if points_coincide([z for _, z in entries]):
             raise ComplexError("insertion points must be pairwise distinct")
-        if self.genus < 0:
+        if genus < 0:
             raise ComplexError("genus must be >= 0")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "moduli", moduli)
 
     @property
     def n(self) -> int:
@@ -85,14 +87,16 @@ class InsertionTuple:
         return InsertionTuple(self.entries, genus, moduli)
 
 
-@dataclass(frozen=True)
-class CorrelationFunction:
+class CorrelationFunction(_FrozenRecord):
     """Value container: scalar at genus 0, q-series at genus 1, nested
     rho-series at genus 2; the q^(-c/24) prefactor rides separately."""
 
-    genus: int
-    data: object
-    prefactor_exponent: Fraction = Fraction(0)
+    __slots__ = ("genus", "data", "prefactor_exponent")
+
+    def __init__(self, genus: int, data: object, prefactor_exponent: Fraction = Fraction(0)):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "prefactor_exponent", prefactor_exponent)
 
     def norm(self) -> float:
         return scalar_abs(self.data)
@@ -111,13 +115,13 @@ class CorrelationFunction:
 # kernel for one homogeneous component of the new state.
 
 
-@dataclass(frozen=True)
-class Sphere:
+class Sphere(_FrozenRecord):
     """Genus 0: the exact sphere engine between boundary states.  D1 is
     z^{-wt v} <u', o(v) Y(...) u> per homogeneous component (the placement
     that makes iterated reduction reproduce the oracle exactly); D2 takes
     the rational kernels f^(0) with round modes."""
 
+    __slots__ = ()
     genus = 0
     prefactor_exponent = Fraction(0)
     handle_points = ()
@@ -180,18 +184,20 @@ def _sphere_zero(entries) -> Scalar:
     return total
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(_FrozenRecord):
     """Genus 1: the graded trace to ``q_order`` (points are x = e^z), in
     Gaussian form (:func:`~voachain.correlators.torus_trace`).  D1 is the
     o(v)-inserted trace, the x^0 coefficient of v's fields at a formal x
     paired into the trace; D2 takes the P_{m+1} expansions with
     square-bracket modes."""
 
-    q_order: int
+    __slots__ = ("q_order",)
     genus = 1
     prefactor_exponent = Fraction(-CENTRAL_CHARGE, 24)
     handle_points = ()
+
+    def __init__(self, q_order: int):
+        self._set_fields(q_order)
 
     def evaluate(self, entries, boundary=VACUUM_BOUNDARY) -> CorrelationFunction:
         for _, x in entries:
@@ -218,8 +224,7 @@ class Trace:
                 lambda m, x_k: pm_qseries(m + 1, _ratio(x_new, x_k), self.q_order))
 
 
-@dataclass(frozen=True)
-class Sewn:
+class Sewn(_FrozenRecord):
     """Handles sewn onto the sphere or onto a trace: the paired basis sums.
 
     ``handles`` lists (zeta1, zeta2, rho_order, variable) per handle,
@@ -241,8 +246,10 @@ class Sewn:
     insertion, coefficient for coefficient, however the handles were
     sewn."""
 
-    base: Sphere | Trace
-    handles: tuple[tuple, ...]
+    __slots__ = ("base", "handles")
+
+    def __init__(self, base: Sphere | Trace, handles: tuple[tuple, ...]):
+        self._set_fields(base, handles)
 
     @property
     def genus(self) -> int:
@@ -296,27 +303,32 @@ class Sewn:
         return self.base._mode_terms(wt, comp, y_new)
 
 
-@dataclass
-class ChainElement:
-    insertions: InsertionTuple
-    value: CorrelationFunction
-    boundary: tuple[FockState, FockState] = VACUUM_BOUNDARY
-    evaluator: object = Sphere()
+class ChainElement(_Record):
+    __slots__ = ("insertions", "value", "boundary", "evaluator")
+
+    def __init__(self, insertions: InsertionTuple, value: CorrelationFunction,
+                 boundary: tuple[FockState, FockState] = VACUUM_BOUNDARY,
+                 evaluator: object = Sphere()):
+        self.insertions = insertions
+        self.value = value
+        self.boundary = boundary
+        self.evaluator = evaluator
 
     @property
     def genus(self) -> int:
         return self.insertions.genus
 
 
-@dataclass(frozen=True)
-class DifferentialDescriptor:
+class DifferentialDescriptor(_FrozenRecord):
     """New-insertion data for D^n or sewing data for D^g, with the
     (-1)^g sign bookkeeping of the total differential."""
 
-    kind: str  # "D1" | "D2" | "Dn" | "Dg" | "total"
-    state: FockVector | None = None
-    point: Scalar | None = None
-    sewing: SewingData | None = None
+    __slots__ = ("kind", "state", "point", "sewing")
+
+    # kind is "D1" | "D2" | "Dn" | "Dg" | "total"
+    def __init__(self, kind: str, state: FockVector | None = None,
+                 point: Scalar | None = None, sewing: SewingData | None = None):
+        self._set_fields(kind, state, point, sewing)
 
 
 def _element(ins: InsertionTuple, evaluator, boundary=VACUUM_BOUNDARY) -> ChainElement:
@@ -429,14 +441,14 @@ def _step(elem: ChainElement, v: FockVector, z: Scalar) -> InsertionTuple:
 
 def _stepped(elem: ChainElement, ins: InsertionTuple, data) -> ChainElement:
     # the reduction image, valued in elem's presentation
-    return replace(elem, insertions=ins, value=replace(elem.value, data=data))
+    return elem._replace(insertions=ins, value=elem.value._replace(data=data))
 
 
 def apply_Dn(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainElement:
     """Full reduction step D^n = D1 + D2 appending the new insertion."""
     d1 = apply_D1(x_new, elem)
     d2 = apply_D2(x_new, elem)
-    return replace(d1, value=_corr_add(d1.value, d2.value))
+    return d1._replace(value=_corr_add(d1.value, d2.value))
 
 
 def apply_Dg(elem: ChainElement, sd: SewingData, rho_order: int) -> ChainElement:
@@ -494,15 +506,15 @@ def _ratio(a, b):
 # -- total differential and chain conditions ---------------------------
 
 
-@dataclass
-class TotalDifferential:
+class TotalDifferential(_Record):
     """Block operator d^m = sum over (g,n), g+n=m of D^g + (-1)^g D^n,
     with one new-insertion descriptor per (g,n) block."""
 
-    m: int
-    descriptors: Mapping[tuple[int, int], DifferentialDescriptor]
-    rho_order: int = 4
-    g_max: int = 1
+    __slots__ = ("m", "descriptors", "rho_order", "g_max")
+
+    def __init__(self, m: int, descriptors: Mapping[tuple[int, int], DifferentialDescriptor],
+                 rho_order: int = 4, g_max: int = 1):
+        self._set_fields(m, descriptors, rho_order, g_max)
 
     def blocks(self) -> list[tuple[int, int]]:
         return [(g, self.m - g) for g in range(0, min(self.m, self.g_max) + 1)]
@@ -522,18 +534,17 @@ class TotalDifferential:
             if desc.state is not None:
                 stepped = apply_Dn((desc.state, desc.point), elem)
                 sign = (-1) ** g
-                stepped = replace(stepped, value=replace(stepped.value,
-                                                         data=stepped.value.data * sign))
+                stepped = stepped._replace(value=stepped.value._replace(
+                    data=stepped.value.data * sign))
                 out.setdefault((g, n + 1), []).append(("Dn", stepped))
         return out
 
 
-@dataclass
-class ConditionReport:
-    kind: str
-    residual: float
-    composition_norm: float
-    detail: dict
+class ConditionReport(_Record):
+    __slots__ = ("kind", "residual", "composition_norm", "detail")
+
+    def __init__(self, kind: str, residual: float, composition_norm: float, detail: dict):
+        self._set_fields(kind, residual, composition_norm, detail)
 
     @property
     def skipped(self) -> str | None:
@@ -705,12 +716,11 @@ def reduce_to_zero_point(elem: ChainElement) -> tuple[object, CorrelationFunctio
 # -- connection functional ---------------------------------------------
 
 
-@dataclass
-class ConnectionReport:
-    components: dict
-    G_norm: float
-    vanishing: bool
-    identification: dict
+class ConnectionReport(_Record):
+    __slots__ = ("components", "G_norm", "vanishing", "identification")
+
+    def __init__(self, components: dict, G_norm: float, vanishing: bool, identification: dict):
+        self._set_fields(components, G_norm, vanishing, identification)
 
 
 def connection_functional(
@@ -749,11 +759,11 @@ def connection_functional(
         data = data - TruncatedSeries(
             data.variable, {0: data.coefficient(0)}, data.truncation
         )
-    components["sewing_term"] = replace(sewn.value, data=data * (-1))
+    components["sewing_term"] = sewn.value._replace(data=data * (-1))
     components["middle_term"] = CorrelationFunction(phi.genus, 0)
     bracket = apply_Dn(psi_descriptor, phi)
     sign = -((-1) ** phi.genus)
-    components["bracket_term"] = replace(bracket.value, data=bracket.value.data * sign)
+    components["bracket_term"] = bracket.value._replace(data=bracket.value.data * sign)
     g_norm = max(v.norm() for v in components.values())
     return ConnectionReport(
         components,
@@ -787,19 +797,18 @@ def connection_functional_from_tuples(
 # -- cohomology of truncated probe complexes ---------------------------
 
 
-@dataclass(frozen=True)
-class ProbeComplex:
+class ProbeComplex(_FrozenRecord):
     """Finite spanning model: labels are insertion tuples drawn from a
     state pool at fixed slot points; differentials act by the reduction
     identities as label maps with the (-1)^g sign."""
 
-    pool: tuple[str, ...]
-    points: tuple[Scalar, ...]
-    g_max: int
-    n_max: int
-    descriptor_pool_index: int = 0
-    zero_dn: bool = False
-    zero_dg: bool = False
+    __slots__ = ("pool", "points", "g_max", "n_max", "descriptor_pool_index", "zero_dn",
+                 "zero_dg")
+
+    def __init__(self, pool: tuple[str, ...], points: tuple[Scalar, ...], g_max: int,
+                 n_max: int, descriptor_pool_index: int = 0, zero_dn: bool = False,
+                 zero_dg: bool = False):
+        self._set_fields(pool, points, g_max, n_max, descriptor_pool_index, zero_dn, zero_dg)
 
     def labels(self, m: int) -> list[tuple[int, int, tuple[int, ...]]]:
         out = []
@@ -830,16 +839,15 @@ class ProbeComplex:
         return mat, dom, cod
 
 
-@dataclass
-class CohomologyReport:
-    m: int
-    dim_domain: int
-    rank_dm: int
-    dim_kernel: int
-    rank_dm_minus_1: int
-    betti: int | None
-    non_complex: bool
-    composition_residual: int
+class CohomologyReport(_Record):
+    __slots__ = ("m", "dim_domain", "rank_dm", "dim_kernel", "rank_dm_minus_1", "betti",
+                 "non_complex", "composition_residual")
+
+    def __init__(self, m: int, dim_domain: int, rank_dm: int, dim_kernel: int,
+                 rank_dm_minus_1: int, betti: int | None, non_complex: bool,
+                 composition_residual: int):
+        self._set_fields(m, dim_domain, rank_dm, dim_kernel, rank_dm_minus_1, betti,
+                         non_complex, composition_residual)
 
 
 def cohomology_ranks(probe: ProbeComplex, m: int) -> CohomologyReport:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .series import Scalar, TruncatedSeries
+from .series import Scalar, TruncatedSeries, _int_power
 from .voa import (
     VACUUM,
     FockState,
@@ -151,8 +151,10 @@ def torus_trace(
 # no pairing.  Every other sum is one q-series over one denominator: a
 # list of q-order numerators and the denominator.  When every point is
 # an int or a Fraction the numerators are ints and the denominator is a
-# positive int, built from integer power pairs of the points (the
-# denominators are products of powers of the x_i and of x_i - x_j).
+# positive int, built from integer powers of the points (the
+# denominators are products of powers of the x_i and of x_i - x_j).  The
+# context keeps each point's powers over one denominator, so a
+# propagator sums its divisor-sum terms over one denominator too.
 # Products convolve the numerators and multiply the denominators, sums
 # add numerators over an equal denominator or cross-multiply, and each
 # table entry is reduced by one gcd when it is stored, where Fraction
@@ -166,13 +168,14 @@ def torus_trace(
 class _TorusContext:
     """The tables shared by every Gaussian trace at one point tuple."""
 
-    __slots__ = ("points", "exact", "order", "partition", "propagators", "memo")
+    __slots__ = ("points", "exact", "order", "partition", "powers", "propagators", "memo")
 
     def __init__(self, points: tuple, order: int):
         self.points = points
         self.exact = all(isinstance(x, (int, Fraction)) for x in points)
         self.order = order
         self.partition = [partition_count(k) for k in range(order)]
+        self.powers: dict = {}  # (point index, d) -> the point's powers
         self.propagators: dict = {}  # two fields, or (d, field) -> {e: series}
         self.memo: dict = {}  # fields, or (v fields, fields, e) -> series or None
 
@@ -205,20 +208,27 @@ def _reduced(ctx: _TorusContext, series):
     return series
 
 
-def _add(a: tuple, b: tuple) -> tuple:
-    # the sum of two (numerator, denominator) pairs
-    (an, ad), (bn, bd) = a, b
-    if ad == bd:
-        return an + bn, ad
-    g = math.gcd(ad, bd)
-    return an * (bd // g) + bn * (ad // g), ad // g * bd
-
-
-def _term(ctx: _TorusContext, c: int, xi, ei: int, xj, ej: int) -> tuple:
-    # c xi^ei xj^ej as a pair
-    ni, di = _power_pair(ctx.exact, xi, ei)
-    nj, dj = _power_pair(ctx.exact, xj, ej)
-    return c * ni * nj, di * dj
+def _point_powers(ctx: _TorusContext, i: int, d: int) -> tuple:
+    """The powers x^e of point i that the propagators of its fields of
+    derivative order d take, -order - d <= e <= order - 2 - d, over one
+    denominator: (numerators with x^e at index e + order + d,
+    denominator).  At an exact point x = a/b the denominator is
+    a^(order+d) b^top, made positive, with top = max(order - 2 - d, 0);
+    at any other point it is 1 and the numerators are the powers."""
+    key = (i, d)
+    val = ctx.powers.get(key)
+    if val is None:
+        x, low = ctx.points[i], ctx.order + d
+        exponents = range(-low, ctx.order - 1 - d)
+        if ctx.exact:
+            a, b = x.numerator, x.denominator
+            top = max(ctx.order - 2 - d, 0)
+            sign = -1 if a < 0 and low % 2 else 1
+            val = [sign * a ** (low + e) * b ** (top - e) for e in exponents], sign * a**low * b**top
+        else:
+            val = [_int_power(x, e) for e in exponents], 1
+        ctx.powers[key] = val
+    return val
 
 
 def _propagator(ctx: _TorusContext, pair: str) -> tuple:
@@ -226,26 +236,31 @@ def _propagator(ctx: _TorusContext, pair: str) -> tuple:
     if val is None:
         d1, i, d2, j = map(ord, pair)
         xi, xj = ctx.points[i], ctx.points[j]
+        order = ctx.order
         if i == j:
             num, den = _power_pair(ctx.exact, xi, -2 - d1 - d2)
-            val = [num * c for c in _self_contraction(d1, d2, ctx.order)], den
+            val = [num * c for c in _self_contraction(d1, d2, order)], den
         else:
             num, den = _power_pair(ctx.exact, xi - xj, -2 - d1 - d2)
-            coeffs = [(0, 1)] * ctx.order
-            coeffs[0] = (-1) ** d1 * (d1 + d2 + 1) * math.comb(d1 + d2, d1) * num, den
-            for n in range(1, ctx.order):
-                tn, td = _add(
-                    _term(ctx, _comb_neg(-n - 1, d1) * _comb_neg(n - 1, d2),
-                          xi, -n - 1 - d1, xj, n - 1 - d2),
-                    _term(ctx, _comb_neg(n - 1, d1) * _comb_neg(-n - 1, d2),
-                          xi, n - 1 - d1, xj, -n - 1 - d2))
-                for k in range(n, ctx.order, n):
-                    coeffs[k] = _add(coeffs[k], (n * tn, td))
+            coeffs = [(-1) ** d1 * (d1 + d2 + 1) * math.comb(d1 + d2, d1) * num] + [0] * (order - 1)
+            # the q^k terms over the one denominator of the two power
+            # tables: xi^(-n-1-d1) is at index order - n - 1 of its
+            # table, xi^(n-1-d1) at order + n - 1, and so for xj
+            pi, di = _point_powers(ctx, i, d1)
+            pj, dj = _point_powers(ctx, j, d2)
+            for n in range(1, order):
+                tn = (_comb_neg(-n - 1, d1) * _comb_neg(n - 1, d2) * pi[order - n - 1]
+                      * pj[order + n - 1]
+                      + _comb_neg(n - 1, d1) * _comb_neg(-n - 1, d2) * pi[order + n - 1]
+                      * pj[order - n - 1])
+                for k in range(n, order, n):
+                    coeffs[k] = coeffs[k] + n * tn
             if ctx.exact:
-                den = math.lcm(*(d for _, d in coeffs))
-                val = [n * (den // d) for n, d in coeffs], den
+                # the q^0 term over den, the rest over di dj
+                dij = di * dj
+                val = [coeffs[0] * dij] + [c * den for c in coeffs[1:]], den * dij
             else:
-                val = [n for n, _ in coeffs], 1
+                val = coeffs, 1
         val = ctx.propagators[pair] = _reduced(ctx, val)
     return val
 
@@ -257,19 +272,18 @@ def _zero_mode_propagator(ctx: _TorusContext, d1: int, field: str) -> dict:
     val = ctx.propagators.get(key)
     if val is None:
         d2, j = map(ord, field)
-        xj = ctx.points[j]
+        pj, den = _point_powers(ctx, j, d2)
         order = ctx.order
         val = {}
         for n in range(1, order):
+            # xj^(n-1-d2) and xj^(-n-1-d2), as _propagator reads them
             a = n * _comb_neg(-n - 1, d1) * _comb_neg(n - 1, d2)
             if a:
-                num, den = _power_pair(ctx.exact, xj, n - 1 - d2)
-                c = a * num
+                c = a * pj[order + n - 1]
                 val[-n] = _reduced(ctx, ([c if k % n == 0 else 0 for k in range(order)], den))
             b = n * _comb_neg(n - 1, d1) * _comb_neg(-n - 1, d2)
             if b:
-                num, den = _power_pair(ctx.exact, xj, -n - 1 - d2)
-                c = b * num
+                c = b * pj[order - n - 1]
                 val[n] = _reduced(ctx, ([c if k and k % n == 0 else 0 for k in range(order)], den))
         ctx.propagators[key] = val
     return val

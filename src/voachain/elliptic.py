@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import Scalar, TruncatedSeries, _int_power, to_complex
+from .series import Scalar, TruncatedSeries, _FrozenRecord, _int_power, to_complex
 
 
 class EllipticError(ValueError):
@@ -58,16 +57,15 @@ def eisenstein(k: int, q_order: int) -> TruncatedSeries:
     return TruncatedSeries("q", coeffs, q_order)
 
 
-@dataclass(frozen=True)
-class ModularPoint:
+class ModularPoint(_FrozenRecord):
     """Point tau in the upper half plane with its nome q = e^{2 pi i tau}."""
 
-    tau: complex
-    q_order: int = 40
+    __slots__ = ("tau", "q_order")
 
-    def __post_init__(self):
-        if complex(self.tau).imag <= 0:
+    def __init__(self, tau: complex, q_order: int = 40):
+        if complex(tau).imag <= 0:
             raise EllipticError("tau must have positive imaginary part")
+        self._set_fields(tau, q_order)
 
     @property
     def q(self) -> complex:
@@ -116,10 +114,11 @@ def weierstrass_p(
     return EllipticValue(value, tail)
 
 
-@dataclass(frozen=True)
-class EllipticValue:
-    value: complex
-    tail_estimate: float
+class EllipticValue(_FrozenRecord):
+    __slots__ = ("value", "tail_estimate")
+
+    def __init__(self, value: complex, tail_estimate: float):
+        self._set_fields(value, tail_estimate)
 
     def flagged(self, tol: float = 1e-9) -> bool:
         return not (self.tail_estimate < tol)
@@ -185,6 +184,8 @@ def pm_qseries(m: int, q_z: Scalar, q_order: int) -> TruncatedSeries:
 
 def pm_lambert(m: int, q_z: complex, q: complex, terms: int = 40) -> complex:
     """Resummed numeric P_m, convergent for q_z off the lattice q^Z."""
+    if m < 1:
+        raise EllipticError("kernel order must be >= 1")
     pref = Fraction((-1) ** m, math.factorial(m - 1))
     sign = (-1) ** m
     total = polylog_neg(m - 1, q_z)
@@ -239,12 +240,14 @@ def pm_direct_sum(
 # by splitting w^n/(z-w) = z^n/(z-w) - sum_{j<n} w^j z^{n-1-j}.
 
 
-@dataclass(frozen=True)
-class RationalKernel:
+class RationalKernel(_FrozenRecord):
     """f^(0)_{n,m} with exact numerator/denominator polynomial pair."""
 
-    n: int
-    m: int
+    __slots__ = ("n", "m")
+
+    def __init__(self, n: int, m: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
 
     def __call__(self, z: Scalar, w: Scalar) -> Scalar:
         if z == w:

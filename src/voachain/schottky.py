@@ -32,13 +32,12 @@ any term, serves the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Sequence
 
 from .correlators import Insertion, sphere_value
-from .series import Scalar, TruncatedSeries, _int_power, points_coincide
+from .series import Scalar, TruncatedSeries, _FrozenRecord, _int_power, points_coincide
 from .voa import (
     VACUUM,
     FockState,
@@ -57,20 +56,18 @@ class SewingError(ValueError):
 RHO_BOUND = 1
 
 
-@dataclass(frozen=True)
-class SewingData:
+class SewingData(_FrozenRecord):
     """One-handle sewing data: parameter rho with |rho| <= RHO_BOUND and
     the two insertion points for the basis pair."""
 
-    rho: complex | None = None
-    zeta1: Scalar = 1
-    zeta2: Scalar = -1
+    __slots__ = ("rho", "zeta1", "zeta2")
 
-    def __post_init__(self):
-        if points_coincide([self.zeta1, self.zeta2]):
+    def __init__(self, rho: complex | None = None, zeta1: Scalar = 1, zeta2: Scalar = -1):
+        if points_coincide([zeta1, zeta2]):
             raise SewingError("sewing insertion points must differ")
-        if self.rho is not None and abs(complex(self.rho)) > RHO_BOUND:
+        if rho is not None and abs(complex(rho)) > RHO_BOUND:
             raise SewingError(f"|rho| must not exceed {RHO_BOUND}")
+        self._set_fields(rho, zeta1, zeta2)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -196,21 +193,21 @@ def _sewn_series(handle, evaluate) -> TruncatedSeries:
 # -- direct genus-g partition sums -------------------------------------
 
 
-@dataclass(frozen=True)
-class SchottkyData:
+class SchottkyData(_FrozenRecord):
     """Sewing description of a genus-g surface: the pair of sewing points
     (w_-a, w_a) of each handle a, at which its paired basis states sit."""
 
-    genus: int
-    points: tuple[Scalar, ...] = ()  # (w_-1, w_1, w_-2, w_2, ...)
+    __slots__ = ("genus", "points")
 
-    def __post_init__(self):
-        if self.genus < 1:
+    # points = (w_-1, w_1, w_-2, w_2, ...)
+    def __init__(self, genus: int, points: tuple[Scalar, ...] = ()):
+        if genus < 1:
             raise SewingError("genus must be >= 1")
-        if len(self.points) != 2 * self.genus:
+        if len(points) != 2 * genus:
             raise SewingError("need two points per handle")
-        if points_coincide(self.points):
+        if points_coincide(points):
             raise SewingError("sewing points must be pairwise distinct")
+        self._set_fields(genus, points)
 
     def point(self, a: int) -> Scalar:
         """w_a with a in {-g..-1, 1..g}; pairs stored as (w_-a, w_a)."""

@@ -20,6 +20,70 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 
+class _Record:
+    """Base of the package's records: plain ``__slots__`` classes whose
+    fields are the names in ``__slots__``, in order.
+
+    Equality compares the fields, and only against a record of the same
+    class.  The repr is ``Name(field=value, ...)``, and :meth:`_replace`
+    copies a record with some fields changed, through its constructor.
+    A record is mutable and unhashable; a :class:`_FrozenRecord` is
+    hashable and refuses assignment.  Each subclass writes its own
+    ``__init__`` with its signature, defaults and checks, and stores its
+    fields with :meth:`_set_fields` (or ``object.__setattr__``, where
+    records are built in loops).  The records are written out rather
+    than generated at import: a class generator that imports ``inspect``
+    and runs an ``exec`` per class would cost more than half of what
+    importing the CLI takes.
+    """
+
+    __slots__ = ()
+
+    def _set_fields(self, *fields):
+        # the fields in __slots__ order, frozen or not
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def _replace(self, **changes):
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        return self.__class__(**{**fields, **changes})
+
+
+class _FrozenRecord(_Record):
+    """A :class:`_Record` that is hashed by its fields and whose fields
+    cannot be assigned or deleted after ``__init__``."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore the slots through here
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
 class ExactComplex:
     """Gaussian rational: re + im*i with Fraction components.
 
@@ -313,15 +377,6 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by var^k exactly (validity range shifts along)."""
-        return TruncatedSeries(
-            self.variable,
-            {e + k: c for e, c in self.coefficients.items()},
-            self.truncation + k,
-            self.min_exponent + k,
-        )
-
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse up to truncation.
 
@@ -363,15 +418,6 @@ class TruncatedSeries:
             {e - 1: c * e for e, c in self.coefficients.items() if e != 0},
             self.truncation - 1,
             self.min_exponent - 1,
-        )
-
-    def truncate(self, truncation: int) -> "TruncatedSeries":
-        trunc = min(truncation, self.truncation)
-        return TruncatedSeries(
-            self.variable,
-            {e: c for e, c in self.coefficients.items() if e < trunc},
-            trunc,
-            self.min_exponent,
         )
 
     def evaluate(self, value: Scalar) -> Scalar:

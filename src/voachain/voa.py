@@ -13,7 +13,6 @@ points rather than truncated mode sums).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -23,6 +22,7 @@ from .series import (
     ExactComplex,
     Scalar,
     TruncatedSeries,
+    _FrozenRecord,
     _int_power,
     _scalar_invert,
     points_coincide,
@@ -30,17 +30,27 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class FockState:
+class FockState(_FrozenRecord):
     """Basis vector a(-n1)...a(-nk)|0>, partition sorted descending."""
 
-    partition: tuple[int, ...]
+    # the hash of the partition is kept: every FockVector dict operation
+    # and every mode-action cache lookup hashes the state
+    __slots__ = ("partition", "_hash")
 
-    def __post_init__(self):
-        parts = tuple(sorted((int(n) for n in self.partition), reverse=True))
-        if any(n < 1 for n in parts):
+    def __init__(self, partition: tuple[int, ...]):
+        parts = tuple(sorted((int(n) for n in partition), reverse=True))
+        if parts and parts[-1] < 1:
             raise ValueError("partition parts must be positive")
         object.__setattr__(self, "partition", parts)
+        object.__setattr__(self, "_hash", hash(parts))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.partition == other.partition
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def weight(self) -> int:

@@ -69,6 +69,29 @@ class TestEvalCommands:
         assert doc["value_at"]["value"]["rational"] == "2/15"
         assert all(we >= 1 for _, we, _ in doc["iota"])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["eval-pm", "--m", "0"], "kernel order must be >= 1"),
+        (["eval-pm", "--m", "-1"], "kernel order must be >= 1"),
+        (["eval-pm", "--m", "2", "--terms", "-1"], "--terms: truncation order -1 is negative"),
+        (["eval-weierstrass", "--terms", "-3"], "--terms: truncation order -3 is negative"),
+        (["eval-eisenstein", "--k", "4", "--order", "-1"],
+         "--order: truncation order -1 is negative"),
+        (["eval-f0", "--n", "2", "--m", "1", "--iota-order", "-1"],
+         "--iota-order: truncation order -1 is negative"),
+        (["eval-f0", "--n", "1", "--m", "0", "--z", "5"],
+         "--z and --w name one point: give both or neither"),
+        (["eval-f0", "--n", "1", "--m", "0", "--w", "5"],
+         "--z and --w name one point: give both or neither"),
+        (["eval-f0", "--n", "1", "--m", "0", "--z", "abc"], "cannot parse scalar 'abc'"),
+    ], ids=["pm-m0", "pm-m-1", "pm-terms", "weierstrass-terms", "eisenstein-order",
+            "f0-iota-order", "f0-lone-z", "f0-lone-w", "f0-lone-bad-z"])
+    def test_bad_argument_is_a_validation_error(self, capsys, argv, message):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert json.loads(out) == {"command": argv[0],
+                                   "error": {"kind": "validation", "message": message}}
+        assert "Traceback" not in err
+
     def test_f0_at_a_point_of_any_size(self, capsys):
         code, out, _ = run_cli(
             ["eval-f0", "--n", "1", "--m", "0", "--z", "1e-5000", "--w", "2"], capsys
@@ -617,6 +640,18 @@ class TestSubprocessEntry:
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
         assert proc.stdout == ""
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # together they were over half of what importing the CLI took,
+        # and every run pays the import
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, voachain.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout == "[]\n"
 
     def test_module_invocation_success(self):
         proc = subprocess.run(

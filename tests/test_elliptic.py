@@ -177,6 +177,13 @@ class TestPmGenus1:
         with pytest.raises(EllipticError):
             pm_genus1(1, complex(0.5, 0), mp)  # |q_z| > 1
 
+    @pytest.mark.parametrize("kernel", [
+        lambda m: pm_lambert(m, 0.5, 0.01), lambda m: pm_qseries(m, 2, 3)])
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_kernel_order_below_one_rejected(self, kernel, m):
+        with pytest.raises(EllipticError, match="kernel order must be >= 1"):
+            kernel(m)
+
     def test_q_to_zero_limit(self):
         # every q-dependent term vanishes; limit is the resummed
         # polylog part alone

@@ -237,7 +237,8 @@ def truncations(cfg) -> dict:
 
 
 def cmd_eval_eisenstein(args) -> int:
-    series = eisenstein(args.k, check_order(args.order, "--order"))
+    check_order(args.order, "--order")
+    series = eisenstein(args.k, args.order)
     emit({
         "command": "eval-eisenstein",
         "config": {"k": args.k, "order": args.order},

@@ -323,9 +323,8 @@ class DifferentialDescriptor(_FrozenRecord):
     """New-insertion data for D^n or sewing data for D^g, with the
     (-1)^g sign bookkeeping of the total differential."""
 
-    __slots__ = ("kind", "state", "point", "sewing")
+    __slots__ = ("kind", "state", "point", "sewing")  # kind: "D1" | "D2" | "Dn" | "Dg" | "total"
 
-    # kind is "D1" | "D2" | "Dn" | "Dg" | "total"
     def __init__(self, kind: str, state: FockVector | None = None,
                  point: Scalar | None = None, sewing: SewingData | None = None):
         self._set_fields(kind, state, point, sewing)

@@ -186,13 +186,20 @@ def _torus_context(typed_points: tuple, order: int) -> _TorusContext:
 
 
 @lru_cache(maxsize=None)
+def _divisor_weights(d1: int, d2: int, order: int) -> tuple[tuple[int, int], ...]:
+    """The binomials (C(-n-1,d1) C(n-1,d2), C(n-1,d1) C(-n-1,d2)) of the
+    two divisor sums of a propagator, for 1 <= n < order."""
+    return tuple((_comb_neg(-n - 1, d1) * _comb_neg(n - 1, d2),
+                  _comb_neg(n - 1, d1) * _comb_neg(-n - 1, d2)) for n in range(1, order))
+
+
+@lru_cache(maxsize=None)
 def _self_contraction(d1: int, d2: int, order: int) -> tuple[int, ...]:
     """q-coefficients of the contraction of two fields of one normally
     ordered state at x, without its factor x^(-2-d1-d2)."""
     out = [0] * order
-    for n in range(1, order):
-        t = n * (_comb_neg(-n - 1, d1) * _comb_neg(n - 1, d2)
-                 + _comb_neg(n - 1, d1) * _comb_neg(-n - 1, d2))
+    for n, (a, b) in enumerate(_divisor_weights(d1, d2, order), 1):
+        t = n * (a + b)
         for k in range(n, order, n):
             out[k] += t
     return tuple(out)
@@ -224,7 +231,8 @@ def _point_powers(ctx: _TorusContext, i: int, d: int) -> tuple:
             a, b = x.numerator, x.denominator
             top = max(ctx.order - 2 - d, 0)
             sign = -1 if a < 0 and low % 2 else 1
-            val = [sign * a ** (low + e) * b ** (top - e) for e in exponents], sign * a**low * b**top
+            den = sign * a**low * b**top
+            val = [sign * a ** (low + e) * b ** (top - e) for e in exponents], den
         else:
             val = [_int_power(x, e) for e in exponents], 1
         ctx.powers[key] = val
@@ -242,17 +250,16 @@ def _propagator(ctx: _TorusContext, pair: str) -> tuple:
             val = [num * c for c in _self_contraction(d1, d2, order)], den
         else:
             num, den = _power_pair(ctx.exact, xi - xj, -2 - d1 - d2)
-            coeffs = [(-1) ** d1 * (d1 + d2 + 1) * math.comb(d1 + d2, d1) * num] + [0] * (order - 1)
+            coeffs = [0] * order
+            coeffs[0] = (-1) ** d1 * (d1 + d2 + 1) * math.comb(d1 + d2, d1) * num
             # the q^k terms over the one denominator of the two power
             # tables: xi^(-n-1-d1) is at index order - n - 1 of its
             # table, xi^(n-1-d1) at order + n - 1, and so for xj
             pi, di = _point_powers(ctx, i, d1)
             pj, dj = _point_powers(ctx, j, d2)
-            for n in range(1, order):
-                tn = (_comb_neg(-n - 1, d1) * _comb_neg(n - 1, d2) * pi[order - n - 1]
-                      * pj[order + n - 1]
-                      + _comb_neg(n - 1, d1) * _comb_neg(-n - 1, d2) * pi[order + n - 1]
-                      * pj[order - n - 1])
+            for n, (a, b) in enumerate(_divisor_weights(d1, d2, order), 1):
+                tn = (a * pi[order - n - 1] * pj[order + n - 1]
+                      + b * pi[order + n - 1] * pj[order - n - 1])
                 for k in range(n, order, n):
                     coeffs[k] = coeffs[k] + n * tn
             if ctx.exact:
@@ -275,15 +282,13 @@ def _zero_mode_propagator(ctx: _TorusContext, d1: int, field: str) -> dict:
         pj, den = _point_powers(ctx, j, d2)
         order = ctx.order
         val = {}
-        for n in range(1, order):
+        for n, (a, b) in enumerate(_divisor_weights(d1, d2, order), 1):
             # xj^(n-1-d2) and xj^(-n-1-d2), as _propagator reads them
-            a = n * _comb_neg(-n - 1, d1) * _comb_neg(n - 1, d2)
             if a:
-                c = a * pj[order + n - 1]
+                c = n * a * pj[order + n - 1]
                 val[-n] = _reduced(ctx, ([c if k % n == 0 else 0 for k in range(order)], den))
-            b = n * _comb_neg(n - 1, d1) * _comb_neg(-n - 1, d2)
             if b:
-                c = b * pj[order - n - 1]
+                c = n * b * pj[order - n - 1]
                 val[n] = _reduced(ctx, ([c if k and k % n == 0 else 0 for k in range(order)], den))
         ctx.propagators[key] = val
     return val

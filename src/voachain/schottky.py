@@ -197,9 +197,8 @@ class SchottkyData(_FrozenRecord):
     """Sewing description of a genus-g surface: the pair of sewing points
     (w_-a, w_a) of each handle a, at which its paired basis states sit."""
 
-    __slots__ = ("genus", "points")
+    __slots__ = ("genus", "points")  # points: (w_-1, w_1, w_-2, w_2, ...)
 
-    # points = (w_-1, w_1, w_-2, w_2, ...)
     def __init__(self, genus: int, points: tuple[Scalar, ...] = ()):
         if genus < 1:
             raise SewingError("genus must be >= 1")

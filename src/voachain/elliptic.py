@@ -218,6 +218,8 @@ def pm_direct_sum(
     m: int, z: complex, mp: ModularPoint, tol: float = 1e-12, max_n: int = 4000
 ) -> complex:
     """Term-by-term partial sums of the defining series (oracle path)."""
+    if m < 1:
+        raise EllipticError("kernel order must be >= 1")
     q = mp.q
     q_z = cmath.exp(complex(z))
     if not (abs(q) < abs(q_z) < 1):

@@ -178,7 +178,8 @@ class TestPmGenus1:
             pm_genus1(1, complex(0.5, 0), mp)  # |q_z| > 1
 
     @pytest.mark.parametrize("kernel", [
-        lambda m: pm_lambert(m, 0.5, 0.01), lambda m: pm_qseries(m, 2, 3)])
+        lambda m: pm_lambert(m, 0.5, 0.01), lambda m: pm_qseries(m, 2, 3),
+        lambda m: pm_direct_sum(m, -0.5 + 0.3j, ModularPoint(1.5j))])
     @pytest.mark.parametrize("m", [0, -1])
     def test_kernel_order_below_one_rejected(self, kernel, m):
         with pytest.raises(EllipticError, match="kernel order must be >= 1"):

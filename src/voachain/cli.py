@@ -46,7 +46,7 @@ from .elliptic import (
     weierstrass_series,
 )
 from .schottky import SchottkyData, SewingData, SewingError, genus_g_partition
-from .series import ExactComplex, SeriesError, TruncatedSeries, _frac_str
+from .series import ExactComplex, SeriesError, TruncatedSeries, _frac_str, points_coincide
 from .voa import FockState, FockVector
 
 STATE_ALIASES = {
@@ -214,8 +214,7 @@ def build_sewing(cfg, section: str = "sewing") -> SewingData:
 def build_schottky(cfg) -> SchottkyData:
     section = "schottky"
     genus = cfg.getint(section, "genus")
-    raw_points = cfg.get(section, "w", fallback=None) or cfg.get(section, "points")
-    points = tuple(parse_scalar(x) for x in parse_list(raw_points))
+    points = tuple(parse_scalar(x) for x in parse_list(cfg.get(section, "points")))
     return SchottkyData(genus=genus, points=points)
 
 
@@ -500,14 +499,22 @@ def cmd_connection(args) -> int:
 
 def cmd_cohomology(args) -> int:
     cfg = read_config(args.config)
+    pool = tuple(parse_list(cfg.get("probe", "pool", fallback="1, a")))
+    for token in pool:
+        parse_state(token)
+    points = tuple(
+        parse_scalar(p) for p in parse_list(cfg.get("probe", "points", fallback="3, 1, -2")))
+    if points_coincide(points):
+        raise ConfigError("[probe] points must be pairwise distinct")
+    index = cfg.getint("probe", "descriptor_pool_index", fallback=0)
+    if not 0 <= index < len(pool):
+        raise ConfigError(f"[probe] descriptor_pool_index {index} names no state of the pool")
     probe = ProbeComplex(
-        pool=tuple(parse_list(cfg.get("probe", "pool", fallback="1, a"))),
-        points=tuple(
-            parse_scalar(p) for p in parse_list(cfg.get("probe", "points", fallback="3, 1, -2"))
-        ),
+        pool=pool,
+        points=points,
         g_max=cfg.getint("probe", "g_max", fallback=1),
         n_max=cfg.getint("probe", "n_max", fallback=2),
-        descriptor_pool_index=cfg.getint("probe", "descriptor_pool_index", fallback=0),
+        descriptor_pool_index=index,
         zero_dn=cfg.getboolean("probe", "zero_dn", fallback=False),
         zero_dg=cfg.getboolean("probe", "zero_dg", fallback=False),
     )

@@ -20,7 +20,7 @@ Every sewn handle, whether by the direct genus-g sums or by sewing an
 element of any genus, is one entry (zeta1, zeta2, rho_order, variable)
 of a handle list, outermost first, and :func:`_genus_g_sum` sums any
 such list over an innermost term linear in the function it sews: the
-sphere function, the graded trace, or the genus-g reduction's terms.
+sphere function, the graded trace, or the reduction terms of either.
 Each handle's paired terms are fetched once, before any sum starts.  All
 the terms sit at the same points.  When the innermost term is the
 sphere function itself and the points are exact, every handle is summed
@@ -257,12 +257,13 @@ def _genus_g_sum(handles, insertions, boundary=(VACUUM, VACUUM), inner=None):
     states, and at exact points every handle is summed at once by
     :func:`~voachain.voa.sewn_sphere_series`, one Wick context for all
     the terms.  Otherwise it is ``inner(points)``, any term linear in the
-    function the handles sew (the graded trace, or the genus-g
-    reduction's sphere reduction), or the sphere function at inexact
-    points, summed by :func:`_sewn_series` per handle.  Each handle's
-    paired terms are fetched once, before any sum starts: a Gram
-    inversion evaluates spheres at the sewing points alone and would
-    replace the Wick context a sum runs in.
+    function the handles sew (the graded trace, or the reduction terms of
+    the sphere or the trace), or the sphere function at inexact points,
+    summed by :func:`_sewn_series` per handle; with no handles the sum is
+    ``inner(insertions)`` itself.  Each handle's paired terms are fetched
+    once, before any sum starts: a Gram inversion evaluates spheres at
+    the sewing points alone and would replace the Wick context a sum
+    runs in.
 
     A handle summed to order 0 knows none of its coefficients, so no
     coefficient of the sums is known either: the result is then the

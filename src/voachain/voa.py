@@ -713,17 +713,32 @@ def _wick(out, fields, ins, ctx):
     num, den = 0, 1
     terms = []
     if out:
+        # The first boundary part contracts with each field of a lower
+        # derivative order, and with an equal part of ins.  As in the
+        # field branch, a run of equal fields is one term times the run's
+        # length, and a sub-state is looked up before the recursion is
+        # entered.
         part, rest = out[0], out[1:]
         m = ord(part)
-        for idx in range(0, len(fields), 2):
-            d = ord(fields[idx])
+        head = f"{chr(len(rest))}{chr(len(ins))}{rest}{ins}"
+        idx, end = 0, len(fields)
+        while idx < end:
+            field = fields[idx:idx + 2]
+            run = idx + 2
+            while fields.startswith(field, run):
+                run += 2
+            d = ord(field[0])
             if d <= m - 1:
-                pn, pd = _leg_power(ctx, ord(fields[idx + 1]), m - 1 - d)
-                sn, sd = _wick(rest, fields[:idx] + fields[idx + 2:], ins, ctx)
-                terms.append((m * math.comb(m - 1, d) * pn * sn, pd * sd))
+                pn, pd = _leg_power(ctx, ord(field[1]), m - 1 - d)
+                sub = fields[:idx] + fields[idx + 2:]
+                sn, sd = memo.get(head + sub) or _wick(rest, sub, ins, ctx)
+                terms.append(((run - idx) // 2 * m * math.comb(m - 1, d) * pn * sn, pd * sd))
+            idx = run
         cnt = ins.count(part)
         if cnt:
-            sn, sd = _wick(rest, fields, ins.replace(part, "", 1), ctx)
+            sub = ins.replace(part, "", 1)
+            sn, sd = (memo.get(f"{chr(len(rest))}{chr(len(sub))}{rest}{sub}{fields}")
+                      or _wick(rest, fields, sub, ctx))
             terms.append((cnt * m * sn, sd))
     elif fields:
         # The first field contracts with each field of another insertion.

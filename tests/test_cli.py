@@ -389,6 +389,15 @@ rho_orders = 3, 2
         assert code_b == 0 and code_s == 0
         assert json.loads(out_s)["series"] == json.loads(out_b)["series"]
 
+    def test_handle_points_are_read_from_points_alone(self, write_config, capsys):
+        # `points` is the one key for the handle points: a config that
+        # gives them as `w` names no points
+        cfg = write_config("[schottky]\ngenus = 2\nw = -1, 1, -3, 3\n"
+                           "[truncation]\nrho_orders = 2, 2\n")
+        code, out, _ = run_cli(["partition", "--config", cfg], capsys)
+        assert code == 2
+        assert "points" in json.loads(out)["error"]["message"]
+
 
 class TestCheckComplex:
     def test_vacuum_suite_passes(self, write_config, capsys):
@@ -443,6 +452,34 @@ tolerance = 1e-12
         doc = json.loads(out)
         assert doc["reports"][0]["residual"] == 0
         assert doc["reports"][0]["composition_norm"] > 0
+        assert code == 0
+
+    def test_genus1_mixed_commutation_is_computed(self, write_config, capsys):
+        # the sewn trace reduces, so the gn check on a genus-1 element is
+        # computed, not skipped, and its residual is exactly 0
+        cfg = write_config(
+            """
+[experiment]
+kinds = gn
+[element]
+genus = 1
+states = a
+points = 7
+[descriptors]
+x1_state = a
+x1_point = 11
+[truncation]
+q_order = 3
+rho_order = 2
+[assert]
+expect_zero = true
+tolerance = 0
+"""
+        )
+        code, out, err = run_cli(["check-complex", "--config", cfg], capsys)
+        report = json.loads(out)["reports"][0]
+        assert "skipped" not in report["detail"] and "skipped" not in err
+        assert report["residual"] == 0 and report["composition_norm"] > 0
         assert code == 0
 
     def test_nonzero_residual_with_assert_exits_3(self, write_config, capsys, monkeypatch):
@@ -606,6 +643,29 @@ class TestCohomology:
         rep = json.loads(out)["report"]
         assert (rep["non_complex"], rep["composition_residual"], rep["betti"]) == (False, 0, 0)
         assert err == ""
+
+
+    def test_unknown_pool_state_rejected(self, write_config, capsys):
+        cfg = write_config(PROBE.replace("pool = 1, a, aa", "pool = 1, bogus"))
+        code, out, _ = run_cli(["cohomology", "--config", cfg], capsys)
+        assert code == 2
+        assert "unknown state 'bogus'" in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize("index", [3, -1])
+    def test_descriptor_outside_the_pool_rejected(self, write_config, capsys, index):
+        # the D^n label map appends the pool state it names: one past the
+        # pool would drop every D^n entry of the matrix
+        cfg = write_config(PROBE.replace("n_max = 2\n",
+                                         f"n_max = 2\ndescriptor_pool_index = {index}\n"))
+        code, out, _ = run_cli(["cohomology", "--config", cfg], capsys)
+        assert code == 2
+        assert "descriptor_pool_index" in json.loads(out)["error"]["message"]
+
+    def test_coincident_probe_points_rejected(self, write_config, capsys):
+        cfg = write_config(PROBE.replace("points = 3, 1, -2", "points = 3, 3, 3"))
+        code, out, _ = run_cli(["cohomology", "--config", cfg], capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == "[probe] points must be pairwise distinct"
 
 
 # the README's commands on the shipped configs, relative to the repo root

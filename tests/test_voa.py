@@ -900,6 +900,23 @@ class TestWickContext:
         _cold(sphere_matrix_element, VACUUM, [(power, 7), (power, 5)], VACUUM)
         assert calls == [16, 14, 12, 10, 8, 6, 4]
 
+    def test_equal_boundary_partners_recurse_once_per_state(self, monkeypatch):
+        # <a(-1)^8|0>, Y(a(-1)^8|0>, 2) 1>: the first part of u_out has
+        # eight equal partners, one run, so each state of 8, 7, ..., 0
+        # boundary parts is entered once, and no call is a memo hit
+        calls = []
+        wick = voa._wick
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return wick(*args)
+
+        monkeypatch.setattr(voa, "_wick", counted)
+        power = FockState((1,) * 8)
+        assert _cold(sphere_matrix_element, power, [(power, 2)], VACUUM) == 1
+        assert calls == [8, 7, 6, 5, 4, 3, 2, 1, 0]
+        assert len(_context_of([2]).memo) == len(calls)
+
     def test_exact_memo_holds_reduced_int_pairs(self):
         # the guard against Fraction arithmetic creeping back into the
         # recursion: at exact points every table entry is an int pair with

@@ -18,10 +18,8 @@ import configparser
 import json
 import sys
 from fractions import Fraction
-from functools import partial
 
 from .complexes import (
-    ChainElement,
     ComplexError,
     InsertionTuple,
     ProbeComplex,
@@ -31,8 +29,6 @@ from .complexes import (
     cohomology_ranks,
     connection_functional,
     element_from_insertions,
-    genus0_npoint,
-    genus1_npoint_trace,
     reduce_to_zero_point,
 )
 from .elliptic import (
@@ -47,7 +43,7 @@ from .elliptic import (
 )
 from .schottky import SchottkyData, SewingData, SewingError, genus_g_partition
 from .series import ExactComplex, SeriesError, TruncatedSeries, _frac_str, points_coincide
-from .voa import FockState, FockVector
+from .voa import VACUUM_VECTOR, FockState, FockVector
 
 STATE_ALIASES = {
     "1": (),
@@ -59,38 +55,8 @@ STATE_ALIASES = {
 }
 
 
-# the [truncation] keys that are truncation orders, each 0 or more
-ORDER_KEYS = ("q_order", "rho_order", "rho_orders")
-
-
 class ConfigError(ValueError):
     pass
-
-
-def _checked(read):
-    def typed_read(self, section, option, **kwargs):
-        try:
-            return read(self, section, option, **kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {option}: {exc}") from exc
-
-    return typed_read
-
-
-class _Config(configparser.ConfigParser):
-    """A ConfigParser whose typed reads report a malformed value as a
-    ConfigError."""
-
-    getint = _checked(configparser.ConfigParser.getint)
-    getfloat = _checked(configparser.ConfigParser.getfloat)
-    getboolean = _checked(configparser.ConfigParser.getboolean)
-
-
-def parse_number(kind, token: str, where: str):
-    try:
-        return kind(token)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: cannot read {token.strip()!r} as {kind.__name__}") from exc
 
 
 def parse_state(token: str) -> FockVector:
@@ -126,24 +92,148 @@ def parse_scalar(token: str):
     return value
 
 
-def check_order(order: int, where: str) -> int:
+def parse_order(raw) -> int:
+    order = int(raw)
     if order < 0:
-        raise ConfigError(f"{where}: truncation order {order} is negative")
+        raise ConfigError(f"truncation order {order} is negative")
     return order
 
 
-def parse_order(token: str, where: str) -> int:
-    return check_order(parse_number(int, token, where), where)
-
-
-def parse_orders(cfg, fallback: str) -> tuple[int, ...]:
-    where = "[truncation] rho_orders"
-    return tuple(parse_order(x, where)
-                 for x in parse_list(cfg.get("truncation", "rho_orders", fallback=fallback)))
+def parse_bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ConfigError(f"not a boolean: {raw!r}") from None
 
 
 def parse_list(raw: str):
     return [t for t in (piece.strip() for piece in raw.split(",")) if t]
+
+
+def each(read):
+    """The reader of a comma-separated list of what ``read`` reads."""
+    return lambda raw: tuple(read(token) for token in parse_list(raw))
+
+
+def parse_pool(raw: str) -> tuple[str, ...]:
+    """The pool's state tokens, each checked to name a state."""
+    pool = tuple(parse_list(raw))
+    for token in pool:
+        parse_state(token)
+    return pool
+
+
+def parse_rho(raw: str):
+    return complex(parse_scalar(raw)) if raw else None
+
+
+def read_value(read, raw, where: str):
+    try:
+        return read(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+# -- the keys of each config subcommand ----------------------------------
+#
+# {section: {key: (reader, default)}}; a key whose default is REQUIRED
+# must be given wherever its command reads it.
+
+REQUIRED = object()
+INSERTIONS = {"states": (each(parse_state), ()), "points": (each(parse_scalar), ())}
+ELEMENT = {"genus": (int, 0), **INSERTIONS}
+SEWING = {"zeta1": (parse_scalar, 1), "zeta2": (parse_scalar, -1), "rho": (parse_rho, None)}
+SCHOTTKY = {
+    "genus": (int, REQUIRED),
+    "points": (each(parse_scalar), REQUIRED),
+    "rho": (str, None),  # read by nothing; refused once the benchmark drops it (ROADMAP item 1)
+}
+
+CONFIG_KEYS = {
+    "npoint": {
+        "experiment": {"genus": (int, REQUIRED)},
+        "insertions": INSERTIONS,
+        "schottky": SCHOTTKY,
+        "truncation": {"q_order": (parse_order, 8), "weight_cutoff": (int, None),
+                       "rho_orders": (each(parse_order), (4, 3))},
+    },
+    "sew": {
+        "experiment": {"genus": (int, 0)},
+        "insertions": INSERTIONS,
+        "sewing": SEWING,
+        "truncation": {"rho_order": (parse_order, 6), "q_order": (parse_order, 6)},
+    },
+    "partition": {
+        "schottky": SCHOTTKY,
+        "truncation": {"rho_orders": (each(parse_order), (6,))},
+    },
+    "reduce": {
+        "experiment": {"genus": (int, REQUIRED)},
+        "insertions": INSERTIONS,
+        "truncation": {"q_order": (parse_order, 8)},
+        "tolerance": {"float_tol": (float, 1e-10)},
+    },
+    "check-complex": {
+        "experiment": {"kinds": (parse_list, ("n", "g", "gn"))},
+        "element": ELEMENT,
+        "descriptors": {"x1_state": (parse_state, VACUUM_VECTOR),
+                        "x1_point": (parse_scalar, Fraction(11)),
+                        "x2_state": (parse_state, VACUUM_VECTOR),
+                        "x2_point": (parse_scalar, Fraction(13))},
+        "sewing": SEWING,
+        "truncation": {"q_order": (parse_order, 5), "rho_order": (parse_order, 3)},
+        "assert": {"expect_zero": (parse_bool, False), "tolerance": (float, 1e-9)},
+    },
+    "connection": {
+        "element": ELEMENT,
+        "descriptor": {"state": (parse_state, VACUUM_VECTOR),
+                       "point": (parse_scalar, Fraction(11))},
+        "sewing": SEWING,
+        "options": {"f_op": (str, "paper"), "include_vacuum_term": (parse_bool, False)},
+        "truncation": {"q_order": (parse_order, 5), "rho_order": (parse_order, 4)},
+        "assert": {"vanishing": (parse_bool, None)},
+        "tolerance": {"float_tol": (float, 1e-9)},
+    },
+    "cohomology": {
+        "probe": {"pool": (parse_pool, ("1", "a")),
+                  "points": (each(parse_scalar), (Fraction(3), Fraction(1), Fraction(-2))),
+                  "g_max": (int, 1), "n_max": (int, 2), "descriptor_pool_index": (int, 0),
+                  "zero_dn": (parse_bool, False), "zero_dg": (parse_bool, False)},
+        "experiment": {"m": (int, REQUIRED)},
+    },
+}
+
+
+class _Values(dict):
+    """A config's values by (section, key): each given key as its reader
+    read it, the default of every other key.  ``given`` is the config as
+    written."""
+
+    def __missing__(self, key):
+        raise ConfigError("[{}] {} is not given".format(*key))
+
+
+def read_config(path: str, command: str) -> _Values:
+    """Read the config at ``path`` by the key table of ``command``;
+    any other section or key is refused."""
+    parser = configparser.ConfigParser()
+    if not parser.read(path):
+        raise ConfigError(f"config file {path!r} not found")
+    table = CONFIG_KEYS[command]
+    values = _Values({(section, key): default for section, keys in table.items()
+                      for key, (_, default) in keys.items() if default is not REQUIRED})
+    values.given = {section: dict(parser[section]) for section in parser.sections()}
+    for section, given in values.given.items():
+        if section not in table:
+            raise ConfigError(f"{command} takes no section [{section}]; it takes "
+                              + ", ".join(f"[{name}]" for name in table))
+        for key, raw in given.items():
+            if key not in table[section]:
+                raise ConfigError(f"{command} takes no key {key!r} in [{section}]; "
+                                  f"[{section}] takes {', '.join(table[section])}")
+            values[section, key] = read_value(table[section][key][0], raw,
+                                              f"[{section}] {key}")
+    return values
 
 
 def scalar_json(x):
@@ -170,73 +260,40 @@ def emit(report: dict) -> None:
     print(json.dumps(report, sort_keys=True, indent=2))
 
 
+def emit_report(command: str, cfg: _Values, **fields) -> None:
+    """A config command's report: the config as written, the given
+    [truncation] keys as read, and the command's own fields."""
+    truncation = {key: cfg["truncation", key] for key in cfg.given.get("truncation", {})}
+    emit({"command": command, "config": cfg.given, "truncation": truncation, **fields})
+
+
 def fail_validation(command: str, message: str) -> int:
     emit({"command": command, "error": {"kind": "validation", "message": message}})
     return 2
 
 
-def read_config(path: str) -> configparser.ConfigParser:
-    cfg = _Config()
-    loaded = cfg.read(path)
-    if not loaded:
-        raise ConfigError(f"config file {path!r} not found")
-    return cfg
-
-
-def config_echo(cfg: configparser.ConfigParser) -> dict:
-    return {section: dict(cfg[section]) for section in cfg.sections()}
-
-
-def build_insertions(cfg, genus: int, moduli=None, section: str = "insertions") -> InsertionTuple:
-    states = parse_list(cfg.get(section, "states", fallback=""))
-    points = parse_list(cfg.get(section, "points", fallback=""))
+def build_insertions(cfg: _Values, genus: int, moduli=None,
+                     section: str = "insertions") -> InsertionTuple:
+    states, points = cfg[section, "states"], cfg[section, "points"]
     if len(states) != len(points):
         raise ConfigError(f"[{section}] states and points lists must have equal length")
-    entries = tuple(
-        (parse_state(s), parse_scalar(p)) for s, p in zip(states, points)
-    )
-    return InsertionTuple(entries, genus, moduli)
+    return InsertionTuple(tuple(zip(states, points)), genus, moduli)
 
 
-def build_sewing(cfg, section: str = "sewing") -> SewingData:
-    if not cfg.has_section(section):
-        return SewingData()
-    zeta1 = parse_scalar(cfg.get(section, "zeta1", fallback="1"))
-    zeta2 = parse_scalar(cfg.get(section, "zeta2", fallback="-1"))
-    rho = cfg.get(section, "rho", fallback=None)
-    return SewingData(
-        rho=complex(parse_scalar(rho)) if rho else None,
-        zeta1=zeta1,
-        zeta2=zeta2,
-    )
+def build_sewing(cfg: _Values) -> SewingData:
+    return SewingData(rho=cfg["sewing", "rho"], zeta1=cfg["sewing", "zeta1"],
+                      zeta2=cfg["sewing", "zeta2"])
 
 
-def build_schottky(cfg) -> SchottkyData:
-    section = "schottky"
-    genus = cfg.getint(section, "genus")
-    points = tuple(parse_scalar(x) for x in parse_list(cfg.get(section, "points")))
-    return SchottkyData(genus=genus, points=points)
-
-
-def truncations(cfg) -> dict:
-    out = {}
-    if cfg.has_section("truncation"):
-        for key in cfg["truncation"]:
-            raw = cfg.get("truncation", key)
-            where = f"[truncation] {key}"
-            parse = parse_order if key in ORDER_KEYS else partial(parse_number, int)
-            if "," in raw:
-                out[key] = [parse(x, where) for x in parse_list(raw)]
-            else:
-                out[key] = parse(raw, where)
-    return out
+def build_schottky(cfg: _Values) -> SchottkyData:
+    return SchottkyData(genus=cfg["schottky", "genus"], points=cfg["schottky", "points"])
 
 
 # -- subcommand handlers ------------------------------------------------
 
 
 def cmd_eval_eisenstein(args) -> int:
-    check_order(args.order, "--order")
+    read_value(parse_order, args.order, "--order")
     series = eisenstein(args.k, args.order)
     emit({
         "command": "eval-eisenstein",
@@ -247,7 +304,7 @@ def cmd_eval_eisenstein(args) -> int:
 
 
 def cmd_eval_weierstrass(args) -> int:
-    check_order(args.terms, "--terms")
+    read_value(parse_order, args.terms, "--terms")
     mp = ModularPoint(complex(args.tau_re, args.tau_im), q_order=args.terms)
     val = weierstrass_p(args.k, complex(args.z_re, args.z_im), mp, z_terms=args.terms)
     series = weierstrass_series(args.k, mp, args.terms)
@@ -264,7 +321,7 @@ def cmd_eval_weierstrass(args) -> int:
 
 
 def cmd_eval_pm(args) -> int:
-    check_order(args.terms, "--terms")
+    read_value(parse_order, args.terms, "--terms")
     mp = ModularPoint(complex(args.tau_re, args.tau_im), q_order=args.terms)
     val = pm_genus1(args.m, complex(args.z_re, args.z_im), mp, terms=args.terms)
     emit({
@@ -277,7 +334,7 @@ def cmd_eval_pm(args) -> int:
 
 
 def cmd_eval_f0(args) -> int:
-    check_order(args.iota_order, "--iota-order")
+    read_value(parse_order, args.iota_order, "--iota-order")
     point = [parse_scalar(x) for x in (args.z, args.w) if x is not None]
     if len(point) == 1:
         raise ConfigError("--z and --w name one point: give both or neither")
@@ -302,128 +359,68 @@ def cmd_eval_f0(args) -> int:
 
 
 def cmd_npoint(args) -> int:
-    cfg = read_config(args.config)
-    genus = args.genus if args.genus is not None else cfg.getint("experiment", "genus")
-    path = args.path or cfg.get("experiment", "path", fallback="oracle")
-    trunc = truncations(cfg)
-    q_order = trunc.get("q_order", 8)
-    sd = rho_orders = None
-    if genus == 2:
-        sd = build_schottky(cfg)
-        rho_orders = parse_orders(cfg, fallback="4,3")
-    ins = build_insertions(cfg, genus, moduli=sd)
-    if path == "oracle":
-        elem = _oracle_element(ins, q_order, trunc.get("weight_cutoff"), rho_orders)
+    cfg = read_config(args.config, "npoint")
+    genus = args.genus if args.genus is not None else cfg["experiment", "genus"]
+    q_order, rho_orders = cfg["truncation", "q_order"], cfg["truncation", "rho_orders"]
+    ins = build_insertions(cfg, genus, moduli=build_schottky(cfg) if genus == 2 else None)
+    if args.path == "oracle":
+        elem = element_from_insertions(ins, q_order, rho_orders,
+                                       cfg["truncation", "weight_cutoff"])
     else:
-        elem = _reduce_iteratively(ins, q_order, rho_orders)
-    emit({
-        "command": "npoint",
-        "config": config_echo(cfg),
-        "path": path,
-        "result": corr_json(elem.value),
-        "truncation": trunc,
-    })
+        # from the zero-point element, one reduction step per insertion
+        elem = element_from_insertions(InsertionTuple((), genus, ins.moduli), q_order,
+                                       rho_orders)
+        for state, point in ins.entries:
+            elem = apply_Dn((state, point), elem)
+    emit_report("npoint", cfg, path=args.path, result=corr_json(elem.value))
     return 0
 
 
-def _oracle_element(ins: InsertionTuple, q_order: int, weight_cutoff=None,
-                    rho_orders=None) -> ChainElement:
-    """The genus-0 sphere value, the genus-1 graded trace, or the genus-2
-    basis sums to rho_orders, of ins."""
-    if ins.genus == 0:
-        return genus0_npoint(ins)
-    if ins.genus == 1:
-        return genus1_npoint_trace(ins, q_order, weight_cutoff=weight_cutoff)
-    if ins.genus == 2 and rho_orders is not None:
-        return element_from_insertions(ins, rho_orders=rho_orders)
-    raise ConfigError(f"unsupported genus {ins.genus}")
-
-
-def _reduce_iteratively(ins: InsertionTuple, q_order: int, rho_orders=None) -> ChainElement:
-    # from the zero-point element, one reduction step per insertion
-    elem = _oracle_element(InsertionTuple((), ins.genus, ins.moduli), q_order,
-                           rho_orders=rho_orders)
-    for state, point in ins.entries:
-        elem = apply_Dn((state, point), elem)
-    return elem
-
-
 def cmd_sew(args) -> int:
-    cfg = read_config(args.config)
-    genus = cfg.getint("experiment", "genus", fallback=0)
-    trunc = truncations(cfg)
-    rho_order = trunc.get("rho_order", 6)
-    q_order = trunc.get("q_order", 6)
+    cfg = read_config(args.config, "sew")
     sewing = build_sewing(cfg)
-    elem = _oracle_element(build_insertions(cfg, genus), q_order)
-    sewn = apply_Dg(elem, sewing, rho_order)
-    emit({
-        "command": "sew",
-        "config": config_echo(cfg),
-        "result": corr_json(sewn.value),
-        "truncation": trunc,
-    })
+    elem = element_from_insertions(build_insertions(cfg, cfg["experiment", "genus"]),
+                                   cfg["truncation", "q_order"])
+    sewn = apply_Dg(elem, sewing, cfg["truncation", "rho_order"])
+    emit_report("sew", cfg, result=corr_json(sewn.value))
     return 0
 
 
 def cmd_partition(args) -> int:
-    cfg = read_config(args.config)
-    sd = build_schottky(cfg)
-    orders = parse_orders(cfg, fallback="6")
-    series = genus_g_partition(sd, orders)
-    emit({
-        "command": "partition",
-        "config": config_echo(cfg),
-        "series": series.to_json_dict(),
-        "truncation": {"rho_orders": list(orders)},
-    })
+    cfg = read_config(args.config, "partition")
+    series = genus_g_partition(build_schottky(cfg), cfg["truncation", "rho_orders"])
+    emit_report("partition", cfg, series=series.to_json_dict())
     return 0
 
 
 def cmd_reduce(args) -> int:
-    cfg = read_config(args.config)
-    genus = cfg.getint("experiment", "genus")
-    trunc = truncations(cfg)
-    q_order = trunc.get("q_order", 8)
-    tol = cfg.getfloat("tolerance", "float_tol", fallback=1e-10)
-    elem = _oracle_element(build_insertions(cfg, genus), q_order)
+    cfg = read_config(args.config, "reduce")
+    elem = element_from_insertions(build_insertions(cfg, cfg["experiment", "genus"]),
+                                   cfg["truncation", "q_order"])
     factor, zero_point = reduce_to_zero_point(elem)
+    product = factor * zero_point.data
     if isinstance(factor, TruncatedSeries):
-        product = factor * zero_point.data
         residual = product.compare(elem.value.data).deviation
         factor_json = {"series": factor.to_json_dict()}
     else:
-        product = factor * zero_point.data
         residual = abs(complex(product) - complex(elem.value.data))
         factor_json = {"value": scalar_json(factor)}
-    emit({
-        "command": "reduce",
-        "config": config_echo(cfg),
-        "factor": factor_json,
-        "zero_point": corr_json(zero_point),
-        "round_trip_residual": residual,
-        "truncation": trunc,
-    })
-    return 0 if residual <= tol else 3
+    emit_report("reduce", cfg, factor=factor_json, zero_point=corr_json(zero_point),
+                round_trip_residual=residual)
+    return 0 if residual <= cfg["tolerance", "float_tol"] else 3
 
 
 def cmd_check_complex(args) -> int:
-    cfg = read_config(args.config)
-    genus = cfg.getint("element", "genus", fallback=0)
-    trunc = truncations(cfg)
-    q_order = trunc.get("q_order", 5)
-    rho_order = trunc.get("rho_order", 3)
-    expect_zero = cfg.getboolean("assert", "expect_zero", fallback=False)
-    tol = cfg.getfloat("assert", "tolerance", fallback=1e-9)
-    elem = _oracle_element(build_insertions(cfg, genus, section="element"), q_order)
-    x1 = (parse_state(cfg.get("descriptors", "x1_state", fallback="1")),
-          parse_scalar(cfg.get("descriptors", "x1_point", fallback="11")))
-    x2 = (parse_state(cfg.get("descriptors", "x2_state", fallback="1")),
-          parse_scalar(cfg.get("descriptors", "x2_point", fallback="13")))
+    cfg = read_config(args.config, "check-complex")
+    rho_order = cfg["truncation", "rho_order"]
+    elem = element_from_insertions(
+        build_insertions(cfg, cfg["element", "genus"], section="element"),
+        cfg["truncation", "q_order"])
+    x1 = (cfg["descriptors", "x1_state"], cfg["descriptors", "x1_point"])
+    x2 = (cfg["descriptors", "x2_state"], cfg["descriptors", "x2_point"])
     sewing = build_sewing(cfg)
-    kinds = parse_list(cfg.get("experiment", "kinds", fallback="n, g, gn"))
     suite = []
-    for kind in kinds:
+    for kind in cfg["experiment", "kinds"]:
         if kind == "n":
             suite.append({"kind": "n", "element": elem, "x1": x1, "x2": x2})
         elif kind == "g":
@@ -440,18 +437,13 @@ def cmd_check_complex(args) -> int:
          "composition_norm": rep.composition_norm, "detail": rep.detail}
         for rep in reports
     ]
-    emit({
-        "command": "check-complex",
-        "config": config_echo(cfg),
-        "reports": payload,
-        "truncation": trunc,
-    })
-    if expect_zero:
+    emit_report("check-complex", cfg, reports=payload)
+    if cfg["assert", "expect_zero"]:
         # a skipped check computed nothing, so it cannot assert a zero
         skipped = [rep for rep in reports if rep.skipped]
         for rep in skipped:
             print(f"chain check {rep.kind!r} skipped: {rep.skipped}", file=sys.stderr)
-        if any(rep.residual > tol for rep in reports):
+        if any(rep.residual > cfg["assert", "tolerance"] for rep in reports):
             print("chain-condition residual above tolerance", file=sys.stderr)
             return 3
         if skipped:
@@ -460,37 +452,24 @@ def cmd_check_complex(args) -> int:
 
 
 def cmd_connection(args) -> int:
-    cfg = read_config(args.config)
-    genus = cfg.getint("element", "genus", fallback=0)
-    trunc = truncations(cfg)
-    q_order = trunc.get("q_order", 5)
-    rho_order = trunc.get("rho_order", 4)
-    expected = cfg.getboolean("assert", "vanishing", fallback=None)
-    elem = _oracle_element(build_insertions(cfg, genus, section="element"), q_order)
-    descriptor = (
-        parse_state(cfg.get("descriptor", "state", fallback="1")),
-        parse_scalar(cfg.get("descriptor", "point", fallback="11")),
-    )
+    cfg = read_config(args.config, "connection")
+    elem = element_from_insertions(
+        build_insertions(cfg, cfg["element", "genus"], section="element"),
+        cfg["truncation", "q_order"])
     report = connection_functional(
         elem,
-        descriptor,
+        (cfg["descriptor", "state"], cfg["descriptor", "point"]),
         sewing=build_sewing(cfg),
-        f_op=cfg.get("options", "f_op", fallback="paper"),
-        include_vacuum_term=cfg.getboolean(
-            "options", "include_vacuum_term", fallback=False
-        ),
-        rho_order=rho_order,
-        tol=cfg.getfloat("tolerance", "float_tol", fallback=1e-9),
+        f_op=cfg["options", "f_op"],
+        include_vacuum_term=cfg["options", "include_vacuum_term"],
+        rho_order=cfg["truncation", "rho_order"],
+        tol=cfg["tolerance", "float_tol"],
     )
-    emit({
-        "command": "connection",
-        "config": config_echo(cfg),
-        "components": {k: corr_json(v) for k, v in report.components.items()},
-        "G_norm": report.G_norm,
-        "vanishing": report.vanishing,
-        "identification": report.identification,
-        "truncation": trunc,
-    })
+    emit_report("connection", cfg,
+                components={k: corr_json(v) for k, v in report.components.items()},
+                G_norm=report.G_norm, vanishing=report.vanishing,
+                identification=report.identification)
+    expected = cfg["assert", "vanishing"]
     if expected is not None and expected != report.vanishing:
         print("connection vanishing assertion failed", file=sys.stderr)
         return 3
@@ -498,33 +477,22 @@ def cmd_connection(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    cfg = read_config(args.config)
-    pool = tuple(parse_list(cfg.get("probe", "pool", fallback="1, a")))
-    for token in pool:
-        parse_state(token)
-    points = tuple(
-        parse_scalar(p) for p in parse_list(cfg.get("probe", "points", fallback="3, 1, -2")))
+    cfg = read_config(args.config, "cohomology")
+    pool, points = cfg["probe", "pool"], cfg["probe", "points"]
     if points_coincide(points):
         raise ConfigError("[probe] points must be pairwise distinct")
-    index = cfg.getint("probe", "descriptor_pool_index", fallback=0)
+    index = cfg["probe", "descriptor_pool_index"]
     if not 0 <= index < len(pool):
         raise ConfigError(f"[probe] descriptor_pool_index {index} names no state of the pool")
-    probe = ProbeComplex(
-        pool=pool,
-        points=points,
-        g_max=cfg.getint("probe", "g_max", fallback=1),
-        n_max=cfg.getint("probe", "n_max", fallback=2),
-        descriptor_pool_index=index,
-        zero_dn=cfg.getboolean("probe", "zero_dn", fallback=False),
-        zero_dg=cfg.getboolean("probe", "zero_dg", fallback=False),
-    )
-    m = cfg.getint("experiment", "m")
-    report = cohomology_ranks(probe, m)
+    probe = ProbeComplex(pool=pool, points=points, g_max=cfg["probe", "g_max"],
+                         n_max=cfg["probe", "n_max"], descriptor_pool_index=index,
+                         zero_dn=cfg["probe", "zero_dn"], zero_dg=cfg["probe", "zero_dg"])
+    report = cohomology_ranks(probe, cfg["experiment", "m"])
     if report.non_complex:
         print("the label maps do not compose to zero: H^m is undefined", file=sys.stderr)
     emit({
         "command": "cohomology",
-        "config": config_echo(cfg),
+        "config": cfg.given,
         "report": {
             "m": report.m,
             "dim_domain": report.dim_domain,
@@ -590,9 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         if name == "npoint":
             p.add_argument("--genus", type=int, default=None)
-            p.add_argument("--path", choices=("oracle", "reduction"), default=None)
             p.add_argument("--oracle", dest="path", action="store_const",
-                           const="oracle")
+                           const="oracle", default="oracle")
             p.add_argument("--reduction", dest="path", action="store_const",
                            const="reduction")
         p.set_defaults(handler=handler)

@@ -350,13 +350,15 @@ def element_from_insertions(
     ins: InsertionTuple,
     q_order: int = 8,
     rho_orders: Sequence[int] = (6,),
+    weight_cutoff: int | None = None,
 ) -> ChainElement:
     """Build a chain element with its value computed by the evaluator
-    for its genus (self-consistency by construction)."""
+    for its genus (self-consistency by construction); a genus-1 element
+    checks ``weight_cutoff`` as :func:`genus1_npoint_trace` does."""
     if ins.genus == 0:
         evaluator = Sphere()
     elif ins.genus == 1:
-        evaluator = Trace(q_order)
+        return genus1_npoint_trace(ins, q_order, weight_cutoff)
     else:
         if getattr(ins.moduli, "genus", None) != ins.genus:
             raise ComplexError(f"genus-{ins.genus} elements need SchottkyData of that genus")

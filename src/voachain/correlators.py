@@ -80,6 +80,8 @@ def torus_trace(
     if q_order < 1:
         return TruncatedSeries("q", {}, q_order)
     _require_distinct([x for _, x in insertions])
+    if any(x == 0 for _, x in insertions):
+        raise ValueError("torus points are x = e^z and cannot be 0")
     ctx = _torus_context(tuple((type(x), x) for _, x in insertions), q_order)
     if zero_mode_state is None:
         zero_mode_terms = [("", 1)]

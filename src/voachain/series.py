@@ -286,10 +286,6 @@ class TruncatedSeries:
         return cls(variable, {0: value} if not scalar_is_zero(value) else {}, truncation, min_exponent=0)
 
     @classmethod
-    def unit(cls, variable: str, truncation: int, exponent: int = 1, value: Scalar = 1) -> "TruncatedSeries":
-        return cls(variable, {exponent: value}, truncation, min_exponent=min(exponent, 0))
-
-    @classmethod
     def zero(cls, variable: str, truncation: int) -> "TruncatedSeries":
         return cls(variable, {}, truncation, min_exponent=0)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from voachain.cli import main
+from voachain.cli import main, read_config
 from voachain.complexes import apply_Dn
 from voachain.correlators import torus_trace
 from voachain.series import _parse_frac
@@ -374,20 +374,26 @@ rho_orders = 3, 2
         doc = json.loads(out)
         assert doc["series"]["variable"] == "rho2"
 
-    @pytest.mark.parametrize("line", [
-        "rho = 0.01, x", "p = one", "f_coeffs = 0 1", "mode_cutoff = -4",
-        "neumann_order = 1.5",
+    @pytest.mark.parametrize("line, code", [
+        ("rho = 0.01, x", 0), ("p = one", 2), ("f_coeffs = 0 1", 2), ("mode_cutoff = -4", 2),
+        ("neumann_order = 1.5", 2),
     ], ids=["rho", "p", "f_coeffs", "mode_cutoff", "neumann_order"])
-    def test_retired_kernel_keys_are_not_read(self, write_config, capsys, line):
+    def test_retired_kernel_keys_are_not_read(self, write_config, capsys, line, code):
         # the genus-g sums are exact, so the keys of the removed float
-        # kernels are neither read nor validated: a config that still
-        # carries one, even malformed, gives the same series as without
+        # kernels are not read: `rho`, which the benchmark's configs still
+        # carry, is accepted unparsed (the same series as without it), and
+        # every other one is refused by name
         base = "[schottky]\ngenus = 2\npoints = -1, 1, -3, 3\n[truncation]\nrho_orders = 2, 2\n"
         code_b, out_b, _ = run_cli(["partition", "--config", write_config(base)], capsys)
         stale = base.replace("points =", line + "\npoints =")
         code_s, out_s, _ = run_cli(["partition", "--config", write_config(stale)], capsys)
-        assert code_b == 0 and code_s == 0
-        assert json.loads(out_s)["series"] == json.loads(out_b)["series"]
+        assert code_b == 0 and code_s == code
+        if code:
+            key = line.split()[0]
+            assert (f"partition takes no key {key!r} in [schottky]"
+                    in json.loads(out_s)["error"]["message"])
+        else:
+            assert json.loads(out_s)["series"] == json.loads(out_b)["series"]
 
     def test_handle_points_are_read_from_points_alone(self, write_config, capsys):
         # `points` is the one key for the handle points: a config that
@@ -690,6 +696,28 @@ def test_readme_commands_on_the_shipped_configs(args, capsys, monkeypatch):
     assert outs[0] == outs[1]
 
 
+def _benchmark_configs():
+    # the benchmark's own workloads, imported read-only from its directory
+    bench = str(Path(__file__).resolve().parents[1] / "benchmarks")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return [pytest.param(op.argv[0], op.config, id=f"{name}-{seed}-{op.name}")
+            for name, build in workloads.WORKLOADS.items() for seed in (1, 4)
+            for op in build(seed).ops]
+
+
+@pytest.mark.parametrize("command, text", _benchmark_configs() + [
+    pytest.param(args[0], (Path(__file__).resolve().parents[1] / args[2]).read_text(),
+                 id=args[2]) for args in README_COMMANDS[1:]])
+def test_benchmark_and_shipped_configs_are_read(command, text, write_config):
+    # a key its command refuses would fail a benchmark op or a README
+    # command: each of these is read without a ConfigError
+    read_config(write_config(text), command)
+
+
 class TestSubprocessEntry:
     def test_module_invocation_and_usage_error(self):
         proc = subprocess.run(
@@ -789,14 +817,36 @@ class TestErrorClasses:
         ("npoint", "[experiment]\ngenus = 2\n[insertions]\nstates = a\npoints = 5\n"
          + GENUS2_SCHOTTKY + "[truncation]\nrho_orders = 3, -1\n",
          "[truncation] rho_orders: truncation order -1 is negative"),
+        # every key is read by its command's table, and any other refused
+        ("npoint", GENUS1_AA + "[truncation]\nq_ordr = 3\n",
+         "npoint takes no key 'q_ordr' in [truncation]; "
+         "[truncation] takes q_order, weight_cutoff, rho_orders"),
+        ("npoint", GENUS1_AA + "[truncation]\nq_order = 3, 4\n", "[truncation] q_order"),
+        ("sew", GENUS0_AA + "[truncation]\nrho_order = 3, 4\n", "[truncation] rho_order"),
+        ("npoint", GENUS1_AA + "[tolerance]\nfloat_tol = 1e-9\n",
+         "npoint takes no section [tolerance]"),
+        ("partition", GENUS2_SCHOTTKY + "[truncaton]\nrho_orders = 2, 2\n",
+         "partition takes no section [truncaton]; it takes [schottky], [truncation]"),
+        ("npoint", GENUS1_AA.replace("genus = 1", "genus = 1\npath = reduction"),
+         "npoint takes no key 'path' in [experiment]"),
+        ("reduce", GENUS0_AA.replace("genus = 0\n", ""), "[experiment] genus is not given"),
     ])
     def test_bad_input_is_a_validation_error(self, write_config, capsys, command, text,
                                              fragment):
-        code, out, _ = run_cli([command, "--config", write_config(text)], capsys)
+        code, out, err = run_cli([command, "--config", write_config(text)], capsys)
         assert code == 2
+        assert "Traceback" not in err
         doc = json.loads(out)
         assert doc["error"]["kind"] == "validation"
         assert fragment in doc["error"]["message"]
+
+    def test_path_flag_is_gone(self, write_config, capsys):
+        # --oracle and --reduction are the one way to choose the path
+        with pytest.raises(SystemExit) as exc:
+            main(["npoint", "--config", write_config(GENUS1_AA), "--path", "oracle"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --path" in captured.err
 
     @pytest.mark.parametrize("argv, text", [
         (["npoint", "--reduction"], GENUS0_AA.replace("3, 1", "0, 2")),

@@ -203,6 +203,12 @@ class TestScalarTypes:
         with pytest.raises(ValueError, match="pairwise distinct"):
             torus_trace([(A_VECTOR, Fraction(2)), (A_VECTOR, 2.0)], 3)
 
+    @pytest.mark.parametrize("zero", [0, Fraction(0), 0.0], ids=["int", "Fraction", "float"])
+    def test_point_zero_rejected(self, zero):
+        # x = e^z never vanishes: a ValueError, not a ZeroDivisionError
+        with pytest.raises(ValueError, match="x = e\\^z"):
+            torus_trace([(A_VECTOR, zero), (A_VECTOR, Fraction(2))], 3)
+
 
 class TestLargeOrder:
     def test_aa_a_a_to_order_30(self):

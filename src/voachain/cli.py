@@ -42,7 +42,7 @@ from .elliptic import (
     weierstrass_series,
 )
 from .schottky import SchottkyData, SewingData, SewingError, genus_g_partition
-from .series import ExactComplex, SeriesError, TruncatedSeries, _frac_str, points_coincide
+from .series import ExactComplex, SeriesError, TruncatedSeries, _frac_str
 from .voa import VACUUM_VECTOR, FockState, FockVector
 
 STATE_ALIASES = {
@@ -99,6 +99,14 @@ def parse_order(raw) -> int:
     return order
 
 
+def parse_tolerance(raw: str) -> float:
+    tol = float(raw)
+    # nan compares false with every residual, and inf passes every one
+    if not 0 <= tol < float("inf"):
+        raise ConfigError(f"tolerance {tol} is not a finite number >= 0")
+    return tol
+
+
 def parse_bool(raw: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
@@ -123,10 +131,6 @@ def parse_pool(raw: str) -> tuple[str, ...]:
     return pool
 
 
-def parse_rho(raw: str):
-    return complex(parse_scalar(raw)) if raw else None
-
-
 def read_value(read, raw, where: str):
     try:
         return read(raw)
@@ -142,7 +146,7 @@ def read_value(read, raw, where: str):
 REQUIRED = object()
 INSERTIONS = {"states": (each(parse_state), ()), "points": (each(parse_scalar), ())}
 ELEMENT = {"genus": (int, 0), **INSERTIONS}
-SEWING = {"zeta1": (parse_scalar, 1), "zeta2": (parse_scalar, -1), "rho": (parse_rho, None)}
+SEWING = {"zeta1": (parse_scalar, 1), "zeta2": (parse_scalar, -1)}
 SCHOTTKY = {
     "genus": (int, REQUIRED),
     "points": (each(parse_scalar), REQUIRED),
@@ -154,8 +158,7 @@ CONFIG_KEYS = {
         "experiment": {"genus": (int, REQUIRED)},
         "insertions": INSERTIONS,
         "schottky": SCHOTTKY,
-        "truncation": {"q_order": (parse_order, 8), "weight_cutoff": (int, None),
-                       "rho_orders": (each(parse_order), (4, 3))},
+        "truncation": {"q_order": (parse_order, 8), "rho_orders": (each(parse_order), (4, 3))},
     },
     "sew": {
         "experiment": {"genus": (int, 0)},
@@ -171,7 +174,7 @@ CONFIG_KEYS = {
         "experiment": {"genus": (int, REQUIRED)},
         "insertions": INSERTIONS,
         "truncation": {"q_order": (parse_order, 8)},
-        "tolerance": {"float_tol": (float, 1e-10)},
+        "tolerance": {"float_tol": (parse_tolerance, 1e-10)},
     },
     "check-complex": {
         "experiment": {"kinds": (parse_list, ("n", "g", "gn"))},
@@ -182,7 +185,7 @@ CONFIG_KEYS = {
                         "x2_point": (parse_scalar, Fraction(13))},
         "sewing": SEWING,
         "truncation": {"q_order": (parse_order, 5), "rho_order": (parse_order, 3)},
-        "assert": {"expect_zero": (parse_bool, False), "tolerance": (float, 1e-9)},
+        "assert": {"expect_zero": (parse_bool, False), "tolerance": (parse_tolerance, 1e-9)},
     },
     "connection": {
         "element": ELEMENT,
@@ -192,13 +195,12 @@ CONFIG_KEYS = {
         "options": {"f_op": (str, "paper"), "include_vacuum_term": (parse_bool, False)},
         "truncation": {"q_order": (parse_order, 5), "rho_order": (parse_order, 4)},
         "assert": {"vanishing": (parse_bool, None)},
-        "tolerance": {"float_tol": (float, 1e-9)},
+        "tolerance": {"float_tol": (parse_tolerance, 1e-9)},
     },
     "cohomology": {
-        "probe": {"pool": (parse_pool, ("1", "a")),
-                  "points": (each(parse_scalar), (Fraction(3), Fraction(1), Fraction(-2))),
-                  "g_max": (int, 1), "n_max": (int, 2), "descriptor_pool_index": (int, 0),
-                  "zero_dn": (parse_bool, False), "zero_dg": (parse_bool, False)},
+        "probe": {"pool": (parse_pool, ("1", "a")), "g_max": (int, 1), "n_max": (int, 2),
+                  "descriptor_pool_index": (int, 0), "zero_dn": (parse_bool, False),
+                  "zero_dg": (parse_bool, False)},
         "experiment": {"m": (int, REQUIRED)},
     },
 }
@@ -281,8 +283,7 @@ def build_insertions(cfg: _Values, genus: int, moduli=None,
 
 
 def build_sewing(cfg: _Values) -> SewingData:
-    return SewingData(rho=cfg["sewing", "rho"], zeta1=cfg["sewing", "zeta1"],
-                      zeta2=cfg["sewing", "zeta2"])
+    return SewingData(zeta1=cfg["sewing", "zeta1"], zeta2=cfg["sewing", "zeta2"])
 
 
 def build_schottky(cfg: _Values) -> SchottkyData:
@@ -360,12 +361,11 @@ def cmd_eval_f0(args) -> int:
 
 def cmd_npoint(args) -> int:
     cfg = read_config(args.config, "npoint")
-    genus = args.genus if args.genus is not None else cfg["experiment", "genus"]
+    genus = cfg["experiment", "genus"]
     q_order, rho_orders = cfg["truncation", "q_order"], cfg["truncation", "rho_orders"]
     ins = build_insertions(cfg, genus, moduli=build_schottky(cfg) if genus == 2 else None)
     if args.path == "oracle":
-        elem = element_from_insertions(ins, q_order, rho_orders,
-                                       cfg["truncation", "weight_cutoff"])
+        elem = element_from_insertions(ins, q_order, rho_orders)
     else:
         # from the zero-point element, one reduction step per insertion
         elem = element_from_insertions(InsertionTuple((), genus, ins.moduli), q_order,
@@ -412,6 +412,8 @@ def cmd_reduce(args) -> int:
 
 def cmd_check_complex(args) -> int:
     cfg = read_config(args.config, "check-complex")
+    if not cfg["experiment", "kinds"]:
+        raise ConfigError("[experiment] kinds names no condition to check")
     rho_order = cfg["truncation", "rho_order"]
     elem = element_from_insertions(
         build_insertions(cfg, cfg["element", "genus"], section="element"),
@@ -478,15 +480,13 @@ def cmd_connection(args) -> int:
 
 def cmd_cohomology(args) -> int:
     cfg = read_config(args.config, "cohomology")
-    pool, points = cfg["probe", "pool"], cfg["probe", "points"]
-    if points_coincide(points):
-        raise ConfigError("[probe] points must be pairwise distinct")
+    pool = cfg["probe", "pool"]
     index = cfg["probe", "descriptor_pool_index"]
     if not 0 <= index < len(pool):
         raise ConfigError(f"[probe] descriptor_pool_index {index} names no state of the pool")
-    probe = ProbeComplex(pool=pool, points=points, g_max=cfg["probe", "g_max"],
-                         n_max=cfg["probe", "n_max"], descriptor_pool_index=index,
-                         zero_dn=cfg["probe", "zero_dn"], zero_dg=cfg["probe", "zero_dg"])
+    probe = ProbeComplex(pool=pool, g_max=cfg["probe", "g_max"], n_max=cfg["probe", "n_max"],
+                         descriptor_pool_index=index, zero_dn=cfg["probe", "zero_dn"],
+                         zero_dg=cfg["probe", "zero_dg"])
     report = cohomology_ranks(probe, cfg["experiment", "m"])
     if report.non_complex:
         print("the label maps do not compose to zero: H^m is undefined", file=sys.stderr)
@@ -557,7 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         if name == "npoint":
-            p.add_argument("--genus", type=int, default=None)
             p.add_argument("--oracle", dest="path", action="store_const",
                            const="oracle", default="oracle")
             p.add_argument("--reduction", dest="path", action="store_const",

@@ -306,11 +306,11 @@ class DifferentialDescriptor(_FrozenRecord):
     """New-insertion data for D^n or sewing data for D^g, with the
     (-1)^g sign bookkeeping of the total differential."""
 
-    __slots__ = ("kind", "state", "point", "sewing")  # kind: "D1" | "D2" | "Dn" | "Dg" | "total"
+    __slots__ = ("state", "point", "sewing")
 
-    def __init__(self, kind: str, state: FockVector | None = None,
-                 point: Scalar | None = None, sewing: SewingData | None = None):
-        self._set_fields(kind, state, point, sewing)
+    def __init__(self, state: FockVector | None = None, point: Scalar | None = None,
+                 sewing: SewingData | None = None):
+        self._set_fields(state, point, sewing)
 
 
 def _element(ins: InsertionTuple, evaluator, boundary=VACUUM_BOUNDARY) -> ChainElement:
@@ -328,21 +328,13 @@ def genus0_npoint(
     return _element(ins, Sphere(), boundary)
 
 
-def genus1_npoint_trace(
-    ins: InsertionTuple, q_order: int, weight_cutoff: int | None = None
-) -> ChainElement:
+def genus1_npoint_trace(ins: InsertionTuple, q_order: int) -> ChainElement:
     """The genus-1 graded trace in Gaussian form (Z(q) times pairings of
     q-series propagators); insertion points are exponentiated
     coordinates x = e^z and the q^(-c/24) prefactor is symbolic.  The
-    trace is exact per q-order; a declared weight cutoff below the
-    requested order is rejected with the required value."""
+    trace is exact per q-order."""
     if ins.genus != 1:
         raise ComplexError("genus tag must be 1")
-    if weight_cutoff is not None and weight_cutoff <= q_order:
-        raise ComplexError(
-            f"weight cutoff {weight_cutoff} cannot support q-order {q_order}; "
-            f"need a cutoff of at least {q_order + 1}"
-        )
     return _element(ins, Trace(q_order))
 
 
@@ -350,15 +342,13 @@ def element_from_insertions(
     ins: InsertionTuple,
     q_order: int = 8,
     rho_orders: Sequence[int] = (6,),
-    weight_cutoff: int | None = None,
 ) -> ChainElement:
     """Build a chain element with its value computed by the evaluator
-    for its genus (self-consistency by construction); a genus-1 element
-    checks ``weight_cutoff`` as :func:`genus1_npoint_trace` does."""
+    for its genus (self-consistency by construction)."""
     if ins.genus == 0:
         evaluator = Sphere()
     elif ins.genus == 1:
-        return genus1_npoint_trace(ins, q_order, weight_cutoff)
+        evaluator = Trace(q_order)
     else:
         if getattr(ins.moduli, "genus", None) != ins.genus:
             raise ComplexError(f"genus-{ins.genus} elements need SchottkyData of that genus")
@@ -799,16 +789,16 @@ def connection_functional_from_tuples(
 
 class ProbeComplex(_FrozenRecord):
     """Finite spanning model: labels are insertion tuples drawn from a
-    state pool at fixed slot points; differentials act by the reduction
-    identities as label maps with the (-1)^g sign."""
+    state pool, one pool index per slot; differentials act by the
+    reduction identities as label maps with the (-1)^g sign."""
 
-    __slots__ = ("pool", "points", "g_max", "n_max", "descriptor_pool_index", "zero_dn",
-                 "zero_dg")
+    __slots__ = ("pool", "g_max", "n_max", "descriptor_pool_index", "zero_dn", "zero_dg")
 
-    def __init__(self, pool: tuple[str, ...], points: tuple[Scalar, ...], g_max: int,
-                 n_max: int, descriptor_pool_index: int = 0, zero_dn: bool = False,
-                 zero_dg: bool = False):
-        self._set_fields(pool, points, g_max, n_max, descriptor_pool_index, zero_dn, zero_dg)
+    def __init__(self, pool: tuple[str, ...], g_max: int, n_max: int,
+                 descriptor_pool_index: int = 0, zero_dn: bool = False, zero_dg: bool = False):
+        if g_max < 0 or n_max < 0:
+            raise ComplexError(f"g_max {g_max} and n_max {n_max} must not be negative")
+        self._set_fields(pool, g_max, n_max, descriptor_pool_index, zero_dn, zero_dg)
 
     def labels(self, m: int) -> list[tuple[int, int, tuple[int, ...]]]:
         out = []

@@ -52,22 +52,17 @@ class SewingError(ValueError):
     pass
 
 
-# |rho| <= r1 r2 with both sewing disks of radius 1
-RHO_BOUND = 1
-
-
 class SewingData(_FrozenRecord):
-    """One-handle sewing data: parameter rho with |rho| <= RHO_BOUND and
-    the two insertion points for the basis pair."""
+    """One-handle sewing data: the two insertion points for the basis
+    pair.  The sewing parameter rho is the series variable of the sums,
+    so it has no value here."""
 
-    __slots__ = ("rho", "zeta1", "zeta2")
+    __slots__ = ("zeta1", "zeta2")
 
-    def __init__(self, rho: complex | None = None, zeta1: Scalar = 1, zeta2: Scalar = -1):
+    def __init__(self, zeta1: Scalar = 1, zeta2: Scalar = -1):
         if points_coincide([zeta1, zeta2]):
             raise SewingError("sewing insertion points must differ")
-        if rho is not None and abs(complex(rho)) > RHO_BOUND:
-            raise SewingError(f"|rho| must not exceed {RHO_BOUND}")
-        self._set_fields(rho, zeta1, zeta2)
+        self._set_fields(zeta1, zeta2)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -210,6 +205,8 @@ class SchottkyData(_FrozenRecord):
 
     def point(self, a: int) -> Scalar:
         """w_a with a in {-g..-1, 1..g}; pairs stored as (w_-a, w_a)."""
+        if not 1 <= abs(a) <= self.genus:
+            raise SewingError(f"handle index {a} is not in ±1..±{self.genus}")
         idx = 2 * (abs(a) - 1) + (1 if a > 0 else 0)
         return self.points[idx]
 

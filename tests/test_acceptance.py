@@ -148,24 +148,16 @@ def test_criterion_4_genus1_oracle_equivalence():
     with Criterion(4, "genus-1 reduction equals the brute-force trace "
                       "through q-order 8", 60.0):
         q_order = 8
-        weight_cutoff = 12
         x1, x2 = Fraction(5), Fraction(2)
         for name1 in ("1", "a"):
-            base = genus1_npoint_trace(InsertionTuple((), 1), q_order,
-                                       weight_cutoff=weight_cutoff)
+            base = genus1_npoint_trace(InsertionTuple((), 1), q_order)
             one = apply_Dn((POOL[name1], x1), base)
-            direct1 = genus1_npoint_trace(
-                InsertionTuple(((POOL[name1], x1),), 1), q_order,
-                weight_cutoff=weight_cutoff,
-            )
+            direct1 = genus1_npoint_trace(InsertionTuple(((POOL[name1], x1),), 1), q_order)
             assert corr_deviation(one.value, direct1.value) < 1e-9, name1
             for name2 in ("1", "a"):
                 two = apply_Dn((POOL[name2], x2), direct1)
                 direct2 = genus1_npoint_trace(
-                    InsertionTuple(((POOL[name1], x1), (POOL[name2], x2)), 1),
-                    q_order,
-                    weight_cutoff=weight_cutoff,
-                )
+                    InsertionTuple(((POOL[name1], x1), (POOL[name2], x2)), 1), q_order)
                 dev = corr_deviation(two.value, direct2.value)
                 assert dev < 1e-9, (name1, name2, dev)
 
@@ -218,13 +210,9 @@ def test_criterion_7_chain_condition_suite():
              "elements": {(0, 1): genus0_npoint(
                  InsertionTuple(((A_VECTOR, Fraction(7)),), 0))},
              "descriptors": {
-                 (0, 1): DifferentialDescriptor(
-                     kind="total", state=VACUUM_VECTOR, point=Fraction(11),
-                     sewing=SewingData()),
-                 (0, 2): DifferentialDescriptor(
-                     kind="total", state=VACUUM_VECTOR, point=Fraction(13)),
-                 (1, 1): DifferentialDescriptor(
-                     kind="total", state=VACUUM_VECTOR, point=Fraction(13)),
+                 (0, 1): DifferentialDescriptor(VACUUM_VECTOR, Fraction(11), SewingData()),
+                 (0, 2): DifferentialDescriptor(VACUUM_VECTOR, Fraction(13)),
+                 (1, 1): DifferentialDescriptor(VACUUM_VECTOR, Fraction(13)),
              },
              "rho_order": 2},
         ]
@@ -341,24 +329,14 @@ def test_criterion_10_cohomology_ranks():
             "[" + ",".join(map(str, s.partition)) + "]" if s.partition else "1"
             for s in fock_basis(4)
         )
-        probe = ProbeComplex(
-            pool=pool,
-            points=(Fraction(3), Fraction(1), Fraction(-2)),
-            g_max=0,
-            n_max=2,
-        )
+        probe = ProbeComplex(pool=pool, g_max=0, n_max=2)
         for m in range(0, 3):
             mat, dom, _ = probe.matrix(m)
             report = cohomology_ranks(probe, m)
             assert report.rank_dm == sympy.Matrix(mat).rank(), m
             assert report.rank_dm + report.dim_kernel == len(dom), m
         # mixed-genus probe: rank-nullity for every assembled matrix
-        probe2 = ProbeComplex(
-            pool=("1", "a", "aa"),
-            points=(Fraction(3), Fraction(1), Fraction(-2)),
-            g_max=1,
-            n_max=2,
-        )
+        probe2 = ProbeComplex(pool=("1", "a", "aa"), g_max=1, n_max=2)
         for m in range(0, 3):
             mat, dom, _ = probe2.matrix(m)
             report = cohomology_ranks(probe2, m)

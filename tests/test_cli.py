@@ -1,6 +1,7 @@
 """CLI contract tests: JSON-only stdout, exit codes, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from voachain.cli import main, read_config
+from voachain.cli import CONFIG_KEYS, main, read_config
 from voachain.complexes import apply_Dn
 from voachain.correlators import torus_trace
 from voachain.series import _parse_frac
@@ -143,7 +144,6 @@ states = a, a
 points = 5, 2
 [truncation]
 q_order = 8
-weight_cutoff = 12
 """, write_config, capsys, monkeypatch)
 
     def test_oracle_equals_reduction_genus2(self, write_config, capsys, monkeypatch):
@@ -230,37 +230,6 @@ points = 3, 1
     def test_missing_config(self, capsys):
         code, out, _ = run_cli(["npoint", "--config", "/nonexistent.cfg"], capsys)
         assert code == 2
-
-    def test_genus_flag_overrides_config(self, write_config, capsys):
-        cfg = write_config(
-            """
-[experiment]
-genus = 1
-[insertions]
-states = a, a
-points = 3, 1
-"""
-        )
-        code, out, _ = run_cli(["npoint", "--config", cfg, "--genus", "0"], capsys)
-        assert code == 0
-        assert json.loads(out)["result"]["value"]["rational"] == "1/4"
-
-    def test_cutoff_too_small_rejected(self, write_config, capsys):
-        cfg = write_config(
-            """
-[experiment]
-genus = 1
-[insertions]
-states = a
-points = 2
-[truncation]
-q_order = 8
-weight_cutoff = 6
-"""
-        )
-        code, out, _ = run_cli(["npoint", "--config", cfg], capsys)
-        assert code == 2
-        assert "cutoff" in json.loads(out)["error"]["message"]
 
     def test_genus2_npoint(self, write_config, capsys):
         cfg = write_config(
@@ -618,7 +587,6 @@ points = 7, 9
 PROBE = """
 [probe]
 pool = 1, a, aa
-points = 3, 1, -2
 g_max = 1
 n_max = 2
 [experiment]
@@ -667,12 +635,6 @@ class TestCohomology:
         assert code == 2
         assert "descriptor_pool_index" in json.loads(out)["error"]["message"]
 
-    def test_coincident_probe_points_rejected(self, write_config, capsys):
-        cfg = write_config(PROBE.replace("points = 3, 1, -2", "points = 3, 3, 3"))
-        code, out, _ = run_cli(["cohomology", "--config", cfg], capsys)
-        assert code == 2
-        assert json.loads(out)["error"]["message"] == "[probe] points must be pairwise distinct"
-
 
 # the README's commands on the shipped configs, relative to the repo root
 README_COMMANDS = [
@@ -694,6 +656,31 @@ def test_readme_commands_on_the_shipped_configs(args, capsys, monkeypatch):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def _readme_key_table() -> dict:
+    # {command: {section: keys}} as the README's key table names them; an
+    # empty command cell continues the row above, and "as for `cmd`"
+    # names the keys of that command's section
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| command | section | keys (default) |") + 2
+    table: dict = {}
+    command = None
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        cmd, section, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        command, section = cmd.strip("`") or command, section.strip("`[]")
+        alias = re.fullmatch(r"as for `(.+)`", keys)
+        names = table[alias[1]][section] if alias else re.findall(r"`(\w+)`", keys)
+        table.setdefault(command, {})[section] = list(names)
+    return table
+
+
+def test_readme_key_table_names_every_key():
+    assert _readme_key_table() == {
+        command: {section: list(keys) for section, keys in sections.items()}
+        for command, sections in CONFIG_KEYS.items()}
 
 
 def _benchmark_configs():
@@ -820,7 +807,7 @@ class TestErrorClasses:
         # every key is read by its command's table, and any other refused
         ("npoint", GENUS1_AA + "[truncation]\nq_ordr = 3\n",
          "npoint takes no key 'q_ordr' in [truncation]; "
-         "[truncation] takes q_order, weight_cutoff, rho_orders"),
+         "[truncation] takes q_order, rho_orders"),
         ("npoint", GENUS1_AA + "[truncation]\nq_order = 3, 4\n", "[truncation] q_order"),
         ("sew", GENUS0_AA + "[truncation]\nrho_order = 3, 4\n", "[truncation] rho_order"),
         ("npoint", GENUS1_AA + "[tolerance]\nfloat_tol = 1e-9\n",
@@ -830,6 +817,35 @@ class TestErrorClasses:
         ("npoint", GENUS1_AA.replace("genus = 1", "genus = 1\npath = reduction"),
          "npoint takes no key 'path' in [experiment]"),
         ("reduce", GENUS0_AA.replace("genus = 0\n", ""), "[experiment] genus is not given"),
+        # no result reads these keys, so each is refused like any other
+        ("npoint", GENUS1_AA + "[truncation]\nweight_cutoff = 12\n",
+         "npoint takes no key 'weight_cutoff' in [truncation]"),
+        ("sew", GENUS0_AA + "[sewing]\nrho = 0.5\n",
+         "sew takes no key 'rho' in [sewing]; [sewing] takes zeta1, zeta2"),
+        ("check-complex", "[element]\nstates = a\npoints = 2\n[sewing]\nrho = 0.5\n",
+         "check-complex takes no key 'rho' in [sewing]"),
+        ("connection", "[element]\nstates = a\npoints = 2\n[sewing]\nrho = 0.5\n",
+         "connection takes no key 'rho' in [sewing]"),
+        ("cohomology", PROBE.replace("g_max", "points = 3, 1, -2\ng_max"),
+         "cohomology takes no key 'points' in [probe]"),
+        # a nan tolerance compares false with every residual, inf passes every one
+        ("reduce", GENUS0_AA + "[tolerance]\nfloat_tol = nan\n",
+         "[tolerance] float_tol: tolerance nan is not a finite number >= 0"),
+        ("reduce", GENUS0_AA + "[tolerance]\nfloat_tol = -1\n",
+         "[tolerance] float_tol: tolerance -1.0 is not a finite number >= 0"),
+        ("connection", "[element]\nstates = a\npoints = 2\n[tolerance]\nfloat_tol = inf\n",
+         "[tolerance] float_tol: tolerance inf is not a finite number >= 0"),
+        ("check-complex", "[element]\nstates = a\npoints = 2\n"
+         "[assert]\nexpect_zero = true\ntolerance = nan\n",
+         "[assert] tolerance: tolerance nan is not a finite number >= 0"),
+        # counts that describe nothing
+        ("cohomology", PROBE.replace("g_max = 1", "g_max = -1"),
+         "g_max -1 and n_max 2 must not be negative"),
+        ("cohomology", PROBE.replace("n_max = 2", "n_max = -1"),
+         "g_max 1 and n_max -1 must not be negative"),
+        ("check-complex", "[element]\nstates = a\npoints = 2\n"
+         "[experiment]\nkinds =\n[assert]\nexpect_zero = true\n",
+         "[experiment] kinds names no condition to check"),
     ])
     def test_bad_input_is_a_validation_error(self, write_config, capsys, command, text,
                                              fragment):
@@ -847,6 +863,14 @@ class TestErrorClasses:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "unrecognized arguments: --path" in captured.err
+
+    def test_genus_flag_is_gone(self, write_config, capsys):
+        # [experiment] genus is the one input of the genus
+        with pytest.raises(SystemExit) as exc:
+            main(["npoint", "--config", write_config(GENUS1_AA), "--genus", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --genus 0" in captured.err
 
     @pytest.mark.parametrize("argv, text", [
         (["npoint", "--reduction"], GENUS0_AA.replace("3, 1", "0, 2")),

@@ -452,24 +452,13 @@ class TestChainConditions:
             (1, 0): g1_element([], q_order=4),
         }
         descriptors = {
-            (0, 1): DifferentialDescriptor(
-                kind="total", state=VACUUM_VECTOR, point=Fraction(11),
-                sewing=SewingData(),
-            ),
-            (0, 2): DifferentialDescriptor(
-                kind="total", state=VACUUM_VECTOR, point=Fraction(13),
-            ),
-            (1, 0): DifferentialDescriptor(
-                kind="total", state=VACUUM_VECTOR, point=Fraction(11),
-                sewing=SewingData(zeta1=Fraction(17), zeta2=Fraction(19)),
-            ),
-            (1, 1): DifferentialDescriptor(
-                kind="total", state=VACUUM_VECTOR, point=Fraction(13),
-            ),
+            (0, 1): DifferentialDescriptor(VACUUM_VECTOR, Fraction(11), SewingData()),
+            (0, 2): DifferentialDescriptor(VACUUM_VECTOR, Fraction(13)),
+            (1, 0): DifferentialDescriptor(VACUUM_VECTOR, Fraction(11),
+                                           SewingData(zeta1=Fraction(17), zeta2=Fraction(19))),
+            (1, 1): DifferentialDescriptor(VACUUM_VECTOR, Fraction(13)),
             (2, 0): DifferentialDescriptor(
-                kind="total",
-                sewing=SewingData(zeta1=Fraction(23), zeta2=Fraction(29)),
-            ),
+                sewing=SewingData(zeta1=Fraction(23), zeta2=Fraction(29))),
         }
         reports = check_chain_conditions([
             {"kind": "total", "elements": elems, "descriptors": descriptors,
@@ -489,13 +478,9 @@ class TestTotalDifferential:
             (1, 0): g1_element([], q_order=4),
         }
         descriptors = {
-            (0, 1): DifferentialDescriptor(
-                kind="total", state=A_VECTOR, point=Fraction(11), sewing=SewingData()
-            ),
-            (1, 0): DifferentialDescriptor(
-                kind="total", state=A_VECTOR, point=Fraction(11),
-                sewing=SewingData(zeta1=Fraction(17), zeta2=Fraction(19)),
-            ),
+            (0, 1): DifferentialDescriptor(A_VECTOR, Fraction(11), SewingData()),
+            (1, 0): DifferentialDescriptor(A_VECTOR, Fraction(11),
+                                           SewingData(zeta1=Fraction(17), zeta2=Fraction(19))),
         }
         d = TotalDifferential(m=1, descriptors=descriptors, rho_order=3)
         images = d.apply(elems)
@@ -511,8 +496,7 @@ class TestTotalDifferential:
             (1, 0): g1_element([], q_order=4),
         }
         descriptors = {
-            (1, 0): DifferentialDescriptor(kind="total", state=A_VECTOR,
-                                           point=Fraction(3)),
+            (1, 0): DifferentialDescriptor(A_VECTOR, Fraction(3)),
         }
         d = TotalDifferential(m=1, descriptors=descriptors)
         images = d.apply(elems)
@@ -532,9 +516,7 @@ class TestTotalDifferential:
         # d^0 acts on the lone (0,0) block as sewing plus one insertion
         elems = {(0, 0): g0_element()}
         descriptors = {
-            (0, 0): DifferentialDescriptor(
-                kind="total", state=A_VECTOR, point=Fraction(3), sewing=SewingData()
-            ),
+            (0, 0): DifferentialDescriptor(A_VECTOR, Fraction(3), SewingData()),
         }
         d = TotalDifferential(m=0, descriptors=descriptors, rho_order=3)
         assert d.blocks() == [(0, 0)]
@@ -1118,14 +1100,7 @@ class TestSewnSphereReduction:
 
 class TestCohomology:
     def probe(self, **kw):
-        defaults = dict(
-            pool=("1", "a", "aa"),
-            points=(Fraction(3), Fraction(1), Fraction(-2)),
-            g_max=1,
-            n_max=2,
-        )
-        defaults.update(kw)
-        return ProbeComplex(**defaults)
+        return ProbeComplex(**{"pool": ("1", "a", "aa"), "g_max": 1, "n_max": 2, **kw})
 
     def test_rank_nullity_every_matrix(self):
         probe = self.probe()

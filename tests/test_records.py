@@ -43,7 +43,7 @@ RECORDS = [
     (ModularPoint, (2j,), {"tau": 2j, "q_order": 40}, (2j, 41)),
     (EllipticValue, (1 + 1j, 0.5), {"value": 1 + 1j, "tail_estimate": 0.5}, (1 + 1j, 0.25)),
     (RationalKernel, (2, 1), {"n": 2, "m": 1}, (1, 2)),
-    (SewingData, (), {"rho": None, "zeta1": 1, "zeta2": -1}, (0.5,)),
+    (SewingData, (), {"zeta1": 1, "zeta2": -1}, (2,)),
     (SchottkyData, (1, (1, -1)), {"genus": 1, "points": (1, -1)}, (1, (2, -2))),
     (InsertionTuple, ((), 0), {"entries": (), "genus": 0, "moduli": None}, ((), 1)),
     (CorrelationFunction, (0, 5), {"genus": 0, "data": 5, "prefactor_exponent": Fraction(0)},
@@ -54,8 +54,8 @@ RECORDS = [
     (ChainElement, (INS, VALUE), {"insertions": INS, "value": VALUE,
                                   "boundary": (VACUUM, VACUUM), "evaluator": Sphere()},
      (INS, VALUE, (VACUUM, VACUUM), Trace(3))),
-    (DifferentialDescriptor, ("Dn",), {"kind": "Dn", "state": None, "point": None,
-                                       "sewing": None}, ("Dg",)),
+    (DifferentialDescriptor, (None, 3), {"state": None, "point": 3, "sewing": None},
+     (None, 4)),
     (TotalDifferential, (2, {}), {"m": 2, "descriptors": {}, "rho_order": 4, "g_max": 1},
      (3, {})),
     (ConditionReport, ("n", 0.0, 1.0, {}), {"kind": "n", "residual": 0.0,
@@ -64,10 +64,10 @@ RECORDS = [
     (ConnectionReport, ({}, 0.0, True, {}), {"components": {}, "G_norm": 0.0,
                                              "vanishing": True, "identification": {}},
      ({}, 1.0, False, {})),
-    (ProbeComplex, (("1", "a"), (3, 1), 1, 2),
-     {"pool": ("1", "a"), "points": (3, 1), "g_max": 1, "n_max": 2,
-      "descriptor_pool_index": 0, "zero_dn": False, "zero_dg": False},
-     (("1", "a"), (3, 1), 1, 2, 1)),
+    (ProbeComplex, (("1", "a"), 1, 2),
+     {"pool": ("1", "a"), "g_max": 1, "n_max": 2, "descriptor_pool_index": 0,
+      "zero_dn": False, "zero_dg": False},
+     (("1", "a"), 1, 2, 1)),
     (CohomologyReport, (1, 4, 2, 2, 1, 1, False, 0),
      {"m": 1, "dim_domain": 4, "rank_dm": 2, "dim_kernel": 2, "rank_dm_minus_1": 1,
       "betti": 1, "non_complex": False, "composition_residual": 0},
@@ -185,7 +185,6 @@ def test_chain_element_defaults_to_the_sphere():
     (lambda: FockState((2, 0)), ValueError, "partition parts must be positive"),
     (lambda: FockState((-1,)), ValueError, "partition parts must be positive"),
     (lambda: SewingData(zeta1=2, zeta2=2), SewingError, "sewing insertion points must differ"),
-    (lambda: SewingData(rho=2.0), SewingError, "|rho| must not exceed 1"),
     (lambda: SchottkyData(0, ()), SewingError, "genus must be >= 1"),
     (lambda: SchottkyData(2, (1, -1)), SewingError, "need two points per handle"),
     (lambda: SchottkyData(1, (1, 1)), SewingError, "sewing points must be pairwise distinct"),
@@ -194,9 +193,13 @@ def test_chain_element_defaults_to_the_sphere():
     (lambda: InsertionTuple((), -1), ComplexError, "genus must be >= 0"),
     (lambda: ModularPoint(1 + 0j), EllipticError, "tau must have positive imaginary part"),
     (lambda: ModularPoint(-1j, 5), EllipticError, "tau must have positive imaginary part"),
-], ids=["fock-zero", "fock-negative", "sewing-points", "sewing-rho", "schottky-genus",
+    (lambda: ProbeComplex(("1",), -1, 2), ComplexError,
+     "g_max -1 and n_max 2 must not be negative"),
+    (lambda: ProbeComplex(("1",), 1, -1), ComplexError,
+     "g_max 1 and n_max -1 must not be negative"),
+], ids=["fock-zero", "fock-negative", "sewing-points", "schottky-genus",
         "schottky-count", "schottky-points", "insertion-points", "insertion-genus",
-        "modular-real", "modular-lower"])
+        "modular-real", "modular-lower", "probe-g-max", "probe-n-max"])
 def test_validation_errors(make, error, message):
     with pytest.raises(error) as info:
         make()

@@ -54,10 +54,6 @@ class TestSewingData:
         with pytest.raises(SewingError):
             SewingData(zeta1=1, zeta2=1)
 
-    def test_rho_domain(self):
-        with pytest.raises(SewingError):
-            SewingData(rho=2.0)
-
 
 class TestHandlePairing:
     def test_weight_zero_is_trivial(self):
@@ -320,6 +316,13 @@ class TestGenusGPartition:
     def test_distinct_points_required(self):
         with pytest.raises(SewingError):
             SchottkyData(genus=1, points=(Fraction(1), Fraction(1)))
+
+    def test_point_names_a_handle(self):
+        sd = SchottkyData(genus=2, points=(-1, 1, -3, 3))
+        assert [sd.point(a) for a in (-1, 1, -2, 2)] == [-1, 1, -3, 3]
+        for a in (0, 3, -3):
+            with pytest.raises(SewingError, match="handle index"):
+                sd.point(a)
 
     @pytest.mark.parametrize("twin", [Fraction(7), 7.0, 7 + 0j, ExactComplex(7)])
     def test_equal_points_of_other_types_coincide(self, twin):

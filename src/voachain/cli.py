@@ -16,6 +16,7 @@ import argparse
 import cmath
 import configparser
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -259,7 +260,8 @@ def corr_json(value) -> dict:
 
 
 def emit(report: dict) -> None:
-    print(json.dumps(report, sort_keys=True, indent=2))
+    # strict JSON: a nan or infinite number in a report is a fault
+    print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
 
 
 def emit_report(command: str, cfg: _Values, **fields) -> None:
@@ -274,12 +276,11 @@ def fail_validation(command: str, message: str) -> int:
     return 2
 
 
-def build_insertions(cfg: _Values, genus: int, moduli=None,
-                     section: str = "insertions") -> InsertionTuple:
+def build_insertions(cfg: _Values, section: str = "insertions") -> InsertionTuple:
     states, points = cfg[section, "states"], cfg[section, "points"]
     if len(states) != len(points):
         raise ConfigError(f"[{section}] states and points lists must have equal length")
-    return InsertionTuple(tuple(zip(states, points)), genus, moduli)
+    return InsertionTuple(tuple(zip(states, points)))
 
 
 def build_sewing(cfg: _Values) -> SewingData:
@@ -314,7 +315,8 @@ def cmd_eval_weierstrass(args) -> int:
         "config": {"k": args.k, "z": [args.z_re, args.z_im],
                    "tau": [args.tau_re, args.tau_im], "terms": args.terms},
         "value": {"re": val.value.real, "im": val.value.imag},
-        "tail_estimate": val.tail_estimate,
+        # an infinite tail proxy has no JSON number; flagged says it
+        "tail_estimate": val.tail_estimate if math.isfinite(val.tail_estimate) else None,
         "flagged": val.flagged(),
         "series": series.to_json_dict(),
     })
@@ -362,14 +364,14 @@ def cmd_eval_f0(args) -> int:
 def cmd_npoint(args) -> int:
     cfg = read_config(args.config, "npoint")
     genus = cfg["experiment", "genus"]
-    q_order, rho_orders = cfg["truncation", "q_order"], cfg["truncation", "rho_orders"]
-    ins = build_insertions(cfg, genus, moduli=build_schottky(cfg) if genus == 2 else None)
+    surface = (genus, build_schottky(cfg) if genus == 2 else None,
+               cfg["truncation", "q_order"], cfg["truncation", "rho_orders"])
+    ins = build_insertions(cfg)
     if args.path == "oracle":
-        elem = element_from_insertions(ins, q_order, rho_orders)
+        elem = element_from_insertions(ins, *surface)
     else:
         # from the zero-point element, one reduction step per insertion
-        elem = element_from_insertions(InsertionTuple((), genus, ins.moduli), q_order,
-                                       rho_orders)
+        elem = element_from_insertions(InsertionTuple(()), *surface)
         for state, point in ins.entries:
             elem = apply_Dn((state, point), elem)
     emit_report("npoint", cfg, path=args.path, result=corr_json(elem.value))
@@ -379,8 +381,8 @@ def cmd_npoint(args) -> int:
 def cmd_sew(args) -> int:
     cfg = read_config(args.config, "sew")
     sewing = build_sewing(cfg)
-    elem = element_from_insertions(build_insertions(cfg, cfg["experiment", "genus"]),
-                                   cfg["truncation", "q_order"])
+    elem = element_from_insertions(build_insertions(cfg), cfg["experiment", "genus"],
+                                   q_order=cfg["truncation", "q_order"])
     sewn = apply_Dg(elem, sewing, cfg["truncation", "rho_order"])
     emit_report("sew", cfg, result=corr_json(sewn.value))
     return 0
@@ -395,8 +397,8 @@ def cmd_partition(args) -> int:
 
 def cmd_reduce(args) -> int:
     cfg = read_config(args.config, "reduce")
-    elem = element_from_insertions(build_insertions(cfg, cfg["experiment", "genus"]),
-                                   cfg["truncation", "q_order"])
+    elem = element_from_insertions(build_insertions(cfg), cfg["experiment", "genus"],
+                                   q_order=cfg["truncation", "q_order"])
     factor, zero_point = reduce_to_zero_point(elem)
     product = factor * zero_point.data
     if isinstance(factor, TruncatedSeries):
@@ -415,9 +417,8 @@ def cmd_check_complex(args) -> int:
     if not cfg["experiment", "kinds"]:
         raise ConfigError("[experiment] kinds names no condition to check")
     rho_order = cfg["truncation", "rho_order"]
-    elem = element_from_insertions(
-        build_insertions(cfg, cfg["element", "genus"], section="element"),
-        cfg["truncation", "q_order"])
+    elem = element_from_insertions(build_insertions(cfg, "element"), cfg["element", "genus"],
+                                   q_order=cfg["truncation", "q_order"])
     x1 = (cfg["descriptors", "x1_state"], cfg["descriptors", "x1_point"])
     x2 = (cfg["descriptors", "x2_state"], cfg["descriptors", "x2_point"])
     sewing = build_sewing(cfg)
@@ -455,9 +456,8 @@ def cmd_check_complex(args) -> int:
 
 def cmd_connection(args) -> int:
     cfg = read_config(args.config, "connection")
-    elem = element_from_insertions(
-        build_insertions(cfg, cfg["element", "genus"], section="element"),
-        cfg["truncation", "q_order"])
+    elem = element_from_insertions(build_insertions(cfg, "element"), cfg["element", "genus"],
+                                   q_order=cfg["truncation", "q_order"])
     report = connection_functional(
         elem,
         (cfg["descriptor", "state"], cfg["descriptor", "point"]),
@@ -480,13 +480,10 @@ def cmd_connection(args) -> int:
 
 def cmd_cohomology(args) -> int:
     cfg = read_config(args.config, "cohomology")
-    pool = cfg["probe", "pool"]
-    index = cfg["probe", "descriptor_pool_index"]
-    if not 0 <= index < len(pool):
-        raise ConfigError(f"[probe] descriptor_pool_index {index} names no state of the pool")
-    probe = ProbeComplex(pool=pool, g_max=cfg["probe", "g_max"], n_max=cfg["probe", "n_max"],
-                         descriptor_pool_index=index, zero_dn=cfg["probe", "zero_dn"],
-                         zero_dg=cfg["probe", "zero_dg"])
+    probe = ProbeComplex(pool=cfg["probe", "pool"], g_max=cfg["probe", "g_max"],
+                         n_max=cfg["probe", "n_max"],
+                         descriptor_pool_index=cfg["probe", "descriptor_pool_index"],
+                         zero_dn=cfg["probe", "zero_dn"], zero_dg=cfg["probe", "zero_dg"])
     report = cohomology_ranks(probe, cfg["experiment", "m"])
     if report.non_complex:
         print("the label maps do not compose to zero: H^m is undefined", file=sys.stderr)

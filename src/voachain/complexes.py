@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 from .correlators import sphere_value, torus_trace
 from .elliptic import f0_kernel, pm_qseries
-from .schottky import SewingData, _genus_g_sum, row_reduce_integer
+from .schottky import SchottkyData, SewingData, _genus_g_sum, row_reduce_integer
 from .series import (
     Scalar,
     TruncatedSeries,
@@ -46,7 +46,6 @@ from .voa import (
     CENTRAL_CHARGE,
     VACUUM,
     VACUUM_VECTOR,
-    FockState,
     FockVector,
     _expand_components,
     apply_state_mode,
@@ -54,38 +53,24 @@ from .voa import (
     zero_mode,
 )
 
-VACUUM_BOUNDARY = (VACUUM, VACUUM)
-
 
 class ComplexError(ValueError):
     pass
 
 
 class InsertionTuple(_FrozenRecord):
-    """Ordered insertions (state, point) with genus tag and moduli
-    reference; points pairwise distinct."""
+    """Ordered insertions (state, point), points pairwise distinct.  The
+    surface they sit on is the chain element's evaluator."""
 
-    __slots__ = ("entries", "genus", "moduli")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries: tuple[tuple[FockVector, Scalar], ...], genus: int,
-                 moduli: object | None = None):
+    def __init__(self, entries: tuple[tuple[FockVector, Scalar], ...]):
         if points_coincide([z for _, z in entries]):
             raise ComplexError("insertion points must be pairwise distinct")
-        if genus < 0:
-            raise ComplexError("genus must be >= 0")
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "moduli", moduli)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
 
     def append(self, state: FockVector, point: Scalar) -> "InsertionTuple":
-        return InsertionTuple(self.entries + ((state, point),), self.genus, self.moduli)
-
-    def with_genus(self, genus: int, moduli=None) -> "InsertionTuple":
-        return InsertionTuple(self.entries, genus, moduli)
+        return InsertionTuple(self.entries + ((state, point),))
 
 
 class CorrelationFunction(_FrozenRecord):
@@ -108,8 +93,9 @@ class CorrelationFunction(_FrozenRecord):
 
 # -- evaluators --------------------------------------------------------
 #
-# Each evaluator maps insertion entries (and boundary states) to a
-# CorrelationFunction by one presentation of the surface, names the
+# Each evaluator maps insertion entries to a CorrelationFunction by one
+# presentation of the surface, and is the one record of that surface:
+# its genus, truncation orders and handles.  It names the
 # handle points on it, and sews one more handle on (apply_Dg).  For the
 # reduction (apply_D1, apply_D2) it supplies the zero of its values and
 # its check on a new point; the sphere and the trace also supply their
@@ -118,8 +104,8 @@ class CorrelationFunction(_FrozenRecord):
 
 
 class Sphere(_FrozenRecord):
-    """Genus 0: the exact sphere engine between boundary states.  D1 is
-    z^{-wt v} <u', o(v) Y(...) u> per homogeneous component (the placement
+    """Genus 0: the exact sphere engine between vacua.  D1 is
+    z^{-wt v} <1', o(v) Y(...) 1> per homogeneous component (the placement
     that makes iterated reduction reproduce the oracle exactly); D2 takes
     the rational kernels f^(0) with round modes."""
 
@@ -128,10 +114,8 @@ class Sphere(_FrozenRecord):
     prefactor_exponent = Fraction(0)
     handle_points = ()
 
-    def evaluate(self, entries, boundary=VACUUM_BOUNDARY) -> CorrelationFunction:
-        return CorrelationFunction(
-            0, sphere_value(entries, boundary[0], boundary[1], dressed=False)
-        )
+    def evaluate(self, entries) -> CorrelationFunction:
+        return CorrelationFunction(0, sphere_value(entries, dressed=False))
 
     def sew(self, sd: SewingData, rho_order: int) -> "Sewn":
         return Sewn(self, ()).sew(sd, rho_order)
@@ -201,7 +185,7 @@ class Trace(_FrozenRecord):
     def __init__(self, q_order: int):
         self._set_fields(q_order)
 
-    def evaluate(self, entries, boundary=VACUUM_BOUNDARY) -> CorrelationFunction:
+    def evaluate(self, entries) -> CorrelationFunction:
         for _, x in entries:
             _require_torus_point(x)
         return CorrelationFunction(
@@ -262,12 +246,11 @@ class Sewn(_FrozenRecord):
     def handle_points(self) -> tuple:
         return tuple(z for zeta1, zeta2, _, _ in self.handles for z in (zeta1, zeta2))
 
-    def evaluate(self, entries, boundary=VACUUM_BOUNDARY) -> CorrelationFunction:
+    def evaluate(self, entries) -> CorrelationFunction:
         base = self.base
         # on the sphere the sums run the sphere function themselves
-        inner = None if isinstance(base, Sphere) else (
-            lambda points: base.evaluate(points, boundary).data)
-        return CorrelationFunction(self.genus, _genus_g_sum(self.handles, entries, boundary, inner),
+        inner = None if isinstance(base, Sphere) else (lambda points: base.evaluate(points).data)
+        return CorrelationFunction(self.genus, _genus_g_sum(self.handles, entries, inner),
                                    self.prefactor_exponent)
 
     def sew(self, sd: SewingData, rho_order: int) -> "Sewn":
@@ -287,19 +270,20 @@ class Sewn(_FrozenRecord):
 
 
 class ChainElement(_Record):
-    __slots__ = ("insertions", "value", "boundary", "evaluator")
+    """Insertions on a surface, with their value there: the evaluator is
+    the surface, and its genus is the element's."""
+
+    __slots__ = ("insertions", "value", "evaluator")
 
     def __init__(self, insertions: InsertionTuple, value: CorrelationFunction,
-                 boundary: tuple[FockState, FockState] = VACUUM_BOUNDARY,
                  evaluator: object = Sphere()):
         self.insertions = insertions
         self.value = value
-        self.boundary = boundary
         self.evaluator = evaluator
 
     @property
     def genus(self) -> int:
-        return self.insertions.genus
+        return self.evaluator.genus
 
 
 class DifferentialDescriptor(_FrozenRecord):
@@ -313,46 +297,30 @@ class DifferentialDescriptor(_FrozenRecord):
         self._set_fields(state, point, sewing)
 
 
-def _element(ins: InsertionTuple, evaluator, boundary=VACUUM_BOUNDARY) -> ChainElement:
-    return ChainElement(ins, evaluator.evaluate(ins.entries, boundary), boundary, evaluator)
-
-
-def genus0_npoint(
-    ins: InsertionTuple,
-    boundary: tuple[FockState, FockState] = VACUUM_BOUNDARY,
-) -> ChainElement:
-    """Matrix element <u_out', Y(v1,z1)...Y(vn,zn) u_in>, exact (the
-    genus-0 oracle)."""
-    if ins.genus != 0:
-        raise ComplexError("genus tag must be 0")
-    return _element(ins, Sphere(), boundary)
-
-
-def genus1_npoint_trace(ins: InsertionTuple, q_order: int) -> ChainElement:
-    """The genus-1 graded trace in Gaussian form (Z(q) times pairings of
-    q-series propagators); insertion points are exponentiated
-    coordinates x = e^z and the q^(-c/24) prefactor is symbolic.  The
-    trace is exact per q-order."""
-    if ins.genus != 1:
-        raise ComplexError("genus tag must be 1")
-    return _element(ins, Trace(q_order))
+def _element(ins: InsertionTuple, evaluator) -> ChainElement:
+    return ChainElement(ins, evaluator.evaluate(ins.entries), evaluator)
 
 
 def element_from_insertions(
     ins: InsertionTuple,
+    genus: int,
+    schottky: SchottkyData | None = None,
     q_order: int = 8,
     rho_orders: Sequence[int] = (6,),
 ) -> ChainElement:
-    """Build a chain element with its value computed by the evaluator
-    for its genus (self-consistency by construction)."""
-    if ins.genus == 0:
+    """The chain element of ``ins`` at ``genus``, valued by that genus's
+    evaluator: the sphere, the trace to ``q_order``, or at genus 2 the
+    handles of ``schottky`` sewn onto the sphere to ``rho_orders``."""
+    if genus < 0:
+        raise ComplexError("genus must be >= 0")
+    if genus == 0:
         evaluator = Sphere()
-    elif ins.genus == 1:
+    elif genus == 1:
         evaluator = Trace(q_order)
     else:
-        if getattr(ins.moduli, "genus", None) != ins.genus:
-            raise ComplexError(f"genus-{ins.genus} elements need SchottkyData of that genus")
-        evaluator = Sewn(Sphere(), ins.moduli.handles(rho_orders))
+        if getattr(schottky, "genus", None) != genus:
+            raise ComplexError(f"genus-{genus} elements need SchottkyData of that genus")
+        evaluator = Sewn(Sphere(), schottky.handles(rho_orders))
         for _, y in ins.entries:
             evaluator._require_point(y)
     return _element(ins, evaluator)
@@ -376,7 +344,7 @@ def apply_D1(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainEleme
 
     def term(points):
         # points = [*entries, *pairs]; the pair slots follow the entries
-        pair_slots = range(elem.insertions.n, len(points))
+        pair_slots = range(len(elem.insertions.entries), len(points))
         return _moved_sum(base, points, _moves(base, v, z, points, pair_slots),
                           base._zero_mode_term(points, v, z))
 
@@ -426,12 +394,17 @@ def _step(elem: ChainElement, v: FockVector, z: Scalar) -> tuple:
     # the checks of a reduction step, made before any sum runs; returns
     # the insertions with v appended at z, the base evaluator (the sphere
     # and the trace are their own) and the handles its reduction runs in
-    _require_vacuum_boundary(elem)
     evaluator = elem.evaluator
     evaluator._require_point(z)
-    base, handles = ((evaluator.base, evaluator.handles) if isinstance(evaluator, Sewn)
-                     else (evaluator, ()))
-    return elem.insertions.append(v, z), base, handles
+    return (elem.insertions.append(v, z), *_base_and_handles(evaluator))
+
+
+def _base_and_handles(evaluator) -> tuple:
+    # the sphere or the trace a surface is sewn on, and its handles (the
+    # sphere and the trace are their own base, with none)
+    if isinstance(evaluator, Sewn):
+        return evaluator.base, evaluator.handles
+    return evaluator, ()
 
 
 def _stepped(elem: ChainElement, ins: InsertionTuple, data) -> ChainElement:
@@ -449,21 +422,10 @@ def apply_Dn(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainEleme
 def apply_Dg(elem: ChainElement, sd: SewingData, rho_order: int) -> ChainElement:
     """Genus-raising differential: one handle sewn onto elem's own
     presentation; insertion slots keep their points."""
-    _require_vacuum_boundary(elem)
     surface = [*(z for _, z in elem.insertions.entries), *elem.evaluator.handle_points]
     if points_coincide([*surface, sd.zeta1]) or points_coincide([*surface, sd.zeta2]):
         raise ComplexError("sewing points must differ from the points already on the surface")
-    moduli = sd if elem.insertions.moduli is None else (elem.insertions.moduli, sd)
-    new_ins = elem.insertions.with_genus(elem.genus + 1, moduli=moduli)
-    return _element(new_ins, elem.evaluator.sew(sd, rho_order), elem.boundary)
-
-
-def _require_vacuum_boundary(elem: ChainElement):
-    if elem.boundary != VACUUM_BOUNDARY:
-        raise ComplexError(
-            "the reduction identities are implemented for vacuum boundary "
-            "states; general boundaries are oracle-only"
-        )
+    return _element(elem.insertions, elem.evaluator.sew(sd, rho_order))
 
 
 def _require_torus_point(x: Scalar):
@@ -568,6 +530,7 @@ def _check_ncondition(case) -> ConditionReport:
     elem = case["element"]
     x1 = case["x1"]
     x2 = case["x2"]
+    _require_a_known_coefficient("n", elem.evaluator)
     path_a = apply_Dn(x2, apply_Dn(x1, elem))
     path_b = apply_Dn(x1, apply_Dn(x2, elem))
     residual = corr_deviation(path_a.value, path_b.value)
@@ -593,6 +556,7 @@ def _check_gcondition(case) -> ConditionReport:
             kind="g", residual=0.0, composition_norm=0.0,
             detail={"skipped": f"genus {elem.genus}+2 beyond the desk-scale window"},
         )
+    _require_a_known_coefficient("g", elem.evaluator.sew(sd_a, rho_order))
     ab = apply_Dg(apply_Dg(elem, sd_a, rho_order), sd_b, rho_order)
     ba = apply_Dg(apply_Dg(elem, sd_b, rho_order), sd_a, rho_order)
     # exchange residual: coefficient (j,k) of one order vs (k,j) of the other
@@ -610,6 +574,17 @@ def _check_gcondition(case) -> ConditionReport:
     )
 
 
+def _require_a_known_coefficient(kind: str, evaluator) -> None:
+    # a truncation order 0 leaves no coefficient of the values known: the
+    # check would compare nothing, and no residual stands for that
+    base, handles = _base_and_handles(evaluator)
+    orders = [order for _, _, order, _ in handles]
+    if isinstance(base, Trace):
+        orders.append(base.q_order)
+    if 0 in orders:
+        raise ComplexError(f"the {kind} check compares no coefficient: a truncation order is 0")
+
+
 def _nested_coefficient(series: TruncatedSeries, outer: int, inner: int):
     coeff = series.coefficient(outer)
     if isinstance(coeff, TruncatedSeries):
@@ -623,6 +598,7 @@ def _check_gncondition(case) -> ConditionReport:
     sd = case.get("sewing") or SewingData(zeta1=Fraction(1), zeta2=Fraction(-1))
     rho_order = case.get("rho_order", 3)
     x_raised = case.get("x_raised", x)
+    _require_a_known_coefficient("gn", elem.evaluator.sew(sd, rho_order))
     path_a = apply_Dg(apply_Dn(x, elem), sd, rho_order)
     path_b = apply_Dn(x_raised, apply_Dg(elem, sd, rho_order))
     residual = corr_deviation(path_a.value, path_b.value)
@@ -660,10 +636,9 @@ def _check_totalcondition(case) -> ConditionReport:
                  "sewing_b": desc_next_g.sewing, "rho_order": rho_order}
             ))
         if desc.state is not None and desc.sewing is not None:
-            raised = descriptors.get((g + 1, n))
             x_raised = None
-            if raised is not None and raised.state is not None:
-                x_raised = (raised.state, raised.point)
+            if desc_next_g is not None and desc_next_g.state is not None:
+                x_raised = (desc_next_g.state, desc_next_g.point)
             reports.append(_check_gncondition(
                 {"element": elem, "x": (desc.state, desc.point),
                  "sewing": desc.sewing, "rho_order": rho_order,
@@ -697,7 +672,7 @@ _CONDITION_CHECKS = {
 def reduce_to_zero_point(elem: ChainElement) -> tuple[object, CorrelationFunction]:
     """Factor F = P_n * F_0 against the zero-point function of the same
     evaluator; refuses a vanishing zero-point function."""
-    zero_point = elem.evaluator.evaluate((), elem.boundary)
+    zero_point = elem.evaluator.evaluate(())
     if zero_point.is_zero():
         raise ComplexError("zero-point function vanishes; factorization undefined")
     return elem.value.data * _scalar_invert(zero_point.data), zero_point
@@ -730,19 +705,17 @@ def connection_functional(
     (-1)^g times the bracketed D1+D2 combination with the new insertion
     from psi, and the middle term has no identification in the source
     construction, so it is 0.  With ``f_op="zero"`` all components
-    vanish identically.
+    vanish identically.  Each zero is phi's own: its genus, prefactor and
+    value type.
     """
     if f_op not in ("paper", "zero"):
         raise ComplexError(f"unknown F operator preset {f_op!r}")
     sewing = sewing or SewingData(zeta1=Fraction(1), zeta2=Fraction(-1))
-    components: dict[str, CorrelationFunction] = {}
+    zero = phi.value._replace(data=phi.evaluator._zero())
     if f_op == "zero":
-        zero = CorrelationFunction(phi.genus, 0)
-        components["sewing_term"] = zero
-        components["middle_term"] = zero
-        components["bracket_term"] = zero
-        return ConnectionReport(components, 0.0, True,
-                                {"f_op": f_op, "include_vacuum_term": include_vacuum_term})
+        return ConnectionReport(dict.fromkeys(("sewing_term", "middle_term", "bracket_term"), zero),
+                                0.0, True, {"f_op": f_op, "include_vacuum_term": include_vacuum_term})
+    components: dict[str, CorrelationFunction] = {}
     sewn = apply_Dg(phi, sewing, rho_order)
     data = sewn.value.data
     if not include_vacuum_term:
@@ -750,7 +723,7 @@ def connection_functional(
             data.variable, {0: data.coefficient(0)}, data.truncation
         )
     components["sewing_term"] = sewn.value._replace(data=data * (-1))
-    components["middle_term"] = CorrelationFunction(phi.genus, 0)
+    components["middle_term"] = zero
     bracket = apply_Dn(psi_descriptor, phi)
     sign = -((-1) ** phi.genus)
     components["bracket_term"] = bracket.value._replace(data=bracket.value.data * sign)
@@ -762,26 +735,6 @@ def connection_functional(
         {"f_op": f_op, "include_vacuum_term": include_vacuum_term,
          "psi_descriptor_point": str(psi_descriptor[1])},
     )
-
-
-def connection_functional_from_tuples(
-    psi: InsertionTuple,
-    phi: InsertionTuple,
-    f_op: str = "paper",
-    q_order: int = 6,
-    **kwargs,
-) -> ConnectionReport:
-    """Spec-shaped entry point: psi extends phi by one insertion x' and
-    both tuples must carry the same genus tag."""
-    if psi.genus != phi.genus:
-        raise ComplexError(
-            f"incompatible genus tags between psi ({psi.genus}) and "
-            f"phi ({phi.genus}) slots"
-        )
-    if psi.n != phi.n + 1 or psi.entries[: phi.n] != phi.entries:
-        raise ComplexError("psi must extend phi by exactly one insertion")
-    elem = element_from_insertions(phi, q_order=q_order)
-    return connection_functional(elem, psi.entries[-1], f_op=f_op, **kwargs)
 
 
 # -- cohomology of truncated probe complexes ---------------------------
@@ -798,6 +751,11 @@ class ProbeComplex(_FrozenRecord):
                  descriptor_pool_index: int = 0, zero_dn: bool = False, zero_dg: bool = False):
         if g_max < 0 or n_max < 0:
             raise ComplexError(f"g_max {g_max} and n_max {n_max} must not be negative")
+        # D^n appends the pool state the index names; an index past the
+        # pool would drop every D^n entry of the matrices
+        if not 0 <= descriptor_pool_index < len(pool):
+            raise ComplexError(
+                f"descriptor_pool_index {descriptor_pool_index} names no state of the pool")
         self._set_fields(pool, g_max, n_max, descriptor_pool_index, zero_dn, zero_dg)
 
     def labels(self, m: int) -> list[tuple[int, int, tuple[int, ...]]]:

@@ -244,14 +244,14 @@ def genus_g_npoint(
     return _genus_g_sum(handles, insertions)
 
 
-def _genus_g_sum(handles, insertions, boundary=(VACUUM, VACUUM), inner=None):
+def _genus_g_sum(handles, insertions, inner=None):
     """Nested rho-series of the basis sums of sewn handles.
 
     Each handle is (zeta1, zeta2, rho_order, variable), outermost first,
     and sews the handles after it; the innermost term is taken at the
     points [*insertions, *pairs of handles[0], *pairs of handles[1], ...].
-    By default that term is the sphere function between the boundary
-    states, and at exact points every handle is summed at once by
+    By default that term is the sphere function between vacua, and at
+    exact points every handle is summed at once by
     :func:`~voachain.voa.sewn_sphere_series`, one Wick context for all
     the terms.  Otherwise it is ``inner(points)``, any term linear in the
     function the handles sew (the graded trace, or the reduction terms of
@@ -270,10 +270,10 @@ def _genus_g_sum(handles, insertions, boundary=(VACUUM, VACUUM), inner=None):
         return TruncatedSeries.zero(handles[0][3], 0)
     sewn = [_sewn_handle(*h) for h in handles]
     if inner is None:
-        series = sewn_sphere_series(insertions, sewn, *boundary)
+        series = sewn_sphere_series(insertions, sewn)
         if series is not None:
             return series
-        inner = partial(sphere_value, u_out=boundary[0], u_in=boundary[1], dressed=False)
+        inner = partial(sphere_value, dressed=False)
 
     def summed(i, points):
         if i == len(sewn):

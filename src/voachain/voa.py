@@ -520,11 +520,9 @@ def _expand_components(insertions, dressed):
 def sewn_sphere_series(
     insertions: Sequence[tuple[FockVector, Scalar]],
     handles: Sequence[tuple],
-    u_out: FockState = VACUUM,
-    u_in: FockState = VACUUM,
 ) -> TruncatedSeries | None:
-    """<u_out', Y(v1,z1)...Y(vn,zn) u_in> with handles sewn on, as the
-    nested rho-series of its paired basis sums, outermost handle first.
+    """<1', Y(v1,z1)...Y(vn,zn) 1> with handles sewn on, as the nested
+    rho-series of its paired basis sums, outermost handle first.
 
     Each handle is (zeta1, zeta2, terms, variable); terms[k] lists the
     weight-k paired terms (c, bbar, b) of basis states, bbar at zeta1 and
@@ -566,8 +564,6 @@ def sewn_sphere_series(
              for c, bbar, b in terms_k]
             for terms_k in terms]))
     slots = [""] * len(points)
-    out, ins = _chars(u_out.partition), _chars(u_in.partition)
-    legs = u_out.length + u_in.length
 
     # each coefficient (k_outer, ..., k_inner) as (total, common): terms
     # cross-multiply only when their denominator is new
@@ -579,7 +575,7 @@ def sewn_sphere_series(
         for pi, field in chars:
             slots[pi] = field
         for picked in product(*outer):
-            ks, num, den, outer_legs = (), coeff.numerator, coeff.denominator, legs + combo_legs
+            ks, num, den, outer_legs = (), coeff.numerator, coeff.denominator, combo_legs
             for (p1, p2, _), (k, (c, bbar, b, term_legs)) in zip(levels, picked):
                 slots[p1], slots[p2] = bbar, b
                 ks, outer_legs = ks + (k,), outer_legs + term_legs
@@ -591,7 +587,7 @@ def sewn_sphere_series(
                     if (outer_legs + term_legs) % 2:
                         continue
                     slots[pos1], slots[pos2] = bbar, b
-                    wn, wd = _wick(out, "".join(slots), ins, ctx)
+                    wn, wd = _wick("", "".join(slots), "", ctx)
                     if wn:
                         tn, td = num * c.numerator * wn, den * c.denominator * wd
                         if td == common:
@@ -602,13 +598,12 @@ def sewn_sphere_series(
                             common = common // g * td
                 acc[key] = total, common
     values = {}
-    norm = u_out.norm_squared()
     for key, (total, common) in acc.items():
         if total:
             level = values
             for k in key[:-1]:
                 level = level.setdefault(k, {})
-            level[key[-1]] = Fraction(total, common * norm)
+            level[key[-1]] = Fraction(total, common)
     return _as_series(values, [(variable, len(terms)) for _, _, terms, variable in handles])
 
 

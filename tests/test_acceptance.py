@@ -21,8 +21,7 @@ from voachain.complexes import (
     check_chain_conditions,
     cohomology_ranks,
     corr_deviation,
-    genus0_npoint,
-    genus1_npoint_trace,
+    element_from_insertions,
     reduce_to_zero_point,
 )
 from voachain.correlators import torus_qseries
@@ -117,13 +116,11 @@ def test_criterion_3_genus0_oracle_equivalence():
         count = 0
         for n in range(1, 4):
             for combo in _tuples(names, n):
-                elem = genus0_npoint(InsertionTuple((), 0))
+                elem = element_from_insertions(InsertionTuple(()), 0)
                 for i, name in enumerate(combo):
                     elem = apply_Dn((POOL[name], points[i]), elem)
-                direct = genus0_npoint(
-                    InsertionTuple(
-                        tuple((POOL[c], points[i]) for i, c in enumerate(combo)), 0
-                    )
+                direct = element_from_insertions(
+                    InsertionTuple(tuple((POOL[c], points[i]) for i, c in enumerate(combo))), 0
                 )
                 assert elem.value.data == direct.value.data, combo
                 count += 1
@@ -150,14 +147,15 @@ def test_criterion_4_genus1_oracle_equivalence():
         q_order = 8
         x1, x2 = Fraction(5), Fraction(2)
         for name1 in ("1", "a"):
-            base = genus1_npoint_trace(InsertionTuple((), 1), q_order)
+            base = element_from_insertions(InsertionTuple(()), 1, q_order=q_order)
             one = apply_Dn((POOL[name1], x1), base)
-            direct1 = genus1_npoint_trace(InsertionTuple(((POOL[name1], x1),), 1), q_order)
+            direct1 = element_from_insertions(InsertionTuple(((POOL[name1], x1),)), 1,
+                                              q_order=q_order)
             assert corr_deviation(one.value, direct1.value) < 1e-9, name1
             for name2 in ("1", "a"):
                 two = apply_Dn((POOL[name2], x2), direct1)
-                direct2 = genus1_npoint_trace(
-                    InsertionTuple(((POOL[name1], x1), (POOL[name2], x2)), 1), q_order)
+                direct2 = element_from_insertions(
+                    InsertionTuple(((POOL[name1], x1), (POOL[name2], x2))), 1, q_order=q_order)
                 dev = corr_deviation(two.value, direct2.value)
                 assert dev < 1e-9, (name1, name2, dev)
 
@@ -165,7 +163,7 @@ def test_criterion_4_genus1_oracle_equivalence():
 def test_criterion_5_sewing_consistency():
     with Criterion(5, "sewing the genus-0 partition gives the genus-1 "
                       "partition counts through order 6", 10.0):
-        base = genus0_npoint(InsertionTuple((), 0))
+        base = element_from_insertions(InsertionTuple(()), 0)
         sewn = apply_Dg(base, SewingData(), 7)
         oracle = torus_qseries([], 7)  # independent trace oracle
         expected = [1, 1, 2, 3, 5, 7, 11]
@@ -192,12 +190,10 @@ def test_criterion_6_genus2_degeneration():
 def test_criterion_7_chain_condition_suite():
     with Criterion(7, "vacuum chain-condition residuals exactly zero; "
                       "nontrivial insertions reported", 30.0):
-        elem0 = genus0_npoint(
-            InsertionTuple(((A_VECTOR, Fraction(7)), (A_VECTOR, Fraction(9))), 0)
+        elem0 = element_from_insertions(
+            InsertionTuple(((A_VECTOR, Fraction(7)), (A_VECTOR, Fraction(9)))), 0
         )
-        elem1 = genus1_npoint_trace(
-            InsertionTuple(((A_VECTOR, Fraction(7)),), 1), 5
-        )
+        elem1 = element_from_insertions(InsertionTuple(((A_VECTOR, Fraction(7)),)), 1, q_order=5)
         vacuum_suite = [
             {"kind": "n", "element": elem0,
              "x1": (VACUUM_VECTOR, Fraction(11)), "x2": (VACUUM_VECTOR, Fraction(13))},
@@ -207,8 +203,8 @@ def test_criterion_7_chain_condition_suite():
             {"kind": "gn", "element": elem0,
              "x": (VACUUM_VECTOR, Fraction(11)), "rho_order": 3},
             {"kind": "total",
-             "elements": {(0, 1): genus0_npoint(
-                 InsertionTuple(((A_VECTOR, Fraction(7)),), 0))},
+             "elements": {(0, 1): element_from_insertions(
+                 InsertionTuple(((A_VECTOR, Fraction(7)),)), 0)},
              "descriptors": {
                  (0, 1): DifferentialDescriptor(VACUUM_VECTOR, Fraction(11), SewingData()),
                  (0, 2): DifferentialDescriptor(VACUUM_VECTOR, Fraction(13)),
@@ -311,10 +307,8 @@ def test_criterion_9_zero_point_round_trip():
                       "two-point suite", 30.0):
         pairs = [("a", "a"), ("1", "a"), ("a", "1"), ("1", "1"), ("aa", "aa")]
         for n1, n2 in pairs:
-            elem = genus1_npoint_trace(
-                InsertionTuple(((POOL[n1], Fraction(5)), (POOL[n2], Fraction(2))), 1),
-                8,
-            )
+            elem = element_from_insertions(
+                InsertionTuple(((POOL[n1], Fraction(5)), (POOL[n2], Fraction(2)))), 1, q_order=8)
             factor, zero_point = reduce_to_zero_point(elem)
             product = factor * zero_point.data
             dev = product.compare(elem.value.data).deviation

@@ -533,6 +533,20 @@ float_tol = 1e-10
         assert doc["round_trip_residual"] == 0
 
 
+GENUS1_CONNECTION = """
+[element]
+genus = 1
+states = a
+points = 5
+[descriptor]
+state = a
+point = 2
+[truncation]
+q_order = 3
+rho_order = 2
+"""
+
+
 class TestConnection:
     def test_report_only(self, write_config, capsys):
         cfg = write_config(
@@ -570,6 +584,20 @@ vanishing = true
         code, out, err = run_cli(["connection", "--config", cfg], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("f_op", ["paper", "zero"])
+    def test_zero_terms_are_the_elements_own_zero(self, write_config, capsys, f_op):
+        # at genus 1 a zero term is a q-series with the -1/24 prefactor,
+        # as the computed terms are
+        cfg = write_config(GENUS1_CONNECTION + f"[options]\nf_op = {f_op}\n")
+        code, out, _ = run_cli(["connection", "--config", cfg], capsys)
+        assert code == 0
+        components = json.loads(out)["components"]
+        zeros = ["middle_term"] if f_op == "paper" else list(components)
+        for name in zeros:
+            assert components[name] == {
+                "genus": 1, "prefactor_q_exponent": "-1/24",
+                "series": {"variable": "q", "min_exponent": 0, "truncation": 3, "coeffs": []}}
+        assert components["sewing_term"]["prefactor_q_exponent"] == "-1/24"
 
     def test_unequal_element_lists_rejected(self, write_config, capsys):
         cfg = write_config(
@@ -765,6 +793,45 @@ points = -1, 1, -3, 3
 """
 
 
+# a at 2 on the sphere, and on the torus with two a descriptors
+CHECK_A_AT_2 = "[element]\nstates = a\npoints = 2\n[assert]\nexpect_zero = true\n"
+GENUS1_CHECK = CHECK_A_AT_2.replace("[element]", "[element]\ngenus = 1") + (
+    "[descriptors]\nx1_state = a\nx1_point = 3\nx2_state = a\nx2_point = 5\n")
+
+
+def _not_strict_json(constant):
+    raise AssertionError(f"{constant} is not a strict JSON value")
+
+
+@pytest.mark.parametrize("args, text, code", [
+    *[pytest.param(args, None, 0, id=" ".join(args[:1] + args[3:])) for args in README_COMMANDS],
+    pytest.param(["eval-eisenstein", "--k", "4", "--order", "10"], None, 0, id="eisenstein"),
+    pytest.param(["eval-weierstrass", "--k", "2", "--z-re", "0.4", "--tau-im", "1.5"], None, 0,
+                 id="weierstrass"),
+    pytest.param(["eval-pm", "--m", "2", "--z-re", "-0.5", "--z-im", "0.3", "--tau-im", "1.5"],
+                 None, 0, id="pm"),
+    pytest.param(["eval-f0", "--n", "1", "--m", "0", "--z", "5", "--w", "2"], None, 0, id="f0"),
+    # an infinite tail proxy, and checks that compare no coefficient
+    pytest.param(["eval-weierstrass", "--z-re", "7"], None, 0, id="weierstrass-past-2pi"),
+    pytest.param(["check-complex"], CHECK_A_AT_2 + "[truncation]\nrho_order = 0\n", 2,
+                 id="check-rho-0"),
+    pytest.param(["check-complex"], GENUS1_CHECK + "[truncation]\nq_order = 0\n", 2,
+                 id="check-q-0"),
+])
+def test_every_report_is_strict_json(args, text, code, write_config, capsys, monkeypatch):
+    # no NaN or Infinity literal reaches stdout: every report parses as
+    # strict JSON
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    if text is not None:
+        args = [args[0], "--config", write_config(text)]
+    got, out, _ = run_cli(args, capsys)
+    assert got == code
+    doc = json.loads(out, parse_constant=_not_strict_json)
+    if args[:3] == ["eval-weierstrass", "--z-re", "7"]:
+        # |z| past 2 pi: no tail estimate, and the value is flagged
+        assert doc["tail_estimate"] is None and doc["flagged"] is True
+
+
 class TestErrorClasses:
     # malformed input is one validation report (exit 2), also when the
     # bad value is an assertion setting; every other exception is a
@@ -846,6 +913,17 @@ class TestErrorClasses:
         ("check-complex", "[element]\nstates = a\npoints = 2\n"
          "[experiment]\nkinds =\n[assert]\nexpect_zero = true\n",
          "[experiment] kinds names no condition to check"),
+        # a check at a truncation order 0 compares no coefficient, so no
+        # residual stands for it
+        ("check-complex", CHECK_A_AT_2 + "[truncation]\nrho_order = 0\n",
+         "the g check compares no coefficient: a truncation order is 0"),
+        ("check-complex", CHECK_A_AT_2 + "[experiment]\nkinds = gn\n"
+         "[truncation]\nrho_order = 0\n",
+         "the gn check compares no coefficient: a truncation order is 0"),
+        ("check-complex", GENUS1_CHECK + "[truncation]\nq_order = 0\n",
+         "the n check compares no coefficient: a truncation order is 0"),
+        ("check-complex", GENUS1_CHECK + "[experiment]\nkinds = gn\n[truncation]\nq_order = 0\n",
+         "the gn check compares no coefficient: a truncation order is 0"),
     ])
     def test_bad_input_is_a_validation_error(self, write_config, capsys, command, text,
                                              fragment):

@@ -25,9 +25,8 @@ from voachain.complexes import (
     connection_functional,
     corr_deviation,
     element_from_insertions,
-    genus0_npoint,
-    genus1_npoint_trace,
     _check_ncondition,
+    _element,
     _nested_coefficient,
     reduce_to_zero_point,
     Trace,
@@ -53,10 +52,7 @@ POINTS1 = (Fraction(5), Fraction(2), Fraction(1, 2))
 
 
 def g0_element(*names_points):
-    ins = InsertionTuple(
-        tuple((POOL[n], z) for n, z in names_points), genus=0
-    )
-    return genus0_npoint(ins)
+    return element_from_insertions(InsertionTuple(tuple((POOL[n], z) for n, z in names_points)), 0)
 
 
 def _corr_sum(a, b):
@@ -73,10 +69,8 @@ def sewn_sphere(handles, *names_points, elem=None):
 
 
 def g1_element(names_points, q_order=8):
-    ins = InsertionTuple(
-        tuple((POOL[n], x) for n, x in names_points), genus=1
-    )
-    return genus1_npoint_trace(ins, q_order)
+    ins = InsertionTuple(tuple((POOL[n], x) for n, x in names_points))
+    return element_from_insertions(ins, 1, q_order=q_order)
 
 
 class TestGenus0Oracle:
@@ -85,8 +79,7 @@ class TestGenus0Oracle:
         assert elem.value.data == 1
         for s in fock_basis(4):
             for t in fock_basis(4):
-                e = genus0_npoint(InsertionTuple((), 0), boundary=(s, t))
-                assert e.value.data == (1 if s == t else 0)
+                assert sphere_value((), s, t) == (1 if s == t else 0)
 
     def test_one_point_of_a_vanishes(self):
         assert g0_element(("a", Fraction(2))).value.data == 0
@@ -98,7 +91,7 @@ class TestGenus0Oracle:
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ComplexError):
-            InsertionTuple(((A_VECTOR, Fraction(1)), (A_VECTOR, Fraction(1))), 0)
+            InsertionTuple(((A_VECTOR, Fraction(1)), (A_VECTOR, Fraction(1))))
 
 
 class TestGenus0ReductionEquivalence:
@@ -169,18 +162,12 @@ class TestGenus0ReductionEquivalence:
         # type sphere_value's sum would have
         pool = {**POOL, "1+a": VACUUM_VECTOR + A_VECTOR, "a+aa": A_VECTOR + AA}
         entries = tuple((pool[name], kind(3 * i + 1)) for i, (name, kind) in enumerate(slots))
-        base = genus0_npoint(InsertionTuple(entries, genus=0))
+        base = element_from_insertions(InsertionTuple(entries), 0)
         z = Fraction(-5)
         want = _int_power(z, -1) * (sphere_value(entries) * 0)
         got = apply_D1((A_VECTOR, z), base).value.data
         assert got == 0
         assert type(got) is type(want)
-
-    def test_non_vacuum_boundary_rejected_for_reduction(self):
-        ins = InsertionTuple(((A_VECTOR, Fraction(2)),), 0)
-        elem = genus0_npoint(ins, boundary=(FockState((1,)), FockState((1,))))
-        with pytest.raises(ComplexError):
-            apply_Dn((A_VECTOR, Fraction(5)), elem)
 
     @pytest.mark.parametrize("v", [A_VECTOR, AA, VACUUM_VECTOR + A_VECTOR])
     def test_step_to_zero_with_weight_rejected(self, v):
@@ -232,7 +219,7 @@ class TestGenus0ReductionRandomized:
         # states, not just the acceptance pool
         z1, z2 = Fraction(4), Fraction(1)
         elem = apply_Dn((v2, z2), apply_Dn((v1, z1), g0_element()))
-        direct = genus0_npoint(InsertionTuple(((v1, z1), (v2, z2)), 0))
+        direct = element_from_insertions(InsertionTuple(((v1, z1), (v2, z2))), 0)
         assert elem.value.data == direct.value.data
 
 
@@ -256,16 +243,11 @@ class TestGenus1Oracle:
     @pytest.mark.parametrize("points", [(0, Fraction(2)), (Fraction(2), Fraction(0))])
     def test_point_zero_rejected_by_every_entry(self, points):
         # the trace checks its own points, whichever way it is reached
-        from voachain.complexes import connection_functional_from_tuples
-
-        ins = InsertionTuple(tuple((A_VECTOR, x) for x in points), genus=1)
+        ins = InsertionTuple(tuple((A_VECTOR, x) for x in points))
         with pytest.raises(ComplexError, match="x = e\\^z"):
-            element_from_insertions(ins, q_order=3)
+            element_from_insertions(ins, 1, q_order=3)
         with pytest.raises(ComplexError, match="x = e\\^z"):
-            genus1_npoint_trace(ins, 3)
-        psi = ins.append(A_VECTOR, Fraction(7))
-        with pytest.raises(ComplexError, match="x = e\\^z"):
-            connection_functional_from_tuples(psi, ins, q_order=3)
+            _element(ins, Trace(3))
 
 
 class TestGenus1ReductionEquivalence:
@@ -297,19 +279,13 @@ class TestGenus1ReductionEquivalence:
         # the constant convention of the m=0 kernel (it cancels only in
         # the sum over slots, through the commutator trace identity)
         x1, x2, x3 = Fraction(7), Fraction(3), Fraction(1)
-        base = genus1_npoint_trace(InsertionTuple(((AA, x1), (AA, x2)), 1), 6)
+        base = g1_element([("aa", x1), ("aa", x2)], 6)
         stepped = apply_Dn((AA, x3), base)
-        direct = genus1_npoint_trace(
-            InsertionTuple(((AA, x1), (AA, x2), (AA, x3)), 1), 6
-        )
+        direct = g1_element([("aa", x1), ("aa", x2), ("aa", x3)], 6)
         assert corr_deviation(stepped.value, direct.value) == 0
-        mixed_base = genus1_npoint_trace(
-            InsertionTuple(((A_VECTOR, x1), (A_VECTOR, x2)), 1), 6
-        )
+        mixed_base = g1_element([("a", x1), ("a", x2)], 6)
         mixed = apply_Dn((AA, x3), mixed_base)
-        mixed_direct = genus1_npoint_trace(
-            InsertionTuple(((A_VECTOR, x1), (A_VECTOR, x2), (AA, x3)), 1), 6
-        )
+        mixed_direct = g1_element([("a", x1), ("a", x2), ("aa", x3)], 6)
         assert corr_deviation(mixed.value, mixed_direct.value) == 0
 
     def test_omega_square_bracket_zero_mode_is_weighted_trace(self):
@@ -349,10 +325,8 @@ class TestApplyDg:
         b1 = g0_element(("a", Fraction(4)), ("a", Fraction(6)))
         b2 = g0_element(("aa", Fraction(4)), ("a", Fraction(6)))
         combo_ins = InsertionTuple(
-            ((A_VECTOR + AA.scale(Fraction(3, 7)), Fraction(4)), (A_VECTOR, Fraction(6))),
-            genus=0,
-        )
-        combo = genus0_npoint(combo_ins)
+            ((A_VECTOR + AA.scale(Fraction(3, 7)), Fraction(4)), (A_VECTOR, Fraction(6))))
+        combo = element_from_insertions(combo_ins, 0)
         s1 = apply_Dg(b1, SewingData(), 5)
         s2 = apply_Dg(b2, SewingData(), 5)
         sc = apply_Dg(combo, SewingData(), 5)
@@ -596,9 +570,7 @@ class TestConnectionFunctional:
 
         assert scalar_is_zero(sew.coefficient(0))  # k=0 excluded
         bracket = rep.components["bracket_term"]
-        direct = genus1_npoint_trace(
-            InsertionTuple(((A_VECTOR, Fraction(5)), (A_VECTOR, Fraction(2))), 1), 4
-        )
+        direct = g1_element([("a", Fraction(5)), ("a", Fraction(2))], 4)
         # bracket term is -(-1)^1 (D1+D2) phi = +the two-point here
         assert corr_deviation(
             bracket, direct.value
@@ -608,10 +580,8 @@ class TestConnectionFunctional:
         z = Fraction(7)
         phi1 = g0_element(("a", z), ("a", Fraction(9)))
         phi2 = g0_element(("aa", z), ("a", Fraction(9)))
-        combo_ins = InsertionTuple(
-            ((A_VECTOR + AA.scale(Fraction(2)), z), (A_VECTOR, Fraction(9))), 0
-        )
-        phic = genus0_npoint(combo_ins)
+        combo_ins = InsertionTuple(((A_VECTOR + AA.scale(Fraction(2)), z), (A_VECTOR, Fraction(9))))
+        phic = element_from_insertions(combo_ins, 0)
         x = (A_VECTOR, Fraction(11))
         r1 = connection_functional(phi1, x)
         r2 = connection_functional(phi2, x)
@@ -627,34 +597,6 @@ class TestConnectionFunctional:
                 assert c == a + 2 * b
 
 
-class TestConnectionFromTuples:
-    def test_genus_mismatch_rejected(self):
-        from voachain.complexes import connection_functional_from_tuples
-
-        phi = InsertionTuple(((A_VECTOR, Fraction(7)),), 0)
-        psi = InsertionTuple(((A_VECTOR, Fraction(7)), (A_VECTOR, Fraction(9))), 1)
-        with pytest.raises(ComplexError):
-            connection_functional_from_tuples(psi, phi)
-
-    def test_psi_must_extend_phi(self):
-        from voachain.complexes import connection_functional_from_tuples
-
-        phi = InsertionTuple(((A_VECTOR, Fraction(7)),), 0)
-        psi = InsertionTuple(((A_VECTOR, Fraction(8)), (A_VECTOR, Fraction(9))), 0)
-        with pytest.raises(ComplexError):
-            connection_functional_from_tuples(psi, phi)
-
-    def test_matches_element_level_call(self):
-        from voachain.complexes import connection_functional_from_tuples
-
-        phi = InsertionTuple(((A_VECTOR, Fraction(7)),), 0)
-        psi = phi.append(A_VECTOR, Fraction(9))
-        rep_t = connection_functional_from_tuples(psi, phi)
-        rep_e = connection_functional(genus0_npoint(phi), (A_VECTOR, Fraction(9)))
-        for key in rep_t.components:
-            assert corr_deviation(rep_t.components[key], rep_e.components[key]) == 0
-
-
 A2 = FockVector.basis(2)  # a(-2)|0>, weight 2, not quasiprimary
 SD2 = SchottkyData(genus=2, points=(Fraction(-1), Fraction(1), Fraction(-4), Fraction(4)))
 
@@ -667,8 +609,7 @@ class TestGenus2Reduction:
               "a+omega": A_VECTOR + OMEGA_VECTOR, "vacuum": VACUUM_VECTOR}
 
     def make_element(self, entries=((A_VECTOR, Fraction(2)),), orders=(3, 2)):
-        ins = InsertionTuple(tuple(entries), genus=2, moduli=SD2)
-        return element_from_insertions(ins, rho_orders=orders)
+        return element_from_insertions(InsertionTuple(tuple(entries)), 2, SD2, rho_orders=orders)
 
     @pytest.mark.parametrize("name", list(STATES))
     def test_one_step_equals_the_direct_sums(self, name):
@@ -683,7 +624,7 @@ class TestGenus2Reduction:
         assert not want.is_zero()
         assert d1.value.data + d2.value.data == want
         assert step.value.data == want
-        assert step.insertions.n == 3 and step.evaluator == elem.evaluator
+        assert len(step.insertions.entries) == 3 and step.evaluator == elem.evaluator
 
     @pytest.mark.parametrize("steps", [
         (("a", 2), ("a", 6)),
@@ -731,8 +672,8 @@ class TestGenus2Reduction:
 
         sd = SD2
         x_old, x_new = Fraction(2), Fraction(6)
-        ins = InsertionTuple(((A_VECTOR, x_old),), genus=2, moduli=sd)
-        elem = element_from_insertions(ins, rho_orders=(2, 2))
+        elem = element_from_insertions(InsertionTuple(((A_VECTOR, x_old),)), 2, sd,
+                                       rho_orders=(2, 2))
         d2 = apply_D2((A_VECTOR, x_new), elem)
         got = complex(d2.value.data.coefficient(0).coefficient(0))
         want = 0j
@@ -750,8 +691,8 @@ class TestGenus2Reduction:
         import voachain.complexes as complexes
 
         sd = SD2
-        ins = InsertionTuple(((VACUUM_VECTOR, Fraction(2)),), genus=2, moduli=sd)
-        elem = element_from_insertions(ins, rho_orders=(3, 2))
+        ins = InsertionTuple(((VACUUM_VECTOR, Fraction(2)),))
+        elem = element_from_insertions(ins, 2, sd, rho_orders=(3, 2))
         old_zero = genus_g_npoint(sd, ins.entries, (3, 2)) * 0
         calls = []
         genus_g_sum = complexes._genus_g_sum
@@ -761,13 +702,13 @@ class TestGenus2Reduction:
         assert calls == []
         assert d2.value.data == old_zero
         assert d2.value.data == TruncatedSeries.zero("rho2", 2)
-        assert d2.insertions.n == 2 and d2.evaluator == elem.evaluator
+        assert len(d2.insertions.entries) == 2 and d2.evaluator == elem.evaluator
 
     @pytest.mark.parametrize("orders", [(0, 3), (3, 0)])
     def test_d2_zero_knows_no_coefficient_past_a_handle_to_order_0(self, orders):
         # the zero D2 builds claims no more known coefficients than the sums
-        ins = InsertionTuple(((VACUUM_VECTOR, Fraction(2)),), genus=2, moduli=SD2)
-        elem = element_from_insertions(ins, rho_orders=orders)
+        ins = InsertionTuple(((VACUUM_VECTOR, Fraction(2)),))
+        elem = element_from_insertions(ins, 2, SD2, rho_orders=orders)
         d2 = apply_D2((A_VECTOR, Fraction(6)), elem)
         assert d2.value.data == elem.value.data == TruncatedSeries.zero("rho2", 0)
         assert d2.value.data.truncation == 0
@@ -809,10 +750,8 @@ class TestGenus2Reduction:
 
     def test_genus2_zero_point_round_trip(self):
         sd = SD2
-        ins = InsertionTuple(
-            ((AA, Fraction(2)), (AA, Fraction(6))), genus=2, moduli=sd
-        )
-        elem = element_from_insertions(ins, rho_orders=(3, 2))
+        ins = InsertionTuple(((AA, Fraction(2)), (AA, Fraction(6))))
+        elem = element_from_insertions(ins, 2, sd, rho_orders=(3, 2))
         factor, zero_point = reduce_to_zero_point(elem)
         product = factor * zero_point.data
         assert product.compare(elem.value.data).deviation == 0
@@ -833,8 +772,7 @@ def test_insertion_exchange_residual_is_exactly_zero(genus, names, points):
     # for any states and points (the new points avoid 0 and the handles)
     *held, n1, n2 = names
     entries = tuple((EXCHANGE_POOL[n], z) for n, z in zip(held, points))
-    elem = element_from_insertions(InsertionTuple(entries, genus, SD2 if genus else None),
-                                   rho_orders=(2, 2))
+    elem = element_from_insertions(InsertionTuple(entries), genus, SD2, rho_orders=(2, 2))
     report = _check_ncondition({"element": elem,
                                 "x1": (EXCHANGE_POOL[n1], points[2]),
                                 "x2": (EXCHANGE_POOL[n2], points[3])})
@@ -931,7 +869,7 @@ class TestGenus2Presentations:
 @pytest.mark.parametrize("build", [
     lambda: g0_element(("a", Fraction(2))),
     lambda: g1_element([("a", Fraction(2))], q_order=3),
-    lambda: element_from_insertions(InsertionTuple(((A_VECTOR, Fraction(2)),), 2, SD2),
+    lambda: element_from_insertions(InsertionTuple(((A_VECTOR, Fraction(2)),)), 2, SD2,
                                     rho_orders=(2, 2)),
 ], ids=["genus0", "genus1", "genus2"])
 def test_step_to_an_occupied_point_rejected(apply, build):
@@ -948,9 +886,9 @@ class TestExactPointChecks:
     BIG = 10**17
 
     def test_insertion_tuple(self):
-        InsertionTuple(((A_VECTOR, self.BIG), (A_VECTOR, self.BIG + 1)), genus=0)
+        InsertionTuple(((A_VECTOR, self.BIG), (A_VECTOR, self.BIG + 1)))
         with pytest.raises(ComplexError, match="pairwise distinct"):
-            InsertionTuple(((A_VECTOR, Fraction(3)), (A_VECTOR, ExactComplex(3))), genus=0)
+            InsertionTuple(((A_VECTOR, Fraction(3)), (A_VECTOR, ExactComplex(3))))
 
     def test_sewing_beside_an_insertion(self):
         elem = g0_element(("a", Fraction(self.BIG)), ("a", Fraction(2)))
@@ -961,7 +899,7 @@ class TestExactPointChecks:
 
     def test_genus2_step_beside_a_handle_point(self):
         sd = SchottkyData(genus=2, points=(-1, 1, -self.BIG, self.BIG))
-        elem = element_from_insertions(InsertionTuple(((A_VECTOR, Fraction(2)),), 2, sd),
+        elem = element_from_insertions(InsertionTuple(((A_VECTOR, Fraction(2)),)), 2, sd,
                                        rho_orders=(1, 1))
         stepped = apply_Dn((A_VECTOR, self.BIG + 1), elem)
         assert stepped.value.data.coefficient(0).coefficient(0) == Fraction(1, (self.BIG - 1) ** 2)
@@ -1003,7 +941,8 @@ class TestSewnTraceReduction:
         want = elem.evaluator.evaluate((*elem.insertions.entries, (v, y)))
         stepped = apply_Dn((v, y), elem)
         assert stepped.value == want
-        assert stepped.evaluator == elem.evaluator and stepped.insertions.n == len(names) + 1
+        assert stepped.evaluator == elem.evaluator
+        assert len(stepped.insertions.entries) == len(names) + 1
         d1, d2 = apply_D1((v, y), elem), apply_D2((v, y), elem)
         assert d1.value.data + d2.value.data == want.data
         legs = sum(len(n) for n in names) + {"1": 0, "a": 1, "[2]": 1}.get(step, 2)
@@ -1064,7 +1003,7 @@ class TestSewnSphereReduction:
         for v, y in steps:
             elem = apply_Dn((v, y), elem)
         entries = tuple((POOL[n], z) for n, z in names_points) + tuple(steps)
-        want = sewn_sphere(handles, elem=genus0_npoint(InsertionTuple(entries, 0))).value
+        want = sewn_sphere(handles, elem=element_from_insertions(InsertionTuple(entries), 0)).value
         assert elem.value == want
         for j in range(3):
             for k in range(3 if handles == 2 else 1):

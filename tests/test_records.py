@@ -3,11 +3,14 @@ defaults, field equality within one class, hashing and immutability of
 the frozen records, repr, validation, and copies with changed fields."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import voachain
 from voachain.complexes import (
     ChainElement,
     CohomologyReport,
@@ -25,15 +28,15 @@ from voachain.complexes import (
     apply_D1,
     apply_Dn,
     connection_functional,
-    genus0_npoint,
-    genus1_npoint_trace,
+    element_from_insertions,
 )
 from voachain.elliptic import EllipticError, EllipticValue, ModularPoint, RationalKernel
 from voachain.schottky import SchottkyData, SewingData, SewingError
+from voachain.series import _Record
 from voachain.voa import A_VECTOR, VACUUM, FockState
 
 HANDLE = (Fraction(1), Fraction(-1), 3, "rho")
-INS = InsertionTuple(((A_VECTOR, 3), (A_VECTOR, 1)), 0)
+INS = InsertionTuple(((A_VECTOR, 3), (A_VECTOR, 1)))
 VALUE = CorrelationFunction(0, Fraction(1, 4))
 
 # class, positional arguments, then every field with its value
@@ -45,15 +48,14 @@ RECORDS = [
     (RationalKernel, (2, 1), {"n": 2, "m": 1}, (1, 2)),
     (SewingData, (), {"zeta1": 1, "zeta2": -1}, (2,)),
     (SchottkyData, (1, (1, -1)), {"genus": 1, "points": (1, -1)}, (1, (2, -2))),
-    (InsertionTuple, ((), 0), {"entries": (), "genus": 0, "moduli": None}, ((), 1)),
+    (InsertionTuple, ((),), {"entries": ()}, (((A_VECTOR, 1),),)),
     (CorrelationFunction, (0, 5), {"genus": 0, "data": 5, "prefactor_exponent": Fraction(0)},
      (0, 5, Fraction(-1, 24))),
     (Sphere, (), {}, None),
     (Trace, (3,), {"q_order": 3}, (4,)),
     (Sewn, (Sphere(), (HANDLE,)), {"base": Sphere(), "handles": (HANDLE,)}, (Trace(3), (HANDLE,))),
-    (ChainElement, (INS, VALUE), {"insertions": INS, "value": VALUE,
-                                  "boundary": (VACUUM, VACUUM), "evaluator": Sphere()},
-     (INS, VALUE, (VACUUM, VACUUM), Trace(3))),
+    (ChainElement, (INS, VALUE), {"insertions": INS, "value": VALUE, "evaluator": Sphere()},
+     (INS, VALUE, Trace(3))),
     (DifferentialDescriptor, (None, 3), {"state": None, "point": 3, "sewing": None},
      (None, 4)),
     (TotalDifferential, (2, {}), {"m": 2, "descriptors": {}, "rho_order": 4, "g_max": 1},
@@ -75,6 +77,22 @@ RECORDS = [
 ]
 MUTABLE = {ChainElement, TotalDifferential, ConditionReport, ConnectionReport, CohomologyReport}
 IDS = [case[0].__name__ for case in RECORDS]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_records_lists_every_record_class_of_the_package():
+    # a record added, deleted or reshaped cannot leave the table stale
+    for module in pkgutil.iter_modules(voachain.__path__):
+        importlib.import_module(f"voachain.{module.name}")
+    defined = {cls for cls in _subclasses(_Record)
+               if cls.__module__.startswith("voachain.") and not cls.__name__.startswith("_")}
+    assert defined == {case[0] for case in RECORDS}
+    assert len(IDS) == len(set(IDS))
 
 
 def fields_of(record, names):
@@ -177,8 +195,10 @@ def test_class_attributes_are_no_fields():
 
 def test_chain_element_defaults_to_the_sphere():
     elem = ChainElement(INS, VALUE)
-    assert elem.evaluator == Sphere() and elem.boundary == (VACUUM, VACUUM)
+    assert elem.evaluator == Sphere()
     assert elem.genus == 0
+    # the evaluator is the one record of the surface: its genus is the element's
+    assert ChainElement(INS, VALUE, Sewn(Trace(3), (HANDLE,))).genus == 2
 
 
 @pytest.mark.parametrize("make, error, message", [
@@ -188,18 +208,27 @@ def test_chain_element_defaults_to_the_sphere():
     (lambda: SchottkyData(0, ()), SewingError, "genus must be >= 1"),
     (lambda: SchottkyData(2, (1, -1)), SewingError, "need two points per handle"),
     (lambda: SchottkyData(1, (1, 1)), SewingError, "sewing points must be pairwise distinct"),
-    (lambda: InsertionTuple(((A_VECTOR, 1), (A_VECTOR, 1)), 0), ComplexError,
+    (lambda: InsertionTuple(((A_VECTOR, 1), (A_VECTOR, 1))), ComplexError,
      "insertion points must be pairwise distinct"),
-    (lambda: InsertionTuple((), -1), ComplexError, "genus must be >= 0"),
+    (lambda: element_from_insertions(INS, -1), ComplexError, "genus must be >= 0"),
+    (lambda: element_from_insertions(INS, 2), ComplexError,
+     "genus-2 elements need SchottkyData of that genus"),
+    (lambda: element_from_insertions(INS, 2, SchottkyData(1, (5, -5))), ComplexError,
+     "genus-2 elements need SchottkyData of that genus"),
     (lambda: ModularPoint(1 + 0j), EllipticError, "tau must have positive imaginary part"),
     (lambda: ModularPoint(-1j, 5), EllipticError, "tau must have positive imaginary part"),
     (lambda: ProbeComplex(("1",), -1, 2), ComplexError,
      "g_max -1 and n_max 2 must not be negative"),
     (lambda: ProbeComplex(("1",), 1, -1), ComplexError,
      "g_max 1 and n_max -1 must not be negative"),
+    (lambda: ProbeComplex(("1", "a"), 1, 2, 2), ComplexError,
+     "descriptor_pool_index 2 names no state of the pool"),
+    (lambda: ProbeComplex(("1", "a"), 1, 2, -1), ComplexError,
+     "descriptor_pool_index -1 names no state of the pool"),
 ], ids=["fock-zero", "fock-negative", "sewing-points", "schottky-genus",
-        "schottky-count", "schottky-points", "insertion-points", "insertion-genus",
-        "modular-real", "modular-lower", "probe-g-max", "probe-n-max"])
+        "schottky-count", "schottky-points", "insertion-points", "element-genus",
+        "element-schottky-missing", "element-schottky-genus", "modular-real", "modular-lower",
+        "probe-g-max", "probe-n-max", "probe-index-past", "probe-index-negative"])
 def test_validation_errors(make, error, message):
     with pytest.raises(error) as info:
         make()
@@ -208,21 +237,21 @@ def test_validation_errors(make, error, message):
 
 def test_steps_copy_element_and_value_with_new_fields():
     # a reduction step copies the element and its value: the evaluator,
-    # boundary, genus and prefactor ride along, the input is untouched
-    elem = genus1_npoint_trace(InsertionTuple(((A_VECTOR, Fraction(5)),), 1), 4)
-    before = (elem.insertions, elem.value, elem.boundary, elem.evaluator)
+    # genus and prefactor ride along, the input is untouched
+    elem = element_from_insertions(InsertionTuple(((A_VECTOR, Fraction(5)),)), 1, q_order=4)
+    before = (elem.insertions, elem.value, elem.evaluator)
     for step in (apply_D1, apply_Dn):
         stepped = step((A_VECTOR, Fraction(2)), elem)
         assert type(stepped) is ChainElement and stepped is not elem
-        assert (stepped.boundary, stepped.evaluator) == (elem.boundary, elem.evaluator)
+        assert stepped.evaluator == elem.evaluator
         assert stepped.insertions == elem.insertions.append(A_VECTOR, Fraction(2))
         assert type(stepped.value) is CorrelationFunction
         assert (stepped.value.genus, stepped.value.prefactor_exponent) == (1, Fraction(-1, 24))
-    assert (elem.insertions, elem.value, elem.boundary, elem.evaluator) == before
+    assert (elem.insertions, elem.value, elem.evaluator) == before
 
 
 def test_connection_terms_copy_values_with_new_data():
-    phi = genus0_npoint(InsertionTuple(((A_VECTOR, Fraction(3)),), 0))
+    phi = element_from_insertions(InsertionTuple(((A_VECTOR, Fraction(3)),)), 0)
     report = connection_functional(phi, (A_VECTOR, Fraction(7)), rho_order=3)
     sewing = report.components["sewing_term"]
     assert type(sewing) is CorrelationFunction

@@ -27,8 +27,8 @@ from functools import partial
 from itertools import product
 from typing import Mapping, Sequence
 
-from .correlators import sphere_value, torus_trace
-from .elliptic import f0_kernel, pm_qseries
+from .correlators import sewn_trace_series, sphere_value, torus_trace, torus_trace_sum
+from .elliptic import f0_kernel, pm_numerators, pm_qseries
 from .schottky import SchottkyData, SewingData, _genus_g_sum, row_reduce_integer
 from .series import (
     Scalar,
@@ -149,6 +149,9 @@ class Sphere(_FrozenRecord):
         return (partial(apply_state_mode, comp),
                 lambda m, z_k: f0_kernel(wt, m)(z_new, z_k))
 
+    def _moved_sum(self, points, moves, total):
+        return _moved_sum(self, points, moves, total)
+
 
 def _sphere_zero(entries) -> Scalar:
     # 0 of the type sphere_value(entries) has between vacua, summed as it
@@ -205,9 +208,40 @@ class Trace(_FrozenRecord):
         return torus_trace(entries, self.q_order, zero_mode_state=v)
 
     def _mode_terms(self, wt, comp, x_new):
-        # square-bracket modes with the P_{m+1} kernels at q_z = x_new / x_k
+        # square-bracket modes with the P_{m+1} kernels at q_z = x_new / x_k;
+        # a kernel is named by (m + 1, q_z) and _moved_sum evaluates it
         return (lambda m, state: square_bracket_mode(comp, m)(state),
-                lambda m, x_k: pm_qseries(m + 1, _ratio(x_new, x_k), self.q_order))
+                lambda m, x_k: (m + 1, _ratio(x_new, x_k)))
+
+    def _moved_sum(self, points, moves, total):
+        # at exact points and coefficients every move is one term of one
+        # torus_trace_sum, its kernel integer numerators over one
+        # denominator; else one trace per move, its kernel a q-series
+        moves = list(moves)
+        if not moves:
+            return total
+        for _, x in points:
+            _require_torus_point(x)
+        series = None
+        if all(isinstance(q_z, (int, Fraction)) for _, (_, q_z), _ in moves):
+            series = torus_trace_sum(
+                [(pm_numerators(m, q_z, self.q_order),
+                  (*points[:k], (moved, points[k][1]), *points[k + 1:]), None)
+                 for k, (m, q_z), moved in moves], self.q_order)
+        if series is not None:
+            return total + series
+        return _moved_sum(self, points, [(k, pm_qseries(m, q_z, self.q_order), moved)
+                                         for k, (m, q_z), moved in moves], total)
+
+    def _sewn_sum(self, entries, sewn):
+        # every handle at once (schottky._genus_g_sum's one_pass), at
+        # exact points and coefficients; None leaves it to the per-term sums
+        for _, x in entries:
+            _require_torus_point(x)
+        for zeta1, zeta2, _, _ in sewn:
+            _require_torus_point(zeta1)
+            _require_torus_point(zeta2)
+        return sewn_trace_series(entries, sewn, self.q_order)
 
 
 class Sewn(_FrozenRecord):
@@ -248,10 +282,13 @@ class Sewn(_FrozenRecord):
 
     def evaluate(self, entries) -> CorrelationFunction:
         base = self.base
-        # on the sphere the sums run the sphere function themselves
-        inner = None if isinstance(base, Sphere) else (lambda points: base.evaluate(points).data)
-        return CorrelationFunction(self.genus, _genus_g_sum(self.handles, entries, inner),
-                                   self.prefactor_exponent)
+        if isinstance(base, Sphere):
+            # on the sphere the sums run the sphere function themselves
+            data = _genus_g_sum(self.handles, entries)
+        else:
+            data = _genus_g_sum(self.handles, entries, lambda points: base.evaluate(points).data,
+                                base._sewn_sum)
+        return CorrelationFunction(self.genus, data, self.prefactor_exponent)
 
     def sew(self, sd: SewingData, rho_order: int) -> "Sewn":
         variable = f"rho{len(self.handles) + 1}" if self.handles else "rho"
@@ -345,8 +382,8 @@ def apply_D1(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainEleme
     def term(points):
         # points = [*entries, *pairs]; the pair slots follow the entries
         pair_slots = range(len(elem.insertions.entries), len(points))
-        return _moved_sum(base, points, _moves(base, v, z, points, pair_slots),
-                          base._zero_mode_term(points, v, z))
+        return base._moved_sum(points, _moves(base, v, z, points, pair_slots),
+                               base._zero_mode_term(points, v, z))
 
     return _stepped(elem, ins, _genus_g_sum(handles, elem.insertions.entries, inner=term))
 
@@ -364,7 +401,7 @@ def apply_D2(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainEleme
     if not moves:
         return _stepped(elem, ins, elem.evaluator._zero())
     return _stepped(elem, ins, _genus_g_sum(
-        handles, entries, inner=lambda points: _moved_sum(base, points, moves, base._zero())))
+        handles, entries, inner=lambda points: base._moved_sum(points, moves, base._zero())))
 
 
 def _moves(base, v, z_new, entries, slots):
@@ -578,11 +615,13 @@ def _require_a_known_coefficient(kind: str, evaluator) -> None:
     # a truncation order 0 leaves no coefficient of the values known: the
     # check would compare nothing, and no residual stands for that
     base, handles = _base_and_handles(evaluator)
-    orders = [order for _, _, order, _ in handles]
+    orders = [(order, variable) for _, _, order, variable in handles]
     if isinstance(base, Trace):
-        orders.append(base.q_order)
-    if 0 in orders:
-        raise ComplexError(f"the {kind} check compares no coefficient: a truncation order is 0")
+        orders.append((base.q_order, "q"))
+    for order, variable in orders:
+        if order == 0:
+            raise ComplexError(f"the {kind} check compares no coefficient: "
+                               f"a truncation order is 0 (the {variable} order)")
 
 
 def _nested_coefficient(series: TruncatedSeries, outer: int, inner: int):
@@ -715,6 +754,9 @@ def connection_functional(
     if f_op == "zero":
         return ConnectionReport(dict.fromkeys(("sewing_term", "middle_term", "bracket_term"), zero),
                                 0.0, True, {"f_op": f_op, "include_vacuum_term": include_vacuum_term})
+    # every computed term is empty at a truncation order 0, phi's or the
+    # sewing's (the sewn surface holds both): G would be 0 of nothing
+    _require_a_known_coefficient("connection", phi.evaluator.sew(sewing, rho_order))
     components: dict[str, CorrelationFunction] = {}
     sewn = apply_Dg(phi, sewing, rho_order)
     data = sewn.value.data

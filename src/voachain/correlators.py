@@ -11,9 +11,13 @@ in the exponentiated coordinate x = e^z, so rational points keep the
 whole computation in rational arithmetic: there every propagator and
 pairing sum is a list of integer numerators over one integer
 denominator, and each trace coefficient is lowered to a Fraction once,
-after the product with Z(q).  The brute-force trace over
-the Fock basis, :func:`torus_qseries`, stays as the oracle the tests
-compare the Gaussian form with.
+after the product with Z(q).  :func:`torus_trace_sum` sums weighted
+traces at one point set that way, each weight a rational or a q-series
+over one denominator (the genus-1 D2 kernels): the reduction's moved
+states and, through :func:`sewn_trace_series`, the paired terms of a
+trace with handles sewn on.  :func:`torus_trace` is its one-term case.
+The brute-force trace over the Fock basis, :func:`torus_qseries`, stays
+as the oracle the tests compare the Gaussian form with.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Sequence
 
 from .series import Scalar, TruncatedSeries, _int_power
@@ -28,6 +33,7 @@ from .voa import (
     VACUUM,
     FockState,
     FockVector,
+    _as_series,
     _chars,
     _comb_neg,
     _expand_components,
@@ -75,50 +81,144 @@ def torus_trace(
     insertions of products of propagators; o(v) is the x^0 coefficient
     of Y(x^{L0}v, x) placed left of every insertion.  Equal to
     :func:`torus_qseries` with ``left_operator=zero_mode(v)``, which
-    sums the same trace over the Fock basis.
+    sums the same trace over the Fock basis.  It is the one-term case of
+    :func:`torus_trace_sum`, and at inexact points or coefficients it is
+    summed in their arithmetic.
     """
     if q_order < 1:
         return TruncatedSeries("q", {}, q_order)
-    _require_distinct([x for _, x in insertions])
-    if any(x == 0 for _, x in insertions):
+    ctx = _trace_context([x for _, x in insertions], q_order)
+    terms = [(1, insertions, zero_mode_state)]
+    return _trace_sum(ctx, terms, ctx.exact and _rational(terms))
+
+
+def torus_trace_sum(terms: Sequence[tuple], q_order: int) -> TruncatedSeries | None:
+    """sum_t w_t Tr(o(v_t) Y(x1^{L0}v_t1,x1)...Y(xn^{L0}v_tn,xn) q^{L0})
+    over terms (w_t, insertions_t, v_t) whose insertions sit at one point
+    tuple, in the integer arithmetic of one trace.
+
+    A weight is an exact rational or a q-series given as integer
+    numerators over a positive integer denominator, as
+    :func:`~voachain.elliptic.pm_numerators` gives the P_m kernels.  Every
+    term reads the tables of one context, Z(q) multiplies the sum once
+    and each coefficient is lowered to a Fraction once.  The result is
+    None when a point or a coefficient is not an int or a Fraction: the
+    caller then sums the terms one :func:`torus_trace` at a time.  The
+    terms must not be empty.
+    """
+    if q_order < 1:
+        return TruncatedSeries("q", {}, q_order)
+    ctx = _trace_context([x for _, x in terms[0][1]], q_order)
+    if not (ctx.exact and _rational(terms)):
+        return None
+    return _trace_sum(ctx, terms, True)
+
+
+def sewn_trace_series(
+    insertions: Sequence[Insertion],
+    handles: Sequence[tuple],
+    q_order: int,
+) -> TruncatedSeries | None:
+    """The trace with handles sewn on, as the nested rho-series of its
+    paired basis sums, outermost handle first, each coefficient a
+    q-series.
+
+    Each handle is (zeta1, zeta2, terms, variable), terms[k] the
+    weight-k paired terms (c, bbar, b), as
+    :func:`~voachain.voa.sewn_sphere_series` takes them.  The coefficient
+    of rho_1^k1 ... rho_g^kg is one :func:`torus_trace_sum` over the
+    terms of that multi-index, with weight c_1 ... c_g; it equals (with
+    the same types) the nested per-term sums of :func:`torus_trace`.
+    None when a point is not an int or a Fraction or a coefficient is not
+    rational, and the caller then sums per term.
+    """
+    # each handle's terms by weight, with the pair as insertions
+    levels = [[[(c, (FockVector({bbar: 1}), zeta1), (FockVector({b: 1}), zeta2))
+                for c, bbar, b in terms_k] for terms_k in terms]
+              for zeta1, zeta2, terms, _ in handles]
+    values = {}
+    for ks in product(*(range(len(level)) for level in levels)):
+        terms = []
+        for picked in product(*(level[k] for level, k in zip(levels, ks))):
+            weight, term = 1, list(insertions)
+            for c, pair1, pair2 in picked:
+                weight = weight * c
+                term += (pair1, pair2)
+            terms.append((weight, term, None))
+        series = torus_trace_sum(terms, q_order)
+        if series is None:
+            return None
+        if series.coefficients:
+            level = values
+            for k in ks[:-1]:
+                level = level.setdefault(k, {})
+            level[ks[-1]] = series
+    return _as_series(values, [(variable, len(terms)) for _, _, terms, variable in handles])
+
+
+def _trace_context(points: list, q_order: int) -> "_TorusContext":
+    # the checks of a trace's points, and the context of their tables
+    _require_distinct(points)
+    if any(x == 0 for x in points):
         raise ValueError("torus points are x = e^z and cannot be 0")
-    ctx = _torus_context(tuple((type(x), x) for _, x in insertions), q_order)
-    if zero_mode_state is None:
-        zero_mode_terms = [("", 1)]
-    else:
-        zero_mode_terms = [(_chars(sorted(p - 1 for p in s.partition)), c)
-                           for s, c in zero_mode_state.terms.items()]
-    # with exact points and rational coefficients every term is an
-    # integer pair and the trace one list over one denominator; else the
-    # terms are scalars, summed from Fraction(0) so that rational ones
-    # come out as Fractions, as the basis sum's do
+    return _torus_context(tuple((type(x), x) for x in points), q_order)
+
+
+def _rational(terms) -> bool:
+    # every weight, zero-mode coefficient and insertion coefficient exact
     rational = (int, Fraction)
-    exact = (ctx.exact and all(isinstance(c, rational) for _, c in zero_mode_terms)
-             and all(isinstance(c, rational) for v, _ in insertions for c in v.terms.values()))
-    zero = [0] * q_order
-    total, den = (zero if exact else [Fraction(0)] * q_order), 1
-    for states, coeff in _expand_components(insertions, dressed=True):
-        fields = "".join(sorted(chr(p - 1) + chr(i) for i, s in enumerate(states)
-                                for p in s.partition))
-        for v_fields, c in zero_mode_terms:
-            # no pairing gives the zero a basis-state sum would give
-            nums, d = _zero_mode_sum(ctx, v_fields, fields, 0) or (zero, 1)
-            factor = c * coeff
-            if exact:
-                total, den = _accumulate(
-                    (total, den), ([factor.numerator * n for n in nums], factor.denominator * d))
-            else:
-                values = [Fraction(n, d) for n in nums] if ctx.exact else nums
-                total = [t + factor * s for t, s in zip(total, values)]
+    return all((isinstance(weight, tuple) or isinstance(weight, rational))
+               and (v is None or all(isinstance(c, rational) for c in v.terms.values()))
+               and all(isinstance(c, rational) for u, _ in insertions for c in u.terms.values())
+               for weight, insertions, v in terms)
+
+
+def _trace_sum(ctx: "_TorusContext", terms, exact: bool) -> TruncatedSeries:
+    """The weighted traces of the terms summed in the context.  With
+    ``exact`` every term is an integer pair and the sum one list over one
+    denominator; else the terms are scalars, summed from Fraction(0) so
+    that rational ones come out as Fractions, as the basis sum's do.  That
+    is the arithmetic of torus_trace at inexact points, one term of
+    weight 1, so there the weight is not multiplied in."""
+    order = ctx.order
+    zero = [0] * order
+    total, den = (zero if exact else [Fraction(0)] * order), 1
+    for weight, insertions, zero_mode_state in terms:
+        if zero_mode_state is None:
+            zero_mode_terms = [("", 1)]
+        else:
+            zero_mode_terms = [(_chars(sorted(p - 1 for p in s.partition)), c)
+                               for s, c in zero_mode_state.terms.items()]
+        for states, coeff in _expand_components(insertions, dressed=True):
+            fields = "".join(sorted(chr(p - 1) + chr(i) for i, s in enumerate(states)
+                                    for p in s.partition))
+            for v_fields, c in zero_mode_terms:
+                series = _zero_mode_sum(ctx, v_fields, fields, 0)
+                factor = c * coeff
+                if exact:
+                    if series is None:
+                        continue
+                    if isinstance(weight, tuple):
+                        series = _mul(weight, series)
+                    else:
+                        factor = factor * weight
+                    nums, d = series
+                    term = [factor.numerator * n for n in nums], factor.denominator * d
+                    total, den = _accumulate((total, den), term)
+                else:
+                    # no pairing gives the zero a basis-state sum would give
+                    nums, d = series or (zero, 1)
+                    values = [Fraction(n, d) for n in nums] if ctx.exact else nums
+                    total = [t + factor * s for t, s in zip(total, values)]
     # times Z(q), zero terms included: like the basis sum's, they carry
     # the scalar type of the point arithmetic
-    coeffs = [0] * q_order
+    coeffs = [0] * order
     for i, p in enumerate(ctx.partition):
-        for j in range(q_order - i):
+        for j in range(order - i):
             coeffs[i + j] = coeffs[i + j] + p * total[j]
     if exact:
         coeffs = [Fraction(c, den) for c in coeffs]
-    return TruncatedSeries("q", dict(enumerate(coeffs)), q_order)
+    return TruncatedSeries("q", dict(enumerate(coeffs)), order)
 
 
 # -- the Gaussian trace ------------------------------------------------
@@ -149,7 +249,8 @@ def torus_trace(
 # One context per typed point tuple and q-order holds the propagators
 # and the pairing sums over field multisets (fields sorted), shared by
 # every trace at those points: the paired terms of a sewn torus, the
-# reduction's re-evaluations with moved states.  None marks a sum with
+# reduction's moved states, each term of one torus_trace_sum.  None
+# marks a sum with
 # no pairing.  Every other sum is one q-series over one denominator: a
 # list of q-order numerators and the denominator.  When every point is
 # an int or a Fraction the numerators are ints and the denominator is a
@@ -160,11 +261,14 @@ def torus_trace(
 # Products convolve the numerators and multiply the denominators, sums
 # add numerators over an equal denominator or cross-multiply, and each
 # table entry is reduced by one gcd when it is stored, where Fraction
-# arithmetic would take one per operation; torus_trace lowers each
-# trace coefficient to a Fraction once.  At any other points the
-# denominator is 1 and the numerators are the scalars themselves, so the
-# same code does the arithmetic of the points in the same order on the
-# same values.
+# arithmetic would take one per operation.  A weighted sum of traces
+# adds its terms the same way (a q-series weight convolves, a rational
+# one scales), multiplies the sum by Z(q) once and lowers each
+# coefficient to a Fraction once.  At any other points the denominator
+# is 1 and the numerators are the scalars themselves, so the same code
+# does the arithmetic of the points in the same order on the same values;
+# there only torus_trace's single unweighted term is summed, and a
+# weighted sum runs one torus_trace per term.
 
 
 class _TorusContext:

@@ -1,8 +1,9 @@
 """Classical elliptic kernels: Eisenstein series, Weierstrass functions,
 and the genus-zero rational kernels with their expansions.
 
-Exact objects (Bernoulli numbers, Eisenstein q-series, the genus-one
-kernel q-expansions, the rational kernels) use Fraction arithmetic.
+Exact objects (Bernoulli numbers, Eisenstein q-series, the rational
+kernels) use Fraction arithmetic; the genus-one kernel q-expansions at
+an exact point are integer numerators over one denominator.
 Numeric evaluation at a modular point goes through a Lambert-type
 resummation that converges geometrically for any argument off the
 lattice, which is what makes quasi-periodicity checkable across
@@ -107,10 +108,16 @@ def weierstrass_p(
         raise EllipticError("pole at z = 0")
     series = weierstrass_series(k, mp, z_terms)
     value = to_complex(series.evaluate(complex(z)))
-    top = max(series.coefficients)
-    last = abs(to_complex(series.coefficients.get(top, 0))) * abs(z) ** top
+    if not cmath.isfinite(value):
+        raise EllipticError(f"P_{k} is not finite at |z| = {abs(z):.6g}: "
+                            "its z-series diverges there")
     ratio = abs(z) / (2 * math.pi)
-    tail = last * ratio / (1 - ratio) if ratio < 1 else float("inf")
+    tail = float("inf")
+    if ratio < 1:
+        # inside the disc |z| < 2 pi the last term's power stays finite
+        top = max(series.coefficients)
+        last = abs(to_complex(series.coefficients.get(top, 0))) * abs(z) ** top
+        tail = last * ratio / (1 - ratio)
     return EllipticValue(value, tail)
 
 
@@ -159,13 +166,53 @@ def polylog_neg(j: int, x: Scalar) -> Scalar:
     return num * _int_power(1 - x, -(j + 1))
 
 
+def pm_numerators(m: int, q_z: Scalar, q_order: int) -> tuple[list[int], int]:
+    """q-expansion of P_m(z,tau) at an exact q_z = e^z = a/b (an int or a
+    Fraction), as integer numerators over one positive denominator.
+
+    Coefficient of q^0 is the resummed rational function
+    (-1)^m/(m-1)! sum_k A(m-1,k) q_z^(k+1) / (1 - q_z)^m, with A the
+    Eulerian numbers; coefficient of q^N (N >= 1) is the finite divisor
+    sum (-1)^m/(m-1)! sum_{n | N} n^{m-1} (q_z^n + (-1)^m q_z^{-n}).
+    With T = q_order - 1 the denominator is (m-1)! (b - a)^m a^T b^T, made
+    positive: q_z^(k+1) / (1 - q_z)^m is a^(k+1) b^(m-1-k) / (b - a)^m,
+    and q_z^(+-n) is a^(T+-n) b^(T-+n) / (a b)^T for n <= T.
+    """
+    if m < 1:
+        raise EllipticError("kernel order must be >= 1")
+    a, b = q_z.numerator, q_z.denominator
+    if a == b:
+        raise EllipticError("polylog pole at x = 1")
+    top = max(q_order - 1, 0)
+    a_pow = [a**e for e in range(2 * top + m + 1)]
+    b_pow = [b**e for e in range(2 * top + m + 1)]
+    sign = (-1) ** m
+    gap = (b - a) ** m
+    head = sum(c * a_pow[k + 1 + top] * b_pow[m - 1 - k + top]
+               for k, c in enumerate(_eulerian_row(m - 1)))
+    nums = [sign * head] + [0] * top
+    for n in range(1, top + 1):
+        term = sign * n ** (m - 1) * gap * (
+            a_pow[top + n] * b_pow[top - n] + sign * a_pow[top - n] * b_pow[top + n])
+        for k in range(n, top + 1, n):
+            nums[k] += term
+    den = math.factorial(m - 1) * gap * a_pow[top] * b_pow[top]
+    if den < 0:
+        nums, den = [-c for c in nums], -den
+    return nums[:q_order], den
+
+
 def pm_qseries(m: int, q_z: Scalar, q_order: int) -> TruncatedSeries:
     """q-expansion of P_m(z,tau) at fixed q_z = e^z, exact for exact q_z.
 
-    Coefficient of q^0 is the resummed rational function; coefficient of
-    q^N (N >= 1) is the finite divisor sum
-    (-1)^m/(m-1)! sum_{n | N} n^{m-1} (q_z^n + (-1)^m q_z^{-n}).
+    At an exact q_z it is :func:`pm_numerators` with each coefficient
+    lowered to a Fraction.  At any other q_z the same two sums run in the
+    arithmetic of q_z: the resummed rational function at q^0, the divisor
+    sum (-1)^m/(m-1)! sum_{n | N} n^{m-1} (q_z^n + (-1)^m q_z^{-n}) at q^N.
     """
+    if isinstance(q_z, (int, Fraction)):
+        nums, den = pm_numerators(m, q_z, q_order)
+        return TruncatedSeries("q", {k: Fraction(c, den) for k, c in enumerate(nums)}, q_order)
     if m < 1:
         raise EllipticError("kernel order must be >= 1")
     pref = Fraction((-1) ** m, math.factorial(m - 1))

@@ -26,8 +26,11 @@ the terms sit at the same points.  When the innermost term is the
 sphere function itself and the points are exact, every handle is summed
 in one call of :func:`~voachain.voa.sewn_sphere_series`: one point
 check, one Wick context, one _wick call per paired term and one integer
-pair per coefficient.  :func:`_sewn_series`, one handle at a time over
-any term, serves the rest.
+pair per coefficient.  When it is the graded trace, every handle is
+summed in one call of :func:`~voachain.correlators.sewn_trace_series`:
+one trace context and one integer sum per rho multi-index.
+:func:`_sewn_series`, one handle at a time over any term, serves the
+rest: inexact points, and the reduction terms on a sewn surface.
 """
 
 from __future__ import annotations
@@ -244,7 +247,7 @@ def genus_g_npoint(
     return _genus_g_sum(handles, insertions)
 
 
-def _genus_g_sum(handles, insertions, inner=None):
+def _genus_g_sum(handles, insertions, inner=None, one_pass=None):
     """Nested rho-series of the basis sums of sewn handles.
 
     Each handle is (zeta1, zeta2, rho_order, variable), outermost first,
@@ -255,8 +258,11 @@ def _genus_g_sum(handles, insertions, inner=None):
     :func:`~voachain.voa.sewn_sphere_series`, one Wick context for all
     the terms.  Otherwise it is ``inner(points)``, any term linear in the
     function the handles sew (the graded trace, or the reduction terms of
-    the sphere or the trace), or the sphere function at inexact points,
-    summed by :func:`_sewn_series` per handle; with no handles the sum is
+    the sphere or the trace), summed by :func:`_sewn_series` per handle;
+    ``one_pass(insertions, sewn)``, when given, first tries every handle
+    at once, as the sewn trace does in
+    :func:`~voachain.correlators.sewn_trace_series`, and gives None when
+    the sum has to run per term.  With no handles the sum is
     ``inner(insertions)`` itself.  Each handle's paired terms are fetched
     once, before any sum starts: a Gram inversion evaluates spheres at
     the sewing points alone and would replace the Wick context a sum
@@ -270,10 +276,11 @@ def _genus_g_sum(handles, insertions, inner=None):
         return TruncatedSeries.zero(handles[0][3], 0)
     sewn = [_sewn_handle(*h) for h in handles]
     if inner is None:
-        series = sewn_sphere_series(insertions, sewn)
+        inner, one_pass = partial(sphere_value, dressed=False), sewn_sphere_series
+    if one_pass is not None and sewn:
+        series = one_pass(insertions, sewn)
         if series is not None:
             return series
-        inner = partial(sphere_value, dressed=False)
 
     def summed(i, points):
         if i == len(sewn):

@@ -84,8 +84,11 @@ class TestEvalCommands:
         (["eval-f0", "--n", "1", "--m", "0", "--w", "5"],
          "--z and --w name one point: give both or neither"),
         (["eval-f0", "--n", "1", "--m", "0", "--z", "abc"], "cannot parse scalar 'abc'"),
+        # far past the series' disc the value overflows: no number, no traceback
+        (["eval-weierstrass", "--z-re", "1e308"],
+         "P_1 is not finite at |z| = 1e+308: its z-series diverges there"),
     ], ids=["pm-m0", "pm-m-1", "pm-terms", "weierstrass-terms", "eisenstein-order",
-            "f0-iota-order", "f0-lone-z", "f0-lone-w", "f0-lone-bad-z"])
+            "f0-iota-order", "f0-lone-z", "f0-lone-w", "f0-lone-bad-z", "weierstrass-far-z"])
     def test_bad_argument_is_a_validation_error(self, capsys, argv, message):
         code, out, err = run_cli(argv, capsys)
         assert code == 2
@@ -924,6 +927,14 @@ class TestErrorClasses:
          "the n check compares no coefficient: a truncation order is 0"),
         ("check-complex", GENUS1_CHECK + "[experiment]\nkinds = gn\n[truncation]\nq_order = 0\n",
          "the gn check compares no coefficient: a truncation order is 0"),
+        # nor does the connection functional: G would be 0 of empty terms
+        ("connection", GENUS1_CONNECTION.replace("q_order = 3", "q_order = 0")
+         + "[assert]\nvanishing = true\n",
+         "the connection check compares no coefficient: a truncation order is 0 (the q order)"),
+        ("connection", GENUS1_CONNECTION.replace("rho_order = 2", "rho_order = 0"),
+         "the connection check compares no coefficient: a truncation order is 0 (the rho order)"),
+        ("connection", "[element]\nstates = a\npoints = 2\n[truncation]\nrho_order = 0\n",
+         "the connection check compares no coefficient: a truncation order is 0 (the rho order)"),
     ])
     def test_bad_input_is_a_validation_error(self, write_config, capsys, command, text,
                                              fragment):

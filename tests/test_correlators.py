@@ -3,30 +3,49 @@
 `torus_trace` sums pairings of q-series propagators; `torus_qseries`
 sums diagonal sphere elements over the Fock basis.  The two are computed
 apart from each other, so agreement per q-coefficient is the thermal
-Wick theorem checked, not a construction.
+Wick theorem checked, not a construction.  The weighted sums of traces
+(`torus_trace_sum`, `sewn_trace_series`) are checked against the
+per-term route, one `torus_trace` per term.
 """
 
 import cmath
+import contextlib
 import math
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_schottky import KIND_FAMILIES, _assert_identical, _point, vectors
 
-from voachain import correlators
-from voachain.complexes import Trace
-from voachain.correlators import partition_qseries, torus_qseries, torus_trace
-from voachain.elliptic import pm_qseries
-from voachain.schottky import SewingData, _sewn_handle, _sewn_series
-from voachain.series import ExactComplex
+from voachain import complexes, correlators
+from voachain.complexes import (
+    ComplexError,
+    InsertionTuple,
+    Trace,
+    _element,
+    _ratio,
+    apply_D2,
+    apply_Dn,
+)
+from voachain.correlators import (
+    partition_qseries,
+    sewn_trace_series,
+    torus_qseries,
+    torus_trace,
+    torus_trace_sum,
+)
+from voachain.elliptic import pm_numerators, pm_qseries
+from voachain.schottky import SewingData, _genus_g_sum, _sewn_handle, _sewn_series
+from voachain.series import ExactComplex, points_coincide
 from voachain.voa import (
     A_VECTOR,
     VACUUM_VECTOR,
     FockState,
     FockVector,
     fock_basis,
+    square_bracket_mode,
     zero_mode,
 )
 
@@ -208,6 +227,176 @@ class TestScalarTypes:
         # x = e^z never vanishes: a ValueError, not a ZeroDivisionError
         with pytest.raises(ValueError, match="x = e\\^z"):
             torus_trace([(A_VECTOR, zero), (A_VECTOR, Fraction(2))], 3)
+
+
+# -- the weighted sums against the per-term route ----------------------
+
+EXACT_KINDS = (int, Fraction)
+RAW_POINTS = st.tuples(st.sampled_from((-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6)),
+                       st.sampled_from((1, 2, 3)), st.integers(-2, 2))
+
+
+def _points(draw, n, exact):
+    family = EXACT_KINDS if exact else draw(st.sampled_from(KIND_FAMILIES))
+    kinds = draw(st.lists(st.sampled_from(family), min_size=n, max_size=n))
+    points = [_point(kind, *raw)
+              for kind, raw in zip(kinds, draw(st.lists(RAW_POINTS, min_size=n, max_size=n)))]
+    assume(not points_coincide(points))
+    return points
+
+
+@st.composite
+def trace_steps(draw, exact=True):
+    """Insertions on a trace, a new insertion (v, x) and the q order."""
+    states = draw(st.lists(vectors, min_size=1, max_size=3))
+    *points, x = _points(draw, len(states) + 1, exact)
+    return list(zip(states, points)), (draw(vectors), x), draw(st.integers(0, 5))
+
+
+@st.composite
+def sewn_traces(draw, exact=True):
+    """Insertions on a trace to a q order, and one or two handles to rho
+    orders 0 to 3, innermost first."""
+    states = draw(st.lists(vectors, max_size=2))
+    orders = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    points = _points(draw, len(states) + 2 * len(orders), exact)
+    handles = [(points[len(states) + 2 * h], points[len(states) + 2 * h + 1], order)
+               for h, order in enumerate(orders)]
+    return list(zip(states, points)), handles, draw(st.integers(0, 3))
+
+
+def _per_term_d2(trace, entries, x_new):
+    # D2 one torus_trace per move, each P_{m+1} kernel a pm_qseries: the
+    # per-term route, in the order complexes._moves gives the moves
+    v, x = x_new
+    q_order = trace.q_order
+    total = trace._zero()
+    for wt, comp in v.homogeneous_components().items():
+        for k, (state, x_k) in enumerate(entries):
+            for m in range(wt + max(s.weight for s in state.terms) + 1):
+                moved = square_bracket_mode(comp, m)(state)
+                if not moved.is_zero():
+                    term = [*entries[:k], (moved, x_k), *entries[k + 1:]]
+                    total = total + pm_qseries(m + 1, _ratio(x, x_k), q_order) * torus_trace(
+                        term, q_order)
+    return total
+
+
+@contextlib.contextmanager
+def _counted_traces():
+    # the per-term traces that complexes evaluates, counted
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return torus_trace(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(complexes, "torus_trace", counted)
+        yield calls
+
+
+class TestWeightedTraceSum:
+    @settings(max_examples=40, deadline=None)
+    @given(trace_steps())
+    def test_d2_and_dn_at_exact_points_match_the_per_term_route(self, case):
+        entries, x_new, q_order = case
+        elem = _element(InsertionTuple(tuple(entries)), Trace(q_order))
+        want_d2 = _per_term_d2(Trace(q_order), entries, x_new)
+        want_dn = torus_trace(entries, q_order, zero_mode_state=x_new[0]) + want_d2
+        with _counted_traces() as calls:
+            got_d2 = apply_D2(x_new, elem).value.data
+        # one sum, no trace per move
+        assert calls == []
+        _assert_identical(got_d2, want_d2)
+        _assert_identical(apply_Dn(x_new, elem).value.data, want_dn)
+
+    @settings(max_examples=30, deadline=None)
+    @given(trace_steps(exact=False))
+    def test_d2_at_inexact_points_is_the_per_term_route(self, case):
+        entries, x_new, q_order = case
+        elem = _element(InsertionTuple(tuple(entries)), Trace(q_order))
+        _assert_identical(apply_D2(x_new, elem).value.data,
+                          _per_term_d2(Trace(q_order), entries, x_new))
+
+    @pytest.mark.parametrize("c", [0.5, complex(0.5, -0.25),
+                                   ExactComplex(Fraction(1, 2), Fraction(1, 3))])
+    def test_inexact_coefficient_at_exact_points_sums_per_term(self, c):
+        # every kernel is exact, the sum is not: the per-term route runs,
+        # each kernel lowered to the q-series pm_qseries gives
+        entries = [(AA.scale(c) + A_VECTOR, Fraction(5)), (FockVector.basis(2), Fraction(-7, 2))]
+        x_new = (AA + A_VECTOR, 4)
+        elem = _element(InsertionTuple(tuple(entries)), Trace(5))
+        _assert_identical(apply_D2(x_new, elem).value.data, _per_term_d2(Trace(5), entries, x_new))
+        _assert_identical(apply_Dn(x_new, elem).value.data,
+                          torus_trace(entries, 5, zero_mode_state=x_new[0])
+                          + _per_term_d2(Trace(5), entries, x_new))
+
+    @settings(max_examples=30, deadline=None)
+    @given(trace_steps(), st.booleans())
+    def test_torus_trace_is_the_one_term_case(self, case, weighted):
+        entries, (v, x), q_order = case
+        v = v if weighted else None
+        _assert_identical(torus_trace_sum([(1, entries, v)], q_order),
+                          torus_trace(entries, q_order, zero_mode_state=v))
+        # a kernel weight is a q-series product, a scalar one a multiple
+        kernel = pm_numerators(2, _ratio(x, entries[0][1]), q_order)
+        _assert_identical(
+            torus_trace_sum([(kernel, entries, v), (Fraction(-3, 7), entries, v)], q_order),
+            pm_qseries(2, _ratio(x, entries[0][1]), q_order) * torus_trace(entries, q_order, v)
+            + torus_trace(entries, q_order, v) * Fraction(-3, 7))
+
+    def test_an_inexact_sum_is_left_to_the_caller(self):
+        exact = [(A_VECTOR, Fraction(5)), (A_VECTOR, 2)]
+        assert torus_trace_sum([(Fraction(1, 2), exact, None)], 4) is not None
+        assert torus_trace_sum([(0.5, exact, None)], 4) is None
+        assert torus_trace_sum([(1, [(A_VECTOR, 5.0), (A_VECTOR, 2)], None)], 4) is None
+        assert torus_trace_sum([(1, exact, A_VECTOR.scale(0.5))], 4) is None
+
+
+class TestSewnTraceSeries:
+    @settings(max_examples=40, deadline=None)
+    @given(sewn_traces())
+    def test_exact_sewn_trace_matches_the_per_term_sums(self, case):
+        insertions, handles, q_order = case
+        surface = Trace(q_order)
+        for zeta1, zeta2, order in handles:
+            surface = surface.sew(SewingData(zeta1=zeta1, zeta2=zeta2), order)
+        want = _genus_g_sum(surface.handles, insertions,
+                            inner=lambda points: torus_trace(points, q_order))
+        with _counted_traces() as calls:
+            got = surface.evaluate(tuple(insertions)).data
+        # every handle at once: no trace per paired term
+        assert calls == []
+        _assert_identical(got, want)
+        if all(order for _, _, order in handles):
+            sewn = [_sewn_handle(*h) for h in surface.handles]
+            _assert_identical(sewn_trace_series(insertions, sewn, q_order), want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(sewn_traces(exact=False))
+    def test_inexact_sewn_trace_is_the_per_term_sums(self, case):
+        insertions, handles, q_order = case
+        surface = Trace(q_order)
+        for zeta1, zeta2, order in handles:
+            surface = surface.sew(SewingData(zeta1=zeta1, zeta2=zeta2), order)
+        _assert_identical(surface.evaluate(tuple(insertions)).data,
+                          _genus_g_sum(surface.handles, insertions,
+                                       inner=lambda points: torus_trace(points, q_order)))
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0), 0.0], ids=["int", "Fraction", "float"])
+    @pytest.mark.parametrize("q_order", [0, 3])
+    def test_a_sewing_point_at_zero_stays_a_complex_error(self, zero, q_order):
+        surface = Trace(q_order).sew(SewingData(zeta1=zero, zeta2=2), 2)
+        with pytest.raises(ComplexError,
+                           match="^genus-1 points are exponentiated coordinates x = e\\^z "
+                                 "and cannot be 0$"):
+            surface.evaluate(((A_VECTOR, Fraction(5)),))
+
+    def test_a_coincident_point_stays_a_value_error(self):
+        surface = Trace(3).sew(SewingData(zeta1=Fraction(5), zeta2=2), 2)
+        with pytest.raises(ValueError, match="^insertion points must be pairwise distinct$"):
+            surface.evaluate(((A_VECTOR, 5),))
 
 
 class TestLargeOrder:

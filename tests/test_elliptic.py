@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voachain.elliptic import (
     EllipticError,
@@ -18,6 +20,7 @@ from voachain.elliptic import (
     pm_direct_sum,
     pm_genus1,
     pm_lambert,
+    pm_numerators,
     pm_qseries,
     polylog_neg,
     weierstrass_p,
@@ -216,6 +219,71 @@ class TestPmGenus1:
         assert series.coefficient(1) == Fraction(5, 2)
         # q^2: n in {1,2}: (1/2 + 2) + 2 (1/4 + 4) = 5/2 + 17/2 = 11
         assert series.coefficient(2) == 11
+
+
+def oracle_stirling2(j, k):
+    # S(j, k) by S(j, k) = k S(j-1, k) + S(j-1, k-1)
+    if j == k:
+        return 1
+    if k == 0 or k > j:
+        return 0
+    return k * oracle_stirling2(j - 1, k) + oracle_stirling2(j - 1, k - 1)
+
+
+def oracle_pm_coefficients(m, q_z, q_order):
+    # the Fraction definition of P_m's q-expansion at q_z: q^0 is
+    # (-1)^m/(m-1)! sum_n n^(m-1) q_z^n, resummed by the Stirling form
+    # sum_k k! S(m-1, k) q_z^k / (1 - q_z)^(k+1); q^N is the divisor sum
+    # (-1)^m/(m-1)! sum_{n | N} n^(m-1) (q_z^n + (-1)^m q_z^-n)
+    x = Fraction(q_z)
+    pref = Fraction((-1) ** m, math.factorial(m - 1))
+    head = sum(math.factorial(k) * oracle_stirling2(m - 1, k) * x**k / (1 - x) ** (k + 1)
+               for k in range(m))
+    if m == 1:
+        head -= 1  # sum_{n >= 1} x^n omits the n = 0 term of x^0 / (1 - x)
+    coeffs = [pref * head]
+    for big_n in range(1, q_order):
+        coeffs.append(pref * sum(n ** (m - 1) * (x**n + (-1) ** m * x ** (-n))
+                                 for n in range(1, big_n + 1) if big_n % n == 0))
+    return coeffs[:q_order]
+
+
+exact_q_z = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+).filter(lambda x: x not in (0, 1))
+
+
+class TestPmNumerators:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), exact_q_z, st.integers(0, 12))
+    def test_equals_the_fraction_definition(self, m, q_z, q_order):
+        nums, den = pm_numerators(m, q_z, q_order)
+        assert type(den) is int and den > 0
+        assert len(nums) == q_order and all(type(n) is int for n in nums)
+        want = oracle_pm_coefficients(m, q_z, q_order)
+        assert [Fraction(n, den) for n in nums] == want
+        # pm_qseries is the same formula lowered: == and the same types
+        series = pm_qseries(m, q_z, q_order)
+        assert series.truncation == q_order
+        assert series.coefficients == {k: c for k, c in enumerate(want) if c}
+        assert all(type(c) is Fraction for c in series.coefficients.values())
+
+    @pytest.mark.parametrize("q_z", [Fraction(-3, 2), Fraction(2, 5), Fraction(7, 3),
+                                     Fraction(-1, 4), 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_summed_at_small_q_is_the_lambert_value(self, m, q_z):
+        q = 0.001
+        nums, den = pm_numerators(m, q_z, 12)
+        got = sum(Fraction(n, den) * Fraction(q) ** k for k, n in enumerate(nums))
+        want = pm_lambert(m, complex(q_z), q, terms=60)
+        assert complex(got) == pytest.approx(want, rel=1e-9)
+
+    def test_refusals(self):
+        with pytest.raises(EllipticError, match="kernel order must be >= 1"):
+            pm_numerators(0, Fraction(1, 2), 4)
+        with pytest.raises(EllipticError, match="polylog pole at x = 1"):
+            pm_numerators(2, Fraction(3, 3), 4)
 
 
 class TestPolylogNeg:

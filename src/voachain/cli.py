@@ -4,7 +4,7 @@ Every report is a single JSON document on standard output carrying the
 resolved configuration and the truncation metadata of each numeric
 payload; human-readable progress goes to standard error.  Exit codes:
 0 success, 2 validation error (with a machine-readable diagnostic on
-standard output), 3 tolerance or assertion failure in check suites.
+standard output), 3 assertion failure.
 Only the package's own error classes and malformed configs count as
 validation errors; any other exception is a fault in the program and
 escapes with its traceback (exit 1).
@@ -13,7 +13,6 @@ escapes with its traceback (exit 1).
 from __future__ import annotations
 
 import argparse
-import cmath
 import configparser
 import json
 import math
@@ -21,6 +20,7 @@ import sys
 from fractions import Fraction
 
 from .complexes import (
+    ChainElement,
     ComplexError,
     InsertionTuple,
     ProbeComplex,
@@ -30,6 +30,7 @@ from .complexes import (
     cohomology_ranks,
     connection_functional,
     element_from_insertions,
+    evaluator_for,
     reduce_to_zero_point,
 )
 from .elliptic import (
@@ -43,7 +44,14 @@ from .elliptic import (
     weierstrass_series,
 )
 from .schottky import SchottkyData, SewingData, SewingError, genus_g_partition
-from .series import ExactComplex, SeriesError, TruncatedSeries, _frac_str
+from .series import (
+    ExactComplex,
+    SeriesError,
+    TruncatedSeries,
+    _frac_str,
+    scalar_abs,
+    scalar_is_zero,
+)
 from .voa import VACUUM_VECTOR, FockState, FockVector
 
 STATE_ALIASES = {
@@ -78,19 +86,26 @@ def parse_state(token: str) -> FockVector:
 
 
 def parse_scalar(token: str):
-    token = token.strip()
+    """An exact point: a Fraction, or an ExactComplex of two Fractions
+    when the token has an imaginary part that is not 0.  The token is
+    written as complex() reads one (1+2j, (0.5-3J), 2j, j, 1e400), and
+    either part as Fraction() reads one (1/2-1/3j); nan and inf are
+    refused."""
+    text = token.strip()
+    if text.startswith("(") and text.endswith(")"):
+        text = text[1:-1].strip()
     try:
-        return Fraction(token)
+        if text[-1:] not in ("j", "J"):
+            return Fraction(text)
+        body = text[:-1]
+        # the imaginary part starts at the last sign that is no exponent's
+        cut = max((i for i, c in enumerate(body)
+                   if c in "+-" and body[i - 1:i] not in ("e", "E")), default=0)
+        im = body[cut:]
+        re, im = Fraction(body[:cut] or 0), Fraction(im + "1" if im in ("", "+", "-") else im)
     except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        value = complex(token)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse scalar {token!r}") from exc
-    # nan or inf is no point, and strict JSON has no literal for it
-    if not cmath.isfinite(value):
-        raise ConfigError(f"scalar {token!r} is not finite")
-    return value
+        raise ConfigError(f"cannot parse scalar {token!r}") from None
+    return ExactComplex(re, im) if im else re
 
 
 def parse_order(raw) -> int:
@@ -98,14 +113,6 @@ def parse_order(raw) -> int:
     if order < 0:
         raise ConfigError(f"truncation order {order} is negative")
     return order
-
-
-def parse_tolerance(raw: str) -> float:
-    tol = float(raw)
-    # nan compares false with every residual, and inf passes every one
-    if not 0 <= tol < float("inf"):
-        raise ConfigError(f"tolerance {tol} is not a finite number >= 0")
-    return tol
 
 
 def parse_bool(raw: str) -> bool:
@@ -175,7 +182,6 @@ CONFIG_KEYS = {
         "experiment": {"genus": (int, REQUIRED)},
         "insertions": INSERTIONS,
         "truncation": {"q_order": (parse_order, 8)},
-        "tolerance": {"float_tol": (parse_tolerance, 1e-10)},
     },
     "check-complex": {
         "experiment": {"kinds": (parse_list, ("n", "g", "gn"))},
@@ -186,7 +192,7 @@ CONFIG_KEYS = {
                         "x2_point": (parse_scalar, Fraction(13))},
         "sewing": SEWING,
         "truncation": {"q_order": (parse_order, 5), "rho_order": (parse_order, 3)},
-        "assert": {"expect_zero": (parse_bool, False), "tolerance": (parse_tolerance, 1e-9)},
+        "assert": {"expect_zero": (parse_bool, False)},
     },
     "connection": {
         "element": ELEMENT,
@@ -196,7 +202,6 @@ CONFIG_KEYS = {
         "options": {"f_op": (str, "paper"), "include_vacuum_term": (parse_bool, False)},
         "truncation": {"q_order": (parse_order, 5), "rho_order": (parse_order, 4)},
         "assert": {"vanishing": (parse_bool, None)},
-        "tolerance": {"float_tol": (parse_tolerance, 1e-9)},
     },
     "cohomology": {
         "probe": {"pool": (parse_pool, ("1", "a")), "g_max": (int, 1), "n_max": (int, 2),
@@ -228,7 +233,8 @@ def read_config(path: str, command: str) -> _Values:
     values.given = {section: dict(parser[section]) for section in parser.sections()}
     for section, given in values.given.items():
         if section not in table:
-            raise ConfigError(f"{command} takes no section [{section}]; it takes "
+            keys = f" (given: {', '.join(given)})" if given else ""
+            raise ConfigError(f"{command} takes no section [{section}]{keys}; it takes "
                               + ", ".join(f"[{name}]" for name in table))
         for key, raw in given.items():
             if key not in table[section]:
@@ -240,12 +246,9 @@ def read_config(path: str, command: str) -> _Values:
 
 
 def scalar_json(x):
-    if isinstance(x, (int, Fraction)):
-        return {"rational": _frac_str(Fraction(x))}
     if isinstance(x, ExactComplex):
         return {"rational_re": _frac_str(x.re), "rational_im": _frac_str(x.im)}
-    z = complex(x)
-    return {"re": z.real, "im": z.imag}
+    return {"rational": _frac_str(Fraction(x))}
 
 
 def corr_json(value) -> dict:
@@ -381,9 +384,10 @@ def cmd_npoint(args) -> int:
 def cmd_sew(args) -> int:
     cfg = read_config(args.config, "sew")
     sewing = build_sewing(cfg)
-    elem = element_from_insertions(build_insertions(cfg), cfg["experiment", "genus"],
-                                   q_order=cfg["truncation", "q_order"])
-    sewn = apply_Dg(elem, sewing, cfg["truncation", "rho_order"])
+    ins = build_insertions(cfg)
+    # only the sewn surface is evaluated: the element's own value is not read
+    surface = evaluator_for(ins, cfg["experiment", "genus"], q_order=cfg["truncation", "q_order"])
+    sewn = apply_Dg(ChainElement(ins, None, surface), sewing, cfg["truncation", "rho_order"])
     emit_report("sew", cfg, result=corr_json(sewn.value))
     return 0
 
@@ -400,16 +404,14 @@ def cmd_reduce(args) -> int:
     elem = element_from_insertions(build_insertions(cfg), cfg["experiment", "genus"],
                                    q_order=cfg["truncation", "q_order"])
     factor, zero_point = reduce_to_zero_point(elem)
-    product = factor * zero_point.data
+    mismatch = factor * zero_point.data - elem.value.data
     if isinstance(factor, TruncatedSeries):
-        residual = product.compare(elem.value.data).deviation
         factor_json = {"series": factor.to_json_dict()}
     else:
-        residual = abs(complex(product) - complex(elem.value.data))
         factor_json = {"value": scalar_json(factor)}
     emit_report("reduce", cfg, factor=factor_json, zero_point=corr_json(zero_point),
-                round_trip_residual=residual)
-    return 0 if residual <= cfg["tolerance", "float_tol"] else 3
+                round_trip_residual=scalar_abs(mismatch))
+    return 0 if scalar_is_zero(mismatch) else 3
 
 
 def cmd_check_complex(args) -> int:
@@ -446,8 +448,8 @@ def cmd_check_complex(args) -> int:
         skipped = [rep for rep in reports if rep.skipped]
         for rep in skipped:
             print(f"chain check {rep.kind!r} skipped: {rep.skipped}", file=sys.stderr)
-        if any(rep.residual > cfg["assert", "tolerance"] for rep in reports):
-            print("chain-condition residual above tolerance", file=sys.stderr)
+        if any(rep.residual != 0 for rep in reports):
+            print("chain-condition residual is not 0", file=sys.stderr)
             return 3
         if skipped:
             return 3
@@ -465,7 +467,6 @@ def cmd_connection(args) -> int:
         f_op=cfg["options", "f_op"],
         include_vacuum_term=cfg["options", "include_vacuum_term"],
         rho_order=cfg["truncation", "rho_order"],
-        tol=cfg["tolerance", "float_tol"],
     )
     emit_report("connection", cfg,
                 components={k: corr_json(v) for k, v in report.components.items()},

@@ -2,7 +2,7 @@
 zero-point factorization, the connection functional, and cohomology
 ranks of truncated probe complexes.
 
-Correlation values are exact wherever the inputs are exact: genus 0 is
+Every point is exact, and so is every correlation value: genus 0 is
 the sphere engine, genus 1 the Gaussian form of the graded trace (Z(q)
 times pairings of exact q-series propagators) with exact per-order
 kernel expansions, genus 2 the paired basis sums.  Each chain element
@@ -40,7 +40,6 @@ from .series import (
     points_coincide,
     scalar_abs,
     scalar_is_zero,
-    to_complex,
 )
 from .voa import (
     CENTRAL_CHARGE,
@@ -214,7 +213,7 @@ class Trace(_FrozenRecord):
                 lambda m, x_k: (m + 1, _ratio(x_new, x_k)))
 
     def _moved_sum(self, points, moves, total):
-        # at exact points and coefficients every move is one term of one
+        # at rational points and coefficients every move is one term of one
         # torus_trace_sum, its kernel integer numerators over one
         # denominator; else one trace per move, its kernel a q-series
         moves = list(moves)
@@ -235,7 +234,7 @@ class Trace(_FrozenRecord):
 
     def _sewn_sum(self, entries, sewn):
         # every handle at once (schottky._genus_g_sum's one_pass), at
-        # exact points and coefficients; None leaves it to the per-term sums
+        # rational points and coefficients; None leaves it to the per-term sums
         for _, x in entries:
             _require_torus_point(x)
         for zeta1, zeta2, _, _ in sewn:
@@ -345,9 +344,22 @@ def element_from_insertions(
     q_order: int = 8,
     rho_orders: Sequence[int] = (6,),
 ) -> ChainElement:
-    """The chain element of ``ins`` at ``genus``, valued by that genus's
-    evaluator: the sphere, the trace to ``q_order``, or at genus 2 the
-    handles of ``schottky`` sewn onto the sphere to ``rho_orders``."""
+    """The chain element of ``ins`` at ``genus``, valued by the
+    :func:`evaluator_for` it."""
+    return _element(ins, evaluator_for(ins, genus, schottky, q_order, rho_orders))
+
+
+def evaluator_for(
+    ins: InsertionTuple,
+    genus: int,
+    schottky: SchottkyData | None = None,
+    q_order: int = 8,
+    rho_orders: Sequence[int] = (6,),
+):
+    """The evaluator of ``ins`` at ``genus``, each point checked on it,
+    with nothing evaluated: the sphere, the trace to ``q_order``, or at
+    genus 2 the handles of ``schottky`` sewn onto the sphere to
+    ``rho_orders``."""
     if genus < 0:
         raise ComplexError("genus must be >= 0")
     if genus == 0:
@@ -358,9 +370,9 @@ def element_from_insertions(
         if getattr(schottky, "genus", None) != genus:
             raise ComplexError(f"genus-{genus} elements need SchottkyData of that genus")
         evaluator = Sewn(Sphere(), schottky.handles(rho_orders))
-        for _, y in ins.entries:
-            evaluator._require_point(y)
-    return _element(ins, evaluator)
+    for _, y in ins.entries:
+        evaluator._require_point(y)
+    return evaluator
 
 
 # -- reduction differentials ------------------------------------------
@@ -492,9 +504,7 @@ def corr_deviation(a: CorrelationFunction, b: CorrelationFunction) -> float:
 
 
 def _ratio(a, b):
-    if isinstance(a, int):
-        a = Fraction(a)
-    return a / b if not isinstance(a, complex) else a / to_complex(b)
+    return (Fraction(a) if isinstance(a, int) else a) / b
 
 
 # -- total differential and chain conditions ---------------------------
@@ -734,7 +744,6 @@ def connection_functional(
     f_op: str = "paper",
     include_vacuum_term: bool = False,
     rho_order: int = 4,
-    tol: float = 1e-9,
 ) -> ConnectionReport:
     """Three-term connection functional evaluated with the reduction
     identifications.
@@ -745,7 +754,9 @@ def connection_functional(
     from psi, and the middle term has no identification in the source
     construction, so it is 0.  With ``f_op="zero"`` all components
     vanish identically.  Each zero is phi's own: its genus, prefactor and
-    value type.
+    value type.  The functional vanishes when every component is exactly
+    zero; ``G_norm``, the largest component norm, is a float and only
+    reports a size.
     """
     if f_op not in ("paper", "zero"):
         raise ComplexError(f"unknown F operator preset {f_op!r}")
@@ -769,11 +780,10 @@ def connection_functional(
     bracket = apply_Dn(psi_descriptor, phi)
     sign = -((-1) ** phi.genus)
     components["bracket_term"] = bracket.value._replace(data=bracket.value.data * sign)
-    g_norm = max(v.norm() for v in components.values())
     return ConnectionReport(
         components,
-        g_norm,
-        g_norm <= tol,
+        max(v.norm() for v in components.values()),
+        all(v.is_zero() for v in components.values()),
         {"f_op": f_op, "include_vacuum_term": include_vacuum_term,
          "psi_descriptor_point": str(psi_descriptor[1])},
     )

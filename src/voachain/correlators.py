@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Sequence
 
-from .series import Scalar, TruncatedSeries, _int_power
+from .series import ExactComplex, Scalar, TruncatedSeries, _int_power
 from .voa import (
     VACUUM,
     FockState,
@@ -82,8 +82,8 @@ def torus_trace(
     of Y(x^{L0}v, x) placed left of every insertion.  Equal to
     :func:`torus_qseries` with ``left_operator=zero_mode(v)``, which
     sums the same trace over the Fock basis.  It is the one-term case of
-    :func:`torus_trace_sum`, and at inexact points or coefficients it is
-    summed in their arithmetic.
+    :func:`torus_trace_sum`, and at an ExactComplex point or coefficient
+    it is summed in that arithmetic.
     """
     if q_order < 1:
         return TruncatedSeries("q", {}, q_order)
@@ -161,7 +161,8 @@ def _trace_context(points: list, q_order: int) -> "_TorusContext":
     _require_distinct(points)
     if any(x == 0 for x in points):
         raise ValueError("torus points are x = e^z and cannot be 0")
-    return _torus_context(tuple((type(x), x) for x in points), q_order)
+    return _torus_context(tuple(isinstance(x, ExactComplex) for x in points),
+                          tuple(points), q_order)
 
 
 def _rational(terms) -> bool:
@@ -178,8 +179,9 @@ def _trace_sum(ctx: "_TorusContext", terms, exact: bool) -> TruncatedSeries:
     ``exact`` every term is an integer pair and the sum one list over one
     denominator; else the terms are scalars, summed from Fraction(0) so
     that rational ones come out as Fractions, as the basis sum's do.  That
-    is the arithmetic of torus_trace at inexact points, one term of
-    weight 1, so there the weight is not multiplied in."""
+    is the arithmetic of torus_trace at an ExactComplex point or
+    coefficient, one term of weight 1, so there the weight is not
+    multiplied in."""
     order = ctx.order
     zero = [0] * order
     total, den = (zero if exact else [Fraction(0)] * order), 1
@@ -246,7 +248,7 @@ def _trace_sum(ctx: "_TorusContext", terms, exact: bool) -> TruncatedSeries:
 # positive powers add up to less than the q-order, and so does the
 # magnitude of every partial sum: the sum is finite.
 #
-# One context per typed point tuple and q-order holds the propagators
+# One context per point tuple and q-order holds the propagators
 # and the pairing sums over field multisets (fields sorted), shared by
 # every trace at those points: the paired terms of a sewn torus, the
 # reduction's moved states, each term of one torus_trace_sum.  None
@@ -264,11 +266,14 @@ def _trace_sum(ctx: "_TorusContext", terms, exact: bool) -> TruncatedSeries:
 # arithmetic would take one per operation.  A weighted sum of traces
 # adds its terms the same way (a q-series weight convolves, a rational
 # one scales), multiplies the sum by Z(q) once and lowers each
-# coefficient to a Fraction once.  At any other points the denominator
-# is 1 and the numerators are the scalars themselves, so the same code
-# does the arithmetic of the points in the same order on the same values;
-# there only torus_trace's single unweighted term is summed, and a
-# weighted sum runs one torus_trace per term.
+# coefficient to a Fraction once.  When an ExactComplex is among the
+# points the denominator is 1 and the numerators are the scalars
+# themselves, so the same code does the arithmetic of the points in the
+# same order on the same values; there only torus_trace's single
+# unweighted term is summed, and a weighted sum runs one torus_trace per
+# term.  The context is keyed by the points and by which of them are
+# ExactComplex, as the Wick context is: ExactComplex(5) and 5 compare
+# and hash equal.
 
 
 class _TorusContext:
@@ -287,8 +292,9 @@ class _TorusContext:
 
 
 @lru_cache(maxsize=1)
-def _torus_context(typed_points: tuple, order: int) -> _TorusContext:
-    return _TorusContext(tuple(x for _, x in typed_points), order)
+def _torus_context(gaussian: tuple, points: tuple, order: int) -> _TorusContext:
+    # gaussian[i]: whether point i is an ExactComplex
+    return _TorusContext(points, order)
 
 
 @lru_cache(maxsize=None)
@@ -312,7 +318,7 @@ def _self_contraction(d1: int, d2: int, order: int) -> tuple[int, ...]:
 
 
 def _reduced(ctx: _TorusContext, series):
-    # one gcd over the numerators and the denominator, at exact points
+    # one gcd over the numerators and the denominator, at rational points
     if ctx.exact and series is not None:
         nums, den = series
         g = math.gcd(den, *nums)
@@ -325,9 +331,10 @@ def _point_powers(ctx: _TorusContext, i: int, d: int) -> tuple:
     """The powers x^e of point i that the propagators of its fields of
     derivative order d take, -order - d <= e <= order - 2 - d, over one
     denominator: (numerators with x^e at index e + order + d,
-    denominator).  At an exact point x = a/b the denominator is
+    denominator).  At a rational point x = a/b the denominator is
     a^(order+d) b^top, made positive, with top = max(order - 2 - d, 0);
-    at any other point it is 1 and the numerators are the powers."""
+    in a context with an ExactComplex point it is 1 and the numerators
+    are the powers."""
     key = (i, d)
     val = ctx.powers.get(key)
     if val is None:

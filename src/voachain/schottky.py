@@ -13,8 +13,8 @@ the nose, for any choice of sewing points (asserted by tests).
 A genus-g function is a nested rho-series whose coefficients are sums of
 sphere functions over the paired basis states at the handle points, so
 it is linear in the sphere function: any sphere identity, the genus-0
-reduction among them, holds term by term inside the sums.  Everything
-here is exact whenever the points are.
+reduction among them, holds term by term inside the sums.  Every point
+is exact, and so is everything here.
 
 Every sewn handle, whether by the direct genus-g sums or by sewing an
 element of any genus, is one entry (zeta1, zeta2, rho_order, variable)
@@ -23,14 +23,14 @@ such list over an innermost term linear in the function it sews: the
 sphere function, the graded trace, or the reduction terms of either.
 Each handle's paired terms are fetched once, before any sum starts.  All
 the terms sit at the same points.  When the innermost term is the
-sphere function itself and the points are exact, every handle is summed
+sphere function itself and the points are rational, every handle is summed
 in one call of :func:`~voachain.voa.sewn_sphere_series`: one point
 check, one Wick context, one _wick call per paired term and one integer
 pair per coefficient.  When it is the graded trace, every handle is
 summed in one call of :func:`~voachain.correlators.sewn_trace_series`:
 one trace context and one integer sum per rho multi-index.
 :func:`_sewn_series`, one handle at a time over any term, serves the
-rest: inexact points, and the reduction terms on a sewn surface.
+rest: ExactComplex points, and the reduction terms on a sewn surface.
 """
 
 from __future__ import annotations
@@ -68,17 +68,16 @@ class SewingData(_FrozenRecord):
         self._set_fields(zeta1, zeta2)
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
 def handle_pairing(zeta1, zeta2, k: int):
-    """Weight-k basis and the inverse two-point Gram matrix at the
-    sewing points; exact whenever the points are exact scalars.
+    """Weight-k basis and the exact inverse two-point Gram matrix at the
+    sewing points.
 
     The Gram matrix is H_k(zeta1, zeta2) = (zeta1 - zeta2)^(-2k) G_k,
     with G_k free of the points (translation and scaling covariance of
-    the vacuum two-point function), so H_k^-1 is G_k^-1 scaled.  The
-    cache is typed: equal points of other types give entries of their
-    own type.  Only the nonzero entries are scaled; every zero is one
-    scaled Fraction(0), so it has the type the scale gives.
+    the vacuum two-point function), so H_k^-1 is G_k^-1 scaled.  Only
+    the nonzero entries are scaled; every zero is one scaled
+    Fraction(0), so it has the type the scale gives.
     """
     scale = _int_power(zeta1 - zeta2, 2 * k)
     zero = scale * Fraction(0)
@@ -254,7 +253,7 @@ def _genus_g_sum(handles, insertions, inner=None, one_pass=None):
     and sews the handles after it; the innermost term is taken at the
     points [*insertions, *pairs of handles[0], *pairs of handles[1], ...].
     By default that term is the sphere function between vacua, and at
-    exact points every handle is summed at once by
+    rational points every handle is summed at once by
     :func:`~voachain.voa.sewn_sphere_series`, one Wick context for all
     the terms.  Otherwise it is ``inner(points)``, any term linear in the
     function the handles sew (the graded trace, or the reduction terms of

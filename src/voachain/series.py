@@ -5,8 +5,9 @@ variable where exponents at or beyond ``truncation`` are *unknown* rather
 than zero.  Every arithmetic operation propagates the truncation so a
 result never claims coefficients it cannot know.  Coefficients are exact
 by default: plain integers, :class:`fractions.Fraction`, or
-:class:`ExactComplex` (Gaussian rationals).  Floating ``complex`` values
-are accepted for numeric work and poison exactness in the usual way.
+:class:`ExactComplex` (Gaussian rationals).  Float and ``complex``
+coefficients live only in the numeric evaluators of
+:mod:`voachain.elliptic`; every point and every value elsewhere is exact.
 
 Coefficients may themselves be TruncatedSeries in another variable; that
 nesting is how the multi-handle series at genus 2 are represented.
@@ -175,6 +176,11 @@ class ExactComplex:
             return f"ExactComplex({self.re})"
         return f"ExactComplex({self.re}, {self.im})"
 
+    def __str__(self):
+        # re±imj, as cli.parse_scalar reads it back
+        sign = "-" if self.im < 0 else "+"
+        return f"{_frac_str(self.re)}{sign}{_frac_str(abs(self.im))}j"
+
 
 def _as_exact(x):
     if isinstance(x, ExactComplex):
@@ -184,6 +190,7 @@ def _as_exact(x):
     return NotImplemented
 
 
+# float and complex scalars live only in elliptic's numeric evaluators
 Scalar = Union[int, Fraction, ExactComplex, complex, float]
 
 
@@ -193,36 +200,20 @@ def to_complex(x) -> complex:
 
 
 def points_coincide(points) -> bool:
-    """Whether two of the points are one point to the arithmetic run at
-    them.
+    """Whether two of the points are one point.
 
-    Two exact points (int, Fraction, ExactComplex) are compared exactly,
-    so points that differ are told apart however close or large they
-    are.  A float or complex point enters float arithmetic, which rounds
-    its partner first, so it coincides with any point that rounds to it:
-    Fraction(1, 3) and 1/3 are one point.  Equal values of different
-    types (5, Fraction(5), 5.0, ExactComplex(5)) always coincide.  An
-    exact point beyond the float range beside a float or complex point
-    would overflow that arithmetic: a SeriesError.
+    Every point is exact (an int, a Fraction or an ExactComplex) and
+    compared exactly, so points that differ are told apart however close
+    or large they are; equal values of different types (5, Fraction(5),
+    ExactComplex(5)) are one point.  Any other point, a float or a
+    complex among them, is refused: a SeriesError.
     """
-    # int, Fraction and float compare and hash exactly across types
-    keys = {(z.re, z.im) if isinstance(z, ExactComplex)
-            else (z.real, z.imag) if isinstance(z, complex)
-            else (z, 0)
-            for z in points}
-    if len(keys) != len(points):
-        return True
-    inexact = {complex(z) for z in points if isinstance(z, (float, complex))}
     for z in points:
-        if inexact and not isinstance(z, (float, complex)):
-            try:
-                if complex(z) in inexact:
-                    return True
-            except OverflowError:
-                raise SeriesError(
-                    "a point beyond the float range cannot meet float or complex points"
-                ) from None
-    return False
+        if not isinstance(z, (int, Fraction, ExactComplex)):
+            raise SeriesError(f"point {z!r} is not exact: give an int, a Fraction "
+                              "or an ExactComplex")
+    # the three compare and hash exactly across types
+    return len(set(points)) != len(points)
 
 
 def scalar_abs(x) -> float:
@@ -517,9 +508,6 @@ class SeriesComparison:
         self.low = low
         self.high = high
         self.comparable = comparable
-
-    def within(self, tol: float) -> bool:
-        return self.comparable and self.deviation <= tol
 
     def __repr__(self):
         if not self.comparable:

@@ -411,27 +411,26 @@ def vertex_matrix_element(
 # closed-form rational functions of the points, which is exactly the
 # resummation of the infinite intermediate mode sums.
 #
-# One Wick context serves every evaluation at the same set of typed
-# points: a genus-g sum evaluates all its paired basis terms, vacuum
-# pairs included, at the same points, and the same sum with the
-# handles or insertions in another order (the chain conditions compose
-# the differentials both ways) evaluates the same terms again.  The
-# element is symmetric in its insertions, so the context takes the
-# points in one canonical order, exact points compared exactly and
-# ties between equal points of other types broken by type, and numbers
-# the fields in that order: any permutation of the insertions gives
-# the same recursion states.  The context fills three tables on
-# demand: the leg powers z_i^k, the contractions of two fields, and
-# the sub-sums over the remaining boundary parts and fields.  A field
-# is its derivative order d and the canonical index i of its
-# insertion; fields of one insertion share i and never contract
-# (normal ordering), so a sub-sum depends on nothing else and holds
-# for every call at these points.  A vacuum insertion has no fields,
-# so its point keys the context but never enters a value.  The context
-# is keyed by the typed points: 5, 5.0 and Fraction(5) compare equal
-# but give values of other types.  Two contexts are kept, so that a
-# sum at fewer points run between two sums at the same points does not
-# evict the first one's.
+# One Wick context serves every evaluation at the same set of points:
+# a genus-g sum evaluates all its paired basis terms, vacuum pairs
+# included, at the same points, and the same sum with the handles or
+# insertions in another order (the chain conditions compose the
+# differentials both ways) evaluates the same terms again.  The element
+# is symmetric in its insertions, so the context takes the points in one
+# canonical order, compared exactly, and numbers the fields in that
+# order: any permutation of the insertions gives the same recursion
+# states.  The context fills three tables on demand: the leg powers
+# z_i^k, the contractions of two fields, and the sub-sums over the
+# remaining boundary parts and fields.  A field is its derivative order
+# d and the canonical index i of its insertion; fields of one insertion
+# share i and never contract (normal ordering), so a sub-sum depends on
+# nothing else and holds for every call at these points.  A vacuum
+# insertion has no fields, so its point keys the context but never
+# enters a value.  The context is keyed by the points and by which of
+# them are ExactComplex: ExactComplex(5) and 5 compare and hash equal,
+# but the one runs the scalar path and the other integer pairs.  Two
+# contexts are kept, so that a sum at fewer points run between two sums
+# at the same points does not evict the first one's.
 #
 # Every table holds (numerator, denominator) pairs.  When every point is
 # an int or a Fraction they are integer pairs with a positive
@@ -439,8 +438,9 @@ def vertex_matrix_element(
 # denominator) and each sub-sum is reduced by one gcd when it is
 # memoised, where Fraction arithmetic would take one per operation.
 # The value is lowered to a Fraction once, in sphere_matrix_element.
-# At any other points every value is (x, 1), so the recursion does the
-# arithmetic of x in the same order on the same values.
+# When an ExactComplex is among the points every value is (x, 1), so
+# the recursion does the arithmetic of x in the same order on the same
+# values.
 #
 # The recursion carries its state as strings, compact enough to keep
 # every sub-sum of a trace or handle sum: boundary parts m as chr(m),
@@ -459,8 +459,8 @@ def sphere_matrix_element(
     insertions: Sequence[tuple[FockState, Scalar]],
     u_in: FockState,
 ) -> Scalar:
-    """<u_out', Y(v1,z1)...Y(vn,zn) u_in> for basis states v_i at points
-    z_i, exact whenever the points are ints or Fractions.
+    """<u_out', Y(v1,z1)...Y(vn,zn) u_in> for basis states v_i at exact
+    points z_i.
 
     The value is symmetric in the insertions: every permutation of one
     point set runs in the same Wick context, on the same sub-sums.
@@ -468,12 +468,14 @@ def sphere_matrix_element(
     legs = u_out.length + u_in.length + sum(state.length for state, _ in insertions)
     if legs % 2 == 1:
         return 0
-    typed_points, order = _canonical_order(tuple((type(z), z) for _, z in insertions))
+    points = tuple(z for _, z in insertions)
+    order = _canonical_order(points)
     fields = []
     for pi, idx in enumerate(order):
         for part in insertions[idx][0].partition:
             fields += (part - 1, pi)
-    ctx = _wick_context(typed_points)
+    points = tuple(points[i] for i in order)
+    ctx = _wick_context(tuple(isinstance(z, ExactComplex) for z in points), points)
     num, den = _wick(_chars(u_out.partition), _chars(fields), _chars(u_in.partition), ctx)
     if ctx.exact:
         return Fraction(num, den * u_out.norm_squared())
@@ -512,7 +514,7 @@ def _expand_components(insertions, dressed):
 # which enters only the sub-states that no earlier term has met.
 # Each nested coefficient is one integer pair over the least common
 # denominator of its terms, lowered to a Fraction once.  That needs
-# exact points and rational coefficients; any other sum is left to the
+# rational points and coefficients; any other sum is left to the
 # per-term path (sphere_value inside schottky's nested _sewn_series,
 # which sum the same paired terms, fetched once per handle).
 
@@ -530,8 +532,8 @@ def sewn_sphere_series(
     times the sphere function over the weight-(k1, ..., kg) terms, and
     equals (with the same types) the nested per-term sums of
     ``sphere_value``.  The points are checked first; the result is None
-    when a point is not an int or a Fraction or a coefficient is not
-    rational, and the caller then sums per term.
+    when a point or a coefficient is not an int or a Fraction, and the
+    caller then sums per term.
     """
     points = [z for _, z in insertions]
     for zeta1, zeta2, _, _ in handles:
@@ -543,8 +545,8 @@ def sewn_sphere_series(
             and all(isinstance(term[0], rational)
                     for _, _, terms, _ in handles for terms_k in terms for term in terms_k)):
         return None
-    typed_points, order = _canonical_order(tuple((type(z), z) for z in points))
-    ctx = _wick_context(typed_points)
+    order = _canonical_order(tuple(points))
+    ctx = _wick_context((False,) * len(order), tuple(points[i] for i in order))
     position = [0] * len(order)
     for pi, slot in enumerate(order):
         position[slot] = pi
@@ -614,29 +616,17 @@ def _as_series(values: dict, shape) -> TruncatedSeries:
         variable, {k: _as_series(v, inner) if inner else v for k, v in values.items()}, order)
 
 
-# ties between equal points of other types: 5 < Fraction(5) < 5.0 < ...
-_KIND_RANK = {int: 0, Fraction: 1, float: 2, complex: 3, ExactComplex: 4}
-
-
 @lru_cache(maxsize=256)
-def _canonical_order(typed_points: tuple) -> tuple[tuple, tuple[int, ...]]:
-    """The typed points in canonical order, and the insertion index of
-    each: by real part, then imaginary part, compared exactly (a float
-    conversion would round, or overflow on a large Fraction), then by
-    type."""
+def _canonical_order(points: tuple) -> tuple[int, ...]:
+    """The insertion indices of the points in canonical order: by real
+    part, then imaginary part, compared exactly.  Equal points of other
+    types have one order, so they may share its cache entry."""
 
     def key(i):
-        kind, z = typed_points[i]
-        if isinstance(z, ExactComplex):
-            re, im = z.re, z.im
-        elif isinstance(z, complex):
-            re, im = z.real, z.imag
-        else:
-            re, im = z, 0
-        return re, im, _KIND_RANK.get(kind, len(_KIND_RANK))
+        z = points[i]
+        return (z.re, z.im) if isinstance(z, ExactComplex) else (z, 0)
 
-    order = tuple(sorted(range(len(typed_points)), key=key))
-    return tuple(typed_points[i] for i in order), order
+    return tuple(sorted(range(len(points)), key=key))
 
 
 def _chars(values) -> str:
@@ -657,8 +647,9 @@ class _WickContext:
 
 
 @lru_cache(maxsize=2)
-def _wick_context(typed_points: tuple) -> _WickContext:
-    return _WickContext(tuple(z for _, z in typed_points))
+def _wick_context(gaussian: tuple, points: tuple) -> _WickContext:
+    # gaussian[i]: whether point i is an ExactComplex
+    return _WickContext(points)
 
 
 def _power_pair(exact: bool, base, k: int) -> tuple:

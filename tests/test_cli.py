@@ -1,5 +1,6 @@
 """CLI contract tests: JSON-only stdout, exit codes, determinism."""
 
+import cmath
 import json
 import re
 import subprocess
@@ -8,11 +9,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from voachain.cli import CONFIG_KEYS, main, read_config
+from voachain import complexes
+from voachain.cli import CONFIG_KEYS, ConfigError, main, parse_scalar, read_config
 from voachain.complexes import apply_Dn
 from voachain.correlators import torus_trace
-from voachain.series import _parse_frac
+from voachain.series import ExactComplex, _frac_str, _parse_frac
 from voachain.voa import A_VECTOR
 
 
@@ -96,6 +100,19 @@ class TestEvalCommands:
                                    "error": {"kind": "validation", "message": message}}
         assert "Traceback" not in err
 
+    def test_f0_prints_a_complex_point_as_it_reads_it(self, capsys):
+        code, out, _ = run_cli(
+            ["eval-f0", "--n", "1", "--m", "0", "--z", "1/2-1/3j", "--w", "(2+0J)"], capsys
+        )
+        assert code == 0
+        at = json.loads(out)["value_at"]
+        z = ExactComplex(Fraction(1, 2), Fraction(-1, 3))
+        assert (at["z"], at["w"]) == ("1/2-1/3j", "2")
+        assert parse_scalar(at["z"]) == z
+        # w/(z(z-w)), exactly
+        want = 2 / (z * (z - 2))
+        assert at["value"] == {"rational_re": _frac_str(want.re), "rational_im": _frac_str(want.im)}
+
     def test_f0_at_a_point_of_any_size(self, capsys):
         code, out, _ = run_cli(
             ["eval-f0", "--n", "1", "--m", "0", "--z", "1e-5000", "--w", "2"], capsys
@@ -105,6 +122,48 @@ class TestEvalCommands:
         z = Fraction(1, 10**5000)
         assert _parse_frac(doc["value_at"]["z"]) == z
         assert _parse_frac(doc["value_at"]["value"]["rational"]) == 2 / (z * (z - 2))
+
+
+# a decimal as complex() and Fraction() both read it
+DECIMALS = st.from_regex(r"\A[0-9]{1,5}(\.[0-9]{0,4})?([eE][+-]?[0-9]{1,3})?\Z")
+
+
+class TestParseScalar:
+    @given(st.fractions(), st.fractions())
+    def test_a_printed_point_reads_back(self, real, imag):
+        # a Fraction prints as _frac_str, an ExactComplex as re±imj
+        point = ExactComplex(real, imag) if imag else real
+        printed = str(point) if imag else _frac_str(real)
+        got = parse_scalar(printed)
+        assert got == point and type(got) is type(point)
+
+    @given(st.sampled_from(["", "+", "-"]), DECIMALS, st.sampled_from(["+", "-"]), DECIMALS,
+           st.sampled_from("jJ"), st.booleans())
+    def test_a_complex_token_reads_as_its_decimal_parts(self, sign, real, imag_sign, imag, j,
+                                                         parens):
+        token = f"{sign}{real}{imag_sign}{imag}{j}"
+        token = f"( {token} )" if parens else token
+        assume(cmath.isfinite(complex(token)))
+        want = ExactComplex(Fraction(sign + real), Fraction(imag_sign + imag))
+        got = parse_scalar(token)
+        assert got == want and type(got) is (ExactComplex if want.im else Fraction)
+        assert complex(token) == complex(float(want.re), float(want.im))
+
+    @pytest.mark.parametrize("token, want", [
+        ("j", ExactComplex(0, 1)), ("-J", ExactComplex(0, -1)), ("1+j", ExactComplex(1, 1)),
+        ("2.5e-1j", ExactComplex(0, Fraction(1, 4))), ("1e400j", ExactComplex(0, 10**400)),
+        ("1/2-1/3j", ExactComplex(Fraction(1, 2), Fraction(-1, 3))), ("7-0j", Fraction(7)),
+        ("1e-3-2e+3j", ExactComplex(Fraction(1, 1000), -2000)), ("0.1", Fraction(1, 10)),
+    ])
+    def test_tokens(self, token, want):
+        got = parse_scalar(token)
+        assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("token", ["nanj", "infj", "1+nanj", "inf", "-inf+2j", "1/0j", "1 / 2",
+                                       "(1+2j", "1+2j3", "--1j", "1e+j", "abc"])
+    def test_refused_tokens(self, token):
+        with pytest.raises(ConfigError, match="cannot parse scalar"):
+            parse_scalar(token)
 
 
 @pytest.fixture
@@ -181,8 +240,8 @@ points = 100000000000000000, 100000000000000001
         assert json.loads(out)["result"]["value"]["rational"] == "1"
 
     def test_genus0_huge_point_beside_a_complex_point(self, write_config, capsys):
-        # 10**400 has no float value, so it cannot enter the complex
-        # arithmetic at 1j: a validation error, not an overflow
+        # 1j is read as an exact Gaussian rational, so 10**400 beside it
+        # is a value: (10^400 - i)^-2, where float arithmetic would overflow
         cfg = write_config(
             f"""
 [experiment]
@@ -193,8 +252,18 @@ points = {10**400}, 1j
 """
         )
         code, out, _ = run_cli(["npoint", "--config", cfg], capsys)
-        assert code == 2
-        assert "beyond the float range" in json.loads(out)["error"]["message"]
+        assert code == 0
+        want = 1 / (ExactComplex(10**400, -1) * ExactComplex(10**400, -1))
+        assert json.loads(out)["result"]["value"] == {
+            "rational_re": _frac_str(want.re), "rational_im": _frac_str(want.im)}
+
+    @pytest.mark.parametrize("path", ["--oracle", "--reduction"])
+    def test_genus0_at_a_complex_point_is_exact(self, write_config, capsys, path):
+        # (1+2i - 3)^-2 = i/8
+        cfg = write_config(GENUS0_AA.replace("3, 1", "1+2j, 3"))
+        code, out, _ = run_cli(["npoint", "--config", cfg, path], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["value"] == {"rational_re": "0", "rational_im": "1/8"}
 
     def test_genus0(self, write_config, capsys):
         cfg = write_config(
@@ -330,6 +399,30 @@ rho_order = 6
         coeffs = {e: re for e, re, im in doc["result"]["series"]["coeffs"]}
         assert [coeffs[k] for k in range(6)] == ["1", "1", "2", "3", "5", "7"]
 
+    @pytest.mark.parametrize("genus, evaluator", [(0, "sphere_value"), (1, "torus_trace")])
+    def test_sew_evaluates_only_the_sewn_surface(self, write_config, capsys, monkeypatch,
+                                                 genus, evaluator):
+        # the unsewn element's value is never read, so it is not computed:
+        # the sewn sums run at rational points in one pass, and no sphere
+        # or trace of the bare insertions is evaluated
+        from voachain.complexes import InsertionTuple, apply_Dg, element_from_insertions
+        from voachain.schottky import SewingData
+
+        cfg = write_config(f"[experiment]\ngenus = {genus}\n[insertions]\nstates = a, a\n"
+                           "points = 5, 2\n[sewing]\nzeta1 = 3\nzeta2 = 7\n"
+                           "[truncation]\nq_order = 4\nrho_order = 3\n")
+        calls = []
+        original = getattr(complexes, evaluator)
+        monkeypatch.setattr(complexes, evaluator,
+                            lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+        code, out, _ = run_cli(["sew", "--config", cfg], capsys)
+        assert code == 0 and calls == []
+        monkeypatch.undo()
+        elem = element_from_insertions(InsertionTuple(((A_VECTOR, 5), (A_VECTOR, 2))), genus,
+                                       q_order=4)
+        want = apply_Dg(elem, SewingData(zeta1=3, zeta2=7), 3).value.data
+        assert json.loads(out)["result"]["series"] == want.to_json_dict()
+
     def test_partition_genus2(self, write_config, capsys):
         cfg = write_config(
             """
@@ -396,7 +489,6 @@ x2_point = 13
 rho_order = 3
 [assert]
 expect_zero = true
-tolerance = 1e-9
 """
         )
         code, out, _ = run_cli(["check-complex", "--config", cfg], capsys)
@@ -423,7 +515,6 @@ x1_point = 11
 rho_order = 3
 [assert]
 expect_zero = true
-tolerance = 1e-12
 """
         )
         code, out, _ = run_cli(["check-complex", "--config", cfg], capsys)
@@ -451,7 +542,6 @@ q_order = 3
 rho_order = 2
 [assert]
 expect_zero = true
-tolerance = 0
 """
         )
         code, out, err = run_cli(["check-complex", "--config", cfg], capsys)
@@ -468,12 +558,12 @@ tolerance = 0
             ConditionReport(kind="gn", residual=0.5, composition_norm=1.0, detail={})])
         cfg = write_config(
             "[experiment]\nkinds = gn\n[element]\nstates = a\npoints = 7\n"
-            "[assert]\nexpect_zero = true\ntolerance = 1e-12\n"
+            "[assert]\nexpect_zero = true\n"
         )
         code, out, err = run_cli(["check-complex", "--config", cfg], capsys)
         assert json.loads(out)["reports"][0]["residual"] == 0.5
         assert code == 3
-        assert "tolerance" in err
+        assert "residual is not 0" in err
 
 
     def test_skipped_check_with_assert_exits_3(self, write_config, capsys):
@@ -526,14 +616,30 @@ states = a, a
 points = 5, 2
 [truncation]
 q_order = 8
-[tolerance]
-float_tol = 1e-10
 """
         )
         code, out, _ = run_cli(["reduce", "--config", cfg], capsys)
         assert code == 0
         doc = json.loads(out)
         assert doc["round_trip_residual"] == 0
+
+    @pytest.mark.parametrize("genus, points", [(0, "3, 1"), (1, "5, 2")])
+    def test_any_mismatch_exits_3(self, write_config, capsys, monkeypatch, genus, points):
+        # every value is exact: a mismatch far below the float range, whose
+        # printed residual reads 0.0, still fails the round trip
+        import voachain.cli as cli
+
+        tiny = Fraction(1, 10**400)
+
+        def off(elem):
+            factor, zero_point = complexes.reduce_to_zero_point(elem)
+            return factor + tiny, zero_point
+
+        monkeypatch.setattr(cli, "reduce_to_zero_point", off)
+        text = f"[experiment]\ngenus = {genus}\n[insertions]\nstates = a, a\npoints = {points}\n"
+        code, out, _ = run_cli(["reduce", "--config", write_config(text)], capsys)
+        assert json.loads(out)["round_trip_residual"] == 0.0
+        assert code == 3
 
 
 GENUS1_CONNECTION = """
@@ -569,6 +675,29 @@ rho_order = 4
         assert code == 0
         doc = json.loads(out)
         assert set(doc["components"]) == {"sewing_term", "middle_term", "bracket_term"}
+
+    def test_a_functional_below_the_float_range_does_not_vanish(self, write_config, capsys):
+        # the bracket term is -1/(4 10^400): its float norm underflows to
+        # 0.0, yet it is not zero, and so the functional does not vanish
+        big = 10**200
+        cfg = write_config(
+            f"[element]\nstates = a\npoints = {big}\n"
+            f"[descriptor]\nstate = a\npoint = -{big}\n[assert]\nvanishing = false\n")
+        code, out, _ = run_cli(["connection", "--config", cfg], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["vanishing"] is False and doc["G_norm"] == 0.0
+        assert _parse_frac(doc["components"]["bracket_term"]["value"]["rational"]) == Fraction(
+            -1, 4 * big**2)
+
+    def test_prints_a_complex_descriptor_point_as_it_reads_it(self, write_config, capsys):
+        cfg = write_config("[element]\nstates = a\npoints = 2\n"
+                           "[descriptor]\nstate = a\npoint = -1/2+3/4j\n")
+        code, out, _ = run_cli(["connection", "--config", cfg], capsys)
+        assert code == 0
+        point = json.loads(out)["identification"]["psi_descriptor_point"]
+        assert point == "-1/2+3/4j"
+        assert parse_scalar(point) == ExactComplex(Fraction(-1, 2), Fraction(3, 4))
 
     def test_vanishing_assertion_failure_exits_3(self, write_config, capsys):
         cfg = write_config(
@@ -732,8 +861,15 @@ def _benchmark_configs():
                  id=args[2]) for args in README_COMMANDS[1:]])
 def test_benchmark_and_shipped_configs_are_read(command, text, write_config):
     # a key its command refuses would fail a benchmark op or a README
-    # command: each of these is read without a ConfigError
-    read_config(write_config(text), command)
+    # command: each of these is read without a ConfigError, and no value
+    # read is a float or a complex
+    def leaves(value):
+        return [leaf for item in value for leaf in leaves(item)] if isinstance(
+            value, tuple) else [value]
+
+    values = read_config(write_config(text), command)
+    for key, value in values.items():
+        assert not any(isinstance(leaf, (float, complex)) for leaf in leaves(value)), key
 
 
 class TestSubprocessEntry:
@@ -848,22 +984,25 @@ class TestErrorClasses:
          "[truncation] rho_orders"),
         ("check-complex", "[element]\nstates = a\npoints = 2\n[assert]\nexpect_zero = maybe\n",
          "[assert] expect_zero"),
-        ("reduce", GENUS0_AA + "[tolerance]\nfloat_tol = tiny\n", "[tolerance] float_tol"),
         ("connection", "[element]\nstates = a\npoints = 2\n[assert]\nvanishing = perhaps\n",
          "[assert] vanishing"),
         ("sew", GENUS0_AA + "[sewing]\nzeta1 = 1\nzeta2 = -1\n", "sewing points must differ"),
         ("sew", GENUS0_AA.replace("genus = 0", "genus = 1") + "[sewing]\nzeta1 = 0\nzeta2 = 2\n",
          "x = e^z"),
+        # checked on the surface, though no sum at rho order 0 evaluates it
+        ("sew", GENUS1_AA.replace("5, 2", "0, 2") + "[truncation]\nrho_order = 0\n", "x = e^z"),
         ("check-complex", "[element]\nstates = a\npoints = 2\n[experiment]\nkinds = g\n"
          "[sewing]\nzeta1 = 3\nzeta2 = -3\n", "sewing points must differ"),
         ("npoint", "[experiment]\ngenus = 2\n[insertions]\nstates = a\npoints = 1\n"
          + GENUS2_SCHOTTKY, "handle points"),
-        # nan and inf are no points, and strict JSON cannot print them
-        ("npoint", GENUS0_AA.replace("3, 1", "2, nan"), "'nan' is not finite"),
-        ("npoint", GENUS1_AA.replace("5, 2", "2, inf"), "'inf' is not finite"),
-        ("sew", GENUS0_AA + "[sewing]\nzeta1 = -inf\nzeta2 = 2\n", "'-inf' is not finite"),
-        ("partition", GENUS2_SCHOTTKY.replace("-3, 3", "-3, 1e400j"),
-         "'1e400j' is not finite"),
+        # nan and inf are no exact numbers, in either part of a point
+        ("npoint", GENUS0_AA.replace("3, 1", "2, nan"), "cannot parse scalar 'nan'"),
+        ("npoint", GENUS1_AA.replace("5, 2", "2, inf"), "cannot parse scalar 'inf'"),
+        ("sew", GENUS0_AA + "[sewing]\nzeta1 = -inf\nzeta2 = 2\n", "cannot parse scalar '-inf'"),
+        ("partition", GENUS2_SCHOTTKY.replace("-3, 3", "-3, nanj"), "cannot parse scalar 'nanj'"),
+        ("partition", GENUS2_SCHOTTKY.replace("-3, 3", "-3, 1+infj"),
+         "cannot parse scalar '1+infj'"),
+        ("npoint", GENUS0_AA.replace("3, 1", "inf+1j, 1"), "cannot parse scalar 'inf+1j'"),
         # a negative truncation order is no truncation
         ("npoint", GENUS1_AA + "[truncation]\nq_order = -2\n",
          "[truncation] q_order: truncation order -2 is negative"),
@@ -881,9 +1020,10 @@ class TestErrorClasses:
         ("npoint", GENUS1_AA + "[truncation]\nq_order = 3, 4\n", "[truncation] q_order"),
         ("sew", GENUS0_AA + "[truncation]\nrho_order = 3, 4\n", "[truncation] rho_order"),
         ("npoint", GENUS1_AA + "[tolerance]\nfloat_tol = 1e-9\n",
-         "npoint takes no section [tolerance]"),
+         "npoint takes no section [tolerance] (given: float_tol)"),
         ("partition", GENUS2_SCHOTTKY + "[truncaton]\nrho_orders = 2, 2\n",
-         "partition takes no section [truncaton]; it takes [schottky], [truncation]"),
+         "partition takes no section [truncaton] (given: rho_orders); "
+         "it takes [schottky], [truncation]"),
         ("npoint", GENUS1_AA.replace("genus = 1", "genus = 1\npath = reduction"),
          "npoint takes no key 'path' in [experiment]"),
         ("reduce", GENUS0_AA.replace("genus = 0\n", ""), "[experiment] genus is not given"),
@@ -898,16 +1038,15 @@ class TestErrorClasses:
          "connection takes no key 'rho' in [sewing]"),
         ("cohomology", PROBE.replace("g_max", "points = 3, 1, -2\ng_max"),
          "cohomology takes no key 'points' in [probe]"),
-        # a nan tolerance compares false with every residual, inf passes every one
-        ("reduce", GENUS0_AA + "[tolerance]\nfloat_tol = nan\n",
-         "[tolerance] float_tol: tolerance nan is not a finite number >= 0"),
-        ("reduce", GENUS0_AA + "[tolerance]\nfloat_tol = -1\n",
-         "[tolerance] float_tol: tolerance -1.0 is not a finite number >= 0"),
-        ("connection", "[element]\nstates = a\npoints = 2\n[tolerance]\nfloat_tol = inf\n",
-         "[tolerance] float_tol: tolerance inf is not a finite number >= 0"),
+        # every value is exact, so a tolerance could only hide a nonzero
+        # result: the tolerance keys are gone, each refused by name
+        ("reduce", GENUS0_AA + "[tolerance]\nfloat_tol = 1e-10\n",
+         "reduce takes no section [tolerance] (given: float_tol)"),
+        ("connection", "[element]\nstates = a\npoints = 2\n[tolerance]\nfloat_tol = 1e-9\n",
+         "connection takes no section [tolerance] (given: float_tol)"),
         ("check-complex", "[element]\nstates = a\npoints = 2\n"
-         "[assert]\nexpect_zero = true\ntolerance = nan\n",
-         "[assert] tolerance: tolerance nan is not a finite number >= 0"),
+         "[assert]\nexpect_zero = true\ntolerance = 1e-9\n",
+         "check-complex takes no key 'tolerance' in [assert]; [assert] takes expect_zero"),
         # counts that describe nothing
         ("cohomology", PROBE.replace("g_max = 1", "g_max = -1"),
          "g_max -1 and n_max 2 must not be negative"),

@@ -33,7 +33,7 @@ from voachain.complexes import (
 )
 from voachain.correlators import sphere_value, torus_qseries
 from voachain.schottky import SchottkyData, SewingData, genus_g_npoint, row_reduce_integer
-from voachain.series import ExactComplex, TruncatedSeries, _int_power
+from voachain.series import ExactComplex, SeriesError, TruncatedSeries, _int_power
 from voachain.voa import (
     A_VECTOR,
     OMEGA_VECTOR,
@@ -132,15 +132,15 @@ class TestGenus0ReductionEquivalence:
 
     @pytest.mark.parametrize("names_points", [
         (("a", 3), ("a", 1)),
-        (("a", 3.0), ("a", 1.0)),
-        (("a", Fraction(3)), ("a", 1.0)),
-        (("a", 0.5),),
-        (("aa", 0.5),),
-        (("1", 0.5), ("a", 3), ("a", 1)),
-        (("1", 0.5), ("a", 3.0), ("a", 1)),
-        (("aa", 0.5), ("a", 3), ("1", 1.0)),
+        (("a", ExactComplex(3)), ("a", ExactComplex(1))),
+        (("a", Fraction(3)), ("a", ExactComplex(1))),
+        (("a", Fraction(1, 2)),),
+        (("aa", Fraction(1, 2)),),
+        (("1", ExactComplex(0, 1)), ("a", 3), ("a", 1)),
+        (("1", ExactComplex(0, 1)), ("a", ExactComplex(3)), ("a", 1)),
+        (("aa", ExactComplex(0, 1)), ("a", 3), ("1", ExactComplex(1))),
         (("a", ExactComplex(3, 1)), ("a", 1)),
-        (("a", 3j), ("a", 1), ("aa", -2)),
+        (("a", ExactComplex(0, 3)), ("a", 1), ("aa", -2)),
     ])
     def test_d1_of_weight_one_keeps_the_scalar_type(self, names_points):
         # o(v)|0> = 0 for wt v >= 1: D1 is the zero that evaluating the
@@ -155,7 +155,7 @@ class TestGenus0ReductionEquivalence:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(("1", "a", "aa", "1+a", "a+aa")),
-                              st.sampled_from((int, Fraction, float))),
+                              st.sampled_from((int, Fraction, ExactComplex))),
                     max_size=4))
     def test_d1_zero_type_matches_evaluation(self, slots):
         # mixed vectors and point types: the unevaluated zero has the
@@ -397,8 +397,8 @@ class TestChainConditions:
             out = apply_Dg(elem, sd, rho_order)
             if out.genus == 2:
                 misses = voa._wick_context.cache_info().misses
-                typed_points, _ = voa._canonical_order(tuple((type(z), z) for z in points))
-                ctx = voa._wick_context(typed_points)
+                ctx = voa._wick_context((False,) * len(points), tuple(
+                    points[i] for i in voa._canonical_order(points)))
                 twice_sewn.append((misses, ctx, len(ctx.memo)))
             return out
 
@@ -890,12 +890,17 @@ class TestExactPointChecks:
         with pytest.raises(ComplexError, match="pairwise distinct"):
             InsertionTuple(((A_VECTOR, Fraction(3)), (A_VECTOR, ExactComplex(3))))
 
+    @pytest.mark.parametrize("point", [2.5, 2 + 1j], ids=["float", "complex"])
+    def test_insertion_tuple_refuses_a_float_or_complex_point(self, point):
+        with pytest.raises(SeriesError, match="is not exact"):
+            InsertionTuple(((A_VECTOR, Fraction(3)), (A_VECTOR, point)))
+
     def test_sewing_beside_an_insertion(self):
         elem = g0_element(("a", Fraction(self.BIG)), ("a", Fraction(2)))
         sewn = apply_Dg(elem, SewingData(zeta1=self.BIG + 1, zeta2=-1), 2)
         assert sewn.value.data.coefficient(0) == elem.value.data
         with pytest.raises(ComplexError, match="sewing points"):
-            apply_Dg(elem, SewingData(zeta1=2.0, zeta2=-1), 2)
+            apply_Dg(elem, SewingData(zeta1=ExactComplex(2), zeta2=-1), 2)
 
     def test_genus2_step_beside_a_handle_point(self):
         sd = SchottkyData(genus=2, points=(-1, 1, -self.BIG, self.BIG))

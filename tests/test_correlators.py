@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_schottky import KIND_FAMILIES, _assert_identical, _point, vectors
+from test_schottky import KINDS, _assert_identical, _point, vectors
 
 from voachain import complexes, correlators
 from voachain.complexes import (
@@ -32,13 +32,14 @@ from voachain.complexes import (
 from voachain.correlators import (
     partition_qseries,
     sewn_trace_series,
+    sphere_value,
     torus_qseries,
     torus_trace,
     torus_trace_sum,
 )
 from voachain.elliptic import pm_numerators, pm_qseries
 from voachain.schottky import SewingData, _genus_g_sum, _sewn_handle, _sewn_series
-from voachain.series import ExactComplex, points_coincide
+from voachain.series import ExactComplex, SeriesError, points_coincide
 from voachain.voa import (
     A_VECTOR,
     VACUUM_VECTOR,
@@ -139,7 +140,7 @@ class TestPropagator:
     def test_weight_one_propagator_is_p2(self, xi, xj):
         # xi xj <a(xi) a(xj)> in q is P2 at xj / xi
         q_order = 8
-        ctx = correlators._torus_context(((type(xi), xi), (type(xj), xj)), q_order)
+        ctx = correlators._torus_context((False, False), (xi, xj), q_order)
         nums, den = correlators._propagator(ctx, "\x00\x00\x00\x01")
         p2 = pm_qseries(2, xj / xi, q_order)
         assert [xi * xj * Fraction(n, den) for n in nums] == [p2.coefficient(k) for k in range(q_order)]
@@ -151,7 +152,7 @@ class TestPropagator:
         insertions = [(AA + FockVector.basis(2), points[0]), (A_VECTOR, points[1]),
                       (FockVector.basis(2, 1), points[2])]
         torus_trace(insertions, 6, zero_mode_state=AA + FockVector.basis(3))
-        ctx = correlators._torus_context(tuple((type(x), x) for x in points), 6)
+        ctx = correlators._torus_context((False,) * 3, points, 6)
         entries = [val for val in ctx.memo.values() if val is not None]
         for val in ctx.propagators.values():
             entries += val.values() if isinstance(val, dict) else [val]
@@ -177,31 +178,23 @@ class TestPropagator:
             _same(torus_trace(insertions, 6), want)
 
 
-_KINDS = {
-    float: lambda t: t / 3,
-    complex: lambda t: complex(t / 3, 0.5),
-    ExactComplex: lambda t: ExactComplex(Fraction(t, 3), Fraction(1, 2)),
-}
-
-
 class TestScalarTypes:
-    @pytest.mark.parametrize("kind", list(_KINDS))
     @pytest.mark.parametrize("states", [
         (AA, A_VECTOR, A_VECTOR),
         (VACUUM_VECTOR + A_VECTOR, A_VECTOR, FockVector.basis(2)),
         (VACUUM_VECTOR, FockVector.basis(2, 1), A_VECTOR),
     ])
     @pytest.mark.parametrize("v", [None, AA, FockVector.basis(2, 1) + VACUUM_VECTOR])
-    def test_types_and_values_follow_the_brute_force(self, kind, states, v):
-        # the first point is of the kind, the others exact
-        points = (_KINDS[kind](5), Fraction(-7, 2), 4)
+    def test_types_and_values_follow_the_brute_force(self, states, v):
+        # the first point is Gaussian, the others rational
+        points = (ExactComplex(Fraction(5, 3), Fraction(1, 2)), Fraction(-7, 2), 4)
         insertions = list(zip(states, points))
         got = torus_trace(insertions, 5, zero_mode_state=v)
         want = _brute(insertions, 5, v)
         assert set(got.coefficients) == set(want.coefficients)
         for k, c in want.coefficients.items():
             assert type(got.coefficients[k]) is type(c), k
-            assert cmath.isclose(complex(got.coefficients[k]), complex(c), rel_tol=1e-12), k
+            assert got.coefficients[k] == c, k
 
     @pytest.mark.parametrize("c", [0.5, complex(0.5, -0.25),
                                    ExactComplex(Fraction(1, 2), Fraction(1, 3))])
@@ -220,9 +213,35 @@ class TestScalarTypes:
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError, match="pairwise distinct"):
-            torus_trace([(A_VECTOR, Fraction(2)), (A_VECTOR, 2.0)], 3)
+            torus_trace([(A_VECTOR, Fraction(2)), (A_VECTOR, ExactComplex(2))], 3)
 
-    @pytest.mark.parametrize("zero", [0, Fraction(0), 0.0], ids=["int", "Fraction", "float"])
+    @pytest.mark.parametrize("point", [2.5, 2 + 1j], ids=["float", "complex"])
+    def test_float_and_complex_points_are_refused(self, point):
+        for evaluate in (sphere_value, lambda insertions: torus_trace(insertions, 3)):
+            with pytest.raises(SeriesError, match="is not exact"):
+                evaluate([(A_VECTOR, point), (A_VECTOR, Fraction(3))])
+
+    @pytest.mark.parametrize("order", [(5, ExactComplex(5)), (ExactComplex(5), 5)],
+                             ids=["int-first", "ExactComplex-first"])
+    def test_an_equal_exactcomplex_point_keeps_its_own_result(self, order):
+        # 5 and ExactComplex(5) compare and hash equal, but 5 runs integer
+        # pairs and ExactComplex(5) the scalar path: in either order each
+        # gets the value and type of a cold evaluation
+        def traces(z):
+            return torus_trace([(AA, z), (A_VECTOR, Fraction(-7, 2)), (A_VECTOR, 4)], 5)
+
+        cold = {}
+        for z in (5, ExactComplex(5)):
+            correlators._torus_context.cache_clear()
+            cold[type(z)] = traces(z)
+        correlators._torus_context.cache_clear()
+        for z in order:
+            _assert_identical(traces(z), cold[type(z)])
+        assert {type(c) for c in cold[int].coefficients.values()} == {Fraction}
+        assert {type(c) for c in cold[ExactComplex].coefficients.values()} == {ExactComplex}
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0), ExactComplex(0)],
+                             ids=["int", "Fraction", "ExactComplex"])
     def test_point_zero_rejected(self, zero):
         # x = e^z never vanishes: a ValueError, not a ZeroDivisionError
         with pytest.raises(ValueError, match="x = e\\^z"):
@@ -237,7 +256,7 @@ RAW_POINTS = st.tuples(st.sampled_from((-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6
 
 
 def _points(draw, n, exact):
-    family = EXACT_KINDS if exact else draw(st.sampled_from(KIND_FAMILIES))
+    family = EXACT_KINDS if exact else KINDS
     kinds = draw(st.lists(st.sampled_from(family), min_size=n, max_size=n))
     points = [_point(kind, *raw)
               for kind, raw in zip(kinds, draw(st.lists(RAW_POINTS, min_size=n, max_size=n)))]
@@ -313,7 +332,7 @@ class TestWeightedTraceSum:
 
     @settings(max_examples=30, deadline=None)
     @given(trace_steps(exact=False))
-    def test_d2_at_inexact_points_is_the_per_term_route(self, case):
+    def test_d2_at_gaussian_points_is_the_per_term_route(self, case):
         entries, x_new, q_order = case
         elem = _element(InsertionTuple(tuple(entries)), Trace(q_order))
         _assert_identical(apply_D2(x_new, elem).value.data,
@@ -350,7 +369,8 @@ class TestWeightedTraceSum:
         exact = [(A_VECTOR, Fraction(5)), (A_VECTOR, 2)]
         assert torus_trace_sum([(Fraction(1, 2), exact, None)], 4) is not None
         assert torus_trace_sum([(0.5, exact, None)], 4) is None
-        assert torus_trace_sum([(1, [(A_VECTOR, 5.0), (A_VECTOR, 2)], None)], 4) is None
+        assert torus_trace_sum([(1, [(A_VECTOR, ExactComplex(5, 1)), (A_VECTOR, 2)], None)],
+                               4) is None
         assert torus_trace_sum([(1, exact, A_VECTOR.scale(0.5))], 4) is None
 
 
@@ -375,7 +395,7 @@ class TestSewnTraceSeries:
 
     @settings(max_examples=30, deadline=None)
     @given(sewn_traces(exact=False))
-    def test_inexact_sewn_trace_is_the_per_term_sums(self, case):
+    def test_gaussian_sewn_trace_is_the_per_term_sums(self, case):
         insertions, handles, q_order = case
         surface = Trace(q_order)
         for zeta1, zeta2, order in handles:
@@ -384,7 +404,8 @@ class TestSewnTraceSeries:
                           _genus_g_sum(surface.handles, insertions,
                                        inner=lambda points: torus_trace(points, q_order)))
 
-    @pytest.mark.parametrize("zero", [0, Fraction(0), 0.0], ids=["int", "Fraction", "float"])
+    @pytest.mark.parametrize("zero", [0, Fraction(0), ExactComplex(0)],
+                             ids=["int", "Fraction", "ExactComplex"])
     @pytest.mark.parametrize("q_order", [0, 3])
     def test_a_sewing_point_at_zero_stays_a_complex_error(self, zero, q_order):
         surface = Trace(q_order).sew(SewingData(zeta1=zero, zeta2=2), 2)

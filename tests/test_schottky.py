@@ -27,7 +27,7 @@ from voachain.schottky import (
     genus_g_partition,
     handle_pairing,
 )
-from voachain.series import ExactComplex, TruncatedSeries, points_coincide
+from voachain.series import ExactComplex, SeriesError, TruncatedSeries, points_coincide
 from voachain.voa import (
     A_STATE,
     A_VECTOR,
@@ -90,16 +90,14 @@ class TestHandlePairing:
             basis, hinv = handle_pairing(z1, z2, k)
             assert hinv == _full_gram_inverse(z1, z2, k), k
 
-    def test_complex_points_get_complex_entries_after_exact_ones(self):
-        # the cache is typed: equal exact points called first must not
-        # hand their Fraction entries to complex points
+    def test_gaussian_points_get_gaussian_entries(self):
+        # at i and -i the scale (2i)^2k is (-4)^k: the entries are the
+        # rational ones at 2 and 0, times (-1)^k, as ExactComplex values
         for k in range(1, 5):
-            handle_pairing(Fraction(1), Fraction(-1), k)
-            basis, hinv = handle_pairing(1 + 0j, -1 + 0j, k)
-            assert all(type(c) is complex for row in hinv for c in row), k
-            handle_pairing.cache_clear()
-            _, cold = handle_pairing(1 + 0j, -1 + 0j, k)
-            assert [list(map(repr, row)) for row in hinv] == [list(map(repr, row)) for row in cold]
+            basis, hinv = handle_pairing(ExactComplex(0, 1), ExactComplex(0, -1), k)
+            assert all(type(c) is ExactComplex for row in hinv for c in row), k
+            _, rational = handle_pairing(2, 0, k)
+            assert hinv == tuple(tuple((-1) ** k * c for c in row) for row in rational), k
 
 
 class TestGramInverse:
@@ -254,8 +252,8 @@ class TestSewnHandles:
 
     @pytest.mark.parametrize("base, points, orders, calls", [
         (Trace(3), ((2, 3), (5, 7)), (3, 3), 6),
-        (Sphere(), ((2.0, 3.0), (5.0, 7.0)), (4, 4), 8),
-    ], ids=["trace", "sphere-at-float-points"])
+        (Sphere(), ((ExactComplex(2, 1), 3), (5, 7)), (4, 4), 8),
+    ], ids=["trace", "sphere-at-gaussian-points"])
     def test_one_pairing_call_per_handle_order(self, monkeypatch, base, points, orders, calls):
         # nested per-term sums: the inner handle's terms are not fetched
         # again for each outer term
@@ -282,11 +280,12 @@ class TestGenusGPartition:
         series = genus_g_partition(self.base_sd(), [1])
         assert series.coefficient(0) == 1
 
-    @pytest.mark.parametrize("exact", [True, False], ids=["exact-points", "float-points"])
+    @pytest.mark.parametrize("rational", [True, False],
+                             ids=["rational-points", "gaussian-points"])
     @pytest.mark.parametrize("orders", [[0, 3], [3, 0]])
-    def test_a_handle_to_order_zero_leaves_no_coefficient_known(self, exact, orders):
-        # the kernel sums exact points, the per-term sums float points
-        points = (-1, 1, -3, 3) if exact else (-1.0, 1.0, -3.0, 3.0)
+    def test_a_handle_to_order_zero_leaves_no_coefficient_known(self, rational, orders):
+        # the kernel sums rational points, the per-term sums Gaussian ones
+        points = (-1, 1, -3, 3) if rational else (-1, 1, -3, ExactComplex(3, 1))
         sd = SchottkyData(genus=2, points=points)
         for insertions in ([], [(A_VECTOR, 5), (A_VECTOR, 7)]):
             series = genus_g_npoint(sd, insertions, orders)
@@ -324,13 +323,23 @@ class TestGenusGPartition:
             with pytest.raises(SewingError, match="handle index"):
                 sd.point(a)
 
-    @pytest.mark.parametrize("twin", [Fraction(7), 7.0, 7 + 0j, ExactComplex(7)])
+    @pytest.mark.parametrize("twin", [Fraction(7), ExactComplex(7)])
     def test_equal_points_of_other_types_coincide(self, twin):
         with pytest.raises(SewingError, match="pairwise distinct"):
             SchottkyData(genus=1, points=(7, twin))
         sd = SchottkyData(genus=1, points=(7, -7))
         with pytest.raises(SewingError, match="handle points"):
             genus_g_npoint(sd, [(A_VECTOR, twin)], [2])
+
+    @pytest.mark.parametrize("point", [7.5, 7 + 1j], ids=["float", "complex"])
+    def test_float_and_complex_points_are_refused(self, point):
+        with pytest.raises(SeriesError, match="is not exact"):
+            SchottkyData(genus=1, points=(-7, point))
+        with pytest.raises(SeriesError, match="is not exact"):
+            SewingData(zeta1=point, zeta2=-7)
+        sd = SchottkyData(genus=1, points=(7, -7))
+        with pytest.raises(SeriesError, match="is not exact"):
+            genus_g_npoint(sd, [(A_VECTOR, point)], [2])
 
     def test_close_large_points_are_told_apart(self):
         # 10**17 and 10**17 + 1 round to one complex; compared exactly they
@@ -439,8 +448,8 @@ class TestNestedSewingSum:
 
 # -- the sewn-sphere kernel against the per-term sums -------------------
 
-# ExactComplex does not mix with float or complex (series.ExactComplex)
-KIND_FAMILIES = ((int, Fraction, float, complex), (int, Fraction, ExactComplex))
+# every exact point kind
+KINDS = (int, Fraction, ExactComplex)
 PARTS = ((), (1,), (2,), (1, 1), (3,), (2, 1))
 
 vectors = st.dictionaries(
@@ -456,10 +465,6 @@ def _point(kind, num, den, im):
     re = Fraction(num, den)
     if kind is Fraction:
         return re
-    if kind is float:
-        return float(re)
-    if kind is complex:
-        return complex(float(re), im)
     return ExactComplex(re, im)
 
 
@@ -467,10 +472,6 @@ def _twin(z):
     # a point equal to z, of another type where there is one
     if isinstance(z, (int, Fraction)):
         return ExactComplex(z)
-    if isinstance(z, float):
-        return Fraction(z)
-    if isinstance(z, complex):
-        return ExactComplex(Fraction(z.real), Fraction(z.imag))
     return z.re if z.im == 0 else z
 
 
@@ -481,8 +482,7 @@ def sewn_cases(draw, min_order=0):
     orders = draw(st.lists(st.integers(min_order, 4), min_size=1, max_size=2))
     states = draw(st.lists(vectors, max_size=3))
     n = len(states) + 2 * len(orders)
-    kinds = draw(st.lists(st.sampled_from(draw(st.sampled_from(KIND_FAMILIES))),
-                          min_size=n, max_size=n))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=n, max_size=n))
     if draw(st.booleans()):
         kinds = [kinds[0]] * n
     raw = draw(st.lists(st.tuples(st.sampled_from((-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6)),
@@ -498,7 +498,7 @@ def sewn_cases(draw, min_order=0):
 
 def _typed(value):
     """The value with the type and repr of every coefficient: equal
-    only if the types agree and the floats agree in every bit."""
+    only if the types agree."""
     if isinstance(value, TruncatedSeries):
         return (value.variable, value.truncation, value.min_exponent,
                 sorted((e, _typed(c)) for e, c in value.coefficients.items()))
@@ -568,17 +568,21 @@ class TestSewnSphereSeries:
             _sewn_chain(handles).evaluate(tuple(insertions))
 
     def test_only_rational_sums_run_in_the_kernel(self):
-        # the kernel accumulates integer pairs; a float or complex point or
+        # the kernel accumulates integer pairs; an ExactComplex point or
         # coefficient leaves the sum to the per-term path (None)
         handle = _sewn_handle(Fraction(-1), 1, 3, "rho")
         a3 = (A_VECTOR, 3)
+        gaussian = ExactComplex(2, 1)
         sewn = voa.sewn_sphere_series([(A_VECTOR, Fraction(2)), a3], [handle])
         assert sewn.coefficient(0) == 1 and type(sewn.coefficient(1)) is Fraction
-        assert voa.sewn_sphere_series([(A_VECTOR, 2.0), a3], [handle]) is None
-        assert voa.sewn_sphere_series([(FockVector({A_STATE: 0.5}), 2), a3], [handle]) is None
-        assert voa.sewn_sphere_series([(A_VECTOR, 2), a3], [_sewn_handle(-1, 1j, 3, "rho")]) is None
+        assert voa.sewn_sphere_series([(A_VECTOR, gaussian), a3], [handle]) is None
+        assert voa.sewn_sphere_series([(FockVector({A_STATE: gaussian}), 2), a3], [handle]) is None
+        assert voa.sewn_sphere_series([(A_VECTOR, 2), a3],
+                                      [_sewn_handle(-1, gaussian, 3, "rho")]) is None
         with pytest.raises(ValueError, match="pairwise distinct"):
-            voa.sewn_sphere_series([(A_VECTOR, 1.0), a3], [handle])
+            voa.sewn_sphere_series([(A_VECTOR, ExactComplex(1)), a3], [handle])
+        with pytest.raises(SeriesError, match="is not exact"):
+            voa.sewn_sphere_series([(A_VECTOR, 2.0), a3], [handle])
 
     def test_sphere_term_reads_the_kernel_memo(self, monkeypatch):
         # the kernel numbers the fields as sphere_matrix_element does, so a
@@ -590,8 +594,9 @@ class TestSewnSphereSeries:
         _, bbar2, b2 = _pairing_terms(points[2], points[3], 1)[0]
         term = [(A_STATE, Fraction(5)), (A_STATE, Fraction(7)),
                 (bbar1, points[0]), (b1, points[1]), (bbar2, points[2]), (b2, points[3])]
-        typed_points, _ = voa._canonical_order(tuple((type(z), z) for _, z in term))
-        ctx = voa._wick_context(typed_points)
+        points = tuple(z for _, z in term)
+        ctx = voa._wick_context((False,) * len(points),
+                                tuple(points[i] for i in voa._canonical_order(points)))
         memo_size = len(ctx.memo)
         calls = []
         wick = voa._wick

@@ -1,6 +1,5 @@
 """Tests for the Heisenberg module: modes, brackets, forms, sphere values."""
 
-import cmath
 import math
 import random
 import sys
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 from voachain import voa
 from voachain.correlators import sphere_value
-from voachain.series import ExactComplex, TruncatedSeries
+from voachain.series import ExactComplex, SeriesError, TruncatedSeries
 from voachain.voa import (
     A_STATE,
     A_VECTOR,
@@ -643,12 +642,9 @@ def _sphere_elements(draw):
     return u_out, list(zip(states, points)), u_in
 
 
-# point kinds that mix with a non-integral Fraction; each is drawn from
-# the same thirds as the Fraction points, moved off the real line where
-# the kind allows
+# the point kind that mixes with a non-integral Fraction, drawn from the
+# same thirds as the Fraction points and moved off the real line
 _MIXED_KINDS = {
-    float: lambda t: t / 3,
-    complex: lambda t: complex(t / 3, 0.5),
     ExactComplex: lambda t: ExactComplex(Fraction(t, 3), Fraction(1, 2)),
 }
 
@@ -694,8 +690,9 @@ def _cold(fn, *args):
 
 def _context_of(points):
     """The Wick context of a point set, fetched by its canonical key."""
-    typed_points, _ = voa._canonical_order(tuple((type(z), z) for z in points))
-    return voa._wick_context(typed_points)
+    order = voa._canonical_order(tuple(points))
+    points = tuple(points[i] for i in order)
+    return voa._wick_context(tuple(isinstance(z, ExactComplex) for z in points), points)
 
 
 # the points a drawn third t gives each kind; vacuum slots take fresh
@@ -770,8 +767,8 @@ class TestWickContext:
     @settings(max_examples=80, deadline=None)
     @given(_mixed_sphere_elements())
     def test_mixed_points_match_memo_free_pairing_sum(self, drawn):
-        # a non-integral Fraction next to a float, complex or ExactComplex
-        # point: every value stays (x, 1) and keeps the denominators of x
+        # a non-integral Fraction next to an ExactComplex point: every
+        # value stays (x, 1) and keeps the denominators of x
         kind, (u_out, insertions, u_in) = drawn
         legs = _legs(u_out, insertions, u_in)
         assume(legs <= 12)
@@ -782,10 +779,7 @@ class TestWickContext:
             return
         # a point's kind reaches the value only through a term it enters
         assert type(value) in (Fraction, kind)
-        if kind is ExactComplex:
-            assert value == want
-        else:
-            assert cmath.isclose(complex(value), complex(want), rel_tol=1e-9, abs_tol=1e-12)
+        assert value == want
 
     @settings(max_examples=80, deadline=None)
     @given(_permuted_elements())
@@ -805,48 +799,12 @@ class TestWickContext:
             elif kind is Fraction:
                 assert type(value) is Fraction and value == want
             else:
-                assert type(value) in (Fraction, kind)
-                if kind is ExactComplex:
-                    assert value == want
-                else:
-                    assert cmath.isclose(complex(value), complex(want), rel_tol=1e-9,
-                                         abs_tol=1e-12)
-
-    @settings(max_examples=24, deadline=None)
-    @given(st.permutations(range(4)), st.permutations([int, Fraction, float, ExactComplex]))
-    def test_permuted_equal_points_keep_their_types(self, order, kinds):
-        # 5, Fraction(5), 5.0 and ExactComplex(5) compare equal.  Permuted,
-        # and next to a vacuum slot at 5 of another kind, each still gets
-        # a context of its own and the oracle's value in its own type
-        states = [FockState((2, 1)), FockState((1,)), FockState((1, 1))]
-        u_out, u_in = FockState((1,)), FockState((2, 1))
-        result_kind = {int: Fraction, Fraction: Fraction, float: float,
-                       ExactComplex: ExactComplex}
-        voa._wick_context.cache_clear()
-        voa._canonical_order.cache_clear()
-        for kind, slot_kind in zip(kinds, kinds[1:] + kinds[:1]):
-            legged = list(zip(states, map(kind, (5, -2, 3))))
-            insertions = [*legged, (VACUUM, slot_kind(5))]
-            value = sphere_matrix_element(u_out, [insertions[i] for i in order], u_in)
-            # the equal points tie on value: their type must order them
-            reverse = sphere_matrix_element(u_out, [insertions[i] for i in order[::-1]], u_in)
-            assert _typed(reverse) == _typed(value)
-            want = _wick_oracle(u_out, legged, u_in)
-            assert type(value) is result_kind[kind], kind
-            if kind is float:
-                assert math.isclose(value, want, rel_tol=1e-12)
-            else:
-                assert value == want
-        assert voa._wick_context.cache_info().misses == len(kinds)
+                assert type(value) in (Fraction, kind) and value == want
 
     @pytest.mark.parametrize("points, kind", [
         ((Fraction(1, 3), Fraction(-5, 2)), Fraction),
         ((4, -1), Fraction),
-        ((0.25, -1.5), float),
-        ((0.5 + 1j, -2j), complex),
         ((ExactComplex(1, 2), ExactComplex(Fraction(-1, 3))), ExactComplex),
-        ((Fraction(1, 3), 0.25), float),
-        ((Fraction(1, 3), 0.5 + 1j), complex),
         ((Fraction(1, 3), ExactComplex(0, 1)), ExactComplex),
     ])
     def test_result_type_follows_the_points(self, points, kind):
@@ -867,11 +825,7 @@ class TestWickContext:
             assert type(value) is Fraction and value == want
             return
         # a point's kind reaches the value only through a term it enters
-        assert type(value) in (Fraction, kind)
-        if kind is ExactComplex:
-            assert value == want
-        else:
-            assert cmath.isclose(complex(value), complex(want), rel_tol=1e-9, abs_tol=1e-12)
+        assert type(value) in (Fraction, kind) and value == want
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("z1, z2", [(Fraction(7, 3), Fraction(-2)), (5, 2)])
@@ -942,8 +896,8 @@ class TestWickContext:
         assert sphere_value([(A_VECTOR, big), (A_VECTOR, big + 1)]) == 1
         with pytest.raises(ValueError, match="pairwise distinct"):
             sphere_value([(A_VECTOR, big), (A_VECTOR, ExactComplex(big))])
-        # beside a float point it is a validation error, not an overflow
-        with pytest.raises(ValueError, match="beyond the float range"):
+        # no float point reaches the engine, where it would overflow
+        with pytest.raises(SeriesError, match="is not exact"):
             sphere_value([(A_VECTOR, big), (A_VECTOR, 0.5)])
 
     def test_exact_points_are_ordered_exactly(self):
@@ -956,16 +910,16 @@ class TestWickContext:
         assert values == [4, 4]
         assert voa._wick_context.cache_info().misses == 1
 
-    def test_mixed_points_keep_float_tables(self):
-        # one float point makes the whole tuple inexact: every entry is
-        # (x, 1), x the value the point arithmetic gives
-        points = [Fraction(7, 2), 0.5]
+    def test_mixed_points_keep_scalar_tables(self):
+        # one ExactComplex point moves the whole tuple off integer pairs:
+        # every entry is (x, 1), x the value the point arithmetic gives
+        points = [Fraction(7, 2), ExactComplex(Fraction(1, 2), 1)]
         _cold(sphere_matrix_element, VACUUM, [(FockState((2, 1)), points[0]),
                                               (FockState((1, 2)), points[1])], VACUUM)
         ctx = _context_of(points)
         assert not ctx.exact
         assert all(den == 1 for _, den in [*ctx.memo.values(), *ctx.contractions.values()])
-        assert any(type(num) is float for num, _ in ctx.contractions.values())
+        assert any(type(num) is ExactComplex for num, _ in ctx.contractions.values())
 
     def test_batch_is_order_independent(self):
         # one point tuple, so every element of the batch shares a context
@@ -989,19 +943,22 @@ class TestWickContext:
         assert [shuffled[i] for i in range(len(batch))] == cold
         assert voa._wick_context.cache_info().misses == 1
 
-    def test_point_types_keep_their_own_results(self):
-        # 5, Fraction(5), 5.0 and ExactComplex(5) compare equal; each must
-        # still get the value and type a cold evaluation gives it
+    @pytest.mark.parametrize("kinds", [[int, Fraction, ExactComplex],
+                                       [ExactComplex, Fraction, int]])
+    def test_point_types_keep_their_own_results(self, kinds):
+        # 5, Fraction(5) and ExactComplex(5) compare and hash equal, but
+        # ExactComplex(5) runs the scalar path and the others integer
+        # pairs: in either order each gets the value and type a cold
+        # evaluation gives it
         states = [FockState((2, 1)), FockState((1,)), FockState((1, 1))]
         values = [5, -2, 3]
-        kinds = [int, Fraction, float, ExactComplex]
         u_out, u_in = FockState((1,)), FockState((2, 1))
         args = {kind: (u_out, list(zip(states, map(kind, values))), u_in) for kind in kinds}
         voa._wick_context.cache_clear()
         shared = {kind: _typed(sphere_matrix_element(*args[kind])) for kind in kinds}
         for kind in kinds:
             assert shared[kind] == _typed(_cold(sphere_matrix_element, *args[kind])), kind
-        assert shared[float][0] is float
+        assert shared[int][0] is shared[Fraction][0] is Fraction
         assert shared[ExactComplex][0] is ExactComplex
 
     def test_worker_cache_rule_clears_the_context(self):
@@ -1030,13 +987,15 @@ class TestWickContext:
         assert voa._wick_context.cache_info().misses == 1
 
     def test_vacuum_point_never_enters_a_value(self):
-        # a legged state at the float point fills the context with float
-        # entries; the vacuum there must still give the exact cold value
-        legged = [(FockState((1,)), Fraction(3)), (FockState((1, 1)), 0.5),
+        # a legged state at the ExactComplex point fills the context with
+        # ExactComplex entries; the vacuum there must still give the
+        # Fraction cold value
+        point = ExactComplex(Fraction(1, 2), 1)
+        legged = [(FockState((1,)), Fraction(3)), (FockState((1, 1)), point),
                   (FockState((2,)), Fraction(1))]
-        vacuum = [legged[0], (VACUUM, 0.5), legged[2]]
+        vacuum = [legged[0], (VACUUM, point), legged[2]]
         voa._wick_context.cache_clear()
-        assert type(sphere_matrix_element(VACUUM, legged, VACUUM)) is float
+        assert type(sphere_matrix_element(VACUUM, legged, VACUUM)) is ExactComplex
         warm = _typed(sphere_matrix_element(VACUUM, vacuum, VACUUM))
         assert voa._wick_context.cache_info().misses == 1
         assert warm == _typed(_cold(sphere_matrix_element, VACUUM, vacuum, VACUUM))

@@ -493,14 +493,25 @@ def _corr_add(a: CorrelationFunction, b: CorrelationFunction) -> CorrelationFunc
     return CorrelationFunction(a.genus, a.data + b.data, a.prefactor_exponent)
 
 
-def corr_deviation(a: CorrelationFunction, b: CorrelationFunction) -> float:
-    """Max-abs difference of two values over their shared known range."""
+def corr_difference(a: CorrelationFunction, b: CorrelationFunction) -> tuple[float, bool]:
+    """Max-abs difference of two values over their shared known range,
+    and whether the difference is exactly 0 there (the float reads 0.0
+    below about 1e-308; the verdict is exact)."""
     if a.genus != b.genus or a.prefactor_exponent != b.prefactor_exponent:
         raise ComplexError("incomparable values")
     if isinstance(a.data, TruncatedSeries) and isinstance(b.data, TruncatedSeries):
         cmpres = a.data.compare(b.data)
-        return cmpres.deviation if cmpres.comparable else float("nan")
-    return scalar_abs(a.data - b.data)
+        if not cmpres.comparable:
+            raise ComplexError(f"the values share no known range: "
+                               f"{a.data.known_range()} and {b.data.known_range()}")
+        return cmpres.deviation, cmpres.vanishes
+    diff = a.data - b.data
+    return scalar_abs(diff), scalar_is_zero(diff)
+
+
+def corr_deviation(a: CorrelationFunction, b: CorrelationFunction) -> float:
+    """Max-abs difference of two values over their shared known range."""
+    return corr_difference(a, b)[0]
 
 
 def _ratio(a, b):
@@ -545,10 +556,16 @@ class TotalDifferential(_Record):
 
 
 class ConditionReport(_Record):
-    __slots__ = ("kind", "residual", "composition_norm", "detail")
+    """One chain check: its float residual, printed, and ``vanishes``,
+    the exact verdict that the residual's differences are all 0 (by
+    default, that the residual is 0)."""
 
-    def __init__(self, kind: str, residual: float, composition_norm: float, detail: dict):
-        self._set_fields(kind, residual, composition_norm, detail)
+    __slots__ = ("kind", "residual", "composition_norm", "detail", "vanishes")
+
+    def __init__(self, kind: str, residual: float, composition_norm: float, detail: dict,
+                 vanishes: bool | None = None):
+        self._set_fields(kind, residual, composition_norm, detail,
+                         residual == 0 if vanishes is None else vanishes)
 
     @property
     def skipped(self) -> str | None:
@@ -580,12 +597,13 @@ def _check_ncondition(case) -> ConditionReport:
     _require_a_known_coefficient("n", elem.evaluator)
     path_a = apply_Dn(x2, apply_Dn(x1, elem))
     path_b = apply_Dn(x1, apply_Dn(x2, elem))
-    residual = corr_deviation(path_a.value, path_b.value)
+    residual, vanishes = corr_difference(path_a.value, path_b.value)
     return ConditionReport(
         kind="n",
         residual=residual,
         composition_norm=path_a.value.norm(),
         detail={"order": "D(x2) D(x1) vs D(x1) D(x2)"},
+        vanishes=vanishes,
     )
 
 
@@ -607,17 +625,19 @@ def _check_gcondition(case) -> ConditionReport:
     ab = apply_Dg(apply_Dg(elem, sd_a, rho_order), sd_b, rho_order)
     ba = apply_Dg(apply_Dg(elem, sd_b, rho_order), sd_a, rho_order)
     # exchange residual: coefficient (j,k) of one order vs (k,j) of the other
-    residual = 0.0
+    residual, vanishes = 0.0, True
     for j in range(rho_order):
         for k in range(rho_order):
-            va = _nested_coefficient(ab.value.data, j, k)
-            vb = _nested_coefficient(ba.value.data, k, j)
-            residual = max(residual, scalar_abs(va - vb))
+            diff = (_nested_coefficient(ab.value.data, j, k)
+                    - _nested_coefficient(ba.value.data, k, j))
+            residual = max(residual, scalar_abs(diff))
+            vanishes = vanishes and scalar_is_zero(diff)
     return ConditionReport(
         kind="g",
         residual=residual,
         composition_norm=ab.value.norm(),
         detail={"form": "handle exchange"},
+        vanishes=vanishes,
     )
 
 
@@ -650,12 +670,13 @@ def _check_gncondition(case) -> ConditionReport:
     _require_a_known_coefficient("gn", elem.evaluator.sew(sd, rho_order))
     path_a = apply_Dg(apply_Dn(x, elem), sd, rho_order)
     path_b = apply_Dn(x_raised, apply_Dg(elem, sd, rho_order))
-    residual = corr_deviation(path_a.value, path_b.value)
+    residual, vanishes = corr_difference(path_a.value, path_b.value)
     return ConditionReport(
         kind="gn",
         residual=residual,
         composition_norm=path_a.value.norm(),
         detail={"form": "[Dg, Dn(x)]"},
+        vanishes=vanishes,
     )
 
 
@@ -704,6 +725,7 @@ def _check_totalcondition(case) -> ConditionReport:
         residual=max([0.0] + [rep.residual for rep in computed]),
         composition_norm=max([0.0] + [rep.composition_norm for rep in computed]),
         detail=detail,
+        vanishes=all(rep.vanishes for rep in computed),
     )
 
 

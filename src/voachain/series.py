@@ -417,13 +417,16 @@ class TruncatedSeries:
     # -- comparison ----------------------------------------------------
 
     def compare(self, other: "TruncatedSeries") -> "SeriesComparison":
-        """Max absolute coefficient deviation over the shared known range."""
+        """Max absolute coefficient deviation over the shared known range,
+        and whether every difference there is exactly 0.  An inner block
+        that shares no known range with its counterpart is refused: it
+        compares nothing."""
         self._check_tag(other)
         lo = max(self.min_exponent, other.min_exponent)
         hi = min(self.truncation, other.truncation)
         if lo >= hi:
-            return SeriesComparison(float("nan"), lo, hi, comparable=False)
-        dev = 0.0
+            return SeriesComparison(float("nan"), lo, hi, comparable=False, vanishes=False)
+        dev, vanishes = 0.0, True
         for e in range(lo, hi):
             a = self.coefficients.get(e, 0)
             b = other.coefficients.get(e, 0)
@@ -433,10 +436,21 @@ class TruncatedSeries:
                 if not isinstance(b, TruncatedSeries):
                     b = TruncatedSeries.constant(a.variable, b, a.truncation)
                 inner = a.compare(b)
-                dev = max(dev, inner.deviation if inner.comparable else 0.0)
+                if not inner.comparable:
+                    raise SeriesError(
+                        f"the {self.variable}^{e} blocks share no known range: "
+                        f"{a.known_range()} and {b.known_range()}")
+                dev = max(dev, inner.deviation)
+                vanishes = vanishes and inner.vanishes
             else:
-                dev = max(dev, scalar_abs(a - b))
-        return SeriesComparison(dev, lo, hi, comparable=True)
+                diff = a - b
+                dev = max(dev, scalar_abs(diff))
+                vanishes = vanishes and scalar_is_zero(diff)
+        return SeriesComparison(dev, lo, hi, comparable=True, vanishes=vanishes)
+
+    def known_range(self) -> str:
+        """The exponents known, as ``var^[low, high)``."""
+        return f"{self.variable}^[{self.min_exponent}, {self.truncation})"
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -501,13 +515,16 @@ class TruncatedSeries:
 class SeriesComparison:
     """Outcome of :meth:`TruncatedSeries.compare`."""
 
-    __slots__ = ("deviation", "low", "high", "comparable")
+    __slots__ = ("deviation", "low", "high", "comparable", "vanishes")
 
-    def __init__(self, deviation: float, low: int, high: int, comparable: bool):
+    def __init__(self, deviation: float, low: int, high: int, comparable: bool,
+                 vanishes: bool):
         self.deviation = deviation
         self.low = low
         self.high = high
         self.comparable = comparable
+        # exact: a deviation reads 0.0 below about 1e-308, a verdict does not
+        self.vanishes = vanishes
 
     def __repr__(self):
         if not self.comparable:

@@ -13,7 +13,14 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from voachain import complexes
-from voachain.cli import CONFIG_KEYS, ConfigError, main, parse_scalar, read_config
+from voachain.cli import (
+    CONFIG_KEYS,
+    ConfigError,
+    build_parser,
+    main,
+    parse_scalar,
+    read_config,
+)
 from voachain.complexes import apply_Dn
 from voachain.correlators import torus_trace
 from voachain.series import ExactComplex, _frac_str, _parse_frac
@@ -565,6 +572,30 @@ expect_zero = true
         assert code == 3
         assert "residual is not 0" in err
 
+    @pytest.mark.parametrize("genus, points", [(0, "7, 9"), (1, "5, 2")])
+    def test_any_mismatch_exits_3(self, write_config, capsys, monkeypatch, genus, points):
+        # every value is exact: a mismatch far below the float range, whose
+        # printed residual reads 0.0, still fails the zero assertion
+        tiny = Fraction(1, 10**400)
+        calls = []
+
+        def off(x, elem):
+            # D(x2) D(x1) comes out off by tiny; D(x1) D(x2) does not
+            stepped = apply_Dn(x, elem)
+            calls.append(x)
+            if len(calls) == 2:
+                value = stepped.value
+                stepped = stepped._replace(value=value._replace(data=value.data + tiny))
+            return stepped
+
+        monkeypatch.setattr(complexes, "apply_Dn", off)
+        text = (f"[experiment]\nkinds = n\n[element]\ngenus = {genus}\nstates = a, a\n"
+                f"points = {points}\n[assert]\nexpect_zero = true\n")
+        code, out, err = run_cli(["check-complex", "--config", write_config(text)], capsys)
+        assert json.loads(out)["reports"][0]["residual"] == 0.0
+        assert len(calls) == 4
+        assert code == 3
+        assert "residual is not 0" in err
 
     def test_skipped_check_with_assert_exits_3(self, write_config, capsys):
         # the handle-exchange check leaves the genus window for a genus-1
@@ -969,6 +1000,67 @@ def test_every_report_is_strict_json(args, text, code, write_config, capsys, mon
     if args[:3] == ["eval-weierstrass", "--z-re", "7"]:
         # |z| past 2 pi: no tail estimate, and the value is flagged
         assert doc["tail_estimate"] is None and doc["flagged"] is True
+
+
+class TestCachedParser:
+    # one parser per process: every call after the first parses with it
+    CALLS = [
+        ("npoint", GENUS0_AA),
+        ("sew", GENUS0_AA.replace("3, 1", "3, 5")),
+        ("partition", GENUS2_SCHOTTKY + "[truncation]\nrho_orders = 2, 2\n"),
+        ("check-complex", CHECK_A_AT_2),
+        ("eval-f0", None),
+    ]
+
+    def argvs(self, tmp_path):
+        out = []
+        for command, text in self.CALLS:
+            if text is None:
+                out.append([command, "--n", "2", "--m", "1", "--z", "3", "--w", "1/2"])
+            else:
+                path = tmp_path / f"{command}.cfg"
+                path.write_text(text)
+                out.append([command, "--config", str(path)])
+        return out
+
+    def test_built_once_and_every_report_unchanged(self, tmp_path, capsys):
+        argvs = self.argvs(tmp_path)
+        cold = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            cold.append(run_cli(argv, capsys))
+        build_parser.cache_clear()
+        warm = [run_cli(argv, capsys) for argv in argvs]
+        assert build_parser.cache_info().misses == 1
+        assert warm == cold
+        assert all(code == 0 for code, _, _ in warm)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["no-such-command"], "invalid choice: 'no-such-command'"),
+        (["sew"], "the following arguments are required: --config"),
+    ])
+    def test_argument_errors_exit_2_on_the_warm_parser(self, capsys, argv, message):
+        build_parser.cache_clear()
+        with pytest.raises(SystemExit) as cold:
+            main(argv)
+        cold_err = capsys.readouterr().err
+        with pytest.raises(SystemExit) as warm:
+            main(argv)
+        warm_err = capsys.readouterr().err
+        assert build_parser.cache_info().misses == 1
+        assert cold.value.code == warm.value.code == 2
+        assert warm_err == cold_err and message in warm_err and warm_err.startswith("usage:")
+
+    def test_a_handler_patched_after_the_parser_is_warm_is_called(self, write_config, capsys,
+                                                                    monkeypatch):
+        import voachain.cli as cli
+
+        cfg = write_config(GENUS0_AA.replace("3, 1", "3, 5"))
+        assert run_cli(["sew", "--config", cfg], capsys)[0] == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_sew", lambda args: seen.append(args.config) or 7)
+        assert main(["sew", "--config", cfg]) == 7
+        assert seen == [cfg]
 
 
 class TestErrorClasses:

@@ -21,9 +21,11 @@ from voachain.complexes import (
     apply_Dg,
     apply_Dn,
     check_chain_conditions,
+    ConditionReport,
     cohomology_ranks,
     connection_functional,
     corr_deviation,
+    corr_difference,
     element_from_insertions,
     _check_ncondition,
     _element,
@@ -443,6 +445,70 @@ class TestChainConditions:
         # its gn check is computed
         assert reports[0].skipped.count("beyond") == 1
         assert "g: genus 1+2" in reports[0].skipped
+
+
+class TestExactVerdict:
+    # a residual is a float, which reads 0.0 below about 1e-308; whether
+    # the differences vanish is decided on the exact values
+    TINY = Fraction(1, 10**400)
+
+    def test_values_with_no_shared_range_are_refused(self):
+        a = CorrelationFunction(1, TruncatedSeries("q", {0: 1}, 1))
+        b = CorrelationFunction(1, TruncatedSeries("q", {3: 1}, 4, min_exponent=2))
+        for compare in (corr_deviation, corr_difference):
+            with pytest.raises(ComplexError, match=r"q\^\[0, 1\) and q\^\[2, 4\)"):
+                compare(a, b)
+
+    @pytest.mark.parametrize("data", [Fraction(3), TruncatedSeries("q", {0: 1, 2: 5}, 4)])
+    def test_a_difference_below_the_float_range_does_not_vanish(self, data):
+        a = CorrelationFunction(0, data)
+        assert corr_difference(a, a) == (0.0, True)
+        assert corr_difference(a, a._replace(data=data + self.TINY)) == (0.0, False)
+
+    def test_the_default_verdict_is_a_zero_residual(self):
+        assert ConditionReport("n", 0.0, 1.0, {}).vanishes
+        assert not ConditionReport("n", 0.5, 1.0, {}).vanishes
+        assert not ConditionReport("n", 0.0, 1.0, {}, vanishes=False).vanishes
+
+    def _shift_call(self, monkeypatch, name, nth):
+        # the nth call of the step, the last one of the first path, comes
+        # out off by TINY
+        from voachain import complexes
+
+        step, calls = getattr(complexes, name), []
+
+        def shifted(*args):
+            out = step(*args)
+            calls.append(args)
+            if len(calls) == nth:
+                out = out._replace(value=out.value._replace(data=out.value.data + self.TINY))
+            return out
+
+        monkeypatch.setattr(complexes, name, shifted)
+
+    @pytest.mark.parametrize("kind, step, nth", [("n", "apply_Dn", 2), ("g", "apply_Dg", 2),
+                                                 ("gn", "apply_Dg", 1)])
+    def test_each_check_decides_on_the_exact_differences(self, monkeypatch, kind, step, nth):
+        elem = g0_element(("a", Fraction(7)), ("a", Fraction(9)))
+        x1, x2 = (VACUUM_VECTOR, Fraction(11)), (VACUUM_VECTOR, Fraction(13))
+        case = {"kind": kind, "element": elem, "x1": x1, "x2": x2, "x": x1, "rho_order": 3}
+        (exact,) = check_chain_conditions([case])
+        assert exact.residual == 0 and exact.vanishes
+        self._shift_call(monkeypatch, step, nth)
+        (off,) = check_chain_conditions([case])
+        assert off.residual == 0.0 and not off.vanishes
+
+    def test_the_total_check_vanishes_only_if_every_block_does(self, monkeypatch):
+        elems = {(0, 1): g0_element(("a", Fraction(7)))}
+        descriptors = {
+            (0, 1): DifferentialDescriptor(VACUUM_VECTOR, Fraction(11)),
+            (0, 2): DifferentialDescriptor(VACUUM_VECTOR, Fraction(13)),
+        }
+        case = {"kind": "total", "elements": elems, "descriptors": descriptors}
+        assert check_chain_conditions([case])[0].vanishes
+        self._shift_call(monkeypatch, "apply_Dn", 2)
+        (off,) = check_chain_conditions([case])
+        assert off.residual == 0.0 and not off.vanishes
 
 
 class TestTotalDifferential:

@@ -61,7 +61,8 @@ RECORDS = [
     (TotalDifferential, (2, {}), {"m": 2, "descriptors": {}, "rho_order": 4, "g_max": 1},
      (3, {})),
     (ConditionReport, ("n", 0.0, 1.0, {}), {"kind": "n", "residual": 0.0,
-                                            "composition_norm": 1.0, "detail": {}},
+                                            "composition_norm": 1.0, "detail": {},
+                                            "vanishes": True},
      ("g", 0.0, 1.0, {})),
     (ConnectionReport, ({}, 0.0, True, {}), {"components": {}, "G_norm": 0.0,
                                              "vanishing": True, "identification": {}},

@@ -174,6 +174,26 @@ class TestCompare:
         b = S({3: 1}, 4, min_exponent=2)
         assert not a.compare(b).comparable
 
+    def test_an_inner_block_with_no_shared_range_is_refused(self):
+        # the outer ranges overlap, the rho1 blocks at rho2^0 do not: that
+        # block compares nothing, and counting it as deviation 0 would hide it
+        a = S({0: S({0: 1}, 1, var="rho1")}, 2, var="rho2")
+        b = S({0: S({3: 1}, 4, var="rho1", min_exponent=2)}, 2, var="rho2")
+        with pytest.raises(SeriesError, match=r"rho2\^0 blocks share no known range") as exc:
+            a.compare(b)
+        assert "rho1^[0, 1)" in str(exc.value) and "rho1^[2, 4)" in str(exc.value)
+
+    @pytest.mark.parametrize("inner", [False, True])
+    def test_vanishes_is_exact_where_the_deviation_underflows(self, inner):
+        tiny = Fraction(1, 10**400)
+        a, b = S({0: 1, 1: 2}, 3), S({0: 1, 1: 2 + tiny}, 3)
+        if inner:
+            a, b = S({1: a}, 2, var="rho"), S({1: b}, 2, var="rho")
+        cmpres = a.compare(b)
+        assert cmpres.deviation == 0.0
+        assert not cmpres.vanishes
+        assert a.compare(a).vanishes
+
 
 coeff_strategy = st.fractions(
     min_value=-4, max_value=4, max_denominator=6

@@ -21,7 +21,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .complexes import (
-    ChainElement,
     ComplexError,
     InsertionTuple,
     ProbeComplex,
@@ -31,7 +30,6 @@ from .complexes import (
     cohomology_ranks,
     connection_functional,
     element_from_insertions,
-    evaluator_for,
     reduce_to_zero_point,
 )
 from .elliptic import (
@@ -386,9 +384,9 @@ def cmd_sew(args) -> int:
     cfg = read_config(args.config, "sew")
     sewing = build_sewing(cfg)
     ins = build_insertions(cfg)
-    # only the sewn surface is evaluated: the element's own value is not read
-    surface = evaluator_for(ins, cfg["experiment", "genus"], q_order=cfg["truncation", "q_order"])
-    sewn = apply_Dg(ChainElement(ins, None, surface), sewing, cfg["truncation", "rho_order"])
+    elem = element_from_insertions(ins, cfg["experiment", "genus"],
+                                   q_order=cfg["truncation", "q_order"])
+    sewn = apply_Dg(elem, sewing, cfg["truncation", "rho_order"])
     emit_report("sew", cfg, result=corr_json(sewn.value))
     return 0
 

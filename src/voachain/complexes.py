@@ -6,11 +6,13 @@ Every point is exact, and so is every correlation value: genus 0 is
 the sphere engine, genus 1 the Gaussian form of the graded trace (Z(q)
 times pairings of exact q-series propagators) with exact per-order
 kernel expansions, genus 2 the paired basis sums.  Each chain element
-carries the evaluator that produced its value (:class:`Sphere`,
+carries the evaluator that gives its value (:class:`Sphere`,
 :class:`Trace`, or :class:`Sewn`, handles sewn onto either of them);
 differentials transform the insertion tuple and re-evaluate through
 that evaluator, so reduction-vs-oracle agreement is a checkable theorem
-rather than a construction.  There is one reduction, the sphere's or the
+rather than a construction.  A value is computed when it is first read:
+no differential reads the value of its input, and each checks its input
+when it is applied.  There is one reduction, the sphere's or the
 trace's, run inside the handle sums on a sewn surface.
 
 Chain conditions are reported in commutation form (the residuals of the
@@ -48,6 +50,7 @@ from .voa import (
     FockVector,
     _expand_components,
     apply_state_mode,
+    sewn_sphere_series,
     square_bracket_mode,
     zero_mode,
 )
@@ -98,7 +101,8 @@ class CorrelationFunction(_FrozenRecord):
 # handle points on it, and sews one more handle on (apply_Dg).  For the
 # reduction (apply_D1, apply_D2) it supplies the zero of its values and
 # its check on a new point; the sphere and the trace also supply their
-# zero-mode term, and the D2 mode action and kernel for one homogeneous
+# check on a step's new point and state, their zero-mode term, and the
+# D2 mode action and kernel for one homogeneous
 # component of the new state, which a sewn surface runs inside its sums.
 
 
@@ -125,19 +129,17 @@ class Sphere(_FrozenRecord):
     def _require_point(self, z):
         pass
 
-    def _zero_mode_term(self, entries, v, z):
-        components = v.homogeneous_components()
-        if z == 0 and max(components, default=0) >= 1:
+    def _require_step_point(self, v, z):
+        if z == 0 and max(v.homogeneous_components(), default=0) >= 1:
             raise ComplexError(
                 "a genus-0 reduction step at z = 0 scales by z^-wt v: "
                 "only a vacuum insertion can go there"
             )
-        # <1', o(v) X 1> = <1', o(v) P_0 X 1>: only the vacuum component
-        # of X|1> survives, and o(v)'s vacuum matrix element scales it.
-        # Those elements are 0 but for a vacuum component of v; then the
-        # term is the zero evaluating would give, and nothing is evaluated
-        op_vacs = {wt: zero_mode(comp)(VACUUM_VECTOR).coefficient(VACUUM)
-                   for wt, comp in components.items()}
+
+    def _zero_mode_term(self, entries, v, z):
+        # o(v)'s vacuum elements are 0 but for a vacuum component of v; then
+        # the term is the zero evaluating would give, and nothing is evaluated
+        op_vacs = _vacuum_elements(v)
         value = self.evaluate(entries).data if any(op_vacs.values()) else _sphere_zero(entries)
         data = 0
         for wt, op_vac in op_vacs.items():
@@ -150,6 +152,14 @@ class Sphere(_FrozenRecord):
 
     def _moved_sum(self, points, moves, total):
         return _moved_sum(self, points, moves, total)
+
+
+def _vacuum_elements(v: FockVector) -> dict:
+    # <1', o(v) X 1> = <1', o(v) P_0 X 1>: only the vacuum component of
+    # X|1> survives, and o(v)'s vacuum matrix element scales it, per
+    # homogeneous component of v
+    return {wt: zero_mode(comp)(VACUUM_VECTOR).coefficient(VACUUM)
+            for wt, comp in v.homogeneous_components().items()}
 
 
 def _sphere_zero(entries) -> Scalar:
@@ -199,6 +209,9 @@ class Trace(_FrozenRecord):
 
     def _require_point(self, x):
         _require_torus_point(x)
+
+    def _require_step_point(self, v, x):
+        pass  # x is checked as a point
 
     def sew(self, sd: SewingData, rho_order: int) -> "Sewn":
         return Sewn(self, ()).sew(sd, rho_order)
@@ -307,19 +320,43 @@ class Sewn(_FrozenRecord):
 
 class ChainElement(_Record):
     """Insertions on a surface, with their value there: the evaluator is
-    the surface, and its genus is the element's."""
+    the surface, and its genus is the element's.
 
-    __slots__ = ("insertions", "value", "evaluator")
+    The value is given, or deferred: a callable of no arguments that
+    computes it the first time it is read, which is then kept.  No
+    differential reads the value of its input, so the value of an
+    intermediate element is never computed."""
 
-    def __init__(self, insertions: InsertionTuple, value: CorrelationFunction,
-                 evaluator: object = Sphere()):
+    __slots__ = ("insertions", "_value", "evaluator")
+
+    def __init__(self, insertions: InsertionTuple, value, evaluator: object = Sphere()):
         self.insertions = insertions
-        self.value = value
+        self._value = value
         self.evaluator = evaluator
+
+    @property
+    def value(self) -> CorrelationFunction:
+        if callable(self._value):
+            self._value = self._value()
+        return self._value
 
     @property
     def genus(self) -> int:
         return self.evaluator.genus
+
+    # the fields are insertions, value and evaluator; a copy keeps a
+    # deferred value deferred
+
+    def _fields(self) -> tuple:
+        return self.insertions, self.value, self.evaluator
+
+    def __repr__(self):
+        return (f"ChainElement(insertions={self.insertions!r}, value={self.value!r}, "
+                f"evaluator={self.evaluator!r})")
+
+    def _replace(self, **changes):
+        fields = {"insertions": self.insertions, "value": self._value, "evaluator": self.evaluator}
+        return ChainElement(**{**fields, **changes})
 
 
 class DifferentialDescriptor(_FrozenRecord):
@@ -334,7 +371,11 @@ class DifferentialDescriptor(_FrozenRecord):
 
 
 def _element(ins: InsertionTuple, evaluator) -> ChainElement:
-    return ChainElement(ins, evaluator.evaluate(ins.entries), evaluator)
+    # each point is checked on the surface now, the value computed when
+    # it is read
+    for _, y in ins.entries:
+        evaluator._require_point(y)
+    return ChainElement(ins, partial(evaluator.evaluate, ins.entries), evaluator)
 
 
 def element_from_insertions(
@@ -344,22 +385,10 @@ def element_from_insertions(
     q_order: int = 8,
     rho_orders: Sequence[int] = (6,),
 ) -> ChainElement:
-    """The chain element of ``ins`` at ``genus``, valued by the
-    :func:`evaluator_for` it."""
-    return _element(ins, evaluator_for(ins, genus, schottky, q_order, rho_orders))
-
-
-def evaluator_for(
-    ins: InsertionTuple,
-    genus: int,
-    schottky: SchottkyData | None = None,
-    q_order: int = 8,
-    rho_orders: Sequence[int] = (6,),
-):
-    """The evaluator of ``ins`` at ``genus``, each point checked on it,
-    with nothing evaluated: the sphere, the trace to ``q_order``, or at
-    genus 2 the handles of ``schottky`` sewn onto the sphere to
-    ``rho_orders``."""
+    """The chain element of ``ins`` at ``genus``, on the sphere, the trace
+    to ``q_order``, or at genus 2 the handles of ``schottky`` sewn onto
+    the sphere to ``rho_orders``.  Each point is checked on that surface
+    here; the value is computed when it is first read."""
     if genus < 0:
         raise ComplexError("genus must be >= 0")
     if genus == 0:
@@ -370,9 +399,7 @@ def evaluator_for(
         if getattr(schottky, "genus", None) != genus:
             raise ComplexError(f"genus-{genus} elements need SchottkyData of that genus")
         evaluator = Sewn(Sphere(), schottky.handles(rho_orders))
-    for _, y in ins.entries:
-        evaluator._require_point(y)
-    return evaluator
+    return _element(ins, evaluator)
 
 
 # -- reduction differentials ------------------------------------------
@@ -390,14 +417,16 @@ def apply_D1(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainEleme
     pair slots, inside the handle sums."""
     v, z = x_new
     ins, base, handles = _step(elem, v, z)
+    entries = elem.insertions.entries
 
     def term(points):
         # points = [*entries, *pairs]; the pair slots follow the entries
-        pair_slots = range(len(elem.insertions.entries), len(points))
+        pair_slots = range(len(entries), len(points))
         return base._moved_sum(points, _moves(base, v, z, points, pair_slots),
                                base._zero_mode_term(points, v, z))
 
-    return _stepped(elem, ins, _genus_g_sum(handles, elem.insertions.entries, inner=term))
+    one_pass = partial(_sewn_sphere_D1, v, z) if isinstance(base, Sphere) else None
+    return _stepped(elem, ins, lambda: _genus_g_sum(handles, entries, term, one_pass))
 
 
 def apply_D2(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainElement:
@@ -408,12 +437,17 @@ def apply_D2(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainEleme
     v, z_new = x_new
     ins, base, handles = _step(elem, v, z_new)
     entries = elem.insertions.entries
-    # the moves at the element's own slots are the same in every paired term
-    moves = list(_moves(base, v, z_new, entries, range(len(entries))))
-    if not moves:
-        return _stepped(elem, ins, elem.evaluator._zero())
-    return _stepped(elem, ins, _genus_g_sum(
-        handles, entries, inner=lambda points: base._moved_sum(points, moves, base._zero())))
+
+    def data():
+        # the moves at the element's own slots are the same in every paired term
+        moves = list(_moves(base, v, z_new, entries, range(len(entries))))
+        if not moves:
+            return elem.evaluator._zero()
+        one_pass = partial(_sewn_sphere_moves, moves) if isinstance(base, Sphere) else None
+        return _genus_g_sum(handles, entries,
+                            lambda points: base._moved_sum(points, moves, base._zero()), one_pass)
+
+    return _stepped(elem, ins, data)
 
 
 def _moves(base, v, z_new, entries, slots):
@@ -439,13 +473,82 @@ def _moved_sum(base, points, moves, total):
     return total
 
 
+# -- the reduction on the sewn sphere in one Wick context ---------------
+#
+# At rational points D^n of a sewn sphere is a few sums of the sphere
+# function over the paired terms, each one sewn_sphere_series call at
+# the same points: one Wick context for all of them.  Each returns None
+# when a point or a coefficient is not rational, and the reduction then
+# runs per paired term (schottky._genus_g_sum's inner term).
+
+
+def _sewn_sphere_D1(v, z, entries, sewn):
+    # the zero-mode term is the sums times o(v)'s vacuum elements, which
+    # scale the outer handle's pairing; the moves at handle h's pair slots
+    # are the sums with h's paired terms replaced by their moves, bbar at
+    # zeta1 or b at zeta2, each weighted by its kernel and the moved
+    # component's coefficient.  The sums need rational points: at others
+    # it leaves before the moved terms are built
+    points = [z, *(y for _, y in entries), *(zeta for h in sewn for zeta in h[:2])]
+    if not all(isinstance(p, (int, Fraction)) for p in points):
+        return None
+    factor = sum(_int_power(z, -wt) * op_vac for wt, op_vac in _vacuum_elements(v).items()
+                 if op_vac)
+    pieces = []
+    if factor:
+        zeta1, zeta2, terms, variable = sewn[0]
+        scaled = [[(c * factor, bbar, b) for c, bbar, b in terms_k] for terms_k in terms]
+        pieces.append((entries, [(zeta1, zeta2, scaled, variable), *sewn[1:]]))
+    known = {}
+
+    def moved(state, point):
+        # (kernel * coefficient, basis state) per move of v on one state
+        if (state, point) not in known:
+            moves = _moves(Sphere(), v, z, [(FockVector({state: 1}), point)], (0,))
+            known[state, point] = [(weight * coeff, s) for _, weight, vec in moves
+                                   for s, coeff in vec.terms.items()]
+        return known[state, point]
+
+    for h, (zeta1, zeta2, terms, variable) in enumerate(sewn):
+        moved_terms = [[(c * w, s, b) for c, bbar, b in terms_k for w, s in moved(bbar, zeta1)]
+                       + [(c * w, bbar, s) for c, bbar, b in terms_k for w, s in moved(b, zeta2)]
+                       for terms_k in terms]
+        pieces.append((entries, [*sewn[:h], (zeta1, zeta2, moved_terms, variable), *sewn[h + 1:]]))
+    return _sewn_sphere_sum(pieces, sewn)
+
+
+def _sewn_sphere_moves(moves, entries, sewn):
+    # the moves at the element's own slots: per slot k, one call with x_k
+    # replaced by the vector sum of kernel * v(m) x_k over its moves
+    folded = {}
+    for k, weight, moved in moves:
+        folded[k] = folded[k] + moved.scale(weight) if k in folded else moved.scale(weight)
+    return _sewn_sphere_sum([([*entries[:k], (vec, entries[k][1]), *entries[k + 1:]], sewn)
+                             for k, vec in folded.items()], sewn)
+
+
+def _sewn_sphere_sum(pieces, sewn):
+    # the sum of sewn_sphere_series(entries, handles) over the pieces,
+    # from the zero of the sums over sewn; None if any is None
+    total = TruncatedSeries.zero(sewn[0][3], len(sewn[0][2]))
+    for entries, handles in pieces:
+        series = sewn_sphere_series(entries, handles)
+        if series is None:
+            return None
+        total = total + series
+    return total
+
+
 def _step(elem: ChainElement, v: FockVector, z: Scalar) -> tuple:
-    # the checks of a reduction step, made before any sum runs; returns
-    # the insertions with v appended at z, the base evaluator (the sphere
-    # and the trace are their own) and the handles its reduction runs in
+    # the checks of a reduction step, made when the step is taken, before
+    # any value is computed; returns the insertions with v appended at z,
+    # the base evaluator (the sphere and the trace are their own) and the
+    # handles its reduction runs in
     evaluator = elem.evaluator
     evaluator._require_point(z)
-    return (elem.insertions.append(v, z), *_base_and_handles(evaluator))
+    base, handles = _base_and_handles(evaluator)
+    base._require_step_point(v, z)
+    return elem.insertions.append(v, z), base, handles
 
 
 def _base_and_handles(evaluator) -> tuple:
@@ -457,24 +560,33 @@ def _base_and_handles(evaluator) -> tuple:
 
 
 def _stepped(elem: ChainElement, ins: InsertionTuple, data) -> ChainElement:
-    # the reduction image, valued in elem's presentation
-    return elem._replace(insertions=ins, value=elem.value._replace(data=data))
+    # the reduction image on elem's surface, its value's data computed by
+    # data() when the value is read
+    evaluator = elem.evaluator
+    return ChainElement(ins, lambda: CorrelationFunction(
+        evaluator.genus, data(), evaluator.prefactor_exponent), evaluator)
 
 
 def apply_Dn(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainElement:
-    """Full reduction step D^n = D1 + D2 appending the new insertion."""
-    d1 = apply_D1(x_new, elem)
-    d2 = apply_D2(x_new, elem)
-    return d1._replace(value=_corr_add(d1.value, d2.value))
+    """Full reduction step D^n = D1 + D2 appending the new insertion.  The
+    step is checked now; D1 and D2 are taken when its value is read."""
+    ins = _step(elem, *x_new)[0]
+    return _stepped(elem, ins, lambda: (apply_D1(x_new, elem).value.data
+                                        + apply_D2(x_new, elem).value.data))
 
 
 def apply_Dg(elem: ChainElement, sd: SewingData, rho_order: int) -> ChainElement:
     """Genus-raising differential: one handle sewn onto elem's own
-    presentation; insertion slots keep their points."""
-    surface = [*(z for _, z in elem.insertions.entries), *elem.evaluator.handle_points]
+    presentation; insertion slots keep their points, which are checked on
+    the sewn surface now, with the sewing points."""
+    evaluator = elem.evaluator
+    surface = [*(z for _, z in elem.insertions.entries), *evaluator.handle_points]
     if points_coincide([*surface, sd.zeta1]) or points_coincide([*surface, sd.zeta2]):
         raise ComplexError("sewing points must differ from the points already on the surface")
-    return _element(elem.insertions, elem.evaluator.sew(sd, rho_order))
+    base = _base_and_handles(evaluator)[0]
+    base._require_point(sd.zeta1)
+    base._require_point(sd.zeta2)
+    return _element(elem.insertions, evaluator.sew(sd, rho_order))
 
 
 def _require_torus_point(x: Scalar):
@@ -485,12 +597,6 @@ def _require_torus_point(x: Scalar):
 
 
 # -- value arithmetic ---------------------------------------------------
-
-
-def _corr_add(a: CorrelationFunction, b: CorrelationFunction) -> CorrelationFunction:
-    if a.genus != b.genus or a.prefactor_exponent != b.prefactor_exponent:
-        raise ComplexError("cannot add values with mismatched genus or prefactor")
-    return CorrelationFunction(a.genus, a.data + b.data, a.prefactor_exponent)
 
 
 def corr_difference(a: CorrelationFunction, b: CorrelationFunction) -> tuple[float, bool]:
@@ -518,41 +624,7 @@ def _ratio(a, b):
     return (Fraction(a) if isinstance(a, int) else a) / b
 
 
-# -- total differential and chain conditions ---------------------------
-
-
-class TotalDifferential(_Record):
-    """Block operator d^m = sum over (g,n), g+n=m of D^g + (-1)^g D^n,
-    with one new-insertion descriptor per (g,n) block."""
-
-    __slots__ = ("m", "descriptors", "rho_order", "g_max")
-
-    def __init__(self, m: int, descriptors: Mapping[tuple[int, int], DifferentialDescriptor],
-                 rho_order: int = 4, g_max: int = 1):
-        self._set_fields(m, descriptors, rho_order, g_max)
-
-    def blocks(self) -> list[tuple[int, int]]:
-        return [(g, self.m - g) for g in range(0, min(self.m, self.g_max) + 1)]
-
-    def apply(self, elements: Mapping[tuple[int, int], ChainElement]
-              ) -> dict[tuple[int, int], list[tuple[str, ChainElement]]]:
-        """Images per target block, tagged by the originating summand."""
-        missing = [blk for blk in elements if blk not in self.descriptors]
-        if missing:
-            raise ComplexError(f"missing descriptors for blocks {missing}")
-        out: dict[tuple[int, int], list[tuple[str, ChainElement]]] = {}
-        for (g, n), elem in elements.items():
-            desc = self.descriptors[(g, n)]
-            if desc.sewing is not None:
-                sewn = apply_Dg(elem, desc.sewing, self.rho_order)
-                out.setdefault((g + 1, n), []).append(("Dg", sewn))
-            if desc.state is not None:
-                stepped = apply_Dn((desc.state, desc.point), elem)
-                sign = (-1) ** g
-                stepped = stepped._replace(value=stepped.value._replace(
-                    data=stepped.value.data * sign))
-                out.setdefault((g, n + 1), []).append(("Dn", stepped))
-        return out
+# -- chain conditions --------------------------------------------------
 
 
 class ConditionReport(_Record):
@@ -783,7 +855,7 @@ def connection_functional(
     if f_op not in ("paper", "zero"):
         raise ComplexError(f"unknown F operator preset {f_op!r}")
     sewing = sewing or SewingData(zeta1=Fraction(1), zeta2=Fraction(-1))
-    zero = phi.value._replace(data=phi.evaluator._zero())
+    zero = CorrelationFunction(phi.genus, phi.evaluator._zero(), phi.evaluator.prefactor_exponent)
     if f_op == "zero":
         return ConnectionReport(dict.fromkeys(("sewing_term", "middle_term", "bracket_term"), zero),
                                 0.0, True, {"f_op": f_op, "include_vacuum_term": include_vacuum_term})

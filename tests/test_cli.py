@@ -350,6 +350,19 @@ q_order = 3
         assert code == 2
         assert "x = e^z" in json.loads(out)["error"]["message"]
 
+    def test_reduction_computes_only_the_last_step(self, write_config, capsys, monkeypatch):
+        # the printed value is the last step's: D1 runs once, for it, and
+        # no earlier step is valued
+        calls = []
+        apply_D1 = complexes.apply_D1
+        monkeypatch.setattr(complexes, "apply_D1", lambda *a: calls.append(a) or apply_D1(*a))
+        cfg = write_config("[experiment]\ngenus = 0\n[insertions]\n"
+                           "states = a, a, a, a\npoints = 1, 2, 4, 5\n")
+        code, out, _ = run_cli(["npoint", "--config", cfg, "--reduction"], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["value"] == {"rational": "5329/5184"}  # the pairing sum
+        assert len(calls) == 1 and calls[0][0][1] == 5
+
     def test_genus2_npoint_needs_genus2_schottky(self, write_config, capsys):
         cfg = write_config(
             """
@@ -556,6 +569,32 @@ expect_zero = true
         assert "skipped" not in report["detail"] and "skipped" not in err
         assert report["residual"] == 0 and report["composition_norm"] > 0
         assert code == 0
+
+    def test_genus1_n_check_builds_one_trace_context_per_point_tuple(
+            self, write_config, capsys, monkeypatch):
+        # the element and the first steps are never valued: each path's last
+        # step sums at its own points, (t1, t2, s1) and (t1, t2, s2)
+        from voachain import correlators
+
+        built = []
+
+        class Counted(correlators._TorusContext):
+            __slots__ = ()
+
+            def __init__(self, points, order):
+                built.append(points)
+                super().__init__(points, order)
+
+        monkeypatch.setattr(correlators, "_TorusContext", Counted)
+        correlators._torus_context.cache_clear()
+        cfg = write_config("[experiment]\nkinds = n\n[element]\ngenus = 1\n"
+                           "states = a, a\npoints = 2, -4\n[descriptors]\n"
+                           "x1_state = a\nx1_point = -5\nx2_state = a\nx2_point = 6\n"
+                           "[truncation]\nq_order = 6\n[assert]\nexpect_zero = true\n")
+        code, out, _ = run_cli(["check-complex", "--config", cfg], capsys)
+        correlators._torus_context.cache_clear()
+        assert code == 0 and json.loads(out)["reports"][0]["composition_norm"] > 0
+        assert sorted(built) == [(2, -4, -5), (2, -4, 6)]
 
     def test_nonzero_residual_with_assert_exits_3(self, write_config, capsys, monkeypatch):
         import voachain.cli as cli

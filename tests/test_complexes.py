@@ -15,7 +15,6 @@ from voachain.complexes import (
     DifferentialDescriptor,
     InsertionTuple,
     ProbeComplex,
-    TotalDifferential,
     apply_D1,
     apply_D2,
     apply_Dg,
@@ -44,6 +43,7 @@ from voachain.voa import (
     FockState,
     FockVector,
     fock_basis,
+    sewn_sphere_series,
     zero_mode,
 )
 
@@ -385,32 +385,28 @@ class TestChainConditions:
         for rep in reports:
             assert math.isfinite(rep.residual)
 
-    def test_gcondition_second_order_reuses_the_twice_sewn_terms(self, monkeypatch):
-        # Dg Dg in the other handle order sums the same twice-sewn terms
-        # with the two pairs swapped; its once-sewn sum, at other points,
-        # runs between the two and must not evict their context
-        from voachain import complexes, voa
+    def test_gcondition_sums_only_the_twice_sewn_values(self, monkeypatch):
+        # the once-sewn intermediates are never valued: the check makes one
+        # sewn_sphere_series call per handle order, both at one point set,
+        # and the second runs in the first one's Wick context
+        from voachain import complexes, schottky, voa
 
         elem = g0_element(("a", Fraction(7)), ("a", Fraction(9)))
-        points = tuple(Fraction(z) for z in (7, 9, 1, -1, 3, -3))  # with the default pairs
-        twice_sewn = []
+        calls = []
 
-        def spy(elem, sd, rho_order):
-            out = apply_Dg(elem, sd, rho_order)
-            if out.genus == 2:
-                misses = voa._wick_context.cache_info().misses
-                ctx = voa._wick_context((False,) * len(points), tuple(
-                    points[i] for i in voa._canonical_order(points)))
-                twice_sewn.append((misses, ctx, len(ctx.memo)))
+        def spy(insertions, handles):
+            misses = voa._wick_context.cache_info().misses
+            out = sewn_sphere_series(insertions, handles)
+            points = sorted([z for _, z in insertions] + [z for h in handles for z in h[:2]])
+            calls.append((points, voa._wick_context.cache_info().misses - misses))
             return out
 
-        monkeypatch.setattr(complexes, "apply_Dg", spy)
+        monkeypatch.setattr(schottky, "sewn_sphere_series", spy)
         report = complexes._check_gcondition({"element": elem, "rho_order": 3})
         assert report.residual == 0 and report.composition_norm != 0
-        (misses_ab, ctx_ab, entries_ab), (misses_ba, ctx_ba, entries_ba) = twice_sewn
-        assert ctx_ba is ctx_ab and entries_ba == entries_ab
-        # the only new context is the once-sewn sum at the second pair
-        assert misses_ba == misses_ab + 1
+        (points_ab, _), (points_ba, new_ba) = calls
+        assert points_ab == points_ba == sorted(Fraction(z) for z in (7, 9, 1, -1, 3, -3))
+        assert new_ba == 0
 
     def test_exchange_residual_vanishes_for_exact_reductions(self):
         # at desk scale the reduction is a theorem at genus 0 and 1, so
@@ -509,62 +505,6 @@ class TestExactVerdict:
         self._shift_call(monkeypatch, "apply_Dn", 2)
         (off,) = check_chain_conditions([case])
         assert off.residual == 0.0 and not off.vanishes
-
-
-class TestTotalDifferential:
-    def test_block_structure(self):
-        elems = {
-            (0, 1): g0_element(("a", Fraction(7))),
-            (1, 0): g1_element([], q_order=4),
-        }
-        descriptors = {
-            (0, 1): DifferentialDescriptor(A_VECTOR, Fraction(11), SewingData()),
-            (1, 0): DifferentialDescriptor(A_VECTOR, Fraction(11),
-                                           SewingData(zeta1=Fraction(17), zeta2=Fraction(19))),
-        }
-        d = TotalDifferential(m=1, descriptors=descriptors, rho_order=3)
-        images = d.apply(elems)
-        assert set(images) == {(1, 1), (0, 2), (2, 0)}
-        # block-by-block agreement with individual applications
-        dn_01 = apply_Dn((A_VECTOR, Fraction(11)), elems[(0, 1)])
-        tagged = dict(images[(0, 2)])
-        assert tagged["Dn"].value.data == dn_01.value.data * (-1) ** 0
-
-    def test_sign_structure(self):
-        # with sewing absent, d acts as (+/-1)^g D^n blockwise
-        elems = {
-            (1, 0): g1_element([], q_order=4),
-        }
-        descriptors = {
-            (1, 0): DifferentialDescriptor(A_VECTOR, Fraction(3)),
-        }
-        d = TotalDifferential(m=1, descriptors=descriptors)
-        images = d.apply(elems)
-        assert set(images) == {(1, 1)}
-        stepped = apply_Dn((A_VECTOR, Fraction(3)), elems[(1, 0)])
-        got = dict(images[(1, 1)])["Dn"].value.data
-        dev = got.compare(stepped.value.data * (-1)).deviation
-        assert dev == 0
-
-    def test_missing_descriptor_rejected(self):
-        elems = {(0, 1): g0_element(("a", Fraction(7)))}
-        d = TotalDifferential(m=1, descriptors={})
-        with pytest.raises(ComplexError):
-            d.apply(elems)
-
-    def test_m_zero_single_block(self):
-        # d^0 acts on the lone (0,0) block as sewing plus one insertion
-        elems = {(0, 0): g0_element()}
-        descriptors = {
-            (0, 0): DifferentialDescriptor(A_VECTOR, Fraction(3), SewingData()),
-        }
-        d = TotalDifferential(m=0, descriptors=descriptors, rho_order=3)
-        assert d.blocks() == [(0, 0)]
-        images = d.apply(elems)
-        assert set(images) == {(1, 0), (0, 1)}
-        assert dict(images[(0, 1)])["Dn"].value.data == 0  # 1-point of a
-        sewn = dict(images[(1, 0)])["Dg"].value.data
-        assert sewn.coefficient(1) == 1
 
 
 class TestReduceToZeroPoint:
@@ -1106,6 +1046,124 @@ class TestSewnSphereReduction:
         # the points avoid 0 and the handle points (-1, 1, -4, 4)
         *held, y = points
         self.assert_steps_equal_sewing(handles, list(zip(names, held)), [(SEWN_POOL[step], y)])
+
+    @pytest.mark.parametrize("handles", [1, 2], ids=["genus1", "genus2"])
+    @pytest.mark.parametrize("step", ["1", "a", "aa", "[2]", "omega+1"])
+    def test_one_pass_step_equals_the_evaluation_and_the_per_term_route(
+            self, monkeypatch, handles, step):
+        # at rational points D^n runs as sewn_sphere_series calls alone, in
+        # the element's own Wick context, with no sphere function per paired
+        # term; it equals the sewn evaluation of the stepped insertions and
+        # the per-term route, which runs when a sum is not rational
+        from voachain import complexes, voa
+
+        v, y = {**SEWN_POOL, "omega+1": OMEGA_VECTOR + VACUUM_VECTOR}[step], Fraction(9)
+        entries = ((A_VECTOR, Fraction(5)), (A_VECTOR + AA, Fraction(7)))
+        elem = sewn_sphere(handles, elem=element_from_insertions(InsertionTuple(entries), 0))
+        want = elem.evaluator.evaluate((*entries, (v, y)))
+        assert not want.is_zero()
+        assert elem.value.genus == handles  # its Wick context is now built
+        calls = {"sphere_value": 0, "sewn_sphere_series": 0}
+        for name in calls:
+            def spy(*args, _name=name, _fn=getattr(complexes, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(complexes, name, spy)
+        misses = voa._wick_context.cache_info().misses
+        assert apply_Dn((v, y), elem).value == want
+        assert voa._wick_context.cache_info().misses == misses
+        assert calls["sphere_value"] == 0 and calls["sewn_sphere_series"] >= 1
+        monkeypatch.setattr(complexes, "sewn_sphere_series", lambda *args: None)
+        assert apply_Dn((v, y), elem).value == want
+        assert calls["sphere_value"] > 0
+
+    def test_per_term_route_at_exact_complex_points(self):
+        # a Gaussian-rational point leaves the one-pass sums, for the sewn
+        # evaluation and D^n alike; the two still agree by ==
+        y = ExactComplex(9, 1)
+        elem = sewn_sphere(1, ("a", Fraction(5)), ("aa", Fraction(7)))
+        want = elem.evaluator.evaluate((*elem.insertions.entries, (A_VECTOR, y)))
+        assert not want.is_zero()
+        assert apply_Dn((A_VECTOR, y), elem).value == want
+
+
+class TestDeferredValues:
+    # a value is computed when it is first read, and then kept; a step's
+    # refusals come with the step, before any value is computed
+
+    @pytest.fixture
+    def no_value(self, monkeypatch):
+        from voachain import complexes, schottky
+
+        def computed(*args, **kwargs):
+            raise AssertionError("a value was computed")
+
+        for module, name in ((complexes, "sphere_value"), (complexes, "torus_trace"),
+                             (complexes, "torus_trace_sum"), (complexes, "sewn_trace_series"),
+                             (complexes, "sewn_sphere_series"), (complexes, "_genus_g_sum"),
+                             (schottky, "sewn_sphere_series")):
+            monkeypatch.setattr(module, name, computed)
+
+    def test_a_value_is_computed_once_when_read(self, monkeypatch):
+        from voachain import complexes
+
+        calls = []
+        monkeypatch.setattr(complexes, "sphere_value",
+                            lambda *a, **k: calls.append(a) or sphere_value(*a, **k))
+        elem = g0_element(("a", Fraction(2)), ("a", Fraction(5)))
+        stepped = apply_Dn((A_VECTOR, Fraction(7)), apply_Dn((A_VECTOR, Fraction(6)), elem))
+        sewn = apply_Dg(stepped, SewingData(), 2)
+        assert calls == []
+        assert elem.value.data == Fraction(1, 9)
+        assert len(calls) == 1
+        assert elem.value.data == Fraction(1, 9) and len(calls) == 1
+        assert stepped.value.data == g0_element(
+            ("a", Fraction(2)), ("a", Fraction(5)), ("a", Fraction(6)), ("a", Fraction(7))
+        ).value.data
+        assert sewn.value.genus == 1
+
+    def test_steps_and_sewings_compute_no_value(self, no_value):
+        elem = sewn_sphere(2, ("a", Fraction(2)))
+        for step in (apply_D1, apply_D2, apply_Dn):
+            stepped = step((AA, Fraction(6)), elem)
+            assert stepped.genus == 2 and len(stepped.insertions.entries) == 2
+        trace = apply_Dn((A_VECTOR, Fraction(3)), g1_element([("a", Fraction(2))], q_order=3))
+        assert apply_Dg(trace, SewingData(zeta1=5, zeta2=-5), 2).genus == 2
+
+    @pytest.mark.parametrize("elem", [
+        lambda: g0_element(("a", Fraction(2))),
+        lambda: sewn_sphere(1, ("a", Fraction(2))),
+        lambda: element_from_insertions(InsertionTuple(((A_VECTOR, Fraction(2)),)), 2, SD2,
+                                        rho_orders=(2, 0)),
+    ], ids=["sphere", "sewn-sphere", "genus2-order-0"])
+    @pytest.mark.parametrize("step", [apply_D1, apply_D2, apply_Dn])
+    def test_weighted_step_to_zero(self, no_value, elem, step):
+        with pytest.raises(ComplexError, match="z = 0"):
+            step((A_VECTOR, Fraction(0)), elem())
+
+    def test_trace_point_zero(self, no_value):
+        ins = InsertionTuple(((A_VECTOR, Fraction(2)), (A_VECTOR, Fraction(0))))
+        with pytest.raises(ComplexError, match="x = e\\^z"):
+            _element(ins, Trace(3))
+        elem = g1_element([("a", Fraction(2))], q_order=3)
+        with pytest.raises(ComplexError, match="x = e\\^z"):
+            apply_Dn((A_VECTOR, Fraction(0)), elem)
+        with pytest.raises(ComplexError, match="x = e\\^z"):
+            apply_Dg(elem, SewingData(zeta1=Fraction(0), zeta2=Fraction(5)), 2)
+
+    @pytest.mark.parametrize("step", [apply_D1, apply_D2, apply_Dn])
+    def test_step_onto_a_handle_point(self, no_value, step):
+        elem = element_from_insertions(InsertionTuple(((A_VECTOR, Fraction(2)),)), 2, SD2,
+                                       rho_orders=(2, 2))
+        with pytest.raises(ComplexError, match="handle points"):
+            step((A_VECTOR, Fraction(-4)), elem)
+
+    @pytest.mark.parametrize("zeta", [Fraction(2), Fraction(-1)], ids=["insertion", "handle"])
+    def test_sewing_onto_a_point_on_the_surface(self, no_value, zeta):
+        elem = sewn_sphere(1, ("a", Fraction(2)))
+        with pytest.raises(ComplexError, match="sewing points must differ from the points "
+                                               "already on the surface"):
+            apply_Dg(elem, SewingData(zeta1=zeta, zeta2=Fraction(9)), 2)
 
 
 class TestCohomology:

@@ -23,7 +23,6 @@ from voachain.complexes import (
     ProbeComplex,
     Sewn,
     Sphere,
-    TotalDifferential,
     Trace,
     apply_D1,
     apply_Dn,
@@ -58,8 +57,6 @@ RECORDS = [
      (INS, VALUE, Trace(3))),
     (DifferentialDescriptor, (None, 3), {"state": None, "point": 3, "sewing": None},
      (None, 4)),
-    (TotalDifferential, (2, {}), {"m": 2, "descriptors": {}, "rho_order": 4, "g_max": 1},
-     (3, {})),
     (ConditionReport, ("n", 0.0, 1.0, {}), {"kind": "n", "residual": 0.0,
                                             "composition_norm": 1.0, "detail": {},
                                             "vanishes": True},
@@ -76,7 +73,7 @@ RECORDS = [
       "betti": 1, "non_complex": False, "composition_residual": 0},
      (1, 4, 2, 2, 1, None, True, 3)),
 ]
-MUTABLE = {ChainElement, TotalDifferential, ConditionReport, ConnectionReport, CohomologyReport}
+MUTABLE = {ChainElement, ConditionReport, ConnectionReport, CohomologyReport}
 IDS = [case[0].__name__ for case in RECORDS]
 
 

@@ -165,18 +165,15 @@ def _vacuum_elements(v: FockVector) -> dict:
 def _sphere_zero(entries) -> Scalar:
     # 0 of the type sphere_value(entries) has between vacua, summed as it
     # sums its basis components: an odd leg count gives an int 0; an even
-    # one a Fraction (the inverse norm), which also takes the type of the
-    # points carrying legs when two or more insertions carry them (the
-    # first leg then contracts with each other such point)
+    # one a Fraction, or an ExactComplex when a point carrying legs is one
     total = 0
     for states, coeff in _expand_components(entries, dressed=False):
         if sum(s.length for s in states) % 2:
             val = 0
         else:
             val = Fraction(0)
-            legged = [z for s, (_, z) in zip(states, entries) if s.partition]
-            if len(legged) > 1:
-                for z in legged:
+            for s, (_, z) in zip(states, entries):
+                if s.partition:
                     val = val * z
         total = total + coeff * val
     return total

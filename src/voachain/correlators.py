@@ -37,7 +37,6 @@ from .voa import (
     _chars,
     _comb_neg,
     _expand_components,
-    _power_pair,
     _require_distinct,
     partition_count,
     sphere_matrix_element,
@@ -56,10 +55,11 @@ def sphere_value(
     """<u_out', Y(v1,z1)...Y(vn,zn) u_in>, exact.
 
     With ``dressed`` each insertion is Y(x^{L0} v, x), contributing
-    x^{wt} per homogeneous component.
+    x^{wt} per homogeneous component.  The in state is the insertion of
+    u_in at 0, so no other insertion may sit there.
     """
     points = [z for _, z in insertions]
-    _require_distinct(points)
+    _require_distinct([*points, 0] if u_in.partition else points)
     total = 0
     for states, coeff in _expand_components(insertions, dressed):
         val = sphere_matrix_element(u_out, list(zip(states, points)), u_in)
@@ -325,6 +325,19 @@ def _reduced(ctx: _TorusContext, series):
         if g > 1:
             return [n // g for n in nums], den // g
     return series
+
+
+def _power_pair(exact: bool, base, k: int) -> tuple:
+    """base^k as a context's (numerator, denominator) pair: an integer
+    pair when the context is exact, else (base^k, 1)."""
+    if not exact:
+        return _int_power(base, k), 1
+    num, den = base.numerator, base.denominator
+    if k < 0:
+        num, den, k = den, num, -k
+        if den < 0:
+            num, den = -num, -den
+    return num**k, den**k
 
 
 def _point_powers(ctx: _TorusContext, i: int, d: int) -> tuple:

@@ -26,7 +26,8 @@ the terms sit at the same points.  When the innermost term is the
 sphere function itself and the points are rational, every handle is summed
 in one call of :func:`~voachain.voa.sewn_sphere_series`: one point
 check, one Wick context, one _wick call per paired term and one integer
-pair per coefficient.  When it is the graded trace, every handle is
+sum per coefficient and group of terms with equal weights, lowered to a
+Fraction once.  When it is the graded trace, every handle is
 summed in one call of :func:`~voachain.correlators.sewn_trace_series`:
 one trace context and one integer sum per rho multi-index.
 :func:`_sewn_series`, one handle at a time over any term, serves the

@@ -103,7 +103,7 @@ class ExactComplex:
         other = _as_exact(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactComplex(self.re + other.re, self.im + other.im)
+        return _gaussian(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -111,19 +111,20 @@ class ExactComplex:
         other = _as_exact(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactComplex(self.re - other.re, self.im - other.im)
+        return _gaussian(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = _as_exact(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactComplex(other.re - self.re, other.im - self.im)
+        return _gaussian(other.re - self.re, other.im - self.im)
 
     def __mul__(self, other):
-        other = _as_exact(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return _gaussian(self.re * other, self.im * other)
+        if not isinstance(other, ExactComplex):
             return NotImplemented
-        return ExactComplex(
+        return _gaussian(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -137,7 +138,7 @@ class ExactComplex:
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero ExactComplex")
-        return ExactComplex(
+        return _gaussian(
             (self.re * other.re + self.im * other.im) / n,
             (self.im * other.re - self.re * other.im) / n,
         )
@@ -149,7 +150,7 @@ class ExactComplex:
         return other / self
 
     def __neg__(self):
-        return ExactComplex(-self.re, -self.im)
+        return _gaussian(-self.re, -self.im)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -180,6 +181,13 @@ class ExactComplex:
         # re±imj, as cli.parse_scalar reads it back
         sign = "-" if self.im < 0 else "+"
         return f"{_frac_str(self.re)}{sign}{_frac_str(abs(self.im))}j"
+
+
+def _gaussian(re: Fraction, im: Fraction) -> ExactComplex:
+    # an ExactComplex from two Fractions, which need no conversion
+    z = object.__new__(ExactComplex)
+    z.re, z.im = re, im
+    return z
 
 
 def _as_exact(x):

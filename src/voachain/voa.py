@@ -409,7 +409,9 @@ def vertex_matrix_element(
 # the normally ordered product of derivative fields d^(n-1)a/(n-1)! and
 # the whole element is a sum over pairings.  Pairwise contractions are
 # closed-form rational functions of the points, which is exactly the
-# resummation of the infinite intermediate mode sums.
+# resummation of the infinite intermediate mode sums.  The in state is
+# the insertion Y(u_in, 0) applied to the vacuum, so its parts are
+# fields at one more point, 0, and only the out state is a boundary.
 #
 # One Wick context serves every evaluation at the same set of points:
 # a genus-g sum evaluates all its paired basis terms, vacuum pairs
@@ -419,28 +421,31 @@ def vertex_matrix_element(
 # is symmetric in its insertions, so the context takes the points in one
 # canonical order, compared exactly, and numbers the fields in that
 # order: any permutation of the insertions gives the same recursion
-# states.  The context fills three tables on demand: the leg powers
-# z_i^k, the contractions of two fields, and the sub-sums over the
-# remaining boundary parts and fields.  A field is its derivative order
-# d and the canonical index i of its insertion; fields of one insertion
-# share i and never contract (normal ordering), so a sub-sum depends on
-# nothing else and holds for every call at these points.  A vacuum
-# insertion has no fields, so its point keys the context but never
-# enters a value.  The context is keyed by the points and by which of
-# them are ExactComplex: ExactComplex(5) and 5 compare and hash equal,
-# but the one runs the scalar path and the other integer pairs.  Two
-# contexts are kept, so that a sum at fewer points run between two sums
-# at the same points does not evict the first one's.
+# states.  A field is its derivative order d and the canonical index i
+# of its insertion; fields of one insertion share i and never contract
+# (normal ordering), so a sub-sum depends on nothing else and holds for
+# every call at these points.  The context is keyed by the points and by
+# which of them are ExactComplex: ExactComplex(5) and 5 compare and hash
+# equal, but the one computes with Gaussian integers and the other with
+# integers.  Two contexts are kept, so that a sum at fewer points run
+# between two sums at the same points does not evict the first one's.
 #
-# Every table holds (numerator, denominator) pairs.  When every point is
-# an int or a Fraction they are integer pairs with a positive
-# denominator: sums cross-multiply (or add numerators over an equal
-# denominator) and each sub-sum is reduced by one gcd when it is
-# memoised, where Fraction arithmetic would take one per operation.
-# The value is lowered to a Fraction once, in sphere_matrix_element.
-# When an ExactComplex is among the points every value is (x, 1), so
-# the recursion does the arithmetic of x in the same order on the same
-# values.
+# The recursion divides nothing.  The context scales the points by Q,
+# the least common multiple of the denominators of their real and
+# imaginary parts, to p_i = Q z_i, and takes delta_ij = p_j - p_i for
+# i < j: integers, or Gaussian integers when an ExactComplex is among
+# the points.  A state whose fields have total weight W_i at point i has
+# the value V = Q^(W - wt out) N / prod_{i<j} delta_ij^(W_i + W_j), and
+# the recursion computes N, which has no denominator: removing a field
+# (d, i) takes prod_{k != i} delta_ik^(d+1) out of the product, so a
+# contraction multiplies the sub-state's N by one table entry, the
+# contraction times what the product lost, in which the contraction's
+# pole cancels.  The memo holds one ring element per state entered (an
+# int, or an ExactComplex at a context with an ExactComplex point), and
+# the value is lowered once, with one division, in sphere_matrix_element
+# or per coefficient in sewn_sphere_series.  Every point of the context
+# enters the products, a vacuum one too; its factors cancel, and a value
+# is an ExactComplex exactly when a point carrying fields is one.
 #
 # The recursion carries its state as strings, compact enough to keep
 # every sub-sum of a trace or handle sum: boundary parts m as chr(m),
@@ -448,10 +453,9 @@ def vertex_matrix_element(
 # each other, so the first field is contracted once per distinct
 # partner and the term counted by the partner's multiplicity: the
 # branching grows with the number of distinct fields, not of fields.
-# The memo holds one reduced pair per state entered; a sub-state is
-# looked up there before the recursion is entered, and a remainder of
-# two fields and no boundary parts is read from the contraction table
-# instead.
+# A sub-state is looked up in the memo before the recursion is entered,
+# and a remainder of two fields and no boundary parts is read from the
+# contraction table instead.
 
 
 def sphere_matrix_element(
@@ -463,23 +467,39 @@ def sphere_matrix_element(
     points z_i.
 
     The value is symmetric in the insertions: every permutation of one
-    point set runs in the same Wick context, on the same sub-sums.
+    point set runs in the same Wick context, on the same sub-sums.  The
+    in state is the insertion of u_in at 0, so no other insertion may
+    sit there.
     """
     legs = u_out.length + u_in.length + sum(state.length for state, _ in insertions)
     if legs % 2 == 1:
         return 0
+    if u_in.partition:
+        insertions = [*insertions, (u_in, 0)]
     points = tuple(z for _, z in insertions)
     order = _canonical_order(points)
-    fields = []
+    fields, weights = [], []
     for pi, idx in enumerate(order):
-        for part in insertions[idx][0].partition:
+        state = insertions[idx][0]
+        weights.append(state.weight)
+        for part in state.partition:
             fields += (part - 1, pi)
     points = tuple(points[i] for i in order)
-    ctx = _wick_context(tuple(isinstance(z, ExactComplex) for z in points), points)
-    num, den = _wick(_chars(u_out.partition), _chars(fields), _chars(u_in.partition), ctx)
-    if ctx.exact:
-        return Fraction(num, den * u_out.norm_squared())
-    return num * _scalar_invert(u_out.norm_squared())
+    gaussian = tuple(isinstance(z, ExactComplex) for z in points)
+    ctx = _wick_context(gaussian, points)
+    total = _wick(_chars(u_out.partition), _chars(fields), ctx)
+    shift = sum(weights) - u_out.weight  # the power of Q the scaling took out
+    den = _denominator(ctx, weights) * u_out.norm_squared()
+    if shift >= 0:
+        total = total * ctx.scale**shift
+    else:
+        den = den * ctx.scale**-shift
+    if not ctx.gaussian:
+        return Fraction(total, den)
+    value = total / den
+    if any(g and w for g, w in zip(gaussian, weights)):
+        return value
+    return value.re
 
 
 def _require_distinct(points) -> None:
@@ -511,12 +531,16 @@ def _expand_components(insertions, dressed):
 # of every handle is taken at the same points, so one check, one
 # canonical order and one Wick context serve them all, and the field
 # string of each (state, slot) is built once: a term is one _wick call,
-# which enters only the sub-states that no earlier term has met.
-# Each nested coefficient is one integer pair over the least common
-# denominator of its terms, lowered to a Fraction once.  That needs
-# rational points and coefficients; any other sum is left to the
-# per-term path (sphere_value inside schottky's nested _sewn_series,
-# which sum the same paired terms, fetched once per handle).
+# which enters only the sub-states that no earlier term has met.  The
+# terms of one expansion combination, one multi-index (k_1, ..., k_g)
+# and one weight of each paired state (the weight k, unless a reduction
+# has moved the state) put the same weight at every point, so their Wick
+# sums share one denominator: each such sum is one integer, the pairing
+# entries of the group taken over their least common denominator, and is
+# lowered to a Fraction once.  That needs rational points and
+# coefficients; any other sum is left to the per-term path (sphere_value
+# inside schottky's nested _sewn_series, which sum the same paired
+# terms, fetched once per handle).
 
 
 def sewn_sphere_series(
@@ -555,57 +579,68 @@ def sewn_sphere_series(
         pi = chr(position[slot])
         return "".join(chr(part - 1) + pi for part in state.partition)
 
-    combos = [(coeff, [(position[i], field_chars(s, i)) for i, s in enumerate(states)],
+    combos = [(coeff, [(position[i], field_chars(s, i), s.weight) for i, s in enumerate(states)],
                sum(s.length for s in states))
               for states, coeff in _expand_components(insertions, dressed=False)]
     levels = []
     for h, (_, _, terms, _) in enumerate(handles):
         slot = len(insertions) + 2 * h
-        levels.append((position[slot], position[slot + 1], [
-            [(c, field_chars(bbar, slot), field_chars(b, slot + 1), bbar.length + b.length)
-             for c, bbar, b in terms_k]
-            for terms_k in terms]))
+        by_weight = []
+        for terms_k in terms:
+            # the weight-k terms grouped by the weights of bbar and b, each
+            # group's pairing entries as integers over their lcm
+            groups = {}
+            for term in terms_k:
+                groups.setdefault((term[1].weight, term[2].weight), []).append(term)
+            by_weight.append([])
+            for (wbar, wb), group in groups.items():
+                common = math.lcm(*(c.denominator for c, _, _ in group))
+                by_weight[-1].append((wbar, wb, common, [
+                    (c.numerator * (common // c.denominator), field_chars(bbar, slot),
+                     field_chars(b, slot + 1), bbar.length + b.length)
+                    for c, bbar, b in group]))
+        levels.append((position[slot], position[slot + 1], by_weight))
     slots = [""] * len(points)
+    weights = [0] * len(points)
 
-    # each coefficient (k_outer, ..., k_inner) as (total, common): terms
-    # cross-multiply only when their denominator is new
+    # each coefficient (k_outer, ..., k_inner) as a Fraction, one term per
+    # expansion combination, multi-index and weights of the paired states
     acc = {}
-    outer = [[(k, term) for k, terms_k in enumerate(terms) for term in terms_k]
-             for _, _, terms in levels[:-1]]
+    outer = [[(k, wbar, wb, common, term) for k, groups in enumerate(by_weight)
+              for wbar, wb, common, group in groups for term in group]
+             for _, _, by_weight in levels[:-1]]
     pos1, pos2, inner = levels[-1]
     for coeff, chars, combo_legs in combos:
-        for pi, field in chars:
-            slots[pi] = field
+        for pi, field, weight in chars:
+            slots[pi], weights[pi] = field, weight
         for picked in product(*outer):
             ks, num, den, outer_legs = (), coeff.numerator, coeff.denominator, combo_legs
-            for (p1, p2, _), (k, (c, bbar, b, term_legs)) in zip(levels, picked):
+            for (p1, p2, _), (k, wbar, wb, common, (c, bbar, b, term_legs)) in zip(levels, picked):
                 slots[p1], slots[p2] = bbar, b
+                weights[p1], weights[p2] = wbar, wb
                 ks, outer_legs = ks + (k,), outer_legs + term_legs
-                num, den = num * c.numerator, den * c.denominator
-            for k, terms_k in enumerate(inner):
-                key = ks + (k,)
-                total, common = acc.get(key, (0, 1))
-                for c, bbar, b, term_legs in terms_k:
-                    if (outer_legs + term_legs) % 2:
-                        continue
-                    slots[pos1], slots[pos2] = bbar, b
-                    wn, wd = _wick("", "".join(slots), "", ctx)
-                    if wn:
-                        tn, td = num * c.numerator * wn, den * c.denominator * wd
-                        if td == common:
-                            total += tn
-                        else:
-                            g = math.gcd(common, td)
-                            total = total * (td // g) + tn * (common // g)
-                            common = common // g * td
-                acc[key] = total, common
+                num, den = num * c, den * common
+            for k, groups in enumerate(inner):
+                for wbar, wb, common, group in groups:
+                    weights[pos1], weights[pos2] = wbar, wb
+                    total = 0
+                    for c, bbar, b, term_legs in group:
+                        if (outer_legs + term_legs) % 2:
+                            continue
+                        slots[pos1], slots[pos2] = bbar, b
+                        total += c * _wick("", "".join(slots), ctx)
+                    if total:
+                        key = ks + (k,)
+                        acc[key] = acc.get(key, 0) + Fraction(
+                            num * total * ctx.scale ** sum(weights),
+                            den * common * _denominator(ctx, weights))
     values = {}
-    for key, (total, common) in acc.items():
-        if total:
+    for key, value in acc.items():
+        if value:
             level = values
             for k in key[:-1]:
                 level = level.setdefault(k, {})
-            level[key[-1]] = Fraction(total, common)
+            level[key[-1]] = value
     return _as_series(values, [(variable, len(terms)) for _, _, terms, variable in handles])
 
 
@@ -636,14 +671,23 @@ def _chars(values) -> str:
 class _WickContext:
     """The tables shared by every sphere element at one point set."""
 
-    __slots__ = ("points", "exact", "powers", "contractions", "memo")
+    __slots__ = ("scale", "scaled", "gaussian", "zero", "one", "cofactors", "contractions",
+                 "memo")
 
     def __init__(self, points: tuple):
-        self.points = points
-        self.exact = all(isinstance(z, (int, Fraction)) for z in points)
-        self.powers: dict = {}  # (i, k) -> z_i^k
-        self.contractions: dict = {}  # the two fields' chars -> contraction
-        self.memo: dict = {}  # recursion state (see _wick) -> sub-sum
+        _require_distinct(points)
+        parts = [x for z in points
+                 for x in ((z.re, z.im) if isinstance(z, ExactComplex) else (z,))]
+        q = self.scale = math.lcm(*(x.denominator for x in parts))
+        self.scaled = tuple(ExactComplex(z.re * q, z.im * q) if isinstance(z, ExactComplex)
+                            else z.numerator * (q // z.denominator) for z in points)
+        self.gaussian = any(isinstance(z, ExactComplex) for z in points)
+        self.zero, self.one = (ExactComplex(0), ExactComplex(1)) if self.gaussian else (0, 1)
+        # prod_{k != i} delta_ik, the factor a unit of weight at i puts
+        # into the denominator
+        self.cofactors = tuple(_cofactor(self.scaled, i, i) for i in range(len(points)))
+        self.contractions: dict = {}  # a part's or a field's chars and a field's -> factor
+        self.memo: dict = {}  # recursion state (see _wick) -> N
 
 
 @lru_cache(maxsize=2)
@@ -652,80 +696,84 @@ def _wick_context(gaussian: tuple, points: tuple) -> _WickContext:
     return _WickContext(points)
 
 
-def _power_pair(exact: bool, base, k: int) -> tuple:
-    """base^k as a context's (numerator, denominator) pair: an integer
-    pair when the context is exact, else (base^k, 1)."""
-    if not exact:
-        return _int_power(base, k), 1
-    num, den = base.numerator, base.denominator
-    if k < 0:
-        num, den, k = den, num, -k
-        if den < 0:
-            num, den = -num, -den
-    return num**k, den**k
+def _cofactor(scaled: tuple, i: int, j: int):
+    """prod over the points k other than i and j of delta_ik, oriented
+    from the lower canonical index to the higher."""
+    out = 1
+    for k, p in enumerate(scaled):
+        if k != i and k != j:
+            out = out * (p - scaled[i] if k > i else scaled[i] - p)
+    return out
 
 
-def _leg_power(ctx: _WickContext, pi: int, k: int) -> tuple:
-    key = (pi, k)
-    val = ctx.powers.get(key)
-    if val is None:
-        val = ctx.powers[key] = _power_pair(ctx.exact, ctx.points[pi], k)
+def _denominator(ctx: _WickContext, weights):
+    """prod_{i<j} delta_ij^(W_i + W_j), as prod_i cofactor_i^(W_i)."""
+    val = 1
+    for cofactor, w in zip(ctx.cofactors, weights):
+        if w:
+            val = val * _int_power(cofactor, w)
     return val
 
 
-def _contraction(ctx: _WickContext, pair: str) -> tuple:
-    # normalized-derivative contraction of the fields pair[:2], pair[2:]:
-    # d^(d1)_z1 d^(d2)_z2 (z1 - z2)^-2
-    val = ctx.contractions.get(pair)
-    if val is None:
-        d1, pi, d2, pj = map(ord, pair)
-        z1, z2 = ctx.points[pi], ctx.points[pj]
-        if z1 == z2:
-            raise ValueError("coincident insertion points")
-        c = (-1) ** d1 * (d1 + d2 + 1) * math.comb(d1 + d2, d1)
-        num, den = _power_pair(ctx.exact, z1 - z2, -(2 + d1 + d2))
-        val = ctx.contractions[pair] = c * num, den
+def _contraction(ctx: _WickContext, entry: str):
+    # The factor one contraction puts into N.  Three chars: boundary part
+    # m with field (d, i), m C(m-1, d) p_i^(m-1-d) prod_{k != i}
+    # delta_ik^(d+1).  Four: fields (d, i) and (e, j), the normalized
+    # derivative contraction d^d_z1 d^e_z2 (z1 - z2)^-2 at the scaled
+    # points, whose pole delta_ij^(d+e+2) the two fields' factors cancel,
+    # times prod_{k != i, j} delta_ik^(d+1) delta_jk^(e+1).
+    if len(entry) == 3:
+        m, d, i = map(ord, entry)
+        power = _int_power(ctx.scaled[i], m - 1 - d)
+        val = 0 if power == 0 else (m * math.comb(m - 1, d) * power
+                                    * _int_power(ctx.cofactors[i], d + 1) * ctx.one)
+    else:
+        d, i, e, j = map(ord, entry)
+        c = (-1) ** d * (d + e + 1) * math.comb(d + e, d)
+        if i < j:  # p_i - p_j is -delta_ij, raised to -(d+e+2)
+            c = c * (-1) ** (d + e)
+        val = (c * _int_power(_cofactor(ctx.scaled, i, j), d + 1)
+               * _int_power(_cofactor(ctx.scaled, j, i), e + 1) * ctx.one)
+    ctx.contractions[entry] = val
     return val
 
 
-def _wick(out, fields, ins, ctx):
-    # out, ins: boundary parts, one char each; fields: two chars each.
-    # Returns the sub-sum as the context's (numerator, denominator) pair.
-    key = f"{chr(len(out))}{chr(len(ins))}{out}{ins}{fields}"
+def _wick(out, fields, ctx):
+    # out: boundary parts, one char each; fields: two chars each.
+    # Returns the state's N, an element of the context's ring.
+    key = f"{chr(len(out))}{out}{fields}"
     memo = ctx.memo
     hit = memo.get(key)
     if hit is not None:
         return hit
-    num, den = 0, 1
-    terms = []
+    total = ctx.zero
+    table = ctx.contractions
     if out:
         # The first boundary part contracts with each field of a lower
-        # derivative order, and with an equal part of ins.  As in the
-        # field branch, a run of equal fields is one term times the run's
-        # length, and a sub-state is looked up before the recursion is
-        # entered.
+        # derivative order.  As in the field branch, a run of equal
+        # fields is one term times the run's length, and a sub-state is
+        # looked up before the recursion is entered.
         part, rest = out[0], out[1:]
-        m = ord(part)
-        head = f"{chr(len(rest))}{chr(len(ins))}{rest}{ins}"
+        head = f"{chr(len(rest))}{rest}"
         idx, end = 0, len(fields)
         while idx < end:
             field = fields[idx:idx + 2]
             run = idx + 2
             while fields.startswith(field, run):
                 run += 2
-            d = ord(field[0])
-            if d <= m - 1:
-                pn, pd = _leg_power(ctx, ord(field[1]), m - 1 - d)
-                sub = fields[:idx] + fields[idx + 2:]
-                sn, sd = memo.get(head + sub) or _wick(rest, sub, ins, ctx)
-                terms.append(((run - idx) // 2 * m * math.comb(m - 1, d) * pn * sn, pd * sd))
+            if field[0] < part:  # d <= m - 1
+                entry = part + field
+                factor = table.get(entry)
+                if factor is None:
+                    factor = _contraction(ctx, entry)
+                if factor:  # z^(m-1-d) vanishes at a point 0
+                    sub = fields[:idx] + fields[idx + 2:]
+                    sn = memo.get(head + sub)
+                    if sn is None:
+                        sn = _wick(rest, sub, ctx)
+                    term = factor * sn
+                    total = total + (term if run - idx == 2 else (run - idx) // 2 * term)
             idx = run
-        cnt = ins.count(part)
-        if cnt:
-            sub = ins.replace(part, "", 1)
-            sn, sd = (memo.get(f"{chr(len(rest))}{chr(len(sub))}{rest}{sub}{fields}")
-                      or _wick(rest, fields, sub, ctx))
-            terms.append((cnt * m * sn, sd))
     elif fields:
         # The first field contracts with each field of another insertion.
         # Equal fields sit next to each other in the canonical string and
@@ -734,8 +782,6 @@ def _wick(out, fields, ins, ctx):
         # is looked up before the recursion is entered, and a remainder of
         # two fields is their contraction.
         first, rest = fields[:2], fields[2:]
-        contractions = ctx.contractions
-        head = f"\x00{chr(len(ins))}{ins}"  # the fields come last in a key
         idx, end = 0, len(rest)
         while idx < end:
             partner = rest[idx:idx + 2]
@@ -744,41 +790,27 @@ def _wick(out, fields, ins, ctx):
                 run += 2
             if partner[1] != first[1]:  # one insertion's fields never contract
                 pair = first + partner
-                cn, cd = contractions.get(pair) or _contraction(ctx, pair)
+                factor = table.get(pair)
+                if factor is None:
+                    factor = _contraction(ctx, pair)
                 sub = rest[:idx] + rest[idx + 2:]
-                if ins or len(sub) > 4:
-                    sn, sd = memo.get(head + sub) or _wick("", sub, ins, ctx)
+                if len(sub) > 4:
+                    sn = memo.get("\x00" + sub)
+                    if sn is None:
+                        sn = _wick("", sub, ctx)
                 elif not sub:
-                    sn, sd = 1, 1
+                    sn = 1
                 elif sub[1] == sub[3]:
-                    sn, sd = 0, 1
+                    sn = 0
                 else:
-                    sn, sd = contractions.get(sub) or _contraction(ctx, sub)
-                tn, td = (run - idx) // 2 * cn * sn, cd * sd
-                if td == den:
-                    num = num + tn
-                else:
-                    num, den = num * td + tn * den, den * td
+                    sn = table.get(sub)
+                    if sn is None:
+                        sn = _contraction(ctx, sub)
+                if sn:
+                    term = factor * sn
+                    total = total + (term if run - idx == 2 else (run - idx) // 2 * term)
             idx = run
-        if ins:
-            d, pi = ord(first[0]), ord(first[1])
-            for part in sorted(set(ins)):
-                m = ord(part)
-                pn, pd = _leg_power(ctx, pi, -(m + 1 + d))
-                sub = ins.replace(part, "", 1)
-                sn, sd = memo.get(f"\x00{chr(len(sub))}{sub}{rest}") or _wick("", rest, sub, ctx)
-                terms.append((ins.count(part) * (m * (-1) ** d * math.comb(m + d, d) * pn) * sn,
-                              pd * sd))
     else:
-        terms.append((1 if not ins else 0, 1))
-    for n, d in terms:
-        if d == den:
-            num = num + n
-        else:
-            num, den = num * d + n * den, den * d
-    if ctx.exact:
-        g = math.gcd(num, den)
-        if g > 1:
-            num, den = num // g, den // g
-    memo[key] = num, den
-    return num, den
+        total = ctx.one
+    memo[key] = total
+    return total

@@ -838,6 +838,33 @@ class TestWickContext:
         assert type(value) is Fraction
         assert value == Fraction(math.factorial(n)) / Fraction(z1 - z2) ** (2 * n)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(_sphere_elements(), _mixed_sphere_elements().map(lambda drawn: drawn[1])))
+    def test_in_state_is_an_insertion_at_zero(self, element):
+        # <u_out', ... u_in> is <u_out', ... Y(u_in, 0) 1>: both equal the
+        # oracle, which contracts the in state's modes as a boundary, and
+        # have one type
+        u_out, insertions, u_in = element
+        assume(_legs(u_out, insertions, u_in) <= 12)
+        value = _cold(sphere_matrix_element, u_out, insertions, u_in)
+        moved = _cold(sphere_matrix_element, u_out, insertions + [(u_in, 0)], VACUUM)
+        assert value == _wick_oracle(u_out, insertions, u_in)
+        assert _typed(moved) == _typed(value)
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0), ExactComplex(0)])
+    def test_in_state_refuses_an_insertion_at_zero(self, zero):
+        # the in state sits at 0, so an insertion there is two insertions
+        # at one point: a ValueError, not a ZeroDivisionError
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            sphere_matrix_element(VACUUM, [(A_STATE, zero), (A_STATE, 1)], FockState((1, 1)))
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            sphere_value([(A_VECTOR, zero)], u_in=FockState((1,)))
+        # also where an odd leg count makes the element 0
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            sphere_value([(A_VECTOR, zero)], u_in=FockState((1, 1)))
+        # a vacuum in state adds no point
+        assert sphere_value([(A_VECTOR, zero), (A_VECTOR, 1)]) == 1
+
     def test_equal_fields_recurse_once_per_state(self, monkeypatch):
         # a(-1)^8|0> at two points: every field at 5 has one distinct
         # partner, so each state of 16, 14, ..., 4 fields is entered once,
@@ -845,9 +872,9 @@ class TestWickContext:
         calls = []
         wick = voa._wick
 
-        def counted(*args):
-            calls.append(len(args[1]) // 2)
-            return wick(*args)
+        def counted(out, fields, ctx):
+            calls.append(len(fields) // 2)
+            return wick(out, fields, ctx)
 
         monkeypatch.setattr(voa, "_wick", counted)
         power = FockState((1,) * 8)
@@ -861,9 +888,9 @@ class TestWickContext:
         calls = []
         wick = voa._wick
 
-        def counted(*args):
-            calls.append(len(args[0]))
-            return wick(*args)
+        def counted(out, fields, ctx):
+            calls.append(len(out))
+            return wick(out, fields, ctx)
 
         monkeypatch.setattr(voa, "_wick", counted)
         power = FockState((1,) * 8)
@@ -871,22 +898,21 @@ class TestWickContext:
         assert calls == [8, 7, 6, 5, 4, 3, 2, 1, 0]
         assert len(_context_of([2]).memo) == len(calls)
 
-    def test_exact_memo_holds_reduced_int_pairs(self):
-        # the guard against Fraction arithmetic creeping back into the
-        # recursion: at exact points every table entry is an int pair with
-        # a positive denominator, and every memoised sub-sum is reduced
+    def test_exact_memo_holds_one_int_per_state(self):
+        # the guard against Fraction arithmetic or pairs creeping back into
+        # the recursion: at rational points every memoised sub-sum and
+        # every table entry is one int, the in state's fields sit at 0, and
+        # the value still matches the oracle
         points = [Fraction(7, 2), Fraction(-2), Fraction(5, 3), 4]
         states = [FockState((2, 1)), FockState((1, 1, 1)), FockState((3,)), FockState((1, 1))]
-        value = _cold(sphere_matrix_element, FockState((2, 1)), list(zip(states, points)),
-                      FockState((1, 1)))
+        u_out, u_in = FockState((2, 1)), FockState((1, 1))
+        value = _cold(sphere_matrix_element, u_out, list(zip(states, points)), u_in)
         assert type(value) is Fraction and value != 0
-        ctx = _context_of(points)
-        assert ctx.exact and len(ctx.memo) > 10
-        tables = [*ctx.memo.values(), *ctx.powers.values(), *ctx.contractions.values()]
-        for num, den in tables:
-            assert type(num) is int and type(den) is int and den > 0
-        for num, den in ctx.memo.values():
-            assert math.gcd(num, den) == 1
+        assert value == _wick_oracle(u_out, list(zip(states, points)), u_in)
+        ctx = _context_of(points + [0])
+        assert not ctx.gaussian and ctx.scale == 6 and len(ctx.memo) > 10
+        for entry in [*ctx.memo.values(), *ctx.contractions.values()]:
+            assert type(entry) is int
 
     def test_huge_exact_point_gives_its_value(self):
         # the distinctness check compares exactly: a point past the float
@@ -910,16 +936,20 @@ class TestWickContext:
         assert values == [4, 4]
         assert voa._wick_context.cache_info().misses == 1
 
-    def test_mixed_points_keep_scalar_tables(self):
-        # one ExactComplex point moves the whole tuple off integer pairs:
-        # every entry is (x, 1), x the value the point arithmetic gives
-        points = [Fraction(7, 2), ExactComplex(Fraction(1, 2), 1)]
-        _cold(sphere_matrix_element, VACUUM, [(FockState((2, 1)), points[0]),
-                                              (FockState((1, 2)), points[1])], VACUUM)
+    def test_gaussian_memo_holds_one_exact_complex_per_state(self):
+        # one ExactComplex point moves the whole context to Gaussian
+        # integers: every memoised sub-sum is one ExactComplex with integer
+        # parts, never a tuple
+        points = [Fraction(7, 2), ExactComplex(Fraction(1, 2), 1), Fraction(-1, 3)]
+        insertions = [(FockState((2, 1)), points[0]), (FockState((1, 2)), points[1]),
+                      (FockState((1, 1)), points[2])]
+        value = _cold(sphere_matrix_element, VACUUM, insertions, VACUUM)
+        assert type(value) is ExactComplex and value == _wick_oracle(VACUUM, insertions, VACUUM)
         ctx = _context_of(points)
-        assert not ctx.exact
-        assert all(den == 1 for _, den in [*ctx.memo.values(), *ctx.contractions.values()])
-        assert any(type(num) is ExactComplex for num, _ in ctx.contractions.values())
+        assert ctx.gaussian and ctx.scale == 6 and len(ctx.memo) > 3
+        for entry in ctx.memo.values():
+            assert type(entry) is ExactComplex
+            assert entry.re.denominator == entry.im.denominator == 1
 
     def test_batch_is_order_independent(self):
         # one point tuple, so every element of the batch shares a context
@@ -941,7 +971,9 @@ class TestWickContext:
         shuffled = {i: _typed(sphere_matrix_element(*batch[i])) for i in order}
         assert warm == cold
         assert [shuffled[i] for i in range(len(batch))] == cold
-        assert voa._wick_context.cache_info().misses == 1
+        # one context at the points, and one with 0 added for the elements
+        # whose in state has legs
+        assert voa._wick_context.cache_info().misses == 2
 
     @pytest.mark.parametrize("kinds", [[int, Fraction, ExactComplex],
                                        [ExactComplex, Fraction, int]])
@@ -984,7 +1016,8 @@ class TestWickContext:
         voa._wick_context.cache_clear()
         shared = [_typed(sphere_matrix_element(*e)) for e in batch]
         assert shared == cold
-        assert voa._wick_context.cache_info().misses == 1
+        # and a second one, with 0 added, for a legged in state
+        assert voa._wick_context.cache_info().misses == 2
 
     def test_vacuum_point_never_enters_a_value(self):
         # a legged state at the ExactComplex point fills the context with

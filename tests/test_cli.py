@@ -1277,3 +1277,400 @@ class TestErrorClasses:
         monkeypatch.setattr(cli, "cmd_sew", broken)
         with pytest.raises(ValueError, match="a bug"):
             main(["sew", "--config", write_config(GENUS0_AA)])
+
+
+# Gaussian inputs: each config and the stdout it gave when it was pinned,
+# so that a change of route cannot change a value or how it prints
+GAUSSIAN_GOLDEN = {
+    # partition at genus 2, one handle point 1+1j
+    'partition': (['partition'], """\
+[schottky]
+genus = 2
+points = -2, 1+1j, 5, -4
+[truncation]
+rho_orders = 3, 3
+""", """\
+{
+  "command": "partition",
+  "config": {
+    "schottky": {
+      "genus": "2",
+      "points": "-2, 1+1j, 5, -4"
+    },
+    "truncation": {
+      "rho_orders": "3, 3"
+    }
+  },
+  "series": {
+    "coeffs": [
+      [
+        0,
+        {
+          "coeffs": [
+            [
+              0,
+              "1",
+              "0"
+            ],
+            [
+              1,
+              "1",
+              "0"
+            ],
+            [
+              2,
+              "2",
+              "0"
+            ]
+          ],
+          "min_exponent": 0,
+          "truncation": 3,
+          "variable": "rho1"
+        }
+      ],
+      [
+        1,
+        {
+          "coeffs": [
+            [
+              0,
+              "1",
+              "0"
+            ],
+            [
+              1,
+              "2277382/341887",
+              "52397685/4786418"
+            ],
+            [
+              2,
+              "34116606214/3702294323",
+              "113427003726/3702294323"
+            ]
+          ],
+          "min_exponent": 0,
+          "truncation": 3,
+          "variable": "rho1"
+        }
+      ],
+      [
+        2,
+        {
+          "coeffs": [
+            [
+              0,
+              "2",
+              "0"
+            ],
+            [
+              1,
+              "216180095693/7404588646",
+              "364708160766/3702294323"
+            ],
+            [
+              2,
+              "-1436513064142879/11454898635362",
+              "378338482700424/818207045383"
+            ]
+          ],
+          "min_exponent": 0,
+          "truncation": 3,
+          "variable": "rho1"
+        }
+      ]
+    ],
+    "min_exponent": 0,
+    "truncation": 3,
+    "variable": "rho2"
+  },
+  "truncation": {
+    "rho_orders": [
+      3,
+      3
+    ]
+  }
+}
+"""),
+    # a torus sewn at the Gaussian point 3+1j
+    'sew': (['sew'], """\
+[experiment]
+genus = 1
+[insertions]
+states = a, a
+points = 5, 2
+[sewing]
+zeta1 = 3+1j
+zeta2 = -7
+[truncation]
+rho_order = 3
+q_order = 3
+""", """\
+{
+  "command": "sew",
+  "config": {
+    "experiment": {
+      "genus": "1"
+    },
+    "insertions": {
+      "points": "5, 2",
+      "states": "a, a"
+    },
+    "sewing": {
+      "zeta1": "3+1j",
+      "zeta2": "-7"
+    },
+    "truncation": {
+      "q_order": "3",
+      "rho_order": "3"
+    }
+  },
+  "result": {
+    "genus": 2,
+    "prefactor_q_exponent": "-1/24",
+    "series": {
+      "coeffs": [
+        [
+          0,
+          {
+            "coeffs": [
+              [
+                0,
+                "10/9",
+                "0"
+              ],
+              [
+                1,
+                "361/90",
+                "0"
+              ],
+              [
+                2,
+                "9379/450",
+                "0"
+              ]
+            ],
+            "min_exponent": 0,
+            "truncation": 3,
+            "variable": "q"
+          }
+        ],
+        [
+          1,
+          {
+            "coeffs": [
+              [
+                0,
+                "-29687/432",
+                "6167/1296"
+              ],
+              [
+                1,
+                "-9979213/10080",
+                "-58461199/90720"
+              ],
+              [
+                2,
+                "-58589491/35280",
+                "1743121127/396900"
+              ]
+            ],
+            "min_exponent": 0,
+            "truncation": 3,
+            "variable": "q"
+          }
+        ],
+        [
+          2,
+          {
+            "coeffs": [
+              [
+                0,
+                "545107409/69984",
+                "-594343393/69984"
+              ],
+              [
+                1,
+                "65447805499/244944",
+                "1485829913/22680"
+              ],
+              [
+                2,
+                "73916495262271/42865200",
+                "11127485944037/57153600"
+              ]
+            ],
+            "min_exponent": 0,
+            "truncation": 3,
+            "variable": "q"
+          }
+        ]
+      ],
+      "min_exponent": 0,
+      "truncation": 3,
+      "variable": "rho"
+    }
+  },
+  "truncation": {
+    "q_order": 3,
+    "rho_order": 3
+  }
+}
+"""),
+    # D^n steps on the sewn sphere, one point 2+1j
+    'npoint-reduction': (['npoint', '--reduction'], """\
+[experiment]
+genus = 2
+[insertions]
+states = a, aa, a
+points = 5, 2+1j, -3
+[schottky]
+genus = 2
+points = -1, 1, -4, 4
+[truncation]
+rho_orders = 2, 2
+""", """\
+{
+  "command": "npoint",
+  "config": {
+    "experiment": {
+      "genus": "2"
+    },
+    "insertions": {
+      "points": "5, 2+1j, -3",
+      "states": "a, aa, a"
+    },
+    "schottky": {
+      "genus": "2",
+      "points": "-1, 1, -4, 4"
+    },
+    "truncation": {
+      "rho_orders": "2, 2"
+    }
+  },
+  "path": "reduction",
+  "result": {
+    "genus": 2,
+    "prefactor_q_exponent": "0",
+    "series": {
+      "coeffs": [
+        [
+          0,
+          {
+            "coeffs": [
+              [
+                0,
+                "63/8450",
+                "8/4225"
+              ],
+              [
+                1,
+                "82789/1216800",
+                "-1799/20280"
+              ]
+            ],
+            "min_exponent": 0,
+            "truncation": 2,
+            "variable": "rho1"
+          }
+        ],
+        [
+          1,
+          {
+            "coeffs": [
+              [
+                0,
+                "178651/1341522",
+                "13907528/5589675"
+              ],
+              [
+                1,
+                "-17551752302233297/1377407713500000",
+                "-659409035626459/29515879575000"
+              ]
+            ],
+            "min_exponent": 0,
+            "truncation": 2,
+            "variable": "rho1"
+          }
+        ]
+      ],
+      "min_exponent": 0,
+      "truncation": 2,
+      "variable": "rho2"
+    }
+  },
+  "truncation": {
+    "rho_orders": [
+      2,
+      2
+    ]
+  }
+}
+"""),
+    # the gn check on a trace, x1 at 3+1j
+    'check-gn': (['check-complex'], """\
+[experiment]
+kinds = gn
+[element]
+genus = 1
+states = a, a
+points = 5, 2
+[descriptors]
+x1_state = aa
+x1_point = 3+1j
+[sewing]
+zeta1 = 7
+zeta2 = -9
+[truncation]
+q_order = 3
+rho_order = 2
+""", """\
+{
+  "command": "check-complex",
+  "config": {
+    "descriptors": {
+      "x1_point": "3+1j",
+      "x1_state": "aa"
+    },
+    "element": {
+      "genus": "1",
+      "points": "5, 2",
+      "states": "a, a"
+    },
+    "experiment": {
+      "kinds": "gn"
+    },
+    "sewing": {
+      "zeta1": "7",
+      "zeta2": "-9"
+    },
+    "truncation": {
+      "q_order": "3",
+      "rho_order": "2"
+    }
+  },
+  "reports": [
+    {
+      "composition_norm": 230349.25195099888,
+      "detail": {
+        "form": "[Dg, Dn(x)]"
+      },
+      "kind": "gn",
+      "residual": 0.0
+    }
+  ],
+  "truncation": {
+    "q_order": 3,
+    "rho_order": 2
+  }
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAUSSIAN_GOLDEN))
+def test_gaussian_stdout_is_pinned(name, write_config, capsys):
+    argv, config, stdout = GAUSSIAN_GOLDEN[name]
+    code, out, _ = run_cli([argv[0], "--config", write_config(config), *argv[1:]], capsys)
+    assert code == 0
+    assert out == stdout

@@ -13,7 +13,7 @@ that evaluator, so reduction-vs-oracle agreement is a checkable theorem
 rather than a construction.  A value is computed when it is first read:
 no differential reads the value of its input, and each checks its input
 when it is applied.  There is one reduction, the sphere's or the
-trace's, run inside the handle sums on a sewn surface.
+trace's, run as one-pass sums over the handles on a sewn surface.
 
 Chain conditions are reported in commutation form (the residuals of the
 two composition orders), alongside the raw composition norms; the
@@ -29,8 +29,8 @@ from functools import partial
 from itertools import product
 from typing import Mapping, Sequence
 
-from .correlators import sewn_trace_series, sphere_value, torus_trace, torus_trace_sum
-from .elliptic import f0_kernel, pm_numerators, pm_qseries
+from .correlators import sewn_trace_series, sphere_value, torus_trace
+from .elliptic import f0_kernel, pm_numerators
 from .schottky import SchottkyData, SewingData, _genus_g_sum, row_reduce_integer
 from .series import (
     Scalar,
@@ -101,9 +101,12 @@ class CorrelationFunction(_FrozenRecord):
 # handle points on it, and sews one more handle on (apply_Dg).  For the
 # reduction (apply_D1, apply_D2) it supplies the zero of its values and
 # its check on a new point; the sphere and the trace also supply their
-# check on a step's new point and state, their zero-mode term, and the
-# D2 mode action and kernel for one homogeneous
-# component of the new state, which a sewn surface runs inside its sums.
+# check on a step's new point and state, their zero-mode piece, the D2
+# mode action and kernel for one homogeneous component of the new state,
+# and the one-pass sum of pieces (w, insertions, handles, v): w times
+# the function with o(v) inserted and the handles sewn on, all pieces at
+# the points of the first.  A sewn surface runs the reduction as such
+# sums over its handles.
 
 
 class Sphere(_FrozenRecord):
@@ -136,22 +139,28 @@ class Sphere(_FrozenRecord):
                 "only a vacuum insertion can go there"
             )
 
-    def _zero_mode_term(self, entries, v, z):
-        # o(v)'s vacuum elements are 0 but for a vacuum component of v; then
-        # the term is the zero evaluating would give, and nothing is evaluated
-        op_vacs = _vacuum_elements(v)
-        value = self.evaluate(entries).data if any(op_vacs.values()) else _sphere_zero(entries)
-        data = 0
-        for wt, op_vac in op_vacs.items():
-            data = data + _int_power(z, -wt) * (value * op_vac)
-        return data
+    def _zero_mode_piece(self, entries, sewn, v, z):
+        # the sums times o(v)'s vacuum elements, z^-wt <1', o(v) 1> per
+        # homogeneous component, which are 0 but for a vacuum component of v
+        factor = 0
+        for wt, op_vac in _vacuum_elements(v).items():
+            factor = factor + _int_power(z, -wt) * op_vac
+        return factor, entries, sewn, None
 
     def _mode_terms(self, wt, comp, z_new):
         return (partial(apply_state_mode, comp),
                 lambda m, z_k: f0_kernel(wt, m)(z_new, z_k))
 
-    def _moved_sum(self, points, moves, total):
-        return _moved_sum(self, points, moves, total)
+    def _sum(self, pieces):
+        # on a sewn sphere one sewn_sphere_series call; on the bare sphere
+        # w times the sphere function per piece, and where w is 0 the zero
+        # evaluating would give, with nothing evaluated
+        if pieces[0][2]:
+            return sewn_sphere_series([(w, ins, handles) for w, ins, handles, _ in pieces])
+        total = 0
+        for w, ins, _, _ in pieces:
+            total = total + w * (sphere_value(ins) if w != 0 else _sphere_zero(ins))
+        return total
 
 
 def _vacuum_elements(v: FockVector) -> dict:
@@ -213,44 +222,25 @@ class Trace(_FrozenRecord):
     def sew(self, sd: SewingData, rho_order: int) -> "Sewn":
         return Sewn(self, ()).sew(sd, rho_order)
 
-    def _zero_mode_term(self, entries, v, x):
-        return torus_trace(entries, self.q_order, zero_mode_state=v)
+    def _zero_mode_piece(self, entries, sewn, v, x):
+        return 1, entries, sewn, v
 
     def _mode_terms(self, wt, comp, x_new):
-        # square-bracket modes with the P_{m+1} kernels at q_z = x_new / x_k;
-        # a kernel is named by (m + 1, q_z) and _moved_sum evaluates it
+        # square-bracket modes with the P_{m+1} kernels at q_z = x_new / x_k,
+        # each a q-series of ring numerators over one denominator
         return (lambda m, state: square_bracket_mode(comp, m)(state),
-                lambda m, x_k: (m + 1, _ratio(x_new, x_k)))
+                lambda m, x_k: pm_numerators(m + 1, _ratio(x_new, x_k), self.q_order))
 
-    def _moved_sum(self, points, moves, total):
-        # at rational points and coefficients every move is one term of one
-        # torus_trace_sum, its kernel integer numerators over one
-        # denominator; else one trace per move, its kernel a q-series
-        moves = list(moves)
-        if not moves:
-            return total
-        for _, x in points:
-            _require_torus_point(x)
-        series = None
-        if all(isinstance(q_z, (int, Fraction)) for _, (_, q_z), _ in moves):
-            series = torus_trace_sum(
-                [(pm_numerators(m, q_z, self.q_order),
-                  (*points[:k], (moved, points[k][1]), *points[k + 1:]), None)
-                 for k, (m, q_z), moved in moves], self.q_order)
-        if series is not None:
-            return total + series
-        return _moved_sum(self, points, [(k, pm_qseries(m, q_z, self.q_order), moved)
-                                         for k, (m, q_z), moved in moves], total)
-
-    def _sewn_sum(self, entries, sewn):
-        # every handle at once (schottky._genus_g_sum's one_pass), at
-        # rational points and coefficients; None leaves it to the per-term sums
+    def _sum(self, pieces):
+        # every piece and handle in one sewn_trace_series call: one
+        # torus_trace_sum per rho multi-index, or the one sum with no handles
+        _, entries, sewn, _ = pieces[0]
         for _, x in entries:
             _require_torus_point(x)
         for zeta1, zeta2, _, _ in sewn:
             _require_torus_point(zeta1)
             _require_torus_point(zeta2)
-        return sewn_trace_series(entries, sewn, self.q_order)
+        return sewn_trace_series(pieces, self.q_order)
 
 
 class Sewn(_FrozenRecord):
@@ -290,13 +280,8 @@ class Sewn(_FrozenRecord):
         return tuple(z for zeta1, zeta2, _, _ in self.handles for z in (zeta1, zeta2))
 
     def evaluate(self, entries) -> CorrelationFunction:
-        base = self.base
-        if isinstance(base, Sphere):
-            # on the sphere the sums run the sphere function themselves
-            data = _genus_g_sum(self.handles, entries)
-        else:
-            data = _genus_g_sum(self.handles, entries, lambda points: base.evaluate(points).data,
-                                base._sewn_sum)
+        data = _genus_g_sum(self.handles, lambda sewn: [(1, entries, sewn, None)],
+                            self.base._sum)
         return CorrelationFunction(self.genus, data, self.prefactor_exponent)
 
     def sew(self, sd: SewingData, rho_order: int) -> "Sewn":
@@ -410,27 +395,23 @@ def _mode_reach(v: FockVector, target: FockVector) -> int:
 
 def apply_D1(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainElement:
     """Zero-mode summand of the reduction: the base evaluator's zero-mode
-    term on all the points and, on a sewn surface, its mode terms at the
-    pair slots, inside the handle sums."""
+    piece on all the points and, on a sewn surface, its kernel-weighted
+    mode terms at the pair slots, in one sum over the handles."""
     v, z = x_new
     ins, base, handles = _step(elem, v, z)
     entries = elem.insertions.entries
 
-    def term(points):
-        # points = [*entries, *pairs]; the pair slots follow the entries
-        pair_slots = range(len(entries), len(points))
-        return base._moved_sum(points, _moves(base, v, z, points, pair_slots),
-                               base._zero_mode_term(points, v, z))
+    def pieces(sewn):
+        return [base._zero_mode_piece(entries, sewn, v, z), *_pair_moves(base, v, z, entries, sewn)]
 
-    one_pass = partial(_sewn_sphere_D1, v, z) if isinstance(base, Sphere) else None
-    return _stepped(elem, ins, lambda: _genus_g_sum(handles, entries, term, one_pass))
+    return _stepped(elem, ins, lambda: _genus_g_sum(handles, pieces, base._sum))
 
 
 def apply_D2(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainElement:
     """Kernel-weighted mode-insertion summand of the reduction: per
     homogeneous component of v, kernel(m, z_k) F(..., v(m) x_k, ...)
     summed over the insertions k and the modes m that reach them, with
-    the base evaluator's modes and kernels, inside the handle sums."""
+    the base evaluator's modes and kernels, in one sum over the handles."""
     v, z_new = x_new
     ins, base, handles = _step(elem, v, z_new)
     entries = elem.insertions.entries
@@ -440,9 +421,9 @@ def apply_D2(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainEleme
         moves = list(_moves(base, v, z_new, entries, range(len(entries))))
         if not moves:
             return elem.evaluator._zero()
-        one_pass = partial(_sewn_sphere_moves, moves) if isinstance(base, Sphere) else None
-        return _genus_g_sum(handles, entries,
-                            lambda points: base._moved_sum(points, moves, base._zero()), one_pass)
+        return _genus_g_sum(handles, lambda sewn: [
+            (weight, (*entries[:k], (moved, entries[k][1]), *entries[k + 1:]), sewn, None)
+            for k, weight, moved in moves], base._sum)
 
     return _stepped(elem, ins, data)
 
@@ -461,79 +442,31 @@ def _moves(base, v, z_new, entries, slots):
                     yield k, kernel(m, z_k), moved
 
 
-def _moved_sum(base, points, moves, total):
-    # total plus weight * F(points with the moved state at slot k) per
-    # move, F the base function
-    for k, weight, moved in moves:
-        mod = (*points[:k], (moved, points[k][1]), *points[k + 1:])
-        total = total + weight * base.evaluate(mod).data
-    return total
-
-
-# -- the reduction on the sewn sphere in one Wick context ---------------
-#
-# At rational points D^n of a sewn sphere is a few sums of the sphere
-# function over the paired terms, each one sewn_sphere_series call at
-# the same points: one Wick context for all of them.  Each returns None
-# when a point or a coefficient is not rational, and the reduction then
-# runs per paired term (schottky._genus_g_sum's inner term).
-
-
-def _sewn_sphere_D1(v, z, entries, sewn):
-    # the zero-mode term is the sums times o(v)'s vacuum elements, which
-    # scale the outer handle's pairing; the moves at handle h's pair slots
-    # are the sums with h's paired terms replaced by their moves, bbar at
-    # zeta1 or b at zeta2, each weighted by its kernel and the moved
-    # component's coefficient.  The sums need rational points: at others
-    # it leaves before the moved terms are built
-    points = [z, *(y for _, y in entries), *(zeta for h in sewn for zeta in h[:2])]
-    if not all(isinstance(p, (int, Fraction)) for p in points):
-        return None
-    factor = sum(_int_power(z, -wt) * op_vac for wt, op_vac in _vacuum_elements(v).items()
-                 if op_vac)
-    pieces = []
-    if factor:
-        zeta1, zeta2, terms, variable = sewn[0]
-        scaled = [[(c * factor, bbar, b) for c, bbar, b in terms_k] for terms_k in terms]
-        pieces.append((entries, [(zeta1, zeta2, scaled, variable), *sewn[1:]]))
-    known = {}
-
-    def moved(state, point):
-        # (kernel * coefficient, basis state) per move of v on one state
-        if (state, point) not in known:
-            moves = _moves(Sphere(), v, z, [(FockVector({state: 1}), point)], (0,))
-            known[state, point] = [(weight * coeff, s) for _, weight, vec in moves
-                                   for s, coeff in vec.terms.items()]
-        return known[state, point]
-
+def _pair_moves(base, v, z, entries, sewn):
+    # the moves of v at the pair slots of every handle h, as pieces: per
+    # homogeneous component, side (bbar at zeta1, b at zeta2) and mode m,
+    # the kernel at that sewing point times the sums with h's paired terms
+    # replaced by their moved terms, each weighted by the moved state's
+    # coefficient
     for h, (zeta1, zeta2, terms, variable) in enumerate(sewn):
-        moved_terms = [[(c * w, s, b) for c, bbar, b in terms_k for w, s in moved(bbar, zeta1)]
-                       + [(c * w, bbar, s) for c, bbar, b in terms_k for w, s in moved(b, zeta2)]
-                       for terms_k in terms]
-        pieces.append((entries, [*sewn[:h], (zeta1, zeta2, moved_terms, variable), *sewn[h + 1:]]))
-    return _sewn_sphere_sum(pieces, sewn)
-
-
-def _sewn_sphere_moves(moves, entries, sewn):
-    # the moves at the element's own slots: per slot k, one call with x_k
-    # replaced by the vector sum of kernel * v(m) x_k over its moves
-    folded = {}
-    for k, weight, moved in moves:
-        folded[k] = folded[k] + moved.scale(weight) if k in folded else moved.scale(weight)
-    return _sewn_sphere_sum([([*entries[:k], (vec, entries[k][1]), *entries[k + 1:]], sewn)
-                             for k, vec in folded.items()], sewn)
-
-
-def _sewn_sphere_sum(pieces, sewn):
-    # the sum of sewn_sphere_series(entries, handles) over the pieces,
-    # from the zero of the sums over sewn; None if any is None
-    total = TruncatedSeries.zero(sewn[0][3], len(sewn[0][2]))
-    for entries, handles in pieces:
-        series = sewn_sphere_series(entries, handles)
-        if series is None:
-            return None
-        total = total + series
-    return total
+        for wt, comp in v.homogeneous_components().items():
+            mode, kernel = base._mode_terms(wt, comp, z)
+            for side, zeta in enumerate((zeta1, zeta2)):
+                moved, by_mode = {}, {}
+                for k, terms_k in enumerate(terms):
+                    for c, bbar, b in terms_k:
+                        state = (bbar, b)[side]
+                        if state not in moved:
+                            vec = FockVector({state: 1})
+                            moved[state] = [(m, mode(m, vec)) for m in
+                                            range(0, _mode_reach(comp, vec) + 1)]
+                        for m, vec in moved[state]:
+                            for s, coeff in vec.terms.items():
+                                by_mode.setdefault(m, [[] for _ in terms])[k].append(
+                                    (c * coeff, s, b) if side == 0 else (c * coeff, bbar, s))
+                for m, moved_terms in by_mode.items():
+                    yield (kernel(m, zeta), entries,
+                           [*sewn[:h], (zeta1, zeta2, moved_terms, variable), *sewn[h + 1:]], None)
 
 
 def _step(elem: ChainElement, v: FockVector, z: Scalar) -> tuple:
@@ -610,11 +543,6 @@ def corr_difference(a: CorrelationFunction, b: CorrelationFunction) -> tuple[flo
         return cmpres.deviation, cmpres.vanishes
     diff = a.data - b.data
     return scalar_abs(diff), scalar_is_zero(diff)
-
-
-def corr_deviation(a: CorrelationFunction, b: CorrelationFunction) -> float:
-    """Max-abs difference of two values over their shared known range."""
-    return corr_difference(a, b)[0]
 
 
 def _ratio(a, b):

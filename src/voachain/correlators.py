@@ -7,28 +7,36 @@ chiral n-point functions for free boson and lattice VOAs, CMP 2003):
 Z(q) times a sum over pairings of exact q-series propagators, exact per
 q-order because each propagator coefficient is an exact rational
 function of the insertion coordinates.  Torus insertion points are given
-in the exponentiated coordinate x = e^z, so rational points keep the
-whole computation in rational arithmetic: there every propagator and
-pairing sum is a list of integer numerators over one integer
-denominator, and each trace coefficient is lowered to a Fraction once,
-after the product with Z(q).  :func:`torus_trace_sum` sums weighted
-traces at one point set that way, each weight a rational or a q-series
-over one denominator (the genus-1 D2 kernels): the reduction's moved
-states and, through :func:`sewn_trace_series`, the paired terms of a
-trace with handles sewn on.  :func:`torus_trace` is its one-term case.
-The brute-force trace over the Fock basis, :func:`torus_qseries`, stays
-as the oracle the tests compare the Gaussian form with.
+in the exponentiated coordinate x = e^z, so exact points keep the whole
+computation exact: every propagator and pairing sum is a list of ring
+numerators (ints, or Gaussian integers at an ExactComplex point) over
+one positive int denominator, and each trace coefficient is lowered
+once, after the product with Z(q).  :func:`torus_trace_sum` sums
+weighted traces at one point set that way, each weight a scalar or a
+q-series over one denominator (the genus-1 D2 kernels): the reduction's
+moved states and, through :func:`sewn_trace_series`, the paired terms
+of a trace with handles sewn on.  :func:`torus_trace` is its one-term
+case.  The brute-force trace over the Fock basis, :func:`torus_qseries`,
+stays as the oracle the tests compare the Gaussian form with.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Sequence
 
-from .series import ExactComplex, Scalar, TruncatedSeries, _int_power
+from .series import (
+    ExactComplex,
+    Scalar,
+    TruncatedSeries,
+    _GaussInt,
+    _int_power,
+    _lower,
+    _reciprocal,
+    _split,
+)
 from .voa import (
     VACUUM,
     FockState,
@@ -81,73 +89,106 @@ def torus_trace(
     insertions of products of propagators; o(v) is the x^0 coefficient
     of Y(x^{L0}v, x) placed left of every insertion.  Equal to
     :func:`torus_qseries` with ``left_operator=zero_mode(v)``, which
-    sums the same trace over the Fock basis.  It is the one-term case of
-    :func:`torus_trace_sum`, and at an ExactComplex point or coefficient
-    it is summed in that arithmetic.
+    sums the same trace over the Fock basis, with the same types.  It is
+    the one-term case of :func:`torus_trace_sum`.
     """
-    if q_order < 1:
-        return TruncatedSeries("q", {}, q_order)
-    ctx = _trace_context([x for _, x in insertions], q_order)
-    terms = [(1, insertions, zero_mode_state)]
-    return _trace_sum(ctx, terms, ctx.exact and _rational(terms))
+    return torus_trace_sum([(1, insertions, zero_mode_state)], q_order)
 
 
-def torus_trace_sum(terms: Sequence[tuple], q_order: int) -> TruncatedSeries | None:
+def torus_trace_sum(terms: Sequence[tuple], q_order: int) -> TruncatedSeries:
     """sum_t w_t Tr(o(v_t) Y(x1^{L0}v_t1,x1)...Y(xn^{L0}v_tn,xn) q^{L0})
     over terms (w_t, insertions_t, v_t) whose insertions sit at one point
-    tuple, in the integer arithmetic of one trace.
+    tuple, in the ring arithmetic of one trace.
 
-    A weight is an exact rational or a q-series given as integer
-    numerators over a positive integer denominator, as
+    A weight is an exact scalar or a q-series given as ring numerators
+    over a positive int denominator, as
     :func:`~voachain.elliptic.pm_numerators` gives the P_m kernels.  Every
     term reads the tables of one context, Z(q) multiplies the sum once
-    and each coefficient is lowered to a Fraction once.  The result is
-    None when a point or a coefficient is not an int or a Fraction: the
-    caller then sums the terms one :func:`torus_trace` at a time.  The
+    and each coefficient is lowered once: an ExactComplex when an
+    ExactComplex enters a term (a weight, a coefficient, or a point
+    carrying fields, through its x^wt dressing), else a Fraction.  The
     terms must not be empty.
     """
     if q_order < 1:
         return TruncatedSeries("q", {}, q_order)
-    ctx = _trace_context([x for _, x in terms[0][1]], q_order)
-    if not (ctx.exact and _rational(terms)):
-        return None
-    return _trace_sum(ctx, terms, True)
+    points = [x for _, x in terms[0][1]]
+    _require_distinct(points)
+    if any(x == 0 for x in points):
+        raise ValueError("torus points are x = e^z and cannot be 0")
+    ctx = _torus_context(tuple(isinstance(x, ExactComplex) for x in points),
+                         tuple(points), q_order)
+    total, den, gaussian = [0] * q_order, 1, False
+    for weight, insertions, zero_mode_state in terms:
+        series = weight if isinstance(weight, tuple) else None
+        if series is not None:
+            weight = 1
+            gaussian = gaussian or any(n.__class__ is _GaussInt for n in series[0])
+        if zero_mode_state is None:
+            zero_mode_terms = [("", 1)]
+        else:
+            zero_mode_terms = [(_chars(sorted(p - 1 for p in state.partition)), c)
+                               for (state,), c in _expand_components([(zero_mode_state, 1)],
+                                                                     dressed=False)]
+        for states, coeff in _expand_components(insertions, dressed=True):
+            fields = "".join(sorted(chr(p - 1) + chr(i) for i, s in enumerate(states)
+                                    for p in s.partition))
+            for v_fields, c in zero_mode_terms:
+                scale = c * coeff * weight
+                # a term with no pairing is 0, of its scale's type
+                gaussian = gaussian or isinstance(scale, ExactComplex)
+                pairing = _zero_mode_sum(ctx, v_fields, fields, 0)
+                if pairing is None:
+                    continue
+                if series is not None:
+                    pairing = _mul(series, pairing)
+                num, d = _split(scale)
+                nums, d2 = pairing
+                total, den = _accumulate((total, den), ([num * n for n in nums], d * d2))
+    # times Z(q)
+    coeffs = [0] * q_order
+    for i, p in enumerate(ctx.partition):
+        for j in range(q_order - i):
+            if total[j]:
+                coeffs[i + j] = coeffs[i + j] + p * total[j]
+    return TruncatedSeries("q", {k: _lower(c, den, gaussian) for k, c in enumerate(coeffs) if c},
+                           q_order)
 
 
-def sewn_trace_series(
-    insertions: Sequence[Insertion],
-    handles: Sequence[tuple],
-    q_order: int,
-) -> TruncatedSeries | None:
-    """The trace with handles sewn on, as the nested rho-series of its
+def sewn_trace_series(pieces: Sequence[tuple], q_order: int) -> TruncatedSeries:
+    """sum over pieces (w, insertions, handles, v) of w times the trace
+    Tr(o(v) ...) with the handles sewn on, as the nested rho-series of its
     paired basis sums, outermost handle first, each coefficient a
     q-series.
 
     Each handle is (zeta1, zeta2, terms, variable), terms[k] the
     weight-k paired terms (c, bbar, b), as
-    :func:`~voachain.voa.sewn_sphere_series` takes them.  The coefficient
-    of rho_1^k1 ... rho_g^kg is one :func:`torus_trace_sum` over the
-    terms of that multi-index, with weight c_1 ... c_g; it equals (with
-    the same types) the nested per-term sums of :func:`torus_trace`.
-    None when a point is not an int or a Fraction or a coefficient is not
-    rational, and the caller then sums per term.
+    :func:`~voachain.voa.sewn_sphere_series` takes them; w is a weight
+    of :func:`torus_trace_sum`.  The coefficient of rho_1^k1 ... rho_g^kg
+    is one :func:`torus_trace_sum` over the terms of that multi-index of
+    every piece, with weight w c_1 ... c_g.  Every piece has the points
+    of the first, slot for slot; with no handles the sum is the weighted
+    trace sum itself.
     """
-    # each handle's terms by weight, with the pair as insertions
-    levels = [[[(c, (FockVector({bbar: 1}), zeta1), (FockVector({b: 1}), zeta2))
-                for c, bbar, b in terms_k] for terms_k in terms]
-              for zeta1, zeta2, terms, _ in handles]
+    # each piece's handles by weight, with the pair as insertions
+    levels = [[[[(c, (FockVector({bbar: 1}), zeta1), (FockVector({b: 1}), zeta2))
+                 for c, bbar, b in terms_k] for terms_k in terms]
+               for zeta1, zeta2, terms, _ in handles] for _, _, handles, _ in pieces]
+    handles = pieces[0][2]
     values = {}
-    for ks in product(*(range(len(level)) for level in levels)):
+    for ks in product(*(range(len(terms)) for _, _, terms, _ in handles)):
         terms = []
-        for picked in product(*(level[k] for level, k in zip(levels, ks))):
-            weight, term = 1, list(insertions)
-            for c, pair1, pair2 in picked:
-                weight = weight * c
-                term += (pair1, pair2)
-            terms.append((weight, term, None))
+        for (weight, insertions, _, v), piece in zip(pieces, levels):
+            for picked in product(*(level[k] for level, k in zip(piece, ks))):
+                w, term = weight, list(insertions)
+                for c, pair1, pair2 in picked:
+                    w = _weighed(w, c)
+                    term += (pair1, pair2)
+                terms.append((w, term, v))
+        if not handles:
+            return torus_trace_sum(terms, q_order)
+        if not terms:
+            continue
         series = torus_trace_sum(terms, q_order)
-        if series is None:
-            return None
         if series.coefficients:
             level = values
             for k in ks[:-1]:
@@ -156,71 +197,12 @@ def sewn_trace_series(
     return _as_series(values, [(variable, len(terms)) for _, _, terms, variable in handles])
 
 
-def _trace_context(points: list, q_order: int) -> "_TorusContext":
-    # the checks of a trace's points, and the context of their tables
-    _require_distinct(points)
-    if any(x == 0 for x in points):
-        raise ValueError("torus points are x = e^z and cannot be 0")
-    return _torus_context(tuple(isinstance(x, ExactComplex) for x in points),
-                          tuple(points), q_order)
-
-
-def _rational(terms) -> bool:
-    # every weight, zero-mode coefficient and insertion coefficient exact
-    rational = (int, Fraction)
-    return all((isinstance(weight, tuple) or isinstance(weight, rational))
-               and (v is None or all(isinstance(c, rational) for c in v.terms.values()))
-               and all(isinstance(c, rational) for u, _ in insertions for c in u.terms.values())
-               for weight, insertions, v in terms)
-
-
-def _trace_sum(ctx: "_TorusContext", terms, exact: bool) -> TruncatedSeries:
-    """The weighted traces of the terms summed in the context.  With
-    ``exact`` every term is an integer pair and the sum one list over one
-    denominator; else the terms are scalars, summed from Fraction(0) so
-    that rational ones come out as Fractions, as the basis sum's do.  That
-    is the arithmetic of torus_trace at an ExactComplex point or
-    coefficient, one term of weight 1, so there the weight is not
-    multiplied in."""
-    order = ctx.order
-    zero = [0] * order
-    total, den = (zero if exact else [Fraction(0)] * order), 1
-    for weight, insertions, zero_mode_state in terms:
-        if zero_mode_state is None:
-            zero_mode_terms = [("", 1)]
-        else:
-            zero_mode_terms = [(_chars(sorted(p - 1 for p in s.partition)), c)
-                               for s, c in zero_mode_state.terms.items()]
-        for states, coeff in _expand_components(insertions, dressed=True):
-            fields = "".join(sorted(chr(p - 1) + chr(i) for i, s in enumerate(states)
-                                    for p in s.partition))
-            for v_fields, c in zero_mode_terms:
-                series = _zero_mode_sum(ctx, v_fields, fields, 0)
-                factor = c * coeff
-                if exact:
-                    if series is None:
-                        continue
-                    if isinstance(weight, tuple):
-                        series = _mul(weight, series)
-                    else:
-                        factor = factor * weight
-                    nums, d = series
-                    term = [factor.numerator * n for n in nums], factor.denominator * d
-                    total, den = _accumulate((total, den), term)
-                else:
-                    # no pairing gives the zero a basis-state sum would give
-                    nums, d = series or (zero, 1)
-                    values = [Fraction(n, d) for n in nums] if ctx.exact else nums
-                    total = [t + factor * s for t, s in zip(total, values)]
-    # times Z(q), zero terms included: like the basis sum's, they carry
-    # the scalar type of the point arithmetic
-    coeffs = [0] * order
-    for i, p in enumerate(ctx.partition):
-        for j in range(order - i):
-            coeffs[i + j] = coeffs[i + j] + p * total[j]
-    if exact:
-        coeffs = [Fraction(c, den) for c in coeffs]
-    return TruncatedSeries("q", dict(enumerate(coeffs)), order)
+def _weighed(weight, c):
+    # a torus_trace_sum weight times a scalar c
+    if isinstance(weight, tuple):
+        num, den = _split(c)
+        return [num * n for n in weight[0]], den * weight[1]
+    return weight * c
 
 
 # -- the Gaussian trace ------------------------------------------------
@@ -232,10 +214,9 @@ def _trace_sum(ctx: "_TorusContext", terms, exact: bool) -> TruncatedSeries:
 # sphere contraction, its q^k term (k >= 1) the divisor sum
 #   sum_{n | k} n [C(-n-1,d1) C(n-1,d2) xi^(-n-1-d1) xj^(n-1-d2)
 #                  + C(n-1,d1) C(-n-1,d2) xi^(n-1-d1) xj^(-n-1-d2)],
-# which for d1 = d2 = 0, times xi xj, is the q-expansion of P2 at xj/xi
-# (elliptic.pm_qseries).  Fields of one normally ordered state contract
-# through the q^k >= 1 part only, at xi = xj: the (1 - E2)/12-type
-# constants.
+# which for d1 = d2 = 0, times xi xj, is the q-expansion of P2 at xj/xi.
+# Fields of one normally ordered state contract through the q^k >= 1
+# part only, at xi = xj: the (1 - E2)/12-type constants.
 #
 # The fields of v in o(v) sit at a formal x, left of every insertion.
 # After the x^(wt v) dressing each term of a v-field's propagator to a
@@ -252,38 +233,33 @@ def _trace_sum(ctx: "_TorusContext", terms, exact: bool) -> TruncatedSeries:
 # and the pairing sums over field multisets (fields sorted), shared by
 # every trace at those points: the paired terms of a sewn torus, the
 # reduction's moved states, each term of one torus_trace_sum.  None
-# marks a sum with
-# no pairing.  Every other sum is one q-series over one denominator: a
-# list of q-order numerators and the denominator.  When every point is
-# an int or a Fraction the numerators are ints and the denominator is a
-# positive int, built from integer powers of the points (the
-# denominators are products of powers of the x_i and of x_i - x_j).  The
-# context keeps each point's powers over one denominator, so a
+# marks a sum with no pairing.  Every other sum is one q-series over one
+# denominator: a list of q-order ring numerators (ints, or Gaussian
+# integers series._GaussInt where a point is an ExactComplex) and a
+# positive int denominator, built from integer powers of the points (the
+# denominators are products of powers of the x_i and of x_i - x_j, and a
+# Gaussian integer N is inverted as conj(N) / |N|^2, series._reciprocal).
+# The context keeps each point's powers over one denominator, so a
 # propagator sums its divisor-sum terms over one denominator too.
 # Products convolve the numerators and multiply the denominators, sums
 # add numerators over an equal denominator or cross-multiply, and each
 # table entry is reduced by one gcd when it is stored, where Fraction
 # arithmetic would take one per operation.  A weighted sum of traces
-# adds its terms the same way (a q-series weight convolves, a rational
-# one scales), multiplies the sum by Z(q) once and lowers each
-# coefficient to a Fraction once.  When an ExactComplex is among the
-# points the denominator is 1 and the numerators are the scalars
-# themselves, so the same code does the arithmetic of the points in the
-# same order on the same values; there only torus_trace's single
-# unweighted term is summed, and a weighted sum runs one torus_trace per
-# term.  The context is keyed by the points and by which of them are
-# ExactComplex, as the Wick context is: ExactComplex(5) and 5 compare
-# and hash equal.
+# adds its terms the same way (a q-series weight convolves, a scalar one
+# scales), multiplies the sum by Z(q) once and lowers each coefficient
+# once.  The context is keyed by the points and by which of them are
+# ExactComplex, as the Wick context is: ExactComplex(5) and 5 compare and
+# hash equal, but the one runs Gaussian integers and the other ints.
 
 
 class _TorusContext:
     """The tables shared by every Gaussian trace at one point tuple."""
 
-    __slots__ = ("points", "exact", "order", "partition", "powers", "propagators", "memo")
+    __slots__ = ("points", "gaussian", "order", "partition", "powers", "propagators", "memo")
 
     def __init__(self, points: tuple, order: int):
         self.points = points
-        self.exact = all(isinstance(x, (int, Fraction)) for x in points)
+        self.gaussian = any(isinstance(x, ExactComplex) for x in points)
         self.order = order
         self.partition = [partition_count(k) for k in range(order)]
         self.powers: dict = {}  # (point index, d) -> the point's powers
@@ -318,49 +294,47 @@ def _self_contraction(d1: int, d2: int, order: int) -> tuple[int, ...]:
 
 
 def _reduced(ctx: _TorusContext, series):
-    # one gcd over the numerators and the denominator, at rational points
-    if ctx.exact and series is not None:
-        nums, den = series
+    # one gcd over the numerators' parts and the denominator
+    if series is None:
+        return None
+    nums, den = series
+    if not ctx.gaussian:
         g = math.gcd(den, *nums)
-        if g > 1:
-            return [n // g for n in nums], den // g
-    return series
+        return ([n // g for n in nums], den // g) if g > 1 else series
+    g = math.gcd(den, *(x for n in nums
+                        for x in ((n.re, n.im) if n.__class__ is _GaussInt else (n,))))
+    if g == 1:
+        return series
+    return [_GaussInt(n.re // g, n.im // g) if n.__class__ is _GaussInt else n // g
+            for n in nums], den // g
 
 
-def _power_pair(exact: bool, base, k: int) -> tuple:
-    """base^k as a context's (numerator, denominator) pair: an integer
-    pair when the context is exact, else (base^k, 1)."""
-    if not exact:
-        return _int_power(base, k), 1
-    num, den = base.numerator, base.denominator
+def _power_pair(x, k: int) -> tuple:
+    """x^k for an exact nonzero scalar x, as (ring numerator, positive int
+    denominator)."""
+    num, den = _split(x)
     if k < 0:
-        num, den, k = den, num, -k
-        if den < 0:
-            num, den = -num, -den
-    return num**k, den**k
+        inverse, norm = _reciprocal(num)
+        num, den, k = den * inverse, norm, -k
+    return _int_power(num, k), den**k
 
 
 def _point_powers(ctx: _TorusContext, i: int, d: int) -> tuple:
     """The powers x^e of point i that the propagators of its fields of
     derivative order d take, -order - d <= e <= order - 2 - d, over one
     denominator: (numerators with x^e at index e + order + d,
-    denominator).  At a rational point x = a/b the denominator is
-    a^(order+d) b^top, made positive, with top = max(order - 2 - d, 0);
-    in a context with an ExactComplex point it is 1 and the numerators
-    are the powers."""
+    denominator).  At x = N/b, with 1/N = r/n (an int n > 0, and r = +-1
+    when N is an int), the denominator is n^(order+d) b^top with
+    top = max(order - 2 - d, 0)."""
     key = (i, d)
     val = ctx.powers.get(key)
     if val is None:
-        x, low = ctx.points[i], ctx.order + d
-        exponents = range(-low, ctx.order - 1 - d)
-        if ctx.exact:
-            a, b = x.numerator, x.denominator
-            top = max(ctx.order - 2 - d, 0)
-            sign = -1 if a < 0 and low % 2 else 1
-            den = sign * a**low * b**top
-            val = [sign * a ** (low + e) * b ** (top - e) for e in exponents], den
-        else:
-            val = [_int_power(x, e) for e in exponents], 1
+        num, b = _split(ctx.points[i])
+        inverse, n = _reciprocal(num)
+        low, top = ctx.order + d, max(ctx.order - 2 - d, 0)
+        val = [_int_power(num, e) * b ** (top - e) * n**low if e >= 0
+               else _int_power(b * inverse, -e) * n ** (low + e) * b**top
+               for e in range(-low, ctx.order - 1 - d)], n**low * b**top
         ctx.powers[key] = val
     return val
 
@@ -372,10 +346,10 @@ def _propagator(ctx: _TorusContext, pair: str) -> tuple:
         xi, xj = ctx.points[i], ctx.points[j]
         order = ctx.order
         if i == j:
-            num, den = _power_pair(ctx.exact, xi, -2 - d1 - d2)
+            num, den = _power_pair(xi, -2 - d1 - d2)
             val = [num * c for c in _self_contraction(d1, d2, order)], den
         else:
-            num, den = _power_pair(ctx.exact, xi - xj, -2 - d1 - d2)
+            num, den = _power_pair(xi - xj, -2 - d1 - d2)
             coeffs = [0] * order
             coeffs[0] = (-1) ** d1 * (d1 + d2 + 1) * math.comb(d1 + d2, d1) * num
             # the q^k terms over the one denominator of the two power
@@ -388,12 +362,9 @@ def _propagator(ctx: _TorusContext, pair: str) -> tuple:
                       + b * pi[order + n - 1] * pj[order - n - 1])
                 for k in range(n, order, n):
                     coeffs[k] = coeffs[k] + n * tn
-            if ctx.exact:
-                # the q^0 term over den, the rest over di dj
-                dij = di * dj
-                val = [coeffs[0] * dij] + [c * den for c in coeffs[1:]], den * dij
-            else:
-                val = coeffs, 1
+            # the q^0 term over den, the rest over di dj
+            dij = di * dj
+            val = [coeffs[0] * dij] + [c * den for c in coeffs[1:]], den * dij
         val = ctx.propagators[pair] = _reduced(ctx, val)
     return val
 
@@ -526,8 +497,3 @@ def torus_qseries(
             acc = acc + val
         coeffs[k] = acc
     return TruncatedSeries("q", coeffs, q_order)
-
-
-def partition_qseries(q_order: int) -> TruncatedSeries:
-    """Graded dimension series sum p(k) q^k (no prefactor)."""
-    return torus_trace([], q_order)

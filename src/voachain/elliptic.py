@@ -3,7 +3,8 @@ and the genus-zero rational kernels with their expansions.
 
 Exact objects (Bernoulli numbers, Eisenstein q-series, the rational
 kernels) use Fraction arithmetic; the genus-one kernel q-expansions at
-an exact point are integer numerators over one denominator.
+an exact point are ring numerators (ints, or Gaussian integers) over
+one positive int denominator.
 Numeric evaluation at a modular point goes through a Lambert-type
 resummation that converges geometrically for any argument off the
 lattice, which is what makes quasi-periodicity checkable across
@@ -17,7 +18,15 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import Scalar, TruncatedSeries, _FrozenRecord, _int_power, to_complex
+from .series import (
+    Scalar,
+    TruncatedSeries,
+    _FrozenRecord,
+    _int_power,
+    _reciprocal,
+    _split,
+    to_complex,
+)
 
 
 class EllipticError(ValueError):
@@ -166,67 +175,42 @@ def polylog_neg(j: int, x: Scalar) -> Scalar:
     return num * _int_power(1 - x, -(j + 1))
 
 
-def pm_numerators(m: int, q_z: Scalar, q_order: int) -> tuple[list[int], int]:
-    """q-expansion of P_m(z,tau) at an exact q_z = e^z = a/b (an int or a
-    Fraction), as integer numerators over one positive denominator.
+def pm_numerators(m: int, q_z: Scalar, q_order: int) -> tuple[list, int]:
+    """q-expansion of P_m(z,tau) at an exact q_z = e^z = a/b (an int, a
+    Fraction, or an ExactComplex with a a Gaussian integer), as ring
+    numerators over one positive int denominator.
 
     Coefficient of q^0 is the resummed rational function
     (-1)^m/(m-1)! sum_k A(m-1,k) q_z^(k+1) / (1 - q_z)^m, with A the
     Eulerian numbers; coefficient of q^N (N >= 1) is the finite divisor
     sum (-1)^m/(m-1)! sum_{n | N} n^{m-1} (q_z^n + (-1)^m q_z^{-n}).
-    With T = q_order - 1 the denominator is (m-1)! (b - a)^m a^T b^T, made
-    positive: q_z^(k+1) / (1 - q_z)^m is a^(k+1) b^(m-1-k) / (b - a)^m,
-    and q_z^(+-n) is a^(T+-n) b^(T-+n) / (a b)^T for n <= T.
+    With T = q_order - 1 the sums are taken over D = (m-1)! (b - a)^m a^T
+    b^T: q_z^(k+1) / (1 - q_z)^m is a^(k+1) b^(m-1-k) / (b - a)^m, and
+    q_z^(+-n) is a^(T+-n) b^(T-+n) / (a b)^T for n <= T.  D is then made
+    a positive int (series._reciprocal), which multiplies every numerator.
     """
     if m < 1:
         raise EllipticError("kernel order must be >= 1")
-    a, b = q_z.numerator, q_z.denominator
-    if a == b:
+    if q_z == 1:
         raise EllipticError("polylog pole at x = 1")
+    a, b = _split(q_z)
     top = max(q_order - 1, 0)
-    a_pow = [a**e for e in range(2 * top + m + 1)]
-    b_pow = [b**e for e in range(2 * top + m + 1)]
+    a_pow, b_pow = [1], [1]
+    for _ in range(2 * top + m):
+        a_pow.append(a_pow[-1] * a)
+        b_pow.append(b_pow[-1] * b)
     sign = (-1) ** m
-    gap = (b - a) ** m
-    head = sum(c * a_pow[k + 1 + top] * b_pow[m - 1 - k + top]
-               for k, c in enumerate(_eulerian_row(m - 1)))
+    gap = _int_power(b - a, m)
+    head = sum((c * a_pow[k + 1 + top] * b_pow[m - 1 - k + top]
+                for k, c in enumerate(_eulerian_row(m - 1))), 0)
     nums = [sign * head] + [0] * top
     for n in range(1, top + 1):
         term = sign * n ** (m - 1) * gap * (
             a_pow[top + n] * b_pow[top - n] + sign * a_pow[top - n] * b_pow[top + n])
         for k in range(n, top + 1, n):
-            nums[k] += term
-    den = math.factorial(m - 1) * gap * a_pow[top] * b_pow[top]
-    if den < 0:
-        nums, den = [-c for c in nums], -den
-    return nums[:q_order], den
-
-
-def pm_qseries(m: int, q_z: Scalar, q_order: int) -> TruncatedSeries:
-    """q-expansion of P_m(z,tau) at fixed q_z = e^z, exact for exact q_z.
-
-    At an exact q_z it is :func:`pm_numerators` with each coefficient
-    lowered to a Fraction.  At any other q_z the same two sums run in the
-    arithmetic of q_z: the resummed rational function at q^0, the divisor
-    sum (-1)^m/(m-1)! sum_{n | N} n^{m-1} (q_z^n + (-1)^m q_z^{-n}) at q^N.
-    """
-    if isinstance(q_z, (int, Fraction)):
-        nums, den = pm_numerators(m, q_z, q_order)
-        return TruncatedSeries("q", {k: Fraction(c, den) for k, c in enumerate(nums)}, q_order)
-    if m < 1:
-        raise EllipticError("kernel order must be >= 1")
-    pref = Fraction((-1) ** m, math.factorial(m - 1))
-    coeffs: dict[int, Scalar] = {0: pref * polylog_neg(m - 1, q_z)}
-    sign = (-1) ** m
-    for n_ord in range(1, q_order):
-        acc = 0
-        for n in range(1, n_ord + 1):
-            if n_ord % n == 0:
-                acc = acc + n ** (m - 1) * (
-                    _int_power(q_z, n) + sign * _int_power(q_z, -n)
-                )
-        coeffs[n_ord] = pref * acc
-    return TruncatedSeries("q", coeffs, q_order)
+            nums[k] = nums[k] + term
+    inverse, den = _reciprocal(math.factorial(m - 1) * gap * a_pow[top] * b_pow[top])
+    return [c * inverse for c in nums[:q_order]], den
 
 
 def pm_lambert(m: int, q_z: complex, q: complex, terms: int = 40) -> complex:
@@ -259,27 +243,6 @@ def pm_genus1(
             f"({abs(q):.6g}, 1)"
         )
     return pm_lambert(m, q_z, q, terms)
-
-
-def pm_direct_sum(
-    m: int, z: complex, mp: ModularPoint, tol: float = 1e-12, max_n: int = 4000
-) -> complex:
-    """Term-by-term partial sums of the defining series (oracle path)."""
-    if m < 1:
-        raise EllipticError("kernel order must be >= 1")
-    q = mp.q
-    q_z = cmath.exp(complex(z))
-    if not (abs(q) < abs(q_z) < 1):
-        raise EllipticError("outside the convergence annulus")
-    pref = (-1) ** m / math.factorial(m - 1)
-    total = 0j
-    for n in range(1, max_n + 1):
-        t_pos = n ** (m - 1) * q_z**n / (1 - q**n)
-        t_neg = (-n) ** (m - 1) * q_z ** (-n) / (1 - q ** (-n))
-        total += t_pos + t_neg
-        if abs(t_pos) + abs(t_neg) < tol and n > 8:
-            break
-    return pref * total
 
 
 # -- genus-zero rational kernels f^(0)_{n,m} ---------------------------
@@ -370,10 +333,3 @@ def _bipoly_pow(a: dict, k: int) -> dict:
     for _ in range(k):
         out = _bipoly_mul(out, a)
     return out
-
-
-def bipoly_eval(p: dict, z: Scalar, w: Scalar) -> Scalar:
-    total = 0
-    for (i, j), c in p.items():
-        total = total + c * _int_power(z, i) * _int_power(w, j)
-    return total

@@ -18,38 +18,25 @@ is exact, and so is everything here.
 
 Every sewn handle, whether by the direct genus-g sums or by sewing an
 element of any genus, is one entry (zeta1, zeta2, rho_order, variable)
-of a handle list, outermost first, and :func:`_genus_g_sum` sums any
-such list over an innermost term linear in the function it sews: the
-sphere function, the graded trace, or the reduction terms of either.
-Each handle's paired terms are fetched once, before any sum starts.  All
-the terms sit at the same points.  When the innermost term is the
-sphere function itself and the points are rational, every handle is summed
-in one call of :func:`~voachain.voa.sewn_sphere_series`: one point
-check, one Wick context, one _wick call per paired term and one integer
-sum per coefficient and group of terms with equal weights, lowered to a
-Fraction once.  When it is the graded trace, every handle is
-summed in one call of :func:`~voachain.correlators.sewn_trace_series`:
-one trace context and one integer sum per rho multi-index.
-:func:`_sewn_series`, one handle at a time over any term, serves the
-rest: ExactComplex points, and the reduction terms on a sewn surface.
+of a handle list, outermost first.  :func:`_genus_g_sum` fetches each
+handle's paired terms once and hands them to one sum over every handle:
+:func:`~voachain.voa.sewn_sphere_series` on the sphere (one point check,
+one Wick context, one _wick call per paired term), or
+:func:`~voachain.correlators.sewn_trace_series` on the trace (one trace
+context and one weighted trace sum per rho multi-index), at any exact
+points and coefficients.  The reduction on a sewn surface is a few such
+sums at the same points, summed in the same call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Sequence
 
-from .correlators import Insertion, sphere_value
+from .correlators import Insertion
 from .series import Scalar, TruncatedSeries, _FrozenRecord, _int_power, points_coincide
-from .voa import (
-    VACUUM,
-    FockState,
-    FockVector,
-    sewn_sphere_series,
-    sphere_matrix_element,
-    weight_basis,
-)
+from .voa import VACUUM, FockState, sewn_sphere_series, sphere_matrix_element, weight_basis
 
 
 class SewingError(ValueError):
@@ -167,25 +154,9 @@ def _pairing_terms(zeta1, zeta2, k: int) -> list[tuple[Scalar, FockState, FockSt
 
 
 def _sewn_handle(zeta1, zeta2, rho_order: int, variable: str) -> tuple:
-    """One handle as :func:`~voachain.voa.sewn_sphere_series` and
-    :func:`_sewn_series` take it: the sewing points, every order's paired
-    terms and the variable."""
+    """One handle as the one-pass sums take it: the sewing points, every
+    order's paired terms and the variable."""
     return zeta1, zeta2, [_pairing_terms(zeta1, zeta2, k) for k in range(rho_order)], variable
-
-
-def _sewn_series(handle, evaluate) -> TruncatedSeries:
-    """One sewn handle (a :func:`_sewn_handle` tuple): the rho^k
-    coefficient sums c * evaluate(pairs) over the weight-k paired terms,
-    with pairs = [(bbar, zeta1), (b, zeta2)] as vectors."""
-    zeta1, zeta2, terms, variable = handle
-    coeffs = {}
-    for k, terms_k in enumerate(terms):
-        total = 0
-        for c, bbar, b in terms_k:
-            value = evaluate([(FockVector({bbar: 1}), zeta1), (FockVector({b: 1}), zeta2)])
-            total = total + value * c
-        coeffs[k] = total
-    return TruncatedSeries(variable, coeffs, len(terms))
 
 
 # -- direct genus-g partition sums -------------------------------------
@@ -244,29 +215,20 @@ def genus_g_npoint(
     handles = sd.handles(rho_orders)
     if any(points_coincide([*sd.points, z]) for _, z in insertions):
         raise SewingError("insertion points must differ from the handle points")
-    return _genus_g_sum(handles, insertions)
+    return _genus_g_sum(handles, lambda sewn: [(1, insertions, sewn)], sewn_sphere_series)
 
 
-def _genus_g_sum(handles, insertions, inner=None, one_pass=None):
+def _genus_g_sum(handles, pieces, summed):
     """Nested rho-series of the basis sums of sewn handles.
 
     Each handle is (zeta1, zeta2, rho_order, variable), outermost first,
-    and sews the handles after it; the innermost term is taken at the
-    points [*insertions, *pairs of handles[0], *pairs of handles[1], ...].
-    By default that term is the sphere function between vacua, and at
-    rational points every handle is summed at once by
-    :func:`~voachain.voa.sewn_sphere_series`, one Wick context for all
-    the terms.  Otherwise it is ``inner(points)``, any term linear in the
-    function the handles sew (the graded trace, or the reduction terms of
-    the sphere or the trace), summed by :func:`_sewn_series` per handle;
-    ``one_pass(insertions, sewn)``, when given, first tries every handle
-    at once, as the sewn trace does in
-    :func:`~voachain.correlators.sewn_trace_series`, and gives None when
-    the sum has to run per term.  With no handles the sum is
-    ``inner(insertions)`` itself.  Each handle's paired terms are fetched
-    once, before any sum starts: a Gram inversion evaluates spheres at
-    the sewing points alone and would replace the Wick context a sum
-    runs in.
+    and sews the handles after it.  ``pieces(sewn)`` gives the sums to
+    take over the fetched handles (each handle's paired terms, as
+    :func:`_sewn_handle` gives them), and ``summed`` takes them in one
+    pass, as :func:`~voachain.voa.sewn_sphere_series` does.  Each
+    handle's paired terms are fetched once, before any sum starts: a Gram
+    inversion evaluates spheres at the sewing points alone and would
+    replace the Wick context a sum runs in.
 
     A handle summed to order 0 knows none of its coefficients, so no
     coefficient of the sums is known either: the result is then the
@@ -274,17 +236,4 @@ def _genus_g_sum(handles, insertions, inner=None, one_pass=None):
     """
     if any(rho_order == 0 for _, _, rho_order, _ in handles):
         return TruncatedSeries.zero(handles[0][3], 0)
-    sewn = [_sewn_handle(*h) for h in handles]
-    if inner is None:
-        inner, one_pass = partial(sphere_value, dressed=False), sewn_sphere_series
-    if one_pass is not None and sewn:
-        series = one_pass(insertions, sewn)
-        if series is not None:
-            return series
-
-    def summed(i, points):
-        if i == len(sewn):
-            return inner(points)
-        return _sewn_series(sewn[i], lambda pairs: summed(i + 1, [*points, *pairs]))
-
-    return summed(0, list(insertions))
+    return summed(pieces([_sewn_handle(*h) for h in handles]))

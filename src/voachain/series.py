@@ -15,7 +15,7 @@ nesting is how the multi-handle series at genus 2 are represented.
 
 from __future__ import annotations
 
-import json
+import math
 import sys
 from fractions import Fraction
 from typing import Mapping, Union
@@ -181,6 +181,80 @@ class ExactComplex:
         # re±imj, as cli.parse_scalar reads it back
         sign = "-" if self.im < 0 else "+"
         return f"{_frac_str(self.re)}{sign}{_frac_str(abs(self.im))}j"
+
+
+class _GaussInt:
+    """A Gaussian integer re + im*i with int parts, the ring of the sums
+    where an ExactComplex enters: +, - and * (with one another or an int)
+    and a truth value.  :func:`_split` and :func:`_lower` convert."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re = re
+        self.im = im
+
+    def __add__(self, other):
+        if other.__class__ is _GaussInt:
+            return _GaussInt(self.re + other.re, self.im + other.im)
+        return _GaussInt(self.re + other, self.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if other.__class__ is _GaussInt:
+            return _GaussInt(self.re - other.re, self.im - other.im)
+        return _GaussInt(self.re - other, self.im)
+
+    def __rsub__(self, other):
+        return _GaussInt(other - self.re, -self.im)
+
+    def __mul__(self, other):
+        if other.__class__ is _GaussInt:
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return _GaussInt(a * c - b * d, a * d + b * c)
+        return _GaussInt(self.re * other, self.im * other)
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+
+def _split(x) -> tuple:
+    """An exact scalar as (ring numerator, positive int denominator); any
+    other scalar is refused, a SeriesError."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, ExactComplex):
+        den = math.lcm(x.re.denominator, x.im.denominator)
+        return _GaussInt(x.re.numerator * (den // x.re.denominator),
+                         x.im.numerator * (den // x.im.denominator)), den
+    raise SeriesError(f"{x!r} is not exact: give an int, a Fraction or an ExactComplex")
+
+
+def _reciprocal(num) -> tuple:
+    """1/num for a nonzero ring element as (ring numerator, positive int
+    denominator): conj(N) / |N|^2 for a Gaussian integer N."""
+    if num.__class__ is _GaussInt:
+        return _GaussInt(num.re, -num.im), num.re * num.re + num.im * num.im
+    return (1, num) if num > 0 else (-1, -num)
+
+
+def _lower(num, den, gaussian: bool):
+    """num / den for ring elements, den not 0: an ExactComplex when
+    ``gaussian``, else a Fraction (num must then be real)."""
+    if den.__class__ is _GaussInt:
+        inverse, den = _reciprocal(den)
+        num = num * inverse
+    re, im = (num.re, num.im) if num.__class__ is _GaussInt else (num, 0)
+    if gaussian:
+        return _gaussian(Fraction(re, den), Fraction(im, den))
+    if im:
+        raise ValueError(f"({re} + {im}i)/{den} is not real")
+    return Fraction(re, den)
 
 
 def _gaussian(re: Fraction, im: Fraction) -> ExactComplex:
@@ -624,11 +698,3 @@ def _scalar_from_json_parts(re, im):
     if im == 0:
         return float(re)
     return complex(re, im)
-
-
-def series_to_json(s: TruncatedSeries) -> str:
-    return json.dumps(s.to_json_dict())
-
-
-def series_from_json(text: str) -> TruncatedSeries:
-    return TruncatedSeries.from_json_dict(json.loads(text))

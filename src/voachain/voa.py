@@ -21,10 +21,14 @@ from typing import Callable, Mapping, Sequence
 from .series import (
     ExactComplex,
     Scalar,
+    SeriesError,
     TruncatedSeries,
     _FrozenRecord,
+    _GaussInt,
     _int_power,
+    _lower,
     _scalar_invert,
+    _split,
     points_coincide,
     scalar_is_zero,
 )
@@ -433,17 +437,18 @@ def vertex_matrix_element(
 # The recursion divides nothing.  The context scales the points by Q,
 # the least common multiple of the denominators of their real and
 # imaginary parts, to p_i = Q z_i, and takes delta_ij = p_j - p_i for
-# i < j: integers, or Gaussian integers when an ExactComplex is among
-# the points.  A state whose fields have total weight W_i at point i has
-# the value V = Q^(W - wt out) N / prod_{i<j} delta_ij^(W_i + W_j), and
+# i < j: ints, or Gaussian integers (series._GaussInt) when an
+# ExactComplex is among the points.  A state whose fields have total
+# weight W_i at point i has the value
+# V = Q^(W - wt out) N / prod_{i<j} delta_ij^(W_i + W_j), and
 # the recursion computes N, which has no denominator: removing a field
 # (d, i) takes prod_{k != i} delta_ik^(d+1) out of the product, so a
 # contraction multiplies the sub-state's N by one table entry, the
 # contraction times what the product lost, in which the contraction's
 # pole cancels.  The memo holds one ring element per state entered (an
-# int, or an ExactComplex at a context with an ExactComplex point), and
-# the value is lowered once, with one division, in sphere_matrix_element
-# or per coefficient in sewn_sphere_series.  Every point of the context
+# int, or a _GaussInt at a context with an ExactComplex point), and the
+# value is lowered once, by series._lower, in sphere_matrix_element or
+# per group of terms in sewn_sphere_series.  Every point of the context
 # enters the products, a vacuum one too; its factors cancel, and a value
 # is an ExactComplex exactly when a point carrying fields is one.
 #
@@ -494,12 +499,7 @@ def sphere_matrix_element(
         total = total * ctx.scale**shift
     else:
         den = den * ctx.scale**-shift
-    if not ctx.gaussian:
-        return Fraction(total, den)
-    value = total / den
-    if any(g and w for g, w in zip(gaussian, weights)):
-        return value
-    return value.re
+    return _lower(total, den, ctx.gaussian and any(g and w for g, w in zip(gaussian, weights)))
 
 
 def _require_distinct(points) -> None:
@@ -508,11 +508,16 @@ def _require_distinct(points) -> None:
 
 
 def _expand_components(insertions, dressed):
-    """Multilinear expansion into basis-state insertions with weights."""
+    """Multilinear expansion into basis-state insertions with weights.
+    Every coefficient is exact, as every point is: any other is refused,
+    a SeriesError."""
     slots = []
     for v, z in insertions:
         options = []
         for s, c in v.terms.items():
+            if not isinstance(c, (int, Fraction, ExactComplex)):
+                raise SeriesError(f"coefficient {c!r} is not exact: give an int, a Fraction "
+                                  "or an ExactComplex")
             factor = c * _int_power(z, s.weight) if dressed else c
             options.append((s, factor))
         slots.append(options)
@@ -535,94 +540,129 @@ def _expand_components(insertions, dressed):
 # terms of one expansion combination, one multi-index (k_1, ..., k_g)
 # and one weight of each paired state (the weight k, unless a reduction
 # has moved the state) put the same weight at every point, so their Wick
-# sums share one denominator: each such sum is one integer, the pairing
-# entries of the group taken over their least common denominator, and is
-# lowered to a Fraction once.  That needs rational points and
-# coefficients; any other sum is left to the per-term path (sphere_value
-# inside schottky's nested _sewn_series, which sum the same paired
-# terms, fetched once per handle).
+# sums share one denominator: each such sum is one ring element, the
+# pairing entries of the group split (series._split) over their least
+# common denominator, and is lowered once.  A reduction's sums at one
+# point set (its pieces) run in one call.
+#
+# The type of a coefficient is decided by its terms, not by its value:
+# it is an ExactComplex when an ExactComplex enters one of them (a
+# weight, an insertion coefficient, a pairing entry, or a point that
+# carries fields in a term with an even number of fields), else a
+# Fraction, as the per-term sums of sphere_value give it.
 
 
-def sewn_sphere_series(
-    insertions: Sequence[tuple[FockVector, Scalar]],
-    handles: Sequence[tuple],
-) -> TruncatedSeries | None:
-    """<1', Y(v1,z1)...Y(vn,zn) 1> with handles sewn on, as the nested
-    rho-series of its paired basis sums, outermost handle first.
+def sewn_sphere_series(pieces: Sequence[tuple]) -> TruncatedSeries:
+    """sum over pieces (w, insertions, handles) of w <1', Y(v1,z1)...
+    Y(vn,zn) 1> with the handles sewn on, as the nested rho-series of its
+    paired basis sums, outermost handle first.
 
     Each handle is (zeta1, zeta2, terms, variable); terms[k] lists the
     weight-k paired terms (c, bbar, b) of basis states, bbar at zeta1 and
     b at zeta2.  The coefficient of rho_1^k1 ... rho_g^kg sums c_1 ... c_g
-    times the sphere function over the weight-(k1, ..., kg) terms, and
-    equals (with the same types) the nested per-term sums of
-    ``sphere_value``.  The points are checked first; the result is None
-    when a point or a coefficient is not an int or a Fraction, and the
-    caller then sums per term.
+    times the sphere function over the weight-(k1, ..., kg) terms.  Every
+    piece has at least one handle and the points of the first, slot for
+    slot (a reduction moves states, not points); they are checked first.
     """
+    _, insertions, handles = pieces[0]
     points = [z for _, z in insertions]
     for zeta1, zeta2, _, _ in handles:
         points += (zeta1, zeta2)
     _require_distinct(points)
-    rational = (int, Fraction)
-    if not (all(isinstance(z, rational) for z in points)
-            and all(isinstance(c, rational) for v, _ in insertions for c in v.terms.values())
-            and all(isinstance(term[0], rational)
-                    for _, _, terms, _ in handles for terms_k in terms for term in terms_k)):
-        return None
     order = _canonical_order(tuple(points))
-    ctx = _wick_context((False,) * len(order), tuple(points[i] for i in order))
+    gaussian = tuple(isinstance(points[i], ExactComplex) for i in order)
+    ctx = _wick_context(gaussian, tuple(points[i] for i in order))
     position = [0] * len(order)
     for pi, slot in enumerate(order):
         position[slot] = pi
+    acc, flags = {}, {}
+    for piece in pieces:
+        _sewn_piece(ctx, gaussian, position, *piece, acc, flags)
+    values = {}
+    for key, value in acc.items():
+        if value:
+            if flags.get(key):
+                value = value if value.__class__ is ExactComplex else ExactComplex(value)
+            elif value.__class__ is ExactComplex:
+                value = value.re
+            level = values
+            for k in key[:-1]:
+                level = level.setdefault(k, {})
+            level[key[-1]] = value
+    return _as_series(values, [(variable, len(terms)) for _, _, terms, variable in handles])
+
+
+def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags):
+    # one piece's coefficients added into acc, by multi-index; where an
+    # ExactComplex enters a term, flags marks the multi-index, also when
+    # the weight is 0 and no term is summed
 
     def field_chars(state, slot):
         pi = chr(position[slot])
         return "".join(chr(part - 1) + pi for part in state.partition)
 
-    combos = [(coeff, [(position[i], field_chars(s, i), s.weight) for i, s in enumerate(states)],
+    combos = [(*_split(weight * coeff),
+               [(position[i], field_chars(s, i), s.weight) for i, s in enumerate(states)],
                sum(s.length for s in states))
               for states, coeff in _expand_components(insertions, dressed=False)]
+    exotic = ctx.gaussian or any(num.__class__ is _GaussInt for num, *_ in combos)
     levels = []
     for h, (_, _, terms, _) in enumerate(handles):
         slot = len(insertions) + 2 * h
         by_weight = []
         for terms_k in terms:
             # the weight-k terms grouped by the weights of bbar and b, each
-            # group's pairing entries as integers over their lcm
+            # group's pairing entries as ring elements over their lcm; a
+            # group notes whether an entry is an ExactComplex and which
+            # parities its terms' field counts have
             groups = {}
             for term in terms_k:
                 groups.setdefault((term[1].weight, term[2].weight), []).append(term)
             by_weight.append([])
             for (wbar, wb), group in groups.items():
-                common = math.lcm(*(c.denominator for c, _, _ in group))
-                by_weight[-1].append((wbar, wb, common, [
-                    (c.numerator * (common // c.denominator), field_chars(bbar, slot),
-                     field_chars(b, slot + 1), bbar.length + b.length)
-                    for c, bbar, b in group]))
+                split = [_split(c) for c, _, _ in group]
+                common = math.lcm(*(d for _, d in split))
+                gauss = any(n.__class__ is _GaussInt for n, _ in split)
+                exotic = exotic or gauss
+                by_weight[-1].append((wbar, wb, common, gauss,
+                                      {(bbar.length + b.length) % 2 for _, bbar, b in group}, [
+                    (n * (common // d), field_chars(bbar, slot), field_chars(b, slot + 1),
+                     bbar.length + b.length) for (n, d), (_, bbar, b) in zip(split, group)]))
         levels.append((position[slot], position[slot + 1], by_weight))
-    slots = [""] * len(points)
-    weights = [0] * len(points)
+    live = weight != 0
+    if not (live or exotic):
+        return
+    slots = [""] * len(gaussian)
+    weights = [0] * len(gaussian)
 
-    # each coefficient (k_outer, ..., k_inner) as a Fraction, one term per
-    # expansion combination, multi-index and weights of the paired states
-    acc = {}
+    # each coefficient (k_outer, ..., k_inner), one term per expansion
+    # combination, multi-index and weights of the paired states
     outer = [[(k, wbar, wb, common, term) for k, groups in enumerate(by_weight)
-              for wbar, wb, common, group in groups for term in group]
+              for wbar, wb, common, _, _, group in groups for term in group]
              for _, _, by_weight in levels[:-1]]
     pos1, pos2, inner = levels[-1]
-    for coeff, chars, combo_legs in combos:
+    for num0, den0, chars, combo_legs in combos:
         for pi, field, weight in chars:
             slots[pi], weights[pi] = field, weight
         for picked in product(*outer):
-            ks, num, den, outer_legs = (), coeff.numerator, coeff.denominator, combo_legs
+            ks, num, den, outer_legs = (), num0, den0, combo_legs
+            marked = num0.__class__ is _GaussInt
             for (p1, p2, _), (k, wbar, wb, common, (c, bbar, b, term_legs)) in zip(levels, picked):
                 slots[p1], slots[p2] = bbar, b
                 weights[p1], weights[p2] = wbar, wb
                 ks, outer_legs = ks + (k,), outer_legs + term_legs
                 num, den = num * c, den * common
+                marked = marked or c.__class__ is _GaussInt
             for k, groups in enumerate(inner):
-                for wbar, wb, common, group in groups:
+                for wbar, wb, common, gauss, parities, group in groups:
                     weights[pos1], weights[pos2] = wbar, wb
+                    key = ks + (k,)
+                    if exotic:
+                        flags[key] = flags.get(key) or marked or gauss or (
+                            outer_legs % 2 in parities
+                            and any(g and w for g, w in zip(gaussian, weights)))
+                    if not live:
+                        continue
                     total = 0
                     for c, bbar, b, term_legs in group:
                         if (outer_legs + term_legs) % 2:
@@ -630,18 +670,10 @@ def sewn_sphere_series(
                         slots[pos1], slots[pos2] = bbar, b
                         total += c * _wick("", "".join(slots), ctx)
                     if total:
-                        key = ks + (k,)
-                        acc[key] = acc.get(key, 0) + Fraction(
-                            num * total * ctx.scale ** sum(weights),
-                            den * common * _denominator(ctx, weights))
-    values = {}
-    for key, value in acc.items():
-        if value:
-            level = values
-            for k in key[:-1]:
-                level = level.setdefault(k, {})
-            level[key[-1]] = value
-    return _as_series(values, [(variable, len(terms)) for _, _, terms, variable in handles])
+                        n, d = (num * total * ctx.scale ** sum(weights),
+                                den * common * _denominator(ctx, weights))
+                        acc[key] = acc.get(key, 0) + (_lower(n, d, True) if exotic
+                                                      else Fraction(n, d))
 
 
 def _as_series(values: dict, shape) -> TruncatedSeries:
@@ -679,10 +711,10 @@ class _WickContext:
         parts = [x for z in points
                  for x in ((z.re, z.im) if isinstance(z, ExactComplex) else (z,))]
         q = self.scale = math.lcm(*(x.denominator for x in parts))
-        self.scaled = tuple(ExactComplex(z.re * q, z.im * q) if isinstance(z, ExactComplex)
+        self.scaled = tuple(_GaussInt(int(z.re * q), int(z.im * q)) if isinstance(z, ExactComplex)
                             else z.numerator * (q // z.denominator) for z in points)
         self.gaussian = any(isinstance(z, ExactComplex) for z in points)
-        self.zero, self.one = (ExactComplex(0), ExactComplex(1)) if self.gaussian else (0, 1)
+        self.zero, self.one = (_GaussInt(0, 0), _GaussInt(1, 0)) if self.gaussian else (0, 1)
         # prod_{k != i} delta_ik, the factor a unit of weight at i puts
         # into the denominator
         self.cofactors = tuple(_cofactor(self.scaled, i, i) for i in range(len(points)))
@@ -725,8 +757,8 @@ def _contraction(ctx: _WickContext, entry: str):
     if len(entry) == 3:
         m, d, i = map(ord, entry)
         power = _int_power(ctx.scaled[i], m - 1 - d)
-        val = 0 if power == 0 else (m * math.comb(m - 1, d) * power
-                                    * _int_power(ctx.cofactors[i], d + 1) * ctx.one)
+        val = 0 if not power else (m * math.comb(m - 1, d) * power
+                                   * _int_power(ctx.cofactors[i], d + 1) * ctx.one)
     else:
         d, i, e, j = map(ord, entry)
         c = (-1) ** d * (d + e + 1) * math.comb(d + e, d)

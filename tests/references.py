@@ -1,0 +1,239 @@
+"""Reference computations the tests compare the package against.
+
+The per-term route sums a sewn surface one paired term at a time: the
+sphere function, the graded trace, or the reduction terms of either, at
+every term's points, and one handle at a time over the terms
+(:func:`sewn_series`, nested by :func:`genus_g_sum`).  The package sums
+each of these in one pass (``voa.sewn_sphere_series``,
+``correlators.sewn_trace_series``); the tests compare the two with
+``_assert_identical``, equal values of equal types.
+
+Beside it sit the helpers that only tests use: the graded dimension
+series, the P_m kernels as q-series and as the defining double sum, the
+evaluation of the rational kernels' polynomial pairs, the JSON round
+trip of a series, and the float deviation of two values.
+"""
+
+import cmath
+import json
+import math
+from fractions import Fraction
+
+from voachain.complexes import (
+    Sewn,
+    Sphere,
+    Trace,
+    _mode_reach,
+    _ratio,
+    _sphere_zero,
+    _vacuum_elements,
+    corr_difference,
+)
+from voachain.correlators import sphere_value, torus_trace
+from voachain.elliptic import EllipticError, f0_kernel, pm_numerators, polylog_neg
+from voachain.schottky import _sewn_handle
+from voachain.series import Scalar, TruncatedSeries, _int_power
+from voachain.voa import FockVector, apply_state_mode, square_bracket_mode
+
+# -- the per-term route -------------------------------------------------
+
+
+def _typed(value):
+    """The value with the type and repr of every coefficient: equal
+    only if the types agree."""
+    if isinstance(value, TruncatedSeries):
+        return (value.variable, value.truncation, value.min_exponent,
+                sorted((e, _typed(c)) for e, c in value.coefficients.items()))
+    return type(value).__name__, repr(value)
+
+
+def _assert_identical(got, want):
+    # equal values of equal types, coefficient by coefficient
+    assert got == want
+    assert _typed(got) == _typed(want)
+
+
+def sewn_series(handle, evaluate) -> TruncatedSeries:
+    """One sewn handle (a ``schottky._sewn_handle`` tuple): the rho^k
+    coefficient sums c * evaluate(pairs) over the weight-k paired terms,
+    with pairs = [(bbar, zeta1), (b, zeta2)] as vectors."""
+    zeta1, zeta2, terms, variable = handle
+    coeffs = {}
+    for k, terms_k in enumerate(terms):
+        total = 0
+        for c, bbar, b in terms_k:
+            value = evaluate([(FockVector({bbar: 1}), zeta1), (FockVector({b: 1}), zeta2)])
+            total = total + value * c
+        coeffs[k] = total
+    return TruncatedSeries(variable, coeffs, len(terms))
+
+
+def genus_g_sum(handles, insertions, inner):
+    """Nested rho-series of the basis sums of the handles (zeta1, zeta2,
+    rho_order, variable), outermost first, over ``inner(points)`` at the
+    points [*insertions, *pairs of handles[0], ...], one handle at a time;
+    ``inner(insertions)`` itself with no handles, and the empty series of
+    truncation 0 when a handle is summed to order 0."""
+    if any(rho_order == 0 for _, _, rho_order, _ in handles):
+        return TruncatedSeries.zero(handles[0][3], 0)
+    sewn = [_sewn_handle(*h) for h in handles]
+
+    def summed(i, points):
+        if i == len(sewn):
+            return inner(points)
+        return sewn_series(sewn[i], lambda pairs: summed(i + 1, [*points, *pairs]))
+
+    return summed(0, list(insertions))
+
+
+def _base_and_handles(surface):
+    if isinstance(surface, Sewn):
+        return surface.base, surface.handles
+    return surface, ()
+
+
+def _value(base, points):
+    if isinstance(base, Sphere):
+        return sphere_value(points)
+    return torus_trace(points, base.q_order)
+
+
+def evaluate(surface, entries):
+    """The value's data on the surface, summed per paired term."""
+    base, handles = _base_and_handles(surface)
+    return genus_g_sum(handles, entries, lambda points: _value(base, points))
+
+
+def _moves(base, v, z_new, entries, slots):
+    # (k, kernel, v(m) x_k) as the reduction takes them: the rational
+    # kernel f0 on the sphere, the q-series P_{m+1} on the trace
+    for wt, comp in v.homogeneous_components().items():
+        for k in slots:
+            state_k, z_k = entries[k]
+            for m in range(0, _mode_reach(comp, state_k) + 1):
+                if isinstance(base, Sphere):
+                    moved = apply_state_mode(comp, m, state_k)
+                    kernel = f0_kernel(wt, m)(z_new, z_k)
+                else:
+                    moved = square_bracket_mode(comp, m)(state_k)
+                    kernel = pm_qseries(m + 1, _ratio(z_new, z_k), base.q_order)
+                if not moved.is_zero():
+                    yield k, kernel, moved
+
+
+def _moved_sum(base, points, moves, total):
+    # total plus kernel * F(points with the moved state at slot k) per move
+    for k, weight, moved in moves:
+        mod = (*points[:k], (moved, points[k][1]), *points[k + 1:])
+        total = total + weight * _value(base, mod)
+    return total
+
+
+def _zero_mode_term(base, points, v, z):
+    if isinstance(base, Trace):
+        return torus_trace(points, base.q_order, zero_mode_state=v)
+    op_vacs = _vacuum_elements(v)
+    value = sphere_value(points) if any(op_vacs.values()) else _sphere_zero(points)
+    data = 0
+    for wt, op_vac in op_vacs.items():
+        data = data + _int_power(z, -wt) * (value * op_vac)
+    return data
+
+
+def reduce_d1(surface, x_new, entries):
+    """D1 on the surface per paired term: the base's zero-mode term on
+    all the points, and its kernel-weighted moves at the pair slots."""
+    v, z = x_new
+    base, handles = _base_and_handles(surface)
+
+    def term(points):
+        pair_slots = range(len(entries), len(points))
+        return _moved_sum(base, points, _moves(base, v, z, points, pair_slots),
+                          _zero_mode_term(base, points, v, z))
+
+    return genus_g_sum(handles, entries, term)
+
+
+def reduce_d2(surface, x_new, entries):
+    """D2 on the surface per paired term: the kernel-weighted moves at the
+    element's own slots, one evaluation per move."""
+    v, z = x_new
+    base, handles = _base_and_handles(surface)
+    moves = list(_moves(base, v, z, entries, range(len(entries))))
+    if not moves:
+        return surface._zero()
+    return genus_g_sum(handles, entries,
+                       lambda points: _moved_sum(base, points, moves, base._zero()))
+
+
+# -- helpers only tests use ---------------------------------------------
+
+
+def partition_qseries(q_order: int) -> TruncatedSeries:
+    """Graded dimension series sum p(k) q^k (no prefactor)."""
+    return torus_trace([], q_order)
+
+
+def pm_qseries(m: int, q_z: Scalar, q_order: int) -> TruncatedSeries:
+    """q-expansion of P_m(z,tau) at fixed q_z = e^z, exact for exact q_z.
+
+    At a rational q_z it is ``pm_numerators`` with each coefficient
+    lowered to a Fraction.  At any other q_z the same two sums run in the
+    arithmetic of q_z: the resummed rational function at q^0, the divisor
+    sum (-1)^m/(m-1)! sum_{n | N} n^{m-1} (q_z^n + (-1)^m q_z^{-n}) at q^N.
+    """
+    if isinstance(q_z, (int, Fraction)):
+        nums, den = pm_numerators(m, q_z, q_order)
+        return TruncatedSeries("q", {k: Fraction(c, den) for k, c in enumerate(nums)}, q_order)
+    if m < 1:
+        raise EllipticError("kernel order must be >= 1")
+    pref = Fraction((-1) ** m, math.factorial(m - 1))
+    coeffs = {0: pref * polylog_neg(m - 1, q_z)}
+    sign = (-1) ** m
+    for n_ord in range(1, q_order):
+        acc = 0
+        for n in range(1, n_ord + 1):
+            if n_ord % n == 0:
+                acc = acc + n ** (m - 1) * (_int_power(q_z, n) + sign * _int_power(q_z, -n))
+        coeffs[n_ord] = pref * acc
+    return TruncatedSeries("q", coeffs, q_order)
+
+
+def pm_direct_sum(m: int, z: complex, mp, tol: float = 1e-12, max_n: int = 4000) -> complex:
+    """Term-by-term partial sums of the defining series of P_m."""
+    if m < 1:
+        raise EllipticError("kernel order must be >= 1")
+    q = mp.q
+    q_z = cmath.exp(complex(z))
+    if not (abs(q) < abs(q_z) < 1):
+        raise EllipticError("outside the convergence annulus")
+    pref = (-1) ** m / math.factorial(m - 1)
+    total = 0j
+    for n in range(1, max_n + 1):
+        t_pos = n ** (m - 1) * q_z**n / (1 - q**n)
+        t_neg = (-n) ** (m - 1) * q_z ** (-n) / (1 - q ** (-n))
+        total += t_pos + t_neg
+        if abs(t_pos) + abs(t_neg) < tol and n > 8:
+            break
+    return pref * total
+
+
+def bipoly_eval(p: dict, z: Scalar, w: Scalar) -> Scalar:
+    """A bivariate polynomial {(z_exp, w_exp): coeff} at (z, w)."""
+    total = 0
+    for (i, j), c in p.items():
+        total = total + c * _int_power(z, i) * _int_power(w, j)
+    return total
+
+
+def series_to_json(s: TruncatedSeries) -> str:
+    return json.dumps(s.to_json_dict())
+
+
+def series_from_json(text: str) -> TruncatedSeries:
+    return TruncatedSeries.from_json_dict(json.loads(text))
+
+
+def corr_deviation(a, b) -> float:
+    """Max-abs difference of two values over their shared known range."""
+    return corr_difference(a, b)[0]

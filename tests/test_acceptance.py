@@ -20,10 +20,11 @@ from voachain.complexes import (
     apply_Dn,
     check_chain_conditions,
     cohomology_ranks,
-    corr_deviation,
     element_from_insertions,
     reduce_to_zero_point,
 )
+from references import corr_deviation
+
 from voachain.correlators import torus_qseries
 from voachain.elliptic import eisenstein, pm_lambert
 from voachain.schottky import SchottkyData, SewingData, genus_g_partition

@@ -9,6 +9,18 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from references import (
+    _assert_identical,
+    corr_deviation,
+    evaluate,
+    pm_qseries,
+    reduce_d1,
+    reduce_d2,
+)
+
+from test_correlators import _points
+from test_schottky import vectors
+
 from voachain.complexes import (
     ComplexError,
     CorrelationFunction,
@@ -23,13 +35,13 @@ from voachain.complexes import (
     ConditionReport,
     cohomology_ranks,
     connection_functional,
-    corr_deviation,
     corr_difference,
     element_from_insertions,
     _check_ncondition,
     _element,
     _nested_coefficient,
     reduce_to_zero_point,
+    Sphere,
     Trace,
 )
 from voachain.correlators import sphere_value, torus_qseries
@@ -389,19 +401,20 @@ class TestChainConditions:
         # the once-sewn intermediates are never valued: the check makes one
         # sewn_sphere_series call per handle order, both at one point set,
         # and the second runs in the first one's Wick context
-        from voachain import complexes, schottky, voa
+        from voachain import complexes, voa
 
         elem = g0_element(("a", Fraction(7)), ("a", Fraction(9)))
         calls = []
 
-        def spy(insertions, handles):
+        def spy(pieces):
             misses = voa._wick_context.cache_info().misses
-            out = sewn_sphere_series(insertions, handles)
+            out = sewn_sphere_series(pieces)
+            (_, insertions, handles), = pieces
             points = sorted([z for _, z in insertions] + [z for h in handles for z in h[:2]])
             calls.append((points, voa._wick_context.cache_info().misses - misses))
             return out
 
-        monkeypatch.setattr(schottky, "sewn_sphere_series", spy)
+        monkeypatch.setattr(complexes, "sewn_sphere_series", spy)
         report = complexes._check_gcondition({"element": elem, "rho_order": 3})
         assert report.residual == 0 and report.composition_norm != 0
         (points_ab, _), (points_ba, new_ba) = calls
@@ -523,8 +536,6 @@ class TestReduceToZeroPoint:
 
     def test_factor_is_elliptic_kernel_for_free_boson_two_point(self):
         # two reduction steps produce exactly the P_2 kernel series
-        from voachain.elliptic import pm_qseries
-
         elem = g1_element([("a", POINTS1[0]), ("a", POINTS1[1])], q_order=8)
         factor, _ = reduce_to_zero_point(elem)
         kernel = pm_qseries(2, POINTS1[1] / POINTS1[0], 8)
@@ -1005,6 +1016,18 @@ def test_sewn_trace_with_a_handle_to_order_0_knows_no_coefficient(orders):
     assert value.data.truncation == 0
 
 
+@st.composite
+def sewn_sphere_steps(draw, exact):
+    """Insertions on the sphere with one or two handles to rho orders 1 to
+    3, innermost first, and a new insertion (v, y)."""
+    states = draw(st.lists(vectors, max_size=2))
+    orders = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    *points, y = _points(draw, len(states) + 2 * len(orders) + 1, exact)
+    handles = [(points[len(states) + 2 * h], points[len(states) + 2 * h + 1], order)
+               for h, order in enumerate(orders)]
+    return list(zip(states, points)), handles, (draw(vectors), y)
+
+
 class TestSewnSphereReduction:
     # handles sewn onto the sphere reduce as the direct genus-g sums do:
     # D^n of the sewn element is the sewing of the element with the new
@@ -1051,10 +1074,10 @@ class TestSewnSphereReduction:
     @pytest.mark.parametrize("step", ["1", "a", "aa", "[2]", "omega+1"])
     def test_one_pass_step_equals_the_evaluation_and_the_per_term_route(
             self, monkeypatch, handles, step):
-        # at rational points D^n runs as sewn_sphere_series calls alone, in
-        # the element's own Wick context, with no sphere function per paired
-        # term; it equals the sewn evaluation of the stepped insertions and
-        # the per-term route, which runs when a sum is not rational
+        # D^n runs as one sewn_sphere_series call per summand, in the
+        # element's own Wick context, with no sphere function per paired
+        # term; it equals the sewn evaluation of the stepped insertions,
+        # and D1 and D2 each equal the per-term route, values and types
         from voachain import complexes, voa
 
         v, y = {**SEWN_POOL, "omega+1": OMEGA_VECTOR + VACUUM_VECTOR}[step], Fraction(9)
@@ -1072,19 +1095,44 @@ class TestSewnSphereReduction:
         misses = voa._wick_context.cache_info().misses
         assert apply_Dn((v, y), elem).value == want
         assert voa._wick_context.cache_info().misses == misses
-        assert calls["sphere_value"] == 0 and calls["sewn_sphere_series"] >= 1
-        monkeypatch.setattr(complexes, "sewn_sphere_series", lambda *args: None)
-        assert apply_Dn((v, y), elem).value == want
-        assert calls["sphere_value"] > 0
+        # D2 of the vacuum has no move, so no sum
+        assert calls == {"sphere_value": 0, "sewn_sphere_series": 1 if step == "1" else 2}
+        _assert_identical(apply_D1((v, y), elem).value.data,
+                          reduce_d1(elem.evaluator, (v, y), entries))
+        _assert_identical(apply_D2((v, y), elem).value.data,
+                          reduce_d2(elem.evaluator, (v, y), entries))
 
-    def test_per_term_route_at_exact_complex_points(self):
-        # a Gaussian-rational point leaves the one-pass sums, for the sewn
-        # evaluation and D^n alike; the two still agree by ==
+    @pytest.mark.parametrize("exact", [True, False], ids=["rational", "gaussian"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_reduction_matches_the_per_term_route(self, exact, data):
+        # D1 and D2 on a sphere with one or two handles sewn on, at any
+        # exact points and coefficients, equal the per-term route in
+        # values and types
+        insertions, handles, x_new = data.draw(sewn_sphere_steps(exact))
+        surface = Sphere()
+        for zeta1, zeta2, order in handles:
+            surface = surface.sew(SewingData(zeta1=zeta1, zeta2=zeta2), order)
+        elem = _element(InsertionTuple(tuple(insertions)), surface)
+        _assert_identical(apply_D1(x_new, elem).value.data,
+                          reduce_d1(surface, x_new, insertions))
+        _assert_identical(apply_D2(x_new, elem).value.data,
+                          reduce_d2(surface, x_new, insertions))
+
+    def test_one_pass_at_exact_complex_points(self):
+        # a Gaussian-rational point runs the same one-pass sums, for the
+        # sewn evaluation and D^n alike, and the two agree by ==; each
+        # equals the per-term route's value
         y = ExactComplex(9, 1)
         elem = sewn_sphere(1, ("a", Fraction(5)), ("aa", Fraction(7)))
-        want = elem.evaluator.evaluate((*elem.insertions.entries, (A_VECTOR, y)))
+        entries = elem.insertions.entries
+        want = elem.evaluator.evaluate((*entries, (A_VECTOR, y)))
         assert not want.is_zero()
-        assert apply_Dn((A_VECTOR, y), elem).value == want
+        _assert_identical(want.data, evaluate(elem.evaluator, (*entries, (A_VECTOR, y))))
+        stepped = apply_Dn((A_VECTOR, y), elem).value
+        assert stepped == want
+        assert stepped.data == (reduce_d1(elem.evaluator, (A_VECTOR, y), entries)
+                                + reduce_d2(elem.evaluator, (A_VECTOR, y), entries))
 
 
 class TestDeferredValues:
@@ -1099,7 +1147,7 @@ class TestDeferredValues:
             raise AssertionError("a value was computed")
 
         for module, name in ((complexes, "sphere_value"), (complexes, "torus_trace"),
-                             (complexes, "torus_trace_sum"), (complexes, "sewn_trace_series"),
+                             (complexes, "sewn_trace_series"),
                              (complexes, "sewn_sphere_series"), (complexes, "_genus_g_sum"),
                              (schottky, "sewn_sphere_series")):
             monkeypatch.setattr(module, name, computed)

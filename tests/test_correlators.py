@@ -4,11 +4,11 @@
 sums diagonal sphere elements over the Fock basis.  The two are computed
 apart from each other, so agreement per q-coefficient is the thermal
 Wick theorem checked, not a construction.  The weighted sums of traces
-(`torus_trace_sum`, `sewn_trace_series`) are checked against the
-per-term route, one `torus_trace` per term.
+(`torus_trace_sum`, `sewn_trace_series`) and the reduction on a sewn
+trace are checked against the per-term route of `references`, one
+`torus_trace` per term.
 """
 
-import cmath
 import contextlib
 import math
 import time
@@ -17,7 +17,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_schottky import KINDS, _assert_identical, _point, vectors
+from references import (
+    _assert_identical,
+    evaluate,
+    partition_qseries,
+    pm_qseries,
+    reduce_d1,
+    reduce_d2,
+    sewn_series,
+)
+from test_schottky import KINDS, _point, vectors
 
 from voachain import complexes, correlators
 from voachain.complexes import (
@@ -26,20 +35,20 @@ from voachain.complexes import (
     Trace,
     _element,
     _ratio,
+    apply_D1,
     apply_D2,
     apply_Dn,
 )
 from voachain.correlators import (
-    partition_qseries,
     sewn_trace_series,
     sphere_value,
     torus_qseries,
     torus_trace,
     torus_trace_sum,
 )
-from voachain.elliptic import pm_numerators, pm_qseries
-from voachain.schottky import SewingData, _genus_g_sum, _sewn_handle, _sewn_series
-from voachain.series import ExactComplex, SeriesError, points_coincide
+from voachain.elliptic import pm_numerators
+from voachain.schottky import SewingData, _sewn_handle
+from voachain.series import ExactComplex, SeriesError, _GaussInt, points_coincide
 from voachain.voa import (
     A_VECTOR,
     VACUUM_VECTOR,
@@ -121,8 +130,8 @@ class TestTraceAgainstBasisSum:
         insertions = [(A_VECTOR, Fraction(2)), (AA, Fraction(-3)), (A_VECTOR, Fraction(4))]
         sd = SewingData(zeta1=Fraction(5), zeta2=Fraction(-7, 2))
         got = Trace(5).sew(sd, 4).evaluate(insertions).data
-        want = _sewn_series(_sewn_handle(sd.zeta1, sd.zeta2, 4, "rho"),
-                            lambda pairs: _brute([*insertions, *pairs], 5))
+        want = sewn_series(_sewn_handle(sd.zeta1, sd.zeta2, 4, "rho"),
+                           lambda pairs: _brute([*insertions, *pairs], 5))
         assert set(got.coefficients) == set(want.coefficients) == {0, 1, 2, 3}
         for k, series in want.coefficients.items():
             _same(got.coefficients[k], series)
@@ -144,6 +153,26 @@ class TestPropagator:
         nums, den = correlators._propagator(ctx, "\x00\x00\x00\x01")
         p2 = pm_qseries(2, xj / xi, q_order)
         assert [xi * xj * Fraction(n, den) for n in nums] == [p2.coefficient(k) for k in range(q_order)]
+
+    def test_gaussian_memo_holds_reduced_ring_pairs(self):
+        # at a Gaussian point every table entry is one q-series of ints and
+        # Gaussian integers over one positive int denominator, gcd 1
+        points = (ExactComplex(Fraction(5, 2), 1), Fraction(-7, 3), Fraction(4))
+        insertions = [(AA + FockVector.basis(2), points[0]), (A_VECTOR, points[1]),
+                      (FockVector.basis(2, 1), points[2])]
+        torus_trace(insertions, 6, zero_mode_state=AA + FockVector.basis(3))
+        ctx = correlators._torus_context((True, False, False), points, 6)
+        entries = [val for val in ctx.memo.values() if val is not None]
+        for val in ctx.propagators.values():
+            entries += val.values() if isinstance(val, dict) else [val]
+        assert len(entries) > 20
+        assert any(type(n) is _GaussInt for nums, _ in entries for n in nums)
+        for nums, den in entries:
+            assert len(nums) == 6
+            assert all(type(n) in (int, _GaussInt) for n in nums)
+            assert type(den) is int and den > 0
+            parts = [x for n in nums for x in ((n.re, n.im) if type(n) is _GaussInt else (n,))]
+            assert math.gcd(den, *parts) == 1
 
     def test_exact_memo_holds_reduced_int_pairs(self):
         # at exact points every table entry is one q-series over one
@@ -197,19 +226,27 @@ class TestScalarTypes:
             assert got.coefficients[k] == c, k
 
     @pytest.mark.parametrize("c", [0.5, complex(0.5, -0.25),
-                                   ExactComplex(Fraction(1, 2), Fraction(1, 3))])
+                                   ExactComplex(Fraction(1, 2), Fraction(1, 3))],
+                             ids=["float", "complex", "ExactComplex"])
     @pytest.mark.parametrize("v", [None, AA.scale(Fraction(1, 2)) + FockVector.basis(2)])
     def test_inexact_coefficients_at_exact_points(self, c, v):
-        # the points are exact, so the tables hold integer pairs, but
-        # the coefficient leaves the trace in the coefficient's arithmetic
+        # the points are exact, so the tables hold ints; an ExactComplex
+        # coefficient makes the sum Gaussian, with the basis sum's values
+        # and types, and a float or complex one is refused as a point is
         insertions = [(AA.scale(c) + A_VECTOR, Fraction(5)), (A_VECTOR, Fraction(-7, 2)),
                       (FockVector.basis(2), 4)]
+        if not isinstance(c, ExactComplex):
+            with pytest.raises(SeriesError, match="is not exact"):
+                torus_trace(insertions, 5, zero_mode_state=v)
+            with pytest.raises(SeriesError, match="is not exact"):
+                sphere_value(insertions)
+            return
         got = torus_trace(insertions, 5, zero_mode_state=v)
         want = _brute(insertions, 5, v)
         assert set(got.coefficients) == set(want.coefficients)
         for k, w in want.coefficients.items():
             assert type(got.coefficients[k]) is type(w), k
-            assert cmath.isclose(complex(got.coefficients[k]), complex(w), rel_tol=1e-12), k
+            assert got.coefficients[k] == w, k
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError, match="pairwise distinct"):
@@ -284,23 +321,6 @@ def sewn_traces(draw, exact=True):
     return list(zip(states, points)), handles, draw(st.integers(0, 3))
 
 
-def _per_term_d2(trace, entries, x_new):
-    # D2 one torus_trace per move, each P_{m+1} kernel a pm_qseries: the
-    # per-term route, in the order complexes._moves gives the moves
-    v, x = x_new
-    q_order = trace.q_order
-    total = trace._zero()
-    for wt, comp in v.homogeneous_components().items():
-        for k, (state, x_k) in enumerate(entries):
-            for m in range(wt + max(s.weight for s in state.terms) + 1):
-                moved = square_bracket_mode(comp, m)(state)
-                if not moved.is_zero():
-                    term = [*entries[:k], (moved, x_k), *entries[k + 1:]]
-                    total = total + pm_qseries(m + 1, _ratio(x, x_k), q_order) * torus_trace(
-                        term, q_order)
-    return total
-
-
 @contextlib.contextmanager
 def _counted_traces():
     # the per-term traces that complexes evaluates, counted
@@ -321,8 +341,8 @@ class TestWeightedTraceSum:
     def test_d2_and_dn_at_exact_points_match_the_per_term_route(self, case):
         entries, x_new, q_order = case
         elem = _element(InsertionTuple(tuple(entries)), Trace(q_order))
-        want_d2 = _per_term_d2(Trace(q_order), entries, x_new)
-        want_dn = torus_trace(entries, q_order, zero_mode_state=x_new[0]) + want_d2
+        want_d2 = reduce_d2(Trace(q_order), x_new, entries)
+        want_dn = reduce_d1(Trace(q_order), x_new, entries) + want_d2
         with _counted_traces() as calls:
             got_d2 = apply_D2(x_new, elem).value.data
         # one sum, no trace per move
@@ -335,21 +355,29 @@ class TestWeightedTraceSum:
     def test_d2_at_gaussian_points_is_the_per_term_route(self, case):
         entries, x_new, q_order = case
         elem = _element(InsertionTuple(tuple(entries)), Trace(q_order))
-        _assert_identical(apply_D2(x_new, elem).value.data,
-                          _per_term_d2(Trace(q_order), entries, x_new))
+        with _counted_traces() as calls:
+            got = apply_D2(x_new, elem).value.data
+        assert calls == []
+        _assert_identical(got, reduce_d2(Trace(q_order), x_new, entries))
 
-    @pytest.mark.parametrize("c", [0.5, complex(0.5, -0.25),
-                                   ExactComplex(Fraction(1, 2), Fraction(1, 3))])
-    def test_inexact_coefficient_at_exact_points_sums_per_term(self, c):
-        # every kernel is exact, the sum is not: the per-term route runs,
-        # each kernel lowered to the q-series pm_qseries gives
+    def test_gaussian_coefficient_at_exact_points_matches_the_per_term_route(self):
+        # every kernel is rational and every point too; the coefficient
+        # makes the sum Gaussian, and it still runs in one pass
+        c = ExactComplex(Fraction(1, 2), Fraction(1, 3))
         entries = [(AA.scale(c) + A_VECTOR, Fraction(5)), (FockVector.basis(2), Fraction(-7, 2))]
         x_new = (AA + A_VECTOR, 4)
         elem = _element(InsertionTuple(tuple(entries)), Trace(5))
-        _assert_identical(apply_D2(x_new, elem).value.data, _per_term_d2(Trace(5), entries, x_new))
+        _assert_identical(apply_D2(x_new, elem).value.data, reduce_d2(Trace(5), x_new, entries))
         _assert_identical(apply_Dn(x_new, elem).value.data,
-                          torus_trace(entries, 5, zero_mode_state=x_new[0])
-                          + _per_term_d2(Trace(5), entries, x_new))
+                          reduce_d1(Trace(5), x_new, entries) + reduce_d2(Trace(5), x_new, entries))
+
+    @pytest.mark.parametrize("c", [0.5, complex(0.5, -0.25)], ids=["float", "complex"])
+    def test_an_inexact_coefficient_is_refused(self, c):
+        entries = [(AA.scale(c) + A_VECTOR, Fraction(5)), (FockVector.basis(2), Fraction(-7, 2))]
+        elem = _element(InsertionTuple(tuple(entries)), Trace(5))
+        for step in (apply_D1, apply_D2, apply_Dn):
+            with pytest.raises(SeriesError, match="is not exact"):
+                step((AA + A_VECTOR, 4), elem).value
 
     @settings(max_examples=30, deadline=None)
     @given(trace_steps(), st.booleans())
@@ -365,13 +393,39 @@ class TestWeightedTraceSum:
             pm_qseries(2, _ratio(x, entries[0][1]), q_order) * torus_trace(entries, q_order, v)
             + torus_trace(entries, q_order, v) * Fraction(-3, 7))
 
-    def test_an_inexact_sum_is_left_to_the_caller(self):
+    def test_every_exact_sum_runs_and_an_inexact_one_is_refused(self):
+        # a Gaussian weight, point or coefficient is summed like a rational
+        # one, with the per-term value and type; a float is not exact
         exact = [(A_VECTOR, Fraction(5)), (A_VECTOR, 2)]
-        assert torus_trace_sum([(Fraction(1, 2), exact, None)], 4) is not None
-        assert torus_trace_sum([(0.5, exact, None)], 4) is None
-        assert torus_trace_sum([(1, [(A_VECTOR, ExactComplex(5, 1)), (A_VECTOR, 2)], None)],
-                               4) is None
-        assert torus_trace_sum([(1, exact, A_VECTOR.scale(0.5))], 4) is None
+        gaussian = [(A_VECTOR, ExactComplex(5, 1)), (A_VECTOR, 2)]
+        half = ExactComplex(Fraction(1, 2), 1)
+        for weight, insertions, v in ((Fraction(1, 2), exact, None), (half, exact, None),
+                                      (1, gaussian, None), (1, exact, AA.scale(half))):
+            _assert_identical(torus_trace_sum([(weight, insertions, v)], 4),
+                              torus_trace(insertions, 4, v) * weight)
+        with pytest.raises(SeriesError, match="is not exact"):
+            torus_trace_sum([(0.5, exact, None)], 4)
+        with pytest.raises(SeriesError, match="is not exact"):
+            torus_trace_sum([(1, exact, A_VECTOR.scale(0.5))], 4)
+
+
+def _sewn_trace(q_order, handles):
+    surface = Trace(q_order)
+    for zeta1, zeta2, order in handles:
+        surface = surface.sew(SewingData(zeta1=zeta1, zeta2=zeta2), order)
+    return surface
+
+
+@st.composite
+def sewn_trace_steps(draw, exact=True):
+    """Insertions on a trace with one or two handles sewn on, and a new
+    insertion (v, x) for a reduction step."""
+    states = draw(st.lists(vectors, max_size=2))
+    orders = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    *points, x = _points(draw, len(states) + 2 * len(orders) + 1, exact)
+    handles = [(points[len(states) + 2 * h], points[len(states) + 2 * h + 1], order)
+               for h, order in enumerate(orders)]
+    return list(zip(states, points)), handles, (draw(vectors), x), draw(st.integers(1, 3))
 
 
 class TestSewnTraceSeries:
@@ -379,11 +433,8 @@ class TestSewnTraceSeries:
     @given(sewn_traces())
     def test_exact_sewn_trace_matches_the_per_term_sums(self, case):
         insertions, handles, q_order = case
-        surface = Trace(q_order)
-        for zeta1, zeta2, order in handles:
-            surface = surface.sew(SewingData(zeta1=zeta1, zeta2=zeta2), order)
-        want = _genus_g_sum(surface.handles, insertions,
-                            inner=lambda points: torus_trace(points, q_order))
+        surface = _sewn_trace(q_order, handles)
+        want = evaluate(surface, insertions)
         with _counted_traces() as calls:
             got = surface.evaluate(tuple(insertions)).data
         # every handle at once: no trace per paired term
@@ -391,18 +442,45 @@ class TestSewnTraceSeries:
         _assert_identical(got, want)
         if all(order for _, _, order in handles):
             sewn = [_sewn_handle(*h) for h in surface.handles]
-            _assert_identical(sewn_trace_series(insertions, sewn, q_order), want)
+            _assert_identical(sewn_trace_series([(1, insertions, sewn, None)], q_order), want)
 
     @settings(max_examples=30, deadline=None)
     @given(sewn_traces(exact=False))
     def test_gaussian_sewn_trace_is_the_per_term_sums(self, case):
         insertions, handles, q_order = case
-        surface = Trace(q_order)
-        for zeta1, zeta2, order in handles:
-            surface = surface.sew(SewingData(zeta1=zeta1, zeta2=zeta2), order)
-        _assert_identical(surface.evaluate(tuple(insertions)).data,
-                          _genus_g_sum(surface.handles, insertions,
-                                       inner=lambda points: torus_trace(points, q_order)))
+        surface = _sewn_trace(q_order, handles)
+        with _counted_traces() as calls:
+            got = surface.evaluate(tuple(insertions)).data
+        assert calls == []
+        _assert_identical(got, evaluate(surface, insertions))
+
+    @settings(max_examples=25, deadline=None)
+    @given(sewn_trace_steps())
+    def test_reduction_at_exact_points_matches_the_per_term_route(self, case):
+        # D1 (o(v) and the moves at the pair slots) and D2 (the moves at
+        # the element's slots) as one trace sum per rho multi-index
+        insertions, handles, x_new, q_order = case
+        surface = _sewn_trace(q_order, handles)
+        elem = _element(InsertionTuple(tuple(insertions)), surface)
+        with _counted_traces() as calls:
+            got_d1 = apply_D1(x_new, elem).value.data
+            got_d2 = apply_D2(x_new, elem).value.data
+        assert calls == []
+        _assert_identical(got_d1, reduce_d1(surface, x_new, insertions))
+        _assert_identical(got_d2, reduce_d2(surface, x_new, insertions))
+
+    @settings(max_examples=25, deadline=None)
+    @given(sewn_trace_steps(exact=False))
+    def test_reduction_at_gaussian_points_matches_the_per_term_route(self, case):
+        insertions, handles, x_new, q_order = case
+        surface = _sewn_trace(q_order, handles)
+        elem = _element(InsertionTuple(tuple(insertions)), surface)
+        with _counted_traces() as calls:
+            got_d1 = apply_D1(x_new, elem).value.data
+            got_d2 = apply_D2(x_new, elem).value.data
+        assert calls == []
+        _assert_identical(got_d1, reduce_d1(surface, x_new, insertions))
+        _assert_identical(got_d2, reduce_d2(surface, x_new, insertions))
 
     @pytest.mark.parametrize("zero", [0, Fraction(0), ExactComplex(0)],
                              ids=["int", "Fraction", "ExactComplex"])

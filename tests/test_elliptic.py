@@ -9,19 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import bipoly_eval, pm_direct_sum, pm_qseries
+
 from voachain.elliptic import (
     EllipticError,
     ModularPoint,
     bernoulli,
-    bipoly_eval,
     eisenstein,
     f0_iota,
     f0_kernel,
-    pm_direct_sum,
     pm_genus1,
     pm_lambert,
     pm_numerators,
-    pm_qseries,
     polylog_neg,
     weierstrass_p,
     weierstrass_series,

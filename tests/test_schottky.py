@@ -11,9 +11,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from references import _assert_identical, genus_g_sum, partition_qseries, sewn_series
+
 from voachain import schottky, voa
 from voachain.complexes import Sphere, Trace
-from voachain.correlators import partition_qseries, sphere_value, torus_qseries
+from voachain.correlators import sphere_value, torus_qseries
 from voachain.schottky import (
     SchottkyData,
     SewingData,
@@ -22,7 +24,6 @@ from voachain.schottky import (
     _gram_inverse,
     _pairing_terms,
     _sewn_handle,
-    _sewn_series,
     genus_g_npoint,
     genus_g_partition,
     handle_pairing,
@@ -440,7 +441,7 @@ class TestNestedSewingSum:
                 return 0
             return sphere_value([*points[:slot], (moved, point), *points[slot + 1:]])
 
-        nested = _genus_g_sum(sd.handles((3, 3)), insertions, inner=moved_sphere)
+        nested = genus_g_sum(sd.handles((3, 3)), insertions, moved_sphere)
         flat = flat_genus2_sum(sd, insertions, (3, 3), mode)
         assert nested.is_zero() == (ell == 0 or not insertions)
         self.assert_same(nested, flat)
@@ -496,20 +497,6 @@ def sewn_cases(draw, min_order=0):
     return insertions, handles
 
 
-def _typed(value):
-    """The value with the type and repr of every coefficient: equal
-    only if the types agree."""
-    if isinstance(value, TruncatedSeries):
-        return (value.variable, value.truncation, value.min_exponent,
-                sorted((e, _typed(c)) for e, c in value.coefficients.items()))
-    return type(value).__name__, repr(value)
-
-
-def _assert_identical(got, want):
-    assert got == want
-    assert _typed(got) == _typed(want)
-
-
 def _schottky(handles):
     return SchottkyData(genus=len(handles), points=tuple(z for h in handles for z in h[:2]))
 
@@ -523,16 +510,21 @@ def _sewn_chain(handles):
     return surface
 
 
+def _one_pass(handles, insertions):
+    # the sewn sums as genus_g_npoint takes them, every handle at once
+    return _genus_g_sum(handles, lambda sewn: [(1, insertions, sewn)], voa.sewn_sphere_series)
+
+
 def _per_term_sewn(handles, entries):
-    # each handle's _sewn_series over the Sphere evaluator, outermost first;
+    # each handle's sewn_series over the Sphere evaluator, outermost first;
     # a handle to order 0 leaves no coefficient of the sums known
     if any(order == 0 for _, _, order, _ in handles):
         return TruncatedSeries.zero(handles[0][3], 0)
     if not handles:
         return Sphere().evaluate(entries).data
     (zeta1, zeta2, order, variable), *inner = handles
-    return _sewn_series(_sewn_handle(zeta1, zeta2, order, variable),
-                        lambda pairs: _per_term_sewn(inner, (*entries, *pairs)))
+    return sewn_series(_sewn_handle(zeta1, zeta2, order, variable),
+                       lambda pairs: _per_term_sewn(inner, (*entries, *pairs)))
 
 
 class TestSewnSphereSeries:
@@ -541,8 +533,8 @@ class TestSewnSphereSeries:
     def test_genus_g_sum_matches_per_term_sums(self, case):
         insertions, handles = case
         sewn = _schottky(handles).handles([order for _, _, order in handles])
-        want = _genus_g_sum(sewn, insertions, inner=lambda points: sphere_value(points))
-        _assert_identical(_genus_g_sum(sewn, insertions), want)
+        want = genus_g_sum(sewn, insertions, sphere_value)
+        _assert_identical(_one_pass(sewn, insertions), want)
 
     @settings(max_examples=40, deadline=None)
     @given(sewn_cases())
@@ -561,28 +553,33 @@ class TestSewnSphereSeries:
         insertions = [(insertions[0][0], twin), *insertions[1:]]
         sewn = _schottky(handles).handles([order for _, _, order in handles])
         with pytest.raises(ValueError, match="pairwise distinct"):
-            _genus_g_sum(sewn, insertions, inner=lambda points: sphere_value(points))
+            genus_g_sum(sewn, insertions, sphere_value)
         with pytest.raises(ValueError, match="pairwise distinct"):
-            _genus_g_sum(sewn, insertions)
+            _one_pass(sewn, insertions)
         with pytest.raises(ValueError, match="pairwise distinct"):
             _sewn_chain(handles).evaluate(tuple(insertions))
 
-    def test_only_rational_sums_run_in_the_kernel(self):
-        # the kernel accumulates integer pairs; an ExactComplex point or
-        # coefficient leaves the sum to the per-term path (None)
+    def test_every_exact_sum_runs_in_the_kernel(self):
+        # a Gaussian point, coefficient or sewing point is summed in one
+        # pass like a rational one, with the per-term values and types;
+        # a coincident point and an inexact point or coefficient are refused
         handle = _sewn_handle(Fraction(-1), 1, 3, "rho")
         a3 = (A_VECTOR, 3)
         gaussian = ExactComplex(2, 1)
-        sewn = voa.sewn_sphere_series([(A_VECTOR, Fraction(2)), a3], [handle])
+        sewn = voa.sewn_sphere_series([(1, [(A_VECTOR, Fraction(2)), a3], [handle])])
         assert sewn.coefficient(0) == 1 and type(sewn.coefficient(1)) is Fraction
-        assert voa.sewn_sphere_series([(A_VECTOR, gaussian), a3], [handle]) is None
-        assert voa.sewn_sphere_series([(FockVector({A_STATE: gaussian}), 2), a3], [handle]) is None
-        assert voa.sewn_sphere_series([(A_VECTOR, 2), a3],
-                                      [_sewn_handle(-1, gaussian, 3, "rho")]) is None
+        for insertions, handles in (([(A_VECTOR, gaussian), a3], [(-1, 1, 3, "rho")]),
+                                    ([(FockVector({A_STATE: gaussian}), 2), a3],
+                                     [(-1, 1, 3, "rho")]),
+                                    ([(A_VECTOR, 2), a3], [(-1, gaussian, 3, "rho")])):
+            _assert_identical(_one_pass(handles, insertions),
+                              genus_g_sum(handles, insertions, sphere_value))
         with pytest.raises(ValueError, match="pairwise distinct"):
-            voa.sewn_sphere_series([(A_VECTOR, ExactComplex(1)), a3], [handle])
+            voa.sewn_sphere_series([(1, [(A_VECTOR, ExactComplex(1)), a3], [handle])])
         with pytest.raises(SeriesError, match="is not exact"):
-            voa.sewn_sphere_series([(A_VECTOR, 2.0), a3], [handle])
+            voa.sewn_sphere_series([(1, [(A_VECTOR, 2.0), a3], [handle])])
+        with pytest.raises(SeriesError, match="is not exact"):
+            voa.sewn_sphere_series([(1, [(A_VECTOR.scale(0.5), 2), a3], [handle])])
 
     def test_sphere_term_reads_the_kernel_memo(self, monkeypatch):
         # the kernel numbers the fields as sphere_matrix_element does, so a

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import series_from_json, series_to_json
+
 from voachain.series import (
     ExactComplex,
     SeriesError,
@@ -14,8 +16,6 @@ from voachain.series import (
     _frac_str,
     _int_str,
     points_coincide,
-    series_from_json,
-    series_to_json,
 )
 
 

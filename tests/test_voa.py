@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from voachain import voa
 from voachain.correlators import sphere_value
-from voachain.series import ExactComplex, SeriesError, TruncatedSeries
+from voachain.series import ExactComplex, SeriesError, TruncatedSeries, _GaussInt
 from voachain.voa import (
     A_STATE,
     A_VECTOR,
@@ -611,15 +611,19 @@ def _pow(z, n):
 
 
 def _wick_oracle(u_out, insertions, u_in):
+    # every matching of the legs, enumerated afresh; each pair's
+    # contraction is computed once per call and read by every matching
     legs = [("out", m) for m in u_out.partition]
     for g, (state, z) in enumerate(insertions):
         legs += [("field", part - 1, g, z) for part in state.partition]
     legs += [("in", m) for m in u_in.partition]
+    contraction = {(i, j): _leg_contraction(legs[i], legs[j])
+                   for i in range(len(legs)) for j in range(i + 1, len(legs))}
     total = Fraction(0)
-    for matching in _pairings(legs):
+    for matching in _pairings(list(range(len(legs)))):
         term = Fraction(1)
-        for x, y in matching:
-            term *= _leg_contraction(x, y)
+        for pair in matching:
+            term *= contraction[pair]
             if term == 0:
                 break
         total += term
@@ -926,6 +930,15 @@ class TestWickContext:
         with pytest.raises(SeriesError, match="is not exact"):
             sphere_value([(A_VECTOR, big), (A_VECTOR, 0.5)])
 
+    @pytest.mark.parametrize("c", [0.5, complex(0.5, -0.25)], ids=["float", "complex"])
+    def test_an_inexact_coefficient_is_refused(self, c):
+        # as an inexact point is: the one multilinear expansion refuses it
+        # before any value is computed
+        with pytest.raises(SeriesError, match="coefficient .* is not exact"):
+            sphere_value([(A_VECTOR.scale(c), 5), (A_VECTOR, 2)])
+        with pytest.raises(SeriesError, match="coefficient .* is not exact"):
+            sphere_value([(A_VECTOR.scale(c) + FockVector.basis(2), 5), (A_VECTOR, 2)])
+
     def test_exact_points_are_ordered_exactly(self):
         # 10**400 has no float, and 10**400 + 1/2 would round to it: both
         # orders of the two points must still find one context
@@ -936,10 +949,10 @@ class TestWickContext:
         assert values == [4, 4]
         assert voa._wick_context.cache_info().misses == 1
 
-    def test_gaussian_memo_holds_one_exact_complex_per_state(self):
+    def test_gaussian_memo_holds_one_gaussian_integer_per_state(self):
         # one ExactComplex point moves the whole context to Gaussian
-        # integers: every memoised sub-sum is one ExactComplex with integer
-        # parts, never a tuple
+        # integers: every memoised sub-sum is one _GaussInt with int parts,
+        # never a tuple or an ExactComplex
         points = [Fraction(7, 2), ExactComplex(Fraction(1, 2), 1), Fraction(-1, 3)]
         insertions = [(FockState((2, 1)), points[0]), (FockState((1, 2)), points[1]),
                       (FockState((1, 1)), points[2])]
@@ -948,8 +961,8 @@ class TestWickContext:
         ctx = _context_of(points)
         assert ctx.gaussian and ctx.scale == 6 and len(ctx.memo) > 3
         for entry in ctx.memo.values():
-            assert type(entry) is ExactComplex
-            assert entry.re.denominator == entry.im.denominator == 1
+            assert type(entry) is _GaussInt
+            assert type(entry.re) is int and type(entry.im) is int
 
     def test_batch_is_order_independent(self):
         # one point tuple, so every element of the batch shares a context

@@ -575,9 +575,9 @@ def sewn_sphere_series(pieces: Sequence[tuple]) -> TruncatedSeries:
     position = [0] * len(order)
     for pi, slot in enumerate(order):
         position[slot] = pi
-    acc, flags = {}, {}
+    acc, flags, built = {}, {}, {}
     for piece in pieces:
-        _sewn_piece(ctx, gaussian, position, *piece, acc, flags)
+        _sewn_piece(ctx, gaussian, position, *piece, acc, flags, built)
     values = {}
     for key, value in acc.items():
         if value:
@@ -592,10 +592,12 @@ def sewn_sphere_series(pieces: Sequence[tuple]) -> TruncatedSeries:
     return _as_series(values, [(variable, len(terms)) for _, _, terms, variable in handles])
 
 
-def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags):
+def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags, built):
     # one piece's coefficients added into acc, by multi-index; where an
     # ExactComplex enters a term, flags marks the multi-index, also when
-    # the weight is 0 and no term is summed
+    # the weight is 0 and no term is summed.  built keeps each handle's
+    # grouped terms by its terms list and slot: the pieces of a reduction
+    # share every handle they do not move
 
     def field_chars(state, slot):
         pi = chr(position[slot])
@@ -609,7 +611,11 @@ def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags
     levels = []
     for h, (_, _, terms, _) in enumerate(handles):
         slot = len(insertions) + 2 * h
-        by_weight = []
+        by_weight = built.get((id(terms), slot))
+        if by_weight is not None:
+            levels.append((position[slot], position[slot + 1], by_weight))
+            continue
+        by_weight = built[id(terms), slot] = []
         for terms_k in terms:
             # the weight-k terms grouped by the weights of bbar and b, each
             # group's pairing entries as ring elements over their lcm; a
@@ -623,12 +629,13 @@ def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags
                 split = [_split(c) for c, _, _ in group]
                 common = math.lcm(*(d for _, d in split))
                 gauss = any(n.__class__ is _GaussInt for n, _ in split)
-                exotic = exotic or gauss
                 by_weight[-1].append((wbar, wb, common, gauss,
                                       {(bbar.length + b.length) % 2 for _, bbar, b in group}, [
                     (n * (common // d), field_chars(bbar, slot), field_chars(b, slot + 1),
                      bbar.length + b.length) for (n, d), (_, bbar, b) in zip(split, group)]))
         levels.append((position[slot], position[slot + 1], by_weight))
+    exotic = exotic or any(group[3] for _, _, by_weight in levels for groups in by_weight
+                           for group in groups)
     live = weight != 0
     if not (live or exotic):
         return

@@ -266,6 +266,12 @@ def emit(report: dict) -> None:
     print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
 
 
+def float_size(x: float) -> float | None:
+    """A float size field as printed: null where it is infinite, as for
+    an exact value past the float range."""
+    return x if math.isfinite(x) else None
+
+
 def emit_report(command: str, cfg: _Values, **fields) -> None:
     """A config command's report: the config as written, the given
     [truncation] keys as read, and the command's own fields."""
@@ -318,7 +324,7 @@ def cmd_eval_weierstrass(args) -> int:
                    "tau": [args.tau_re, args.tau_im], "terms": args.terms},
         "value": {"re": val.value.real, "im": val.value.imag},
         # an infinite tail proxy has no JSON number; flagged says it
-        "tail_estimate": val.tail_estimate if math.isfinite(val.tail_estimate) else None,
+        "tail_estimate": float_size(val.tail_estimate),
         "flagged": val.flagged(),
         "series": series.to_json_dict(),
     })
@@ -409,7 +415,7 @@ def cmd_reduce(args) -> int:
     else:
         factor_json = {"value": scalar_json(factor)}
     emit_report("reduce", cfg, factor=factor_json, zero_point=corr_json(zero_point),
-                round_trip_residual=scalar_abs(mismatch))
+                round_trip_residual=float_size(scalar_abs(mismatch)))
     return 0 if scalar_is_zero(mismatch) else 3
 
 
@@ -437,8 +443,8 @@ def cmd_check_complex(args) -> int:
             raise ConfigError(f"unknown condition kind {kind!r}")
     reports = check_chain_conditions(suite)
     payload = [
-        {"kind": rep.kind, "residual": rep.residual,
-         "composition_norm": rep.composition_norm, "detail": rep.detail}
+        {"kind": rep.kind, "residual": float_size(rep.residual),
+         "composition_norm": float_size(rep.composition_norm), "detail": rep.detail}
         for rep in reports
     ]
     emit_report("check-complex", cfg, reports=payload)
@@ -471,7 +477,7 @@ def cmd_connection(args) -> int:
     )
     emit_report("connection", cfg,
                 components={k: corr_json(v) for k, v in report.components.items()},
-                G_norm=report.G_norm, vanishing=report.vanishing,
+                G_norm=float_size(report.G_norm), vanishing=report.vanishing,
                 identification=report.identification)
     expected = cfg["assert", "vanishing"]
     if expected is not None and expected != report.vanishing:

@@ -48,7 +48,6 @@ from .voa import (
     VACUUM,
     VACUUM_VECTOR,
     FockVector,
-    _expand_components,
     apply_state_mode,
     sewn_sphere_series,
     square_bracket_mode,
@@ -121,7 +120,7 @@ class Sphere(_FrozenRecord):
     handle_points = ()
 
     def evaluate(self, entries) -> CorrelationFunction:
-        return CorrelationFunction(0, sphere_value(entries, dressed=False))
+        return CorrelationFunction(0, sphere_value(entries))
 
     def sew(self, sd: SewingData, rho_order: int) -> "Sewn":
         return Sewn(self, ()).sew(sd, rho_order)
@@ -152,15 +151,9 @@ class Sphere(_FrozenRecord):
                 lambda m, z_k: f0_kernel(wt, m)(z_new, z_k))
 
     def _sum(self, pieces):
-        # on a sewn sphere one sewn_sphere_series call; on the bare sphere
-        # w times the sphere function per piece, and where w is 0 the zero
-        # evaluating would give, with nothing evaluated
-        if pieces[0][2]:
-            return sewn_sphere_series([(w, ins, handles) for w, ins, handles, _ in pieces])
-        total = 0
-        for w, ins, _, _ in pieces:
-            total = total + w * (sphere_value(ins) if w != 0 else _sphere_zero(ins))
-        return total
+        # every piece and handle in one sewn_sphere_series call: the
+        # rho-series on a sewn sphere, the sphere function on the bare one
+        return sewn_sphere_series([(w, ins, handles) for w, ins, handles, _ in pieces])
 
 
 def _vacuum_elements(v: FockVector) -> dict:
@@ -169,23 +162,6 @@ def _vacuum_elements(v: FockVector) -> dict:
     # homogeneous component of v
     return {wt: zero_mode(comp)(VACUUM_VECTOR).coefficient(VACUUM)
             for wt, comp in v.homogeneous_components().items()}
-
-
-def _sphere_zero(entries) -> Scalar:
-    # 0 of the type sphere_value(entries) has between vacua, summed as it
-    # sums its basis components: an odd leg count gives an int 0; an even
-    # one a Fraction, or an ExactComplex when a point carrying legs is one
-    total = 0
-    for states, coeff in _expand_components(entries, dressed=False):
-        if sum(s.length for s in states) % 2:
-            val = 0
-        else:
-            val = Fraction(0)
-            for s, (_, z) in zip(states, entries):
-                if s.partition:
-                    val = val * z
-        total = total + coeff * val
-    return total
 
 
 class Trace(_FrozenRecord):

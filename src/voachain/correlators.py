@@ -1,9 +1,10 @@
 """Raw correlation-function evaluators shared by the sewing and
 reduction layers.
 
-Genus 0 is the exact sphere engine.  Genus 1 is the Gaussian form of the
-Heisenberg graded trace (the thermal Wick theorem; Mason-Tuite, Torus
-chiral n-point functions for free boson and lattice VOAs, CMP 2003):
+Genus 0 is the exact sphere function between vacua, the one-pass sum
+with no handle.  Genus 1 is the Gaussian form of the Heisenberg graded
+trace (the thermal Wick theorem; Mason-Tuite, Torus chiral n-point
+functions for free boson and lattice VOAs, CMP 2003):
 Z(q) times a sum over pairings of exact q-series propagators, exact per
 q-order because each propagator coefficient is an exact rational
 function of the insertion coordinates.  Torus insertion points are given
@@ -16,8 +17,7 @@ weighted traces at one point set that way, each weight a scalar or a
 q-series over one denominator (the genus-1 D2 kernels): the reduction's
 moved states and, through :func:`sewn_trace_series`, the paired terms
 of a trace with handles sewn on.  :func:`torus_trace` is its one-term
-case.  The brute-force trace over the Fock basis, :func:`torus_qseries`,
-stays as the oracle the tests compare the Gaussian form with.
+case.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .series import (
     ExactComplex,
@@ -38,41 +38,22 @@ from .series import (
     _split,
 )
 from .voa import (
-    VACUUM,
-    FockState,
     FockVector,
     _as_series,
-    _chars,
     _comb_neg,
     _expand_components,
     _require_distinct,
     partition_count,
-    sphere_matrix_element,
-    weight_basis,
+    sewn_sphere_series,
 )
 
 Insertion = tuple[FockVector, Scalar]
 
 
-def sphere_value(
-    insertions: Sequence[Insertion],
-    u_out: FockState = VACUUM,
-    u_in: FockState = VACUUM,
-    dressed: bool = False,
-) -> Scalar:
-    """<u_out', Y(v1,z1)...Y(vn,zn) u_in>, exact.
-
-    With ``dressed`` each insertion is Y(x^{L0} v, x), contributing
-    x^{wt} per homogeneous component.  The in state is the insertion of
-    u_in at 0, so no other insertion may sit there.
-    """
-    points = [z for _, z in insertions]
-    _require_distinct([*points, 0] if u_in.partition else points)
-    total = 0
-    for states, coeff in _expand_components(insertions, dressed):
-        val = sphere_matrix_element(u_out, list(zip(states, points)), u_in)
-        total = total + coeff * val
-    return total
+def sphere_value(insertions: Sequence[Insertion]) -> Scalar:
+    """<1', Y(v1,z1)...Y(vn,zn) 1>, exact: the one-pass sphere sum
+    :func:`~voachain.voa.sewn_sphere_series` with no handle."""
+    return sewn_sphere_series([(1, insertions, ())])
 
 
 def torus_trace(
@@ -87,10 +68,8 @@ def torus_trace(
     symbolically.  By the thermal Wick theorem the trace is Z(q) = sum
     p(k) q^k times the sum over pairings of the fields of all
     insertions of products of propagators; o(v) is the x^0 coefficient
-    of Y(x^{L0}v, x) placed left of every insertion.  Equal to
-    :func:`torus_qseries` with ``left_operator=zero_mode(v)``, which
-    sums the same trace over the Fock basis, with the same types.  It is
-    the one-term case of :func:`torus_trace_sum`.
+    of Y(x^{L0}v, x) placed left of every insertion.  It is the one-term
+    case of :func:`torus_trace_sum`.
     """
     return torus_trace_sum([(1, insertions, zero_mode_state)], q_order)
 
@@ -105,9 +84,9 @@ def torus_trace_sum(terms: Sequence[tuple], q_order: int) -> TruncatedSeries:
     :func:`~voachain.elliptic.pm_numerators` gives the P_m kernels.  Every
     term reads the tables of one context, Z(q) multiplies the sum once
     and each coefficient is lowered once: an ExactComplex when an
-    ExactComplex enters a term (a weight, a coefficient, or a point
-    carrying fields, through its x^wt dressing), else a Fraction.  The
-    terms must not be empty.
+    ExactComplex enters a term (a scalar weight, a coefficient, a point
+    carrying fields, through its x^wt dressing, or a q-series weight of a
+    term with a pairing), else a Fraction.  The terms must not be empty.
     """
     if q_order < 1:
         return TruncatedSeries("q", {}, q_order)
@@ -121,12 +100,12 @@ def torus_trace_sum(terms: Sequence[tuple], q_order: int) -> TruncatedSeries:
     for weight, insertions, zero_mode_state in terms:
         series = weight if isinstance(weight, tuple) else None
         if series is not None:
-            weight = 1
-            gaussian = gaussian or any(n.__class__ is _GaussInt for n in series[0])
+            # a q-series weight enters only the terms with a pairing
+            weight, series_gaussian = 1, any(n.__class__ is _GaussInt for n in series[0])
         if zero_mode_state is None:
             zero_mode_terms = [("", 1)]
         else:
-            zero_mode_terms = [(_chars(sorted(p - 1 for p in state.partition)), c)
+            zero_mode_terms = [("".join(sorted(chr(p - 1) for p in state.partition)), c)
                                for (state,), c in _expand_components([(zero_mode_state, 1)],
                                                                      dressed=False)]
         for states, coeff in _expand_components(insertions, dressed=True):
@@ -140,6 +119,7 @@ def torus_trace_sum(terms: Sequence[tuple], q_order: int) -> TruncatedSeries:
                 if pairing is None:
                     continue
                 if series is not None:
+                    gaussian = gaussian or series_gaussian
                     pairing = _mul(series, pairing)
                 num, d = _split(scale)
                 nums, d2 = pairing
@@ -458,42 +438,3 @@ def _zero_mode_sum(ctx: _TorusContext, v_fields: str, fields: str, e: int):
                     val = _accumulate(val, _mul(series, sub))
     val = ctx.memo[key] = _reduced(ctx, val)
     return val
-
-
-def torus_qseries(
-    insertions: Sequence[Insertion],
-    q_order: int,
-    left_operator: Callable[[FockVector], FockVector] | None = None,
-) -> TruncatedSeries:
-    """Brute-force graded trace over the Fock basis, exact per q-order:
-    the oracle of :func:`torus_trace`.
-
-    Tr(op . Y(x1^{L0}v1,x1)...Y(xn^{L0}vn,xn) q^{L0}) without the
-    q^{-c/24} prefactor, which the caller tracks symbolically.  The q^k
-    coefficient sums diagonal sphere elements over the weight-k basis;
-    an optional grade-preserving operator is inserted on the left.
-    """
-    coeffs: dict[int, Scalar] = {}
-    for k in range(q_order):
-        basis = weight_basis(k)
-        if left_operator is not None:
-            # op(B) once per bridge B; its A-component is <A', op B>
-            images = [left_operator(FockVector({bridge: 1})) for bridge in basis]
-        acc = 0
-        for state in basis:
-            if left_operator is None:
-                val = sphere_value(insertions, state, state, dressed=True)
-            else:
-                # <A', op X A> = sum_B <A', op B> <B', X A> over the
-                # same-weight bridge basis (op is grade-preserving)
-                val = 0
-                for bridge, image in zip(basis, images):
-                    c_ab = image.coefficient(state)
-                    if c_ab == 0:
-                        continue
-                    val = val + c_ab * sphere_value(
-                        insertions, bridge, state, dressed=True
-                    )
-            acc = acc + val
-        coeffs[k] = acc
-    return TruncatedSeries("q", coeffs, q_order)

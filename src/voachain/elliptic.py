@@ -153,15 +153,13 @@ class EllipticValue(_FrozenRecord):
 
 @lru_cache(maxsize=None)
 def _eulerian_row(j: int) -> tuple[int, ...]:
-    if j == 0:
-        return (1,)
-    prev = _eulerian_row(j - 1)
-    row = []
-    for k in range(j + 1):
-        left = (k + 1) * (prev[k] if k < len(prev) else 0)
-        right = (j - k) * (prev[k - 1] if 0 <= k - 1 < len(prev) else 0)
-        row.append(left + right)
-    return tuple(row)
+    """The Eulerian numbers A(j, k), 0 <= k <= j, built up row by row
+    from A(0, 0) = 1: A(i, k) = (k+1) A(i-1, k) + (i-k) A(i-1, k-1)."""
+    row = (1,)
+    for i in range(1, j + 1):
+        row = tuple((k + 1) * (row[k] if k < i else 0) + (i - k) * (row[k - 1] if k else 0)
+                    for k in range(i + 1))
+    return row
 
 
 def polylog_neg(j: int, x: Scalar) -> Scalar:
@@ -242,7 +240,13 @@ def pm_genus1(
             f"|q_z| = {abs(q_z):.6g} outside the convergence annulus "
             f"({abs(q):.6g}, 1)"
         )
-    return pm_lambert(m, q_z, q, terms)
+    try:
+        value = pm_lambert(m, q_z, q, terms)
+    except OverflowError:  # an Eulerian numerator past the float range
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise EllipticError(f"P_{m} is not finite in floats at |z| = {abs(complex(z)):.6g}")
+    return value
 
 
 # -- genus-zero rational kernels f^(0)_{n,m} ---------------------------

@@ -36,7 +36,7 @@ from typing import Sequence
 
 from .correlators import Insertion
 from .series import Scalar, TruncatedSeries, _FrozenRecord, _int_power, points_coincide
-from .voa import VACUUM, FockState, sewn_sphere_series, sphere_matrix_element, weight_basis
+from .voa import FockState, _field_chars, _wick, _wick_context, sewn_sphere_series, weight_basis
 
 
 class SewingError(ValueError):
@@ -78,16 +78,19 @@ def _gram_inverse(k: int) -> tuple[tuple[Fraction, ...], ...]:
     """G_k^-1, with G_k = H_k(1, 0).  The fields of one insertion never
     contract, so G_k is block-diagonal by partition length; each block
     is inverted on its own.  The entries of G_k are integers: the fields
-    at 1 contract with those at 0 through powers of 1 - 0."""
+    at 1 contract with those at 0 through powers of 1 - 0, so at the
+    points 0 and 1 an entry is the Wick recursion's N itself, one _wick
+    call in the context of those points (the fields at 0 first, as the
+    canonical order puts them)."""
     basis = weight_basis(k)
+    ctx = _wick_context((False, False), (0, 1))
     inverse = [[Fraction(0)] * len(basis) for _ in basis]
     blocks: dict[int, list[int]] = {}
     for i, b in enumerate(basis):
         blocks.setdefault(b.length, []).append(i)
     for block in blocks.values():
         gram = [
-            [sphere_matrix_element(VACUUM, [(basis[i], 1), (basis[j], 0)], VACUUM).numerator
-             for j in block]
+            [_wick(_field_chars(basis[j], 0) + _field_chars(basis[i], 1), ctx) for j in block]
             for i in block
         ]
         for i, row in zip(block, _invert_integer(gram)):

@@ -299,9 +299,14 @@ def points_coincide(points) -> bool:
 
 
 def scalar_abs(x) -> float:
+    """|x| as a float, or of a series its largest coefficient's: inf
+    where an exact value is past the float range."""
     if isinstance(x, TruncatedSeries):
         return x.max_abs()
-    return abs(to_complex(x))
+    try:
+        return abs(to_complex(x))
+    except OverflowError:
+        return math.inf
 
 
 def scalar_is_zero(x) -> bool:

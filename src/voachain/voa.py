@@ -4,10 +4,11 @@ States are indexed by integer partitions: ``a(-n1)...a(-nk)|0>`` with
 ``n1 >= ... >= nk >= 1``.  The module implements mode actions, composite
 modes via the iterate formula, square-bracket modes, the Sugawara
 Virasoro operators at central charge 1, the invariant bilinear form with
-adjoint parameter ``alpha``, and an exact evaluator for sphere matrix
-elements of products of vertex operators (resummed pairwise
-contractions, so values are honest rational functions of the insertion
-points rather than truncated mode sums).
+adjoint parameter ``alpha``, and the exact sphere function between
+vacua of products of vertex operators, with or without handles sewn on
+(:func:`sewn_sphere_series`: resummed pairwise contractions, so values
+are honest rational functions of the insertion points rather than
+truncated mode sums).
 """
 
 from __future__ import annotations
@@ -407,21 +408,19 @@ def vertex_matrix_element(
     return TruncatedSeries("z", coeffs, z_order, min_exponent=min_exp)
 
 
-# -- exact sphere matrix elements ------------------------------------
+# -- exact sphere functions --------------------------------------------
 #
-# <u_out', Y(v1,z1)...Y(vn,zn) u_in> for basis states v_i: each v_i is
-# the normally ordered product of derivative fields d^(n-1)a/(n-1)! and
-# the whole element is a sum over pairings.  Pairwise contractions are
+# <1', Y(v1,z1)...Y(vn,zn) 1> for basis states v_i: each v_i is the
+# normally ordered product of derivative fields d^(n-1)a/(n-1)! and the
+# whole function is a sum over pairings.  Pairwise contractions are
 # closed-form rational functions of the points, which is exactly the
-# resummation of the infinite intermediate mode sums.  The in state is
-# the insertion Y(u_in, 0) applied to the vacuum, so its parts are
-# fields at one more point, 0, and only the out state is a boundary.
+# resummation of the infinite intermediate mode sums.
 #
 # One Wick context serves every evaluation at the same set of points:
 # a genus-g sum evaluates all its paired basis terms, vacuum pairs
 # included, at the same points, and the same sum with the handles or
 # insertions in another order (the chain conditions compose the
-# differentials both ways) evaluates the same terms again.  The element
+# differentials both ways) evaluates the same terms again.  The function
 # is symmetric in its insertions, so the context takes the points in one
 # canonical order, compared exactly, and numbers the fields in that
 # order: any permutation of the insertions gives the same recursion
@@ -440,66 +439,26 @@ def vertex_matrix_element(
 # i < j: ints, or Gaussian integers (series._GaussInt) when an
 # ExactComplex is among the points.  A state whose fields have total
 # weight W_i at point i has the value
-# V = Q^(W - wt out) N / prod_{i<j} delta_ij^(W_i + W_j), and
-# the recursion computes N, which has no denominator: removing a field
-# (d, i) takes prod_{k != i} delta_ik^(d+1) out of the product, so a
-# contraction multiplies the sub-state's N by one table entry, the
-# contraction times what the product lost, in which the contraction's
-# pole cancels.  The memo holds one ring element per state entered (an
-# int, or a _GaussInt at a context with an ExactComplex point), and the
-# value is lowered once, by series._lower, in sphere_matrix_element or
-# per group of terms in sewn_sphere_series.  Every point of the context
-# enters the products, a vacuum one too; its factors cancel, and a value
-# is an ExactComplex exactly when a point carrying fields is one.
+# V = Q^W N / prod_{i<j} delta_ij^(W_i + W_j), and the recursion
+# computes N, which has no denominator: removing a field (d, i) takes
+# prod_{k != i} delta_ik^(d+1) out of the product, so a contraction
+# multiplies the sub-state's N by one table entry, the contraction times
+# what the product lost, in which the contraction's pole cancels.  The
+# memo holds one ring element per state entered (an int, or a _GaussInt
+# at a context with an ExactComplex point), and the value is lowered
+# once per group of terms, by series._lower, in sewn_sphere_series.
+# Every point of the context enters the products, a vacuum one too; its
+# factors cancel, and a value is an ExactComplex exactly when a point
+# carrying fields is one.
 #
-# The recursion carries its state as strings, compact enough to keep
-# every sub-sum of a trace or handle sum: boundary parts m as chr(m),
-# fields as chr(d) + chr(i).  Equal fields (one d, one i) sit next to
-# each other, so the first field is contracted once per distinct
-# partner and the term counted by the partner's multiplicity: the
-# branching grows with the number of distinct fields, not of fields.
-# A sub-state is looked up in the memo before the recursion is entered,
-# and a remainder of two fields and no boundary parts is read from the
-# contraction table instead.
-
-
-def sphere_matrix_element(
-    u_out: FockState,
-    insertions: Sequence[tuple[FockState, Scalar]],
-    u_in: FockState,
-) -> Scalar:
-    """<u_out', Y(v1,z1)...Y(vn,zn) u_in> for basis states v_i at exact
-    points z_i.
-
-    The value is symmetric in the insertions: every permutation of one
-    point set runs in the same Wick context, on the same sub-sums.  The
-    in state is the insertion of u_in at 0, so no other insertion may
-    sit there.
-    """
-    legs = u_out.length + u_in.length + sum(state.length for state, _ in insertions)
-    if legs % 2 == 1:
-        return 0
-    if u_in.partition:
-        insertions = [*insertions, (u_in, 0)]
-    points = tuple(z for _, z in insertions)
-    order = _canonical_order(points)
-    fields, weights = [], []
-    for pi, idx in enumerate(order):
-        state = insertions[idx][0]
-        weights.append(state.weight)
-        for part in state.partition:
-            fields += (part - 1, pi)
-    points = tuple(points[i] for i in order)
-    gaussian = tuple(isinstance(z, ExactComplex) for z in points)
-    ctx = _wick_context(gaussian, points)
-    total = _wick(_chars(u_out.partition), _chars(fields), ctx)
-    shift = sum(weights) - u_out.weight  # the power of Q the scaling took out
-    den = _denominator(ctx, weights) * u_out.norm_squared()
-    if shift >= 0:
-        total = total * ctx.scale**shift
-    else:
-        den = den * ctx.scale**-shift
-    return _lower(total, den, ctx.gaussian and any(g and w for g, w in zip(gaussian, weights)))
+# The recursion carries its state as a string, compact enough to keep
+# every sub-sum of a trace or handle sum: chr(d) + chr(i) per field.
+# Equal fields (one d, one i) sit next to each other, so the first field
+# is contracted once per distinct partner and the term counted by the
+# partner's multiplicity: the branching grows with the number of
+# distinct fields, not of fields.  A sub-state is looked up in the memo
+# before the recursion is entered, and a remainder of two fields is read
+# from the contraction table instead.
 
 
 def _require_distinct(points) -> None:
@@ -532,37 +491,41 @@ def _expand_components(insertions, dressed):
 #
 # A sewn handle sums the sphere function over the paired basis states
 # of each weight k (bbar at zeta1, b at zeta2), weighted by the pairing
-# entry c and counted by rho^k; g handles nest these sums.  Every term
-# of every handle is taken at the same points, so one check, one
-# canonical order and one Wick context serve them all, and the field
-# string of each (state, slot) is built once: a term is one _wick call,
-# which enters only the sub-states that no earlier term has met.  The
-# terms of one expansion combination, one multi-index (k_1, ..., k_g)
-# and one weight of each paired state (the weight k, unless a reduction
-# has moved the state) put the same weight at every point, so their Wick
-# sums share one denominator: each such sum is one ring element, the
-# pairing entries of the group split (series._split) over their least
-# common denominator, and is lowered once.  A reduction's sums at one
-# point set (its pieces) run in one call.
+# entry c and counted by rho^k; g handles nest these sums, and with no
+# handle the sum is the sphere function itself.  Every term of every
+# handle is taken at the same points, so one check, one canonical order
+# and one Wick context serve them all, and the field string of each
+# (state, slot) is built once: a term is one _wick call, which enters
+# only the sub-states that no earlier term has met.  The terms of one
+# expansion combination, one multi-index (k_1, ..., k_g) and one weight
+# of each paired state (the weight k, unless a reduction has moved the
+# state) put the same weight at every point, so their Wick sums share
+# one denominator: each such sum is one ring element, the pairing
+# entries of the group split (series._split) over their least common
+# denominator, and is lowered once.  A reduction's sums at one point set
+# (its pieces) run in one call.
 #
 # The type of a coefficient is decided by its terms, not by its value:
 # it is an ExactComplex when an ExactComplex enters one of them (a
 # weight, an insertion coefficient, a pairing entry, or a point that
 # carries fields in a term with an even number of fields), else a
-# Fraction, as the per-term sums of sphere_value give it.
+# Fraction, as a per-term sum gives it.  With no handle, a term with an
+# odd number of fields is the 0 of its weight times its coefficient (an
+# int 0 when both are ints), as a per-term sum of the int 0 gives it.
 
 
-def sewn_sphere_series(pieces: Sequence[tuple]) -> TruncatedSeries:
+def sewn_sphere_series(pieces: Sequence[tuple]) -> TruncatedSeries | Scalar:
     """sum over pieces (w, insertions, handles) of w <1', Y(v1,z1)...
     Y(vn,zn) 1> with the handles sewn on, as the nested rho-series of its
-    paired basis sums, outermost handle first.
+    paired basis sums, outermost handle first; with no handles, the
+    sphere function between vacua itself, a scalar.
 
     Each handle is (zeta1, zeta2, terms, variable); terms[k] lists the
     weight-k paired terms (c, bbar, b) of basis states, bbar at zeta1 and
     b at zeta2.  The coefficient of rho_1^k1 ... rho_g^kg sums c_1 ... c_g
     times the sphere function over the weight-(k1, ..., kg) terms.  Every
-    piece has at least one handle and the points of the first, slot for
-    slot (a reduction moves states, not points); they are checked first.
+    piece has the handles and the points of the first, slot for slot (a
+    reduction moves states, not points); they are checked first.
     """
     _, insertions, handles = pieces[0]
     points = [z for _, z in insertions]
@@ -578,6 +541,8 @@ def sewn_sphere_series(pieces: Sequence[tuple]) -> TruncatedSeries:
     acc, flags, built = {}, {}, {}
     for piece in pieces:
         _sewn_piece(ctx, gaussian, position, *piece, acc, flags, built)
+    if not handles:
+        return acc[()]
     values = {}
     for key, value in acc.items():
         if value:
@@ -592,28 +557,51 @@ def sewn_sphere_series(pieces: Sequence[tuple]) -> TruncatedSeries:
     return _as_series(values, [(variable, len(terms)) for _, _, terms, variable in handles])
 
 
+def _field_chars(state: FockState, pi: int) -> str:
+    """The fields of a basis state at canonical point index pi, as the
+    recursion strings them."""
+    return "".join(chr(part - 1) + chr(pi) for part in state.partition)
+
+
 def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags, built):
     # one piece's coefficients added into acc, by multi-index; where an
     # ExactComplex enters a term, flags marks the multi-index, also when
     # the weight is 0 and no term is summed.  built keeps each handle's
     # grouped terms by its terms list and slot: the pieces of a reduction
     # share every handle they do not move
-
-    def field_chars(state, slot):
-        pi = chr(position[slot])
-        return "".join(chr(part - 1) + pi for part in state.partition)
-
-    combos = [(*_split(weight * coeff),
-               [(position[i], field_chars(s, i), s.weight) for i, s in enumerate(states)],
-               sum(s.length for s in states))
-              for states, coeff in _expand_components(insertions, dressed=False)]
+    combos = []
+    for states, coeff in _expand_components(insertions, dressed=False):
+        scale = weight * coeff
+        combos.append((*_split(scale), [(position[i], _field_chars(s, position[i]), s.weight)
+                                        for i, s in enumerate(states)],
+                       sum(s.length for s in states), scale))
+    live = weight != 0
+    slots = [""] * len(gaussian)
+    weights = [0] * len(gaussian)
+    if not handles:
+        # the sphere function, one term per expansion combination, each
+        # of its own type and lowered on its own
+        total = acc.get((), 0)
+        for num, den, chars, legs, scale in combos:
+            if legs % 2:
+                total = total + scale * 0
+                continue
+            for pi, field, wt in chars:
+                slots[pi], weights[pi] = field, wt
+            n, d = ((num * _wick("".join(slots), ctx) * ctx.scale ** sum(weights),
+                     den * _denominator(ctx, weights)) if live else (0, 1))
+            total = total + _lower(n, d, num.__class__ is _GaussInt
+                                   or any(g and wt for g, wt in zip(gaussian, weights)))
+        acc[()] = total
+        return
     exotic = ctx.gaussian or any(num.__class__ is _GaussInt for num, *_ in combos)
     levels = []
     for h, (_, _, terms, _) in enumerate(handles):
         slot = len(insertions) + 2 * h
+        p1, p2 = position[slot], position[slot + 1]
         by_weight = built.get((id(terms), slot))
         if by_weight is not None:
-            levels.append((position[slot], position[slot + 1], by_weight))
+            levels.append((p1, p2, by_weight))
             continue
         by_weight = built[id(terms), slot] = []
         for terms_k in terms:
@@ -631,16 +619,13 @@ def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags
                 gauss = any(n.__class__ is _GaussInt for n, _ in split)
                 by_weight[-1].append((wbar, wb, common, gauss,
                                       {(bbar.length + b.length) % 2 for _, bbar, b in group}, [
-                    (n * (common // d), field_chars(bbar, slot), field_chars(b, slot + 1),
+                    (n * (common // d), _field_chars(bbar, p1), _field_chars(b, p2),
                      bbar.length + b.length) for (n, d), (_, bbar, b) in zip(split, group)]))
-        levels.append((position[slot], position[slot + 1], by_weight))
+        levels.append((p1, p2, by_weight))
     exotic = exotic or any(group[3] for _, _, by_weight in levels for groups in by_weight
                            for group in groups)
-    live = weight != 0
     if not (live or exotic):
         return
-    slots = [""] * len(gaussian)
-    weights = [0] * len(gaussian)
 
     # each coefficient (k_outer, ..., k_inner), one term per expansion
     # combination, multi-index and weights of the paired states
@@ -648,7 +633,7 @@ def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags
               for wbar, wb, common, _, _, group in groups for term in group]
              for _, _, by_weight in levels[:-1]]
     pos1, pos2, inner = levels[-1]
-    for num0, den0, chars, combo_legs in combos:
+    for num0, den0, chars, combo_legs, _ in combos:
         for pi, field, weight in chars:
             slots[pi], weights[pi] = field, weight
         for picked in product(*outer):
@@ -675,7 +660,7 @@ def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags
                         if (outer_legs + term_legs) % 2:
                             continue
                         slots[pos1], slots[pos2] = bbar, b
-                        total += c * _wick("", "".join(slots), ctx)
+                        total += c * _wick("".join(slots), ctx)
                     if total:
                         n, d = (num * total * ctx.scale ** sum(weights),
                                 den * common * _denominator(ctx, weights))
@@ -703,12 +688,8 @@ def _canonical_order(points: tuple) -> tuple[int, ...]:
     return tuple(sorted(range(len(points)), key=key))
 
 
-def _chars(values) -> str:
-    return "".join(map(chr, values))
-
-
 class _WickContext:
-    """The tables shared by every sphere element at one point set."""
+    """The tables shared by every sphere function at one point set."""
 
     __slots__ = ("scale", "scaled", "gaussian", "zero", "one", "cofactors", "contractions",
                  "memo")
@@ -725,8 +706,8 @@ class _WickContext:
         # prod_{k != i} delta_ik, the factor a unit of weight at i puts
         # into the denominator
         self.cofactors = tuple(_cofactor(self.scaled, i, i) for i in range(len(points)))
-        self.contractions: dict = {}  # a part's or a field's chars and a field's -> factor
-        self.memo: dict = {}  # recursion state (see _wick) -> N
+        self.contractions: dict = {}  # two fields' chars -> factor
+        self.memo: dict = {}  # fields (see _wick) -> N
 
 
 @lru_cache(maxsize=2)
@@ -754,102 +735,62 @@ def _denominator(ctx: _WickContext, weights):
     return val
 
 
-def _contraction(ctx: _WickContext, entry: str):
-    # The factor one contraction puts into N.  Three chars: boundary part
-    # m with field (d, i), m C(m-1, d) p_i^(m-1-d) prod_{k != i}
-    # delta_ik^(d+1).  Four: fields (d, i) and (e, j), the normalized
-    # derivative contraction d^d_z1 d^e_z2 (z1 - z2)^-2 at the scaled
-    # points, whose pole delta_ij^(d+e+2) the two fields' factors cancel,
-    # times prod_{k != i, j} delta_ik^(d+1) delta_jk^(e+1).
-    if len(entry) == 3:
-        m, d, i = map(ord, entry)
-        power = _int_power(ctx.scaled[i], m - 1 - d)
-        val = 0 if not power else (m * math.comb(m - 1, d) * power
-                                   * _int_power(ctx.cofactors[i], d + 1) * ctx.one)
-    else:
-        d, i, e, j = map(ord, entry)
-        c = (-1) ** d * (d + e + 1) * math.comb(d + e, d)
-        if i < j:  # p_i - p_j is -delta_ij, raised to -(d+e+2)
-            c = c * (-1) ** (d + e)
-        val = (c * _int_power(_cofactor(ctx.scaled, i, j), d + 1)
-               * _int_power(_cofactor(ctx.scaled, j, i), e + 1) * ctx.one)
-    ctx.contractions[entry] = val
+def _contraction(ctx: _WickContext, pair: str):
+    # The factor one contraction of the fields (d, i) and (e, j) puts into
+    # N: the normalized derivative contraction d^d_z1 d^e_z2 (z1 - z2)^-2
+    # at the scaled points, whose pole delta_ij^(d+e+2) the two fields'
+    # factors cancel, times prod_{k != i, j} delta_ik^(d+1) delta_jk^(e+1).
+    d, i, e, j = map(ord, pair)
+    c = (-1) ** d * (d + e + 1) * math.comb(d + e, d)
+    if i < j:  # p_i - p_j is -delta_ij, raised to -(d+e+2)
+        c = c * (-1) ** (d + e)
+    val = ctx.contractions[pair] = (c * _int_power(_cofactor(ctx.scaled, i, j), d + 1)
+                                    * _int_power(_cofactor(ctx.scaled, j, i), e + 1) * ctx.one)
     return val
 
 
-def _wick(out, fields, ctx):
-    # out: boundary parts, one char each; fields: two chars each.
-    # Returns the state's N, an element of the context's ring.
-    key = f"{chr(len(out))}{out}{fields}"
+def _wick(fields, ctx):
+    # fields: two chars each, an even number of them.  Returns the state's
+    # N, an element of the context's ring.  The first field contracts
+    # with each field of another insertion.  Equal fields sit next to each
+    # other in the canonical string and contracting either copy leaves
+    # the same sub-state, so a run of equal partners is one term times the
+    # run's length.  A sub-state is looked up before the recursion is
+    # entered, and a remainder of two fields is their contraction.
     memo = ctx.memo
-    hit = memo.get(key)
+    hit = memo.get(fields)
     if hit is not None:
         return hit
-    total = ctx.zero
+    total = ctx.zero if fields else ctx.one
     table = ctx.contractions
-    if out:
-        # The first boundary part contracts with each field of a lower
-        # derivative order.  As in the field branch, a run of equal
-        # fields is one term times the run's length, and a sub-state is
-        # looked up before the recursion is entered.
-        part, rest = out[0], out[1:]
-        head = f"{chr(len(rest))}{rest}"
-        idx, end = 0, len(fields)
-        while idx < end:
-            field = fields[idx:idx + 2]
-            run = idx + 2
-            while fields.startswith(field, run):
-                run += 2
-            if field[0] < part:  # d <= m - 1
-                entry = part + field
-                factor = table.get(entry)
-                if factor is None:
-                    factor = _contraction(ctx, entry)
-                if factor:  # z^(m-1-d) vanishes at a point 0
-                    sub = fields[:idx] + fields[idx + 2:]
-                    sn = memo.get(head + sub)
-                    if sn is None:
-                        sn = _wick(rest, sub, ctx)
-                    term = factor * sn
-                    total = total + (term if run - idx == 2 else (run - idx) // 2 * term)
-            idx = run
-    elif fields:
-        # The first field contracts with each field of another insertion.
-        # Equal fields sit next to each other in the canonical string and
-        # contracting either copy leaves the same sub-state, so a run of
-        # equal partners is one term times the run's length.  A sub-state
-        # is looked up before the recursion is entered, and a remainder of
-        # two fields is their contraction.
-        first, rest = fields[:2], fields[2:]
-        idx, end = 0, len(rest)
-        while idx < end:
-            partner = rest[idx:idx + 2]
-            run = idx + 2
-            while rest.startswith(partner, run):
-                run += 2
-            if partner[1] != first[1]:  # one insertion's fields never contract
-                pair = first + partner
-                factor = table.get(pair)
-                if factor is None:
-                    factor = _contraction(ctx, pair)
-                sub = rest[:idx] + rest[idx + 2:]
-                if len(sub) > 4:
-                    sn = memo.get("\x00" + sub)
-                    if sn is None:
-                        sn = _wick("", sub, ctx)
-                elif not sub:
-                    sn = 1
-                elif sub[1] == sub[3]:
-                    sn = 0
-                else:
-                    sn = table.get(sub)
-                    if sn is None:
-                        sn = _contraction(ctx, sub)
-                if sn:
-                    term = factor * sn
-                    total = total + (term if run - idx == 2 else (run - idx) // 2 * term)
-            idx = run
-    else:
-        total = ctx.one
-    memo[key] = total
+    first, rest = fields[:2], fields[2:]
+    idx, end = 0, len(rest)
+    while idx < end:
+        partner = rest[idx:idx + 2]
+        run = idx + 2
+        while rest.startswith(partner, run):
+            run += 2
+        if partner[1] != first[1]:  # one insertion's fields never contract
+            pair = first + partner
+            factor = table.get(pair)
+            if factor is None:
+                factor = _contraction(ctx, pair)
+            sub = rest[:idx] + rest[idx + 2:]
+            if len(sub) > 4:
+                sn = memo.get(sub)
+                if sn is None:
+                    sn = _wick(sub, ctx)
+            elif not sub:
+                sn = 1
+            elif sub[1] == sub[3]:
+                sn = 0
+            else:
+                sn = table.get(sub)
+                if sn is None:
+                    sn = _contraction(ctx, sub)
+            if sn:
+                term = factor * sn
+                total = total + (term if run - idx == 2 else (run - idx) // 2 * term)
+        idx = run
+    memo[fields] = total
     return total

@@ -8,7 +8,13 @@ each of these in one pass (``voa.sewn_sphere_series``,
 ``correlators.sewn_trace_series``); the tests compare the two with
 ``_assert_identical``, equal values of equal types.
 
-Beside it sit the helpers that only tests use: the graded dimension
+The brute-force graded trace over the Fock basis, :func:`torus_qseries`,
+is the oracle of the package's Gaussian trace: a sum of matrix elements
+between basis states, each a memoised sum over the matchings of the
+boundary modes and the fields, computed with nothing from the package's
+Wick engine.
+
+Beside them sit the helpers that only tests use: the graded dimension
 series, the P_m kernels as q-series and as the defining double sum, the
 evaluation of the rational kernels' polynomial pairs, the JSON round
 trip of a series, and the float deviation of two values.
@@ -17,7 +23,10 @@ trip of a series, and the float deviation of two values.
 import cmath
 import json
 import math
+import os
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 from voachain.complexes import (
     Sewn,
@@ -25,15 +34,14 @@ from voachain.complexes import (
     Trace,
     _mode_reach,
     _ratio,
-    _sphere_zero,
     _vacuum_elements,
     corr_difference,
 )
 from voachain.correlators import sphere_value, torus_trace
 from voachain.elliptic import EllipticError, f0_kernel, pm_numerators, polylog_neg
 from voachain.schottky import _sewn_handle
-from voachain.series import Scalar, TruncatedSeries, _int_power
-from voachain.voa import FockVector, apply_state_mode, square_bracket_mode
+from voachain.series import ExactComplex, Scalar, TruncatedSeries, _int_power
+from voachain.voa import FockVector, apply_state_mode, square_bracket_mode, weight_basis
 
 # -- the per-term route -------------------------------------------------
 
@@ -133,7 +141,7 @@ def _zero_mode_term(base, points, v, z):
     if isinstance(base, Trace):
         return torus_trace(points, base.q_order, zero_mode_state=v)
     op_vacs = _vacuum_elements(v)
-    value = sphere_value(points) if any(op_vacs.values()) else _sphere_zero(points)
+    value = sphere_value(points)
     data = 0
     for wt, op_vac in op_vacs.items():
         data = data + _int_power(z, -wt) * (value * op_vac)
@@ -164,6 +172,124 @@ def reduce_d2(surface, x_new, entries):
         return surface._zero()
     return genus_g_sum(handles, entries,
                        lambda points: _moved_sum(base, points, moves, base._zero()))
+
+
+# -- the basis-sum trace ------------------------------------------------
+
+
+def _pow(z, n):
+    """z^n for n >= 0 by repeated products (ExactComplex has no **)."""
+    out = 1
+    for _ in range(n):
+        out = out * z
+    return out
+
+
+def leg_contraction(x, y):
+    """Wick contraction of two legs: ("out", m) or ("in", m) for a
+    boundary mode, ("field", d, group, z) for d^(d)a/d! at z."""
+    if x[0] == "in" or (x[0] == "field" and y[0] == "out"):
+        x, y = y, x
+    kind = (x[0], y[0])
+    if kind == ("out", "in"):
+        # <0| a(m) a(-n) |0> = m delta_mn
+        return x[1] if x[1] == y[1] else 0
+    if kind == ("out", "field"):
+        # the mode of the field that pairs with a(m): z^(m-1) a(-m), differentiated
+        m, (_, d, _, z) = x[1], y
+        return m * math.comb(m - 1, d) * _pow(z, m - 1 - d) if d <= m - 1 else 0
+    if kind == ("field", "in"):
+        # a(m) z^(-m-1) annihilates a(-m)|0> with factor m, differentiated
+        (_, d, _, z), m = x, y[1]
+        return Fraction(m * (-1) ** d * math.comb(m + d, d)) / _pow(z, m + 1 + d)
+    if kind == ("field", "field"):
+        (_, d1, g1, z1), (_, d2, g2, z2) = x, y
+        if g1 == g2:
+            return 0  # normal ordering
+        # d^(d1)_z1 d^(d2)_z2 (z1 - z2)^-2 / (d1! d2!)
+        c = (-1) ** d1 * math.factorial(d1 + d2 + 1) // (
+            math.factorial(d1) * math.factorial(d2))
+        return Fraction(c) / _pow(z1 - z2, 2 + d1 + d2)
+    return 0  # out-out and in-in never contract
+
+
+def _matching_sum(legs):
+    """The sum over the perfect matchings of the legs of the product of
+    their contractions, memoised by the set of legs left (a bitmask): the
+    first leg left pairs with each other one."""
+    n = len(legs)
+    table = [[leg_contraction(x, y) for y in legs] for x in legs]
+    memo = {0: Fraction(1)}
+
+    def left(mask):
+        hit = memo.get(mask)
+        if hit is None:
+            i = (mask & -mask).bit_length() - 1
+            hit = Fraction(0)
+            for j in range(i + 1, n):
+                if mask >> j & 1 and table[i][j]:
+                    hit = hit + table[i][j] * left(mask ^ (1 << i) ^ (1 << j))
+            memo[mask] = hit
+        return hit
+
+    return left((1 << n) - 1)
+
+
+def _dressed_element(insertions, u_out, u_in):
+    """<u_out', Y(x1^{L0}v1,x1)...Y(xn^{L0}vn,xn) u_in>, summed over the
+    basis combinations of the insertions.  A combination's value is the
+    int 0 at an odd number of legs, else its matching sum over the norm
+    of u_out: an ExactComplex where a point carrying fields is one, else
+    a Fraction."""
+    total = 0
+    slots = [[(s, c * _int_power(z, s.weight)) for s, c in v.terms.items()]
+             for v, z in insertions]
+    for combo in product(*slots):
+        coeff, gaussian = 1, False
+        legs = [("out", m) for m in u_out.partition] + [("in", m) for m in u_in.partition]
+        for g, ((s, c), (_, z)) in enumerate(zip(combo, insertions)):
+            coeff = coeff * c
+            legs += [("field", part - 1, g, z) for part in s.partition]
+            gaussian = gaussian or bool(s.partition) and isinstance(z, ExactComplex)
+        if len(legs) % 2:
+            value = 0
+        else:
+            value = _matching_sum(legs) / u_out.norm_squared()
+            if gaussian:
+                value = ExactComplex(0) + value
+        total = total + coeff * value
+    return total
+
+
+def torus_qseries(insertions, q_order, left_operator=None) -> TruncatedSeries:
+    """Brute-force graded trace over the Fock basis, exact per q-order:
+    the oracle of ``torus_trace``.
+
+    Tr(op . Y(x1^{L0}v1,x1)...Y(xn^{L0}vn,xn) q^{L0}) without the
+    q^{-c/24} prefactor.  The q^k coefficient sums diagonal elements over
+    the weight-k basis; an optional grade-preserving operator is inserted
+    on the left, through <A', op X A> = sum_B <A', op B> <B', X A> over
+    the same-weight bridge basis.
+    """
+    coeffs = {}
+    for k in range(q_order):
+        basis = weight_basis(k)
+        if left_operator is not None:
+            # op(B) once per bridge B; its A-component is <A', op B>
+            images = [left_operator(FockVector({bridge: 1})) for bridge in basis]
+        acc = 0
+        for state in basis:
+            if left_operator is None:
+                value = _dressed_element(insertions, state, state)
+            else:
+                value = 0
+                for bridge, image in zip(basis, images):
+                    c_ab = image.coefficient(state)
+                    if c_ab != 0:
+                        value = value + c_ab * _dressed_element(insertions, bridge, state)
+            acc = acc + value
+        coeffs[k] = acc
+    return TruncatedSeries("q", coeffs, q_order)
 
 
 # -- helpers only tests use ---------------------------------------------
@@ -232,6 +358,15 @@ def series_to_json(s: TruncatedSeries) -> str:
 
 def series_from_json(text: str) -> TruncatedSeries:
     return TruncatedSeries.from_json_dict(json.loads(text))
+
+
+def child_env() -> dict:
+    """This interpreter's environment with the checkout's src first on
+    PYTHONPATH, so that a child interpreter imports voachain as pytest
+    does (pyproject's ``pythonpath``), installed or not."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def corr_deviation(a, b) -> float:

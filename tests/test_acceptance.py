@@ -23,9 +23,8 @@ from voachain.complexes import (
     element_from_insertions,
     reduce_to_zero_point,
 )
-from references import corr_deviation
+from references import corr_deviation, torus_qseries
 
-from voachain.correlators import torus_qseries
 from voachain.elliptic import eisenstein, pm_lambert
 from voachain.schottky import SchottkyData, SewingData, genus_g_partition
 from voachain.voa import (

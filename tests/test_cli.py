@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from references import child_env
 
 from voachain import complexes
 from voachain.cli import (
@@ -98,8 +99,14 @@ class TestEvalCommands:
         # far past the series' disc the value overflows: no number, no traceback
         (["eval-weierstrass", "--z-re", "1e308"],
          "P_1 is not finite at |z| = 1e+308: its z-series diverges there"),
+        # an Eulerian numerator past the float range, and a row far past
+        # the recursion limit
+        (["eval-pm", "--m", "200"], "P_200 is not finite in floats at |z| = 0.583095"),
+        (["eval-pm", "--m", "900", "--terms", "1"],
+         "P_900 is not finite in floats at |z| = 0.583095"),
     ], ids=["pm-m0", "pm-m-1", "pm-terms", "weierstrass-terms", "eisenstein-order",
-            "f0-iota-order", "f0-lone-z", "f0-lone-w", "f0-lone-bad-z", "weierstrass-far-z"])
+            "f0-iota-order", "f0-lone-z", "f0-lone-w", "f0-lone-bad-z", "weierstrass-far-z",
+            "pm-m200", "pm-m900"])
     def test_bad_argument_is_a_validation_error(self, capsys, argv, message):
         code, out, err = run_cli(argv, capsys)
         assert code == 2
@@ -516,6 +523,19 @@ expect_zero = true
         doc = json.loads(out)
         assert all(rep["residual"] == 0 for rep in doc["reports"])
 
+    def test_a_size_past_the_float_range_is_printed_null(self, write_config, capsys):
+        # a, a at 1e-200 and 0 is 10^400: the composition norm has no
+        # float and is printed null, and the exit code is still the exact
+        # verdict's (the commutation residual is exactly 0)
+        cfg = write_config(
+            "[experiment]\nkinds = n\n[element]\nstates = a, a\npoints = 1e-200, 0\n"
+            "[descriptors]\nx1_state = 1\nx1_point = 11\nx2_state = 1\nx2_point = 13\n"
+            "[assert]\nexpect_zero = true\n")
+        code, out, err = run_cli(["check-complex", "--config", cfg], capsys)
+        assert code == 0 and "Traceback" not in err
+        (report,) = json.loads(out)["reports"]
+        assert report["residual"] == 0.0 and report["composition_norm"] is None
+
 
     def test_weighted_mixed_commutation_is_exactly_zero(self, write_config, capsys):
         # Dg Dn(x) = Dn(x) Dg for a weighted x at an even leg count: the
@@ -760,6 +780,19 @@ rho_order = 4
         assert _parse_frac(doc["components"]["bracket_term"]["value"]["rational"]) == Fraction(
             -1, 4 * big**2)
 
+    @pytest.mark.parametrize("vanishing, want", [("false", 0), ("true", 3)])
+    def test_a_functional_past_the_float_range_prints_a_null_norm(
+            self, write_config, capsys, vanishing, want):
+        # a, a at 1e-200 and 0 is 10^400: G_norm has no float and is
+        # printed null; the exit code is decided by the exact verdict
+        cfg = write_config(
+            "[element]\nstates = a, a\npoints = 1e-200, 0\n[descriptor]\nstate = 1\n"
+            f"point = 11\n[assert]\nvanishing = {vanishing}\n")
+        code, out, err = run_cli(["connection", "--config", cfg], capsys)
+        assert code == want and "Traceback" not in err
+        doc = json.loads(out)
+        assert doc["vanishing"] is False and doc["G_norm"] is None
+
     def test_prints_a_complex_descriptor_point_as_it_reads_it(self, write_config, capsys):
         cfg = write_config("[element]\nstates = a\npoints = 2\n"
                            "[descriptor]\nstate = a\npoint = -1/2+3/4j\n")
@@ -948,6 +981,7 @@ class TestSubprocessEntry:
             [sys.executable, "-m", "voachain.cli", "--bogus-flag"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
@@ -962,6 +996,7 @@ class TestSubprocessEntry:
             capture_output=True,
             text=True,
             check=True,
+            env=child_env(),
         )
         assert proc.stdout == "[]\n"
 
@@ -971,6 +1006,7 @@ class TestSubprocessEntry:
              "--order", "3"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)

@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from references import (
     _assert_identical,
@@ -25,6 +25,7 @@ from references import (
     reduce_d1,
     reduce_d2,
     sewn_series,
+    torus_qseries,
 )
 from test_schottky import KINDS, _point, vectors
 
@@ -42,7 +43,6 @@ from voachain.complexes import (
 from voachain.correlators import (
     sewn_trace_series,
     sphere_value,
-    torus_qseries,
     torus_trace,
     torus_trace_sum,
 )
@@ -471,6 +471,10 @@ class TestSewnTraceSeries:
 
     @settings(max_examples=25, deadline=None)
     @given(sewn_trace_steps(exact=False))
+    # a P_m-weighted term with no pairing (an odd field count) is 0 of the
+    # type its per-term product has: the kernel times the empty series
+    @example(([], [(-6, -5, 1), (-4, -3, 2)],
+              (FockVector({FockState(()): -3, FockState((1,)): -3}), ExactComplex(-6, 1)), 1))
     def test_reduction_at_gaussian_points_matches_the_per_term_route(self, case):
         insertions, handles, x_new, q_order = case
         surface = _sewn_trace(q_order, handles)

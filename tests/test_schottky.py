@@ -11,11 +11,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from references import _assert_identical, genus_g_sum, partition_qseries, sewn_series
+from references import (
+    _assert_identical,
+    child_env,
+    genus_g_sum,
+    partition_qseries,
+    sewn_series,
+    torus_qseries,
+)
 
 from voachain import schottky, voa
 from voachain.complexes import Sphere, Trace
-from voachain.correlators import sphere_value, torus_qseries
+from voachain.correlators import sphere_value
 from voachain.schottky import (
     SchottkyData,
     SewingData,
@@ -32,11 +39,9 @@ from voachain.series import ExactComplex, SeriesError, TruncatedSeries, points_c
 from voachain.voa import (
     A_STATE,
     A_VECTOR,
-    VACUUM,
     FockState,
     FockVector,
     apply_state_mode,
-    sphere_matrix_element,
     weight_basis,
 )
 
@@ -167,7 +172,7 @@ class TestSewSphere:
     def test_vacuum_term_is_input(self):
         # rho^0 term: vacuum pair insertion, Y(1,z) = Id
         ins = [(A_VECTOR, Fraction(3)), (A_VECTOR, Fraction(5))]
-        base = sphere_value(ins, dressed=False)
+        base = sphere_value(ins)
         series = Sphere().sew(SewingData(), 3).evaluate(ins).data
         assert series.coefficient(0) == base
 
@@ -582,8 +587,8 @@ class TestSewnSphereSeries:
             voa.sewn_sphere_series([(1, [(A_VECTOR.scale(0.5), 2), a3], [handle])])
 
     def test_sphere_term_reads_the_kernel_memo(self, monkeypatch):
-        # the kernel numbers the fields as sphere_matrix_element does, so a
-        # term of its sums, insertions permuted, is one memo hit
+        # the sewn sums number the fields as the bare sphere sum does, so a
+        # term of them, insertions permuted, is one memo hit
         points = (Fraction(-1), Fraction(1), Fraction(-3), Fraction(3))
         insertions = [(A_VECTOR, Fraction(5)), (A_VECTOR, Fraction(7))]
         genus_g_npoint(SchottkyData(genus=2, points=points), insertions, (3, 3))
@@ -598,12 +603,12 @@ class TestSewnSphereSeries:
         calls = []
         wick = voa._wick
 
-        def counted(out, fields, ctx):
+        def counted(fields, ctx):
             calls.append(ctx)
-            return wick(out, fields, ctx)
+            return wick(fields, ctx)
 
         monkeypatch.setattr(voa, "_wick", counted)
-        value = sphere_matrix_element(VACUUM, term[::-1], VACUUM)
+        value = sphere_value([(FockVector({s: 1}), z) for s, z in term[::-1]])
         assert calls == [ctx]
         assert len(ctx.memo) == memo_size
         assert value != 0 and value == sphere_value(
@@ -617,6 +622,6 @@ def test_no_module_imports_numpy(module):
     # everything is exact: no float apparatus rides on any module
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys, {module}; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env=child_env(),
     )
     assert proc.stdout.strip() == "False"

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from references import _pow, leg_contraction
 
 from voachain import voa
 from voachain.correlators import sphere_value
@@ -28,7 +29,6 @@ from voachain.voa import (
     heisenberg_mode,
     is_quasiprimary,
     partition_count,
-    sphere_matrix_element,
     square_bracket_mode,
     vertex_matrix_element,
     virasoro_mode,
@@ -441,13 +441,16 @@ def _commutator_series(k, v, u_out, u_in):
     return out
 
 
+def sphere(insertions):
+    """The sphere function between vacua of basis states at points."""
+    return sphere_value([(FockVector({s: 1}), z) for s, z in insertions])
+
+
 class TestSphereEngine:
     def test_two_point_function(self):
         # <1', Y(a,z1) Y(a,z2) 1> = 1/(z1-z2)^2
         z1, z2 = Fraction(5), Fraction(2)
-        val = sphere_matrix_element(
-            VACUUM, [(FockState((1,)), z1), (FockState((1,)), z2)], VACUUM
-        )
+        val = sphere([(FockState((1,)), z1), (FockState((1,)), z2)])
         assert val == Fraction(1, (z1 - z2) ** 2)
 
     def test_symmetry_under_exchange(self):
@@ -457,33 +460,21 @@ class TestSphereEngine:
             (FockState((2, 1)), z2),
             (FockState((1,)), z3),
         ]
-        base = sphere_matrix_element(VACUUM, ins, VACUUM)
+        base = sphere(ins)
         import itertools
 
         for perm in itertools.permutations(ins):
-            assert sphere_matrix_element(VACUUM, list(perm), VACUUM) == base
+            assert sphere(list(perm)) == base
 
     def test_odd_leg_count_vanishes(self):
-        val = sphere_matrix_element(VACUUM, [(FockState((1,)), Fraction(2))], VACUUM)
+        val = sphere([(FockState((1,)), Fraction(2))])
         assert val == 0
-
-    def test_matches_mode_composition_small(self):
-        # oracle: <{1}', Y(a,z){1}> via engine vs direct mode expansion
-        z = Fraction(3)
-        got = sphere_matrix_element(
-            FockState((1,)), [(FockState((1,)), z)], FockState((1,))
-        )
-        series = vertex_matrix_element(A_VECTOR, FockState((1,)), FockState((1,)), 4)
-        want = series.evaluate(z)
-        assert got == want
 
     def test_matches_truncated_mode_expansion_two_insertions(self):
         # oracle: radial-ordered double mode sum, truncated deep enough to
         # see float agreement with the exact rational value
         z1, z2 = Fraction(4), Fraction(1)
-        exact = sphere_matrix_element(
-            VACUUM, [(FockState((1,)), z1), (FockState((1,)), z2)], VACUUM
-        )
+        exact = sphere([(FockState((1,)), z1), (FockState((1,)), z2)])
         acc = 0.0
         for m in range(1, 60):
             # <1', a(m) a(-m) 1> = m, z1^{-m-1} z2^{m-1}
@@ -493,30 +484,18 @@ class TestSphereEngine:
     def test_composite_insertion_derivative_field(self):
         # Y(a(-2)1, z) = da(z): <1', Y(a(-2)1,z1) Y(a,z2) 1> = -2/(z1-z2)^3
         z1, z2 = Fraction(5), Fraction(3)
-        val = sphere_matrix_element(
-            VACUUM, [(FockState((2,)), z1), (FockState((1,)), z2)], VACUUM
-        )
+        val = sphere([(FockState((2,)), z1), (FockState((1,)), z2)])
         assert val == Fraction(-2, (z1 - z2) ** 3)
 
     def test_normal_ordered_square(self):
         # <1', Y(:aa:,z1) Y(a,z2) Y(a,z3) 1> = 2/((z1-z2)^2 (z1-z3)^2)
         z1, z2, z3 = Fraction(9), Fraction(4), Fraction(1)
-        val = sphere_matrix_element(
-            VACUUM,
-            [
-                (FockState((1, 1)), z1),
-                (FockState((1,)), z2),
-                (FockState((1,)), z3),
-            ],
-            VACUUM,
-        )
+        val = sphere([
+            (FockState((1, 1)), z1),
+            (FockState((1,)), z2),
+            (FockState((1,)), z3),
+        ])
         assert val == Fraction(2, ((z1 - z2) ** 2 * (z1 - z3) ** 2))
-
-    def test_boundary_states_delta(self):
-        for s in fock_basis(5):
-            for t in fock_basis(5):
-                val = sphere_matrix_element(s, [], t)
-                assert val == (1 if s == t else 0)
 
     def test_consistency_with_mode_recursion_random(self):
         # engine vs radially ordered mode composition: the mode sum is an
@@ -528,7 +507,7 @@ class TestSphereEngine:
         max_j = 40
         for _ in range(8):
             s1, s2 = rng.choice(states), rng.choice(states)
-            got = sphere_matrix_element(VACUUM, [(s1, z1), (s2, z2)], VACUUM)
+            got = sphere([(s1, z1), (s2, z2)])
             # oracle: Y(s2,z2)|0> = e^{z2 L(-1)} s2 = sum_j z2^j L(-1)^j/j! s2,
             # then pair each weight component against the single surviving
             # mode of s1
@@ -551,12 +530,9 @@ class TestSphereEngine:
     def test_sphere_function_multilinear(self):
         z1, z2 = Fraction(6), Fraction(2)
         v = A_VECTOR + FockVector.basis(2).scale(Fraction(1, 3))
-        got = sphere_value([(v, z1), (A_VECTOR, z2)], VACUUM, VACUUM)
-        want = sphere_matrix_element(
-            VACUUM, [(FockState((1,)), z1), (FockState((1,)), z2)], VACUUM
-        ) + Fraction(1, 3) * sphere_matrix_element(
-            VACUUM, [(FockState((2,)), z1), (FockState((1,)), z2)], VACUUM
-        )
+        got = sphere_value([(v, z1), (A_VECTOR, z2)])
+        want = sphere([(FockState((1,)), z1), (FockState((1,)), z2)]) + Fraction(1, 3) * sphere(
+            [(FockState((2,)), z1), (FockState((1,)), z2)])
         assert got == want
 
 
@@ -574,50 +550,13 @@ def _pairings(legs):
             yield [(first, other)] + tail
 
 
-def _leg_contraction(x, y):
-    """Wick contraction of two legs: ("out", m) or ("in", m) for a
-    boundary mode, ("field", d, group, z) for d^(d)a/d! at z."""
-    if x[0] == "in" or (x[0] == "field" and y[0] == "out"):
-        x, y = y, x
-    kind = (x[0], y[0])
-    if kind == ("out", "in"):
-        # <0| a(m) a(-n) |0> = m delta_mn
-        return x[1] if x[1] == y[1] else 0
-    if kind == ("out", "field"):
-        # the mode of the field that pairs with a(m): z^(m-1) a(-m), differentiated
-        m, (_, d, _, z) = x[1], y
-        return m * math.comb(m - 1, d) * _pow(z, m - 1 - d) if d <= m - 1 else 0
-    if kind == ("field", "in"):
-        # a(m) z^(-m-1) annihilates a(-m)|0> with factor m, differentiated
-        (_, d, _, z), m = x, y[1]
-        return Fraction(m * (-1) ** d * math.comb(m + d, d)) / _pow(z, m + 1 + d)
-    if kind == ("field", "field"):
-        (_, d1, g1, z1), (_, d2, g2, z2) = x, y
-        if g1 == g2:
-            return 0  # normal ordering
-        # d^(d1)_z1 d^(d2)_z2 (z1 - z2)^-2 / (d1! d2!)
-        c = (-1) ** d1 * math.factorial(d1 + d2 + 1) // (
-            math.factorial(d1) * math.factorial(d2))
-        return Fraction(c) / _pow(z1 - z2, 2 + d1 + d2)
-    return 0  # out-out and in-in never contract
-
-
-def _pow(z, n):
-    """z^n for n >= 0 by repeated products (ExactComplex has no **)."""
-    out = 1
-    for _ in range(n):
-        out = out * z
-    return out
-
-
-def _wick_oracle(u_out, insertions, u_in):
-    # every matching of the legs, enumerated afresh; each pair's
+def _wick_oracle(insertions):
+    # every matching of the fields, enumerated afresh; each pair's
     # contraction is computed once per call and read by every matching
-    legs = [("out", m) for m in u_out.partition]
+    legs = []
     for g, (state, z) in enumerate(insertions):
         legs += [("field", part - 1, g, z) for part in state.partition]
-    legs += [("in", m) for m in u_in.partition]
-    contraction = {(i, j): _leg_contraction(legs[i], legs[j])
+    contraction = {(i, j): leg_contraction(legs[i], legs[j])
                    for i in range(len(legs)) for j in range(i + 1, len(legs))}
     total = Fraction(0)
     for matching in _pairings(list(range(len(legs)))):
@@ -627,7 +566,7 @@ def _wick_oracle(u_out, insertions, u_in):
             if term == 0:
                 break
         total += term
-    return total / u_out.norm_squared()
+    return total
 
 
 def _states_up_to(weight):
@@ -636,14 +575,14 @@ def _states_up_to(weight):
 
 @st.composite
 def _sphere_elements(draw):
+    """Basis states at 1-4 exact points, and one more at 0."""
     n = draw(st.integers(1, 4))
     thirds = draw(st.lists(st.integers(-30, 30).filter(bool), min_size=n, max_size=n,
                            unique=True))
     points = [Fraction(t, 3) for t in thirds]
     states = draw(st.lists(st.sampled_from(_states_up_to(4)), min_size=n, max_size=n))
-    u_out = draw(st.sampled_from(_states_up_to(3)))
-    u_in = draw(st.sampled_from(_states_up_to(3)))
-    return u_out, list(zip(states, points)), u_in
+    at_zero = draw(st.sampled_from(_states_up_to(3)))
+    return [*zip(states, points), (at_zero, Fraction(0))]
 
 
 # the point kind that mixes with a non-integral Fraction, drawn from the
@@ -656,7 +595,8 @@ _MIXED_KINDS = {
 @st.composite
 def _mixed_sphere_elements(draw):
     """Elements at non-integral Fraction points mixed with one other
-    kind: at least one point of each, every point carrying fields."""
+    kind: at least one point of each, every such point carrying fields,
+    and one more state, maybe the vacuum, at 0."""
     kind = draw(st.sampled_from(list(_MIXED_KINDS)))
     n = draw(st.integers(2, 4))
     thirds = draw(st.lists(st.integers(-30, 30).filter(lambda t: t % 3), min_size=n,
@@ -665,14 +605,12 @@ def _mixed_sphere_elements(draw):
         lambda flags: any(flags) and not all(flags)))
     points = [_MIXED_KINDS[kind](t) if o else Fraction(t, 3) for t, o in zip(thirds, other)]
     states = draw(st.lists(st.sampled_from(_states_up_to(3)[1:]), min_size=n, max_size=n))
-    u_out = draw(st.sampled_from(_states_up_to(2)))
-    u_in = draw(st.sampled_from(_states_up_to(2)))
-    return kind, (u_out, list(zip(states, points)), u_in)
+    at_zero = draw(st.sampled_from(_states_up_to(2)))
+    return kind, [*zip(states, points), (at_zero, Fraction(0))]
 
 
-def _legs(u_out, insertions, u_in):
-    return len(u_out.partition) + len(u_in.partition) + sum(
-        len(s.partition) for s, _ in insertions)
+def _legs(insertions):
+    return sum(len(s.partition) for s, _ in insertions)
 
 
 def _program_caches():
@@ -708,7 +646,7 @@ _KIND_POINTS = {Fraction: lambda t: Fraction(t, 3), **_MIXED_KINDS}
 def _permuted_elements(draw):
     """An element at exact or mixed points, with up to two vacuum slots
     at fresh points, and its insertions in a drawn order."""
-    kind, (u_out, insertions, u_in) = draw(st.one_of(
+    kind, insertions = draw(st.one_of(
         _sphere_elements().map(lambda element: (Fraction, element)),
         _mixed_sphere_elements()))
     fresh = draw(st.lists(st.integers(31, 40), max_size=2, unique=True))
@@ -716,7 +654,7 @@ def _permuted_elements(draw):
                                max_size=len(fresh)))
     insertions = insertions + [(VACUUM, _KIND_POINTS[k](t)) for k, t in zip(slot_kinds, fresh)]
     permuted = draw(st.permutations(insertions))
-    return kind, (u_out, insertions, u_in), permuted
+    return kind, insertions, permuted
 
 
 def _typed(x):
@@ -730,8 +668,8 @@ _REPEATED = (FockState((1, 1, 1)), FockState((2, 2, 1)), FockState((1, 1, 1, 1))
 
 @st.composite
 def _repeated_part_elements(draw):
-    """Vacuum-boundary elements at 3-4 exact or mixed points, with at
-    least one state of repeated parts and an even leg count up to 12."""
+    """Elements at 3-4 exact or mixed points, with at least one state of
+    repeated parts and an even leg count up to 12."""
     kind = draw(st.sampled_from([Fraction, *_MIXED_KINDS]))
     n = draw(st.integers(3, 4))
     thirds = draw(st.lists(st.integers(-30, 30).filter(lambda t: t % 3), min_size=n,
@@ -744,27 +682,27 @@ def _repeated_part_elements(draw):
         points = [_MIXED_KINDS[kind](t) if o else Fraction(t, 3) for t, o in zip(thirds, other)]
     states = draw(st.lists(st.sampled_from([*_REPEATED, *_states_up_to(2)[1:]]), min_size=n,
                            max_size=n).filter(lambda s: any(x in _REPEATED for x in s)))
-    assume(_legs(VACUUM, list(zip(states, points)), VACUUM) in (4, 6, 8, 10, 12))
+    assume(_legs(list(zip(states, points))) in (4, 6, 8, 10, 12))
     return kind, list(zip(states, points))
 
 
 # the largest element the oracle runs on: 14 legs, 135135 matchings
-_FOURTEEN_LEGS = (FockState((1, 1, 1)),
-                  [(FockState((1, 1, 1, 1)), Fraction(1, 3)), (FockState((2, 1, 1)), Fraction(-2, 3)),
-                   (FockState((1,)), Fraction(5, 3))],
-                  FockState((1, 1, 1)))
+_FOURTEEN_LEGS = [(FockState((1, 1, 1, 1)), Fraction(1, 3)),
+                  (FockState((2, 1, 1)), Fraction(-2, 3)),
+                  (FockState((1,)), Fraction(5, 3)),
+                  (FockState((1, 1, 1)), Fraction(2)),
+                  (FockState((1, 1, 1)), Fraction(0))]
 
 
 class TestWickContext:
     @settings(max_examples=80, deadline=None)
     # the oracle enumerates (legs - 1)!! matchings: 10395 at 12 legs
-    @given(_sphere_elements().filter(lambda element: _legs(*element) <= 12))
+    @given(_sphere_elements().filter(lambda element: _legs(element) <= 12))
     @example(_FOURTEEN_LEGS)
-    def test_matches_memo_free_pairing_sum(self, element):
-        u_out, insertions, u_in = element
-        legs = _legs(u_out, insertions, u_in)
-        value = sphere_matrix_element(u_out, insertions, u_in)
-        assert value == _wick_oracle(u_out, insertions, u_in)
+    def test_matches_memo_free_pairing_sum(self, insertions):
+        legs = _legs(insertions)
+        value = sphere(insertions)
+        assert value == _wick_oracle(insertions)
         # exact points give a Fraction; an odd leg count is the int 0
         assert type(value) is (int if legs % 2 else Fraction)
 
@@ -773,11 +711,11 @@ class TestWickContext:
     def test_mixed_points_match_memo_free_pairing_sum(self, drawn):
         # a non-integral Fraction next to an ExactComplex point: every
         # value stays (x, 1) and keeps the denominators of x
-        kind, (u_out, insertions, u_in) = drawn
-        legs = _legs(u_out, insertions, u_in)
+        kind, insertions = drawn
+        legs = _legs(insertions)
         assume(legs <= 12)
-        value = _cold(sphere_matrix_element, u_out, insertions, u_in)
-        want = _wick_oracle(u_out, insertions, u_in)
+        value = _cold(sphere, insertions)
+        want = _wick_oracle(insertions)
         if legs % 2:
             assert type(value) is int and value == 0
             return
@@ -791,12 +729,12 @@ class TestWickContext:
         # the value is symmetric in the insertions, and every order runs
         # on the same sub-sums: evaluated cold in the permuted order, then
         # warm in the drawn one, both must equal the oracle
-        kind, (u_out, insertions, u_in), permuted = drawn
-        legs = _legs(u_out, insertions, u_in)
+        kind, insertions, permuted = drawn
+        legs = _legs(insertions)
         assume(legs <= 12)
-        want = _wick_oracle(u_out, insertions, u_in)
-        cold = _cold(sphere_matrix_element, u_out, permuted, u_in)
-        warm = sphere_matrix_element(u_out, insertions, u_in)
+        want = _wick_oracle(insertions)
+        cold = _cold(sphere, permuted)
+        warm = sphere(insertions)
         for value in (cold, warm):
             if legs % 2:
                 assert type(value) is int and value == 0
@@ -815,7 +753,7 @@ class TestWickContext:
         # <a(z1) a(z2)> = (z1 - z2)^-2 enters both points, so the value has
         # the type of their arithmetic
         z1, z2 = points
-        value = _cold(sphere_matrix_element, VACUUM, [(A_STATE, z1), (A_STATE, z2)], VACUUM)
+        value = _cold(sphere, [(A_STATE, z1), (A_STATE, z2)])
         assert type(value) is kind
         assert value == Fraction(1) / _pow(z1 - z2, 2)
 
@@ -823,8 +761,8 @@ class TestWickContext:
     @given(_repeated_part_elements())
     def test_repeated_parts_match_memo_free_pairing_sum(self, drawn):
         kind, insertions = drawn
-        value = _cold(sphere_matrix_element, VACUUM, insertions, VACUUM)
-        want = _wick_oracle(VACUUM, insertions, VACUUM)
+        value = _cold(sphere, insertions)
+        want = _wick_oracle(insertions)
         if kind is Fraction:
             assert type(value) is Fraction and value == want
             return
@@ -838,36 +776,9 @@ class TestWickContext:
         # with one at z2, in n! ways, each (z1 - z2)^-2n.  Up to 16 legs,
         # past what the oracle can enumerate
         power = FockState((1,) * n)
-        value = _cold(sphere_matrix_element, VACUUM, [(power, z1), (power, z2)], VACUUM)
+        value = _cold(sphere, [(power, z1), (power, z2)])
         assert type(value) is Fraction
         assert value == Fraction(math.factorial(n)) / Fraction(z1 - z2) ** (2 * n)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.one_of(_sphere_elements(), _mixed_sphere_elements().map(lambda drawn: drawn[1])))
-    def test_in_state_is_an_insertion_at_zero(self, element):
-        # <u_out', ... u_in> is <u_out', ... Y(u_in, 0) 1>: both equal the
-        # oracle, which contracts the in state's modes as a boundary, and
-        # have one type
-        u_out, insertions, u_in = element
-        assume(_legs(u_out, insertions, u_in) <= 12)
-        value = _cold(sphere_matrix_element, u_out, insertions, u_in)
-        moved = _cold(sphere_matrix_element, u_out, insertions + [(u_in, 0)], VACUUM)
-        assert value == _wick_oracle(u_out, insertions, u_in)
-        assert _typed(moved) == _typed(value)
-
-    @pytest.mark.parametrize("zero", [0, Fraction(0), ExactComplex(0)])
-    def test_in_state_refuses_an_insertion_at_zero(self, zero):
-        # the in state sits at 0, so an insertion there is two insertions
-        # at one point: a ValueError, not a ZeroDivisionError
-        with pytest.raises(ValueError, match="pairwise distinct"):
-            sphere_matrix_element(VACUUM, [(A_STATE, zero), (A_STATE, 1)], FockState((1, 1)))
-        with pytest.raises(ValueError, match="pairwise distinct"):
-            sphere_value([(A_VECTOR, zero)], u_in=FockState((1,)))
-        # also where an odd leg count makes the element 0
-        with pytest.raises(ValueError, match="pairwise distinct"):
-            sphere_value([(A_VECTOR, zero)], u_in=FockState((1, 1)))
-        # a vacuum in state adds no point
-        assert sphere_value([(A_VECTOR, zero), (A_VECTOR, 1)]) == 1
 
     def test_equal_fields_recurse_once_per_state(self, monkeypatch):
         # a(-1)^8|0> at two points: every field at 5 has one distinct
@@ -876,44 +787,27 @@ class TestWickContext:
         calls = []
         wick = voa._wick
 
-        def counted(out, fields, ctx):
+        def counted(fields, ctx):
             calls.append(len(fields) // 2)
-            return wick(out, fields, ctx)
+            return wick(fields, ctx)
 
         monkeypatch.setattr(voa, "_wick", counted)
         power = FockState((1,) * 8)
-        _cold(sphere_matrix_element, VACUUM, [(power, 7), (power, 5)], VACUUM)
+        _cold(sphere, [(power, 7), (power, 5)])
         assert calls == [16, 14, 12, 10, 8, 6, 4]
-
-    def test_equal_boundary_partners_recurse_once_per_state(self, monkeypatch):
-        # <a(-1)^8|0>, Y(a(-1)^8|0>, 2) 1>: the first part of u_out has
-        # eight equal partners, one run, so each state of 8, 7, ..., 0
-        # boundary parts is entered once, and no call is a memo hit
-        calls = []
-        wick = voa._wick
-
-        def counted(out, fields, ctx):
-            calls.append(len(out))
-            return wick(out, fields, ctx)
-
-        monkeypatch.setattr(voa, "_wick", counted)
-        power = FockState((1,) * 8)
-        assert _cold(sphere_matrix_element, power, [(power, 2)], VACUUM) == 1
-        assert calls == [8, 7, 6, 5, 4, 3, 2, 1, 0]
-        assert len(_context_of([2]).memo) == len(calls)
 
     def test_exact_memo_holds_one_int_per_state(self):
         # the guard against Fraction arithmetic or pairs creeping back into
         # the recursion: at rational points every memoised sub-sum and
-        # every table entry is one int, the in state's fields sit at 0, and
-        # the value still matches the oracle
-        points = [Fraction(7, 2), Fraction(-2), Fraction(5, 3), 4]
-        states = [FockState((2, 1)), FockState((1, 1, 1)), FockState((3,)), FockState((1, 1))]
-        u_out, u_in = FockState((2, 1)), FockState((1, 1))
-        value = _cold(sphere_matrix_element, u_out, list(zip(states, points)), u_in)
+        # every table entry is one int, and the value still matches the
+        # oracle
+        points = [Fraction(7, 2), Fraction(-2), Fraction(5, 3), 4, 0]
+        states = [FockState((2, 1)), FockState((1, 1, 1)), FockState((3,)), FockState((1, 1)),
+                  FockState((1, 1))]
+        value = _cold(sphere, list(zip(states, points)))
         assert type(value) is Fraction and value != 0
-        assert value == _wick_oracle(u_out, list(zip(states, points)), u_in)
-        ctx = _context_of(points + [0])
+        assert value == _wick_oracle(list(zip(states, points)))
+        ctx = _context_of(points)
         assert not ctx.gaussian and ctx.scale == 6 and len(ctx.memo) > 10
         for entry in [*ctx.memo.values(), *ctx.contractions.values()]:
             assert type(entry) is int
@@ -944,8 +838,7 @@ class TestWickContext:
         # orders of the two points must still find one context
         big = Fraction(10**400)
         insertions = [(A_STATE, big), (A_STATE, big + Fraction(1, 2)), (VACUUM, Fraction(1))]
-        values = [_cold(sphere_matrix_element, VACUUM, insertions, VACUUM),
-                  sphere_matrix_element(VACUUM, insertions[::-1], VACUUM)]
+        values = [_cold(sphere, insertions), sphere(insertions[::-1])]
         assert values == [4, 4]
         assert voa._wick_context.cache_info().misses == 1
 
@@ -956,8 +849,8 @@ class TestWickContext:
         points = [Fraction(7, 2), ExactComplex(Fraction(1, 2), 1), Fraction(-1, 3)]
         insertions = [(FockState((2, 1)), points[0]), (FockState((1, 2)), points[1]),
                       (FockState((1, 1)), points[2])]
-        value = _cold(sphere_matrix_element, VACUUM, insertions, VACUUM)
-        assert type(value) is ExactComplex and value == _wick_oracle(VACUUM, insertions, VACUUM)
+        value = _cold(sphere, insertions)
+        assert type(value) is ExactComplex and value == _wick_oracle(insertions)
         ctx = _context_of(points)
         assert ctx.gaussian and ctx.scale == 6 and len(ctx.memo) > 3
         for entry in ctx.memo.values():
@@ -969,24 +862,18 @@ class TestWickContext:
         rng = random.Random(5)
         points = [Fraction(7), Fraction(-2), Fraction(5, 3)]
         basis = _states_up_to(4)
-        batch = [
-            (rng.choice(_states_up_to(3)),
-             [(rng.choice(basis[1:]), z) for z in points],
-             rng.choice(_states_up_to(3)))
-            for _ in range(60)
-        ]
+        batch = [[(rng.choice(basis[1:]), z) for z in points] + [(rng.choice(_states_up_to(3)), 0)]
+                 for _ in range(60)]
         voa._wick_context.cache_clear()
-        cold = [_typed(sphere_matrix_element(*e)) for e in batch]
-        warm = [_typed(sphere_matrix_element(*e)) for e in batch]
+        cold = [_typed(sphere(e)) for e in batch]
+        warm = [_typed(sphere(e)) for e in batch]
         order = list(range(len(batch)))
         rng.shuffle(order)
         voa._wick_context.cache_clear()
-        shuffled = {i: _typed(sphere_matrix_element(*batch[i])) for i in order}
+        shuffled = {i: _typed(sphere(batch[i])) for i in order}
         assert warm == cold
         assert [shuffled[i] for i in range(len(batch))] == cold
-        # one context at the points, and one with 0 added for the elements
-        # whose in state has legs
-        assert voa._wick_context.cache_info().misses == 2
+        assert voa._wick_context.cache_info().misses == 1
 
     @pytest.mark.parametrize("kinds", [[int, Fraction, ExactComplex],
                                        [ExactComplex, Fraction, int]])
@@ -995,19 +882,19 @@ class TestWickContext:
         # ExactComplex(5) runs the scalar path and the others integer
         # pairs: in either order each gets the value and type a cold
         # evaluation gives it
-        states = [FockState((2, 1)), FockState((1,)), FockState((1, 1))]
-        values = [5, -2, 3]
-        u_out, u_in = FockState((1,)), FockState((2, 1))
-        args = {kind: (u_out, list(zip(states, map(kind, values))), u_in) for kind in kinds}
+        states = [FockState((2, 1)), FockState((1,)), FockState((1, 1)), FockState((1,))]
+        values = [5, -2, 3, 7]
+        args = {kind: [*zip(states, map(kind, values)), (FockState((2, 1)), 0)]
+                for kind in kinds}
         voa._wick_context.cache_clear()
-        shared = {kind: _typed(sphere_matrix_element(*args[kind])) for kind in kinds}
+        shared = {kind: _typed(sphere(args[kind])) for kind in kinds}
         for kind in kinds:
-            assert shared[kind] == _typed(_cold(sphere_matrix_element, *args[kind])), kind
+            assert shared[kind] == _typed(_cold(sphere, args[kind])), kind
         assert shared[int][0] is shared[Fraction][0] is Fraction
         assert shared[ExactComplex][0] is ExactComplex
 
     def test_worker_cache_rule_clears_the_context(self):
-        sphere_matrix_element(VACUUM, [(FockState((1,)), 2), (FockState((1,)), 3)], VACUUM)
+        sphere([(FockState((1,)), 2), (FockState((1,)), 3)])
         assert voa._wick_context.cache_info().currsize > 0
         for cache in _program_caches():
             cache.cache_clear()
@@ -1019,18 +906,14 @@ class TestWickContext:
         rng = random.Random(11)
         points = [Fraction(7), Fraction(-2), Fraction(5, 3)]
         basis = _states_up_to(3)
-        batch = [
-            (rng.choice(basis), [(rng.choice(basis), z) for z in points], rng.choice(basis))
-            for _ in range(60)
-        ]
-        assert any(s == VACUUM for _, ins, _ in batch for s, _ in ins)
-        assert any(s != VACUUM for _, ins, _ in batch for s, _ in ins)
-        cold = [_typed(_cold(sphere_matrix_element, *e)) for e in batch]
+        batch = [[(rng.choice(basis), z) for z in points] for _ in range(60)]
+        assert any(s == VACUUM for ins in batch for s, _ in ins)
+        assert any(s != VACUUM for ins in batch for s, _ in ins)
+        cold = [_typed(_cold(sphere, e)) for e in batch]
         voa._wick_context.cache_clear()
-        shared = [_typed(sphere_matrix_element(*e)) for e in batch]
+        shared = [_typed(sphere(e)) for e in batch]
         assert shared == cold
-        # and a second one, with 0 added, for a legged in state
-        assert voa._wick_context.cache_info().misses == 2
+        assert voa._wick_context.cache_info().misses == 1
 
     def test_vacuum_point_never_enters_a_value(self):
         # a legged state at the ExactComplex point fills the context with
@@ -1041,11 +924,12 @@ class TestWickContext:
                   (FockState((2,)), Fraction(1))]
         vacuum = [legged[0], (VACUUM, point), legged[2]]
         voa._wick_context.cache_clear()
-        assert type(sphere_matrix_element(VACUUM, legged, VACUUM)) is ExactComplex
-        warm = _typed(sphere_matrix_element(VACUUM, vacuum, VACUUM))
+        assert type(sphere(legged)) is ExactComplex
+        warm = _typed(sphere(vacuum))
         assert voa._wick_context.cache_info().misses == 1
-        assert warm == _typed(_cold(sphere_matrix_element, VACUUM, vacuum, VACUUM))
+        assert warm == _typed(_cold(sphere, vacuum))
         assert warm[0] is Fraction
+
 
     def test_cold_genus2_partition_builds_three_contexts(self):
         # one context per Gram inversion (one per handle) and one for the

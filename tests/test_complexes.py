@@ -55,7 +55,6 @@ from voachain.voa import (
     VACUUM_VECTOR,
     FockState,
     FockVector,
-    fock_basis,
     sewn_sphere_series,
     zero_mode,
 )

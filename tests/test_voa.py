@@ -780,6 +780,18 @@ class TestWickContext:
         assert type(value) is Fraction
         assert value == Fraction(math.factorial(n)) / Fraction(z1 - z2) ** (2 * n)
 
+    @pytest.mark.parametrize("zero", [0, Fraction(0), ExactComplex(0)])
+    def test_two_insertions_at_zero_are_refused(self, zero):
+        # two insertions at one point: a ValueError, not a
+        # ZeroDivisionError, also where an odd leg count makes the
+        # function 0
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            sphere_value([(A_VECTOR, zero), (A_VECTOR, 1), (FockVector.basis(1, 1), 0)])
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            sphere_value([(A_VECTOR, zero), (FockVector.basis(1, 1), 0)])
+        # one insertion at 0 is a point like any other
+        assert sphere_value([(A_VECTOR, zero), (A_VECTOR, 1)]) == 1
+
     def test_equal_fields_recurse_once_per_state(self, monkeypatch):
         # a(-1)^8|0> at two points: every field at 5 has one distinct
         # partner, so each state of 16, 14, ..., 4 fields is entered once,

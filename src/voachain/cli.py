@@ -122,7 +122,22 @@ def parse_bool(raw: str) -> bool:
 
 
 def parse_list(raw: str):
-    return [t for t in (piece.strip() for piece in raw.split(",")) if t]
+    """The comma-separated tokens of a list value.  A comma inside
+    brackets belongs to its token, so a partition spec such as [2,1] is
+    one token; brackets that do not pair up are refused."""
+    pieces, depth, start = [], 0, 0
+    for i, c in enumerate(raw):
+        if c in "[]":
+            depth += 1 if c == "[" else -1
+            if depth not in (0, 1):
+                raise ConfigError(f"unbalanced brackets in {raw!r}")
+        elif c == "," and not depth:
+            pieces.append(raw[start:i])
+            start = i + 1
+    if depth:
+        raise ConfigError(f"unbalanced brackets in {raw!r}")
+    pieces.append(raw[start:])
+    return [t for t in (piece.strip() for piece in pieces) if t]
 
 
 def each(read):

@@ -36,7 +36,7 @@ from typing import Sequence
 
 from .correlators import Insertion
 from .series import Scalar, TruncatedSeries, _FrozenRecord, _int_power, points_coincide
-from .voa import FockState, _field_chars, _wick, _wick_context, sewn_sphere_series, weight_basis
+from .voa import FockState, _field_chars, _wick, _WickContext, sewn_sphere_series, weight_basis
 
 
 class SewingError(ValueError):
@@ -81,18 +81,21 @@ def _gram_inverse(k: int) -> tuple[tuple[Fraction, ...], ...]:
     at 1 contract with those at 0 through powers of 1 - 0, so at the
     points 0 and 1 an entry is the Wick recursion's N itself, one _wick
     call in the context of those points (the fields at 0 first, as the
-    canonical order puts them)."""
+    canonical order puts them).  That context is built on its own, not
+    fetched from the cache of the sums' contexts, so an inversion evicts
+    none of them; its tables are the ones every two-point context of
+    integer points shares, and each basis state is strung once per
+    point."""
     basis = weight_basis(k)
-    ctx = _wick_context((False, False), (0, 1))
+    ctx = _WickContext((0, 1))
+    at0 = [_field_chars(b, 0, ctx) for b in basis]
+    at1 = [_field_chars(b, 1, ctx) for b in basis]
     inverse = [[Fraction(0)] * len(basis) for _ in basis]
     blocks: dict[int, list[int]] = {}
     for i, b in enumerate(basis):
         blocks.setdefault(b.length, []).append(i)
     for block in blocks.values():
-        gram = [
-            [_wick(_field_chars(basis[j], 0) + _field_chars(basis[i], 1), ctx) for j in block]
-            for i in block
-        ]
+        gram = [[_wick(at0[j] + at1[i], ctx) for j in block] for i in block]
         for i, row in zip(block, _invert_integer(gram)):
             for j, c in zip(block, row):
                 inverse[i][j] = c
@@ -229,9 +232,7 @@ def _genus_g_sum(handles, pieces, summed):
     take over the fetched handles (each handle's paired terms, as
     :func:`_sewn_handle` gives them), and ``summed`` takes them in one
     pass, as :func:`~voachain.voa.sewn_sphere_series` does.  Each
-    handle's paired terms are fetched once, before any sum starts: a Gram
-    inversion evaluates spheres at the sewing points alone and would
-    replace the Wick context a sum runs in.
+    handle's paired terms are fetched once, before any sum starts.
 
     A handle summed to order 0 knows none of its coefficients, so no
     coefficient of the sums is known either: the result is then the

@@ -432,6 +432,9 @@ def vertex_matrix_element(
 # equal, but the one computes with Gaussian integers and the other with
 # integers.  Two contexts are kept, so that a sum at fewer points run
 # between two sums at the same points does not evict the first one's.
+# At two points no table entry depends on the points (below), so every
+# two-point context of one ring shares one set of tables, the Gram
+# inversions' at 0 and 1 among them.
 #
 # The recursion divides nothing.  The context scales the points by Q,
 # the least common multiple of the denominators of their real and
@@ -452,13 +455,23 @@ def vertex_matrix_element(
 # carrying fields is one.
 #
 # The recursion carries its state as a string, compact enough to keep
-# every sub-sum of a trace or handle sum: chr(d) + chr(i) per field.
-# Equal fields (one d, one i) sit next to each other, so the first field
+# every sub-sum of a handle sum: one character per field, from the
+# context's alphabet, which gives each field (i, d) the next character
+# when it is first met.  The alphabet has no fixed stride, so no d is
+# too high and no two fields share a character; while a context has at
+# most 256 fields, each character is one byte.  A state's fields are
+# strung by point in canonical order and by partition order within a
+# point, so equal states are equal strings, and the first character is
+# always a field of the lowest point that carries one.  The first field
 # is contracted once per distinct partner and the term counted by the
-# partner's multiplicity: the branching grows with the number of
-# distinct fields, not of fields.  A sub-state is looked up in the memo
-# before the recursion is entered, and a remainder of two fields is read
-# from the contraction table instead.
+# partner's multiplicity (str.count): the branching grows with the number
+# of distinct fields, not of fields.  Partners are found, removed and
+# counted by str and dict methods, a factor is read from the first
+# field's row of contractions (0 for a field at its own point), and a
+# sub-state is looked up in the memo, which starts with the empty state,
+# before the recursion is entered.  At two points a contraction's product
+# over the other points is empty, so every factor, and with it N, is a
+# pure number, the same at any two points.
 
 
 def _require_distinct(points) -> None:
@@ -557,10 +570,18 @@ def sewn_sphere_series(pieces: Sequence[tuple]) -> TruncatedSeries | Scalar:
     return _as_series(values, [(variable, len(terms)) for _, _, terms, variable in handles])
 
 
-def _field_chars(state: FockState, pi: int) -> str:
+def _field_chars(state: FockState, pi: int, ctx: _WickContext) -> str:
     """The fields of a basis state at canonical point index pi, as the
-    recursion strings them."""
-    return "".join(chr(part - 1) + chr(pi) for part in state.partition)
+    recursion strings them: one character of the context's alphabet per
+    field, in partition order."""
+    alphabet, chars = ctx.alphabet, []
+    for part in state.partition:
+        char = alphabet.get((pi, part - 1))
+        if char is None:
+            char = alphabet[pi, part - 1] = chr(len(ctx.fields))
+            ctx.fields.append((pi, part - 1))
+        chars.append(char)
+    return "".join(chars)
 
 
 def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags, built):
@@ -572,7 +593,7 @@ def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags
     combos = []
     for states, coeff in _expand_components(insertions, dressed=False):
         scale = weight * coeff
-        combos.append((*_split(scale), [(position[i], _field_chars(s, position[i]), s.weight)
+        combos.append((*_split(scale), [(position[i], _field_chars(s, position[i], ctx), s.weight)
                                         for i, s in enumerate(states)],
                        sum(s.length for s in states), scale))
     live = weight != 0
@@ -619,7 +640,7 @@ def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags
                 gauss = any(n.__class__ is _GaussInt for n, _ in split)
                 by_weight[-1].append((wbar, wb, common, gauss,
                                       {(bbar.length + b.length) % 2 for _, bbar, b in group}, [
-                    (n * (common // d), _field_chars(bbar, p1), _field_chars(b, p2),
+                    (n * (common // d), _field_chars(bbar, p1, ctx), _field_chars(b, p2, ctx),
                      bbar.length + b.length) for (n, d), (_, bbar, b) in zip(split, group)]))
         levels.append((p1, p2, by_weight))
     exotic = exotic or any(group[3] for _, _, by_weight in levels for groups in by_weight
@@ -688,11 +709,60 @@ def _canonical_order(points: tuple) -> tuple[int, ...]:
     return tuple(sorted(range(len(points)), key=key))
 
 
+class _WickTables:
+    """The alphabet, contraction rows and memo of the recursion at one
+    point set: a field (canonical point index, derivative order) is one
+    character, chr(n) for the n-th field met.  The rows need the scaled
+    points and the ring's one."""
+
+    __slots__ = ("scaled", "one", "alphabet", "fields", "contractions", "memo")
+
+    def __init__(self, scaled: tuple, one):
+        self.scaled, self.one = scaled, one
+        self.alphabet: dict = {}  # (point index, d) -> its character
+        self.fields: list = []  # the (point index, d) of each character, by ord
+        self.contractions = _Rows(self)  # first field -> partner -> factor
+        self.memo: dict = {"": one}  # fields (see _wick) -> N
+
+
+class _Rows(dict):
+    # one row per first field, made when first read
+    __slots__ = ("tables",)
+
+    def __init__(self, tables):
+        self.tables = tables
+
+    def __missing__(self, first):
+        row = self[first] = _Row(self.tables, first)
+        return row
+
+
+class _Row(dict):
+    # partner -> the factor of its contraction with the row's field,
+    # computed when first read
+    __slots__ = ("tables", "first")
+
+    def __init__(self, tables, first):
+        self.tables, self.first = tables, first
+
+    def __missing__(self, partner):
+        factor = self[partner] = _contraction(self.tables, self.first, partner)
+        return factor
+
+
+@lru_cache(maxsize=2)
+def _two_point_tables(gaussian: bool) -> _WickTables:
+    # at two points a contraction's product over the other points is
+    # empty, so no table entry depends on the points: every two-point
+    # context of one ring shares these
+    return _WickTables((0, 1), _GaussInt(1, 0) if gaussian else 1)
+
+
 class _WickContext:
     """The tables shared by every sphere function at one point set."""
 
-    __slots__ = ("scale", "scaled", "gaussian", "zero", "one", "cofactors", "contractions",
-                 "memo")
+    __slots__ = ("scale", "scaled", "gaussian", "zero", "one", "cofactors", "alphabet",
+                 "fields", "contractions", "memo")
 
     def __init__(self, points: tuple):
         _require_distinct(points)
@@ -706,8 +776,10 @@ class _WickContext:
         # prod_{k != i} delta_ik, the factor a unit of weight at i puts
         # into the denominator
         self.cofactors = tuple(_cofactor(self.scaled, i, i) for i in range(len(points)))
-        self.contractions: dict = {}  # two fields' chars -> factor
-        self.memo: dict = {}  # fields (see _wick) -> N
+        tables = (_two_point_tables(self.gaussian) if len(points) == 2
+                  else _WickTables(self.scaled, self.one))
+        self.alphabet, self.fields = tables.alphabet, tables.fields
+        self.contractions, self.memo = tables.contractions, tables.memo
 
 
 @lru_cache(maxsize=2)
@@ -735,62 +807,50 @@ def _denominator(ctx: _WickContext, weights):
     return val
 
 
-def _contraction(ctx: _WickContext, pair: str):
-    # The factor one contraction of the fields (d, i) and (e, j) puts into
+def _contraction(tables: _WickTables, first: str, partner: str):
+    # The factor one contraction of the fields (i, d) and (j, e) puts into
     # N: the normalized derivative contraction d^d_z1 d^e_z2 (z1 - z2)^-2
     # at the scaled points, whose pole delta_ij^(d+e+2) the two fields'
     # factors cancel, times prod_{k != i, j} delta_ik^(d+1) delta_jk^(e+1).
-    d, i, e, j = map(ord, pair)
+    # Fields of one insertion never contract (normal ordering): 0.
+    (i, d), (j, e) = tables.fields[ord(first)], tables.fields[ord(partner)]
+    if i == j:
+        return 0 * tables.one
     c = (-1) ** d * (d + e + 1) * math.comb(d + e, d)
     if i < j:  # p_i - p_j is -delta_ij, raised to -(d+e+2)
         c = c * (-1) ** (d + e)
-    val = ctx.contractions[pair] = (c * _int_power(_cofactor(ctx.scaled, i, j), d + 1)
-                                    * _int_power(_cofactor(ctx.scaled, j, i), e + 1) * ctx.one)
-    return val
+    return (c * _int_power(_cofactor(tables.scaled, i, j), d + 1)
+            * _int_power(_cofactor(tables.scaled, j, i), e + 1) * tables.one)
 
 
-def _wick(fields, ctx):
-    # fields: two chars each, an even number of them.  Returns the state's
-    # N, an element of the context's ring.  The first field contracts
-    # with each field of another insertion.  Equal fields sit next to each
-    # other in the canonical string and contracting either copy leaves
-    # the same sub-state, so a run of equal partners is one term times the
-    # run's length.  A sub-state is looked up before the recursion is
-    # entered, and a remainder of two fields is their contraction.
+def _wick(fields: str, ctx: _WickContext):
+    """N of the state ``fields``, one character per field (see
+    _field_chars), an element of the context's ring."""
+    hit = ctx.memo.get(fields)
+    return hit if hit is not None else _wick_sum(fields, ctx)
+
+
+def _wick_sum(fields: str, ctx: _WickContext):
+    # A state not in the memo: the first field contracts with each
+    # distinct partner.  Contracting any copy of a partner leaves the
+    # same sub-state, so the term is counted by the partner's
+    # multiplicity; a sub-state is looked up before the recursion is
+    # entered.  A lone field has no partner: its state is 0.
     memo = ctx.memo
-    hit = memo.get(fields)
-    if hit is not None:
-        return hit
-    total = ctx.zero if fields else ctx.one
-    table = ctx.contractions
-    first, rest = fields[:2], fields[2:]
-    idx, end = 0, len(rest)
-    while idx < end:
-        partner = rest[idx:idx + 2]
-        run = idx + 2
-        while rest.startswith(partner, run):
-            run += 2
-        if partner[1] != first[1]:  # one insertion's fields never contract
-            pair = first + partner
-            factor = table.get(pair)
-            if factor is None:
-                factor = _contraction(ctx, pair)
-            sub = rest[:idx] + rest[idx + 2:]
-            if len(sub) > 4:
-                sn = memo.get(sub)
-                if sn is None:
-                    sn = _wick(sub, ctx)
-            elif not sub:
-                sn = 1
-            elif sub[1] == sub[3]:
-                sn = 0
-            else:
-                sn = table.get(sub)
-                if sn is None:
-                    sn = _contraction(ctx, sub)
-            if sn:
-                term = factor * sn
-                total = total + (term if run - idx == 2 else (run - idx) // 2 * term)
-        idx = run
+    row = ctx.contractions[fields[0]]
+    rest = fields[1:]
+    total = ctx.zero
+    for partner in dict.fromkeys(rest):
+        factor = row[partner]
+        if not factor:  # a field of the first one's insertion
+            continue
+        sub = rest.replace(partner, "", 1)
+        sn = memo.get(sub)
+        if sn is None:
+            sn = _wick_sum(sub, ctx)
+        if sn:
+            term = factor * sn
+            count = rest.count(partner)
+            total = total + (term if count == 1 else count * term)
     memo[fields] = total
     return total

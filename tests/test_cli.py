@@ -975,6 +975,58 @@ def test_benchmark_and_shipped_configs_are_read(command, text, write_config):
         assert not any(isinstance(leaf, (float, complex)) for leaf in leaves(value)), key
 
 
+class TestPartitionSpecsInLists:
+    # a list value splits on the commas outside brackets, so a partition
+    # spec such as [2,1] is one token of it, as it is of a single key
+
+    def test_npoint_reads_a_partition_spec_in_its_states(self, write_config, capsys):
+        from voachain.correlators import sphere_value
+        from voachain.voa import FockState, FockVector
+
+        cfg = write_config("[experiment]\ngenus = 0\n[insertions]\n"
+                           "states = [2,1], a, a\npoints = 3, 1/2, -2\n")
+        code, out, _ = run_cli(["npoint", "--config", cfg], capsys)
+        assert code == 0
+        want = sphere_value([(FockVector({FockState((2, 1)): 1}), Fraction(3)),
+                             (A_VECTOR, Fraction(1, 2)), (A_VECTOR, Fraction(-2))])
+        assert want != 0
+        assert json.loads(out)["result"]["value"]["rational"] == _frac_str(want)
+
+    def test_check_complex_reads_a_partition_spec_in_its_element(self, write_config, capsys):
+        # the function is symmetric in its insertions: the element listed
+        # in another order gives the same reports
+        text = ("[experiment]\nkinds = n, g\n[element]\nstates = {}\npoints = {}\n"
+                "[descriptors]\nx1_state = [2,1]\nx1_point = 11\nx2_state = 1\n"
+                "x2_point = 13\n[truncation]\nrho_order = 2\n[assert]\nexpect_zero = true\n")
+        reports = []
+        for states, points in [("[2,1], a, a", "7, 9, 1/2"), ("a, a, [2,1]", "9, 1/2, 7")]:
+            code, out, _ = run_cli(
+                ["check-complex", "--config", write_config(text.format(states, points))], capsys)
+            assert code == 0
+            reports.append(json.loads(out)["reports"])
+        assert reports[0] == reports[1]
+        assert [r["kind"] for r in reports[0]] == ["n", "g"]
+
+    def test_cohomology_reads_a_partition_spec_in_its_pool(self, write_config, capsys):
+        # the labels are pool indices, so any pool of three states gives
+        # the report of 1, a, aa
+        reports = []
+        for pool in ("1, a, [2,1]", "1, a, aa"):
+            cfg = write_config(PROBE.replace("pool = 1, a, aa", f"pool = {pool}"))
+            code, out, _ = run_cli(["cohomology", "--config", cfg], capsys)
+            assert code == 0
+            reports.append(json.loads(out)["report"])
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("states", ["[2,1, a", "a, [2,[1]]", "a, 2]"])
+    def test_unbalanced_brackets_are_refused(self, write_config, capsys, states):
+        cfg = write_config(f"[experiment]\ngenus = 0\n[insertions]\n"
+                           f"states = {states}\npoints = 3, 1/2\n")
+        code, out, _ = run_cli(["npoint", "--config", cfg], capsys)
+        assert code == 2
+        assert "unbalanced brackets" in json.loads(out)["error"]["message"]
+
+
 class TestSubprocessEntry:
     def test_module_invocation_and_usage_error(self):
         proc = subprocess.run(

@@ -131,6 +131,14 @@ class TestGramInverse:
             for j in range(n):
                 assert sum(inverse[i][r] * gram[r][j] for r in range(n)) == (1 if i == j else 0), (i, j)
 
+    def test_an_inversion_evicts_no_sum_context(self):
+        # the Gram context is built on the shared two-point tables, not
+        # through the sums' two-entry context cache
+        _gram_inverse.cache_clear()
+        before = voa._wick_context.cache_info()
+        _gram_inverse(6)
+        assert voa._wick_context.cache_info() == before
+
 
 def _full_gram_inverse(z1, z2, k):
     """Gauss-Jordan on the whole weight-k Gram matrix at the points."""

@@ -626,6 +626,7 @@ def _program_caches():
 
 def _cold(fn, *args):
     voa._wick_context.cache_clear()
+    voa._two_point_tables.cache_clear()
     voa._canonical_order.cache_clear()
     return fn(*args)
 
@@ -684,6 +685,26 @@ def _repeated_part_elements(draw):
                            max_size=n).filter(lambda s: any(x in _REPEATED for x in s)))
     assume(_legs(list(zip(states, points))) in (4, 6, 8, 10, 12))
     return kind, list(zip(states, points))
+
+
+@st.composite
+def _two_point_elements(draw):
+    """Basis states at two exact points, both rational or one of them an
+    ExactComplex, with at most 12 legs."""
+    kind = draw(st.sampled_from([Fraction, *_MIXED_KINDS]))
+    thirds = draw(st.lists(st.integers(-30, 30), min_size=2, max_size=2, unique=True))
+    points = [Fraction(t, 3) for t in thirds]
+    if kind is not Fraction:
+        points[draw(st.integers(0, 1))] = _MIXED_KINDS[kind](thirds[0])
+    states = draw(st.lists(st.sampled_from(_states_up_to(5)), min_size=2, max_size=2))
+    assume(points[0] != points[1] and _legs(list(zip(states, points))) <= 12)
+    return kind, list(zip(states, points))
+
+
+def _one_contraction(k, z1, z2):
+    # <a(-k) at z1, a(-k) at z2>: the fields d^(k-1)a/(k-1)! contract once
+    d = k - 1
+    return Fraction((-1) ** d * (2 * d + 1) * math.comb(2 * d, d)) / _pow(z1 - z2, 2 * d + 2)
 
 
 # the largest element the oracle runs on: 14 legs, 135135 matchings
@@ -794,25 +815,27 @@ class TestWickContext:
 
     def test_equal_fields_recurse_once_per_state(self, monkeypatch):
         # a(-1)^8|0> at two points: every field at 5 has one distinct
-        # partner, so each state of 16, 14, ..., 4 fields is entered once,
-        # and the four-field state closes on its two-field remainder
+        # partner, so each state of 16, 14, ..., 2 fields is entered once,
+        # and the two-field state closes on the memo's empty state
         calls = []
-        wick = voa._wick
+        wick_sum = voa._wick_sum
 
         def counted(fields, ctx):
-            calls.append(len(fields) // 2)
-            return wick(fields, ctx)
+            calls.append(len(fields))
+            return wick_sum(fields, ctx)
 
-        monkeypatch.setattr(voa, "_wick", counted)
+        monkeypatch.setattr(voa, "_wick_sum", counted)
         power = FockState((1,) * 8)
         _cold(sphere, [(power, 7), (power, 5)])
-        assert calls == [16, 14, 12, 10, 8, 6, 4]
+        assert calls == [16, 14, 12, 10, 8, 6, 4, 2]
+        # one character per field: a field at 7 and one at 5
+        assert len(_context_of([7, 5]).fields) == 2
 
     def test_exact_memo_holds_one_int_per_state(self):
         # the guard against Fraction arithmetic or pairs creeping back into
         # the recursion: at rational points every memoised sub-sum and
-        # every table entry is one int, and the value still matches the
-        # oracle
+        # every entry of every contraction row is one int, and the value
+        # still matches the oracle
         points = [Fraction(7, 2), Fraction(-2), Fraction(5, 3), 4, 0]
         states = [FockState((2, 1)), FockState((1, 1, 1)), FockState((3,)), FockState((1, 1)),
                   FockState((1, 1))]
@@ -821,7 +844,9 @@ class TestWickContext:
         assert value == _wick_oracle(list(zip(states, points)))
         ctx = _context_of(points)
         assert not ctx.gaussian and ctx.scale == 6 and len(ctx.memo) > 10
-        for entry in [*ctx.memo.values(), *ctx.contractions.values()]:
+        entries = [x for row in ctx.contractions.values() for x in row.values()]
+        assert len(entries) > 10
+        for entry in [*ctx.memo.values(), *entries]:
             assert type(entry) is int
 
     def test_huge_exact_point_gives_its_value(self):
@@ -906,11 +931,74 @@ class TestWickContext:
         assert shared[ExactComplex][0] is ExactComplex
 
     def test_worker_cache_rule_clears_the_context(self):
+        # the two-point tables too: a memo kept across passes would make
+        # every pass after the first a warm one
         sphere([(FockState((1,)), 2), (FockState((1,)), 3)])
         assert voa._wick_context.cache_info().currsize > 0
+        assert voa._two_point_tables.cache_info().currsize > 0
         for cache in _program_caches():
             cache.cache_clear()
         assert voa._wick_context.cache_info().currsize == 0
+        assert voa._two_point_tables.cache_info().currsize == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(_two_point_elements(), _two_point_elements())
+    def test_two_point_values_match_the_oracle_on_shared_tables(self, drawn, warming):
+        # every two-point context of one ring reads one point-free memo:
+        # a value is the oracle's cold and after another pair, at other
+        # points, has filled the tables
+        kind, insertions = drawn
+        want = _wick_oracle(insertions)
+        cold = _cold(sphere, insertions)
+        _cold(sphere, warming[1])
+        warm = sphere(insertions)
+        for value in (cold, warm):
+            if _legs(insertions) % 2:
+                assert type(value) is int and value == 0
+            else:
+                assert type(value) in (Fraction, kind) and value == want
+
+    def test_two_point_contexts_share_their_tables(self):
+        rational = [_context_of(points) for points in ([1, 2], [Fraction(5), Fraction(-7, 3)])]
+        gaussian = [_context_of(points) for points in ([ExactComplex(1, 1), 2],
+                                                       [0, ExactComplex(Fraction(1, 2))])]
+        for contexts in (rational, gaussian):
+            first, other = contexts
+            assert first is not other and first.scaled != other.scaled
+            assert first.memo is other.memo and first.alphabet is other.alphabet
+            assert first.contractions is other.contractions
+        assert rational[0].memo is not gaussian[0].memo
+        # three points have their own
+        assert _context_of([1, 2, 3]).memo is not rational[0].memo
+
+    @pytest.mark.parametrize("z1, z2", [(1, 2), (Fraction(7, 3), Fraction(-2))])
+    def test_a_high_mode_pair_is_one_contraction(self, z1, z2):
+        # two fields with d = 8999: the alphabet names fields, not a
+        # fixed stride of derivative orders, so nothing aliases
+        state = FockState((9000,))
+        assert _cold(sphere, [(state, z1), (state, z2)]) == _one_contraction(9000, z1, z2)
+
+    def test_an_alphabet_past_256_fields(self):
+        # a(-k) pairs for k <= 300 on the shared two-point tables: 600
+        # fields, so the later ones take characters past one byte
+        z1, z2 = Fraction(3, 2), Fraction(-1)
+        voa._two_point_tables.cache_clear()
+        for k in range(1, 301):
+            state = FockState((k,))
+            assert sphere([(state, z1), (state, z2)]) == _one_contraction(k, z1, z2), k
+        ctx = _context_of([z1, z2])
+        assert len(ctx.fields) == 600 and len(ctx.alphabet) == 600
+
+    @pytest.mark.parametrize("points", [(0, 1, 2), (0, ExactComplex(1, 1), 2)])
+    def test_an_odd_field_count_is_the_rings_zero(self, points):
+        # a lone field has no partner: the state is 0, not an IndexError
+        ctx = _cold(_context_of, list(points))
+        a = FockState((1,))
+        for fields in [voa._field_chars(a, 0, ctx),
+                       "".join(voa._field_chars(a, pi, ctx) for pi in range(3)),
+                       voa._field_chars(FockState((2, 1, 1)), 1, ctx)]:
+            value = voa._wick(fields, ctx)
+            assert type(value) is type(ctx.zero) and not value
 
     def test_vacuum_and_legged_states_share_one_context(self):
         # every insertion point keys the context, so a vacuum state in a
@@ -943,16 +1031,16 @@ class TestWickContext:
         assert warm[0] is Fraction
 
 
-    def test_cold_genus2_partition_builds_three_contexts(self):
-        # one context per Gram inversion (one per handle) and one for the
-        # whole nested sum, which runs at all four handle points
+    def test_cold_genus2_partition_builds_one_cached_context(self):
+        # one for the whole nested sum, which runs at all four handle
+        # points; the Gram inversions build theirs outside the cache
         from voachain.schottky import SchottkyData, genus_g_partition
 
         for cache in _program_caches():
             cache.cache_clear()
         sd = SchottkyData(genus=2, points=(Fraction(-1), Fraction(1), Fraction(-4), Fraction(4)))
         genus_g_partition(sd, (4, 4))
-        assert voa._wick_context.cache_info().misses <= 3
+        assert voa._wick_context.cache_info().misses == 1
 
     def test_swapped_handles_reuse_the_context(self):
         # the same handle sums in the other handle order: every paired

@@ -1,0 +1,112 @@
+"""Paired benchmark runs of a parent checkout and a changed one.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \
+        --seed S --pairs N --seconds T [--out BENCH.json]
+
+Each side runs its own, unchanged ``benchmarks/run.py`` from the root of
+its checkout, one run at a time.  One run per checkout comes first and is
+discarded: the first run in a fresh checkout compiles the bytecode and
+reads a higher peak_rss_mb.  Then N pairs run, the parent first in the
+first pair and the sides alternating after that.
+
+The summary gives, per end-to-end metric of BENCHMARK.json, each side's
+runs, median and quartiles (inclusive method), the change against the
+parent in percent, the pairs in which the change read lower, the gap of
+the medians, the parent's interquartile range, and whether the change's
+median is worse than the parent's by more than the metric's bound; and
+each run's failed operations.  With --out it is merged into that JSON
+file under "<workload> seed <seed>", else printed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+RUN_TIMEOUT_S = 600
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One run of the checkout's benchmark: its last stdout line, parsed."""
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: benchmarks/run.py exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _side(values: list) -> dict:
+    q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
+                 else values * 3)
+    return {"runs": [round(v, 5) for v in values], "median": round(statistics.median(values), 5),
+            "q1": round(q1, 5), "q3": round(q3, 5)}
+
+
+def summarize(parent_runs: list, change_runs: list, declared: list) -> dict:
+    """The paired comparison of the runs, pair i being (parent_runs[i],
+    change_runs[i]), for each end-to-end metric ``declared`` as in
+    BENCHMARK.json (name, better, bound)."""
+    if len(parent_runs) != len(change_runs) or not parent_runs:
+        raise ValueError("need one parent run and one change run per pair")
+    out = {}
+    for spec in declared:
+        name = spec["name"]
+        parent = [run["metrics"][name]["value"] for run in parent_runs]
+        change = [run["metrics"][name]["value"] for run in change_runs]
+        before, after = statistics.median(parent), statistics.median(change)
+        p, c = _side(parent), _side(change)
+        worse = after - before if spec["better"] == "lower" else before - after
+        out[name] = {
+            "parent": p, "change": c,
+            "change_vs_parent": f"{100 * (after - before) / before:+.1f}%",
+            "pairs_lower": f"{sum(x < y for x, y in zip(change, parent))} of {len(parent)}",
+            "median_gap": round(after - before, 5),
+            "parent_iqr": round(p["q3"] - p["q1"], 5),
+            "beyond_bound": worse > spec["bound"] * before,
+        }
+    out["failed"] = {"parent": [run["failed"] for run in parent_runs],
+                     "change": [run["failed"] for run in change_runs]}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--out", type=Path, help="JSON file to merge the summary into")
+    args = parser.parse_args(argv)
+
+    declared = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    sides = {"parent": args.parent, "change": args.change}
+    warmups = {side: run_once(path, args.workload, args.seed, args.seconds)["metrics"]
+               for side, path in sides.items()}
+    runs = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            runs[side].append(run_once(sides[side], args.workload, args.seed, args.seconds))
+            print(f"pair {i + 1} {side}: run_ref "
+                  f"{runs[side][-1]['metrics']['run_ref']['value']:.4f}", file=sys.stderr)
+    summary = summarize(runs["parent"], runs["change"], declared)
+    summary["warmup_discarded"] = warmups
+    key = f"{args.workload} seed {args.seed}"
+    if args.out is None:
+        print(json.dumps({key: summary}, indent=1))
+        return 0
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    data.setdefault("end_to_end", {})[key] = summary
+    args.out.write_text(json.dumps(data, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

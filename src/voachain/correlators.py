@@ -9,15 +9,16 @@ Z(q) times a sum over pairings of exact q-series propagators, exact per
 q-order because each propagator coefficient is an exact rational
 function of the insertion coordinates.  Torus insertion points are given
 in the exponentiated coordinate x = e^z, so exact points keep the whole
-computation exact: every propagator and pairing sum is a list of ring
-numerators (ints, or Gaussian integers at an ExactComplex point) over
-one positive int denominator, and each trace coefficient is lowered
-once, after the product with Z(q).  :func:`torus_trace_sum` sums
-weighted traces at one point set that way, each weight a scalar or a
-q-series over one denominator (the genus-1 D2 kernels): the reduction's
-moved states and, through :func:`sewn_trace_series`, the paired terms
-of a trace with handles sewn on.  :func:`torus_trace` is its one-term
-case.
+computation exact: every pairing sum is a list of ring numerators (ints,
+or Gaussian integers at an ExactComplex point) over a closed-form
+denominator, a product over its fields, and each trace coefficient is
+lowered once, after the product with Z(q), whose p(k) come from Euler's
+pentagonal recurrence (:func:`~voachain.voa.partition_count`).
+:func:`torus_trace_sum` sums weighted traces at one point set that way,
+each weight a scalar or a q-series over one denominator (the genus-1 D2
+kernels): the reduction's moved states and, through
+:func:`sewn_trace_series`, the paired terms of a trace with handles sewn
+on.  :func:`torus_trace` is its one-term case.
 """
 
 from __future__ import annotations
@@ -42,7 +43,10 @@ from .voa import (
     _as_series,
     _comb_neg,
     _expand_components,
+    _field_chars,
     _require_distinct,
+    _Rows,
+    _scaled_points,
     partition_count,
     sewn_sphere_series,
 )
@@ -109,20 +113,21 @@ def torus_trace_sum(terms: Sequence[tuple], q_order: int) -> TruncatedSeries:
                                for (state,), c in _expand_components([(zero_mode_state, 1)],
                                                                      dressed=False)]
         for states, coeff in _expand_components(insertions, dressed=True):
-            fields = "".join(sorted(chr(p - 1) + chr(i) for i, s in enumerate(states)
-                                    for p in s.partition))
+            fields = "".join(sorted("".join(_field_chars(s, i, ctx)
+                                            for i, s in enumerate(states))))
             for v_fields, c in zero_mode_terms:
                 scale = c * coeff * weight
                 # a term with no pairing is 0, of its scale's type
                 gaussian = gaussian or isinstance(scale, ExactComplex)
-                pairing = _zero_mode_sum(ctx, v_fields, fields, 0)
-                if pairing is None:
+                nums = _zero_mode_sum(ctx, v_fields, fields, 0)
+                if nums is None:
                     continue
+                num, d = _split(scale)
+                m, d2 = _closed_form(ctx, fields)
                 if series is not None:
                     gaussian = gaussian or series_gaussian
-                    pairing = _mul(series, pairing)
-                num, d = _split(scale)
-                nums, d2 = pairing
+                    nums, d2 = _mul_add(None, series[0], nums, 1), d2 * series[1]
+                num = num * m
                 total, den = _accumulate((total, den), ([num * n for n in nums], d * d2))
     # times Z(q)
     coeffs = [0] * q_order
@@ -189,14 +194,15 @@ def _weighed(weight, c):
 #
 # A basis state a(-n1)...a(-nk)|0> at x is the normally ordered product
 # of the fields d^(n-1)a/(n-1)! at x; a field is its derivative order d
-# and the index i of its insertion, stored as chr(d) + chr(i).  Fields
-# at two points contract through the propagator: its q^0 term is the
-# sphere contraction, its q^k term (k >= 1) the divisor sum
+# and the index i of its insertion.  Fields at two points contract
+# through the propagator: its q^0 term is the sphere contraction, its
+# q^k term (k >= 1) the divisor sum
 #   sum_{n | k} n [C(-n-1,d1) C(n-1,d2) xi^(-n-1-d1) xj^(n-1-d2)
 #                  + C(n-1,d1) C(-n-1,d2) xi^(n-1-d1) xj^(-n-1-d2)],
 # which for d1 = d2 = 0, times xi xj, is the q-expansion of P2 at xj/xi.
 # Fields of one normally ordered state contract through the q^k >= 1
-# part only, at xi = xj: the (1 - E2)/12-type constants.
+# part only, at xi = xj: the (1 - E2)/12-type constants.  Unlike on the
+# sphere, two fields at one point do contract.
 #
 # The fields of v in o(v) sit at a formal x, left of every insertion.
 # After the x^(wt v) dressing each term of a v-field's propagator to a
@@ -209,42 +215,67 @@ def _weighed(weight, c):
 # positive powers add up to less than the q-order, and so does the
 # magnitude of every partial sum: the sum is finite.
 #
-# One context per point tuple and q-order holds the propagators
-# and the pairing sums over field multisets (fields sorted), shared by
+# One context per point tuple and q-order holds the tables shared by
 # every trace at those points: the paired terms of a sewn torus, the
-# reduction's moved states, each term of one torus_trace_sum.  None
-# marks a sum with no pairing.  Every other sum is one q-series over one
-# denominator: a list of q-order ring numerators (ints, or Gaussian
-# integers series._GaussInt where a point is an ExactComplex) and a
-# positive int denominator, built from integer powers of the points (the
-# denominators are products of powers of the x_i and of x_i - x_j, and a
-# Gaussian integer N is inverted as conj(N) / |N|^2, series._reciprocal).
-# The context keeps each point's powers over one denominator, so a
-# propagator sums its divisor-sum terms over one denominator too.
-# Products convolve the numerators and multiply the denominators, sums
-# add numerators over an equal denominator or cross-multiply, and each
-# table entry is reduced by one gcd when it is stored, where Fraction
-# arithmetic would take one per operation.  A weighted sum of traces
-# adds its terms the same way (a q-series weight convolves, a scalar one
+# reduction's moved states, each term of one torus_trace_sum.  Its
+# recursion is the sphere engine's (voa.py): a field (i, d) is one
+# character of the context's own alphabet, given when it is first met
+# (voa._field_chars), a state is its fields' characters sorted, the
+# first field contracts once per distinct partner, counted by the
+# partner's multiplicity, the factor is read from the first field's row,
+# and a sub-state is looked up in the memo, which starts with the empty
+# state, before the recursion is entered.  The fields of v are strung as
+# chr(d) and take the same rule, against each other and against the
+# fields.
+#
+# The recursion divides nothing.  The context scales the points by Q, as
+# the sphere engine does, to p_i = Q x_i: ints, or Gaussian integers
+# (series._GaussInt) where a point is an ExactComplex.  Every term of a
+# propagator is homogeneous of degree -2-d1-d2 in the points, and every
+# power of xi it takes is in [-order-d1, order-2-d1], its q^0 pole being
+# (xi - xj)^(-2-d1-d2); so the field factor
+#   F(i, d) = p_i^(order+d) prod_{k != i} (p_i - p_k)^(d+1)
+# clears every propagator of the field.  A state of fields of total
+# weight W has the value Q^W N / prod F over its fields, and the memo
+# holds N: a q-series of ring numerators with no denominator, one list
+# per state.  A contraction multiplies the sub-state's N by one row
+# entry, the propagator times the two fields' factors.  A v-field's
+# propagator term x^e xj^(...) carries Q^e besides, and the kept
+# pairings have sum e = 0, so the v-fields put nothing into the closed
+# form.  None marks a sum with no pairing (an odd number of fields, or
+# no way to close the powers of x).  A weighted sum of traces multiplies
+# each term's N by its state's closed form, a Gaussian denominator
+# inverted as conj(D) / |D|^2 (series._reciprocal), adds the terms over
+# positive int denominators (a q-series weight convolves, a scalar one
 # scales), multiplies the sum by Z(q) once and lowers each coefficient
 # once.  The context is keyed by the points and by which of them are
 # ExactComplex, as the Wick context is: ExactComplex(5) and 5 compare and
-# hash equal, but the one runs Gaussian integers and the other ints.
+# hash equal, but the one runs Gaussian integers and the other ints.  It
+# holds plain dicts, and its rows hold the field list, the scaled points
+# and the power tables, not the context, so an evicted context is freed
+# at once.
 
 
 class _TorusContext:
     """The tables shared by every Gaussian trace at one point tuple."""
 
-    __slots__ = ("points", "gaussian", "order", "partition", "powers", "propagators", "memo")
+    __slots__ = ("order", "partition", "scale", "scaled", "powers", "alphabet", "fields",
+                 "contractions", "memo", "zero_mode_propagators", "zero_mode_memo",
+                 "closed_forms")
 
     def __init__(self, points: tuple, order: int):
-        self.points = points
-        self.gaussian = any(isinstance(x, ExactComplex) for x in points)
         self.order = order
         self.partition = [partition_count(k) for k in range(order)]
-        self.powers: dict = {}  # (point index, d) -> the point's powers
-        self.propagators: dict = {}  # two fields, or (d, field) -> {e: series}
-        self.memo: dict = {}  # fields, or (v fields, fields, e) -> series or None
+        self.scale, self.scaled = _scaled_points(points)
+        self.powers: dict = {}  # point index -> (p^0, ..., p^(2 order - 2), cofactor)
+        self.alphabet: dict = {}  # (point index, d) -> its character
+        self.fields: list = []  # the (point index, d) of each character, by ord
+        # first field -> partner -> factor
+        self.contractions = _Rows(_propagator, (self.fields, self.scaled, order, self.powers))
+        self.memo: dict = {"": [1] + [0] * (order - 1)}  # fields -> N
+        self.zero_mode_propagators: dict = {}  # (d, field) -> {e: factor}
+        self.zero_mode_memo: dict = {}  # (v fields, fields, e) -> N, or None
+        self.closed_forms: dict = {}  # fields -> (ring multiplier, positive int)
 
 
 @lru_cache(maxsize=1)
@@ -273,121 +304,127 @@ def _self_contraction(d1: int, d2: int, order: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _reduced(ctx: _TorusContext, series):
-    # one gcd over the numerators' parts and the denominator
-    if series is None:
-        return None
-    nums, den = series
-    if not ctx.gaussian:
-        g = math.gcd(den, *nums)
-        return ([n // g for n in nums], den // g) if g > 1 else series
-    g = math.gcd(den, *(x for n in nums
-                        for x in ((n.re, n.im) if n.__class__ is _GaussInt else (n,))))
-    if g == 1:
-        return series
-    return [_GaussInt(n.re // g, n.im // g) if n.__class__ is _GaussInt else n // g
-            for n in nums], den // g
-
-
-def _power_pair(x, k: int) -> tuple:
-    """x^k for an exact nonzero scalar x, as (ring numerator, positive int
-    denominator)."""
-    num, den = _split(x)
-    if k < 0:
-        inverse, norm = _reciprocal(num)
-        num, den, k = den * inverse, norm, -k
-    return _int_power(num, k), den**k
-
-
-def _point_powers(ctx: _TorusContext, i: int, d: int) -> tuple:
-    """The powers x^e of point i that the propagators of its fields of
-    derivative order d take, -order - d <= e <= order - 2 - d, over one
-    denominator: (numerators with x^e at index e + order + d,
-    denominator).  At x = N/b, with 1/N = r/n (an int n > 0, and r = +-1
-    when N is an int), the denominator is n^(order+d) b^top with
-    top = max(order - 2 - d, 0)."""
-    key = (i, d)
-    val = ctx.powers.get(key)
+def _point_tables(powers: dict, scaled: tuple, order: int, i: int) -> tuple:
+    """(p_i^0, ..., p_i^(2 order - 2), prod_{k != i} (p_i - p_k)) of the
+    scaled point i, made when first read."""
+    val = powers.get(i)
     if val is None:
-        num, b = _split(ctx.points[i])
-        inverse, n = _reciprocal(num)
-        low, top = ctx.order + d, max(ctx.order - 2 - d, 0)
-        val = [_int_power(num, e) * b ** (top - e) * n**low if e >= 0
-               else _int_power(b * inverse, -e) * n ** (low + e) * b**top
-               for e in range(-low, ctx.order - 1 - d)], n**low * b**top
-        ctx.powers[key] = val
+        p = scaled[i]
+        val = [1]
+        for _ in range(2 * order - 2):
+            val.append(val[-1] * p)
+        cofactor = 1
+        for k, other in enumerate(scaled):
+            if k != i:
+                cofactor = cofactor * (p - other)
+        val = powers[i] = (*val, cofactor)
     return val
 
 
-def _propagator(ctx: _TorusContext, pair: str) -> tuple:
-    val = ctx.propagators.get(pair)
-    if val is None:
-        d1, i, d2, j = map(ord, pair)
-        xi, xj = ctx.points[i], ctx.points[j]
-        order = ctx.order
-        if i == j:
-            num, den = _power_pair(xi, -2 - d1 - d2)
-            val = [num * c for c in _self_contraction(d1, d2, order)], den
-        else:
-            num, den = _power_pair(xi - xj, -2 - d1 - d2)
-            coeffs = [0] * order
-            coeffs[0] = (-1) ** d1 * (d1 + d2 + 1) * math.comb(d1 + d2, d1) * num
-            # the q^k terms over the one denominator of the two power
-            # tables: xi^(-n-1-d1) is at index order - n - 1 of its
-            # table, xi^(n-1-d1) at order + n - 1, and so for xj
-            pi, di = _point_powers(ctx, i, d1)
-            pj, dj = _point_powers(ctx, j, d2)
-            for n, (a, b) in enumerate(_divisor_weights(d1, d2, order), 1):
-                tn = (a * pi[order - n - 1] * pj[order + n - 1]
-                      + b * pi[order + n - 1] * pj[order - n - 1])
-                for k in range(n, order, n):
-                    coeffs[k] = coeffs[k] + n * tn
-            # the q^0 term over den, the rest over di dj
-            dij = di * dj
-            val = [coeffs[0] * dij] + [c * den for c in coeffs[1:]], den * dij
-        val = ctx.propagators[pair] = _reduced(ctx, val)
-    return val
+def _propagator(fields: list, scaled: tuple, order: int, powers: dict, first: str,
+                partner: str) -> list:
+    # The factor one contraction of two fields puts into N: the
+    # propagator's q-coefficients at the scaled points times F of both
+    # fields, in which its poles cancel.
+    (i, d1), (j, d2) = fields[ord(first)], fields[ord(partner)]
+    pi = _point_tables(powers, scaled, order, i)
+    if i == j:
+        # x^(-2-d1-d2) times the constants, and F F has p^(2 order + d1 + d2)
+        factor = pi[2 * order - 2] * _int_power(pi[-1], d1 + d2 + 2)
+        return [c * factor if c else 0 for c in _self_contraction(d1, d2, order)]
+    pj = _point_tables(powers, scaled, order, j)
+    # F F is (-1)^(d2+1) (p_i - p_j)^(d1+d2+2) p_i^(order+d1) p_j^(order+d2)
+    # times the two fields' products over the other points
+    others = ((-1) ** (d2 + 1) * _int_power(_cofactor(scaled, i, j), d1 + 1)
+              * _int_power(_cofactor(scaled, j, i), d2 + 1))
+    coeffs = [(-1) ** d1 * (d1 + d2 + 1) * math.comb(d1 + d2, d1) * others
+              * _int_power(scaled[i], order + d1) * _int_power(scaled[j], order + d2)]
+    coeffs += [0] * (order - 1)
+    # the q^k terms: xi^(-n-1-d1) xj^(n-1-d2) times the two powers of F
+    # is p_i^(order-n-1) p_j^(order+n-1), and so for the second sum
+    for n, (a, b) in enumerate(_divisor_weights(d1, d2, order), 1):
+        tn = n * (a * pi[order - n - 1] * pj[order + n - 1]
+                  + b * pi[order + n - 1] * pj[order - n - 1])
+        if tn:
+            for k in range(n, order, n):
+                coeffs[k] = coeffs[k] + tn
+    pole = _int_power(scaled[i] - scaled[j], d1 + d2 + 2) * others
+    return [coeffs[0]] + [c * pole if c else 0 for c in coeffs[1:]]
+
+
+def _cofactor(scaled: tuple, i: int, j: int):
+    """prod over the points k other than i and j of p_i - p_k."""
+    out = 1
+    for k, p in enumerate(scaled):
+        if k != i and k != j:
+            out = out * (scaled[i] - p)
+    return out
 
 
 def _zero_mode_propagator(ctx: _TorusContext, d1: int, field: str) -> dict:
-    """The propagator of a v-field d1 at the formal x to ``field``, by
-    its power x^e (0 < |e| < q-order) after the dressing."""
+    """The factors of a v-field d1 at the formal x contracted with
+    ``field``, by the power x^e (0 < |e| < q-order) after the dressing:
+    each term times F of the field."""
     key = (d1, field)
-    val = ctx.propagators.get(key)
+    val = ctx.zero_mode_propagators.get(key)
     if val is None:
-        d2, j = map(ord, field)
-        pj, den = _point_powers(ctx, j, d2)
+        j, d2 = ctx.fields[ord(field)]
         order = ctx.order
+        pj = _point_tables(ctx.powers, ctx.scaled, order, j)
+        others = _int_power(pj[-1], d2 + 1)
         val = {}
         for n, (a, b) in enumerate(_divisor_weights(d1, d2, order), 1):
-            # xj^(n-1-d2) and xj^(-n-1-d2), as _propagator reads them
+            # xj^(n-1-d2) and xj^(-n-1-d2) times p_j^(order+d2)
             if a:
-                c = n * a * pj[order + n - 1]
-                val[-n] = _reduced(ctx, ([c if k % n == 0 else 0 for k in range(order)], den))
+                c = n * a * pj[order + n - 1] * others
+                val[-n] = [c if k % n == 0 else 0 for k in range(order)]
             if b:
-                c = n * b * pj[order - n - 1]
-                val[n] = _reduced(ctx, ([c if k and k % n == 0 else 0 for k in range(order)], den))
-        ctx.propagators[key] = val
+                c = n * b * pj[order - n - 1] * others
+                val[n] = [c if k and k % n == 0 else 0 for k in range(order)]
+        ctx.zero_mode_propagators[key] = val
     return val
 
 
-def _mul(a: tuple, b: tuple) -> tuple:
-    """Product of two q-series truncated at their common length."""
-    (an, ad), (bn, bd) = a, b
-    order = len(an)
-    out = [0] * order
-    for i, ai in enumerate(an):
+def _closed_form(ctx: _TorusContext, fields: str) -> tuple:
+    """(m, den), den a positive int, with the state's value Q^W N / prod F
+    equal to N m / den."""
+    val = ctx.closed_forms.get(fields)
+    if val is None:
+        exponents, weight = {}, 0
+        for char in fields:
+            i, d = ctx.fields[ord(char)]
+            e = exponents.setdefault(i, [0, 0])
+            e[0] += ctx.order + d
+            e[1] += d + 1
+            weight += d + 1
+        product = 1
+        for i, (e_point, e_cofactor) in exponents.items():
+            tables = _point_tables(ctx.powers, ctx.scaled, ctx.order, i)
+            product = product * _int_power(ctx.scaled[i], e_point) * _int_power(tables[-1],
+                                                                                e_cofactor)
+        inverse, den = _reciprocal(product)
+        val = ctx.closed_forms[fields] = ctx.scale**weight * inverse, den
+    return val
+
+
+def _mul_add(total, a: list, b: list, count: int) -> list:
+    """total + count a b for q-series a, b truncated at their common
+    length; a new list when total is None."""
+    order = len(a)
+    if total is None:
+        total = [0] * order
+    for i, ai in enumerate(a):
         if ai:
+            if count != 1:
+                ai = count * ai
             for j in range(order - i):
-                bj = bn[j]
+                bj = b[j]
                 if bj:
-                    out[i + j] = out[i + j] + ai * bj
-    return out, ad * bd
+                    total[i + j] = total[i + j] + ai * bj
+    return total
 
 
 def _accumulate(total, term: tuple) -> tuple:
-    if total is None:
-        return term
     (sn, sd), (tn, td) = total, term
     if sd == td:
         return [s + t for s, t in zip(sn, tn)], sd
@@ -395,46 +432,51 @@ def _accumulate(total, term: tuple) -> tuple:
     return [s * (td // g) + t * (sd // g) for s, t in zip(sn, tn)], sd // g * td
 
 
-def _pairing_sum(ctx: _TorusContext, fields: str):
-    # sum over the pairings of the fields of the product of propagators
-    if fields in ctx.memo:
-        return ctx.memo[fields]
-    if not fields:
-        val = [1] + [0] * (ctx.order - 1), 1
-    elif len(fields) % 4:
-        val = None
-    else:
-        first, rest = fields[:2], fields[2:]
-        val = None
-        for idx in range(0, len(rest), 2):
-            sub = _pairing_sum(ctx, rest[:idx] + rest[idx + 2:])
-            if sub is not None:
-                val = _accumulate(val, _mul(_propagator(ctx, first + rest[idx:idx + 2]), sub))
-        val = _reduced(ctx, val)
-    ctx.memo[fields] = val
-    return val
+def _pairing_sum(fields: str, ctx: _TorusContext) -> list:
+    # N of an even state not in the memo: the first field contracts with
+    # each distinct partner, counted by its multiplicity (a copy of the
+    # first field is a partner too); a sub-state is looked up before the
+    # recursion is entered
+    memo = ctx.memo
+    row = ctx.contractions[fields[0]]
+    rest = fields[1:]
+    total = None
+    for partner in dict.fromkeys(rest):
+        sub = rest.replace(partner, "", 1)
+        sn = memo.get(sub)
+        if sn is None:
+            sn = _pairing_sum(sub, ctx)
+        total = _mul_add(total, row[partner], sn, rest.count(partner))
+    memo[fields] = total
+    return total
 
 
 def _zero_mode_sum(ctx: _TorusContext, v_fields: str, fields: str, e: int):
-    # the x^e coefficient of the pairing sum of the v-fields (one char,
-    # the derivative order, each) and the fields, each v-field paired
+    # N of the x^e coefficient of the pairing sum of the v-fields (chr(d)
+    # each) and the fields, each v-field paired; None if it has no pairing
     if not v_fields:
-        return _pairing_sum(ctx, fields) if e == 0 else None
+        if e or len(fields) % 2:
+            return None
+        sn = ctx.memo.get(fields)
+        return sn if sn is not None else _pairing_sum(fields, ctx)
     key = (v_fields, fields, e)
-    if key in ctx.memo:
-        return ctx.memo[key]
+    memo = ctx.zero_mode_memo
+    if key in memo:
+        return memo[key]
+    order = ctx.order
     d1, rest = ord(v_fields[0]), v_fields[1:]
-    val = None
-    for idx, other in enumerate(rest):
-        sub = _zero_mode_sum(ctx, rest[:idx] + rest[idx + 1:], fields, e)
+    total = None
+    for other in dict.fromkeys(rest):
+        sub = _zero_mode_sum(ctx, rest.replace(other, "", 1), fields, e)
         if sub is not None:
-            val = _accumulate(val, _mul((_self_contraction(d1, ord(other), ctx.order), 1), sub))
-    for idx in range(0, len(fields), 2):
-        others = fields[:idx] + fields[idx + 2:]
-        for power, series in _zero_mode_propagator(ctx, d1, fields[idx:idx + 2]).items():
-            if (abs(e - power) < ctx.order) if rest else power == e:
+            total = _mul_add(total, _self_contraction(d1, ord(other), order), sub,
+                             rest.count(other))
+    for field in dict.fromkeys(fields):
+        others, count = fields.replace(field, "", 1), fields.count(field)
+        for power, factor in _zero_mode_propagator(ctx, d1, field).items():
+            if (abs(e - power) < order) if rest else power == e:
                 sub = _zero_mode_sum(ctx, rest, others, e - power)
                 if sub is not None:
-                    val = _accumulate(val, _mul(series, sub))
-    val = ctx.memo[key] = _reduced(ctx, val)
-    return val
+                    total = _mul_add(total, factor, sub, count)
+    memo[key] = total
+    return total

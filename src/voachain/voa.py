@@ -174,8 +174,29 @@ def _partitions(n: int, max_part: int | None = None) -> tuple[tuple[int, ...], .
     return tuple(out)
 
 
+@lru_cache(maxsize=1)
+def _partition_table() -> list:
+    # p(0), p(1), ...: grown in place by partition_count, and cleared with
+    # the other caches
+    return [1]
+
+
 def partition_count(n: int) -> int:
-    return len(_partitions(n))
+    """p(n), the number of partitions of n (0 for n < 0), by Euler's
+    pentagonal-number recurrence
+    p(m) = sum_{k >= 1} (-1)^(k+1) [p(m - k(3k-1)/2) + p(m - k(3k+1)/2)]:
+    O(sqrt m) additions per new entry, and no partition is listed."""
+    if n < 0:
+        return 0
+    table = _partition_table()
+    for m in range(len(table), n + 1):
+        total, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            term = table[m - g] + (table[m - g - k] if g + k <= m else 0)
+            total += term if k % 2 else -term
+            k += 1
+        table.append(total)
+    return table[n]
 
 
 # -- elementary mode actions -----------------------------------------
@@ -430,8 +451,8 @@ def vertex_matrix_element(
 # every call at these points.  The context is keyed by the points and by
 # which of them are ExactComplex: ExactComplex(5) and 5 compare and hash
 # equal, but the one computes with Gaussian integers and the other with
-# integers.  Two contexts are kept, so that a sum at fewer points run
-# between two sums at the same points does not evict the first one's.
+# integers.  One context is kept: no workload interleaves two point sets
+# that both recur, and a context is freed as soon as it is evicted.
 # At two points no table entry depends on the points (below), so every
 # two-point context of one ring shares one set of tables, the Gram
 # inversions' at 0 and 1 among them.
@@ -721,32 +742,37 @@ class _WickTables:
         self.scaled, self.one = scaled, one
         self.alphabet: dict = {}  # (point index, d) -> its character
         self.fields: list = []  # the (point index, d) of each character, by ord
-        self.contractions = _Rows(self)  # first field -> partner -> factor
+        # first field -> partner -> factor
+        self.contractions = _Rows(_contraction, (self.fields, scaled, one))
         self.memo: dict = {"": one}  # fields (see _wick) -> N
 
 
 class _Rows(dict):
-    # one row per first field, made when first read
-    __slots__ = ("tables",)
+    # one row per first field, made when first read; a factor is
+    # contraction(*args, first, partner).  The rows hold what a
+    # contraction reads (the alphabet's field list, the scaled points),
+    # not the tables that hold them: with no cycle, an evicted context's
+    # tables are freed at once.  The torus context keeps its rows so too
+    __slots__ = ("contraction", "args")
 
-    def __init__(self, tables):
-        self.tables = tables
+    def __init__(self, contraction, args: tuple):
+        self.contraction, self.args = contraction, args
 
     def __missing__(self, first):
-        row = self[first] = _Row(self.tables, first)
+        row = self[first] = _Row(self.contraction, self.args, first)
         return row
 
 
 class _Row(dict):
     # partner -> the factor of its contraction with the row's field,
     # computed when first read
-    __slots__ = ("tables", "first")
+    __slots__ = ("contraction", "args", "first")
 
-    def __init__(self, tables, first):
-        self.tables, self.first = tables, first
+    def __init__(self, contraction, args: tuple, first: str):
+        self.contraction, self.args, self.first = contraction, args, first
 
     def __missing__(self, partner):
-        factor = self[partner] = _contraction(self.tables, self.first, partner)
+        factor = self[partner] = self.contraction(*self.args, self.first, partner)
         return factor
 
 
@@ -766,11 +792,7 @@ class _WickContext:
 
     def __init__(self, points: tuple):
         _require_distinct(points)
-        parts = [x for z in points
-                 for x in ((z.re, z.im) if isinstance(z, ExactComplex) else (z,))]
-        q = self.scale = math.lcm(*(x.denominator for x in parts))
-        self.scaled = tuple(_GaussInt(int(z.re * q), int(z.im * q)) if isinstance(z, ExactComplex)
-                            else z.numerator * (q // z.denominator) for z in points)
+        self.scale, self.scaled = _scaled_points(points)
         self.gaussian = any(isinstance(z, ExactComplex) for z in points)
         self.zero, self.one = (_GaussInt(0, 0), _GaussInt(1, 0)) if self.gaussian else (0, 1)
         # prod_{k != i} delta_ik, the factor a unit of weight at i puts
@@ -782,7 +804,17 @@ class _WickContext:
         self.contractions, self.memo = tables.contractions, tables.memo
 
 
-@lru_cache(maxsize=2)
+def _scaled_points(points: tuple) -> tuple:
+    """(Q, the points times Q): Q the least common multiple of the
+    denominators of the points' real and imaginary parts, so that each
+    scaled point is an int, or a _GaussInt at an ExactComplex."""
+    parts = [x for z in points for x in ((z.re, z.im) if isinstance(z, ExactComplex) else (z,))]
+    q = math.lcm(*(x.denominator for x in parts))
+    return q, tuple(_GaussInt(int(z.re * q), int(z.im * q)) if isinstance(z, ExactComplex)
+                    else z.numerator * (q // z.denominator) for z in points)
+
+
+@lru_cache(maxsize=1)
 def _wick_context(gaussian: tuple, points: tuple) -> _WickContext:
     # gaussian[i]: whether point i is an ExactComplex
     return _WickContext(points)
@@ -807,20 +839,20 @@ def _denominator(ctx: _WickContext, weights):
     return val
 
 
-def _contraction(tables: _WickTables, first: str, partner: str):
+def _contraction(fields: list, scaled: tuple, one, first: str, partner: str):
     # The factor one contraction of the fields (i, d) and (j, e) puts into
     # N: the normalized derivative contraction d^d_z1 d^e_z2 (z1 - z2)^-2
     # at the scaled points, whose pole delta_ij^(d+e+2) the two fields'
     # factors cancel, times prod_{k != i, j} delta_ik^(d+1) delta_jk^(e+1).
     # Fields of one insertion never contract (normal ordering): 0.
-    (i, d), (j, e) = tables.fields[ord(first)], tables.fields[ord(partner)]
+    (i, d), (j, e) = fields[ord(first)], fields[ord(partner)]
     if i == j:
-        return 0 * tables.one
+        return 0 * one
     c = (-1) ** d * (d + e + 1) * math.comb(d + e, d)
     if i < j:  # p_i - p_j is -delta_ij, raised to -(d+e+2)
         c = c * (-1) ** (d + e)
-    return (c * _int_power(_cofactor(tables.scaled, i, j), d + 1)
-            * _int_power(_cofactor(tables.scaled, j, i), e + 1) * tables.one)
+    return (c * _int_power(_cofactor(scaled, i, j), d + 1)
+            * _int_power(_cofactor(scaled, j, i), e + 1) * one)
 
 
 def _wick(fields: str, ctx: _WickContext):

@@ -81,3 +81,35 @@ def test_unmatched_runs_are_refused():
         bench_pairs.summarize([_run(0.5)], [], DECLARED)
     with pytest.raises(ValueError, match="one parent run and one change run per pair"):
         bench_pairs.summarize([], [], DECLARED)
+
+
+# -- the digest check ---------------------------------------------------
+
+_DIGESTS = ("{a}  trace-a-a  npoint --oracle  0.009s\n"
+            "{b}  sew-torus-bare  sew  0.007s\n")
+
+
+def test_equal_digests_are_identical_whatever_the_timings():
+    parent = _DIGESTS.format(a="1" * 64, b="2" * 64)
+    change = parent.replace("0.009s", "0.004s")
+    assert bench_pairs.compare_digests(parent, change) == {"digests_identical": True,
+                                                           "digests_differ": []}
+
+
+def test_a_changed_digest_names_its_operation():
+    parent = _DIGESTS.format(a="1" * 64, b="2" * 64)
+    change = _DIGESTS.format(a="1" * 64, b="3" * 64)
+    assert bench_pairs.compare_digests(parent, change) == {"digests_identical": False,
+                                                           "digests_differ": ["sew-torus-bare"]}
+
+
+def test_an_operation_on_one_side_only_differs():
+    parent = _DIGESTS.format(a="1" * 64, b="2" * 64)
+    change = parent.splitlines()[0] + "\n"
+    out = bench_pairs.compare_digests(parent, change)
+    assert out == {"digests_identical": False, "digests_differ": ["sew-torus-bare"]}
+
+
+def test_no_digest_lines_are_refused():
+    with pytest.raises(ValueError, match="no digest lines"):
+        bench_pairs.compare_digests("", "\n")

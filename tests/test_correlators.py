@@ -12,6 +12,7 @@ trace are checked against the per-term route of `references`, one
 import contextlib
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from references import (
     _assert_identical,
+    _pow,
     evaluate,
     partition_qseries,
     pm_qseries,
@@ -28,8 +30,9 @@ from references import (
     torus_qseries,
 )
 from test_schottky import KINDS, _point, vectors
+from test_voa import _program_caches
 
-from voachain import complexes, correlators
+from voachain import complexes, correlators, voa
 from voachain.complexes import (
     ComplexError,
     InsertionTuple,
@@ -48,7 +51,7 @@ from voachain.correlators import (
 )
 from voachain.elliptic import pm_numerators
 from voachain.schottky import SewingData, _sewn_handle
-from voachain.series import ExactComplex, SeriesError, _GaussInt, points_coincide
+from voachain.series import ExactComplex, SeriesError, _GaussInt, _lower, points_coincide
 from voachain.voa import (
     A_VECTOR,
     VACUUM_VECTOR,
@@ -143,53 +146,122 @@ class TestTraceAgainstBasisSum:
             assert torus_trace(insertions, 6, zero_mode_state=v).is_zero()
 
 
+def _closed(ctx, fields, nums):
+    # a memo entry over its state's closed form, as ExactComplex
+    # coefficients (equal to Fractions where they are real)
+    m, den = correlators._closed_form(ctx, fields)
+    return [_lower(n * m, den, True) for n in nums]
+
+
+def _as_trace(ctx, points, fields, values, v_fields=""):
+    """The trace a memo entry stands for, against the basis sum: the
+    fields' basis states at their points (the vacuum elsewhere), o(v) for
+    the basis state of the v-fields, and the entry over its closed form
+    times Z(q) and the x^wt dressing."""
+    parts = [sorted((d + 1 for i, d in map(ctx.fields.__getitem__, map(ord, fields)) if i == k),
+                    reverse=True) for k in range(len(points))]
+    insertions = [(FockVector.basis(*p), x) for p, x in zip(parts, points)]
+    v = FockVector.basis(*(ord(c) + 1 for c in v_fields)) if v_fields else None
+    dressing = 1
+    for p, x in zip(parts, points):
+        dressing = dressing * _pow(x, sum(p))
+    z = [partition_qseries(len(values)).coefficient(k) for k in range(len(values))]
+    got = [dressing * sum(z[i] * values[k - i] for i in range(k + 1)) for k in range(len(values))]
+    want = _brute(insertions, len(values), v)
+    return got, [want.coefficient(k) for k in range(len(values))]
+
+
 class TestPropagator:
     @pytest.mark.parametrize("xi, xj", [(Fraction(5), Fraction(2)),
                                         (Fraction(-7, 2), Fraction(1, 3))])
-    def test_weight_one_propagator_is_p2(self, xi, xj):
-        # xi xj <a(xi) a(xj)> in q is P2 at xj / xi
+    def test_weight_one_contraction_is_p2(self, xi, xj):
+        # the contraction's numerators over the two fields' closed form
+        # are <a(xi) a(xj)> in q, and xi xj times it is P2 at xj / xi
         q_order = 8
+        correlators._torus_context.cache_clear()
         ctx = correlators._torus_context((False, False), (xi, xj), q_order)
-        nums, den = correlators._propagator(ctx, "\x00\x00\x00\x01")
+        a = FockState((1,))
+        first, partner = voa._field_chars(a, 0, ctx), voa._field_chars(a, 1, ctx)
+        factor = ctx.contractions[first][partner]
+        assert all(type(n) is int for n in factor)
         p2 = pm_qseries(2, xj / xi, q_order)
-        assert [xi * xj * Fraction(n, den) for n in nums] == [p2.coefficient(k) for k in range(q_order)]
+        assert [xi * xj * c for c in _closed(ctx, first + partner, factor)] == [
+            p2.coefficient(k) for k in range(q_order)]
 
-    def test_gaussian_memo_holds_reduced_ring_pairs(self):
-        # at a Gaussian point every table entry is one q-series of ints and
-        # Gaussian integers over one positive int denominator, gcd 1
-        points = (ExactComplex(Fraction(5, 2), 1), Fraction(-7, 3), Fraction(4))
+    @pytest.mark.parametrize("gaussian", [False, True], ids=["exact", "gaussian"])
+    def test_memo_entries_are_ring_lists_over_their_closed_forms(self, gaussian):
+        # every memo entry is one list of ring numerators, ints or (at a
+        # Gaussian point) Gaussian integers, with no denominator; over its
+        # state's closed form, times Z(q) and the dressing, each is the
+        # basis-sum trace of its state
+        first = ExactComplex(Fraction(5, 2), 1) if gaussian else Fraction(5, 2)
+        points = (first, Fraction(-7, 3), Fraction(4))
         insertions = [(AA + FockVector.basis(2), points[0]), (A_VECTOR, points[1]),
                       (FockVector.basis(2, 1), points[2])]
-        torus_trace(insertions, 6, zero_mode_state=AA + FockVector.basis(3))
-        ctx = correlators._torus_context((True, False, False), points, 6)
-        entries = [val for val in ctx.memo.values() if val is not None]
-        for val in ctx.propagators.values():
-            entries += val.values() if isinstance(val, dict) else [val]
-        assert len(entries) > 20
-        assert any(type(n) is _GaussInt for nums, _ in entries for n in nums)
-        for nums, den in entries:
-            assert len(nums) == 6
-            assert all(type(n) in (int, _GaussInt) for n in nums)
-            assert type(den) is int and den > 0
-            parts = [x for n in nums for x in ((n.re, n.im) if type(n) is _GaussInt else (n,))]
-            assert math.gcd(den, *parts) == 1
+        q_order = 5
+        correlators._torus_context.cache_clear()
+        torus_trace(insertions, q_order, zero_mode_state=AA + FockVector.basis(1, 1, 1, 1))
+        ctx = correlators._torus_context((gaussian, False, False), points, q_order)
+        entries = list(ctx.memo.items()) + [
+            (key, nums) for key, nums in ctx.zero_mode_memo.items() if nums is not None]
+        assert len(ctx.memo) > 5 and len(entries) > len(ctx.memo)
+        ring = (int, _GaussInt) if gaussian else (int,)
+        for _, nums in entries:
+            assert type(nums) is list and len(nums) == q_order
+            assert all(type(n) in ring for n in nums)
+        assert gaussian is any(type(n) is _GaussInt for _, nums in entries for n in nums)
+        for fields, nums in ctx.memo.items():
+            got, want = _as_trace(ctx, points, fields, _closed(ctx, fields, nums))
+            assert got == want, fields
+        traces = [(key, nums) for key, nums in entries[len(ctx.memo):] if key[2] == 0]
+        assert len(traces) > 3
+        for (v_fields, fields, _), nums in traces:
+            got, want = _as_trace(ctx, points, fields, _closed(ctx, fields, nums), v_fields)
+            assert got == want, (v_fields, fields)
 
-    def test_exact_memo_holds_reduced_int_pairs(self):
-        # at exact points every table entry is one q-series over one
-        # denominator: int numerators, a positive int denominator, gcd 1
-        points = (Fraction(5, 2), Fraction(-7, 3), Fraction(4))
-        insertions = [(AA + FockVector.basis(2), points[0]), (A_VECTOR, points[1]),
-                      (FockVector.basis(2, 1), points[2])]
-        torus_trace(insertions, 6, zero_mode_state=AA + FockVector.basis(3))
-        ctx = correlators._torus_context((False,) * 3, points, 6)
-        entries = [val for val in ctx.memo.values() if val is not None]
-        for val in ctx.propagators.values():
-            entries += val.values() if isinstance(val, dict) else [val]
-        assert len(entries) > 20
-        for nums, den in entries:
-            assert len(nums) == 6
-            assert all(type(n) is int for n in nums) and type(den) is int and den > 0
-            assert math.gcd(den, *nums) == 1
+    def test_repeated_fields_enter_each_state_once(self, monkeypatch):
+        # a(-1)^4 at two points: two alphabet fields, and each state of
+        # (a, b) fields is entered once, each distinct partner contracted
+        # once and counted by its multiplicity
+        calls = []
+        pairing_sum = correlators._pairing_sum
+
+        def counted(fields, ctx):
+            calls.append(fields)
+            return pairing_sum(fields, ctx)
+
+        monkeypatch.setattr(correlators, "_pairing_sum", counted)
+        power = FockVector.basis(1, 1, 1, 1)
+        insertions = [(power, Fraction(5)), (power, Fraction(-3))]
+        correlators._torus_context.cache_clear()
+        value = torus_trace(insertions, 4)
+        ctx = correlators._torus_context((False, False), (Fraction(5), Fraction(-3)), 4)
+        assert len(ctx.fields) == 2
+        assert len(calls) == len(set(calls)) == 8
+        assert set(calls) == set(ctx.memo) - {""}
+        assert sorted((f.count("\x00"), f.count("\x01")) for f in calls) == [
+            (0, 2), (0, 4), (1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (4, 4)]
+        _same(value, _brute(insertions, 4))
+
+    def test_a_high_order_trace_stays_small(self):
+        # Z(q) by the pentagonal recurrence and one list per state: the
+        # (aa, a, a) trace to q^80 allocates well under a few MB (about
+        # 0.15 MB at its peak); listing the partitions behind Z(q) would
+        # take gigabytes
+        for cache in _program_caches():
+            cache.cache_clear()
+        insertions = [(AA, Fraction(5)), (A_VECTOR, Fraction(6)), (A_VECTOR, Fraction(-7))]
+        tracemalloc.start()
+        try:
+            deep = torus_trace(insertions, 80)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert deep.truncation == 80 and deep.coefficient(79) != 0
+        shallow = torus_trace(insertions, 6)
+        for k in range(6):
+            assert deep.coefficient(k) == shallow.coefficient(k), k
 
     def test_warm_context_gives_cold_values(self):
         # one point tuple: a batch in any order reads the shared tables
@@ -319,6 +391,55 @@ def sewn_traces(draw, exact=True):
     handles = [(points[len(states) + 2 * h], points[len(states) + 2 * h + 1], order)
                for h, order in enumerate(orders)]
     return list(zip(states, points)), handles, draw(st.integers(0, 3))
+
+
+@st.composite
+def permuted_traces(draw):
+    """Insertions at rational or Gaussian points, a permutation of them,
+    an o(v) state or None, and the q order."""
+    states = draw(st.lists(vectors, min_size=1, max_size=3))
+    insertions = list(zip(states, _points(draw, len(states), exact=False)))
+    permuted = draw(st.permutations(insertions))
+    return insertions, permuted, draw(st.none() | vectors), draw(st.integers(1, 4))
+
+
+def _components_reversed(insertions):
+    # equal vectors whose components are met in the other order, so that
+    # the context's alphabet numbers the fields in another order
+    return [(FockVector(dict(reversed(v.terms.items()))), x) for v, x in insertions]
+
+
+class TestPermutedInsertions:
+    @settings(max_examples=40, deadline=None)
+    @given(permuted_traces())
+    def test_traces_do_not_change_when_the_insertions_are_permuted(self, case):
+        # torus_trace with and without o(v), and a torus_trace_sum with a
+        # scalar and a q-series weight: cold in either order, and again in
+        # a context the other order of first use has warmed, where no
+        # state may be keyed under two strings
+        insertions, permuted, v, q_order = case
+        kernel = pm_numerators(2, Fraction(3), q_order)
+
+        def values(ins):
+            return (torus_trace(ins, q_order), torus_trace(ins, q_order, zero_mode_state=v),
+                    torus_trace_sum([(Fraction(1, 2), ins, v), (kernel, ins, None)], q_order))
+
+        cold = {}
+        for name, ins in (("drawn", insertions), ("permuted", permuted)):
+            correlators._torus_context.cache_clear()
+            cold[name] = values(ins)
+        for got, want in zip(cold["permuted"], cold["drawn"]):
+            _assert_identical(got, want)
+        for name, ins in (("drawn", insertions), ("permuted", permuted)):
+            correlators._torus_context.cache_clear()
+            values(_components_reversed(ins))
+            for got, want in zip(values(ins), cold[name]):
+                _assert_identical(got, want)
+            points = tuple(x for _, x in ins)
+            ctx = correlators._torus_context(tuple(isinstance(x, ExactComplex) for x in points),
+                                             points, q_order)
+            states = [tuple(sorted(ctx.fields[ord(c)] for c in key)) for key in ctx.memo]
+            assert len(states) == len(set(states))
 
 
 @contextlib.contextmanager

@@ -1,8 +1,10 @@
 """Tests for the Heisenberg module: modes, brackets, forms, sphere values."""
 
+import gc
 import math
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,7 @@ from voachain.voa import (
     square_bracket_mode,
     vertex_matrix_element,
     virasoro_mode,
+    weight_basis,
     zero_mode,
 )
 
@@ -68,6 +71,17 @@ class TestBasis:
     def test_partition_count_matches_oracle(self):
         for n in range(12):
             assert partition_count(n) == brute_partition_count(n)
+
+    def test_pentagonal_counts_match_the_bases(self):
+        # p(n) by the pentagonal recurrence, from a cleared table, against
+        # the enumerated bases, and past where they can be listed
+        voa._partition_table.cache_clear()
+        assert partition_count(100) == 190569292
+        for n in range(21):
+            assert partition_count(n) == len(weight_basis(n)), n
+        assert partition_count(-1) == 0
+        voa._partition_table.cache_clear()
+        assert partition_count(20) == 627
 
 
 class TestHeisenbergModes:
@@ -940,6 +954,32 @@ class TestWickContext:
             cache.cache_clear()
         assert voa._wick_context.cache_info().currsize == 0
         assert voa._two_point_tables.cache_info().currsize == 0
+
+    def test_an_evicted_context_is_freed_without_the_cyclic_collector(self):
+        # one context is kept, and its rows hold no reference back to its
+        # tables: with gc off, a sum at new points frees the previous
+        # context's memo and rows.  Probes stand in for their entries, as
+        # plain dicts take no weak reference
+        class Probe:
+            pass
+
+        sphere([(FockState((1,)), 2), (FockState((1,)), 3), (FockState((2,)), 5)])
+        ctx = _context_of([2, 3, 5])
+        probes = [Probe(), Probe(), Probe()]
+        ctx.memo["probe"] = probes[0]
+        ctx.contractions["probe"] = probes[1]
+        ctx.contractions[next(iter(ctx.alphabet.values()))]["probe"] = probes[2]
+        refs = [weakref.ref(probe) for probe in probes]
+        del ctx, probes
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sphere([(FockState((1,)), 2), (FockState((1,)), 3), (FockState((2,)), 7)])
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            if enabled:
+                gc.enable()
+        assert voa._wick_context.cache_info().currsize == 1
 
     @settings(max_examples=60, deadline=None)
     @given(_two_point_elements(), _two_point_elements())

@@ -14,7 +14,10 @@ runs, median and quartiles (inclusive method), the change against the
 parent in percent, the pairs in which the change read lower, the gap of
 the medians, the parent's interquartile range, and whether the change's
 median is worse than the parent's by more than the metric's bound; and
-each run's failed operations.  With --out it is merged into that JSON
+each run's failed operations.  Before the runs each side prints its
+operations' stdout digests with its own ``benchmarks/worker.py
+--digests``; the summary says whether they are identical and names the
+operations whose digests differ.  With --out it is merged into that JSON
 file under "<workload> seed <seed>", else printed.
 """
 
@@ -39,6 +42,37 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: benchmarks/run.py exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def digests_of(checkout: Path, workload: str, seed: int) -> str:
+    """The checkout's own ``benchmarks/worker.py --digests`` output."""
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/worker.py", "--workload", workload, "--seed", str(seed),
+         "--digests"], cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: benchmarks/worker.py exited {proc.returncode}:\n"
+                         f"{proc.stderr}")
+    return proc.stdout
+
+
+def compare_digests(parent: str, change: str) -> dict:
+    """Whether two ``--digests`` outputs give every operation the same
+    stdout digest.  Each line is "<sha256>  <op>  <argv>  <seconds>s";
+    the timing is not compared, and an operation on one side only differs."""
+
+    def by_op(text):
+        ops = {}
+        for line in text.splitlines():
+            if line.strip():
+                digest, op = line.split()[:2]
+                ops[op] = digest
+        return ops
+
+    p, c = by_op(parent), by_op(change)
+    differ = sorted(op for op in p.keys() | c.keys() if p.get(op) != c.get(op))
+    if not p and not c:
+        raise ValueError("no digest lines on either side")
+    return {"digests_identical": not differ, "digests_differ": differ}
 
 
 def _side(values: list) -> dict:
@@ -88,6 +122,10 @@ def main(argv=None) -> int:
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
+    digests = compare_digests(*(digests_of(path, args.workload, args.seed)
+                                for path in sides.values()))
+    if not digests["digests_identical"]:
+        print(f"digests differ: {', '.join(digests['digests_differ'])}", file=sys.stderr)
     warmups = {side: run_once(path, args.workload, args.seed, args.seconds)["metrics"]
                for side, path in sides.items()}
     runs = {"parent": [], "change": []}
@@ -97,6 +135,7 @@ def main(argv=None) -> int:
             print(f"pair {i + 1} {side}: run_ref "
                   f"{runs[side][-1]['metrics']['run_ref']['value']:.4f}", file=sys.stderr)
     summary = summarize(runs["parent"], runs["change"], declared)
+    summary.update(digests)
     summary["warmup_discarded"] = warmups
     key = f"{args.workload} seed {args.seed}"
     if args.out is None:

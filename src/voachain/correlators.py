@@ -110,25 +110,27 @@ def torus_trace_sum(terms: Sequence[tuple], q_order: int) -> TruncatedSeries:
             zero_mode_terms = [("", 1)]
         else:
             zero_mode_terms = [("".join(sorted(chr(p - 1) for p in state.partition)), c)
-                               for (state,), c in _expand_components([(zero_mode_state, 1)],
-                                                                     dressed=False)]
-        for states, coeff in _expand_components(insertions, dressed=True):
+                               for (state,), c in _expand_components([(zero_mode_state, 1)])]
+        for states, coeff in _expand_components(insertions):
             fields = "".join(sorted("".join(_field_chars(s, i, ctx)
                                             for i, s in enumerate(states))))
+            # the closed form holds the x^wt dressing, and whether an
+            # ExactComplex point that carries fields enters it
+            m, closed, dressing_gaussian = _closed_form(ctx, fields)
             for v_fields, c in zero_mode_terms:
                 scale = c * coeff * weight
                 # a term with no pairing is 0, of its scale's type
-                gaussian = gaussian or isinstance(scale, ExactComplex)
+                gaussian = gaussian or dressing_gaussian or isinstance(scale, ExactComplex)
                 nums = _zero_mode_sum(ctx, v_fields, fields, 0)
                 if nums is None:
                     continue
                 num, d = _split(scale)
-                m, d2 = _closed_form(ctx, fields)
+                d = d * closed
                 if series is not None:
                     gaussian = gaussian or series_gaussian
-                    nums, d2 = _mul_add(None, series[0], nums, 1), d2 * series[1]
+                    nums, d = _mul_add(None, series[0], nums, 1), d * series[1]
                 num = num * m
-                total, den = _accumulate((total, den), ([num * n for n in nums], d * d2))
+                total, den = _accumulate((total, den), ([num * n for n in nums], d))
     # times Z(q)
     coeffs = [0] * q_order
     for i, p in enumerate(ctx.partition):
@@ -243,12 +245,16 @@ def _weighed(weight, c):
 # propagator term x^e xj^(...) carries Q^e besides, and the kept
 # pairings have sum e = 0, so the v-fields put nothing into the closed
 # form.  None marks a sum with no pairing (an odd number of fields, or
-# no way to close the powers of x).  A weighted sum of traces multiplies
-# each term's N by its state's closed form, a Gaussian denominator
-# inverted as conj(D) / |D|^2 (series._reciprocal), adds the terms over
-# positive int denominators (a q-series weight convolves, a scalar one
-# scales), multiplies the sum by Z(q) once and lowers each coefficient
-# once.  The context is keyed by the points and by which of them are
+# no way to close the powers of x).  A trace also carries the dressing
+# prod x_i^(W_i) of its insertions, W_i the weight at point i; it is
+# p_i^(W_i) / Q^(W_i), so it cancels Q^W and part of each F: the closed
+# form of a state with c_i fields of weight W_i at point i is
+# 1 / prod_i p_i^((order-1) c_i) prod_{k != i} (p_i - p_k)^(W_i), a
+# Gaussian denominator inverted as conj(D) / |D|^2 (series._reciprocal).
+# A weighted sum of traces multiplies each term's N by its state's
+# closed form, adds the terms over positive int denominators (a q-series
+# weight convolves, a scalar one scales), multiplies the sum by Z(q)
+# once and lowers each coefficient once.  The context is keyed by the points and by which of them are
 # ExactComplex, as the Wick context is: ExactComplex(5) and 5 compare and
 # hash equal, but the one runs Gaussian integers and the other ints.  It
 # holds plain dicts, and its rows hold the field list, the scaled points
@@ -259,14 +265,14 @@ def _weighed(weight, c):
 class _TorusContext:
     """The tables shared by every Gaussian trace at one point tuple."""
 
-    __slots__ = ("order", "partition", "scale", "scaled", "powers", "alphabet", "fields",
+    __slots__ = ("order", "partition", "scaled", "powers", "alphabet", "fields",
                  "contractions", "memo", "zero_mode_propagators", "zero_mode_memo",
                  "closed_forms")
 
     def __init__(self, points: tuple, order: int):
         self.order = order
         self.partition = [partition_count(k) for k in range(order)]
-        self.scale, self.scaled = _scaled_points(points)
+        self.scaled = _scaled_points(points)[1]
         self.powers: dict = {}  # point index -> (p^0, ..., p^(2 order - 2), cofactor)
         self.alphabet: dict = {}  # (point index, d) -> its character
         self.fields: list = []  # the (point index, d) of each character, by ord
@@ -275,7 +281,7 @@ class _TorusContext:
         self.memo: dict = {"": [1] + [0] * (order - 1)}  # fields -> N
         self.zero_mode_propagators: dict = {}  # (d, field) -> {e: factor}
         self.zero_mode_memo: dict = {}  # (v fields, fields, e) -> N, or None
-        self.closed_forms: dict = {}  # fields -> (ring multiplier, positive int)
+        self.closed_forms: dict = {}  # fields -> (ring multiplier, positive int, bool)
 
 
 @lru_cache(maxsize=1)
@@ -386,24 +392,28 @@ def _zero_mode_propagator(ctx: _TorusContext, d1: int, field: str) -> dict:
 
 
 def _closed_form(ctx: _TorusContext, fields: str) -> tuple:
-    """(m, den), den a positive int, with the state's value Q^W N / prod F
-    equal to N m / den."""
+    """(m, den, gaussian): den a positive int, with the state's value
+    Q^W N / prod F times its dressing prod x_i^(W_i) equal to N m / den,
+    and whether an ExactComplex point carries one of the fields.  The
+    dressing is p_i^(W_i) / Q^(W_i), so Q cancels, and it cancels
+    p_i^(W_i) of F: the closed form is
+    1 / prod_i p_i^((order-1) c_i) prod_{k != i} (p_i - p_k)^(W_i) over
+    the points i with c_i fields of total weight W_i."""
     val = ctx.closed_forms.get(fields)
     if val is None:
-        exponents, weight = {}, 0
+        exponents = {}
         for char in fields:
             i, d = ctx.fields[ord(char)]
             e = exponents.setdefault(i, [0, 0])
-            e[0] += ctx.order + d
+            e[0] += ctx.order - 1
             e[1] += d + 1
-            weight += d + 1
         product = 1
         for i, (e_point, e_cofactor) in exponents.items():
             tables = _point_tables(ctx.powers, ctx.scaled, ctx.order, i)
             product = product * _int_power(ctx.scaled[i], e_point) * _int_power(tables[-1],
                                                                                 e_cofactor)
-        inverse, den = _reciprocal(product)
-        val = ctx.closed_forms[fields] = ctx.scale**weight * inverse, den
+        val = ctx.closed_forms[fields] = (
+            *_reciprocal(product), any(ctx.scaled[i].__class__ is _GaussInt for i in exponents))
     return val
 
 

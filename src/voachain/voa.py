@@ -500,19 +500,18 @@ def _require_distinct(points) -> None:
         raise ValueError("insertion points must be pairwise distinct")
 
 
-def _expand_components(insertions, dressed):
+def _expand_components(insertions):
     """Multilinear expansion into basis-state insertions with weights.
     Every coefficient is exact, as every point is: any other is refused,
     a SeriesError."""
     slots = []
-    for v, z in insertions:
+    for v, _ in insertions:
         options = []
         for s, c in v.terms.items():
             if not isinstance(c, (int, Fraction, ExactComplex)):
                 raise SeriesError(f"coefficient {c!r} is not exact: give an int, a Fraction "
                                   "or an ExactComplex")
-            factor = c * _int_power(z, s.weight) if dressed else c
-            options.append((s, factor))
+            options.append((s, c))
         slots.append(options)
     for combo in product(*slots):
         coeff = 1
@@ -612,7 +611,7 @@ def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags
     # grouped terms by its terms list and slot: the pieces of a reduction
     # share every handle they do not move
     combos = []
-    for states, coeff in _expand_components(insertions, dressed=False):
+    for states, coeff in _expand_components(insertions):
         scale = weight * coeff
         combos.append((*_split(scale), [(position[i], _field_chars(s, position[i], ctx), s.weight)
                                         for i, s in enumerate(states)],
@@ -736,10 +735,9 @@ class _WickTables:
     character, chr(n) for the n-th field met.  The rows need the scaled
     points and the ring's one."""
 
-    __slots__ = ("scaled", "one", "alphabet", "fields", "contractions", "memo")
+    __slots__ = ("alphabet", "fields", "contractions", "memo")
 
     def __init__(self, scaled: tuple, one):
-        self.scaled, self.one = scaled, one
         self.alphabet: dict = {}  # (point index, d) -> its character
         self.fields: list = []  # the (point index, d) of each character, by ord
         # first field -> partner -> factor

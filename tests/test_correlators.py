@@ -20,7 +20,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from references import (
     _assert_identical,
-    _pow,
     evaluate,
     partition_qseries,
     pm_qseries,
@@ -147,9 +146,9 @@ class TestTraceAgainstBasisSum:
 
 
 def _closed(ctx, fields, nums):
-    # a memo entry over its state's closed form, as ExactComplex
-    # coefficients (equal to Fractions where they are real)
-    m, den = correlators._closed_form(ctx, fields)
+    # a memo entry over its state's closed form, the dressing included, as
+    # ExactComplex coefficients (equal to Fractions where they are real)
+    m, den, _ = correlators._closed_form(ctx, fields)
     return [_lower(n * m, den, True) for n in nums]
 
 
@@ -157,16 +156,13 @@ def _as_trace(ctx, points, fields, values, v_fields=""):
     """The trace a memo entry stands for, against the basis sum: the
     fields' basis states at their points (the vacuum elsewhere), o(v) for
     the basis state of the v-fields, and the entry over its closed form
-    times Z(q) and the x^wt dressing."""
+    times Z(q)."""
     parts = [sorted((d + 1 for i, d in map(ctx.fields.__getitem__, map(ord, fields)) if i == k),
                     reverse=True) for k in range(len(points))]
     insertions = [(FockVector.basis(*p), x) for p, x in zip(parts, points)]
     v = FockVector.basis(*(ord(c) + 1 for c in v_fields)) if v_fields else None
-    dressing = 1
-    for p, x in zip(parts, points):
-        dressing = dressing * _pow(x, sum(p))
     z = [partition_qseries(len(values)).coefficient(k) for k in range(len(values))]
-    got = [dressing * sum(z[i] * values[k - i] for i in range(k + 1)) for k in range(len(values))]
+    got = [sum(z[i] * values[k - i] for i in range(k + 1)) for k in range(len(values))]
     want = _brute(insertions, len(values), v)
     return got, [want.coefficient(k) for k in range(len(values))]
 
@@ -175,8 +171,8 @@ class TestPropagator:
     @pytest.mark.parametrize("xi, xj", [(Fraction(5), Fraction(2)),
                                         (Fraction(-7, 2), Fraction(1, 3))])
     def test_weight_one_contraction_is_p2(self, xi, xj):
-        # the contraction's numerators over the two fields' closed form
-        # are <a(xi) a(xj)> in q, and xi xj times it is P2 at xj / xi
+        # the contraction's numerators over the two fields' closed form,
+        # which holds the dressing xi xj, are P2 at xj / xi
         q_order = 8
         correlators._torus_context.cache_clear()
         ctx = correlators._torus_context((False, False), (xi, xj), q_order)
@@ -185,7 +181,7 @@ class TestPropagator:
         factor = ctx.contractions[first][partner]
         assert all(type(n) is int for n in factor)
         p2 = pm_qseries(2, xj / xi, q_order)
-        assert [xi * xj * c for c in _closed(ctx, first + partner, factor)] == [
+        assert _closed(ctx, first + partner, factor) == [
             p2.coefficient(k) for k in range(q_order)]
 
     @pytest.mark.parametrize("gaussian", [False, True], ids=["exact", "gaussian"])

@@ -24,6 +24,8 @@ from .complexes import (
     ComplexError,
     InsertionTuple,
     ProbeComplex,
+    Sewn,
+    Sphere,
     apply_Dg,
     apply_Dn,
     check_chain_conditions,
@@ -42,7 +44,7 @@ from .elliptic import (
     weierstrass_p,
     weierstrass_series,
 )
-from .schottky import SchottkyData, SewingData, SewingError, genus_g_partition
+from .schottky import SchottkyData, SewingData, SewingError
 from .series import (
     ExactComplex,
     SeriesError,
@@ -386,8 +388,8 @@ def cmd_eval_f0(args) -> int:
 
 def cmd_npoint(args) -> int:
     cfg = read_config(args.config, "npoint")
-    genus = cfg["experiment", "genus"]
-    surface = (genus, build_schottky(cfg) if genus == 2 else None,
+    surface = (cfg["experiment", "genus"],
+               build_schottky(cfg) if "schottky" in cfg.given else None,
                cfg["truncation", "q_order"], cfg["truncation", "rho_orders"])
     ins = build_insertions(cfg)
     if args.path == "oracle":
@@ -414,7 +416,9 @@ def cmd_sew(args) -> int:
 
 def cmd_partition(args) -> int:
     cfg = read_config(args.config, "partition")
-    series = genus_g_partition(build_schottky(cfg), cfg["truncation", "rho_orders"])
+    # the sphere sewn with every handle: at genus 1 too, not the trace
+    handles = build_schottky(cfg).handles(cfg["truncation", "rho_orders"])
+    series = Sewn(Sphere(), handles).evaluate(()).data
     emit_report("partition", cfg, series=series.to_json_dict())
     return 0
 

@@ -5,8 +5,8 @@ ranks of truncated probe complexes.
 Every point is exact, and so is every correlation value: genus 0 is
 the sphere engine, genus 1 the Gaussian form of the graded trace (Z(q)
 times pairings of exact q-series propagators) with exact per-order
-kernel expansions, genus 2 the paired basis sums.  Each chain element
-carries the evaluator that gives its value (:class:`Sphere`,
+kernel expansions, genus g >= 2 the paired basis sums of g handles.
+Each chain element carries the evaluator that gives its value (:class:`Sphere`,
 :class:`Trace`, or :class:`Sewn`, handles sewn onto either of them);
 differentials transform the insertion tuple and re-evaluate through
 that evaluator, so reduction-vs-oracle agreement is a checkable theorem
@@ -76,7 +76,8 @@ class InsertionTuple(_FrozenRecord):
 
 class CorrelationFunction(_FrozenRecord):
     """Value container: scalar at genus 0, q-series at genus 1, nested
-    rho-series at genus 2; the q^(-c/24) prefactor rides separately."""
+    rho-series on a sewn surface; the q^(-c/24) prefactor rides
+    separately."""
 
     __slots__ = ("genus", "data", "prefactor_exponent")
 
@@ -224,11 +225,12 @@ class Sewn(_FrozenRecord):
 
     ``handles`` lists (zeta1, zeta2, rho_order, variable) per handle,
     outermost first, as :func:`~voachain.schottky._genus_g_sum` sums
-    them over ``base``.  The genus-g sums give them as rho2, rho1
-    (:meth:`~voachain.schottky.SchottkyData.handles`); the first handle
-    sewn onto a base is rho, and a handle sewn on top of g others is
-    rho{g+1}.  The pairs ride along inside the base function, so on the
-    trace the coefficients are q-series and the rho^0 term is the
+    them over ``base``.  Every genus-g value is the sphere sewn with the
+    g handles of a :class:`~voachain.schottky.SchottkyData`, given by
+    :meth:`~voachain.schottky.SchottkyData.handles` as rho{g}, ..., rho1;
+    the first handle sewn onto a base by D^g is rho, and a handle sewn on
+    top of g others is rho{g+1}.  The pairs ride along inside the base
+    function, so on the trace the coefficients are q-series and the rho^0 term is the
     genus-1 input itself (vacuum pair): the degeneration identity.
 
     A sewn surface has no reduction rule of its own.  Its sums are linear
@@ -318,8 +320,7 @@ class ChainElement(_Record):
 
 
 class DifferentialDescriptor(_FrozenRecord):
-    """New-insertion data for D^n or sewing data for D^g, with the
-    (-1)^g sign bookkeeping of the total differential."""
+    """New-insertion data for D^n or sewing data for D^g."""
 
     __slots__ = ("state", "point", "sewing")
 
@@ -343,20 +344,23 @@ def element_from_insertions(
     q_order: int = 8,
     rho_orders: Sequence[int] = (6,),
 ) -> ChainElement:
-    """The chain element of ``ins`` at ``genus``, on the sphere, the trace
-    to ``q_order``, or at genus 2 the handles of ``schottky`` sewn onto
-    the sphere to ``rho_orders``.  Each point is checked on that surface
-    here; the value is computed when it is first read."""
+    """The chain element of ``ins`` at ``genus``: the handles of
+    ``schottky`` sewn onto the sphere to ``rho_orders`` where it is given,
+    which it must be at genus >= 2, and otherwise the sphere, or the trace
+    to ``q_order`` at genus 1.  A ``schottky`` of another genus is
+    refused.  Each point is checked on that surface here; the value is
+    computed when it is first read."""
     if genus < 0:
         raise ComplexError("genus must be >= 0")
-    if genus == 0:
-        evaluator = Sphere()
+    if (schottky is not None or genus >= 2) and getattr(schottky, "genus", None) != genus:
+        raise ComplexError(f"genus-{genus} elements need SchottkyData of that genus"
+                           + ("" if genus >= 2 else ", or none"))
+    if schottky is not None:
+        evaluator = Sewn(Sphere(), schottky.handles(rho_orders))
     elif genus == 1:
         evaluator = Trace(q_order)
     else:
-        if getattr(schottky, "genus", None) != genus:
-            raise ComplexError(f"genus-{genus} elements need SchottkyData of that genus")
-        evaluator = Sewn(Sphere(), schottky.handles(rho_orders))
+        evaluator = Sphere()
     return _element(ins, evaluator)
 
 

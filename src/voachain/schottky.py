@@ -1,4 +1,5 @@
-"""Genus raising by handle sewing, and the direct genus-g basis sums.
+"""Genus raising by handle sewing: the inverse-Gram pairing, the handles
+of a genus-g surface, and the one sum over them.
 
 The sewing operator attaches a handle through a basis-summed double
 insertion weighted by rho^k.  The dual state inserted at the first
@@ -16,10 +17,13 @@ it is linear in the sphere function: any sphere identity, the genus-0
 reduction among them, holds term by term inside the sums.  Every point
 is exact, and so is everything here.
 
-Every sewn handle, whether by the direct genus-g sums or by sewing an
-element of any genus, is one entry (zeta1, zeta2, rho_order, variable)
-of a handle list, outermost first.  :func:`_genus_g_sum` fetches each
-handle's paired terms once and hands them to one sum over every handle:
+Every sewn handle, whether one of the g handles of a
+:class:`SchottkyData` or one sewn onto an element of any genus, is one
+entry (zeta1, zeta2, rho_order, variable) of a handle list, outermost
+first.  A genus-g value is :class:`~voachain.complexes.Sewn` of the
+sphere and ``SchottkyData.handles``, evaluated at its insertions.
+:func:`_genus_g_sum` fetches each handle's paired terms once and hands
+them to one sum over every handle:
 :func:`~voachain.voa.sewn_sphere_series` on the sphere (one point check,
 one Wick context, one _wick call per paired term), or
 :func:`~voachain.correlators.sewn_trace_series` on the trace (one trace
@@ -34,9 +38,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .correlators import Insertion
 from .series import Scalar, TruncatedSeries, _FrozenRecord, _int_power, points_coincide
-from .voa import FockState, _field_chars, _wick, _WickContext, sewn_sphere_series, weight_basis
+from .voa import FockState, _field_chars, _wick, _WickContext, weight_basis
 
 
 class SewingError(ValueError):
@@ -165,12 +168,13 @@ def _sewn_handle(zeta1, zeta2, rho_order: int, variable: str) -> tuple:
     return zeta1, zeta2, [_pairing_terms(zeta1, zeta2, k) for k in range(rho_order)], variable
 
 
-# -- direct genus-g partition sums -------------------------------------
+# -- genus-g surfaces ---------------------------------------------------
 
 
 class SchottkyData(_FrozenRecord):
-    """Sewing description of a genus-g surface: the pair of sewing points
-    (w_-a, w_a) of each handle a, at which its paired basis states sit."""
+    """Sewing description of a genus-g surface, g >= 1: the pair of sewing
+    points (w_-a, w_a) of each handle a, at which its paired basis states
+    sit."""
 
     __slots__ = ("genus", "points")  # points: (w_-1, w_1, w_-2, w_2, ...)
 
@@ -193,35 +197,10 @@ class SchottkyData(_FrozenRecord):
     def handles(self, rho_orders: Sequence[int]) -> tuple[tuple, ...]:
         """The handles as :func:`_genus_g_sum` takes them, handle g
         (outermost) first: (w_-h, w_h, rho order h, "rho{h}")."""
-        if self.genus not in (1, 2):
-            raise SewingError("partition sums implemented for genus 1 and 2")
         if len(rho_orders) != self.genus:
             raise SewingError("one rho order per handle")
         return tuple((self.point(-h), self.point(h), rho_orders[h - 1], f"rho{h}")
                      for h in range(self.genus, 0, -1))
-
-
-def genus_g_partition(
-    sd: SchottkyData, rho_orders: Sequence[int]
-) -> TruncatedSeries:
-    """Nested rho-series of the genus-g partition function.
-
-    Coefficient of rho_g^{k_g} ... rho_1^{k_1} sums the 2g-point sphere
-    function over inverse-Gram-paired basis pairs at the handle points;
-    desk scale supports g in {1, 2}.
-    """
-    return genus_g_npoint(sd, [], rho_orders)
-
-
-def genus_g_npoint(
-    sd: SchottkyData, insertions: Sequence[Insertion], rho_orders: Sequence[int]
-) -> TruncatedSeries:
-    """Genus-g n-point sum: extra insertions ride along in every paired
-    basis term (points in the sphere coordinate)."""
-    handles = sd.handles(rho_orders)
-    if any(points_coincide([*sd.points, z]) for _, z in insertions):
-        raise SewingError("insertion points must differ from the handle points")
-    return _genus_g_sum(handles, lambda sewn: [(1, insertions, sewn)], sewn_sphere_series)
 
 
 def _genus_g_sum(handles, pieces, summed):

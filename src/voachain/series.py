@@ -10,7 +10,7 @@ coefficients live only in the numeric evaluators of
 :mod:`voachain.elliptic`; every point and every value elsewhere is exact.
 
 Coefficients may themselves be TruncatedSeries in another variable; that
-nesting is how the multi-handle series at genus 2 are represented.
+nesting is how the multi-handle series of a sewn surface are represented.
 """
 
 from __future__ import annotations

@@ -16,6 +16,8 @@ from voachain.complexes import (
     DifferentialDescriptor,
     InsertionTuple,
     ProbeComplex,
+    Sewn,
+    Sphere,
     apply_Dg,
     apply_Dn,
     check_chain_conditions,
@@ -26,7 +28,7 @@ from voachain.complexes import (
 from references import corr_deviation, torus_qseries
 
 from voachain.elliptic import eisenstein, pm_lambert
-from voachain.schottky import SchottkyData, SewingData, genus_g_partition
+from voachain.schottky import SchottkyData, SewingData
 from voachain.voa import (
     A_VECTOR,
     OMEGA_VECTOR,
@@ -180,8 +182,8 @@ def test_criterion_6_genus2_degeneration():
             points=(Fraction(-1), Fraction(1), Fraction(-3), Fraction(3)),
         )
         sd1 = SchottkyData(genus=1, points=(Fraction(-1), Fraction(1)))
-        g2 = genus_g_partition(sd2, [5, 2])
-        g1 = genus_g_partition(sd1, [5])
+        g2 = Sewn(Sphere(), sd2.handles([5, 2])).evaluate(()).data
+        g1 = Sewn(Sphere(), sd1.handles([5])).evaluate(()).data
         rho2_zero = g2.coefficient(0)
         for k in range(5):
             assert rho2_zero.coefficient(k) == g1.coefficient(k), k

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from references import child_env
+from references import child_env, genus_g_sum
 
 from voachain import complexes
 from voachain.cli import (
@@ -23,7 +23,8 @@ from voachain.cli import (
     read_config,
 )
 from voachain.complexes import apply_Dn
-from voachain.correlators import torus_trace
+from voachain.correlators import sphere_value, torus_trace
+from voachain.schottky import SchottkyData
 from voachain.series import ExactComplex, _frac_str, _parse_frac
 from voachain.voa import A_VECTOR
 
@@ -405,6 +406,72 @@ q_order = 6
         _, out1, _ = run_cli(["npoint", "--config", cfg], capsys)
         _, out2, _ = run_cli(["npoint", "--config", cfg], capsys)
         assert out1 == out2
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_a_schottky_section_of_another_genus_is_refused(self, write_config, capsys, genus):
+        # read, not passed over for the sphere or the trace
+        text = GENUS1_AA.replace("genus = 1", f"genus = {genus}").replace("5, 2", "5, 7")
+        cfg = write_config(text + GENUS2_SCHOTTKY)
+        for path in ("--oracle", "--reduction"):
+            code, out, _ = run_cli(["npoint", "--config", cfg, path], capsys)
+            assert code == 2
+            message = json.loads(out)["error"]["message"]
+            assert message == (f"genus-{genus} elements need SchottkyData of that genus, "
+                               "or none")
+
+    def test_a_genus1_schottky_section_is_the_sewn_sphere(self, write_config, capsys,
+                                                          monkeypatch):
+        # the sphere sewn with the one handle, as partition sums it
+        text = (GENUS1_AA.replace("5, 2", "5, 7") + "[schottky]\ngenus = 1\npoints = -1, 1\n"
+                "[truncation]\nrho_orders = 4\n")
+        check_oracle_equals_reduction(text, write_config, capsys, monkeypatch)
+        code, out, _ = run_cli(["npoint", "--config", write_config(text)], capsys)
+        assert code == 0
+        result = json.loads(out)["result"]
+        want = genus_g_sum(SchottkyData(1, (-1, 1)).handles((4,)),
+                           [(A_VECTOR, 5), (A_VECTOR, 7)], sphere_value)
+        assert result["genus"] == 1 and result["series"] == want.to_json_dict()
+
+
+# three handles; one handle point is Gaussian
+GENUS3_SCHOTTKY = """
+[schottky]
+genus = 3
+points = 7, -9, 5, -4, -2, 1+1j
+[truncation]
+rho_orders = 2, 3, 2
+"""
+
+
+class TestGenusThree:
+    SD = SchottkyData(3, (7, -9, 5, -4, -2, ExactComplex(1, 1)))
+
+    def test_partition_is_the_per_term_sum(self, write_config, capsys):
+        code, out, _ = run_cli(["partition", "--config", write_config(GENUS3_SCHOTTKY)], capsys)
+        assert code == 0
+        want = genus_g_sum(self.SD.handles((2, 3, 2)), (), sphere_value)
+        assert json.loads(out)["series"] == want.to_json_dict()
+        assert want.variable == "rho3"
+
+    @pytest.mark.parametrize("states, points", [("1", "3"), ("a, aa, a", "3, 1/2, -6")],
+                             ids=["vacuum", "a-aa-a"])
+    def test_npoint_paths_are_the_per_term_sum(self, write_config, capsys, monkeypatch,
+                                               states, points):
+        text = (f"[experiment]\ngenus = 3\n[insertions]\nstates = {states}\n"
+                f"points = {points}\n" + GENUS3_SCHOTTKY)
+        check_oracle_equals_reduction(text, write_config, capsys, monkeypatch)
+        code, out, _ = run_cli(["npoint", "--config", write_config(text)], capsys)
+        assert code == 0
+        result = json.loads(out)["result"]
+        cfg = read_config(write_config(text), "npoint")
+        entries = list(zip(cfg["insertions", "states"], cfg["insertions", "points"]))
+        want = genus_g_sum(self.SD.handles((2, 3, 2)), entries, sphere_value)
+        assert result["genus"] == 3 and result["series"] == want.to_json_dict()
+        if states == "1":
+            # the vacuum rides along: the partition function
+            code, out, _ = run_cli(["partition", "--config", write_config(GENUS3_SCHOTTKY)],
+                                   capsys)
+            assert json.loads(out)["series"] == result["series"]
 
 
 class TestSewPartition:
@@ -904,6 +971,7 @@ README_COMMANDS = [
     ["npoint", "--config", "configs/twopoint-a.cfg", "--oracle"],
     ["npoint", "--config", "configs/twopoint-a.cfg", "--reduction"],
     ["partition", "--config", "configs/genus2-partition.cfg"],
+    ["partition", "--config", "configs/genus3-partition.cfg"],
     ["check-complex", "--config", "configs/vacuum.cfg"],
     ["cohomology", "--config", "configs/cohomology-probe.cfg"],
 ]

@@ -1,4 +1,4 @@
-"""Tests for sewing operators and the direct genus-g basis sums."""
+"""Tests for sewing operators and the genus-g basis sums."""
 
 import math
 import subprocess
@@ -21,7 +21,14 @@ from references import (
 )
 
 from voachain import schottky, voa
-from voachain.complexes import Sphere, Trace
+from voachain.complexes import (
+    ComplexError,
+    InsertionTuple,
+    Sphere,
+    Trace,
+    apply_Dn,
+    element_from_insertions,
+)
 from voachain.correlators import sphere_value
 from voachain.schottky import (
     SchottkyData,
@@ -31,8 +38,6 @@ from voachain.schottky import (
     _gram_inverse,
     _pairing_terms,
     _sewn_handle,
-    genus_g_npoint,
-    genus_g_partition,
     handle_pairing,
 )
 from voachain.series import ExactComplex, SeriesError, TruncatedSeries, points_coincide
@@ -280,6 +285,13 @@ class TestSewnHandles:
         assert len(counted) == calls == sum(orders)
 
 
+def sewn_sphere(sd, insertions, rho_orders):
+    """The genus-g value at the insertions: the sphere sewn with the
+    handles of ``sd``, each point checked on that surface."""
+    ins = InsertionTuple(tuple(insertions))
+    return element_from_insertions(ins, sd.genus, sd, rho_orders=rho_orders).value.data
+
+
 class TestGenusGPartition:
     def base_sd(self, genus=1, **kw):
         if genus == 1:
@@ -291,28 +303,28 @@ class TestGenusGPartition:
         )
 
     def test_order_zero_is_one(self):
-        series = genus_g_partition(self.base_sd(), [1])
+        series = sewn_sphere(self.base_sd(), [], [1])
         assert series.coefficient(0) == 1
 
     @pytest.mark.parametrize("rational", [True, False],
                              ids=["rational-points", "gaussian-points"])
     @pytest.mark.parametrize("orders", [[0, 3], [3, 0]])
     def test_a_handle_to_order_zero_leaves_no_coefficient_known(self, rational, orders):
-        # the kernel sums rational points, the per-term sums Gaussian ones
+        # rational and Gaussian handle points alike
         points = (-1, 1, -3, 3) if rational else (-1, 1, -3, ExactComplex(3, 1))
         sd = SchottkyData(genus=2, points=points)
         for insertions in ([], [(A_VECTOR, 5), (A_VECTOR, 7)]):
-            series = genus_g_npoint(sd, insertions, orders)
+            series = sewn_sphere(sd, insertions, orders)
             assert (series.variable, series.coefficients, series.truncation) == ("rho2", {}, 0)
 
     def test_genus1_partition_counts(self):
-        series = genus_g_partition(self.base_sd(), [6])
+        series = sewn_sphere(self.base_sd(), [], [6])
         for k in range(6):
             assert series.coefficient(k) == oracle_partition_counts(k)
 
     def test_matches_sew_sphere(self):
         sd = self.base_sd()
-        series = genus_g_partition(sd, [6])
+        series = sewn_sphere(sd, [], [6])
         sewing = SewingData(zeta1=sd.point(-1), zeta2=sd.point(1))
         sewn = Sphere().sew(sewing, 6).evaluate([]).data
         for k in range(6):
@@ -320,8 +332,8 @@ class TestGenusGPartition:
 
     def test_genus2_degeneration(self):
         sd2 = self.base_sd(2)
-        series = genus_g_partition(sd2, [5, 3])
-        g1 = genus_g_partition(self.base_sd(), [5])
+        series = sewn_sphere(sd2, [], [5, 3])
+        g1 = sewn_sphere(self.base_sd(), [], [5])
         rho2_zero = series.coefficient(0)
         for k in range(5):
             assert rho2_zero.coefficient(k) == g1.coefficient(k), k
@@ -342,8 +354,9 @@ class TestGenusGPartition:
         with pytest.raises(SewingError, match="pairwise distinct"):
             SchottkyData(genus=1, points=(7, twin))
         sd = SchottkyData(genus=1, points=(7, -7))
-        with pytest.raises(SewingError, match="handle points"):
-            genus_g_npoint(sd, [(A_VECTOR, twin)], [2])
+        with pytest.raises(ComplexError, match="insertion points must differ from the "
+                                               "handle points"):
+            sewn_sphere(sd, [(A_VECTOR, twin)], [2])
 
     @pytest.mark.parametrize("point", [7.5, 7 + 1j], ids=["float", "complex"])
     def test_float_and_complex_points_are_refused(self, point):
@@ -353,29 +366,101 @@ class TestGenusGPartition:
             SewingData(zeta1=point, zeta2=-7)
         sd = SchottkyData(genus=1, points=(7, -7))
         with pytest.raises(SeriesError, match="is not exact"):
-            genus_g_npoint(sd, [(A_VECTOR, point)], [2])
+            sewn_sphere(sd, [(A_VECTOR, point)], [2])
 
     def test_close_large_points_are_told_apart(self):
         # 10**17 and 10**17 + 1 round to one complex; compared exactly they
         # are a handle, and an insertion next to a handle point
         big = 10**17
         sd = SchottkyData(genus=1, points=(big, big + 1))
-        assert genus_g_partition(sd, [3]).coefficient(2) == 2
+        assert sewn_sphere(sd, [], [3]).coefficient(2) == 2
         sd = SchottkyData(genus=1, points=(big, -big))
-        npt = genus_g_npoint(sd, [(A_VECTOR, big + 1), (A_VECTOR, big + 2)], [1])
+        npt = sewn_sphere(sd, [(A_VECTOR, big + 1), (A_VECTOR, big + 2)], [1])
         assert npt.coefficient(0) == 1
-
-    def test_npoint_degenerates_to_partition(self):
-        sd = self.base_sd()
-        npt = genus_g_npoint(sd, [], [4])
-        part = genus_g_partition(sd, [4])
-        for k in range(4):
-            assert npt.coefficient(k) == part.coefficient(k)
 
     def test_npoint_one_a_insertion_vanishes(self):
         sd = self.base_sd()
-        npt = genus_g_npoint(sd, [(A_VECTOR, Fraction(5))], [5])
+        npt = sewn_sphere(sd, [(A_VECTOR, Fraction(5))], [5])
         assert npt.is_zero()
+
+
+def _a_pairing_sum(points):
+    """<1', a(z1)...a(zn) 1> on the sphere: the sum over the perfect
+    matchings of the points of prod (zi - zj)^-2, 0 at an odd count."""
+    if not points:
+        return 1
+    first, *rest = points
+    return sum(_a_pairing_sum(rest[:j] + rest[j + 1:]) / Fraction(first - z) ** 2
+               for j, z in enumerate(rest))
+
+
+def _at(series, handle_orders):
+    """The coefficient of rho1^k1 ... rhog^kg, given as (k1, ..., kg), of a
+    nested series summed outermost handle first; a zero stays a zero."""
+    for k in reversed(handle_orders):
+        if isinstance(series, TruncatedSeries):
+            series = series.coefficient(k)
+    return series
+
+
+class TestGenusThree:
+    # handles 1, 2, 3 at (7, -9), (5, -4), (-2, 1): the sphere sewn with
+    # three handles, summed as it is at genus 1 and 2
+    PAIRS = ((7, -9), (5, -4), (-2, 1))
+    A_PAIR = ((A_VECTOR, 3), (A_VECTOR, Fraction(1, 2)))
+
+    def schottky(self, pairs=PAIRS):
+        return SchottkyData(genus=len(pairs), points=tuple(z for pair in pairs for z in pair))
+
+    @pytest.mark.parametrize("perm", [(1, 0, 2), (0, 2, 1), (2, 0, 1)],
+                             ids=["swap-1-2", "swap-2-3", "cycle"])
+    @pytest.mark.parametrize("insertions", [(), A_PAIR], ids=["partition", "a-a"])
+    def test_permuting_the_handles_permutes_the_orders(self, perm, insertions):
+        # handle a of the permuted surface is handle perm[a] of this one
+        value = sewn_sphere(self.schottky(), insertions, (3, 3, 3))
+        moved = sewn_sphere(self.schottky(tuple(self.PAIRS[p] for p in perm)), insertions,
+                            (3, 3, 3))
+        assert not moved.is_zero()
+        for ks in product(range(3), repeat=3):
+            here = [0] * 3
+            for a, p in enumerate(perm):
+                here[p] = ks[a]
+            assert _at(moved, ks) == _at(value, here), ks
+
+    @pytest.mark.parametrize("insertions", [(), A_PAIR], ids=["partition", "a-a"])
+    def test_rho3_zero_slice_is_the_genus2_sum(self, insertions):
+        genus3 = sewn_sphere(self.schottky(), insertions, (3, 2, 2))
+        genus2 = sewn_sphere(self.schottky(self.PAIRS[:2]), insertions, (3, 2))
+        assert genus3.variable == "rho3"
+        assert genus3.coefficient(0) == genus2
+
+    @pytest.mark.parametrize("insertions", [(), A_PAIR], ids=["partition", "a-a"])
+    def test_weight_one_corners_are_the_closed_form(self, insertions):
+        # at weight one the inverse Gram matrix is (w_-a - w_a)^2, so a
+        # corner is one sphere function of a-fields
+        series = sewn_sphere(self.schottky(), insertions, (2, 2, 2))
+        for ks in product((0, 1), repeat=3):
+            scale, points = 1, [z for _, z in insertions]
+            for k, (wm, w) in zip(ks, self.PAIRS):
+                if k:
+                    scale *= (wm - w) ** 2
+                    points += [wm, w]
+            assert _at(series, ks) == scale * _a_pairing_sum(points), ks
+
+    @pytest.mark.parametrize("pairs", [PAIRS, ((7, -9), (5, -4), (-2, ExactComplex(1, 1)))],
+                             ids=["rational", "gaussian-handle"])
+    def test_reduction_equals_the_sum_and_the_per_term_sums(self, pairs):
+        sd = self.schottky(pairs)
+        aa = FockVector({FockState((1, 1)): 1})
+        entries = [(A_VECTOR, 3), (aa, Fraction(1, 2)), (A_VECTOR, -6)]
+        oracle = sewn_sphere(sd, entries, (2, 2, 2))
+        elem = element_from_insertions(InsertionTuple(()), 3, sd, rho_orders=(2, 2, 2))
+        for entry in entries:
+            elem = apply_Dn(entry, elem)
+        want = genus_g_sum(sd.handles((2, 2, 2)), entries, sphere_value)
+        assert not want.is_zero()
+        assert elem.value.genus == 3
+        assert oracle == elem.value.data == want
 
 
 def flat_genus2_sum(sd, insertions, rho_orders, mode=None):
@@ -432,7 +517,7 @@ class TestNestedSewingSum:
     )
     def test_matches_flat_double_sum(self, swapped, insertions):
         sd = self.schottky(swapped)
-        nested = genus_g_npoint(sd, insertions, (3, 3))
+        nested = sewn_sphere(sd, insertions, (3, 3))
         assert not nested.is_zero()
         self.assert_same(nested, flat_genus2_sum(sd, insertions, (3, 3)))
 
@@ -524,7 +609,8 @@ def _sewn_chain(handles):
 
 
 def _one_pass(handles, insertions):
-    # the sewn sums as genus_g_npoint takes them, every handle at once
+    # the sewn sums as Sewn.evaluate takes them on the sphere, every
+    # handle at once
     return _genus_g_sum(handles, lambda sewn: [(1, insertions, sewn)], voa.sewn_sphere_series)
 
 
@@ -599,7 +685,7 @@ class TestSewnSphereSeries:
         # term of them, insertions permuted, is one memo hit
         points = (Fraction(-1), Fraction(1), Fraction(-3), Fraction(3))
         insertions = [(A_VECTOR, Fraction(5)), (A_VECTOR, Fraction(7))]
-        genus_g_npoint(SchottkyData(genus=2, points=points), insertions, (3, 3))
+        sewn_sphere(SchottkyData(genus=2, points=points), insertions, (3, 3))
         _, bbar1, b1 = _pairing_terms(points[0], points[1], 2)[-1]
         _, bbar2, b2 = _pairing_terms(points[2], points[3], 1)[0]
         term = [(A_STATE, Fraction(5)), (A_STATE, Fraction(7)),

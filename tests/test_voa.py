@@ -1074,27 +1074,33 @@ class TestWickContext:
     def test_cold_genus2_partition_builds_one_cached_context(self):
         # one for the whole nested sum, which runs at all four handle
         # points; the Gram inversions build theirs outside the cache
-        from voachain.schottky import SchottkyData, genus_g_partition
+        from voachain.complexes import Sewn, Sphere
+        from voachain.schottky import SchottkyData
 
         for cache in _program_caches():
             cache.cache_clear()
         sd = SchottkyData(genus=2, points=(Fraction(-1), Fraction(1), Fraction(-4), Fraction(4)))
-        genus_g_partition(sd, (4, 4))
+        Sewn(Sphere(), sd.handles((4, 4))).evaluate(())
         assert voa._wick_context.cache_info().misses == 1
 
     def test_swapped_handles_reuse_the_context(self):
         # the same handle sums in the other handle order: every paired
         # term is a permutation of one already evaluated
-        from voachain.schottky import SchottkyData, genus_g_partition
+        from voachain.complexes import Sewn, Sphere
+        from voachain.schottky import SchottkyData
+
+        def partition(points):
+            handles = SchottkyData(genus=2, points=points).handles((4, 4))
+            return Sewn(Sphere(), handles).evaluate(()).data
 
         for cache in _program_caches():
             cache.cache_clear()
         points = (Fraction(-1), Fraction(1), Fraction(-4), Fraction(4))
-        series = genus_g_partition(SchottkyData(genus=2, points=points), (4, 4))
+        series = partition(points)
         misses = voa._wick_context.cache_info().misses
         ctx = _context_of(points)
         entries = len(ctx.memo)
-        swapped = genus_g_partition(SchottkyData(genus=2, points=points[2:] + points[:2]), (4, 4))
+        swapped = partition(points[2:] + points[:2])
         assert voa._wick_context.cache_info().misses == misses
         assert _context_of(points) is ctx and len(ctx.memo) == entries
         for j in range(4):

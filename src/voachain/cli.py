@@ -388,8 +388,9 @@ def cmd_eval_f0(args) -> int:
 
 def cmd_npoint(args) -> int:
     cfg = read_config(args.config, "npoint")
-    surface = (cfg["experiment", "genus"],
-               build_schottky(cfg) if "schottky" in cfg.given else None,
+    genus = cfg["experiment", "genus"]
+    # a section given below genus 2 is read, and refused, not passed over
+    surface = (genus, build_schottky(cfg) if genus >= 2 or "schottky" in cfg.given else None,
                cfg["truncation", "q_order"], cfg["truncation", "rho_orders"])
     ins = build_insertions(cfg)
     if args.path == "oracle":

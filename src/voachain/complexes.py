@@ -344,23 +344,23 @@ def element_from_insertions(
     q_order: int = 8,
     rho_orders: Sequence[int] = (6,),
 ) -> ChainElement:
-    """The chain element of ``ins`` at ``genus``: the handles of
-    ``schottky`` sewn onto the sphere to ``rho_orders`` where it is given,
-    which it must be at genus >= 2, and otherwise the sphere, or the trace
-    to ``q_order`` at genus 1.  A ``schottky`` of another genus is
-    refused.  Each point is checked on that surface here; the value is
-    computed when it is first read."""
+    """The chain element of ``ins`` at ``genus``, on the sphere, the trace
+    to ``q_order``, or at genus g >= 2 the g handles of ``schottky``, which
+    must be of that genus, sewn onto the sphere to ``rho_orders``.  Below
+    genus 2 a ``schottky`` is refused.  Each point is checked on that
+    surface here; the value is computed when it is first read."""
     if genus < 0:
         raise ComplexError("genus must be >= 0")
-    if (schottky is not None or genus >= 2) and getattr(schottky, "genus", None) != genus:
-        raise ComplexError(f"genus-{genus} elements need SchottkyData of that genus"
-                           + ("" if genus >= 2 else ", or none"))
-    if schottky is not None:
-        evaluator = Sewn(Sphere(), schottky.handles(rho_orders))
+    if genus < 2 and schottky is not None:
+        raise ComplexError(f"genus-{genus} elements take no SchottkyData")
+    if genus == 0:
+        evaluator = Sphere()
     elif genus == 1:
         evaluator = Trace(q_order)
     else:
-        evaluator = Sphere()
+        if getattr(schottky, "genus", None) != genus:
+            raise ComplexError(f"genus-{genus} elements need SchottkyData of that genus")
+        evaluator = Sewn(Sphere(), schottky.handles(rho_orders))
     return _element(ins, evaluator)
 
 

@@ -407,30 +407,27 @@ q_order = 6
         _, out2, _ = run_cli(["npoint", "--config", cfg], capsys)
         assert out1 == out2
 
-    @pytest.mark.parametrize("genus", [0, 1])
-    def test_a_schottky_section_of_another_genus_is_refused(self, write_config, capsys, genus):
+    @pytest.mark.parametrize("genus, section_genus", [(0, 2), (1, 2), (1, 1)])
+    def test_a_schottky_section_below_genus_2_is_refused(self, write_config, capsys,
+                                                         genus, section_genus):
         # read, not passed over for the sphere or the trace
         text = GENUS1_AA.replace("genus = 1", f"genus = {genus}").replace("5, 2", "5, 7")
-        cfg = write_config(text + GENUS2_SCHOTTKY)
+        section = (GENUS2_SCHOTTKY if section_genus == 2
+                   else "[schottky]\ngenus = 1\npoints = -1, 1\n")
+        cfg = write_config(text + section)
         for path in ("--oracle", "--reduction"):
             code, out, _ = run_cli(["npoint", "--config", cfg, path], capsys)
             assert code == 2
             message = json.loads(out)["error"]["message"]
-            assert message == (f"genus-{genus} elements need SchottkyData of that genus, "
-                               "or none")
+            assert message == f"genus-{genus} elements take no SchottkyData"
 
-    def test_a_genus1_schottky_section_is_the_sewn_sphere(self, write_config, capsys,
-                                                          monkeypatch):
-        # the sphere sewn with the one handle, as partition sums it
-        text = (GENUS1_AA.replace("5, 2", "5, 7") + "[schottky]\ngenus = 1\npoints = -1, 1\n"
-                "[truncation]\nrho_orders = 4\n")
-        check_oracle_equals_reduction(text, write_config, capsys, monkeypatch)
-        code, out, _ = run_cli(["npoint", "--config", write_config(text)], capsys)
-        assert code == 0
-        result = json.loads(out)["result"]
-        want = genus_g_sum(SchottkyData(1, (-1, 1)).handles((4,)),
-                           [(A_VECTOR, 5), (A_VECTOR, 7)], sphere_value)
-        assert result["genus"] == 1 and result["series"] == want.to_json_dict()
+    @pytest.mark.parametrize("genus", [2, 3])
+    def test_a_missing_schottky_section_is_named(self, write_config, capsys, genus):
+        text = f"[experiment]\ngenus = {genus}\n[insertions]\nstates = a\npoints = 5\n"
+        for path in ("--oracle", "--reduction"):
+            code, out, _ = run_cli(["npoint", "--config", write_config(text), path], capsys)
+            assert code == 2
+            assert json.loads(out)["error"]["message"] == "[schottky] genus is not given"
 
 
 # three handles; one handle point is Gaussian

@@ -213,6 +213,8 @@ def test_chain_element_defaults_to_the_sphere():
      "genus-2 elements need SchottkyData of that genus"),
     (lambda: element_from_insertions(INS, 2, SchottkyData(1, (5, -5))), ComplexError,
      "genus-2 elements need SchottkyData of that genus"),
+    (lambda: element_from_insertions(INS, 1, SchottkyData(1, (5, -5))), ComplexError,
+     "genus-1 elements take no SchottkyData"),
     (lambda: ModularPoint(1 + 0j), EllipticError, "tau must have positive imaginary part"),
     (lambda: ModularPoint(-1j, 5), EllipticError, "tau must have positive imaginary part"),
     (lambda: ProbeComplex(("1",), -1, 2), ComplexError,
@@ -225,7 +227,8 @@ def test_chain_element_defaults_to_the_sphere():
      "descriptor_pool_index -1 names no state of the pool"),
 ], ids=["fock-zero", "fock-negative", "sewing-points", "schottky-genus",
         "schottky-count", "schottky-points", "insertion-points", "element-genus",
-        "element-schottky-missing", "element-schottky-genus", "modular-real", "modular-lower",
+        "element-schottky-missing", "element-schottky-genus", "element-schottky-below-2",
+        "modular-real", "modular-lower",
         "probe-g-max", "probe-n-max", "probe-index-past", "probe-index-negative"])
 def test_validation_errors(make, error, message):
     with pytest.raises(error) as info:

@@ -24,8 +24,10 @@ from voachain import schottky, voa
 from voachain.complexes import (
     ComplexError,
     InsertionTuple,
+    Sewn,
     Sphere,
     Trace,
+    _element,
     apply_Dn,
     element_from_insertions,
 )
@@ -289,7 +291,7 @@ def sewn_sphere(sd, insertions, rho_orders):
     """The genus-g value at the insertions: the sphere sewn with the
     handles of ``sd``, each point checked on that surface."""
     ins = InsertionTuple(tuple(insertions))
-    return element_from_insertions(ins, sd.genus, sd, rho_orders=rho_orders).value.data
+    return _element(ins, Sewn(Sphere(), sd.handles(rho_orders))).value.data
 
 
 class TestGenusGPartition:

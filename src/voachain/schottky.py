@@ -6,10 +6,12 @@ insertion weighted by rho^k.  The dual state inserted at the first
 sewing point is taken with respect to the pairing that the sphere
 two-point geometry itself defines: per weight k, the Gram matrix
 H(k)_{bb'} = <1', Y(b, zeta1) Y(b', zeta2) 1> is inverted exactly and
-its inverse is the coefficient matrix of the double insertion.  This
-reading of dual-basis sewing is convention-free: sewing the bare sphere
-reproduces the graded dimension series with rho equal to the nome on
-the nose, for any choice of sewing points (asserted by tests).
+its inverse, kept as integer blocks over their determinants until the
+points lower each entry once, is the coefficient matrix of the double
+insertion.  This reading of dual-basis sewing is convention-free:
+sewing the bare sphere reproduces the graded dimension series with rho
+equal to the nome on the nose, for any choice of sewing points
+(asserted by tests).
 
 A genus-g function is a nested rho-series whose coefficients are sums of
 sphere functions over the paired basis states at the handle points, so
@@ -38,7 +40,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .series import Scalar, TruncatedSeries, _FrozenRecord, _int_power, points_coincide
+from .series import (Scalar, TruncatedSeries, _FrozenRecord, _GaussInt, _int_power, _lower,
+                     _split, points_coincide)
 from .voa import FockState, _field_chars, _wick, _WickContext, weight_basis
 
 
@@ -59,50 +62,66 @@ class SewingData(_FrozenRecord):
         self._set_fields(zeta1, zeta2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def handle_pairing(zeta1, zeta2, k: int):
     """Weight-k basis and the exact inverse two-point Gram matrix at the
     sewing points.
 
     The Gram matrix is H_k(zeta1, zeta2) = (zeta1 - zeta2)^(-2k) G_k,
     with G_k free of the points (translation and scaling covariance of
-    the vacuum two-point function), so H_k^-1 is G_k^-1 scaled.  Only
-    the nonzero entries are scaled; every zero is one scaled
-    Fraction(0), so it has the type the scale gives.
+    the vacuum two-point function), so H_k^-1 is G_k^-1 scaled.  Each
+    entry of a block of :func:`_gram_inverse` is its integer times the
+    scale over the block's determinant, lowered once; every other entry
+    is one scaled Fraction(0).  Every entry has the type the scale gives,
+    and points of other types are cached apart: 6 and ExactComplex(6)
+    give Fraction and ExactComplex entries.
     """
+    basis = weight_basis(k)
     scale = _int_power(zeta1 - zeta2, 2 * k)
     zero = scale * Fraction(0)
-    return weight_basis(k), tuple(tuple(scale * c if c else zero for c in row)
-                                  for row in _gram_inverse(k))
+    num, den = _split(scale)
+    gaussian = num.__class__ is _GaussInt
+    rows = [[zero] * len(basis) for _ in basis]
+    for block, inverse, det in _gram_inverse(k):
+        for i, row in zip(block, inverse):
+            for j, x in zip(block, row):
+                rows[i][j] = _lower(x * num, det * den, gaussian)
+    return basis, tuple(map(tuple, rows))
 
 
 @lru_cache(maxsize=None)
-def _gram_inverse(k: int) -> tuple[tuple[Fraction, ...], ...]:
-    """G_k^-1, with G_k = H_k(1, 0).  The fields of one insertion never
-    contract, so G_k is block-diagonal by partition length; each block
-    is inverted on its own.  The entries of G_k are integers: the fields
-    at 1 contract with those at 0 through powers of 1 - 0, so at the
-    points 0 and 1 an entry is the Wick recursion's N itself, one _wick
-    call in the context of those points (the fields at 0 first, as the
-    canonical order puts them).  That context is built on its own, not
-    fetched from the cache of the sums' contexts, so an inversion evicts
-    none of them; its tables are the ones every two-point context of
-    integer points shares, and each basis state is strung once per
-    point."""
+def _gram_inverse(k: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int], ...]:
+    """G_k^-1, with G_k = H_k(1, 0), as its blocks (basis indices, integer
+    rows, positive determinant d), by first index: the rows over d are the
+    block's entries.  The fields of one insertion never contract, so G_k
+    is block-diagonal by partition length; :func:`row_reduce_integer` of
+    each block B | I ends as +-d I | +-d B^-1.  The entries of G_k are
+    integers: the fields at 1 contract with those at 0 through powers of
+    1 - 0, so at the points 0 and 1 an entry is the Wick recursion's N
+    itself, one _wick call in the context of those points (the fields at
+    0 first, as the canonical order puts them).  That context is built on
+    its own, not fetched from the cache of the sums' contexts, so an
+    inversion evicts none of them; its tables are the ones every
+    two-point context of integer points shares, and each basis state is
+    strung once per point."""
     basis = weight_basis(k)
     ctx = _WickContext((0, 1))
     at0 = [_field_chars(b, 0, ctx) for b in basis]
     at1 = [_field_chars(b, 1, ctx) for b in basis]
-    inverse = [[Fraction(0)] * len(basis) for _ in basis]
     blocks: dict[int, list[int]] = {}
     for i, b in enumerate(basis):
         blocks.setdefault(b.length, []).append(i)
+    out = []
     for block in blocks.values():
-        gram = [[_wick(at0[j] + at1[i], ctx) for j in block] for i in block]
-        for i, row in zip(block, _invert_integer(gram)):
-            for j, c in zip(block, row):
-                inverse[i][j] = c
-    return tuple(map(tuple, inverse))
+        n = len(block)
+        rows, rank = row_reduce_integer([[_wick(at0[j] + at1[i], ctx) for j in block]
+                                         + [int(i == j) for j in block] for i in block], n)
+        if rank < n:
+            raise SewingError("degenerate sewing pairing matrix")
+        sign = 1 if rows[0][0] > 0 else -1
+        out.append((tuple(block), tuple(tuple(sign * x for x in row[n:]) for row in rows),
+                    sign * rows[0][0]))
+    return tuple(out)
 
 
 def row_reduce_integer(matrix: Sequence[Sequence[int]], columns: int | None = None
@@ -136,30 +155,18 @@ def row_reduce_integer(matrix: Sequence[Sequence[int]], columns: int | None = No
     return rows, rank
 
 
-def _invert_integer(matrix: list[list[int]]) -> list[list[Fraction]]:
-    """The inverse of an integer matrix: :func:`row_reduce_integer` of
-    M | I ends as d I | d M^-1 with d = +-det M, so each entry of the
-    inverse is then one division."""
-    n = len(matrix)
-    rows, rank = row_reduce_integer(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)], n)
-    if rank < n:
-        raise SewingError("degenerate sewing pairing matrix")
-    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]
-
-
 def _pairing_terms(zeta1, zeta2, k: int) -> list[tuple[Scalar, FockState, FockState]]:
     """Nonzero terms (c, bbar, b) of the weight-k double insertion, as
     basis states: bbar goes to zeta1, b to zeta2, and c is the
     inverse-Gram entry pairing them.  Ordered by bbar, then b, in basis
-    order."""
+    order.  Only the entries of bbar's block can be nonzero; the blocks
+    are symmetric, so its row there names them."""
     basis, hinv = handle_pairing(zeta1, zeta2, k)
-    return [
-        (hinv[j][i], bi, bj)
-        for i, bi in enumerate(basis)
-        for j, bj in enumerate(basis)
-        if hinv[j][i] != 0
-    ]
+    partners = [()] * len(basis)
+    for block, inverse, _ in _gram_inverse(k):
+        for i, row in zip(block, inverse):
+            partners[i] = [j for j, x in zip(block, row) if x]
+    return [(hinv[j][i], bi, basis[j]) for i, bi in enumerate(basis) for j in partners[i]]
 
 
 def _sewn_handle(zeta1, zeta2, rho_order: int, variable: str) -> tuple:

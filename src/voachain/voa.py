@@ -28,6 +28,7 @@ from .series import (
     _GaussInt,
     _int_power,
     _lower,
+    _reciprocal,
     _scalar_invert,
     _split,
     points_coincide,
@@ -469,8 +470,8 @@ def vertex_matrix_element(
 # multiplies the sub-state's N by one table entry, the contraction times
 # what the product lost, in which the contraction's pole cancels.  The
 # memo holds one ring element per state entered (an int, or a _GaussInt
-# at a context with an ExactComplex point), and the value is lowered
-# once per group of terms, by series._lower, in sewn_sphere_series.
+# at a context with an ExactComplex point), and sewn_sphere_series
+# lowers each coefficient once, by series._lower.
 # Every point of the context enters the products, a vacuum one too; its
 # factors cancel, and a value is an ExactComplex exactly when a point
 # carrying fields is one.
@@ -527,24 +528,30 @@ def _expand_components(insertions):
 # entry c and counted by rho^k; g handles nest these sums, and with no
 # handle the sum is the sphere function itself.  Every term of every
 # handle is taken at the same points, so one check, one canonical order
-# and one Wick context serve them all, and the field string of each
-# (state, slot) is built once: a term is one _wick call, which enters
-# only the sub-states that no earlier term has met.  The terms of one
-# expansion combination, one multi-index (k_1, ..., k_g) and one weight
-# of each paired state (the weight k, unless a reduction has moved the
-# state) put the same weight at every point, so their Wick sums share
-# one denominator: each such sum is one ring element, the pairing
-# entries of the group split (series._split) over their least common
-# denominator, and is lowered once.  A reduction's sums at one point set
-# (its pieces) run in one call.
+# and one Wick context serve them all, and each paired state is strung
+# once per handle slot: a term is one _wick call, which enters only the
+# sub-states that no earlier term has met.  The terms of one expansion
+# combination, one multi-index (k_1, ..., k_g) and one weight of each
+# paired state (the weight k, unless a reduction has moved the state)
+# put the same weights W at the points, so their Wick sums share one
+# factor: each such sum is one ring element, the pairing entries of the
+# group split (series._split) over their least common denominator, and
+# Q^W over prod_{i<j} delta_ij^(W_i + W_j) is made once per weights and
+# context, as a ring numerator over a positive int.  The sums stay in
+# the ring: each multi-index keeps one numerator per denominator, and
+# each coefficient is lowered once, over the lcm of its denominators.
+# A reduction's sums at one point set (its pieces) run in one call.
 #
 # The type of a coefficient is decided by its terms, not by its value:
 # it is an ExactComplex when an ExactComplex enters one of them (a
 # weight, an insertion coefficient, a pairing entry, or a point that
 # carries fields in a term with an even number of fields), else a
-# Fraction, as a per-term sum gives it.  With no handle, a term with an
-# odd number of fields is the 0 of its weight times its coefficient (an
-# int 0 when both are ints), as a per-term sum of the int 0 gives it.
+# Fraction, as a per-term sum gives it.  An ExactComplex pairing entry
+# comes from an ExactComplex handle point, which carries fields in its
+# terms (a moved state comes with a kernel taken there), so the innermost
+# entries need no check.  With no handle, a term with an odd number of
+# fields is the 0 of its weight times its coefficient (an int 0 when
+# both are ints), as a per-term sum of the int 0 gives it.
 
 
 def sewn_sphere_series(pieces: Sequence[tuple]) -> TruncatedSeries | Scalar:
@@ -577,12 +584,11 @@ def sewn_sphere_series(pieces: Sequence[tuple]) -> TruncatedSeries | Scalar:
     if not handles:
         return acc[()]
     values = {}
-    for key, value in acc.items():
-        if value:
-            if flags.get(key):
-                value = value if value.__class__ is ExactComplex else ExactComplex(value)
-            elif value.__class__ is ExactComplex:
-                value = value.re
+    for key, sums in acc.items():
+        den = math.lcm(*sums)
+        num = sum(n * (den // d) for d, n in sums.items())
+        if num:
+            value = _lower(num, den, flags.get(key, False))
             level = values
             for k in key[:-1]:
                 level = level.setdefault(k, {})
@@ -605,11 +611,12 @@ def _field_chars(state: FockState, pi: int, ctx: _WickContext) -> str:
 
 
 def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags, built):
-    # one piece's coefficients added into acc, by multi-index; where an
-    # ExactComplex enters a term, flags marks the multi-index, also when
-    # the weight is 0 and no term is summed.  built keeps each handle's
-    # grouped terms by its terms list and slot: the pieces of a reduction
-    # share every handle they do not move
+    # one piece's coefficients added into acc, by multi-index, as ring
+    # numerators by denominator (with no handle, the sphere function's
+    # scalar); where an ExactComplex enters a term, flags marks the
+    # multi-index, also when the weight is 0 and no term is summed.
+    # built keeps each handle's grouped terms by its terms list and slot:
+    # the pieces of a reduction share every handle they do not move
     combos = []
     for states, coeff in _expand_components(insertions):
         scale = weight * coeff
@@ -629,13 +636,15 @@ def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags
                 continue
             for pi, field, wt in chars:
                 slots[pi], weights[pi] = field, wt
-            n, d = ((num * _wick("".join(slots), ctx) * ctx.scale ** sum(weights),
-                     den * _denominator(ctx, weights)) if live else (0, 1))
+            scaled, d = _weight_factor(ctx, weights)
+            n, d = (num * _wick("".join(slots), ctx) * scaled, den * d) if live else (0, 1)
             total = total + _lower(n, d, num.__class__ is _GaussInt
                                    or any(g and wt for g, wt in zip(gaussian, weights)))
         acc[()] = total
         return
     exotic = ctx.gaussian or any(num.__class__ is _GaussInt for num, *_ in combos)
+    if not (live or exotic):
+        return
     levels = []
     for h, (_, _, terms, _) in enumerate(handles):
         slot = len(insertions) + 2 * h
@@ -645,11 +654,12 @@ def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags
             levels.append((p1, p2, by_weight))
             continue
         by_weight = built[id(terms), slot] = []
+        at1, at2 = ({s: _field_chars(s, p, ctx) for s in dict.fromkeys(
+            term[side] for terms_k in terms for term in terms_k)} for side, p in ((1, p1), (2, p2)))
         for terms_k in terms:
             # the weight-k terms grouped by the weights of bbar and b, each
             # group's pairing entries as ring elements over their lcm; a
-            # group notes whether an entry is an ExactComplex and which
-            # parities its terms' field counts have
+            # group notes which parities its terms' field counts have
             groups = {}
             for term in terms_k:
                 groups.setdefault((term[1].weight, term[2].weight), []).append(term)
@@ -657,21 +667,17 @@ def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags
             for (wbar, wb), group in groups.items():
                 split = [_split(c) for c, _, _ in group]
                 common = math.lcm(*(d for _, d in split))
-                gauss = any(n.__class__ is _GaussInt for n, _ in split)
-                by_weight[-1].append((wbar, wb, common, gauss,
+                by_weight[-1].append((wbar, wb, common,
                                       {(bbar.length + b.length) % 2 for _, bbar, b in group}, [
-                    (n * (common // d), _field_chars(bbar, p1, ctx), _field_chars(b, p2, ctx),
-                     bbar.length + b.length) for (n, d), (_, bbar, b) in zip(split, group)]))
+                    (n * (common // d), at1[bbar], at2[b], bbar.length + b.length)
+                    for (n, d), (_, bbar, b) in zip(split, group)]))
         levels.append((p1, p2, by_weight))
-    exotic = exotic or any(group[3] for _, _, by_weight in levels for groups in by_weight
-                           for group in groups)
-    if not (live or exotic):
-        return
 
     # each coefficient (k_outer, ..., k_inner), one term per expansion
-    # combination, multi-index and weights of the paired states
+    # combination, multi-index and weights of the paired states, added
+    # into the coefficient's ring numerator over its denominator
     outer = [[(k, wbar, wb, common, term) for k, groups in enumerate(by_weight)
-              for wbar, wb, common, _, _, group in groups for term in group]
+              for wbar, wb, common, _, group in groups for term in group]
              for _, _, by_weight in levels[:-1]]
     pos1, pos2, inner = levels[-1]
     for num0, den0, chars, combo_legs, _ in combos:
@@ -687,11 +693,11 @@ def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags
                 num, den = num * c, den * common
                 marked = marked or c.__class__ is _GaussInt
             for k, groups in enumerate(inner):
-                for wbar, wb, common, gauss, parities, group in groups:
+                for wbar, wb, common, parities, group in groups:
                     weights[pos1], weights[pos2] = wbar, wb
                     key = ks + (k,)
                     if exotic:
-                        flags[key] = flags.get(key) or marked or gauss or (
+                        flags[key] = flags.get(key) or marked or (
                             outer_legs % 2 in parities
                             and any(g and w for g, w in zip(gaussian, weights)))
                     if not live:
@@ -703,10 +709,9 @@ def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags
                         slots[pos1], slots[pos2] = bbar, b
                         total += c * _wick("".join(slots), ctx)
                     if total:
-                        n, d = (num * total * ctx.scale ** sum(weights),
-                                den * common * _denominator(ctx, weights))
-                        acc[key] = acc.get(key, 0) + (_lower(n, d, True) if exotic
-                                                      else Fraction(n, d))
+                        scaled, d = _weight_factor(ctx, weights)
+                        sums, d = acc.setdefault(key, {}), den * common * d
+                        sums[d] = sums.get(d, 0) + num * total * scaled
 
 
 def _as_series(values: dict, shape) -> TruncatedSeries:
@@ -785,8 +790,8 @@ def _two_point_tables(gaussian: bool) -> _WickTables:
 class _WickContext:
     """The tables shared by every sphere function at one point set."""
 
-    __slots__ = ("scale", "scaled", "gaussian", "zero", "one", "cofactors", "alphabet",
-                 "fields", "contractions", "memo")
+    __slots__ = ("scale", "scaled", "gaussian", "zero", "one", "cofactors", "factors",
+                 "alphabet", "fields", "contractions", "memo")
 
     def __init__(self, points: tuple):
         _require_distinct(points)
@@ -796,6 +801,7 @@ class _WickContext:
         # prod_{k != i} delta_ik, the factor a unit of weight at i puts
         # into the denominator
         self.cofactors = tuple(_cofactor(self.scaled, i, i) for i in range(len(points)))
+        self.factors: dict = {}  # weights -> _weight_factor
         tables = (_two_point_tables(self.gaussian) if len(points) == 2
                   else _WickTables(self.scaled, self.one))
         self.alphabet, self.fields = tables.alphabet, tables.fields
@@ -828,13 +834,20 @@ def _cofactor(scaled: tuple, i: int, j: int):
     return out
 
 
-def _denominator(ctx: _WickContext, weights):
-    """prod_{i<j} delta_ij^(W_i + W_j), as prod_i cofactor_i^(W_i)."""
-    val = 1
-    for cofactor, w in zip(ctx.cofactors, weights):
-        if w:
-            val = val * _int_power(cofactor, w)
-    return val
+def _weight_factor(ctx: _WickContext, weights) -> tuple:
+    """Q^W / prod_{i<j} delta_ij^(W_i + W_j) at the weights W, the
+    denominator as prod_i cofactor_i^(W_i), as (ring numerator, positive
+    int denominator); made once per weights at a context."""
+    key = tuple(weights)
+    factor = ctx.factors.get(key)
+    if factor is None:
+        den = 1
+        for cofactor, w in zip(ctx.cofactors, weights):
+            if w:
+                den = den * _int_power(cofactor, w)
+        inverse, den = _reciprocal(den)
+        factor = ctx.factors[key] = (inverse * ctx.scale ** sum(weights), den)
+    return factor
 
 
 def _contraction(fields: list, scaled: tuple, one, first: str, partner: str):

@@ -6,7 +6,10 @@ every term's points, and one handle at a time over the terms
 (:func:`sewn_series`, nested by :func:`genus_g_sum`).  The package sums
 each of these in one pass (``voa.sewn_sphere_series``,
 ``correlators.sewn_trace_series``); the tests compare the two with
-``_assert_identical``, equal values of equal types.
+``_assert_identical``, equal values of equal types.  The pairing the
+sums take has its dense forms here too: :func:`dense_gram_inverse`, the
+blocks of ``schottky._gram_inverse`` as one matrix, and
+:func:`dense_pairing_terms`, the paired terms by a scan of every entry.
 
 The brute-force graded trace over the Fock basis, :func:`torus_qseries`,
 is the oracle of the package's Gaussian trace: a sum of matrix elements
@@ -39,7 +42,7 @@ from voachain.complexes import (
 )
 from voachain.correlators import sphere_value, torus_trace
 from voachain.elliptic import EllipticError, f0_kernel, pm_numerators, polylog_neg
-from voachain.schottky import _sewn_handle
+from voachain.schottky import _gram_inverse, _sewn_handle, handle_pairing
 from voachain.series import ExactComplex, Scalar, TruncatedSeries, _int_power
 from voachain.voa import FockVector, apply_state_mode, square_bracket_mode, weight_basis
 
@@ -92,6 +95,28 @@ def genus_g_sum(handles, insertions, inner):
         return sewn_series(sewn[i], lambda pairs: summed(i + 1, [*points, *pairs]))
 
     return summed(0, list(insertions))
+
+
+def dense_gram_inverse(k):
+    """G_k^-1 as a dense p(k) x p(k) matrix of Fractions: the rows of each
+    block of ``schottky._gram_inverse`` over its determinant, at the
+    block's basis indices, and 0 off the blocks."""
+    n = len(weight_basis(k))
+    dense = [[Fraction(0)] * n for _ in range(n)]
+    for block, rows, det in _gram_inverse(k):
+        for i, row in zip(block, rows):
+            for j, x in zip(block, row):
+                dense[i][j] = Fraction(x, det)
+    return dense
+
+
+def dense_pairing_terms(zeta1, zeta2, k):
+    """The weight-k paired terms (c, bbar, b) by a scan of the whole
+    ``handle_pairing`` matrix hinv: c = hinv[j][i] for bbar the i-th and
+    b the j-th basis state, every nonzero one, by i and then j."""
+    basis, hinv = handle_pairing(zeta1, zeta2, k)
+    return [(hinv[j][i], bi, bj) for i, bi in enumerate(basis) for j, bj in enumerate(basis)
+            if hinv[j][i] != 0]
 
 
 def _base_and_handles(surface):

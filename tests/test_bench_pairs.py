@@ -35,10 +35,54 @@ def test_a_clear_gain_is_lower_in_every_pair_and_beyond_the_spread():
     assert run_ref["pairs_lower"] == "5 of 5"
     assert run_ref["median_gap"] == -0.14 and run_ref["parent_iqr"] == 0.02
     assert run_ref["beyond_bound"] is False
+    assert run_ref["gain_shown"] is True
     # equal values are lower in no pair
     assert out["setup_s"]["pairs_lower"] == "0 of 5"
     assert out["setup_s"]["change_vs_parent"] == "+0.0%"
     assert set(out) == {spec["name"] for spec in DECLARED} | {"failed"}
+
+
+def _ten_pairs(parent_values, change_values):
+    return [_run(x) for x in parent_values], [_run(x) for x in change_values]
+
+
+PARENT_10 = (0.50, 0.52, 0.48, 0.51, 0.49, 0.50, 0.53, 0.47, 0.50, 0.51)
+
+
+def test_a_gain_needs_nine_of_ten_pairs():
+    # lower in 9 of 10 pairs, the medians 0.1 apart against a parent IQR
+    # of 0.0175: shown; lower in 8 of 10 with the same medians: not shown
+    nine = [x - 0.1 for x in PARENT_10[:9]] + [0.6]
+    assert bench_pairs.summarize(*_ten_pairs(PARENT_10, nine), DECLARED)["run_ref"][
+        "gain_shown"] is True
+    eight = [x - 0.1 for x in PARENT_10[:8]] + [0.6, 0.6]
+    out = bench_pairs.summarize(*_ten_pairs(PARENT_10, eight), DECLARED)["run_ref"]
+    assert out["pairs_lower"] == "8 of 10" and out["gain_shown"] is False
+
+
+def test_a_tie_is_a_win_for_neither_side():
+    # 8 pairs lower and 2 ties is 8 wins of 10
+    ties = [x - 0.1 for x in PARENT_10[:8]] + list(PARENT_10[8:])
+    out = bench_pairs.summarize(*_ten_pairs(PARENT_10, ties), DECLARED)["run_ref"]
+    assert out["pairs_lower"] == "8 of 10" and out["gain_shown"] is False
+
+
+def test_a_gain_within_the_parents_spread_is_not_shown():
+    # lower in every pair, but the medians are 0.01 apart and the parent's
+    # IQR is 0.0175
+    close = [x - 0.01 for x in PARENT_10]
+    out = bench_pairs.summarize(*_ten_pairs(PARENT_10, close), DECLARED)["run_ref"]
+    assert out["pairs_lower"] == "10 of 10"
+    assert out["parent_iqr"] == 0.0175 and out["gain_shown"] is False
+
+
+def test_a_higher_is_better_gain_is_a_rise():
+    declared = [{"name": "run_ref", "better": "higher", "bound": 0.1}]
+    parent, _ = _ten_pairs(PARENT_10, PARENT_10)
+    risen = bench_pairs.summarize(parent, [_run(x + 0.1) for x in PARENT_10], declared)
+    fallen = bench_pairs.summarize(parent, [_run(x - 0.1) for x in PARENT_10], declared)
+    assert risen["run_ref"]["gain_shown"] is True
+    assert fallen["run_ref"]["gain_shown"] is False
 
 
 def test_pairs_are_matched_by_position():

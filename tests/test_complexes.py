@@ -48,7 +48,13 @@ from voachain.complexes import (
 )
 from voachain.correlators import sphere_value
 from voachain.schottky import SchottkyData, SewingData, row_reduce_integer
-from voachain.series import ExactComplex, SeriesError, TruncatedSeries, _int_power
+from voachain.series import (
+    ExactComplex,
+    SeriesError,
+    TruncatedSeries,
+    _int_power,
+    points_coincide,
+)
 from voachain.voa import (
     A_VECTOR,
     OMEGA_VECTOR,
@@ -1122,6 +1128,33 @@ class TestSewnSphereReduction:
                           reduce_d1(surface, x_new, insertions))
         _assert_identical(apply_D2(x_new, elem).value.data,
                           reduce_d2(surface, x_new, insertions))
+
+    @pytest.mark.parametrize("surface", ["genus2", "sewn"])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_dn_equals_the_per_term_sums_of_the_stepped_insertions(self, surface, data):
+        # D^n on a genus-2 element, at points of every kind, and on a sphere
+        # with one or two handles sewn on at Gaussian handle points, equals
+        # the per-term sums with the new insertion, values and types: its
+        # moved states put several weights, so several denominators, in
+        # one multi-index
+        insertions, handles, x_new = data.draw(sewn_sphere_steps(False))
+        if surface == "genus2":
+            assume(len(handles) == 2)
+            sd = SchottkyData(genus=2, points=tuple(z for h in handles for z in h[:2]))
+            elem = element_from_insertions(InsertionTuple(tuple(insertions)), 2, sd,
+                                           rho_orders=tuple(order for *_, order in handles))
+        else:
+            handles = [(z1 if isinstance(z1, ExactComplex) else ExactComplex(z1, 1), z2, order)
+                       for z1, z2, order in handles]
+            assume(not points_coincide([z for _, z in insertions] + [x_new[1]]
+                                       + [z for h in handles for z in h[:2]]))
+            surface = Sphere()
+            for zeta1, zeta2, order in handles:
+                surface = surface.sew(SewingData(zeta1=zeta1, zeta2=zeta2), order)
+            elem = _element(InsertionTuple(tuple(insertions)), surface)
+        _assert_identical(apply_Dn(x_new, elem).value.data,
+                          evaluate(elem.evaluator, (*insertions, x_new)))
 
     def test_one_pass_at_exact_complex_points(self):
         # a Gaussian-rational point runs the same one-pass sums, for the

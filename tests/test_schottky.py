@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from references import (
     _assert_identical,
     child_env,
+    dense_gram_inverse,
+    dense_pairing_terms,
     genus_g_sum,
     partition_qseries,
     sewn_series,
@@ -113,6 +115,33 @@ class TestHandlePairing:
             assert hinv == tuple(tuple((-1) ** k * c for c in row) for row in rational), k
 
 
+    @pytest.mark.parametrize("z1, z2", [
+        (3, -2), (Fraction(2, 3), Fraction(-7, 5)), (ExactComplex(1, 1), -2),
+        (ExactComplex(0, 1), ExactComplex(Fraction(1, 2), -1)),
+    ], ids=["int", "rational", "gaussian", "gaussian-both"])
+    def test_pairing_terms_match_the_dense_scan(self, z1, z2):
+        # read block by block, the terms are the dense scan's: values,
+        # types and order
+        for k in range(10):
+            got, want = _pairing_terms(z1, z2, k), dense_pairing_terms(z1, z2, k)
+            assert got == want, k
+            assert [type(c) for c, _, _ in got] == [type(c) for c, _, _ in want], k
+
+    def test_points_of_other_types_get_entries_of_their_own_type(self):
+        # 6 and ExactComplex(6) are equal and hash equal, but are cached
+        # apart: a Gaussian pairing met first does not make the rational
+        # sums at the same values Gaussian
+        handle_pairing.cache_clear()
+        gaussian = SchottkyData(genus=1, points=(ExactComplex(6), ExactComplex(-6)))
+        rational = SchottkyData(genus=1, points=(6, -6))
+        types = {k: type(c) for k, c in sewn_sphere(gaussian, [], [3]).coefficients.items()}
+        assert types == {0: Fraction, 1: ExactComplex, 2: ExactComplex}
+        for k in range(3):
+            _, hinv = handle_pairing(6, -6, k)
+            assert all(type(c) is Fraction for row in hinv for c in row), k
+        assert all(type(c) is Fraction for c in sewn_sphere(rational, [], [3]).coefficients.values())
+
+
 class TestGramInverse:
     @pytest.mark.parametrize("k", range(9))
     def test_inverts_the_virasoro_form(self, k):
@@ -132,11 +161,33 @@ class TestGramInverse:
             columns.append(image)
         gram = [[(-1) ** k * column.coefficient(row) / voa.dual_coefficient(row)
                  for column in columns] for row in basis]
-        inverse = _gram_inverse(k)
+        inverse = dense_gram_inverse(k)
         n = len(basis)
         for i in range(n):
             for j in range(n):
                 assert sum(inverse[i][r] * gram[r][j] for r in range(n)) == (1 if i == j else 0), (i, j)
+
+    @pytest.mark.parametrize("k", range(13))
+    def test_blocks_are_int_rows_over_a_positive_determinant(self, k):
+        # one block per partition length, by first basis index, each a
+        # square of int rows over a positive int determinant
+        lengths = {}
+        for i, state in enumerate(weight_basis(k)):
+            lengths.setdefault(state.length, []).append(i)
+        blocks = _gram_inverse(k)
+        assert [list(block) for block, _, _ in blocks] == list(lengths.values())
+        for block, rows, det in blocks:
+            assert type(det) is int and det > 0
+            assert len(rows) == len(block) and all(len(row) == len(block) for row in rows)
+            assert all(type(x) is int for row in rows for x in row)
+
+    @pytest.mark.parametrize("k", range(13))
+    def test_blocks_are_symmetric(self, k):
+        # _pairing_terms reads bbar's row for the entries pairing it, which
+        # are its column: the orientation of the pairing rests on this
+        for _, rows, _ in _gram_inverse(k):
+            assert all(row[j] == rows[j][i] for i, row in enumerate(rows)
+                       for j in range(len(rows))), k
 
     def test_an_inversion_evicts_no_sum_context(self):
         # the Gram context is built on the shared two-point tables, not

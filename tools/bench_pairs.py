@@ -12,9 +12,12 @@ first pair and the sides alternating after that.
 The summary gives, per end-to-end metric of BENCHMARK.json, each side's
 runs, median and quartiles (inclusive method), the change against the
 parent in percent, the pairs in which the change read lower, the gap of
-the medians, the parent's interquartile range, and whether the change's
-median is worse than the parent's by more than the metric's bound; and
-each run's failed operations.  Before the runs each side prints its
+the medians, the parent's interquartile range, whether the change's
+median is worse than the parent's by more than the metric's bound, and
+whether a gain is shown (``gain_shown``): the change better in at least
+nine tenths of the pairs, a tie better on neither side, and its median
+better than the parent's by more than the parent's interquartile range;
+and each run's failed operations.  Before the runs each side prints its
 operations' stdout digests with its own ``benchmarks/worker.py
 --digests``; the summary says whether they are identical and names the
 operations whose digests differ.  With --out it is merged into that JSON
@@ -95,7 +98,9 @@ def summarize(parent_runs: list, change_runs: list, declared: list) -> dict:
         change = [run["metrics"][name]["value"] for run in change_runs]
         before, after = statistics.median(parent), statistics.median(change)
         p, c = _side(parent), _side(change)
-        worse = after - before if spec["better"] == "lower" else before - after
+        lower = spec["better"] == "lower"
+        worse = after - before if lower else before - after
+        wins = sum((y < x) if lower else (y > x) for x, y in zip(parent, change))
         out[name] = {
             "parent": p, "change": c,
             "change_vs_parent": f"{100 * (after - before) / before:+.1f}%",
@@ -103,6 +108,7 @@ def summarize(parent_runs: list, change_runs: list, declared: list) -> dict:
             "median_gap": round(after - before, 5),
             "parent_iqr": round(p["q3"] - p["q1"], 5),
             "beyond_bound": worse > spec["bound"] * before,
+            "gain_shown": wins >= 0.9 * len(parent) and -worse > p["q3"] - p["q1"],
         }
     out["failed"] = {"parent": [run["failed"] for run in parent_runs],
                      "change": [run["failed"] for run in change_runs]}

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from references import (
     _assert_identical,
+    _typed,
     corr_deviation,
     evaluate,
     pm_qseries,
@@ -1135,9 +1136,11 @@ class TestSewnSphereReduction:
     def test_dn_equals_the_per_term_sums_of_the_stepped_insertions(self, surface, data):
         # D^n on a genus-2 element, at points of every kind, and on a sphere
         # with one or two handles sewn on at Gaussian handle points, equals
-        # the per-term sums with the new insertion, values and types: its
-        # moved states put several weights, so several denominators, in
-        # one multi-index
+        # the per-term sums with the new insertion by ==, and the per-term
+        # reduction route D1 + D2 in values and types: its moved states put
+        # several weights, so several denominators, in one multi-index.  Its
+        # type follows its reduction terms, so it may be an ExactComplex
+        # where the direct sum is a Fraction (see the next test)
         insertions, handles, x_new = data.draw(sewn_sphere_steps(False))
         if surface == "genus2":
             assume(len(handles) == 2)
@@ -1153,8 +1156,29 @@ class TestSewnSphereReduction:
             for zeta1, zeta2, order in handles:
                 surface = surface.sew(SewingData(zeta1=zeta1, zeta2=zeta2), order)
             elem = _element(InsertionTuple(tuple(insertions)), surface)
-        _assert_identical(apply_Dn(x_new, elem).value.data,
-                          evaluate(elem.evaluator, (*insertions, x_new)))
+        stepped = apply_Dn(x_new, elem).value.data
+        assert stepped == evaluate(elem.evaluator, (*insertions, x_new))
+        _assert_identical(stepped, reduce_d1(elem.evaluator, x_new, insertions)
+                          + reduce_d2(elem.evaluator, x_new, insertions))
+
+    def test_dn_types_follow_the_reduction_terms(self):
+        # the vacuum and a(-1) at -6 - i stepped onto a genus-2 element with
+        # a Gaussian handle point: only the vacuum term survives at rho^0,
+        # a rational -3 in the direct sum, but D1's kernel at the Gaussian
+        # point enters its a(-1) term, so D^n's -3 is an ExactComplex, as
+        # the per-term D1 route gives it
+        v = FockVector({FockState(()): Fraction(-3), FockState((1,)): Fraction(-3)})
+        x_new = (v, ExactComplex(-6, -1))
+        sd = SchottkyData(genus=2, points=(-6, -5, -4, ExactComplex(-6, 1)))
+        elem = element_from_insertions(InsertionTuple(()), 2, sd, rho_orders=(1, 1))
+        stepped = apply_Dn(x_new, elem).value.data
+        direct = evaluate(elem.evaluator, (x_new,))
+        assert stepped == direct
+        assert _typed(direct.coefficient(0).coefficient(0)) == ("Fraction", "Fraction(-3, 1)")
+        _assert_identical(stepped, reduce_d1(elem.evaluator, x_new, ())
+                          + reduce_d2(elem.evaluator, x_new, ()))
+        assert _typed(stepped.coefficient(0).coefficient(0)) == (
+            "ExactComplex", "ExactComplex(-3)")
 
     def test_one_pass_at_exact_complex_points(self):
         # a Gaussian-rational point runs the same one-pass sums, for the

@@ -546,12 +546,13 @@ def _expand_components(insertions):
 # it is an ExactComplex when an ExactComplex enters one of them (a
 # weight, an insertion coefficient, a pairing entry, or a point that
 # carries fields in a term with an even number of fields), else a
-# Fraction, as a per-term sum gives it.  An ExactComplex pairing entry
-# comes from an ExactComplex handle point, which carries fields in its
-# terms (a moved state comes with a kernel taken there), so the innermost
-# entries need no check.  With no handle, a term with an odd number of
-# fields is the 0 of its weight times its coefficient (an int 0 when
-# both are ints), as a per-term sum of the int 0 gives it.
+# Fraction, as a per-term sum gives it.  A pairing entry is an
+# ExactComplex at an ExactComplex handle point, and also where a
+# reduction has moved a state by an ExactComplex coefficient of the new
+# insertion, at rational points; each group of entries notes it once.
+# With no handle, a term with an odd number of fields is the 0 of its
+# weight times its coefficient (an int 0 when both are ints), as a
+# per-term sum of the int 0 gives it.
 
 
 def sewn_sphere_series(pieces: Sequence[tuple]) -> TruncatedSeries | Scalar:
@@ -642,9 +643,6 @@ def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags
                                    or any(g and wt for g, wt in zip(gaussian, weights)))
         acc[()] = total
         return
-    exotic = ctx.gaussian or any(num.__class__ is _GaussInt for num, *_ in combos)
-    if not (live or exotic):
-        return
     levels = []
     for h, (_, _, terms, _) in enumerate(handles):
         slot = len(insertions) + 2 * h
@@ -659,7 +657,8 @@ def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags
         for terms_k in terms:
             # the weight-k terms grouped by the weights of bbar and b, each
             # group's pairing entries as ring elements over their lcm; a
-            # group notes which parities its terms' field counts have
+            # group notes whether an entry is an ExactComplex and which
+            # parities its terms' field counts have
             groups = {}
             for term in terms_k:
                 groups.setdefault((term[1].weight, term[2].weight), []).append(term)
@@ -667,17 +666,23 @@ def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags
             for (wbar, wb), group in groups.items():
                 split = [_split(c) for c, _, _ in group]
                 common = math.lcm(*(d for _, d in split))
-                by_weight[-1].append((wbar, wb, common,
+                gauss = any(n.__class__ is _GaussInt for n, _ in split)
+                by_weight[-1].append((wbar, wb, common, gauss,
                                       {(bbar.length + b.length) % 2 for _, bbar, b in group}, [
                     (n * (common // d), at1[bbar], at2[b], bbar.length + b.length)
                     for (n, d), (_, bbar, b) in zip(split, group)]))
         levels.append((p1, p2, by_weight))
+    exotic = (ctx.gaussian or any(num.__class__ is _GaussInt for num, *_ in combos)
+              or any(group[3] for _, _, by_weight in levels for groups in by_weight
+                     for group in groups))
+    if not (live or exotic):
+        return
 
     # each coefficient (k_outer, ..., k_inner), one term per expansion
     # combination, multi-index and weights of the paired states, added
     # into the coefficient's ring numerator over its denominator
     outer = [[(k, wbar, wb, common, term) for k, groups in enumerate(by_weight)
-              for wbar, wb, common, _, group in groups for term in group]
+              for wbar, wb, common, _, _, group in groups for term in group]
              for _, _, by_weight in levels[:-1]]
     pos1, pos2, inner = levels[-1]
     for num0, den0, chars, combo_legs, _ in combos:
@@ -693,11 +698,11 @@ def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags
                 num, den = num * c, den * common
                 marked = marked or c.__class__ is _GaussInt
             for k, groups in enumerate(inner):
-                for wbar, wb, common, parities, group in groups:
+                for wbar, wb, common, gauss, parities, group in groups:
                     weights[pos1], weights[pos2] = wbar, wb
                     key = ks + (k,)
                     if exotic:
-                        flags[key] = flags.get(key) or marked or (
+                        flags[key] = flags.get(key) or marked or gauss or (
                             outer_legs % 2 in parities
                             and any(g and w for g, w in zip(gaussian, weights)))
                     if not live:

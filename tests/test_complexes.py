@@ -1180,6 +1180,28 @@ class TestSewnSphereReduction:
         assert _typed(stepped.coefficient(0).coefficient(0)) == (
             "ExactComplex", "ExactComplex(-3)")
 
+    @pytest.mark.parametrize("coeff", [ExactComplex(0, 1), ExactComplex(-2)], ids=["i", "real"])
+    @pytest.mark.parametrize("handles", [((3, -2, 2),), ((3, -2, 2), (-4, 6, 1))],
+                             ids=["once", "twice"])
+    def test_a_gaussian_step_coefficient_at_rational_points(self, coeff, handles):
+        # a(-1) at 5 on a sphere sewn at rational points, stepped by
+        # coeff * a(-1) at 7: D1 moves the held a(-1) into the handle terms
+        # by coeff, so their pairing entries are ExactComplex at rational
+        # points, and so is every coefficient they enter, as the per-term
+        # route gives it (also when coeff is real)
+        surface = Sphere()
+        for zeta1, zeta2, order in handles:
+            surface = surface.sew(SewingData(zeta1=zeta1, zeta2=zeta2), order)
+        insertions = ((A_VECTOR, Fraction(5)),)
+        elem = _element(InsertionTuple(insertions), surface)
+        x_new = (A_VECTOR.scale(coeff), Fraction(7))
+        stepped = apply_Dn(x_new, elem).value.data
+        assert stepped == evaluate(surface, (*insertions, x_new))
+        _assert_identical(stepped, reduce_d1(surface, x_new, insertions)
+                          + reduce_d2(surface, x_new, insertions))
+        _assert_identical(apply_D1(x_new, elem).value.data,
+                          reduce_d1(surface, x_new, insertions))
+
     def test_one_pass_at_exact_complex_points(self):
         # a Gaussian-rational point runs the same one-pass sums, for the
         # sewn evaluation and D^n alike, and the two agree by ==; each

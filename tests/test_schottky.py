@@ -604,9 +604,14 @@ class TestNestedSewingSum:
 KINDS = (int, Fraction, ExactComplex)
 PARTS = ((), (1,), (2,), (1, 1), (3,), (2, 1))
 
+# coefficients rational and Gaussian, a real ExactComplex among them: a
+# state moved by an ExactComplex coefficient makes the pairing entries of
+# its handle terms Gaussian at rational points
 vectors = st.dictionaries(
     st.sampled_from(PARTS),
-    st.sampled_from([Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 4)]),
+    st.sampled_from([Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 4)]
+                    + [ExactComplex(0, 1), ExactComplex(1, -1), ExactComplex(Fraction(1, 2), 2),
+                       ExactComplex(-2)]),
     min_size=1, max_size=2,
 ).map(lambda terms: FockVector({FockState(p): c for p, c in terms.items()}))
 

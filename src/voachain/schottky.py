@@ -6,12 +6,11 @@ insertion weighted by rho^k.  The dual state inserted at the first
 sewing point is taken with respect to the pairing that the sphere
 two-point geometry itself defines: per weight k, the Gram matrix
 H(k)_{bb'} = <1', Y(b, zeta1) Y(b', zeta2) 1> is inverted exactly and
-its inverse, kept as integer blocks over their determinants until the
-points lower each entry once, is the coefficient matrix of the double
-insertion.  This reading of dual-basis sewing is convention-free:
-sewing the bare sphere reproduces the graded dimension series with rho
-equal to the nome on the nose, for any choice of sewing points
-(asserted by tests).
+its inverse (integer blocks over their determinants, each entry lowered
+once at the points) is the double insertion's coefficient matrix.  This
+dual-basis sewing is convention-free: sewing the bare sphere gives the
+graded dimension series with rho equal to the nome, at any sewing
+points (asserted by tests).
 
 A genus-g function is a nested rho-series whose coefficients are sums of
 sphere functions over the paired basis states at the handle points, so
@@ -69,12 +68,11 @@ def handle_pairing(zeta1, zeta2, k: int):
 
     The Gram matrix is H_k(zeta1, zeta2) = (zeta1 - zeta2)^(-2k) G_k,
     with G_k free of the points (translation and scaling covariance of
-    the vacuum two-point function), so H_k^-1 is G_k^-1 scaled.  Each
-    entry of a block of :func:`_gram_inverse` is its integer times the
-    scale over the block's determinant, lowered once; every other entry
-    is one scaled Fraction(0).  Every entry has the type the scale gives,
-    and points of other types are cached apart: 6 and ExactComplex(6)
-    give Fraction and ExactComplex entries.
+    the vacuum two-point function), so H_k^-1 is G_k^-1 scaled.  A block
+    entry of :func:`_gram_inverse` is its integer times the scale over the
+    block's determinant, lowered once; every other entry is one scaled
+    Fraction(0).  Entries have the scale's type, and points of other types
+    are cached apart (6 and ExactComplex(6) give Fraction and ExactComplex).
     """
     basis = weight_basis(k)
     scale = _int_power(zeta1 - zeta2, 2 * k)

@@ -546,13 +546,12 @@ def _expand_components(insertions):
 # it is an ExactComplex when an ExactComplex enters one of them (a
 # weight, an insertion coefficient, a pairing entry, or a point that
 # carries fields in a term with an even number of fields), else a
-# Fraction, as a per-term sum gives it.  A pairing entry is an
-# ExactComplex at an ExactComplex handle point, and also where a
-# reduction has moved a state by an ExactComplex coefficient of the new
-# insertion, at rational points; each group of entries notes it once.
-# With no handle, a term with an odd number of fields is the 0 of its
-# weight times its coefficient (an int 0 when both are ints), as a
-# per-term sum of the int 0 gives it.
+# Fraction, as a per-term sum gives it.  A group of pairing entries
+# notes whether one is an ExactComplex, at rational handle points too: a
+# reduction moves states by the new insertion's coefficients.  With no
+# handle, a term with an odd number of fields is the 0 of its weight
+# times its coefficient (an int 0 when both are ints), as a per-term sum
+# of the int 0 gives it.
 
 
 def sewn_sphere_series(pieces: Sequence[tuple]) -> TruncatedSeries | Scalar:
@@ -655,10 +654,9 @@ def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags
         at1, at2 = ({s: _field_chars(s, p, ctx) for s in dict.fromkeys(
             term[side] for terms_k in terms for term in terms_k)} for side, p in ((1, p1), (2, p2)))
         for terms_k in terms:
-            # the weight-k terms grouped by the weights of bbar and b, each
-            # group's pairing entries as ring elements over their lcm; a
-            # group notes whether an entry is an ExactComplex and which
-            # parities its terms' field counts have
+            # the weight-k terms grouped by the weights of bbar and b: the
+            # group's pairing entries as ring elements over their lcm, whether
+            # one is an ExactComplex, and the parities of the field counts
             groups = {}
             for term in terms_k:
                 groups.setdefault((term[1].weight, term[2].weight), []).append(term)
@@ -672,9 +670,8 @@ def _sewn_piece(ctx, gaussian, position, weight, insertions, handles, acc, flags
                     (n * (common // d), at1[bbar], at2[b], bbar.length + b.length)
                     for (n, d), (_, bbar, b) in zip(split, group)]))
         levels.append((p1, p2, by_weight))
-    exotic = (ctx.gaussian or any(num.__class__ is _GaussInt for num, *_ in combos)
-              or any(group[3] for _, _, by_weight in levels for groups in by_weight
-                     for group in groups))
+    exotic = ctx.gaussian or any(num.__class__ is _GaussInt for num, *_ in combos) or any(
+        group[3] for _, _, by_weight in levels for groups in by_weight for group in groups)
     if not (live or exotic):
         return
 

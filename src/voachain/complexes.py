@@ -29,7 +29,7 @@ from functools import partial
 from itertools import product
 from typing import Mapping, Sequence
 
-from .correlators import sewn_trace_series, sphere_value, torus_trace
+from .correlators import sewn_sphere_series, sewn_trace_series, sphere_value, torus_trace
 from .elliptic import f0_kernel, pm_numerators
 from .schottky import SchottkyData, SewingData, _genus_g_sum, row_reduce_integer
 from .series import (
@@ -49,7 +49,6 @@ from .voa import (
     VACUUM_VECTOR,
     FockVector,
     apply_state_mode,
-    sewn_sphere_series,
     square_bracket_mode,
     zero_mode,
 )

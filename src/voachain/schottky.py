@@ -24,9 +24,9 @@ entry (zeta1, zeta2, rho_order, variable) of a handle list, outermost
 first.  A genus-g value is :class:`~voachain.complexes.Sewn` of the
 sphere and ``SchottkyData.handles``, evaluated at its insertions.
 :func:`_genus_g_sum` fetches each handle's paired terms once and hands
-them to one sum over every handle:
-:func:`~voachain.voa.sewn_sphere_series` on the sphere (one point check,
-one Wick context, one _wick call per paired term), or
+them to one sum over every handle, both in :mod:`voachain.correlators`:
+:func:`~voachain.correlators.sewn_sphere_series` on the sphere (one
+point check, one Wick context, one _wick call per paired term), or
 :func:`~voachain.correlators.sewn_trace_series` on the trace (one trace
 context and one weighted trace sum per rho multi-index), at any exact
 points and coefficients.  The reduction on a sewn surface is a few such
@@ -41,7 +41,8 @@ from typing import Sequence
 
 from .series import (Scalar, TruncatedSeries, _FrozenRecord, _GaussInt, _int_power, _lower,
                      _split, points_coincide)
-from .voa import FockState, _field_chars, _wick, _WickContext, weight_basis
+from .correlators import gram_block
+from .voa import FockState, weight_basis
 
 
 class SewingError(ValueError):
@@ -94,26 +95,19 @@ def _gram_inverse(k: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...],
     block's entries.  The fields of one insertion never contract, so G_k
     is block-diagonal by partition length; :func:`row_reduce_integer` of
     each block B | I ends as +-d I | +-d B^-1.  The entries of G_k are
-    integers: the fields at 1 contract with those at 0 through powers of
-    1 - 0, so at the points 0 and 1 an entry is the Wick recursion's N
-    itself, one _wick call in the context of those points (the fields at
-    0 first, as the canonical order puts them).  That context is built on
-    its own, not fetched from the cache of the sums' contexts, so an
-    inversion evicts none of them; its tables are the ones every
-    two-point context of integer points shares, and each basis state is
-    strung once per point."""
+    integers, as the fields at 1 contract with those at 0 through powers
+    of 1 - 0: each block is one :func:`~voachain.correlators.gram_block`,
+    which evicts no context of the sums."""
     basis = weight_basis(k)
-    ctx = _WickContext((0, 1))
-    at0 = [_field_chars(b, 0, ctx) for b in basis]
-    at1 = [_field_chars(b, 1, ctx) for b in basis]
     blocks: dict[int, list[int]] = {}
     for i, b in enumerate(basis):
         blocks.setdefault(b.length, []).append(i)
     out = []
     for block in blocks.values():
         n = len(block)
-        rows, rank = row_reduce_integer([[_wick(at0[j] + at1[i], ctx) for j in block]
-                                         + [int(i == j) for j in block] for i in block], n)
+        gram = gram_block([basis[i] for i in block])
+        rows, rank = row_reduce_integer([row + [int(i == j) for j in range(n)]
+                                         for i, row in enumerate(gram)], n)
         if rank < n:
             raise SewingError("degenerate sewing pairing matrix")
         sign = 1 if rows[0][0] > 0 else -1
@@ -215,7 +209,7 @@ def _genus_g_sum(handles, pieces, summed):
     and sews the handles after it.  ``pieces(sewn)`` gives the sums to
     take over the fetched handles (each handle's paired terms, as
     :func:`_sewn_handle` gives them), and ``summed`` takes them in one
-    pass, as :func:`~voachain.voa.sewn_sphere_series` does.  Each
+    pass, as :func:`~voachain.correlators.sewn_sphere_series` does.  Each
     handle's paired terms are fetched once, before any sum starts.
 
     A handle summed to order 0 knows none of its coefficients, so no

@@ -4,7 +4,7 @@ The per-term route sums a sewn surface one paired term at a time: the
 sphere function, the graded trace, or the reduction terms of either, at
 every term's points, and one handle at a time over the terms
 (:func:`sewn_series`, nested by :func:`genus_g_sum`).  The package sums
-each of these in one pass (``voa.sewn_sphere_series``,
+each of these in one pass (``correlators.sewn_sphere_series``,
 ``correlators.sewn_trace_series``); the tests compare the two with
 ``_assert_identical``, equal values of equal types.  The pairing the
 sums take has its dense forms here too: :func:`dense_gram_inverse`, the

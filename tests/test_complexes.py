@@ -47,7 +47,7 @@ from voachain.complexes import (
     Sphere,
     Trace,
 )
-from voachain.correlators import sphere_value
+from voachain.correlators import sewn_sphere_series, sphere_value
 from voachain.schottky import SchottkyData, SewingData, row_reduce_integer
 from voachain.series import (
     ExactComplex,
@@ -63,7 +63,6 @@ from voachain.voa import (
     VACUUM_VECTOR,
     FockState,
     FockVector,
-    sewn_sphere_series,
     zero_mode,
 )
 
@@ -411,17 +410,17 @@ class TestChainConditions:
         # the once-sewn intermediates are never valued: the check makes one
         # sewn_sphere_series call per handle order, both at one point set,
         # and the second runs in the first one's Wick context
-        from voachain import complexes, voa
+        from voachain import complexes, correlators
 
         elem = g0_element(("a", Fraction(7)), ("a", Fraction(9)))
         calls = []
 
         def spy(pieces):
-            misses = voa._wick_context.cache_info().misses
+            misses = correlators._wick_context.cache_info().misses
             out = sewn_sphere_series(pieces)
             (_, insertions, handles), = pieces
             points = sorted([z for _, z in insertions] + [z for h in handles for z in h[:2]])
-            calls.append((points, voa._wick_context.cache_info().misses - misses))
+            calls.append((points, correlators._wick_context.cache_info().misses - misses))
             return out
 
         monkeypatch.setattr(complexes, "sewn_sphere_series", spy)
@@ -1089,7 +1088,7 @@ class TestSewnSphereReduction:
         # element's own Wick context, with no sphere function per paired
         # term; it equals the sewn evaluation of the stepped insertions,
         # and D1 and D2 each equal the per-term route, values and types
-        from voachain import complexes, voa
+        from voachain import complexes, correlators
 
         v, y = {**SEWN_POOL, "omega+1": OMEGA_VECTOR + VACUUM_VECTOR}[step], Fraction(9)
         entries = ((A_VECTOR, Fraction(5)), (A_VECTOR + AA, Fraction(7)))
@@ -1103,9 +1102,9 @@ class TestSewnSphereReduction:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(complexes, name, spy)
-        misses = voa._wick_context.cache_info().misses
+        misses = correlators._wick_context.cache_info().misses
         assert apply_Dn((v, y), elem).value == want
-        assert voa._wick_context.cache_info().misses == misses
+        assert correlators._wick_context.cache_info().misses == misses
         # D2 of the vacuum has no move, so no sum
         assert calls == {"sphere_value": 0, "sewn_sphere_series": 1 if step == "1" else 2}
         _assert_identical(apply_D1((v, y), elem).value.data,

@@ -31,7 +31,7 @@ from references import (
 from test_schottky import KINDS, _point, vectors
 from test_voa import _program_caches
 
-from voachain import complexes, correlators, voa
+from voachain import complexes, correlators
 from voachain.complexes import (
     ComplexError,
     InsertionTuple,
@@ -177,7 +177,7 @@ class TestPropagator:
         correlators._torus_context.cache_clear()
         ctx = correlators._torus_context((False, False), (xi, xj), q_order)
         a = FockState((1,))
-        first, partner = voa._field_chars(a, 0, ctx), voa._field_chars(a, 1, ctx)
+        first, partner = correlators._field_chars(a, 0, ctx), correlators._field_chars(a, 1, ctx)
         factor = ctx.contractions[first][partner]
         assert all(type(n) is int for n in factor)
         p2 = pm_qseries(2, xj / xi, q_order)
@@ -319,6 +319,27 @@ class TestScalarTypes:
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError, match="pairwise distinct"):
             torus_trace([(A_VECTOR, Fraction(2)), (A_VECTOR, ExactComplex(2))], 3)
+
+    @pytest.mark.parametrize("insertions, error", [
+        ([(A_VECTOR, 2), (A_VECTOR, ExactComplex(2))], ValueError),
+        ([(A_VECTOR, 0), (A_VECTOR, 3)], ValueError),
+        ([(A_VECTOR, 2.5), (A_VECTOR, 3)], SeriesError),
+        ([(A_VECTOR.scale(0.5), 2), (A_VECTOR, 3)], SeriesError),
+    ], ids=["coincident", "at-zero", "float-point", "float-coefficient"])
+    @pytest.mark.parametrize("q_order", [0, 1, 3])
+    def test_an_input_is_refused_at_every_q_order(self, insertions, error, q_order):
+        # at q 0 no coefficient is known, but what any order refuses is
+        # refused there too, by the trace and by its evaluator
+        with pytest.raises(error):
+            torus_trace(insertions, q_order)
+        with pytest.raises(error):
+            torus_trace(insertions, q_order, zero_mode_state=AA)
+        with pytest.raises(error):
+            Trace(q_order).evaluate(tuple(insertions))
+
+    def test_an_inexact_zero_mode_coefficient_is_refused_at_q_0(self):
+        with pytest.raises(SeriesError, match="is not exact"):
+            torus_trace([(A_VECTOR, 2), (A_VECTOR, 3)], 0, zero_mode_state=AA.scale(0.5))
 
     @pytest.mark.parametrize("point", [2.5, 2 + 1j], ids=["float", "complex"])
     def test_float_and_complex_points_are_refused(self, point):

@@ -22,7 +22,7 @@ from references import (
     torus_qseries,
 )
 
-from voachain import schottky, voa
+from voachain import correlators, schottky, voa
 from voachain.complexes import (
     ComplexError,
     InsertionTuple,
@@ -193,9 +193,9 @@ class TestGramInverse:
         # the Gram context is built on the shared two-point tables, not
         # through the sums' two-entry context cache
         _gram_inverse.cache_clear()
-        before = voa._wick_context.cache_info()
+        before = correlators._wick_context.cache_info()
         _gram_inverse(6)
-        assert voa._wick_context.cache_info() == before
+        assert correlators._wick_context.cache_info() == before
 
 
 def _full_gram_inverse(z1, z2, k):
@@ -669,7 +669,8 @@ def _sewn_chain(handles):
 def _one_pass(handles, insertions):
     # the sewn sums as Sewn.evaluate takes them on the sphere, every
     # handle at once
-    return _genus_g_sum(handles, lambda sewn: [(1, insertions, sewn)], voa.sewn_sphere_series)
+    return _genus_g_sum(handles, lambda sewn: [(1, insertions, sewn)],
+                        correlators.sewn_sphere_series)
 
 
 def _per_term_sewn(handles, entries):
@@ -723,7 +724,7 @@ class TestSewnSphereSeries:
         handle = _sewn_handle(Fraction(-1), 1, 3, "rho")
         a3 = (A_VECTOR, 3)
         gaussian = ExactComplex(2, 1)
-        sewn = voa.sewn_sphere_series([(1, [(A_VECTOR, Fraction(2)), a3], [handle])])
+        sewn = correlators.sewn_sphere_series([(1, [(A_VECTOR, Fraction(2)), a3], [handle])])
         assert sewn.coefficient(0) == 1 and type(sewn.coefficient(1)) is Fraction
         for insertions, handles in (([(A_VECTOR, gaussian), a3], [(-1, 1, 3, "rho")]),
                                     ([(FockVector({A_STATE: gaussian}), 2), a3],
@@ -732,11 +733,11 @@ class TestSewnSphereSeries:
             _assert_identical(_one_pass(handles, insertions),
                               genus_g_sum(handles, insertions, sphere_value))
         with pytest.raises(ValueError, match="pairwise distinct"):
-            voa.sewn_sphere_series([(1, [(A_VECTOR, ExactComplex(1)), a3], [handle])])
+            correlators.sewn_sphere_series([(1, [(A_VECTOR, ExactComplex(1)), a3], [handle])])
         with pytest.raises(SeriesError, match="is not exact"):
-            voa.sewn_sphere_series([(1, [(A_VECTOR, 2.0), a3], [handle])])
+            correlators.sewn_sphere_series([(1, [(A_VECTOR, 2.0), a3], [handle])])
         with pytest.raises(SeriesError, match="is not exact"):
-            voa.sewn_sphere_series([(1, [(A_VECTOR.scale(0.5), 2), a3], [handle])])
+            correlators.sewn_sphere_series([(1, [(A_VECTOR.scale(0.5), 2), a3], [handle])])
 
     def test_sphere_term_reads_the_kernel_memo(self, monkeypatch):
         # the sewn sums number the fields as the bare sphere sum does, so a
@@ -749,17 +750,17 @@ class TestSewnSphereSeries:
         term = [(A_STATE, Fraction(5)), (A_STATE, Fraction(7)),
                 (bbar1, points[0]), (b1, points[1]), (bbar2, points[2]), (b2, points[3])]
         points = tuple(z for _, z in term)
-        ctx = voa._wick_context((False,) * len(points),
-                                tuple(points[i] for i in voa._canonical_order(points)))
+        ctx = correlators._wick_context(
+            (False,) * len(points), tuple(points[i] for i in correlators._canonical_order(points)))
         memo_size = len(ctx.memo)
         calls = []
-        wick = voa._wick
+        wick = correlators._wick
 
         def counted(fields, ctx):
             calls.append(ctx)
             return wick(fields, ctx)
 
-        monkeypatch.setattr(voa, "_wick", counted)
+        monkeypatch.setattr(correlators, "_wick", counted)
         value = sphere_value([(FockVector({s: 1}), z) for s, z in term[::-1]])
         assert calls == [ctx]
         assert len(ctx.memo) == memo_size

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from references import _pow, leg_contraction
 
-from voachain import voa
+from voachain import correlators, voa
 from voachain.correlators import sphere_value
 from voachain.series import ExactComplex, SeriesError, TruncatedSeries, _GaussInt
 from voachain.voa import (
@@ -639,17 +639,17 @@ def _program_caches():
 
 
 def _cold(fn, *args):
-    voa._wick_context.cache_clear()
-    voa._two_point_tables.cache_clear()
-    voa._canonical_order.cache_clear()
+    correlators._wick_context.cache_clear()
+    correlators._two_point_tables.cache_clear()
+    correlators._canonical_order.cache_clear()
     return fn(*args)
 
 
 def _context_of(points):
     """The Wick context of a point set, fetched by its canonical key."""
-    order = voa._canonical_order(tuple(points))
+    order = correlators._canonical_order(tuple(points))
     points = tuple(points[i] for i in order)
-    return voa._wick_context(tuple(isinstance(z, ExactComplex) for z in points), points)
+    return correlators._wick_context(tuple(isinstance(z, ExactComplex) for z in points), points)
 
 
 # the points a drawn third t gives each kind; vacuum slots take fresh
@@ -832,13 +832,13 @@ class TestWickContext:
         # partner, so each state of 16, 14, ..., 2 fields is entered once,
         # and the two-field state closes on the memo's empty state
         calls = []
-        wick_sum = voa._wick_sum
+        wick_sum = correlators._wick_sum
 
         def counted(fields, ctx):
             calls.append(len(fields))
             return wick_sum(fields, ctx)
 
-        monkeypatch.setattr(voa, "_wick_sum", counted)
+        monkeypatch.setattr(correlators, "_wick_sum", counted)
         power = FockState((1,) * 8)
         _cold(sphere, [(power, 7), (power, 5)])
         assert calls == [16, 14, 12, 10, 8, 6, 4, 2]
@@ -891,7 +891,7 @@ class TestWickContext:
         insertions = [(A_STATE, big), (A_STATE, big + Fraction(1, 2)), (VACUUM, Fraction(1))]
         values = [_cold(sphere, insertions), sphere(insertions[::-1])]
         assert values == [4, 4]
-        assert voa._wick_context.cache_info().misses == 1
+        assert correlators._wick_context.cache_info().misses == 1
 
     def test_gaussian_memo_holds_one_gaussian_integer_per_state(self):
         # one ExactComplex point moves the whole context to Gaussian
@@ -915,16 +915,16 @@ class TestWickContext:
         basis = _states_up_to(4)
         batch = [[(rng.choice(basis[1:]), z) for z in points] + [(rng.choice(_states_up_to(3)), 0)]
                  for _ in range(60)]
-        voa._wick_context.cache_clear()
+        correlators._wick_context.cache_clear()
         cold = [_typed(sphere(e)) for e in batch]
         warm = [_typed(sphere(e)) for e in batch]
         order = list(range(len(batch)))
         rng.shuffle(order)
-        voa._wick_context.cache_clear()
+        correlators._wick_context.cache_clear()
         shuffled = {i: _typed(sphere(batch[i])) for i in order}
         assert warm == cold
         assert [shuffled[i] for i in range(len(batch))] == cold
-        assert voa._wick_context.cache_info().misses == 1
+        assert correlators._wick_context.cache_info().misses == 1
 
     @pytest.mark.parametrize("kinds", [[int, Fraction, ExactComplex],
                                        [ExactComplex, Fraction, int]])
@@ -937,7 +937,7 @@ class TestWickContext:
         values = [5, -2, 3, 7]
         args = {kind: [*zip(states, map(kind, values)), (FockState((2, 1)), 0)]
                 for kind in kinds}
-        voa._wick_context.cache_clear()
+        correlators._wick_context.cache_clear()
         shared = {kind: _typed(sphere(args[kind])) for kind in kinds}
         for kind in kinds:
             assert shared[kind] == _typed(_cold(sphere, args[kind])), kind
@@ -948,12 +948,12 @@ class TestWickContext:
         # the two-point tables too: a memo kept across passes would make
         # every pass after the first a warm one
         sphere([(FockState((1,)), 2), (FockState((1,)), 3)])
-        assert voa._wick_context.cache_info().currsize > 0
-        assert voa._two_point_tables.cache_info().currsize > 0
+        assert correlators._wick_context.cache_info().currsize > 0
+        assert correlators._two_point_tables.cache_info().currsize > 0
         for cache in _program_caches():
             cache.cache_clear()
-        assert voa._wick_context.cache_info().currsize == 0
-        assert voa._two_point_tables.cache_info().currsize == 0
+        assert correlators._wick_context.cache_info().currsize == 0
+        assert correlators._two_point_tables.cache_info().currsize == 0
 
     def test_an_evicted_context_is_freed_without_the_cyclic_collector(self):
         # one context is kept, and its rows hold no reference back to its
@@ -979,7 +979,7 @@ class TestWickContext:
         finally:
             if enabled:
                 gc.enable()
-        assert voa._wick_context.cache_info().currsize == 1
+        assert correlators._wick_context.cache_info().currsize == 1
 
     @settings(max_examples=60, deadline=None)
     @given(_two_point_elements(), _two_point_elements())
@@ -1022,7 +1022,7 @@ class TestWickContext:
         # a(-k) pairs for k <= 300 on the shared two-point tables: 600
         # fields, so the later ones take characters past one byte
         z1, z2 = Fraction(3, 2), Fraction(-1)
-        voa._two_point_tables.cache_clear()
+        correlators._two_point_tables.cache_clear()
         for k in range(1, 301):
             state = FockState((k,))
             assert sphere([(state, z1), (state, z2)]) == _one_contraction(k, z1, z2), k
@@ -1034,10 +1034,10 @@ class TestWickContext:
         # a lone field has no partner: the state is 0, not an IndexError
         ctx = _cold(_context_of, list(points))
         a = FockState((1,))
-        for fields in [voa._field_chars(a, 0, ctx),
-                       "".join(voa._field_chars(a, pi, ctx) for pi in range(3)),
-                       voa._field_chars(FockState((2, 1, 1)), 1, ctx)]:
-            value = voa._wick(fields, ctx)
+        for fields in [correlators._field_chars(a, 0, ctx),
+                       "".join(correlators._field_chars(a, pi, ctx) for pi in range(3)),
+                       correlators._field_chars(FockState((2, 1, 1)), 1, ctx)]:
+            value = correlators._wick(fields, ctx)
             assert type(value) is type(ctx.zero) and not value
 
     def test_vacuum_and_legged_states_share_one_context(self):
@@ -1050,10 +1050,10 @@ class TestWickContext:
         assert any(s == VACUUM for ins in batch for s, _ in ins)
         assert any(s != VACUUM for ins in batch for s, _ in ins)
         cold = [_typed(_cold(sphere, e)) for e in batch]
-        voa._wick_context.cache_clear()
+        correlators._wick_context.cache_clear()
         shared = [_typed(sphere(e)) for e in batch]
         assert shared == cold
-        assert voa._wick_context.cache_info().misses == 1
+        assert correlators._wick_context.cache_info().misses == 1
 
     def test_vacuum_point_never_enters_a_value(self):
         # a legged state at the ExactComplex point fills the context with
@@ -1063,10 +1063,10 @@ class TestWickContext:
         legged = [(FockState((1,)), Fraction(3)), (FockState((1, 1)), point),
                   (FockState((2,)), Fraction(1))]
         vacuum = [legged[0], (VACUUM, point), legged[2]]
-        voa._wick_context.cache_clear()
+        correlators._wick_context.cache_clear()
         assert type(sphere(legged)) is ExactComplex
         warm = _typed(sphere(vacuum))
-        assert voa._wick_context.cache_info().misses == 1
+        assert correlators._wick_context.cache_info().misses == 1
         assert warm == _typed(_cold(sphere, vacuum))
         assert warm[0] is Fraction
 
@@ -1081,7 +1081,7 @@ class TestWickContext:
             cache.cache_clear()
         sd = SchottkyData(genus=2, points=(Fraction(-1), Fraction(1), Fraction(-4), Fraction(4)))
         Sewn(Sphere(), sd.handles((4, 4))).evaluate(())
-        assert voa._wick_context.cache_info().misses == 1
+        assert correlators._wick_context.cache_info().misses == 1
 
     def test_swapped_handles_reuse_the_context(self):
         # the same handle sums in the other handle order: every paired
@@ -1097,11 +1097,11 @@ class TestWickContext:
             cache.cache_clear()
         points = (Fraction(-1), Fraction(1), Fraction(-4), Fraction(4))
         series = partition(points)
-        misses = voa._wick_context.cache_info().misses
+        misses = correlators._wick_context.cache_info().misses
         ctx = _context_of(points)
         entries = len(ctx.memo)
         swapped = partition(points[2:] + points[:2])
-        assert voa._wick_context.cache_info().misses == misses
+        assert correlators._wick_context.cache_info().misses == misses
         assert _context_of(points) is ctx and len(ctx.memo) == entries
         for j in range(4):
             for k in range(4):

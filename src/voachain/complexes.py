@@ -150,6 +150,10 @@ class Sphere(_FrozenRecord):
         return (partial(apply_state_mode, comp),
                 lambda m, z_k: f0_kernel(wt, m)(z_new, z_k))
 
+    def _moved_states(self, vec):
+        # a moved paired state enters the sewn sums as its basis states
+        return vec.terms.items()
+
     def _sum(self, pieces):
         # every piece and handle in one sewn_sphere_series call: the
         # rho-series on a sewn sphere, the sphere function on the bare one
@@ -206,6 +210,11 @@ class Trace(_FrozenRecord):
         # each a q-series of ring numerators over one denominator
         return (lambda m, state: square_bracket_mode(comp, m)(state),
                 lambda m, x_k: pm_numerators(m + 1, _ratio(x_new, x_k), self.q_order))
+
+    def _moved_states(self, vec):
+        # a moved paired state enters the trace sums whole, one term, so
+        # the sum types it as its own trace
+        return [] if vec.is_zero() else [(vec, 1)]
 
     def _sum(self, pieces):
         # every piece and handle in one sewn_trace_series call: one
@@ -425,8 +434,8 @@ def _pair_moves(base, v, z, entries, sewn):
     # the moves of v at the pair slots of every handle h, as pieces: per
     # homogeneous component, side (bbar at zeta1, b at zeta2) and mode m,
     # the kernel at that sewing point times the sums with h's paired terms
-    # replaced by their moved terms, each weighted by the moved state's
-    # coefficient
+    # replaced by their moved terms, each weighted by the coefficient of
+    # a state that base._moved_states gives of the moved vector
     for h, (zeta1, zeta2, terms, variable) in enumerate(sewn):
         for wt, comp in v.homogeneous_components().items():
             mode, kernel = base._mode_terms(wt, comp, z)
@@ -440,7 +449,7 @@ def _pair_moves(base, v, z, entries, sewn):
                             moved[state] = [(m, mode(m, vec)) for m in
                                             range(0, _mode_reach(comp, vec) + 1)]
                         for m, vec in moved[state]:
-                            for s, coeff in vec.terms.items():
+                            for s, coeff in base._moved_states(vec):
                                 by_mode.setdefault(m, [[] for _ in terms])[k].append(
                                     (c * coeff, s, b) if side == 0 else (c * coeff, bbar, s))
                 for m, moved_terms in by_mode.items():

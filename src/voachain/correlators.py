@@ -177,10 +177,12 @@ def torus_trace_sum(terms: Sequence[tuple], q_order: int) -> TruncatedSeries:
     over a positive int denominator, as
     :func:`~voachain.elliptic.pm_numerators` gives the P_m kernels.  Every
     term reads the tables of one context, Z(q) multiplies the sum once
-    and each coefficient is lowered once: an ExactComplex when an
-    ExactComplex enters a term (a scalar weight, a coefficient, a point
-    carrying fields, through its x^wt dressing, or a q-series weight of a
-    term with a pairing), else a Fraction.  The terms must not be empty.
+    and each coefficient is lowered once.  A coefficient is typed as a sum
+    of the terms' own traces gives it, each term its own weighted
+    :func:`torus_trace`: an ExactComplex when that coefficient is not 0
+    in a term that an ExactComplex enters (a scalar weight, a
+    coefficient, a point carrying fields, through its x^wt dressing, or a
+    q-series weight), else a Fraction.  The terms must not be empty.
     An input that one q-order refuses is refused at every q-order.
     """
     points = [x for _, x in terms[0][1]]
@@ -195,17 +197,19 @@ def torus_trace_sum(terms: Sequence[tuple], q_order: int) -> TruncatedSeries:
         return TruncatedSeries("q", {}, q_order)
     ctx = _torus_context(tuple(isinstance(x, ExactComplex) for x in points),
                          tuple(points), q_order)
-    total, den, gaussian = [0] * q_order, 1, False
+    total, den, flags = [0] * q_order, 1, [False] * q_order
     for weight, insertions, zero_mode_state in terms:
         series = weight if isinstance(weight, tuple) else None
         if series is not None:
-            # a q-series weight enters only the terms with a pairing
             weight, series_gaussian = 1, any(n.__class__ is _GaussInt for n in series[0])
         if zero_mode_state is None:
             zero_mode_terms = [("", 1)]
         else:
             zero_mode_terms = [("".join(sorted(chr(p - 1) for p in state.partition)), c)
                                for (state,), c in _expand_components([(zero_mode_state, 1)])]
+        # the term's own sum, and whether an ExactComplex enters it (also
+        # in a combination with no pairing, which adds 0)
+        term, gaussian = None, False
         for states, coeff in _expand_components(insertions):
             fields = "".join(sorted("".join(_field_chars(s, i, ctx)
                                             for i, s in enumerate(states))))
@@ -214,7 +218,6 @@ def torus_trace_sum(terms: Sequence[tuple], q_order: int) -> TruncatedSeries:
             m, closed, dressing_gaussian = _closed_form(ctx, fields)
             for v_fields, c in zero_mode_terms:
                 scale = c * coeff * weight
-                # a term with no pairing is 0, of its scale's type
                 gaussian = gaussian or dressing_gaussian or isinstance(scale, ExactComplex)
                 nums = _zero_mode_sum(ctx, v_fields, fields, 0)
                 if nums is None:
@@ -225,9 +228,20 @@ def torus_trace_sum(terms: Sequence[tuple], q_order: int) -> TruncatedSeries:
                     gaussian = gaussian or series_gaussian
                     nums, d = _mul_add(None, series[0], nums, 1), d * series[1]
                 num = num * m
-                total, den = _accumulate((total, den), ([num * n for n in nums], d))
+                nums = [num * n for n in nums]
+                term = (nums, d) if term is None else _accumulate(term, (nums, d))
+        if term is None:
+            continue
+        total, den = _accumulate((total, den), term)
+        if gaussian:
+            # the q^k coefficients that are not 0 in the term's own trace,
+            # Z(q) times its sum, are ExactComplex ones
+            nums = term[0]
+            for k in range(q_order):
+                if not flags[k]:
+                    flags[k] = bool(sum(p * n for p, n in zip(ctx.partition[k::-1], nums)))
     coeffs = _mul_add(None, ctx.partition, total, 1)  # times Z(q)
-    return TruncatedSeries("q", {k: _lower(c, den, gaussian) for k, c in enumerate(coeffs) if c},
+    return TruncatedSeries("q", {k: _lower(c, den, flags[k]) for k, c in enumerate(coeffs) if c},
                            q_order)
 
 
@@ -239,14 +253,16 @@ def sewn_trace_series(pieces: Sequence[tuple], q_order: int) -> TruncatedSeries:
 
     Each handle is (zeta1, zeta2, terms, variable), terms[k] the
     weight-k paired terms (c, bbar, b), as :func:`sewn_sphere_series`
-    takes them; w is a weight of :func:`torus_trace_sum`.  The
+    takes them, or with a reduction's moved FockVector in place of bbar
+    or b, one term, so the sum types it as its own trace; w is a weight
+    of :func:`torus_trace_sum`.  The
     coefficient of rho_1^k1 ... rho_g^kg is one :func:`torus_trace_sum`
     over the terms of that multi-index of every piece, with weight
     w c_1 ... c_g.  Every piece has the points of the first, slot for
     slot; with no handles the sum is the weighted trace sum itself.
     """
     # each piece's handles by weight, with the pair as insertions
-    levels = [[[[(c, (FockVector({bbar: 1}), zeta1), (FockVector({b: 1}), zeta2))
+    levels = [[[[(c, (_vector(bbar), zeta1), (_vector(b), zeta2))
                  for c, bbar, b in terms_k] for terms_k in terms]
                for zeta1, zeta2, terms, _ in handles] for _, _, handles, _ in pieces]
     handles = pieces[0][2]
@@ -271,6 +287,11 @@ def sewn_trace_series(pieces: Sequence[tuple], q_order: int) -> TruncatedSeries:
                 level = level.setdefault(k, {})
             level[ks[-1]] = series
     return _as_series(values, [(variable, len(terms)) for _, _, terms, variable in handles])
+
+
+def _vector(state):
+    # a paired basis state as a vector; a moved one is a vector already
+    return state if isinstance(state, FockVector) else FockVector({state: 1})
 
 
 def _weighed(weight, c):

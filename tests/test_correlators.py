@@ -476,6 +476,11 @@ def _counted_traces():
 class TestWeightedTraceSum:
     @settings(max_examples=40, deadline=None)
     @given(trace_steps())
+    # the moves of i a(-1)^2 have no pairing at q^0: the sum there is a
+    # Fraction, as the per-term traces give it, though an ExactComplex
+    # enters the sum
+    @example(([(FockVector({FockState(()): -3, FockState((1,)): -3}), -6)],
+              (FockVector({FockState((1,)): -3, FockState((1, 1)): ExactComplex(0, 1)}), -5), 1))
     def test_d2_and_dn_at_exact_points_match_the_per_term_route(self, case):
         entries, x_new, q_order = case
         elem = _element(InsertionTuple(tuple(entries)), Trace(q_order))
@@ -594,6 +599,9 @@ class TestSewnTraceSeries:
 
     @settings(max_examples=25, deadline=None)
     @given(sewn_trace_steps())
+    # each coefficient is typed by the per-term traces not 0 there
+    @example(([], [(-6, -5, 2)],
+              (FockVector({FockState(()): ExactComplex(-2), FockState((1, 1)): 1}), -4), 2))
     def test_reduction_at_exact_points_matches_the_per_term_route(self, case):
         # D1 (o(v) and the moves at the pair slots) and D2 (the moves at
         # the element's slots) as one trace sum per rho multi-index
@@ -613,6 +621,8 @@ class TestSewnTraceSeries:
     # type its per-term product has: the kernel times the empty series
     @example(([], [(-6, -5, 1), (-4, -3, 2)],
               (FockVector({FockState(()): -3, FockState((1,)): -3}), ExactComplex(-6, 1)), 1))
+    @example(([], [(-6, -2, 1), (-4, -3, 2)],
+              (FockVector({FockState((1,)): ExactComplex(0, 1), FockState((1, 1)): -3}), -5), 1))
     def test_reduction_at_gaussian_points_matches_the_per_term_route(self, case):
         insertions, handles, x_new, q_order = case
         surface = _sewn_trace(q_order, handles)
@@ -623,6 +633,20 @@ class TestSewnTraceSeries:
         assert calls == []
         _assert_identical(got_d1, reduce_d1(surface, x_new, insertions))
         _assert_identical(got_d2, reduce_d2(surface, x_new, insertions))
+
+    @pytest.mark.parametrize("c1, c2, entries", [
+        (ExactComplex(0, 1), 3, [(A_VECTOR, Fraction(5))]),
+        (3, ExactComplex(0, 1), []),
+        (ExactComplex(1, -1), 3, [(A_VECTOR, Fraction(5))]),
+    ], ids=["i-even", "i-odd", "gaussian-even"])
+    def test_a_moved_pair_state_is_typed_as_its_own_trace(self, c1, c2, entries):
+        # c1 a(-1)^2 + c2 a(-2) moves a paired state into basis states of
+        # both field parities: only one parity has a pairing, and the
+        # ExactComplex coefficient of the other still types that trace
+        v = FockVector({FockState((1, 1)): c1, FockState((2,)): c2})
+        surface = Trace(2).sew(SewingData(zeta1=3, zeta2=-2), 2)
+        elem = _element(InsertionTuple(tuple(entries)), surface)
+        _assert_identical(apply_D1((v, 7), elem).value.data, reduce_d1(surface, (v, 7), entries))
 
     @pytest.mark.parametrize("zero", [0, Fraction(0), ExactComplex(0)],
                              ids=["int", "Fraction", "ExactComplex"])

@@ -24,7 +24,6 @@ from .complexes import (
     ComplexError,
     InsertionTuple,
     ProbeComplex,
-    Sewn,
     Sphere,
     apply_Dg,
     apply_Dn,
@@ -419,7 +418,7 @@ def cmd_partition(args) -> int:
     cfg = read_config(args.config, "partition")
     # the sphere sewn with every handle: at genus 1 too, not the trace
     handles = build_schottky(cfg).handles(cfg["truncation", "rho_orders"])
-    series = Sewn(Sphere(), handles).evaluate(()).data
+    series = Sphere(handles).evaluate(()).data
     emit_report("partition", cfg, series=series.to_json_dict())
     return 0
 

@@ -6,14 +6,15 @@ Every point is exact, and so is every correlation value: genus 0 is
 the sphere engine, genus 1 the Gaussian form of the graded trace (Z(q)
 times pairings of exact q-series propagators) with exact per-order
 kernel expansions, genus g >= 2 the paired basis sums of g handles.
-Each chain element carries the evaluator that gives its value (:class:`Sphere`,
-:class:`Trace`, or :class:`Sewn`, handles sewn onto either of them);
+Each chain element carries the evaluator that gives its value, the one
+record of its surface: :class:`Sphere` or :class:`Trace` with its
+handles, none on the bare sphere and trace;
 differentials transform the insertion tuple and re-evaluate through
 that evaluator, so reduction-vs-oracle agreement is a checkable theorem
 rather than a construction.  A value is computed when it is first read:
 no differential reads the value of its input, and each checks its input
 when it is applied.  There is one reduction, the sphere's or the
-trace's, run as one-pass sums over the handles on a sewn surface.
+trace's, run as one-pass sums over the handles.
 
 Chain conditions are reported in commutation form (the residuals of the
 two composition orders), alongside the raw composition norms; the
@@ -29,7 +30,7 @@ from functools import partial
 from itertools import product
 from typing import Mapping, Sequence
 
-from .correlators import sewn_sphere_series, sewn_trace_series, sphere_value, torus_trace
+from .correlators import sewn_sphere_series, sewn_trace_series
 from .elliptic import f0_kernel, pm_numerators
 from .schottky import SchottkyData, SewingData, _genus_g_sum, row_reduce_integer
 from .series import (
@@ -94,41 +95,88 @@ class CorrelationFunction(_FrozenRecord):
 
 # -- evaluators --------------------------------------------------------
 #
-# Each evaluator maps insertion entries to a CorrelationFunction by one
-# presentation of the surface, and is the one record of that surface:
-# its genus, truncation orders and handles.  It names the
-# handle points on it, and sews one more handle on (apply_Dg).  For the
-# reduction (apply_D1, apply_D2) it supplies the zero of its values and
-# its check on a new point; the sphere and the trace also supply their
-# check on a step's new point and state, their zero-mode piece, the D2
-# mode action and kernel for one homogeneous component of the new state,
-# and the one-pass sum of pieces (w, insertions, handles, v): w times
-# the function with o(v) inserted and the handles sewn on, all pieces at
-# the points of the first.  A sewn surface runs the reduction as such
-# sums over its handles.
+# An evaluator is the one record of a surface: the sphere or the trace
+# with ``handles`` sewn on, each (zeta1, zeta2, rho_order, variable),
+# outermost first, as :func:`~voachain.schottky._genus_g_sum` sums them.
+# Every value is one such sum over the base's one-pass sum, and so is
+# every step of the reduction (apply_D1, apply_D2): with no handle it is
+# the sphere function or the trace itself.  The surface names its genus,
+# its handle points and the zero of its values, checks a new point, and
+# sews one more handle on (apply_Dg).  The sphere and the trace supply
+# the rest: their rule for a point, their check on a step's new point
+# and state, their zero-mode piece, the D2 mode action and kernel for
+# one homogeneous component of the new state, and the one-pass sum of
+# pieces (w, insertions, handles, v): w times the function with o(v)
+# inserted and the handles sewn on, all pieces at the points of the
+# first.
 
 
-class Sphere(_FrozenRecord):
-    """Genus 0: the exact sphere engine between vacua.  D1 is
-    z^{-wt v} <1', o(v) Y(...) 1> per homogeneous component (the placement
-    that makes iterated reduction reproduce the oracle exactly); D2 takes
-    the rational kernels f^(0) with round modes."""
+class _Surface(_FrozenRecord):
+    """The sphere or the trace with handles sewn on.  Every genus-g
+    value is the sphere sewn with the g handles of a
+    :class:`~voachain.schottky.SchottkyData`, given by
+    :meth:`~voachain.schottky.SchottkyData.handles` as rho{g}, ..., rho1;
+    the first handle sewn onto a base by D^g is rho, and a handle sewn on
+    top of g others is rho{g+1}.  The pairs ride along inside the base
+    function, so on the trace the coefficients are q-series and the rho^0
+    term is the genus-1 input itself (vacuum pair): the degeneration
+    identity.
+
+    The reduction is the base's, run inside the sums, which are linear in
+    the base function (see :func:`apply_D1` and :func:`apply_D2`): D^n of
+    the function equals the sums with the new insertion, coefficient for
+    coefficient, however the handles were sewn."""
 
     __slots__ = ()
-    genus = 0
-    prefactor_exponent = Fraction(0)
-    handle_points = ()
+
+    @property
+    def genus(self) -> int:
+        return self._base_genus + len(self.handles)
+
+    @property
+    def handle_points(self) -> tuple:
+        return tuple(z for zeta1, zeta2, _, _ in self.handles for z in (zeta1, zeta2))
 
     def evaluate(self, entries) -> CorrelationFunction:
-        return CorrelationFunction(0, sphere_value(entries))
+        data = _genus_g_sum(self.handles, lambda sewn: [(1, entries, sewn, None)], self._sum)
+        return CorrelationFunction(self.genus, data, self.prefactor_exponent)
 
-    def sew(self, sd: SewingData, rho_order: int) -> "Sewn":
-        return Sewn(self, ()).sew(sd, rho_order)
+    def sew(self, sd: SewingData, rho_order: int) -> "_Surface":
+        variable = f"rho{len(self.handles) + 1}" if self.handles else "rho"
+        return self._replace(handles=((sd.zeta1, sd.zeta2, rho_order, variable), *self.handles))
 
     def _zero(self):
+        # as the sums give it: a handle to order 0 leaves no coefficient known
+        if not self.handles:
+            return self._base_zero()
+        _, _, rho_order, variable = self.handles[0]
+        known = all(order for _, _, order, _ in self.handles)
+        return TruncatedSeries.zero(variable, rho_order if known else 0)
+
+    def _require_point(self, y):
+        self._require_base_point(y)
+        if points_coincide([*self.handle_points, y]):
+            raise ComplexError("insertion points must differ from the handle points")
+
+
+class Sphere(_Surface):
+    """Genus 0, and the g handles sewn on it at genus g: the exact sphere
+    engine between vacua.  D1 is z^{-wt v} <1', o(v) Y(...) 1> per
+    homogeneous component (the placement that makes iterated reduction
+    reproduce the oracle exactly); D2 takes the rational kernels f^(0)
+    with round modes."""
+
+    __slots__ = ("handles",)
+    _base_genus = 0
+    prefactor_exponent = Fraction(0)
+
+    def __init__(self, handles: tuple[tuple, ...] = ()):
+        self._set_fields(handles)
+
+    def _base_zero(self):
         return 0
 
-    def _require_point(self, z):
+    def _require_base_point(self, z):
         pass
 
     def _require_step_point(self, v, z):
@@ -168,39 +216,35 @@ def _vacuum_elements(v: FockVector) -> dict:
             for wt, comp in v.homogeneous_components().items()}
 
 
-class Trace(_FrozenRecord):
-    """Genus 1: the graded trace to ``q_order`` (points are x = e^z), in
-    Gaussian form (:func:`~voachain.correlators.torus_trace`).  D1 is the
+def _require_torus_point(x: Scalar):
+    if x == 0:
+        raise ComplexError(
+            "genus-1 points are exponentiated coordinates x = e^z and cannot be 0"
+        )
+
+
+class Trace(_Surface):
+    """Genus 1, and handles sewn on it: the graded trace to ``q_order``
+    (points are x = e^z), in Gaussian form
+    (:func:`~voachain.correlators.torus_trace_sum`).  D1 is the
     o(v)-inserted trace, the x^0 coefficient of v's fields at a formal x
     paired into the trace; D2 takes the P_{m+1} expansions with
     square-bracket modes."""
 
-    __slots__ = ("q_order",)
-    genus = 1
+    __slots__ = ("q_order", "handles")
+    _base_genus = 1
     prefactor_exponent = Fraction(-CENTRAL_CHARGE, 24)
-    handle_points = ()
 
-    def __init__(self, q_order: int):
-        self._set_fields(q_order)
+    def __init__(self, q_order: int, handles: tuple[tuple, ...] = ()):
+        self._set_fields(q_order, handles)
 
-    def evaluate(self, entries) -> CorrelationFunction:
-        for _, x in entries:
-            _require_torus_point(x)
-        return CorrelationFunction(
-            1, torus_trace(entries, self.q_order), self.prefactor_exponent
-        )
-
-    def _zero(self):
+    def _base_zero(self):
         return TruncatedSeries.zero("q", self.q_order)
 
-    def _require_point(self, x):
-        _require_torus_point(x)
+    _require_base_point = staticmethod(_require_torus_point)
 
     def _require_step_point(self, v, x):
         pass  # x is checked as a point
-
-    def sew(self, sd: SewingData, rho_order: int) -> "Sewn":
-        return Sewn(self, ()).sew(sd, rho_order)
 
     def _zero_mode_piece(self, entries, sewn, v, x):
         return 1, entries, sewn, v
@@ -218,7 +262,8 @@ class Trace(_FrozenRecord):
 
     def _sum(self, pieces):
         # every piece and handle in one sewn_trace_series call: one
-        # torus_trace_sum per rho multi-index, or the one sum with no handles
+        # torus_trace_sum per rho multi-index, or the one sum with no
+        # handles; a point 0 is refused here, when the value is read
         _, entries, sewn, _ = pieces[0]
         for _, x in entries:
             _require_torus_point(x)
@@ -226,64 +271,6 @@ class Trace(_FrozenRecord):
             _require_torus_point(zeta1)
             _require_torus_point(zeta2)
         return sewn_trace_series(pieces, self.q_order)
-
-
-class Sewn(_FrozenRecord):
-    """Handles sewn onto the sphere or onto a trace: the paired basis sums.
-
-    ``handles`` lists (zeta1, zeta2, rho_order, variable) per handle,
-    outermost first, as :func:`~voachain.schottky._genus_g_sum` sums
-    them over ``base``.  Every genus-g value is the sphere sewn with the
-    g handles of a :class:`~voachain.schottky.SchottkyData`, given by
-    :meth:`~voachain.schottky.SchottkyData.handles` as rho{g}, ..., rho1;
-    the first handle sewn onto a base by D^g is rho, and a handle sewn on
-    top of g others is rho{g+1}.  The pairs ride along inside the base
-    function, so on the trace the coefficients are q-series and the rho^0 term is the
-    genus-1 input itself (vacuum pair): the degeneration identity.
-
-    A sewn surface has no reduction rule of its own.  Its sums are linear
-    in the base function, so D^n is the base's, run inside them (see
-    :func:`apply_D1` and :func:`apply_D2`), and reduces any state on the
-    sewn sphere and the sewn trace alike: D^n of the function equals the
-    sums with the new insertion, coefficient for coefficient, however the
-    handles were sewn."""
-
-    __slots__ = ("base", "handles")
-
-    def __init__(self, base: Sphere | Trace, handles: tuple[tuple, ...]):
-        self._set_fields(base, handles)
-
-    @property
-    def genus(self) -> int:
-        return self.base.genus + len(self.handles)
-
-    @property
-    def prefactor_exponent(self) -> Fraction:
-        return self.base.prefactor_exponent
-
-    @property
-    def handle_points(self) -> tuple:
-        return tuple(z for zeta1, zeta2, _, _ in self.handles for z in (zeta1, zeta2))
-
-    def evaluate(self, entries) -> CorrelationFunction:
-        data = _genus_g_sum(self.handles, lambda sewn: [(1, entries, sewn, None)],
-                            self.base._sum)
-        return CorrelationFunction(self.genus, data, self.prefactor_exponent)
-
-    def sew(self, sd: SewingData, rho_order: int) -> "Sewn":
-        variable = f"rho{len(self.handles) + 1}" if self.handles else "rho"
-        return Sewn(self.base, ((sd.zeta1, sd.zeta2, rho_order, variable), *self.handles))
-
-    def _zero(self):
-        # as the sums give it: a handle to order 0 leaves no coefficient known
-        _, _, rho_order, variable = self.handles[0]
-        known = all(order for _, _, order, _ in self.handles)
-        return TruncatedSeries.zero(variable, rho_order if known else 0)
-
-    def _require_point(self, y):
-        self.base._require_point(y)
-        if points_coincide([*self.handle_points, y]):
-            raise ComplexError("insertion points must differ from the handle points")
 
 
 class ChainElement(_Record):
@@ -368,7 +355,7 @@ def element_from_insertions(
     else:
         if getattr(schottky, "genus", None) != genus:
             raise ComplexError(f"genus-{genus} elements need SchottkyData of that genus")
-        evaluator = Sewn(Sphere(), schottky.handles(rho_orders))
+        evaluator = Sphere(schottky.handles(rho_orders))
     return _element(ins, evaluator)
 
 
@@ -382,63 +369,65 @@ def _mode_reach(v: FockVector, target: FockVector) -> int:
 
 
 def apply_D1(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainElement:
-    """Zero-mode summand of the reduction: the base evaluator's zero-mode
-    piece on all the points and, on a sewn surface, its kernel-weighted
-    mode terms at the pair slots, in one sum over the handles."""
+    """Zero-mode summand of the reduction: the sphere's or the trace's
+    zero-mode piece on all the points and, on a sewn surface, its
+    kernel-weighted mode terms at the pair slots, in one sum over the
+    handles."""
     v, z = x_new
-    ins, base, handles = _step(elem, v, z)
-    entries = elem.insertions.entries
+    ins = _step(elem, v, z)
+    surface, entries = elem.evaluator, elem.insertions.entries
 
     def pieces(sewn):
-        return [base._zero_mode_piece(entries, sewn, v, z), *_pair_moves(base, v, z, entries, sewn)]
+        return [surface._zero_mode_piece(entries, sewn, v, z),
+                *_pair_moves(surface, v, z, entries, sewn)]
 
-    return _stepped(elem, ins, lambda: _genus_g_sum(handles, pieces, base._sum))
+    return _stepped(elem, ins, lambda: _genus_g_sum(surface.handles, pieces, surface._sum))
 
 
 def apply_D2(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainElement:
     """Kernel-weighted mode-insertion summand of the reduction: per
     homogeneous component of v, kernel(m, z_k) F(..., v(m) x_k, ...)
     summed over the insertions k and the modes m that reach them, with
-    the base evaluator's modes and kernels, in one sum over the handles."""
+    the sphere's or the trace's modes and kernels, in one sum over the
+    handles."""
     v, z_new = x_new
-    ins, base, handles = _step(elem, v, z_new)
-    entries = elem.insertions.entries
+    ins = _step(elem, v, z_new)
+    surface, entries = elem.evaluator, elem.insertions.entries
 
     def data():
         # the moves at the element's own slots are the same in every paired term
-        moves = list(_moves(base, v, z_new, entries, range(len(entries))))
+        moves = list(_moves(surface, v, z_new, entries))
         if not moves:
-            return elem.evaluator._zero()
-        return _genus_g_sum(handles, lambda sewn: [
+            return surface._zero()
+        return _genus_g_sum(surface.handles, lambda sewn: [
             (weight, (*entries[:k], (moved, entries[k][1]), *entries[k + 1:]), sewn, None)
-            for k, weight, moved in moves], base._sum)
+            for k, weight, moved in moves], surface._sum)
 
     return _stepped(elem, ins, data)
 
 
-def _moves(base, v, z_new, entries, slots):
+def _moves(surface, v, z_new, entries):
     # (k, kernel(m, z_k), v(m) x_k) per homogeneous component of v, slot k
     # and mode m that reaches x_k, where v(m) x_k is not zero;
-    # base._mode_terms(wt, comp, z_new) gives the mode and the kernel
+    # surface._mode_terms(wt, comp, z_new) gives the mode and the kernel
     for wt, comp in v.homogeneous_components().items():
-        mode, kernel = base._mode_terms(wt, comp, z_new)
-        for k in slots:
-            state_k, z_k = entries[k]
+        mode, kernel = surface._mode_terms(wt, comp, z_new)
+        for k, (state_k, z_k) in enumerate(entries):
             for m in range(0, _mode_reach(comp, state_k) + 1):
                 moved = mode(m, state_k)
                 if not moved.is_zero():
                     yield k, kernel(m, z_k), moved
 
 
-def _pair_moves(base, v, z, entries, sewn):
+def _pair_moves(surface, v, z, entries, sewn):
     # the moves of v at the pair slots of every handle h, as pieces: per
     # homogeneous component, side (bbar at zeta1, b at zeta2) and mode m,
     # the kernel at that sewing point times the sums with h's paired terms
     # replaced by their moved terms, each weighted by the coefficient of
-    # a state that base._moved_states gives of the moved vector
+    # a state that surface._moved_states gives of the moved vector
     for h, (zeta1, zeta2, terms, variable) in enumerate(sewn):
         for wt, comp in v.homogeneous_components().items():
-            mode, kernel = base._mode_terms(wt, comp, z)
+            mode, kernel = surface._mode_terms(wt, comp, z)
             for side, zeta in enumerate((zeta1, zeta2)):
                 moved, by_mode = {}, {}
                 for k, terms_k in enumerate(terms):
@@ -449,7 +438,7 @@ def _pair_moves(base, v, z, entries, sewn):
                             moved[state] = [(m, mode(m, vec)) for m in
                                             range(0, _mode_reach(comp, vec) + 1)]
                         for m, vec in moved[state]:
-                            for s, coeff in base._moved_states(vec):
+                            for s, coeff in surface._moved_states(vec):
                                 by_mode.setdefault(m, [[] for _ in terms])[k].append(
                                     (c * coeff, s, b) if side == 0 else (c * coeff, bbar, s))
                 for m, moved_terms in by_mode.items():
@@ -457,24 +446,12 @@ def _pair_moves(base, v, z, entries, sewn):
                            [*sewn[:h], (zeta1, zeta2, moved_terms, variable), *sewn[h + 1:]], None)
 
 
-def _step(elem: ChainElement, v: FockVector, z: Scalar) -> tuple:
+def _step(elem: ChainElement, v: FockVector, z: Scalar) -> InsertionTuple:
     # the checks of a reduction step, made when the step is taken, before
-    # any value is computed; returns the insertions with v appended at z,
-    # the base evaluator (the sphere and the trace are their own) and the
-    # handles its reduction runs in
-    evaluator = elem.evaluator
-    evaluator._require_point(z)
-    base, handles = _base_and_handles(evaluator)
-    base._require_step_point(v, z)
-    return elem.insertions.append(v, z), base, handles
-
-
-def _base_and_handles(evaluator) -> tuple:
-    # the sphere or the trace a surface is sewn on, and its handles (the
-    # sphere and the trace are their own base, with none)
-    if isinstance(evaluator, Sewn):
-        return evaluator.base, evaluator.handles
-    return evaluator, ()
+    # any value is computed; returns the insertions with v appended at z
+    elem.evaluator._require_point(z)
+    elem.evaluator._require_step_point(v, z)
+    return elem.insertions.append(v, z)
 
 
 def _stepped(elem: ChainElement, ins: InsertionTuple, data) -> ChainElement:
@@ -488,7 +465,7 @@ def _stepped(elem: ChainElement, ins: InsertionTuple, data) -> ChainElement:
 def apply_Dn(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainElement:
     """Full reduction step D^n = D1 + D2 appending the new insertion.  The
     step is checked now; D1 and D2 are taken when its value is read."""
-    ins = _step(elem, *x_new)[0]
+    ins = _step(elem, *x_new)
     return _stepped(elem, ins, lambda: (apply_D1(x_new, elem).value.data
                                         + apply_D2(x_new, elem).value.data))
 
@@ -501,17 +478,9 @@ def apply_Dg(elem: ChainElement, sd: SewingData, rho_order: int) -> ChainElement
     surface = [*(z for _, z in elem.insertions.entries), *evaluator.handle_points]
     if points_coincide([*surface, sd.zeta1]) or points_coincide([*surface, sd.zeta2]):
         raise ComplexError("sewing points must differ from the points already on the surface")
-    base = _base_and_handles(evaluator)[0]
-    base._require_point(sd.zeta1)
-    base._require_point(sd.zeta2)
+    evaluator._require_base_point(sd.zeta1)
+    evaluator._require_base_point(sd.zeta2)
     return _element(elem.insertions, evaluator.sew(sd, rho_order))
-
-
-def _require_torus_point(x: Scalar):
-    if x == 0:
-        raise ComplexError(
-            "genus-1 points are exponentiated coordinates x = e^z and cannot be 0"
-        )
 
 
 # -- value arithmetic ---------------------------------------------------
@@ -629,10 +598,9 @@ def _check_gcondition(case) -> ConditionReport:
 def _require_a_known_coefficient(kind: str, evaluator) -> None:
     # a truncation order 0 leaves no coefficient of the values known: the
     # check would compare nothing, and no residual stands for that
-    base, handles = _base_and_handles(evaluator)
-    orders = [(order, variable) for _, _, order, variable in handles]
-    if isinstance(base, Trace):
-        orders.append((base.q_order, "q"))
+    orders = [(order, variable) for _, _, order, variable in evaluator.handles]
+    if isinstance(evaluator, Trace):
+        orders.append((evaluator.q_order, "q"))
     for order, variable in orders:
         if order == 0:
             raise ComplexError(f"the {kind} check compares no coefficient: "
@@ -727,7 +695,9 @@ _CONDITION_CHECKS = {
 
 def reduce_to_zero_point(elem: ChainElement) -> tuple[object, CorrelationFunction]:
     """Factor F = P_n * F_0 against the zero-point function of the same
-    evaluator; refuses a vanishing zero-point function."""
+    evaluator; refuses a truncation order 0, which leaves nothing known,
+    and a vanishing zero-point function."""
+    _require_a_known_coefficient("reduce", elem.evaluator)
     zero_point = elem.evaluator.evaluate(())
     if zero_point.is_zero():
         raise ComplexError("zero-point function vanishes; factorization undefined")

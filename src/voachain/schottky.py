@@ -21,8 +21,10 @@ is exact, and so is everything here.
 Every sewn handle, whether one of the g handles of a
 :class:`SchottkyData` or one sewn onto an element of any genus, is one
 entry (zeta1, zeta2, rho_order, variable) of a handle list, outermost
-first.  A genus-g value is :class:`~voachain.complexes.Sewn` of the
-sphere and ``SchottkyData.handles``, evaluated at its insertions.
+first, and a surface is :class:`~voachain.complexes.Sphere` or
+:class:`~voachain.complexes.Trace` with its handle list: a genus-g
+value is ``Sphere(SchottkyData.handles(...))`` evaluated at its
+insertions, and the bare sphere and trace have no handle.
 :func:`_genus_g_sum` fetches each handle's paired terms once and hands
 them to one sum over every handle, both in :mod:`voachain.correlators`:
 :func:`~voachain.correlators.sewn_sphere_series` on the sphere (one
@@ -195,7 +197,8 @@ class SchottkyData(_FrozenRecord):
 
     def handles(self, rho_orders: Sequence[int]) -> tuple[tuple, ...]:
         """The handles as :func:`_genus_g_sum` takes them, handle g
-        (outermost) first: (w_-h, w_h, rho order h, "rho{h}")."""
+        (outermost) first: (w_-h, w_h, rho order h, "rho{h}").  The
+        sphere with them, ``Sphere(handles)``, is the genus-g surface."""
         if len(rho_orders) != self.genus:
             raise SewingError("one rho order per handle")
         return tuple((self.point(-h), self.point(h), rho_orders[h - 1], f"rho{h}")

@@ -32,7 +32,6 @@ from itertools import product
 from pathlib import Path
 
 from voachain.complexes import (
-    Sewn,
     Sphere,
     Trace,
     _mode_reach,
@@ -119,52 +118,46 @@ def dense_pairing_terms(zeta1, zeta2, k):
             if hinv[j][i] != 0]
 
 
-def _base_and_handles(surface):
-    if isinstance(surface, Sewn):
-        return surface.base, surface.handles
-    return surface, ()
-
-
-def _value(base, points):
-    if isinstance(base, Sphere):
+def _value(surface, points):
+    # the sphere function or the trace at the points, with no handle
+    if isinstance(surface, Sphere):
         return sphere_value(points)
-    return torus_trace(points, base.q_order)
+    return torus_trace(points, surface.q_order)
 
 
 def evaluate(surface, entries):
     """The value's data on the surface, summed per paired term."""
-    base, handles = _base_and_handles(surface)
-    return genus_g_sum(handles, entries, lambda points: _value(base, points))
+    return genus_g_sum(surface.handles, entries, lambda points: _value(surface, points))
 
 
-def _moves(base, v, z_new, entries, slots):
+def _moves(surface, v, z_new, entries, slots):
     # (k, kernel, v(m) x_k) as the reduction takes them: the rational
     # kernel f0 on the sphere, the q-series P_{m+1} on the trace
     for wt, comp in v.homogeneous_components().items():
         for k in slots:
             state_k, z_k = entries[k]
             for m in range(0, _mode_reach(comp, state_k) + 1):
-                if isinstance(base, Sphere):
+                if isinstance(surface, Sphere):
                     moved = apply_state_mode(comp, m, state_k)
                     kernel = f0_kernel(wt, m)(z_new, z_k)
                 else:
                     moved = square_bracket_mode(comp, m)(state_k)
-                    kernel = pm_qseries(m + 1, _ratio(z_new, z_k), base.q_order)
+                    kernel = pm_qseries(m + 1, _ratio(z_new, z_k), surface.q_order)
                 if not moved.is_zero():
                     yield k, kernel, moved
 
 
-def _moved_sum(base, points, moves, total):
+def _moved_sum(surface, points, moves, total):
     # total plus kernel * F(points with the moved state at slot k) per move
     for k, weight, moved in moves:
         mod = (*points[:k], (moved, points[k][1]), *points[k + 1:])
-        total = total + weight * _value(base, mod)
+        total = total + weight * _value(surface, mod)
     return total
 
 
-def _zero_mode_term(base, points, v, z):
-    if isinstance(base, Trace):
-        return torus_trace(points, base.q_order, zero_mode_state=v)
+def _zero_mode_term(surface, points, v, z):
+    if isinstance(surface, Trace):
+        return torus_trace(points, surface.q_order, zero_mode_state=v)
     op_vacs = _vacuum_elements(v)
     value = sphere_value(points)
     data = 0
@@ -174,29 +167,29 @@ def _zero_mode_term(base, points, v, z):
 
 
 def reduce_d1(surface, x_new, entries):
-    """D1 on the surface per paired term: the base's zero-mode term on
-    all the points, and its kernel-weighted moves at the pair slots."""
+    """D1 on the surface per paired term: the sphere's or the trace's
+    zero-mode term on all the points, and its kernel-weighted moves at
+    the pair slots."""
     v, z = x_new
-    base, handles = _base_and_handles(surface)
 
     def term(points):
         pair_slots = range(len(entries), len(points))
-        return _moved_sum(base, points, _moves(base, v, z, points, pair_slots),
-                          _zero_mode_term(base, points, v, z))
+        return _moved_sum(surface, points, _moves(surface, v, z, points, pair_slots),
+                          _zero_mode_term(surface, points, v, z))
 
-    return genus_g_sum(handles, entries, term)
+    return genus_g_sum(surface.handles, entries, term)
 
 
 def reduce_d2(surface, x_new, entries):
     """D2 on the surface per paired term: the kernel-weighted moves at the
     element's own slots, one evaluation per move."""
     v, z = x_new
-    base, handles = _base_and_handles(surface)
-    moves = list(_moves(base, v, z, entries, range(len(entries))))
+    moves = list(_moves(surface, v, z, entries, range(len(entries))))
     if not moves:
         return surface._zero()
-    return genus_g_sum(handles, entries,
-                       lambda points: _moved_sum(base, points, moves, base._zero()))
+    bare = surface._replace(handles=())
+    return genus_g_sum(surface.handles, entries,
+                       lambda points: _moved_sum(surface, points, moves, bare._zero()))
 
 
 # -- the basis-sum trace ------------------------------------------------

@@ -16,7 +16,6 @@ from voachain.complexes import (
     DifferentialDescriptor,
     InsertionTuple,
     ProbeComplex,
-    Sewn,
     Sphere,
     apply_Dg,
     apply_Dn,
@@ -182,8 +181,8 @@ def test_criterion_6_genus2_degeneration():
             points=(Fraction(-1), Fraction(1), Fraction(-3), Fraction(3)),
         )
         sd1 = SchottkyData(genus=1, points=(Fraction(-1), Fraction(1)))
-        g2 = Sewn(Sphere(), sd2.handles([5, 2])).evaluate(()).data
-        g1 = Sewn(Sphere(), sd1.handles([5])).evaluate(()).data
+        g2 = Sphere(sd2.handles([5, 2])).evaluate(()).data
+        g1 = Sphere(sd1.handles([5])).evaluate(()).data
         rho2_zero = g2.coefficient(0)
         for k in range(5):
             assert rho2_zero.coefficient(k) == g1.coefficient(k), k

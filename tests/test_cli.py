@@ -490,12 +490,14 @@ rho_order = 6
         coeffs = {e: re for e, re, im in doc["result"]["series"]["coeffs"]}
         assert [coeffs[k] for k in range(6)] == ["1", "1", "2", "3", "5", "7"]
 
-    @pytest.mark.parametrize("genus, evaluator", [(0, "sphere_value"), (1, "torus_trace")])
+    @pytest.mark.parametrize("genus, evaluator", [(0, "sewn_sphere_series"),
+                                                  (1, "sewn_trace_series")])
     def test_sew_evaluates_only_the_sewn_surface(self, write_config, capsys, monkeypatch,
                                                  genus, evaluator):
         # the unsewn element's value is never read, so it is not computed:
-        # the sewn sums run at rational points in one pass, and no sphere
-        # or trace of the bare insertions is evaluated
+        # the sewn sums run at rational points in one pass, exactly one sum
+        # with the one handle, and no sphere or trace of the bare
+        # insertions is evaluated
         from voachain.complexes import InsertionTuple, apply_Dg, element_from_insertions
         from voachain.schottky import SewingData
 
@@ -507,7 +509,9 @@ rho_order = 6
         monkeypatch.setattr(complexes, evaluator,
                             lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
         code, out, _ = run_cli(["sew", "--config", cfg], capsys)
-        assert code == 0 and calls == []
+        assert code == 0
+        # the handles of each piece of each sum
+        assert [[len(piece[2]) for piece in pieces] for pieces, *_ in calls] == [[1]]
         monkeypatch.undo()
         elem = element_from_insertions(InsertionTuple(((A_VECTOR, 5), (A_VECTOR, 2))), genus,
                                        q_order=4)
@@ -1358,6 +1362,9 @@ class TestErrorClasses:
          "the connection check compares no coefficient: a truncation order is 0 (the rho order)"),
         ("connection", "[element]\nstates = a\npoints = 2\n[truncation]\nrho_order = 0\n",
          "the connection check compares no coefficient: a truncation order is 0 (the rho order)"),
+        # nor is a zero-point function known to vanish there
+        ("reduce", GENUS1_AA + "[truncation]\nq_order = 0\n",
+         "a truncation order is 0 (the q order)"),
     ])
     def test_bad_input_is_a_validation_error(self, write_config, capsys, command, text,
                                              fragment):

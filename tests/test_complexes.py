@@ -43,7 +43,6 @@ from voachain.complexes import (
     _element,
     _nested_coefficient,
     reduce_to_zero_point,
-    Sewn,
     Sphere,
     Trace,
 )
@@ -91,7 +90,7 @@ def sewn_sphere(handles, *names_points, elem=None):
 
 def sewn_sum(sd, entries, rho_orders):
     # the sphere sewn with the handles of sd, at the entries
-    return Sewn(Sphere(), sd.handles(rho_orders)).evaluate(tuple(entries)).data
+    return Sphere(sd.handles(rho_orders)).evaluate(tuple(entries)).data
 
 
 def g1_element(names_points, q_order=8):
@@ -557,6 +556,22 @@ class TestReduceToZeroPoint:
         # P = 1 as a series
         one = TruncatedSeries("q", {0: 1}, factor.truncation)
         assert factor.compare(one).deviation == 0
+
+    @pytest.mark.parametrize("genus, orders, variable", [
+        (1, {"q_order": 0}, "q"),
+        (2, {"rho_orders": (0, 3)}, "rho1"),
+        (2, {"rho_orders": (3, 0)}, "rho2"),
+    ], ids=["genus1-q", "genus2-rho1", "genus2-rho2"])
+    def test_a_truncation_order_0_is_named_not_a_vanishing_zero_point(
+            self, genus, orders, variable):
+        # no coefficient is known there, so none vanishes: the refusal
+        # names the order that is 0
+        elem = element_from_insertions(InsertionTuple(((A_VECTOR, Fraction(2)),)), genus,
+                                       SD2 if genus == 2 else None, **orders)
+        with pytest.raises(ComplexError) as info:
+            reduce_to_zero_point(elem)
+        assert str(info.value) == ("the reduce check compares no coefficient: "
+                                   f"a truncation order is 0 (the {variable} order)")
 
 
 class TestConnectionFunctional:
@@ -1096,17 +1111,21 @@ class TestSewnSphereReduction:
         want = elem.evaluator.evaluate((*entries, (v, y)))
         assert not want.is_zero()
         assert elem.value.genus == handles  # its Wick context is now built
-        calls = {"sphere_value": 0, "sewn_sphere_series": 0}
-        for name in calls:
-            def spy(*args, _name=name, _fn=getattr(complexes, name), **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(complexes, name, spy)
+        calls = []
+
+        def spy(pieces):
+            calls.append(pieces)
+            return sewn_sphere_series(pieces)
+
+        monkeypatch.setattr(complexes, "sewn_sphere_series", spy)
         misses = correlators._wick_context.cache_info().misses
         assert apply_Dn((v, y), elem).value == want
         assert correlators._wick_context.cache_info().misses == misses
-        # D2 of the vacuum has no move, so no sum
-        assert calls == {"sphere_value": 0, "sewn_sphere_series": 1 if step == "1" else 2}
+        # one sum per summand, each with every handle; D2 of the vacuum has
+        # no move, so no sum
+        assert len(calls) == (1 if step == "1" else 2)
+        assert all(len(handles) == len(elem.evaluator.handles)
+                   for pieces in calls for _, _, handles in pieces)
         _assert_identical(apply_D1((v, y), elem).value.data,
                           reduce_d1(elem.evaluator, (v, y), entries))
         _assert_identical(apply_D2((v, y), elem).value.data,
@@ -1228,16 +1247,15 @@ class TestDeferredValues:
         def computed(*args, **kwargs):
             raise AssertionError("a value was computed")
 
-        for name in ("sphere_value", "torus_trace", "sewn_trace_series", "sewn_sphere_series",
-                     "_genus_g_sum"):
+        for name in ("sewn_trace_series", "sewn_sphere_series", "_genus_g_sum"):
             monkeypatch.setattr(complexes, name, computed)
 
     def test_a_value_is_computed_once_when_read(self, monkeypatch):
         from voachain import complexes
 
         calls = []
-        monkeypatch.setattr(complexes, "sphere_value",
-                            lambda *a, **k: calls.append(a) or sphere_value(*a, **k))
+        monkeypatch.setattr(complexes, "sewn_sphere_series",
+                            lambda *a, **k: calls.append(a) or sewn_sphere_series(*a, **k))
         elem = g0_element(("a", Fraction(2)), ("a", Fraction(5)))
         stepped = apply_Dn((A_VECTOR, Fraction(7)), apply_Dn((A_VECTOR, Fraction(6)), elem))
         sewn = apply_Dg(stepped, SewingData(), 2)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from voachain import voa
+from voachain.complexes import Sphere, Trace
 
 PACKAGE = Path(voa.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -44,3 +45,16 @@ def test_no_module_imports_a_private_name_of_the_algebra_or_the_engines(path):
 
 def test_the_algebra_imports_only_the_series_layer():
     assert {module for module, _ in _imports(PACKAGE / "voa.py")} == {"series"}
+
+
+def test_every_value_takes_the_one_route_of_a_surface_record():
+    # the sphere and the trace, with handles or without, share one
+    # evaluate and one sew: complexes binds no bare-value function, and
+    # no record wraps a surface to sew handles onto it
+    taken = {name for module, names in _imports(PACKAGE / "complexes.py")
+             if module == "correlators" for name in names}
+    assert not taken & {"sphere_value", "torus_trace"}
+    assert Sphere.evaluate is Trace.evaluate and Sphere.sew is Trace.sew
+    classes = {node.name for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)}
+    assert "Sewn" not in classes

@@ -21,7 +21,6 @@ from voachain.complexes import (
     DifferentialDescriptor,
     InsertionTuple,
     ProbeComplex,
-    Sewn,
     Sphere,
     Trace,
     apply_D1,
@@ -50,9 +49,8 @@ RECORDS = [
     (InsertionTuple, ((),), {"entries": ()}, (((A_VECTOR, 1),),)),
     (CorrelationFunction, (0, 5), {"genus": 0, "data": 5, "prefactor_exponent": Fraction(0)},
      (0, 5, Fraction(-1, 24))),
-    (Sphere, (), {}, None),
-    (Trace, (3,), {"q_order": 3}, (4,)),
-    (Sewn, (Sphere(), (HANDLE,)), {"base": Sphere(), "handles": (HANDLE,)}, (Trace(3), (HANDLE,))),
+    (Sphere, (), {"handles": ()}, ((HANDLE,),)),
+    (Trace, (3, (HANDLE,)), {"q_order": 3, "handles": (HANDLE,)}, (3,)),
     (ChainElement, (INS, VALUE), {"insertions": INS, "value": VALUE, "evaluator": Sphere()},
      (INS, VALUE, Trace(3))),
     (DifferentialDescriptor, (None, 3), {"state": None, "point": 3, "sewing": None},
@@ -175,18 +173,19 @@ def test_fock_state_keys_dicts_by_its_sorted_partition():
 def test_equal_evaluators_hash_equal():
     assert hash(Sphere()) == hash(Sphere())
     assert hash(Trace(5)) == hash(Trace(5)) and Trace(5) != Trace(6)
-    sewn = Sewn(Trace(4), (HANDLE, (3, -3, 2, "rho2")))
-    assert sewn == Sewn(Trace(4), (HANDLE, (3, -3, 2, "rho2")))
-    assert len({sewn, Sewn(Trace(4), (HANDLE, (3, -3, 2, "rho2"))), Sphere(), Sphere()}) == 2
+    sewn = Trace(4, (HANDLE, (3, -3, 2, "rho2")))
+    assert sewn == Trace(4, (HANDLE, (3, -3, 2, "rho2")))
+    assert len({sewn, Trace(4, (HANDLE, (3, -3, 2, "rho2"))), Sphere(), Sphere()}) == 2
 
 
 def test_class_attributes_are_no_fields():
-    assert (Sphere.genus, Trace.genus) == (0, 1)
-    assert Trace(3).genus == 1
+    # the genus counts the handles: one property of every surface
+    assert Sphere.genus is Trace.genus
+    assert (Sphere().genus, Trace(3).genus) == (0, 1)
     assert Trace.prefactor_exponent == Fraction(-1, 24)
     assert Sphere().handle_points == ()
-    assert Sewn(Trace(3), (HANDLE, HANDLE)).genus == 3
-    for extra in (lambda: Trace(3, 1), lambda: Sphere(1)):
+    assert Trace(3, (HANDLE, HANDLE)).genus == 3
+    for extra in (lambda: Trace(3, (), 1), lambda: Sphere((), 1)):
         with pytest.raises(TypeError):
             extra()
 
@@ -196,7 +195,7 @@ def test_chain_element_defaults_to_the_sphere():
     assert elem.evaluator == Sphere()
     assert elem.genus == 0
     # the evaluator is the one record of the surface: its genus is the element's
-    assert ChainElement(INS, VALUE, Sewn(Trace(3), (HANDLE,))).genus == 2
+    assert ChainElement(INS, VALUE, Trace(3, (HANDLE,))).genus == 2
 
 
 @pytest.mark.parametrize("make, error, message", [

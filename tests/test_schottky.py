@@ -26,7 +26,6 @@ from voachain import correlators, schottky, voa
 from voachain.complexes import (
     ComplexError,
     InsertionTuple,
-    Sewn,
     Sphere,
     Trace,
     _element,
@@ -342,7 +341,7 @@ def sewn_sphere(sd, insertions, rho_orders):
     """The genus-g value at the insertions: the sphere sewn with the
     handles of ``sd``, each point checked on that surface."""
     ins = InsertionTuple(tuple(insertions))
-    return _element(ins, Sewn(Sphere(), sd.handles(rho_orders))).value.data
+    return _element(ins, Sphere(sd.handles(rho_orders))).value.data
 
 
 class TestGenusGPartition:
@@ -667,7 +666,7 @@ def _sewn_chain(handles):
 
 
 def _one_pass(handles, insertions):
-    # the sewn sums as Sewn.evaluate takes them on the sphere, every
+    # the sewn sums as Sphere.evaluate takes them on the sphere, every
     # handle at once
     return _genus_g_sum(handles, lambda sewn: [(1, insertions, sewn)],
                         correlators.sewn_sphere_series)

@@ -1074,24 +1074,24 @@ class TestWickContext:
     def test_cold_genus2_partition_builds_one_cached_context(self):
         # one for the whole nested sum, which runs at all four handle
         # points; the Gram inversions build theirs outside the cache
-        from voachain.complexes import Sewn, Sphere
+        from voachain.complexes import Sphere
         from voachain.schottky import SchottkyData
 
         for cache in _program_caches():
             cache.cache_clear()
         sd = SchottkyData(genus=2, points=(Fraction(-1), Fraction(1), Fraction(-4), Fraction(4)))
-        Sewn(Sphere(), sd.handles((4, 4))).evaluate(())
+        Sphere(sd.handles((4, 4))).evaluate(())
         assert correlators._wick_context.cache_info().misses == 1
 
     def test_swapped_handles_reuse_the_context(self):
         # the same handle sums in the other handle order: every paired
         # term is a permutation of one already evaluated
-        from voachain.complexes import Sewn, Sphere
+        from voachain.complexes import Sphere
         from voachain.schottky import SchottkyData
 
         def partition(points):
             handles = SchottkyData(genus=2, points=points).handles((4, 4))
-            return Sewn(Sphere(), handles).evaluate(()).data
+            return Sphere(handles).evaluate(()).data
 
         for cache in _program_caches():
             cache.cache_clear()

@@ -14,7 +14,7 @@ that evaluator, so reduction-vs-oracle agreement is a checkable theorem
 rather than a construction.  A value is computed when it is first read:
 no differential reads the value of its input, and each checks its input
 when it is applied.  There is one reduction, the sphere's or the
-trace's, run as one-pass sums over the handles.
+trace's, and each of its steps is one sum over the handles.
 
 Chain conditions are reported in commutation form (the residuals of the
 two composition orders), alongside the raw composition norms; the
@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 from .correlators import sewn_sphere_series, sewn_trace_series
 from .elliptic import f0_kernel, pm_numerators
-from .schottky import SchottkyData, SewingData, _genus_g_sum, row_reduce_integer
+from .schottky import SchottkyData, SewingData, _sewn_handle, row_reduce_integer
 from .series import (
     Scalar,
     TruncatedSeries,
@@ -97,18 +97,19 @@ class CorrelationFunction(_FrozenRecord):
 #
 # An evaluator is the one record of a surface: the sphere or the trace
 # with ``handles`` sewn on, each (zeta1, zeta2, rho_order, variable),
-# outermost first, as :func:`~voachain.schottky._genus_g_sum` sums them.
-# Every value is one such sum over the base's one-pass sum, and so is
-# every step of the reduction (apply_D1, apply_D2): with no handle it is
-# the sphere function or the trace itself.  The surface names its genus,
-# its handle points and the zero of its values, checks a new point, and
-# sews one more handle on (apply_Dg).  The sphere and the trace supply
-# the rest: their rule for a point, their check on a step's new point
-# and state, their zero-mode piece, the D2 mode action and kernel for
-# one homogeneous component of the new state, and the one-pass sum of
-# pieces (w, insertions, handles, v): w times the function with o(v)
-# inserted and the handles sewn on, all pieces at the points of the
-# first.
+# outermost first.  Every value is one sum over them (_sewn_sum, which
+# fetches each handle's paired terms once and runs the base's one-pass
+# sum), and so is every step of the reduction: D^n sums the pieces of
+# D1 and of D2 in one call, and apply_D1 and apply_D2 each sum their
+# own.  With no handle the sum is the sphere function or the trace
+# itself.  The surface names its genus, its handle points and the zero
+# of its values, checks a new point, and sews one more handle on
+# (apply_Dg).  The sphere and the trace supply the rest: their rule for
+# a point, their check on a step's new point and state, their zero-mode
+# piece, the D2 mode action and kernel for one homogeneous component of
+# the new state, and the one-pass sum of pieces (w, insertions,
+# handles, v): w times the function with o(v) inserted and the handles
+# sewn on, all pieces at the points of the first.
 
 
 class _Surface(_FrozenRecord):
@@ -138,15 +139,27 @@ class _Surface(_FrozenRecord):
         return tuple(z for zeta1, zeta2, _, _ in self.handles for z in (zeta1, zeta2))
 
     def evaluate(self, entries) -> CorrelationFunction:
-        data = _genus_g_sum(self.handles, lambda sewn: [(1, entries, sewn, None)], self._sum)
+        data = self._sewn_sum(lambda sewn: [(1, entries, sewn, None)])
         return CorrelationFunction(self.genus, data, self.prefactor_exponent)
+
+    def _sewn_sum(self, pieces):
+        # the one sum over the handles: each handle's paired terms fetched
+        # once, and the pieces(sewn) they give summed in one _sum call; a
+        # handle to order 0, or no piece, leaves the zero
+        if all(order for _, _, order, _ in self.handles):
+            pieces = pieces([_sewn_handle(*h) for h in self.handles])
+            if pieces:
+                return self._sum(pieces)
+        return self._zero()
 
     def sew(self, sd: SewingData, rho_order: int) -> "_Surface":
         variable = f"rho{len(self.handles) + 1}" if self.handles else "rho"
         return self._replace(handles=((sd.zeta1, sd.zeta2, rho_order, variable), *self.handles))
 
     def _zero(self):
-        # as the sums give it: a handle to order 0 leaves no coefficient known
+        # the zero of the values; a handle summed to order 0 leaves no
+        # coefficient known, so the sums are then the empty series of
+        # truncation 0
         if not self.handles:
             return self._base_zero()
         _, _, rho_order, variable = self.handles[0]
@@ -362,26 +375,12 @@ def element_from_insertions(
 # -- reduction differentials ------------------------------------------
 
 
-def _mode_reach(v: FockVector, target: FockVector) -> int:
-    vw = max((s.weight for s in v.terms), default=0)
-    tw = max((s.weight for s in target.terms), default=0)
-    return vw + tw
-
-
 def apply_D1(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainElement:
     """Zero-mode summand of the reduction: the sphere's or the trace's
     zero-mode piece on all the points and, on a sewn surface, its
     kernel-weighted mode terms at the pair slots, in one sum over the
     handles."""
-    v, z = x_new
-    ins = _step(elem, v, z)
-    surface, entries = elem.evaluator, elem.insertions.entries
-
-    def pieces(sewn):
-        return [surface._zero_mode_piece(entries, sewn, v, z),
-                *_pair_moves(surface, v, z, entries, sewn)]
-
-    return _stepped(elem, ins, lambda: _genus_g_sum(surface.handles, pieces, surface._sum))
+    return _reduction(x_new, elem, _zero_mode_pieces)
 
 
 def apply_D2(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainElement:
@@ -390,53 +389,70 @@ def apply_D2(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainEleme
     summed over the insertions k and the modes m that reach them, with
     the sphere's or the trace's modes and kernels, in one sum over the
     handles."""
-    v, z_new = x_new
-    ins = _step(elem, v, z_new)
+    return _reduction(x_new, elem, _own_slot_pieces)
+
+
+def apply_Dn(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainElement:
+    """Full reduction step D^n = D1 + D2 appending the new insertion: the
+    pieces of both summands in one sum over the handles.  The step is
+    checked now; the sum runs when its value is read."""
+    return _reduction(x_new, elem, _zero_mode_pieces, _own_slot_pieces)
+
+
+def _reduction(x_new, elem: ChainElement, *summands) -> ChainElement:
+    # the reduction image on elem's surface: the step is checked now,
+    # before any value is computed; its value, when read, is one sum over
+    # the handles of every summand's pieces, summand(surface, v, z,
+    # entries, sewn)
+    v, z = x_new
     surface, entries = elem.evaluator, elem.insertions.entries
+    surface._require_point(z)
+    surface._require_step_point(v, z)
 
-    def data():
-        # the moves at the element's own slots are the same in every paired term
-        moves = list(_moves(surface, v, z_new, entries))
-        if not moves:
-            return surface._zero()
-        return _genus_g_sum(surface.handles, lambda sewn: [
-            (weight, (*entries[:k], (moved, entries[k][1]), *entries[k + 1:]), sewn, None)
-            for k, weight, moved in moves], surface._sum)
+    def pieces(sewn):
+        return [piece for summand in summands for piece in summand(surface, v, z, entries, sewn)]
 
-    return _stepped(elem, ins, data)
+    return ChainElement(elem.insertions.append(v, z), lambda: CorrelationFunction(
+        surface.genus, surface._sewn_sum(pieces), surface.prefactor_exponent), surface)
 
 
-def _moves(surface, v, z_new, entries):
-    # (k, kernel(m, z_k), v(m) x_k) per homogeneous component of v, slot k
-    # and mode m that reaches x_k, where v(m) x_k is not zero;
+def _state_moves(mode, wt: int, vec: FockVector) -> list:
+    # (m, v(m) vec) for a weight-wt component v and every mode m that does
+    # not take vec below weight 0, where v(m) vec is not 0
+    reach = wt + max((s.weight for s in vec.terms), default=0)
+    return [(m, moved) for m in range(reach + 1) if not (moved := mode(m, vec)).is_zero()]
+
+
+def _own_slot_pieces(surface, v, z_new, entries, sewn):
+    # D2: per homogeneous component of v, slot k and mode m that reaches
+    # x_k, kernel(m, z_k) times the sums with v(m) x_k at slot k;
     # surface._mode_terms(wt, comp, z_new) gives the mode and the kernel
     for wt, comp in v.homogeneous_components().items():
         mode, kernel = surface._mode_terms(wt, comp, z_new)
         for k, (state_k, z_k) in enumerate(entries):
-            for m in range(0, _mode_reach(comp, state_k) + 1):
-                moved = mode(m, state_k)
-                if not moved.is_zero():
-                    yield k, kernel(m, z_k), moved
+            for m, moved in _state_moves(mode, wt, state_k):
+                yield (kernel(m, z_k), (*entries[:k], (moved, z_k), *entries[k + 1:]), sewn, None)
 
 
-def _pair_moves(surface, v, z, entries, sewn):
-    # the moves of v at the pair slots of every handle h, as pieces: per
-    # homogeneous component, side (bbar at zeta1, b at zeta2) and mode m,
-    # the kernel at that sewing point times the sums with h's paired terms
-    # replaced by their moved terms, each weighted by the coefficient of
-    # a state that surface._moved_states gives of the moved vector
-    for h, (zeta1, zeta2, terms, variable) in enumerate(sewn):
-        for wt, comp in v.homogeneous_components().items():
-            mode, kernel = surface._mode_terms(wt, comp, z)
+def _zero_mode_pieces(surface, v, z, entries, sewn):
+    # D1: the zero-mode piece, and the moves of v at the pair slots of
+    # every handle h, as pieces: per homogeneous component, side (bbar at
+    # zeta1, b at zeta2) and mode m, the kernel at that sewing point times
+    # the sums with h's paired terms replaced by their moved terms, each
+    # weighted by the coefficient of a state that surface._moved_states
+    # gives of the moved vector
+    yield surface._zero_mode_piece(entries, sewn, v, z)
+    for wt, comp in v.homogeneous_components().items():
+        mode, kernel = surface._mode_terms(wt, comp, z)
+        moved = {}  # each paired state's moves, at every handle and side
+        for h, (zeta1, zeta2, terms, variable) in enumerate(sewn):
             for side, zeta in enumerate((zeta1, zeta2)):
-                moved, by_mode = {}, {}
+                by_mode = {}
                 for k, terms_k in enumerate(terms):
                     for c, bbar, b in terms_k:
                         state = (bbar, b)[side]
                         if state not in moved:
-                            vec = FockVector({state: 1})
-                            moved[state] = [(m, mode(m, vec)) for m in
-                                            range(0, _mode_reach(comp, vec) + 1)]
+                            moved[state] = _state_moves(mode, wt, FockVector({state: 1}))
                         for m, vec in moved[state]:
                             for s, coeff in surface._moved_states(vec):
                                 by_mode.setdefault(m, [[] for _ in terms])[k].append(
@@ -444,30 +460,6 @@ def _pair_moves(surface, v, z, entries, sewn):
                 for m, moved_terms in by_mode.items():
                     yield (kernel(m, zeta), entries,
                            [*sewn[:h], (zeta1, zeta2, moved_terms, variable), *sewn[h + 1:]], None)
-
-
-def _step(elem: ChainElement, v: FockVector, z: Scalar) -> InsertionTuple:
-    # the checks of a reduction step, made when the step is taken, before
-    # any value is computed; returns the insertions with v appended at z
-    elem.evaluator._require_point(z)
-    elem.evaluator._require_step_point(v, z)
-    return elem.insertions.append(v, z)
-
-
-def _stepped(elem: ChainElement, ins: InsertionTuple, data) -> ChainElement:
-    # the reduction image on elem's surface, its value's data computed by
-    # data() when the value is read
-    evaluator = elem.evaluator
-    return ChainElement(ins, lambda: CorrelationFunction(
-        evaluator.genus, data(), evaluator.prefactor_exponent), evaluator)
-
-
-def apply_Dn(x_new: tuple[FockVector, Scalar], elem: ChainElement) -> ChainElement:
-    """Full reduction step D^n = D1 + D2 appending the new insertion.  The
-    step is checked now; D1 and D2 are taken when its value is read."""
-    ins = _step(elem, *x_new)
-    return _stepped(elem, ins, lambda: (apply_D1(x_new, elem).value.data
-                                        + apply_D2(x_new, elem).value.data))
 
 
 def apply_Dg(elem: ChainElement, sd: SewingData, rho_order: int) -> ChainElement:

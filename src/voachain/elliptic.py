@@ -279,18 +279,19 @@ class RationalKernel(_FrozenRecord):
 
     def numerator_denominator(self) -> tuple[dict, dict]:
         """Bivariate dicts {(z_exp, w_exp): coeff} with
-        f = numerator / denominator and denominator = z^n (z-w)^{m+1}."""
-        den = _bipoly_mul({(self.n, 0): 1}, _bipoly_pow({(1, 0): 1, (0, 1): -1}, self.m + 1))
-        num = {(self.n, 0): Fraction(1)}
-        poly_part: dict = {}
-        for j in range(self.m, self.n):
-            _bipoly_add_into(
-                poly_part, {(self.n - 1 - j, j - self.m): Fraction(math.comb(j, self.m))}
-            )
-        correction = _bipoly_mul(poly_part, _bipoly_pow({(1, 0): 1, (0, 1): -1}, self.m + 1))
-        num = dict(num)
-        _bipoly_add_into(num, {k: -v for k, v in correction.items()})
-        return num, den
+        f = numerator / denominator and denominator = z^n (z-w)^{m+1}:
+        the numerator is z^n - (z-w)^{m+1} sum_{j=m}^{n-1} C(j,m)
+        z^{n-1-j} w^{j-m}, both expanded by the binomial theorem."""
+        n, m = self.n, self.m
+        # (z-w)^{m+1} = sum_i binomial[i] z^{m+1-i} w^i
+        binomial = [(-1) ** i * math.comb(m + 1, i) for i in range(m + 2)]
+        den = {(n + m + 1 - i, i): b for i, b in enumerate(binomial)}
+        num = {(n, 0): Fraction(1)}
+        for j in range(m, n):
+            for i, b in enumerate(binomial):
+                key = (n + m - j - i, j - m + i)
+                num[key] = num.get(key, Fraction(0)) - math.comb(j, m) * b
+        return {key: c for key, c in num.items() if c}, den
 
 
 def f0_kernel(n: int, m: int) -> RationalKernel:
@@ -315,25 +316,3 @@ def f0_iota(n: int, m: int, order: int) -> list[tuple[int, int, Fraction]]:
         terms[key] = terms.get(key, Fraction(0)) - math.comb(j, m)
     return [(ze, we, c) for (ze, we), c in sorted(terms.items(), reverse=True) if c]
 
-
-def _bipoly_add_into(acc: dict, other: dict):
-    for k, v in other.items():
-        acc[k] = acc.get(k, 0) + v
-        if acc[k] == 0:
-            del acc[k]
-
-
-def _bipoly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            k = (i1 + i2, j1 + j2)
-            out[k] = out.get(k, 0) + c1 * c2
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _bipoly_pow(a: dict, k: int) -> dict:
-    out = {(0, 0): 1}
-    for _ in range(k):
-        out = _bipoly_mul(out, a)
-    return out

@@ -1,5 +1,5 @@
-"""Genus raising by handle sewing: the inverse-Gram pairing, the handles
-of a genus-g surface, and the one sum over them.
+"""Genus raising by handle sewing: the inverse-Gram pairing, the paired
+terms of a sewn handle, and the handles of a genus-g surface.
 
 The sewing operator attaches a handle through a basis-summed double
 insertion weighted by rho^k.  The dual state inserted at the first
@@ -24,15 +24,16 @@ entry (zeta1, zeta2, rho_order, variable) of a handle list, outermost
 first, and a surface is :class:`~voachain.complexes.Sphere` or
 :class:`~voachain.complexes.Trace` with its handle list: a genus-g
 value is ``Sphere(SchottkyData.handles(...))`` evaluated at its
-insertions, and the bare sphere and trace have no handle.
-:func:`_genus_g_sum` fetches each handle's paired terms once and hands
-them to one sum over every handle, both in :mod:`voachain.correlators`:
+insertions, and the bare sphere and trace have no handle.  The surface
+runs the one sum over its handles: it fetches each handle's paired
+terms once, as :func:`_sewn_handle` gives them, and hands them to one
+sum over every handle, both in :mod:`voachain.correlators`:
 :func:`~voachain.correlators.sewn_sphere_series` on the sphere (one
 point check, one Wick context, one _wick call per paired term), or
 :func:`~voachain.correlators.sewn_trace_series` on the trace (one trace
 context and one weighted trace sum per rho multi-index), at any exact
-points and coefficients.  The reduction on a sewn surface is a few such
-sums at the same points, summed in the same call.
+points and coefficients.  A reduction step on a sewn surface is one
+such sum, all its pieces at the same points.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .series import (Scalar, TruncatedSeries, _FrozenRecord, _GaussInt, _int_power, _lower,
+from .series import (Scalar, _FrozenRecord, _GaussInt, _int_power, _lower,
                      _split, points_coincide)
 from .correlators import gram_block
 from .voa import FockState, weight_basis
@@ -196,7 +197,7 @@ class SchottkyData(_FrozenRecord):
         return self.points[idx]
 
     def handles(self, rho_orders: Sequence[int]) -> tuple[tuple, ...]:
-        """The handles as :func:`_genus_g_sum` takes them, handle g
+        """The handles as a surface record takes them, handle g
         (outermost) first: (w_-h, w_h, rho order h, "rho{h}").  The
         sphere with them, ``Sphere(handles)``, is the genus-g surface."""
         if len(rho_orders) != self.genus:
@@ -204,21 +205,3 @@ class SchottkyData(_FrozenRecord):
         return tuple((self.point(-h), self.point(h), rho_orders[h - 1], f"rho{h}")
                      for h in range(self.genus, 0, -1))
 
-
-def _genus_g_sum(handles, pieces, summed):
-    """Nested rho-series of the basis sums of sewn handles.
-
-    Each handle is (zeta1, zeta2, rho_order, variable), outermost first,
-    and sews the handles after it.  ``pieces(sewn)`` gives the sums to
-    take over the fetched handles (each handle's paired terms, as
-    :func:`_sewn_handle` gives them), and ``summed`` takes them in one
-    pass, as :func:`~voachain.correlators.sewn_sphere_series` does.  Each
-    handle's paired terms are fetched once, before any sum starts.
-
-    A handle summed to order 0 knows none of its coefficients, so no
-    coefficient of the sums is known either: the result is then the
-    empty series with truncation 0.
-    """
-    if any(rho_order == 0 for _, _, rho_order, _ in handles):
-        return TruncatedSeries.zero(handles[0][3], 0)
-    return summed(pieces([_sewn_handle(*h) for h in handles]))

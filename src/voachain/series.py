@@ -244,11 +244,9 @@ def _reciprocal(num) -> tuple:
 
 
 def _lower(num, den, gaussian: bool):
-    """num / den for ring elements, den not 0: an ExactComplex when
-    ``gaussian``, else a Fraction (num must then be real)."""
-    if den.__class__ is _GaussInt:
-        inverse, den = _reciprocal(den)
-        num = num * inverse
+    """num / den for a ring element num and den a positive int: an
+    ExactComplex when ``gaussian``, else a Fraction (num must then be
+    real)."""
     re, im = (num.re, num.im) if num.__class__ is _GaussInt else (num, 0)
     if gaussian:
         return _gaussian(Fraction(re, den), Fraction(im, den))

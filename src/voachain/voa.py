@@ -254,7 +254,7 @@ def _state_mode_on_basis(s: FockState, m: int, target: FockState) -> FockVector:
     # a(j) kills it once j > wt(target).
     j_max_1 = b.weight + target.weight - m
     for j in range(0, max(j_max_1, 0) + 1):
-        coeff = _comb_neg(-n, j) * (-1) ** j
+        coeff = math.comb(n + j - 1, j)  # C(-n, j) (-1)^j
         inner = _state_mode_on_basis(b, m + j, target)
         if not inner.is_zero():
             acc(heisenberg_mode(-n - j, inner), coeff)
@@ -263,17 +263,9 @@ def _state_mode_on_basis(s: FockState, m: int, target: FockState) -> FockVector:
         aj = _mode_on_state(j, target)
         if aj.is_zero():
             continue
-        coeff = sign * _comb_neg(-n, j) * (-1) ** j
+        coeff = sign * math.comb(n + j - 1, j)
         acc(_state_mode_on_vector(b, m - n - j, aj), coeff)
     return FockVector(total)
-
-
-def _comb_neg(p: int, j: int) -> int:
-    # binomial(p, j) for possibly negative integer p
-    out = 1
-    for t in range(j):
-        out *= p - t
-    return out // math.factorial(j)
 
 
 def zero_mode(v: FockVector) -> Callable[[FockVector], FockVector]:

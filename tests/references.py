@@ -2,9 +2,11 @@
 
 The per-term route sums a sewn surface one paired term at a time: the
 sphere function, the graded trace, or the reduction terms of either, at
-every term's points, and one handle at a time over the terms
-(:func:`sewn_series`, nested by :func:`genus_g_sum`).  The package sums
-each of these in one pass (``correlators.sewn_sphere_series``,
+every paired term's points (:func:`genus_g_sum`), all the terms of one
+coefficient in one :func:`typed_sum`; D^n's terms are D1's and D2's
+together (:func:`reduce_dn`).  :func:`sewn_series` sums one handle.  The
+package sums each of these in one pass
+(``correlators.sewn_sphere_series``,
 ``correlators.sewn_trace_series``); the tests compare the two with
 ``_assert_identical``, equal values of equal types.  The pairing the
 sums take has its dense forms here too: :func:`dense_gram_inverse`, the
@@ -34,7 +36,6 @@ from pathlib import Path
 from voachain.complexes import (
     Sphere,
     Trace,
-    _mode_reach,
     _ratio,
     _vacuum_elements,
     corr_difference,
@@ -63,37 +64,73 @@ def _assert_identical(got, want):
     assert _typed(got) == _typed(want)
 
 
+def typed_sum(values):
+    """One sum of the values of a per-term route, all scalars or all series
+    of one shape, typed as the package's sums are, in any order of the
+    values: a scalar sum is an ExactComplex when one of its terms is, and
+    a series coefficient is the typed sum of the values' own coefficients
+    there, so a value whose own coefficient is 0 types nothing.  The
+    coefficients are summed apart: a running total of series would drop a
+    coefficient that cancels to 0 part way, and a later term would retype
+    it."""
+    if not isinstance(values[0], TruncatedSeries):
+        total = 0
+        for value in values:
+            total = total + value
+        return total
+    exponents = sorted({e for value in values for e in value.coefficients})
+    return TruncatedSeries(values[0].variable, {
+        e: typed_sum([value.coefficients[e] for value in values if e in value.coefficients])
+        for e in exponents}, min(value.truncation for value in values))
+
+
 def sewn_series(handle, evaluate) -> TruncatedSeries:
     """One sewn handle (a ``schottky._sewn_handle`` tuple): the rho^k
-    coefficient sums c * evaluate(pairs) over the weight-k paired terms,
-    with pairs = [(bbar, zeta1), (b, zeta2)] as vectors."""
+    coefficient is the typed sum of c * evaluate(pairs) over the weight-k
+    paired terms, with pairs = [(bbar, zeta1), (b, zeta2)] as vectors."""
     zeta1, zeta2, terms, variable = handle
-    coeffs = {}
-    for k, terms_k in enumerate(terms):
-        total = 0
-        for c, bbar, b in terms_k:
-            value = evaluate([(FockVector({bbar: 1}), zeta1), (FockVector({b: 1}), zeta2)])
-            total = total + value * c
-        coeffs[k] = total
-    return TruncatedSeries(variable, coeffs, len(terms))
+    return TruncatedSeries(variable, {k: typed_sum([
+        evaluate([(FockVector({bbar: 1}), zeta1), (FockVector({b: 1}), zeta2)]) * c
+        for c, bbar, b in terms_k]) for k, terms_k in enumerate(terms)}, len(terms))
 
 
-def genus_g_sum(handles, insertions, inner):
+def genus_g_sum(handles, insertions, terms):
     """Nested rho-series of the basis sums of the handles (zeta1, zeta2,
-    rho_order, variable), outermost first, over ``inner(points)`` at the
-    points [*insertions, *pairs of handles[0], ...], one handle at a time;
-    ``inner(insertions)`` itself with no handles, and the empty series of
-    truncation 0 when a handle is summed to order 0."""
+    rho_order, variable), outermost first.  The coefficient of
+    rho_1^k1 ... rho_g^kg is one :func:`typed_sum` over the paired terms
+    of that multi-index, c_1 ... c_g times each value of ``terms(points)``
+    at the points [*insertions, *pairs of handles[0], ...]: the per-term
+    values (the sphere function, the graded trace or the reduction terms
+    of either).  With no handles it is the typed sum of
+    ``terms(insertions)``, and the empty series of truncation 0 when a
+    handle is summed to order 0."""
     if any(rho_order == 0 for _, _, rho_order, _ in handles):
         return TruncatedSeries.zero(handles[0][3], 0)
+    if not handles:
+        return typed_sum(terms(list(insertions)))
     sewn = [_sewn_handle(*h) for h in handles]
+    by_index = {}
+    for picked in product(*([(k, c, (FockVector({bbar: 1}), zeta1), (FockVector({b: 1}), zeta2))
+                             for k, terms_k in enumerate(paired) for c, bbar, b in terms_k]
+                            for zeta1, zeta2, paired, _ in sewn)):
+        ks, weight, points = (), 1, list(insertions)
+        for k, c, pair1, pair2 in picked:
+            ks, weight, points = (*ks, k), weight * c, [*points, pair1, pair2]
+        by_index.setdefault(ks, []).extend(value * weight for value in terms(points))
 
-    def summed(i, points):
-        if i == len(sewn):
-            return inner(points)
-        return sewn_series(sewn[i], lambda pairs: summed(i + 1, [*points, *pairs]))
+    def nested(ks):
+        _, _, paired, variable = sewn[len(ks)]
+        inner = nested if len(ks) + 1 < len(sewn) else lambda key: typed_sum(by_index[key])
+        return TruncatedSeries(variable, {k: inner((*ks, k)) for k in range(len(paired))},
+                               len(paired))
 
-    return summed(0, list(insertions))
+    return nested(())
+
+
+def sphere_terms(points):
+    """The sphere function at the points, as :func:`genus_g_sum`'s one
+    term of a paired term."""
+    return [sphere_value(points)]
 
 
 def dense_gram_inverse(k):
@@ -127,16 +164,17 @@ def _value(surface, points):
 
 def evaluate(surface, entries):
     """The value's data on the surface, summed per paired term."""
-    return genus_g_sum(surface.handles, entries, lambda points: _value(surface, points))
+    return genus_g_sum(surface.handles, entries, lambda points: [_value(surface, points)])
 
 
 def _moves(surface, v, z_new, entries, slots):
     # (k, kernel, v(m) x_k) as the reduction takes them: the rational
-    # kernel f0 on the sphere, the q-series P_{m+1} on the trace
+    # kernel f0 on the sphere, the q-series P_{m+1} on the trace, for
+    # every mode m that does not take x_k below weight 0
     for wt, comp in v.homogeneous_components().items():
         for k in slots:
             state_k, z_k = entries[k]
-            for m in range(0, _mode_reach(comp, state_k) + 1):
+            for m in range(0, wt + max((s.weight for s in state_k.terms), default=0) + 1):
                 if isinstance(surface, Sphere):
                     moved = apply_state_mode(comp, m, state_k)
                     kernel = f0_kernel(wt, m)(z_new, z_k)
@@ -147,12 +185,10 @@ def _moves(surface, v, z_new, entries, slots):
                     yield k, kernel, moved
 
 
-def _moved_sum(surface, points, moves, total):
-    # total plus kernel * F(points with the moved state at slot k) per move
-    for k, weight, moved in moves:
-        mod = (*points[:k], (moved, points[k][1]), *points[k + 1:])
-        total = total + weight * _value(surface, mod)
-    return total
+def _moved_terms(surface, points, moves):
+    # kernel * F(points with the moved state at slot k), one term per move
+    return [weight * _value(surface, (*points[:k], (moved, points[k][1]), *points[k + 1:]))
+            for k, weight, moved in moves]
 
 
 def _zero_mode_term(surface, points, v, z):
@@ -166,30 +202,45 @@ def _zero_mode_term(surface, points, v, z):
     return data
 
 
+def _d1_terms(surface, x_new, own, points):
+    # D1's terms at one paired term's points: the zero-mode term on all
+    # the points, and the kernel-weighted moves at the pair slots, past
+    # the element's own ``own`` slots
+    v, z = x_new
+    return [_zero_mode_term(surface, points, v, z),
+            *_moved_terms(surface, points, _moves(surface, v, z, points, range(own, len(points))))]
+
+
+def _d2_moves(surface, x_new, entries):
+    # D2's moves, at the element's own slots: the same in every paired term
+    v, z = x_new
+    return list(_moves(surface, v, z, entries, range(len(entries))))
+
+
 def reduce_d1(surface, x_new, entries):
     """D1 on the surface per paired term: the sphere's or the trace's
     zero-mode term on all the points, and its kernel-weighted moves at
     the pair slots."""
-    v, z = x_new
-
-    def term(points):
-        pair_slots = range(len(entries), len(points))
-        return _moved_sum(surface, points, _moves(surface, v, z, points, pair_slots),
-                          _zero_mode_term(surface, points, v, z))
-
-    return genus_g_sum(surface.handles, entries, term)
+    return genus_g_sum(surface.handles, entries,
+                       lambda points: _d1_terms(surface, x_new, len(entries), points))
 
 
 def reduce_d2(surface, x_new, entries):
     """D2 on the surface per paired term: the kernel-weighted moves at the
     element's own slots, one evaluation per move."""
-    v, z = x_new
-    moves = list(_moves(surface, v, z, entries, range(len(entries))))
+    moves = _d2_moves(surface, x_new, entries)
     if not moves:
         return surface._zero()
-    bare = surface._replace(handles=())
     return genus_g_sum(surface.handles, entries,
-                       lambda points: _moved_sum(surface, points, moves, bare._zero()))
+                       lambda points: _moved_terms(surface, points, moves))
+
+
+def reduce_dn(surface, x_new, entries):
+    """D^n = D1 + D2 on the surface per paired term: one typed sum over
+    the terms of both summands."""
+    moves = _d2_moves(surface, x_new, entries)
+    return genus_g_sum(surface.handles, entries, lambda points: [
+        *_d1_terms(surface, x_new, len(entries), points), *_moved_terms(surface, points, moves)])
 
 
 # -- the basis-sum trace ------------------------------------------------

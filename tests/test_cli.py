@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from references import child_env, genus_g_sum
+from references import child_env, genus_g_sum, sphere_terms
 
 from voachain import complexes
 from voachain.cli import (
@@ -23,7 +23,7 @@ from voachain.cli import (
     read_config,
 )
 from voachain.complexes import apply_Dn
-from voachain.correlators import sphere_value, torus_trace
+from voachain.correlators import torus_trace
 from voachain.schottky import SchottkyData
 from voachain.series import ExactComplex, _frac_str, _parse_frac
 from voachain.voa import A_VECTOR
@@ -359,17 +359,19 @@ q_order = 3
         assert "x = e^z" in json.loads(out)["error"]["message"]
 
     def test_reduction_computes_only_the_last_step(self, write_config, capsys, monkeypatch):
-        # the printed value is the last step's: D1 runs once, for it, and
+        # the printed value is the last step's: one sum runs, for it, and
         # no earlier step is valued
         calls = []
-        apply_D1 = complexes.apply_D1
-        monkeypatch.setattr(complexes, "apply_D1", lambda *a: calls.append(a) or apply_D1(*a))
+        summed = complexes.sewn_sphere_series
+        monkeypatch.setattr(complexes, "sewn_sphere_series",
+                            lambda pieces: calls.append(pieces) or summed(pieces))
         cfg = write_config("[experiment]\ngenus = 0\n[insertions]\n"
                            "states = a, a, a, a\npoints = 1, 2, 4, 5\n")
         code, out, _ = run_cli(["npoint", "--config", cfg, "--reduction"], capsys)
         assert code == 0
         assert json.loads(out)["result"]["value"] == {"rational": "5329/5184"}  # the pairing sum
-        assert len(calls) == 1 and calls[0][0][1] == 5
+        # the one sum is the last step's, taken at its element's points
+        assert len(calls) == 1 and [z for _, z in calls[0][0][1]] == [1, 2, 4]
 
     def test_genus2_npoint_needs_genus2_schottky(self, write_config, capsys):
         cfg = write_config(
@@ -446,7 +448,7 @@ class TestGenusThree:
     def test_partition_is_the_per_term_sum(self, write_config, capsys):
         code, out, _ = run_cli(["partition", "--config", write_config(GENUS3_SCHOTTKY)], capsys)
         assert code == 0
-        want = genus_g_sum(self.SD.handles((2, 3, 2)), (), sphere_value)
+        want = genus_g_sum(self.SD.handles((2, 3, 2)), (), sphere_terms)
         assert json.loads(out)["series"] == want.to_json_dict()
         assert want.variable == "rho3"
 
@@ -462,7 +464,7 @@ class TestGenusThree:
         result = json.loads(out)["result"]
         cfg = read_config(write_config(text), "npoint")
         entries = list(zip(cfg["insertions", "states"], cfg["insertions", "points"]))
-        want = genus_g_sum(self.SD.handles((2, 3, 2)), entries, sphere_value)
+        want = genus_g_sum(self.SD.handles((2, 3, 2)), entries, sphere_terms)
         assert result["genus"] == 3 and result["series"] == want.to_json_dict()
         if states == "1":
             # the vacuum rides along: the partition function
@@ -1365,6 +1367,13 @@ class TestErrorClasses:
         # nor is a zero-point function known to vanish there
         ("reduce", GENUS1_AA + "[truncation]\nq_order = 0\n",
          "a truncation order is 0 (the q order)"),
+        # a name the library does not know
+        ("check-complex", CHECK_A_AT_2 + "[experiment]\nkinds = n, bogus\n",
+         "unknown condition kind 'bogus'"),
+        ("npoint", GENUS0_AA.replace("a, a", "[x,1], a"),
+         "[insertions] states: bad partition spec '[x,1]'"),
+        ("connection", "[element]\nstates = a\npoints = 2\n[options]\nf_op = bogus\n",
+         "unknown F operator preset 'bogus'"),
     ])
     def test_bad_input_is_a_validation_error(self, write_config, capsys, command, text,
                                              fragment):

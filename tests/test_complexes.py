@@ -17,6 +17,7 @@ from references import (
     pm_qseries,
     reduce_d1,
     reduce_d2,
+    reduce_dn,
     torus_qseries,
 )
 
@@ -463,6 +464,19 @@ class TestChainConditions:
         assert reports[0].skipped.count("beyond") == 1
         assert "g: genus 1+2" in reports[0].skipped
 
+    def test_an_unknown_kind_is_refused(self):
+        elem = g0_element(("a", Fraction(7)))
+        with pytest.raises(ComplexError, match="^unknown condition kind 'bogus'$"):
+            check_chain_conditions([{"kind": "bogus", "element": elem}])
+
+    def test_a_total_block_with_no_descriptor_is_refused(self):
+        # every block of the total space steps by its own descriptor
+        elems = {(0, 1): g0_element(("a", Fraction(7))), (0, 2): g0_element(("a", Fraction(7)))}
+        descriptors = {(0, 1): DifferentialDescriptor(VACUUM_VECTOR, Fraction(11))}
+        with pytest.raises(ComplexError, match=r"^missing descriptor for block \(0, 2\)$"):
+            check_chain_conditions([{"kind": "total", "elements": elems,
+                                     "descriptors": descriptors}])
+
 
 class TestExactVerdict:
     # a residual is a float, which reads 0.0 below about 1e-308; whether
@@ -736,9 +750,9 @@ class TestGenus2Reduction:
         elem = element_from_insertions(ins, 2, sd, rho_orders=(3, 2))
         old_zero = sewn_sum(sd, ins.entries, (3, 2)) * 0
         calls = []
-        genus_g_sum = complexes._genus_g_sum
-        monkeypatch.setattr(complexes, "_genus_g_sum",
-                            lambda *a, **k: calls.append(a) or genus_g_sum(*a, **k))
+        summed = complexes.sewn_sphere_series
+        monkeypatch.setattr(complexes, "sewn_sphere_series",
+                            lambda *a, **k: calls.append(a) or summed(*a, **k))
         d2 = apply_D2((A_VECTOR, Fraction(6)), elem)
         assert calls == []
         assert d2.value.data == old_zero
@@ -1099,10 +1113,11 @@ class TestSewnSphereReduction:
     @pytest.mark.parametrize("step", ["1", "a", "aa", "[2]", "omega+1"])
     def test_one_pass_step_equals_the_evaluation_and_the_per_term_route(
             self, monkeypatch, handles, step):
-        # D^n runs as one sewn_sphere_series call per summand, in the
-        # element's own Wick context, with no sphere function per paired
-        # term; it equals the sewn evaluation of the stepped insertions,
-        # and D1 and D2 each equal the per-term route, values and types
+        # D^n runs as one sewn_sphere_series call, D1's and D2's pieces
+        # together, in the element's own Wick context, with no sphere
+        # function per paired term; it equals the sewn evaluation of the
+        # stepped insertions, and it, D1 and D2 each equal the per-term
+        # route, values and types
         from voachain import complexes, correlators
 
         v, y = {**SEWN_POOL, "omega+1": OMEGA_VECTOR + VACUUM_VECTOR}[step], Fraction(9)
@@ -1121,15 +1136,16 @@ class TestSewnSphereReduction:
         misses = correlators._wick_context.cache_info().misses
         assert apply_Dn((v, y), elem).value == want
         assert correlators._wick_context.cache_info().misses == misses
-        # one sum per summand, each with every handle; D2 of the vacuum has
-        # no move, so no sum
-        assert len(calls) == (1 if step == "1" else 2)
+        # one sum for the step, with every handle
+        assert len(calls) == 1
         assert all(len(handles) == len(elem.evaluator.handles)
                    for pieces in calls for _, _, handles in pieces)
         _assert_identical(apply_D1((v, y), elem).value.data,
                           reduce_d1(elem.evaluator, (v, y), entries))
         _assert_identical(apply_D2((v, y), elem).value.data,
                           reduce_d2(elem.evaluator, (v, y), entries))
+        _assert_identical(apply_Dn((v, y), elem).value.data,
+                          reduce_dn(elem.evaluator, (v, y), entries))
 
     @pytest.mark.parametrize("exact", [True, False], ids=["rational", "gaussian"])
     @settings(max_examples=25, deadline=None)
@@ -1155,7 +1171,8 @@ class TestSewnSphereReduction:
         # D^n on a genus-2 element, at points of every kind, and on a sphere
         # with one or two handles sewn on at Gaussian handle points, equals
         # the per-term sums with the new insertion by ==, and the per-term
-        # reduction route D1 + D2 in values and types: its moved states put
+        # reduction route, one typed sum over D1's and D2's terms, in values
+        # and types: its moved states put
         # several weights, so several denominators, in one multi-index.  Its
         # type follows its reduction terms, so it may be an ExactComplex
         # where the direct sum is a Fraction (see the next test)
@@ -1176,15 +1193,14 @@ class TestSewnSphereReduction:
             elem = _element(InsertionTuple(tuple(insertions)), surface)
         stepped = apply_Dn(x_new, elem).value.data
         assert stepped == evaluate(elem.evaluator, (*insertions, x_new))
-        _assert_identical(stepped, reduce_d1(elem.evaluator, x_new, insertions)
-                          + reduce_d2(elem.evaluator, x_new, insertions))
+        _assert_identical(stepped, reduce_dn(elem.evaluator, x_new, insertions))
 
     def test_dn_types_follow_the_reduction_terms(self):
         # the vacuum and a(-1) at -6 - i stepped onto a genus-2 element with
         # a Gaussian handle point: only the vacuum term survives at rho^0,
         # a rational -3 in the direct sum, but D1's kernel at the Gaussian
         # point enters its a(-1) term, so D^n's -3 is an ExactComplex, as
-        # the per-term D1 route gives it
+        # the per-term route gives it
         v = FockVector({FockState(()): Fraction(-3), FockState((1,)): Fraction(-3)})
         x_new = (v, ExactComplex(-6, -1))
         sd = SchottkyData(genus=2, points=(-6, -5, -4, ExactComplex(-6, 1)))
@@ -1193,8 +1209,7 @@ class TestSewnSphereReduction:
         direct = evaluate(elem.evaluator, (x_new,))
         assert stepped == direct
         assert _typed(direct.coefficient(0).coefficient(0)) == ("Fraction", "Fraction(-3, 1)")
-        _assert_identical(stepped, reduce_d1(elem.evaluator, x_new, ())
-                          + reduce_d2(elem.evaluator, x_new, ()))
+        _assert_identical(stepped, reduce_dn(elem.evaluator, x_new, ()))
         assert _typed(stepped.coefficient(0).coefficient(0)) == (
             "ExactComplex", "ExactComplex(-3)")
 
@@ -1215,8 +1230,7 @@ class TestSewnSphereReduction:
         x_new = (A_VECTOR.scale(coeff), Fraction(7))
         stepped = apply_Dn(x_new, elem).value.data
         assert stepped == evaluate(surface, (*insertions, x_new))
-        _assert_identical(stepped, reduce_d1(surface, x_new, insertions)
-                          + reduce_d2(surface, x_new, insertions))
+        _assert_identical(stepped, reduce_dn(surface, x_new, insertions))
         _assert_identical(apply_D1(x_new, elem).value.data,
                           reduce_d1(surface, x_new, insertions))
 
@@ -1232,8 +1246,7 @@ class TestSewnSphereReduction:
         _assert_identical(want.data, evaluate(elem.evaluator, (*entries, (A_VECTOR, y))))
         stepped = apply_Dn((A_VECTOR, y), elem).value
         assert stepped == want
-        assert stepped.data == (reduce_d1(elem.evaluator, (A_VECTOR, y), entries)
-                                + reduce_d2(elem.evaluator, (A_VECTOR, y), entries))
+        assert stepped.data == reduce_dn(elem.evaluator, (A_VECTOR, y), entries)
 
 
 class TestDeferredValues:
@@ -1247,7 +1260,7 @@ class TestDeferredValues:
         def computed(*args, **kwargs):
             raise AssertionError("a value was computed")
 
-        for name in ("sewn_trace_series", "sewn_sphere_series", "_genus_g_sum"):
+        for name in ("sewn_trace_series", "sewn_sphere_series", "_sewn_handle"):
             monkeypatch.setattr(complexes, name, computed)
 
     def test_a_value_is_computed_once_when_read(self, monkeypatch):

@@ -25,6 +25,7 @@ from references import (
     pm_qseries,
     reduce_d1,
     reduce_d2,
+    reduce_dn,
     sewn_series,
     torus_qseries,
 )
@@ -491,7 +492,7 @@ class TestWeightedTraceSum:
         entries, x_new, q_order = case
         elem = _element(InsertionTuple(tuple(entries)), Trace(q_order))
         want_d2 = reduce_d2(Trace(q_order), x_new, entries)
-        want_dn = reduce_d1(Trace(q_order), x_new, entries) + want_d2
+        want_dn = reduce_dn(Trace(q_order), x_new, entries)
         with _counted_traces() as calls:
             got_d2 = apply_D2(x_new, elem).value.data
         # one sum (none with no move), no trace per move
@@ -517,8 +518,7 @@ class TestWeightedTraceSum:
         x_new = (AA + A_VECTOR, 4)
         elem = _element(InsertionTuple(tuple(entries)), Trace(5))
         _assert_identical(apply_D2(x_new, elem).value.data, reduce_d2(Trace(5), x_new, entries))
-        _assert_identical(apply_Dn(x_new, elem).value.data,
-                          reduce_d1(Trace(5), x_new, entries) + reduce_d2(Trace(5), x_new, entries))
+        _assert_identical(apply_Dn(x_new, elem).value.data, reduce_dn(Trace(5), x_new, entries))
 
     @pytest.mark.parametrize("c", [0.5, complex(0.5, -0.25)], ids=["float", "complex"])
     def test_an_inexact_coefficient_is_refused(self, c):
@@ -634,6 +634,12 @@ class TestSewnTraceSeries:
               (FockVector({FockState(()): -3, FockState((1,)): -3}), ExactComplex(-6, 1)), 1))
     @example(([], [(-6, -2, 1), (-4, -3, 2)],
               (FockVector({FockState((1,)): ExactComplex(0, 1), FockState((1, 1)): -3}), -5), 1))
+    # the traces of D2's moves are -1800+0j, 1800+0j and -4200: a running
+    # total cancels to 0 and the last term would retype it a Fraction, but
+    # the sum of them all is -4200+0j, and so is D^n's
+    @example(([(FockVector({FockState((1,)): -3}), -6),
+               (FockVector({FockState((2,)): ExactComplex(0, 1), FockState((1, 1)): -3}), -5)],
+              [(-4, -3, 1)], (FockVector({FockState((1,)): -3, FockState((2,)): -3}), -2), 1))
     def test_reduction_at_gaussian_points_matches_the_per_term_route(self, case):
         insertions, handles, x_new, q_order = case
         surface = _sewn_trace(q_order, handles)
@@ -646,6 +652,11 @@ class TestSewnTraceSeries:
         assert _every_handle_in_each_sum(calls, surface)
         _assert_identical(got_d1, reduce_d1(surface, x_new, insertions))
         _assert_identical(got_d2, reduce_d2(surface, x_new, insertions))
+        with _counted_traces() as calls:
+            got_dn = apply_Dn(x_new, elem).value.data
+        # one sum for D1's and D2's pieces together
+        assert len(calls) == 1
+        _assert_identical(got_dn, reduce_dn(surface, x_new, insertions))
 
     @pytest.mark.parametrize("c1, c2, entries", [
         (ExactComplex(0, 1), 3, [(A_VECTOR, Fraction(5))]),

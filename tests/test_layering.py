@@ -49,12 +49,13 @@ def test_the_algebra_imports_only_the_series_layer():
 
 def test_every_value_takes_the_one_route_of_a_surface_record():
     # the sphere and the trace, with handles or without, share one
-    # evaluate and one sew: complexes binds no bare-value function, and
-    # no record wraps a surface to sew handles onto it
+    # evaluate and one sew: complexes binds no bare-value function, no
+    # record wraps a surface to sew handles onto it, and the one sum over
+    # the handles is the surface's own, with no module-level twin
     taken = {name for module, names in _imports(PACKAGE / "complexes.py")
              if module == "correlators" for name in names}
     assert not taken & {"sphere_value", "torus_trace"}
     assert Sphere.evaluate is Trace.evaluate and Sphere.sew is Trace.sew
-    classes = {node.name for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, ast.ClassDef)}
-    assert "Sewn" not in classes
+    nodes = [node for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))]
+    assert "Sewn" not in {node.name for node in nodes if isinstance(node, ast.ClassDef)}
+    assert "_genus_g_sum" not in {node.name for node in nodes if isinstance(node, ast.FunctionDef)}

@@ -19,6 +19,7 @@ from references import (
     genus_g_sum,
     partition_qseries,
     sewn_series,
+    sphere_terms,
     torus_qseries,
 )
 
@@ -37,7 +38,6 @@ from voachain.schottky import (
     SchottkyData,
     SewingData,
     SewingError,
-    _genus_g_sum,
     _gram_inverse,
     _pairing_terms,
     _sewn_handle,
@@ -509,7 +509,7 @@ class TestGenusThree:
         elem = element_from_insertions(InsertionTuple(()), 3, sd, rho_orders=(2, 2, 2))
         for entry in entries:
             elem = apply_Dn(entry, elem)
-        want = genus_g_sum(sd.handles((2, 2, 2)), entries, sphere_value)
+        want = genus_g_sum(sd.handles((2, 2, 2)), entries, sphere_terms)
         assert not want.is_zero()
         assert elem.value.genus == 3
         assert oracle == elem.value.data == want
@@ -591,7 +591,7 @@ class TestNestedSewingSum:
                 return 0
             return sphere_value([*points[:slot], (moved, point), *points[slot + 1:]])
 
-        nested = genus_g_sum(sd.handles((3, 3)), insertions, moved_sphere)
+        nested = genus_g_sum(sd.handles((3, 3)), insertions, lambda points: [moved_sphere(points)])
         flat = flat_genus2_sum(sd, insertions, (3, 3), mode)
         assert nested.is_zero() == (ell == 0 or not insertions)
         self.assert_same(nested, flat)
@@ -668,8 +668,7 @@ def _sewn_chain(handles):
 def _one_pass(handles, insertions):
     # the sewn sums as Sphere.evaluate takes them on the sphere, every
     # handle at once
-    return _genus_g_sum(handles, lambda sewn: [(1, insertions, sewn)],
-                        correlators.sewn_sphere_series)
+    return Sphere(tuple(handles)).evaluate(tuple(insertions)).data
 
 
 def _per_term_sewn(handles, entries):
@@ -690,7 +689,7 @@ class TestSewnSphereSeries:
     def test_genus_g_sum_matches_per_term_sums(self, case):
         insertions, handles = case
         sewn = _schottky(handles).handles([order for _, _, order in handles])
-        want = genus_g_sum(sewn, insertions, sphere_value)
+        want = genus_g_sum(sewn, insertions, sphere_terms)
         _assert_identical(_one_pass(sewn, insertions), want)
 
     @settings(max_examples=40, deadline=None)
@@ -710,7 +709,7 @@ class TestSewnSphereSeries:
         insertions = [(insertions[0][0], twin), *insertions[1:]]
         sewn = _schottky(handles).handles([order for _, _, order in handles])
         with pytest.raises(ValueError, match="pairwise distinct"):
-            genus_g_sum(sewn, insertions, sphere_value)
+            genus_g_sum(sewn, insertions, sphere_terms)
         with pytest.raises(ValueError, match="pairwise distinct"):
             _one_pass(sewn, insertions)
         with pytest.raises(ValueError, match="pairwise distinct"):
@@ -730,7 +729,7 @@ class TestSewnSphereSeries:
                                      [(-1, 1, 3, "rho")]),
                                     ([(A_VECTOR, 2), a3], [(-1, gaussian, 3, "rho")])):
             _assert_identical(_one_pass(handles, insertions),
-                              genus_g_sum(handles, insertions, sphere_value))
+                              genus_g_sum(handles, insertions, sphere_terms))
         with pytest.raises(ValueError, match="pairwise distinct"):
             correlators.sewn_sphere_series([(1, [(A_VECTOR, ExactComplex(1)), a3], [handle])])
         with pytest.raises(SeriesError, match="is not exact"):

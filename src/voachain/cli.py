@@ -237,10 +237,14 @@ class _Values(dict):
 
 
 def read_config(path: str, command: str) -> _Values:
-    """Read the config at ``path`` by the key table of ``command``;
+    """Read the UTF-8 config at ``path`` by the key table of ``command``;
     any other section or key is refused."""
     parser = configparser.ConfigParser()
-    if not parser.read(path):
+    try:
+        found = parser.read(path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path!r} is not UTF-8 text: {exc.reason}") from None
+    if not found:
         raise ConfigError(f"config file {path!r} not found")
     table = CONFIG_KEYS[command]
     values = _Values({(section, key): default for section, keys in table.items()
@@ -531,58 +535,64 @@ def cmd_cohomology(args) -> int:
     return 0
 
 
-@lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
+# {subcommand: (help text or None, ((flag, add_argument keywords), ...))}; a
+# subcommand with no help text is left out of the help listing
+_CONFIG = ("--config", {"required": True})
+SUBCOMMANDS = {
+    "eval-eisenstein": ("Eisenstein q-series", (
+        ("--k", {"type": int, "required": True}), ("--order", {"type": int, "default": 10}))),
+    "eval-weierstrass": ("Weierstrass kernel value", (
+        ("--k", {"type": int, "default": 1}), ("--z-re", {"type": float, "default": 0.3}),
+        ("--z-im", {"type": float, "default": 0.0}),
+        ("--tau-re", {"type": float, "default": 0.0}),
+        ("--tau-im", {"type": float, "default": 2.0}), ("--terms", {"type": int, "default": 40}))),
+    "eval-pm": ("genus-1 reduction kernel value", (
+        ("--m", {"type": int, "required": True}), ("--z-re", {"type": float, "default": -0.5}),
+        ("--z-im", {"type": float, "default": 0.3}),
+        ("--tau-re", {"type": float, "default": 0.0}),
+        ("--tau-im", {"type": float, "default": 1.5}), ("--terms", {"type": int, "default": 40}))),
+    "eval-f0": ("genus-0 rational kernel", (
+        ("--n", {"type": int, "required": True}), ("--m", {"type": int, "required": True}),
+        ("--z", {"type": str, "default": None}), ("--w", {"type": str, "default": None}),
+        ("--iota-order", {"type": int, "default": 8}))),
+    "npoint": (None, (
+        _CONFIG,
+        ("--oracle", {"dest": "path", "action": "store_const", "const": "oracle",
+                      "default": "oracle"}),
+        ("--reduction", {"dest": "path", "action": "store_const", "const": "reduction"}))),
+    **{name: (None, (_CONFIG,)) for name in ("sew", "partition", "reduce", "check-complex",
+                                            "connection", "cohomology")},
+}
+
+
+@lru_cache(maxsize=None)
+def build_parser(command=None) -> argparse.ArgumentParser:
     """The command-line parser, built on its first call and shared by
-    every later one.  It holds no handler: ``main`` looks up the handler
-    of a subcommand by name when it calls it."""
+    every later one: with every subcommand when ``command`` is None, else
+    with that one alone, under the same usage line.  It holds no handler:
+    ``main`` looks up the handler of a subcommand by name when it calls
+    it."""
     parser = argparse.ArgumentParser(
         prog="voachain",
         description="correlation-function reduction experiments at desk scale",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval-eisenstein", help="Eisenstein q-series")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--order", type=int, default=10)
-
-    p = sub.add_parser("eval-weierstrass", help="Weierstrass kernel value")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--z-re", type=float, default=0.3)
-    p.add_argument("--z-im", type=float, default=0.0)
-    p.add_argument("--tau-re", type=float, default=0.0)
-    p.add_argument("--tau-im", type=float, default=2.0)
-    p.add_argument("--terms", type=int, default=40)
-
-    p = sub.add_parser("eval-pm", help="genus-1 reduction kernel value")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--z-re", type=float, default=-0.5)
-    p.add_argument("--z-im", type=float, default=0.3)
-    p.add_argument("--tau-re", type=float, default=0.0)
-    p.add_argument("--tau-im", type=float, default=1.5)
-    p.add_argument("--terms", type=int, default=40)
-
-    p = sub.add_parser("eval-f0", help="genus-0 rational kernel")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--z", type=str, default=None)
-    p.add_argument("--w", type=str, default=None)
-    p.add_argument("--iota-order", type=int, default=8)
-
-    for name in ("npoint", "sew", "partition", "reduce", "check-complex", "connection",
-                 "cohomology"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        if name == "npoint":
-            p.add_argument("--oracle", dest="path", action="store_const",
-                           const="oracle", default="oracle")
-            p.add_argument("--reduction", dest="path", action="store_const",
-                           const="reduction")
+    # one subcommand's parser names every choice, as the full parser does
+    # by itself; a metavar there would rename "command" in its messages
+    sub = parser.add_subparsers(dest="command", required=True, metavar=None if command is None
+                                else "{" + ",".join(SUBCOMMANDS) + "}")
+    for name in SUBCOMMANDS if command is None else (command,):
+        help_text, arguments = SUBCOMMANDS[name]
+        p = sub.add_parser(name, **({} if help_text is None else {"help": help_text}))
+        for flag, spec in arguments:
+            p.add_argument(flag, **spec)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # -h, an unknown name or none at all is answered by the full parser
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)

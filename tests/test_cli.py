@@ -1,6 +1,8 @@
 """CLI contract tests: JSON-only stdout, exit codes, determinism."""
 
+import argparse
 import cmath
+import importlib.util
 import json
 import re
 import subprocess
@@ -16,6 +18,7 @@ from references import child_env, genus_g_sum, sphere_terms
 from voachain import complexes
 from voachain.cli import (
     CONFIG_KEYS,
+    SUBCOMMANDS,
     ConfigError,
     build_parser,
     main,
@@ -27,6 +30,12 @@ from voachain.correlators import torus_trace
 from voachain.schottky import SchottkyData
 from voachain.series import ExactComplex, _frac_str, _parse_frac
 from voachain.voa import A_VECTOR
+
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("cli_digests", ROOT / "tools" / "cli_digests.py")
+cli_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cli_digests)
 
 
 def run_cli(args, capsys):
@@ -185,7 +194,7 @@ class TestParseScalar:
 def write_config(tmp_path):
     def _write(text):
         path = tmp_path / "exp.cfg"
-        path.write_text(text)
+        path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
         return str(path)
 
     return _write
@@ -1229,7 +1238,8 @@ class TestCachedParser:
             cold.append(run_cli(argv, capsys))
         build_parser.cache_clear()
         warm = [run_cli(argv, capsys) for argv in argvs]
-        assert build_parser.cache_info().misses == 1
+        # one parser per subcommand called
+        assert build_parser.cache_info().misses == len(argvs)
         assert warm == cold
         assert all(code == 0 for code, _, _ in warm)
 
@@ -1259,6 +1269,56 @@ class TestCachedParser:
         monkeypatch.setattr(cli, "cmd_sew", lambda args: seen.append(args.config) or 7)
         assert main(["sew", "--config", cfg]) == 7
         assert seen == [cfg]
+
+
+class TestOneSubcommandParser:
+    # a call builds the parser of its own subcommand alone, and every
+    # message it prints is the full parser's, byte for byte
+    @staticmethod
+    def exits(call, capsys):
+        with pytest.raises(SystemExit) as exc:
+            call()
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", cli_digests.ARGUMENT_ERRORS,
+                             ids=map(cli_digests.call_name, cli_digests.ARGUMENT_ERRORS))
+    def test_every_message_is_the_full_parsers(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        full = self.exits(lambda: build_parser().parse_args(argv), capsys)
+        assert self.exits(lambda: main(argv), capsys) == full
+
+    @pytest.mark.parametrize("columns", ["80", "40"])
+    def test_every_usage_line_is_the_full_parsers(self, monkeypatch, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert tuple(SUBCOMMANDS) == cli_digests.SUBCOMMANDS
+        for name in SUBCOMMANDS:
+            assert build_parser(name).format_usage() == build_parser().format_usage()
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        # every ArgumentParser constructed, subparsers included
+        built, init = [], argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda parser, *a, **kw: built.append(parser) or init(parser, *a, **kw))
+        build_parser.cache_clear()
+        return built
+
+    def test_a_config_command_builds_two_parsers(self, built, write_config, capsys):
+        cfg = write_config(GENUS0_AA.replace("3, 1", "3, 5"))
+        assert run_cli(["sew", "--config", cfg], capsys)[0] == 0
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("argv", [["--help"], ["no-such-command"], []])
+    def test_no_subcommand_named_builds_them_all(self, built, capsys, argv):
+        self.exits(lambda: main(argv), capsys)
+        assert len(built) == 1 + len(SUBCOMMANDS)
+
+    def test_argv_defaults_to_the_process_arguments(self, capsys, monkeypatch):
+        argv = ["eval-f0", "--n", "2", "--m", "1", "--z", "3", "--w", "1/2"]
+        given = run_cli(argv, capsys)
+        monkeypatch.setattr(sys, "argv", ["voachain", *argv])
+        assert run_cli(None, capsys) == given and given[0] == 0
 
 
 class TestErrorClasses:
@@ -1374,6 +1434,9 @@ class TestErrorClasses:
          "[insertions] states: bad partition spec '[x,1]'"),
         ("connection", "[element]\nstates = a\npoints = 2\n[options]\nf_op = bogus\n",
          "unknown F operator preset 'bogus'"),
+        # a config is UTF-8 text, whatever the locale
+        ("npoint", GENUS0_AA.replace("3, 1", "3, 1\xff").encode("latin-1"),
+         "is not UTF-8 text: invalid start byte"),
     ])
     def test_bad_input_is_a_validation_error(self, write_config, capsys, command, text,
                                              fragment):
